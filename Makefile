@@ -8,8 +8,6 @@
 #                        deliberate verdict change
 #   make bench         full figure-suite regeneration (pytest-benchmark)
 #   make bench-smoke   CI smoke: fig7 twice, asserts warm-run cache hits
-#   make bench-json    engine perf suite -> BENCH_<n>.json at repo root
-#   make bench-json-smoke  CI perf smoke: gated vs committed BENCH_*.json
 #   make faults-smoke  fault-injection campaign, smoke scale (IFP table)
 #   make trace-smoke   export one trace and validate the Perfetto schema
 #   make recovery-smoke  kill-and-resume a tiny sweep, replay + shrink
@@ -34,10 +32,9 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint analyze analyze-golden bench bench-smoke bench-json \
-	bench-json-smoke faults-smoke trace-smoke recovery-smoke \
-	fabric-smoke litmus-smoke durability-smoke durability-golden \
-	clean-cache
+.PHONY: test lint analyze analyze-golden bench bench-smoke faults-smoke \
+	trace-smoke recovery-smoke fabric-smoke litmus-smoke \
+	durability-smoke durability-golden clean-cache
 
 test:
 	$(PY) -m pytest -x -q
@@ -57,12 +54,6 @@ bench:
 
 bench-smoke:
 	$(PY) -m repro.experiments.smoke
-
-bench-json:
-	$(PY) -m repro bench
-
-bench-json-smoke:
-	$(PY) -m repro bench --smoke --out bench-smoke.json
 
 faults-smoke:
 	$(PY) -m repro faults --seed 1 --smoke --no-cache

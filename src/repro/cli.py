@@ -34,8 +34,6 @@ Usage::
     awg-repro sanitize _RACY        # the seeded-race drill (exits 1)
     awg-repro trace FAM_G awg --out t.json   # Chrome/Perfetto trace
     awg-repro trace SPM_G --quick --categories wg,sync,dispatch
-    awg-repro bench                 # perf suite -> BENCH_<n>.json
-    awg-repro bench --smoke --out bench-smoke.json   # CI smoke + gate
     awg-repro litmus run --smoke    # corpus + generated programs, judged
     awg-repro litmus run --seed 7 --programs 16      # wider random sweep
     awg-repro litmus generate --seed 3 --out progs.json
@@ -84,6 +82,13 @@ EXPERIMENTS: Dict[str, Callable] = {
         scenario if scenario.resource_loss_at_us else OVERSUBSCRIBED, **kw
     ),
 }
+
+#: every command besides the experiment ids, as dispatched below
+COMMANDS = (
+    "list", "all", "run", "ablations", "timeline", "faults", "cache",
+    "matrix", "replay", "shrink", "lint", "analyze", "sanitize", "trace",
+    "fabric", "litmus", "durability",
+)
 
 
 def _run_ablations(quick: bool, **kw) -> None:
@@ -531,27 +536,6 @@ def _run_analyze(opts) -> int:
     return rc
 
 
-def _run_bench(opts) -> int:
-    """Run the continuous perf suite (see repro.experiments.bench)."""
-    from repro.experiments import bench
-
-    started = time.time()
-    doc, path, failures = bench.run_bench(
-        smoke=opts.smoke or opts.quick,
-        series=opts.series,
-        out=opts.out,
-    )
-    print(bench.render(doc))
-    print(f"\nwrote {path}  [{time.time() - started:.1f}s]")
-    if failures:
-        print(f"\nREGRESSION vs {doc.get('compared_against')}:",
-              file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _run_fabric_command(opts, parser) -> int:
     """Distributed sweeps: run/resume on a leased worker fleet, inspect
     live fabric directories, or run the chaos drill."""
@@ -744,8 +728,8 @@ def _dispatch(argv=None) -> int:
     )
     parser.add_argument(
         "command",
-        help="experiment id (table1, table2, fig5..fig15), 'list', "
-             "'all', 'run', 'lint', 'analyze', or 'sanitize'",
+        help="an experiment id (" + ", ".join(EXPERIMENTS) + ") or one "
+             "of: " + ", ".join(COMMANDS),
     )
     parser.add_argument("args", nargs="*",
                         help="for 'run': BENCHMARK POLICY; for 'lint': "
@@ -756,11 +740,7 @@ def _dispatch(argv=None) -> int:
                         help="small-scale smoke configuration")
     parser.add_argument("--smoke", action="store_true",
                         help="for 'faults': two-benchmark smoke campaign; "
-                             "for 'bench': small-scale gated run; for "
-                             "'litmus': golden policies + small corpus")
-    parser.add_argument("--series", type=int, default=None, metavar="N",
-                        help="for 'bench': BENCH_N.json series number "
-                             "(default: newest committed + 1)")
+                             "for 'litmus': golden policies + small corpus")
     parser.add_argument("--seed", type=int, default=1, metavar="N",
                         help="for 'faults'/'litmus': root seed for fault "
                              "plans / program generation")
@@ -862,9 +842,7 @@ def _dispatch(argv=None) -> int:
         from repro.faults.plan import plan_names
 
         print("experiments:", ", ".join(EXPERIMENTS))
-        print("extras:      ablations, faults, timeline, cache, "
-              "lint, analyze, sanitize, trace, matrix, replay, shrink, "
-              "bench, fabric, litmus, durability")
+        print("commands:   ", ", ".join(COMMANDS))
         print("benchmarks: ", ", ".join(benchmark_names()))
         print("policies:    baseline, sleep, timeout, monrs-all, "
               "monr-all, monnr-all, monnr-one, awg, minresume")
@@ -886,9 +864,6 @@ def _dispatch(argv=None) -> int:
 
     if opts.command == "sanitize":
         return _run_sanitize(opts, parser)
-
-    if opts.command == "bench":
-        return _run_bench(opts)
 
     if opts.command == "trace":
         return _run_trace(opts, parser)

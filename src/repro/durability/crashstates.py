@@ -95,8 +95,10 @@ def _durable_cover(log: Sequence[OpRecord]) -> Dict[int, int]:
     """index → index of the earliest *honest* fsync making it durable.
 
     An honest fsync of path ``p`` at index ``f`` covers every earlier
-    op on ``p`` (and itself). Lying fsyncs cover nothing — that is the
-    entire point of them."""
+    op on ``p`` (and itself) except renames: a rename is a directory
+    entry change that may miss the metadata journal whatever file is
+    fsynced later (the ``-rename@k`` states). Lying fsyncs cover
+    nothing — that is the entire point of them."""
     cover: Dict[int, int] = {}
     for record in log:
         if record.op != "fsync" or record.fault is not None:
@@ -104,7 +106,8 @@ def _durable_cover(log: Sequence[OpRecord]) -> Dict[int, int]:
         for prior in log:
             if prior.index > record.index:
                 break
-            if prior.path == record.path and prior.index not in cover:
+            if (prior.path == record.path and prior.op != "rename"
+                    and prior.index not in cover):
                 cover[prior.index] = record.index
     return cover
 

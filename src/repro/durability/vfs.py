@@ -8,8 +8,7 @@ module-level ``v*`` functions below — a thin layer over
 
 Disarmed (the default, and the only state production sweeps ever run
 in) every ``v*`` call is one ``is None`` check away from the raw
-``os`` call, so the gateway costs nothing; the ``durability`` row of
-``python -m repro bench`` measures exactly this.
+``os`` call.
 
 Armed (:func:`armed`, a context manager), the gateway:
 

@@ -1,27 +1,32 @@
-"""Calendar engine vs reference heap engine: bit-identity, everywhere.
+"""Production heap engine vs a naive oracle queue: bit-identity, everywhere.
 
-The calendar-queue engine (the default) must be indistinguishable from
-the ``REPRO_ENGINE=reference`` binary heap on every observable surface:
+The simulator's binary-heap :class:`~repro.sim.engine.Engine` (the
+``reference`` engine) must be indistinguishable from
+:class:`tests.sim.calendar_oracle.CalendarOracle` (the ``calendar``
+oracle: one FIFO list per timestamp, next event found by ``min()``, so
+(time, scheduling order) holds by construction) on every observable
+surface:
 
 * the full benchmark × policy matrix (the same 12×8 grid the policy
   differential suite uses) produces identical cycles, completion
   outcomes, stats snapshots, and final memory words;
-* a traced run exports an identical Chrome/Perfetto document once the
-  ``engine`` self-observability category (the one surface that is
-  *allowed* to differ — the calendar engine reports two extra lane
-  counters) is filtered out;
+* a traced run exports an identical Chrome/Perfetto document, the
+  ``engine.*`` scheduler counters included;
 * a checkpointed sweep that is SIGKILLed mid-flight and resumed under
-  the calendar engine finishes bit-identical to an uninterrupted
-  reference-engine run of the same sweep.
+  the oracle finishes bit-identical to an uninterrupted sweep on the
+  production engine.
 
 Scheduling order is the simulator's ground truth — a single divergent
 tie-break cascades into different lock handoff orders, different resume
-sets, and different final stats — so these tests are the contract that
-lets the fast engine replace the heap without re-baselining goldens.
+sets, and different final stats. The goldens pin that order for a few
+policies at one scale; this grid checks the heap's tie-breaks, lazy
+cancellation, compaction and fused batch drain against the oracle under
+preemption storms and cancellation churn.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -43,14 +48,17 @@ from repro.core.policies import (
 from repro.experiments import QUICK_SCALE, run_benchmark
 from repro.experiments.cache import RESULT_FIELDS
 from repro.experiments.matrix import run_matrix
-from repro.sim.engine import ENGINE_KINDS
+from repro.gpu import gpu as gpu_module
+from repro.sim.engine import Engine
 from repro.trace.config import TraceConfig
 from repro.workloads.registry import benchmark_names
+from tests.sim.calendar_oracle import CalendarOracle
 
-SRC = str(Path(__file__).resolve().parents[2] / "src")
+ROOT = Path(__file__).resolve().parents[2]
+SRC = str(ROOT / "src")
 
 #: the policy-differential scenario: small enough that the whole
-#: 12 × 8 × 2-engine grid simulates in-process in well under a minute,
+#: 12 × 8 × 2-queue grid simulates in-process in well under a minute,
 #: oversubscribed enough (CU loss, 1 WG slot per CU) to exercise
 #: preemption storms, cancellation churn, and every wait mechanism
 SCENARIO = QUICK_SCALE.scaled(
@@ -75,21 +83,22 @@ POLICIES = [
     minresume(),
 ]
 BENCHMARKS = benchmark_names()
-#: canonical engine kinds under test (aliases collapse to these)
-ENGINES = sorted({cls.kind for cls in ENGINE_KINDS.values()})
+#: the queues under test, by the ids the engine unit tests use
+ENGINES = {"calendar": CalendarOracle, "reference": Engine}
+
+
+@contextlib.contextmanager
+def _engine(kind):
+    """Build every GPU created inside the block on queue ``kind``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gpu_module, "Engine", ENGINES[kind])
+        yield
 
 
 def _run_with_engine(kind, *args, **kwargs):
-    """run_benchmark under a specific engine via $REPRO_ENGINE."""
-    saved = os.environ.get("REPRO_ENGINE")
-    os.environ["REPRO_ENGINE"] = kind
-    try:
+    """run_benchmark with its GPU on a specific queue."""
+    with _engine(kind):
         return run_benchmark(*args, **kwargs)
-    finally:
-        if saved is None:
-            del os.environ["REPRO_ENGINE"]
-        else:
-            os.environ["REPRO_ENGINE"] = saved
 
 
 @pytest.fixture(scope="module")
@@ -140,39 +149,6 @@ def test_final_memory_identical(matrix, bench, policy):
     )
 
 
-def _strip_engine_events(trace):
-    """Drop the ``engine`` observability surface from an export.
-
-    That category is the one place the two engines legitimately differ
-    (the calendar engine emits two extra lane counters); everything
-    else must match event-for-event.
-    """
-    tracks = {
-        ev["tid"]: ev["args"]["name"]
-        for ev in trace["traceEvents"]
-        if ev.get("ph") == "M" and ev.get("name") == "thread_name"
-    }
-    kept_tracks = sorted(
-        name for name in tracks.values() if not name.startswith("engine.")
-    )
-    events = []
-    for ev in trace["traceEvents"]:
-        if ev.get("ph") == "M":
-            continue  # tid metadata is normalized via kept_tracks below
-        if ev.get("cat") == "engine":
-            continue
-        track = tracks.get(ev.get("tid"))
-        if track is not None and track.startswith("engine."):
-            continue
-        # tids are assigned by sorted track name, so the calendar
-        # engine's extra lane-counter tracks shift every later tid;
-        # compare against the stable track *name* instead
-        ev = dict(ev)
-        ev["tid"] = track if track is not None else ev.get("tid")
-        events.append(ev)
-    return kept_tracks, events
-
-
 def test_traced_run_exports_identically():
     overrides = {"trace": TraceConfig()}
     results = {
@@ -184,12 +160,13 @@ def test_traced_run_exports_identically():
     }
     ref, cal = results["reference"], results["calendar"]
     assert ref.cycles == cal.cycles
-    ref_tracks, ref_events = _strip_engine_events(ref.trace)
-    cal_tracks, cal_events = _strip_engine_events(cal.trace)
-    assert ref_tracks == cal_tracks
+    ref_events = ref.trace["traceEvents"]
+    cal_events = cal.trace["traceEvents"]
+    assert any(ev.get("cat") == "engine" for ev in ref_events)
     assert len(ref_events) == len(cal_events)
     for i, (a, b) in enumerate(zip(ref_events, cal_events)):
         assert a == b, f"traceEvents[{i}] diverged between engines"
+    assert ref.trace == cal.trace
 
 
 # -- kill-and-resume differential -------------------------------------
@@ -212,7 +189,12 @@ def build_requests():
 
 _CHILD_MAIN = """
 import sys
+sys.path.insert(0, sys.argv[2])
 from repro.experiments.matrix import SweepInterrupted, run_matrix
+from repro.gpu import gpu as gpu_module
+from tests.sim.calendar_oracle import CalendarOracle
+
+gpu_module.Engine = CalendarOracle
 
 try:
     run_matrix(build_requests(), jobs=1, cache=None,
@@ -232,10 +214,10 @@ def _result_fields(result):
     return {name: getattr(result, name) for name in RESULT_FIELDS}
 
 
-def test_kill_and_resume_matches_reference_engine(tmp_path, monkeypatch):
-    """SIGKILL a calendar-engine sweep mid-flight, resume it, and pin
-    the resumed results bit-equal to an uninterrupted sweep under the
-    reference heap engine — crash recovery and the engine swap compose."""
+def test_kill_and_resume_matches_reference_engine(tmp_path):
+    """SIGKILL a sweep on the oracle queue mid-flight, resume it, and
+    pin the resumed results bit-equal to an uninterrupted sweep on the
+    production heap engine — crash recovery and the engine compose."""
     ckpt_dir = tmp_path / "ckpt"
     sentinel = tmp_path / "kill-me"
     sentinel.write_text("")
@@ -245,12 +227,11 @@ def test_kill_and_resume_matches_reference_engine(tmp_path, monkeypatch):
         os.environ,
         PYTHONPATH=SRC,
         REPRO_NO_CACHE="1",
-        REPRO_ENGINE="calendar",
         REPRO_STRESS_KILL=str(sentinel),
     )
     env.pop("REPRO_CHECKPOINT", None)
     child = subprocess.Popen(
-        [sys.executable, str(script), str(ckpt_dir)],
+        [sys.executable, str(script), str(ckpt_dir), str(ROOT)],
         env=env, cwd=tmp_path,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
@@ -258,15 +239,15 @@ def test_kill_and_resume_matches_reference_engine(tmp_path, monkeypatch):
     assert child.returncode == -signal.SIGKILL
     assert not sentinel.exists()  # the drill consumed its sentinel
 
-    # resume under the calendar engine in-process
-    monkeypatch.setenv("REPRO_ENGINE", "calendar")
+    # resume on the oracle queue in-process
     requests = _build_requests()
-    resumed = run_matrix(requests, jobs=1, cache=None, checkpoint=ckpt_dir)
+    with _engine("calendar"):
+        resumed = run_matrix(requests, jobs=1, cache=None,
+                             checkpoint=ckpt_dir)
     assert not resumed.errors
     assert resumed.resumed == 2  # SPM_G, FAM_G survived the crash
 
-    # the uninterrupted control runs on the reference heap engine
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    # the uninterrupted control runs on the production heap engine
     control = run_matrix(_build_requests(), jobs=1, cache=None,
                          checkpoint=False)
     assert not control.errors
@@ -274,5 +255,5 @@ def test_kill_and_resume_matches_reference_engine(tmp_path, monkeypatch):
         assert _result_fields(resumed[index]) == \
             _result_fields(control[index]), (
                 f"cell {index} diverged between a killed-and-resumed "
-                f"calendar sweep and an uninterrupted reference sweep"
+                f"oracle sweep and an uninterrupted production sweep"
             )

@@ -1,23 +1,32 @@
 """Unit tests for the discrete-event engine.
 
-Every behavioral test runs against BOTH engines (the calendar-queue
-default and the reference heap) via the parametrized ``env`` fixture —
-the contract is engine-independent by design.
+Every behavioral test runs twice via the parametrized ``env`` fixture:
+on the production binary heap (``reference``) and on the naive
+per-timestamp oracle queue in :mod:`tests.sim.calendar_oracle`
+(``calendar``). The oracle only counts as ground truth for the
+differential suite if it meets the same contract.
 """
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import (
-    CalendarEngine, COMPACT_MIN_DEAD, Engine, ReferenceEngine, RING_SPAN,
-    engine_kind, make_engine,
-)
+from repro.sim.engine import COMPACT_MIN_DEAD, Engine
 from repro.sim.events import Event
+from tests.sim.calendar_oracle import CalendarOracle
+
+QUEUES = {"calendar": CalendarOracle, "reference": Engine}
 
 
-@pytest.fixture(params=["calendar", "reference"])
+@pytest.fixture(params=sorted(QUEUES))
 def env(request):
-    return make_engine(request.param)
+    return QUEUES[request.param]()
+
+
+def _queued(env):
+    """Every physically queued event, live or dead."""
+    if isinstance(env, CalendarOracle):
+        return env.queued()
+    return [ev for (_, _, ev) in env._heap]
 
 
 def test_clock_starts_at_zero(env):
@@ -48,11 +57,12 @@ def test_same_cycle_events_fire_fifo(env):
 
 
 def test_fifo_order_across_ring_and_overflow_lanes(env):
-    """Events landing at one timestamp via different lanes (scheduled far
-    ahead -> overflow; scheduled near -> ring) still fire in global
-    scheduling order: the far-ahead ones were scheduled first."""
+    """Events landing at one timestamp, some scheduled far ahead and some
+    scheduled shortly before it (the overflow and ring lanes of a
+    bucketed calendar queue), fire in global scheduling order: the
+    far-ahead ones were scheduled first."""
     order = []
-    target = RING_SPAN + 100
+    target = 2148  # > 2048 cycles out, past a typical bucketed-queue window
     env.timeout(target).add_callback(lambda e: order.append("far0"))
     env.timeout(target).add_callback(lambda e: order.append("far1"))
     env.timeout(50).add_callback(
@@ -239,10 +249,7 @@ def test_drain_batches_stops_at_boundary_and_halt(env):
 def _scan_pending_events(env):
     """The original O(n) full-queue scan, kept as the oracle for the
     incrementally maintained counter behind ``pending_events()``."""
-    if isinstance(env, ReferenceEngine):
-        return sum(1 for (_, _, ev) in env._heap if not ev.cancelled)
-    return (sum(1 for (_, _, ev) in env._overflow if not ev.cancelled)
-            + sum(1 for b in env._ring for ev in b if not ev.cancelled))
+    return sum(1 for ev in _queued(env) if not ev.cancelled)
 
 
 def test_pending_events_matches_scan_oracle(env):
@@ -302,19 +309,19 @@ def test_run_until_with_only_cancelled_events_left(env):
 
 # -- lazy-deletion compaction --------------------------------------------------
 
-FAR = 1_000_000  # well past the calendar ring: exercises the overflow lane
+FAR = 1_000_000  # far-future timers, like the 100k-cycle policy backstops
 
 
 def test_cancel_storm_keeps_physical_size_bounded(env):
     """Scheduling then cancelling 10k far-future events must not leave
     10k dead entries queued: threshold compaction reclaims them."""
     events = [env.timeout(FAR + i) for i in range(10_000)]
-    assert env._physical_size() == 10_000
+    assert len(_queued(env)) == 10_000
     for ev in events:
         ev.cancel()
     assert env.pending_events() == 0
     # geometric compaction cadence: at most a sub-threshold residue stays
-    assert env._physical_size() <= COMPACT_MIN_DEAD
+    assert len(_queued(env)) <= COMPACT_MIN_DEAD
     m = env.metrics()
     assert m["compactions"] > 0
     assert m["cancelled_reaped"] + m["dead_pending"] == 10_000
@@ -326,9 +333,9 @@ def test_interleaved_cancel_storm_stays_small(env):
     peak = 0
     for i in range(10_000):
         env.timeout(FAR + i).cancel()
-        peak = max(peak, env._physical_size())
+        peak = max(peak, len(_queued(env)))
     assert peak < 256
-    assert env._physical_size() < 256
+    assert len(_queued(env)) < 256
 
 
 def test_compaction_preserves_fifo_order_of_survivors(env):
@@ -363,7 +370,7 @@ def test_compaction_during_active_run_is_safe(env):
     env.timeout(6).add_callback(lambda e: order.append("after"))
     env.run()
     assert order == ["cancel", 0, 1, 2, "after"]
-    assert env._physical_size() == 0
+    assert len(_queued(env)) == 0
 
 
 # -- peek() accounting (the drain feeds compaction statistics) ----------------
@@ -389,34 +396,3 @@ def test_metrics_track_peak_pending_and_fired(env):
     assert m["peak_pending"] == 8
     assert m["pending"] == 0
     assert m["fired"] == 8
-
-
-def test_calendar_metrics_split_lanes():
-    env = make_engine("calendar")
-    env.timeout(10)            # ring lane
-    env.timeout(RING_SPAN * 2)  # overflow lane
-    env.run()
-    m = env.metrics()
-    assert m["bucket_fired"] == 1
-    assert m["overflow_fired"] == 1
-
-
-# -- engine selection ---------------------------------------------------------
-
-def test_engine_factory_default_is_calendar(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert isinstance(Engine(), CalendarEngine)
-
-
-def test_engine_factory_honors_env_var(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert isinstance(Engine(), ReferenceEngine)
-    monkeypatch.setenv("REPRO_ENGINE", "calendar")
-    assert isinstance(Engine(), CalendarEngine)
-
-
-def test_engine_factory_rejects_unknown_kind(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "quantum")
-    with pytest.raises(SimulationError):
-        Engine()
-    assert engine_kind("fast") == "calendar"

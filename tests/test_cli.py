@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import inspect
+import re
+
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import COMMANDS, EXPERIMENTS, _dispatch, main
 
 
 def test_list(capsys):
@@ -36,6 +39,24 @@ def test_experiment_registry_covers_all_artifacts():
         "table1", "table2", "fig5", "fig7", "fig8", "fig9", "fig11",
         "fig13", "fig14", "fig15",
     }
+
+
+def test_command_help_names_every_dispatched_command(capsys):
+    dispatched = re.findall(r'opts\.command == "(\w+)"',
+                            inspect.getsource(_dispatch))
+    assert sorted(dispatched) == sorted(COMMANDS)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for name in (*EXPERIMENTS, *COMMANDS):
+        assert name in help_text
+
+
+def test_unknown_command_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "unknown command 'bench'" in capsys.readouterr().err
 
 
 def test_table1_command(capsys):
