@@ -12,13 +12,11 @@
 #   make trace-smoke   export one trace and validate the Perfetto schema
 #   make recovery-smoke  kill-and-resume a tiny sweep, replay + shrink
 #                        a drill repro bundle
-#   make fabric-smoke  seeded chaos drill over the distributed sweep
-#                      fabric: 4 workers, kill/stall/interrupt faults
 #   make litmus-smoke  seeded litmus corpus + generated programs vs the
 #                      golden policy set; violating runs drop shrunken
 #                      repro bundles into .litmus-bundles/
 #   make durability-smoke  crash-state enumeration over the durable
-#                      subsystems (cache/manifest/fabric) + a seeded
+#                      subsystems (cache/manifest) + a seeded
 #                      bit-reproducible fault campaign, golden-gated;
 #                      failing crash states land in .durability-repro/
 #   make clean-cache   drop the on-disk result cache
@@ -26,14 +24,21 @@
 # Knobs: REPRO_JOBS (worker processes), REPRO_NO_CACHE=1,
 # REPRO_CACHE_DIR (cache root), REPRO_CELL_TIMEOUT (per-cell wall-clock
 # seconds), REPRO_CELL_RETRIES (environmental-failure retry rounds),
-# REPRO_CHECKPOINT=1 / REPRO_CHECKPOINT_DIR (sweep crash-resume
-# manifests), REPRO_BUNDLE_DIR (emit repro bundles for failing cells).
+# REPRO_CHECKPOINT=1 / REPRO_CHECKPOINT_DIR / REPRO_CHECKPOINT_FLUSH
+# (sweep crash-resume manifests and their flush throttle),
+# REPRO_BUNDLE_DIR (emit repro bundles for failing cells),
+# REPRO_IO_RETRIES / REPRO_IO_BACKOFF (transient I/O fault retries),
+# REPRO_DURABILITY_REPRO_DIR (where failing crash states land),
+# REPRO_DEBUG_OPS=1 (report device ops called without yield from).
+# Test hooks: REPRO_EXEC_LOG (log every executed cell),
+# REPRO_STRESS_KILL (sentinel file: the _KILL benchmark SIGKILLs its
+# worker once).
 
 PY ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint analyze analyze-golden bench bench-smoke faults-smoke \
-	trace-smoke recovery-smoke fabric-smoke litmus-smoke \
+	trace-smoke recovery-smoke litmus-smoke \
 	durability-smoke durability-golden clean-cache
 
 test:
@@ -65,9 +70,6 @@ trace-smoke:
 
 recovery-smoke:
 	$(PY) -m repro.recovery.smoke
-
-fabric-smoke:
-	$(PY) -m repro fabric drill --workers 4 --seed 0
 
 litmus-smoke:
 	$(PY) -m repro litmus run --smoke --seed 1 --bundles .litmus-bundles --shrink

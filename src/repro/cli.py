@@ -39,11 +39,6 @@ Usage::
     awg-repro litmus generate --seed 3 --out progs.json
     awg-repro litmus replay BUNDLE  # re-run one violating litmus cell
     awg-repro litmus shrink BUNDLE  # minimize a violating litmus program
-    awg-repro fabric run SPM_G FAM_G --workers 4     # leased worker fleet
-    awg-repro fabric run --resume [KEY]              # resume on a fleet
-    awg-repro fabric status         # live sweeps, leases, fleet state
-    awg-repro fabric drill --workers 4 --seed 0      # chaos drill
-    awg-repro fabric worker DIR     # join a sweep as one worker
     awg-repro durability --smoke    # crash-state enumeration, golden-gated
     awg-repro durability --enumerate cache liar-fsync
     awg-repro durability --campaign io-chaos --seed 7
@@ -87,7 +82,7 @@ EXPERIMENTS: Dict[str, Callable] = {
 COMMANDS = (
     "list", "all", "run", "ablations", "timeline", "faults", "cache",
     "matrix", "replay", "shrink", "lint", "analyze", "sanitize", "trace",
-    "fabric", "litmus", "durability",
+    "litmus", "durability",
 )
 
 
@@ -536,102 +531,6 @@ def _run_analyze(opts) -> int:
     return rc
 
 
-def _run_fabric_command(opts, parser) -> int:
-    """Distributed sweeps: run/resume on a leased worker fleet, inspect
-    live fabric directories, or run the chaos drill."""
-    from repro.experiments.matrix import RunRequest
-    from repro.fabric.coordinator import run_fabric
-    from repro.fabric.lease import default_fabric_root, iter_fabric_dirs
-    from repro.recovery.manifest import (
-        default_checkpoint_dir, list_manifests, load_manifest,
-    )
-
-    sub = opts.args[0] if opts.args else "status"
-    workers = opts.workers or 4
-
-    if sub == "status":
-        root = default_fabric_root()
-        dirs = list(iter_fabric_dirs(root))
-        print(f"fabric root: {root}")
-        if not dirs:
-            print("no fabric sweeps (directories appear while "
-                  "`fabric run` is in flight)")
-            return 0
-        for fabric_dir in dirs:
-            sweep = fabric_dir.read_sweep() or {}
-            cells = sweep.get("cells", [])
-            done = sum(1 for cell in cells
-                       if fabric_dir.has_result(cell["key"]))
-            held = fabric_dir.live_leases()
-            line = (f"  {fabric_dir.root.name}: {done}/{len(cells)} "
-                    f"cells committed, {len(held)} lease(s) held")
-            stop = fabric_dir.stopped()
-            if stop:
-                line += f" [stopped: {stop}]"
-            print(line)
-        return 0
-
-    if sub == "drill":
-        from repro.fabric.chaos import run_drill
-
-        report = run_drill(workers=workers, seed=opts.seed, out=print)
-        print(report.render())
-        return 0 if report.ok else 1
-
-    if sub == "worker":
-        from repro.fabric import worker as fabric_worker
-
-        if len(opts.args) != 2:
-            parser.error("fabric worker needs DIR")
-        return fabric_worker.main(["--dir", opts.args[1]])
-
-    if sub == "run":
-        if opts.resume:
-            root = default_checkpoint_dir()
-            manifests = list_manifests(root)
-            if len(opts.args) > 1:
-                document = load_manifest(opts.args[1], root)
-            elif manifests:
-                document = load_manifest(manifests[0]["sweep_key"], root)
-            else:
-                print(f"nothing to resume under {root}", file=sys.stderr)
-                return 1
-            requests = [RunRequest.from_spec(cell["spec"])
-                        for cell in document["cells"]]
-            print(f"resuming sweep {document['sweep_key']} on "
-                  f"{workers} workers: "
-                  f"{len(document.get('completed', {}))}/{len(requests)} "
-                  f"cells already done")
-        else:
-            tokens = opts.args[1:]
-            if not tokens:
-                parser.error(
-                    "fabric run needs BENCH[:POLICY] arguments or "
-                    "--resume [KEY]")
-            scenario = QUICK_SCALE if opts.quick else PAPER_SCALE
-            requests = []
-            for token in tokens:
-                bench, _, policy = token.partition(":")
-                requests.append(RunRequest(
-                    bench, named_policy(policy or "awg"), scenario,
-                    validate=False))
-        result = run_fabric(
-            requests, workers=workers, ttl=opts.ttl,
-            cache=None if opts.no_cache else "default",
-        )
-        print(result.summary())
-        for error in result.errors:
-            print(f"  FAILED {error.request.benchmark}/"
-                  f"{error.request.policy.name}: "
-                  f"{error.failure['type']}: {error.failure['message']}",
-                  file=sys.stderr)
-        return 0 if result.ok else 1
-
-    parser.error(f"unknown fabric subcommand {sub!r}; expected "
-                 "run, status, drill, or worker")
-    return 2  # pragma: no cover
-
-
 def _run_trace(opts, parser) -> int:
     """Run one benchmark with structured tracing on and export the
     Chrome/Perfetto trace_event JSON (see README "Tracing")."""
@@ -810,15 +709,9 @@ def _dispatch(argv=None) -> int:
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="for 'trace': output path for the Chrome "
                              "trace_event JSON (default: trace.json)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="for 'fabric': worker fleet size "
-                             "(default: 4)")
     parser.add_argument("--programs", type=int, default=None, metavar="N",
                         help="for 'litmus': generated programs per run "
                              "(default: 4 with --smoke, else 8)")
-    parser.add_argument("--ttl", type=float, default=5.0, metavar="SEC",
-                        help="for 'fabric': lease heartbeat budget; a "
-                             "worker silent this long loses its cell")
     parser.add_argument("--enumerate", action="store_true",
                         dest="enumerate_",
                         help="for 'durability': enumerate + recover the "
@@ -876,9 +769,6 @@ def _dispatch(argv=None) -> int:
 
     if opts.command == "matrix":
         return _run_matrix_command(opts, parser, matrix_kw)
-
-    if opts.command == "fabric":
-        return _run_fabric_command(opts, parser)
 
     if opts.command == "litmus":
         return _run_litmus_command(opts, parser)

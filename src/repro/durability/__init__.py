@@ -1,11 +1,11 @@
 """Crash-consistency harness for the durable-state layer.
 
 The repo's durability claims — atomic cache entries, torn-tail-tolerant
-journals, exactly-once fabric commits, resumable checkpoint manifests —
-were only ever exercised by process-kill chaos, never by the failure
-modes real filesystems exhibit: torn writes, data lost because it was
-never fsynced, EIO/ENOSPC, renames that land before their data. This
-package turns those claims into executable specs:
+journals, resumable checkpoint manifests — were only ever exercised by
+process-kill chaos, never by the failure modes real filesystems
+exhibit: torn writes, data lost because it was never fsynced,
+EIO/ENOSPC, renames that land before their data. This package turns
+those claims into executable specs:
 
 :mod:`repro.durability.vfs`
     a deterministic I/O gateway every durable-state writer goes
@@ -17,9 +17,9 @@ package turns those claims into executable specs:
     into the set of legal post-crash disk images, materialized into
     scratch directories for recovery-path testing.
 :mod:`repro.durability.harness`
-    the subsystem scenarios (result cache, checkpoint manifest, fabric
-    lease/journal/commit), their recovery invariants, and the CLI
-    behind ``python -m repro durability`` / ``make durability-smoke``.
+    the subsystem scenarios (result cache, checkpoint manifest), their
+    recovery invariants, and the CLI behind ``python -m repro
+    durability`` / ``make durability-smoke``.
 """
 
 from repro.durability.vfs import (  # noqa: F401

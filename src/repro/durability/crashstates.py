@@ -141,7 +141,7 @@ def _replay(log: Sequence[OpRecord], applied: Sequence[int],
                 files[op.dest] = files[op.path]
         elif op.op == "unlink":
             files.pop(op.path, None)
-        # fsync/utime: no content effect
+        # fsync: no content effect
     return files
 
 
@@ -263,7 +263,7 @@ def check_state_legal(log: Sequence[OpRecord],
         op = log[k]
         if _durable_at(cover, k, i):
             violations.append(f"durable op {k} ({op.op}:{op.path}) dropped")
-        if op.op not in ("write", "rename", "fsync", "utime"):
+        if op.op not in ("write", "rename", "fsync"):
             violations.append(
                 f"journaled metadata op {k} ({op.op}:{op.path}) dropped")
 

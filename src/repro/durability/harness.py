@@ -1,4 +1,4 @@
-"""Crash-consistency scenarios over the repo's three durable subsystems.
+"""Crash-consistency scenarios over the repo's two durable subsystems.
 
 Each scenario drives one *production* durable-state writer (no mocks)
 inside a scratch directory with the I/O gateway armed, takes the
@@ -17,13 +17,6 @@ durability invariants:
     recovery is ``SweepCheckpoint.open`` (resume). Invariants: resume
     never raises, adopts only cells that were recorded, and every
     adopted payload is bit-identical to the uninterrupted run's.
-``fabric``
-    :class:`~repro.fabric.lease.FabricDir` claims, journal appends,
-    exactly-once commits → recovery is the reader surface (sweep doc,
-    results + digests, journals). Invariants: readers never raise, a
-    digest-valid committed result is bit-identical to the committed
-    payload (exactly-once: never a rival's, never a blend), journal
-    readers skip torn tails and parse only records that were written.
 
 Campaigns re-run the same scenarios with a fault-injecting
 :class:`~repro.durability.vfs.DurabilityPlan` armed: the production
@@ -65,7 +58,7 @@ from repro.experiments.runner import RunResult
 DURABILITY_REPORT_VERSION = 1
 
 #: scenario execution order (and the golden file's key order)
-SCENARIOS = ("cache", "manifest", "fabric")
+SCENARIOS = ("cache", "manifest")
 
 #: fingerprint pinned for every scenario so keys/paths — and therefore
 #: op logs and golden signatures — do not drift with unrelated source
@@ -190,85 +183,10 @@ def _manifest_check(image: Path, context: Dict[str, Any]) -> List[str]:
     return problems
 
 
-def _fabric_workload(root: Path) -> Dict[str, Any]:
-    from repro.experiments.cache import result_to_payload
-    from repro.fabric.lease import FabricDir
-
-    fab = FabricDir(root)
-    fab.init()
-    fab.publish_sweep({"fingerprint": _FINGERPRINT,
-                       "cells": [{"key": f"cell-{t}"} for t in "ab"]})
-    results = _sample_results()
-    expected = {}
-    events = []
-    for tag in ("a", "b"):
-        key = f"cell-{tag}"
-        lease = fab.claim(key, "w0", ttl=5.0)
-        fab.append_event("claim", key=key, worker="w0")
-        events.append("claim")
-        payload = result_to_payload(results[tag])
-        committed = fab.commit_result(key, payload)
-        duplicate = fab.commit_result(key, payload)  # loser: exactly-once
-        if duplicate:
-            raise AssertionError("duplicate fabric commit won")
-        fab.append_commit(key, "w0")
-        fab.append_event("commit", key=key, worker="w0",
-                         committed=committed)
-        events.append("commit")
-        if lease is not None:
-            fab.release(lease)
-    return {"expected": expected
-            or {f"cell-{t}": result_to_payload(results[t]) for t in "ab"},
-            "events": events}
-
-
-def _fabric_check(image: Path, context: Dict[str, Any]) -> List[str]:
-    from repro.experiments.cache import payload_digest
-    from repro.fabric.lease import FabricDir
-
-    problems = []
-    fab = FabricDir(image)
-    try:
-        fab.read_sweep()
-    except Exception as exc:  # noqa: BLE001
-        problems.append(f"read_sweep raised {exc!r}")
-    for key, payload in context["expected"].items():
-        try:
-            document = fab.read_result(key)
-        except Exception as exc:  # noqa: BLE001
-            problems.append(f"read_result({key}) raised {exc!r}")
-            continue
-        if document is None:
-            continue  # lost commit: legal, the cell just re-runs
-        if document.get("digest") == payload_digest(
-                document.get("result", {})):
-            if document.get("result") != payload:
-                problems.append(
-                    f"digest-valid committed result for {key} differs "
-                    f"from the committed payload (exactly-once broken)")
-        # digest mismatch = detected corruption: the coordinator
-        # quarantines it and the cell re-runs — not a violation
-    try:
-        _offset, events = fab.read_events(0)
-        for record in events:
-            if record.get("ev") not in ("claim", "commit"):
-                problems.append(f"journal adopted foreign event {record!r}")
-    except Exception as exc:  # noqa: BLE001
-        problems.append(f"read_events raised {exc!r}")
-    try:
-        for key, _worker in fab.read_commits():
-            if key not in context["expected"]:
-                problems.append(f"commits journal names unknown cell {key}")
-    except Exception as exc:  # noqa: BLE001
-        problems.append(f"read_commits raised {exc!r}")
-    return problems
-
-
 _WORKLOADS: Dict[str, Tuple[Callable[[Path], Dict[str, Any]],
                             Callable[[Path, Dict[str, Any]], List[str]]]] = {
     "cache": (_cache_workload, _cache_check),
     "manifest": (_manifest_workload, _manifest_check),
-    "fabric": (_fabric_workload, _fabric_check),
 }
 
 
@@ -487,7 +405,7 @@ SMOKE_CAMPAIGN_PLAN = "flaky-disk"
 def run_smoke(seed: int = 1, max_states: Optional[int] = 400,
               repro_dir: Optional[Path] = None,
               log: Callable[[str], None] = print) -> Dict[str, Any]:
-    """The CI smoke: record-only enumeration of all three subsystems,
+    """The CI smoke: record-only enumeration of both subsystems,
     liar-fsync enumerations, and one bit-reproducibility campaign."""
     report: Dict[str, Any] = {"version": DURABILITY_REPORT_VERSION,
                               "seed": seed, "scenarios": {}}

@@ -1,10 +1,10 @@
 """Deterministic I/O gateway: interposition, op logs, seeded faults.
 
 All durable-state writers (:mod:`repro.experiments.cache`,
-:mod:`repro.recovery.manifest`, :mod:`repro.recovery.bundle`,
-:mod:`repro.fabric.lease`) route their filesystem mutations through the
-module-level ``v*`` functions below — a thin layer over
-``open``/``write``/``fsync``/``rename``/``link``/``unlink``/``utime``.
+:mod:`repro.recovery.manifest`, :mod:`repro.recovery.bundle`) route
+their filesystem mutations through the module-level ``v*`` functions
+below — a thin layer over ``open``/``write``/``fsync``/``rename``/
+``link``/``unlink``.
 
 Disarmed (the default, and the only state production sweeps ever run
 in) every ``v*`` call is one ``is None`` check away from the raw
@@ -36,10 +36,6 @@ Fault families:
     ``vfsync`` returns success but the gateway does not mark the data
     durable; the crash-state enumerator may still lose it (firmware
     and NFS close-to-open caching do exactly this).
-``mtime skew / granularity``
-    ``vutime`` lands mtimes coarsened to ``mtime_granularity_s`` and
-    shifted ``mtime_skew_s`` into the past — the fabric lease-expiry
-    hazard ``REPRO_FABRIC_SKEW`` guards against.
 
 Graceful degradation helpers shared by the production writers:
 :func:`write_atomic_text` retries EINTR/EIO with bounded backoff
@@ -68,7 +64,7 @@ from repro.errors import ConfigError
 OPLOG_VERSION = 1
 
 #: operations the gateway interposes (and the enumerator understands)
-OPS = ("creat", "write", "fsync", "rename", "link", "unlink", "utime")
+OPS = ("creat", "write", "fsync", "rename", "link", "unlink")
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +95,6 @@ class DurabilityPlan:
     fsync_lie_prob: float = 0.0
     #: probability an fsync raises EIO (the real dirty-page-loss case)
     fsync_eio_prob: float = 0.0
-    #: injected mtimes land this many seconds in the past (clock skew
-    #: between fabric hosts)
-    mtime_skew_s: float = 0.0
-    #: injected mtimes are truncated to this granularity (coarse
-    #: filesystem timestamps, e.g. 1-2s on FAT/some NFS)
-    mtime_granularity_s: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("eio_prob", "enospc_prob", "eintr_prob",
@@ -115,16 +105,13 @@ class DurabilityPlan:
                 raise ConfigError(f"{name} must be in [0, 1], got {p}")
         if self.enospc_after is not None and self.enospc_after < 0:
             raise ConfigError("enospc_after must be >= 0")
-        if self.mtime_skew_s < 0 or self.mtime_granularity_s < 0:
-            raise ConfigError("mtime skew/granularity must be >= 0")
 
     @property
     def is_noop(self) -> bool:
         return (self.enospc_after is None
                 and not any((self.eio_prob, self.enospc_prob,
                              self.eintr_prob, self.short_write_prob,
-                             self.fsync_lie_prob, self.fsync_eio_prob,
-                             self.mtime_skew_s, self.mtime_granularity_s)))
+                             self.fsync_lie_prob, self.fsync_eio_prob)))
 
     def with_seed(self, seed: int) -> "DurabilityPlan":
         return replace(self, seed=seed)
@@ -143,8 +130,6 @@ class DurabilityPlan:
                  if getattr(self, f) > 0]
         if self.enospc_after is not None:
             parts.append(f"enospc_after={self.enospc_after}")
-        if self.mtime_skew_s or self.mtime_granularity_s:
-            parts.append("mtime")
         what = "+".join(p.replace("_prob", "") for p in parts) or "no-op"
         return f"{self.name}[{what}] seed={self.seed}"
 
@@ -167,15 +152,10 @@ def _named_durability_plans() -> Dict[str, DurabilityPlan]:
         # fsync surfaces the dirty-page loss as EIO (post-fsyncgate
         # kernels): the retry layer sees it, bounded retries apply
         "fsync-eio": DurabilityPlan(name="fsync-eio", fsync_eio_prob=0.3),
-        # coarse, skewed timestamps: lease expiry must tolerate
-        # REPRO_FABRIC_SKEW worth of slop
-        "skewed-clock": DurabilityPlan(
-            name="skewed-clock", mtime_skew_s=1.0, mtime_granularity_s=2.0),
         # everything at once
         "io-chaos": DurabilityPlan(
             name="io-chaos", eio_prob=0.1, eintr_prob=0.1,
-            short_write_prob=0.1, fsync_lie_prob=0.2, fsync_eio_prob=0.05,
-            mtime_skew_s=0.5, mtime_granularity_s=1.0),
+            short_write_prob=0.1, fsync_lie_prob=0.2, fsync_eio_prob=0.05),
     }
 
 
@@ -485,18 +465,6 @@ class IOGateway:
         os.unlink(path)
         self._log_op(op="unlink", path=rel, point=point, occurrence=n)
 
-    def utime(self, fd_or_path: Any) -> None:
-        plan = self.plan
-        if plan is None or (not plan.mtime_skew_s
-                            and not plan.mtime_granularity_s):
-            os.utime(fd_or_path)
-            return
-        now = time.time() - plan.mtime_skew_s
-        if plan.mtime_granularity_s:
-            now = (now // plan.mtime_granularity_s) * plan.mtime_granularity_s
-        incr_stat("durability.injected.mtime_skew")
-        os.utime(fd_or_path, times=(now, now))
-
     # -- log export -----------------------------------------------------
     def dump_log(self) -> Dict[str, Any]:
         """JSON-serializable op log (EXPERIMENTS.md schema)."""
@@ -607,13 +575,6 @@ def vunlink(path: os.PathLike, missing_ok: bool = False) -> None:
     except FileNotFoundError:
         if not missing_ok:
             raise
-
-
-def vutime(fd_or_path: Any) -> None:
-    if _GATEWAY is None:
-        os.utime(fd_or_path)
-    else:
-        _GATEWAY.utime(fd_or_path)
 
 
 # ---------------------------------------------------------------------------

@@ -219,8 +219,8 @@ class ResultCache:
         entry behind.
 
         Concurrent writers of the *same* key (two sweeps sharing the
-        cache, or a fabric fleet mirroring its commits) are serialized
-        by an ``O_EXCL`` claim file: the first writer takes the claim
+        cache) are serialized by an ``O_EXCL`` claim file: the first
+        writer takes the claim
         and writes; everyone else skips the put entirely — entries are
         content-addressed, so a rival's bytes are identical and writing
         them again buys nothing but rename traffic. A claim left behind

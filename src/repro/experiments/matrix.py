@@ -403,19 +403,6 @@ def _execute_cell(
         return None, _failure_info(exc, traceback.format_exc())
 
 
-def execute_cell(
-    request: RunRequest, timeout: Optional[float] = None
-) -> Tuple[Optional[RunResult], Optional[Dict[str, Any]]]:
-    """Public single-cell entrypoint: execute one matrix cell with the
-    standard budget/failure machinery and return ``(result, failure)``
-    — exactly one of the pair is non-None. This is the path fabric
-    workers (:mod:`repro.fabric.worker`) run leased cells through, so a
-    fleet cell behaves bit-identically to a ``run_matrix`` cell:
-    same ``REPRO_EXEC_LOG`` accounting, same structured failure
-    records, same timeout classification."""
-    return _execute_cell(request, timeout)
-
-
 class MatrixResult(Sequence):
     """Cells in request order; indexing yields the cell's RunResult.
 

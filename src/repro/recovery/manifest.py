@@ -112,12 +112,6 @@ class SweepCheckpoint:
         self.in_flight: List[str] = []
         #: why a pre-existing manifest was thrown away (None = clean/resume)
         self.discarded: Optional[str] = None
-        #: owner-supplied extension record persisted under ``"fabric"``
-        #: in the document — the distributed fabric's lease table lives
-        #: here (see :mod:`repro.fabric`), so a manifest on disk always
-        #: shows who held what when it was last flushed. Additive:
-        #: resume ignores it, the schema version is unchanged.
-        self.extra: Dict[str, Any] = {}
         #: how many completed cells were adopted from a previous run
         self.resumed = 0
         #: flushes that failed (degraded to warnings) — see :meth:`flush`
@@ -220,12 +214,6 @@ class SweepCheckpoint:
         return len(self.completed) == len(self.keys)
 
     def document(self) -> Dict[str, Any]:
-        document = self._document_base()
-        if self.extra:
-            document["fabric"] = self.extra
-        return document
-
-    def _document_base(self) -> Dict[str, Any]:
         return {
             "version": MANIFEST_VERSION,
             "sweep_key": self.path.stem,

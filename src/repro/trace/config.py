@@ -17,8 +17,7 @@ CATEGORIES: Tuple[str, ...] = (
     "fault",     # injected faults (mirrors the faults.* stats)
     "cp",        # Command Processor: context switches, log drains, spills
     "mem",       # memory-op counts (counts only; no per-op ring events)
-    "engine",    # scheduler health: peak pending, lane hit ratio, compactions
-    "fabric",    # sweep fleet: lease grants/expiries/steals, worker deaths
+    "engine",    # scheduler health: peak pending, events fired, compactions
     "durability",  # I/O degradation: retries, dropped puts, flush failures
 )
 

@@ -2,7 +2,6 @@
 
 import errno
 import os
-import time
 
 import pytest
 
@@ -26,8 +25,6 @@ def test_plan_validation_rejects_bad_probabilities():
         DurabilityPlan(eio_prob=1.5)
     with pytest.raises(ConfigError):
         DurabilityPlan(enospc_after=-1)
-    with pytest.raises(ConfigError):
-        DurabilityPlan(mtime_skew_s=-0.5)
 
 
 def test_plan_spec_round_trip_and_named_plans():
@@ -224,18 +221,6 @@ def test_fsync_eio_raises(tmp_path):
         with pytest.raises(OSError) as exc:
             write_atomic_text(tmp_path / "g.json", "x", retries=0)
     assert exc.value.errno == errno.EIO
-
-
-def test_utime_skew_and_granularity(tmp_path):
-    target = tmp_path / "lease.json"
-    target.write_text("{}")
-    plan = named_durability_plan("skewed-clock")  # skew 1.0, gran 2.0
-    before = time.time()
-    with armed(tmp_path, plan=plan):
-        vfs.vutime(target)
-    mtime = target.stat().st_mtime
-    assert mtime <= before - 1.0 + 1e-6  # skewed into the past
-    assert mtime % 2.0 == pytest.approx(0.0, abs=1e-6)  # coarsened
 
 
 def test_append_text_torn_tail_is_not_retried(tmp_path):

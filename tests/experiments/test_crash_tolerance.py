@@ -58,8 +58,8 @@ def test_hung_cell_times_out_off_the_main_thread():
     """Regression: SIGALRM only arms on the main thread, and the old
     code silently ran with NO timeout anywhere else (signal.signal
     raises ValueError off-main, which was swallowed) — a hung cell
-    would wedge any embedding that drives run_matrix from a thread,
-    fabric workers included. The subprocess fallback must bound it."""
+    would wedge any embedding that drives run_matrix from a thread.
+    The subprocess fallback must bound it."""
     import threading
     import time
 

@@ -133,8 +133,7 @@ for _ in range(15):
 
 
 def test_concurrent_appenders_and_torn_entry_skip(tmp_path):
-    """Two processes recording into the same sweep manifest (the fabric
-    coordinator restarting while an old one still flushes, or two
+    """Two processes recording into the same sweep manifest (two
     operators resuming the same sweep) must never tear it: every
     observable manifest state parses, and after the dust settles a
     tampered completed entry is digest-skipped while intact rival

@@ -57,6 +57,10 @@ def test_unknown_command_is_rejected(capsys):
         main(["bench"])
     assert exc.value.code == 2
     assert "unknown command 'bench'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["fabric"])
+    assert exc.value.code == 2
+    assert "unknown command 'fabric'" in capsys.readouterr().err
 
 
 def test_table1_command(capsys):

@@ -1,5 +1,8 @@
 """TraceConfig validation and CLI-spec parsing."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigError
@@ -46,3 +49,11 @@ def test_parse_comma_list():
 def test_parse_bad_name():
     with pytest.raises(ConfigError):
         TraceConfig.parse("wg,bogus")
+
+
+def test_readme_lists_every_category():
+    readme = (Path(__file__).resolve().parents[2] / "README.md").read_text()
+    match = re.search(r"pick categories from\s+`([^`]+)`", readme)
+    assert match, "README lost its trace-category list"
+    listed = tuple(name.strip() for name in match.group(1).split(","))
+    assert listed == CATEGORIES
