@@ -10,8 +10,6 @@
 #   make bench-smoke   CI smoke: fig7 twice, asserts warm-run cache hits
 #   make faults-smoke  fault-injection campaign, smoke scale (IFP table)
 #   make trace-smoke   export one trace and validate the Perfetto schema
-#   make recovery-smoke  kill-and-resume a tiny sweep, replay + shrink
-#                        a drill repro bundle
 #   make litmus-smoke  seeded litmus corpus + generated programs vs the
 #                      golden policy set; violating runs drop shrunken
 #                      repro bundles into .litmus-bundles/
@@ -26,7 +24,6 @@
 # seconds), REPRO_CELL_RETRIES (environmental-failure retry rounds),
 # REPRO_CHECKPOINT=1 / REPRO_CHECKPOINT_DIR / REPRO_CHECKPOINT_FLUSH
 # (sweep crash-resume manifests and their flush throttle),
-# REPRO_BUNDLE_DIR (emit repro bundles for failing cells),
 # REPRO_IO_RETRIES / REPRO_IO_BACKOFF (transient I/O fault retries),
 # REPRO_DURABILITY_REPRO_DIR (where failing crash states land),
 # REPRO_DEBUG_OPS=1 (report device ops called without yield from).
@@ -38,8 +35,7 @@ PY ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint analyze analyze-golden bench bench-smoke faults-smoke \
-	trace-smoke recovery-smoke litmus-smoke \
-	durability-smoke durability-golden clean-cache
+	trace-smoke litmus-smoke durability-smoke durability-golden clean-cache
 
 test:
 	$(PY) -m pytest -x -q
@@ -67,9 +63,6 @@ trace-smoke:
 	$(PY) -m repro trace FAM_G awg --quick --out .trace-smoke.json
 	$(PY) -m repro.trace.export .trace-smoke.json
 	rm -f .trace-smoke.json
-
-recovery-smoke:
-	$(PY) -m repro.recovery.smoke
 
 litmus-smoke:
 	$(PY) -m repro litmus run --smoke --seed 1 --bundles .litmus-bundles --shrink

@@ -18,8 +18,8 @@ Usage::
     awg-repro matrix --list         # checkpointed sweeps awaiting resume
     awg-repro matrix --resume       # finish the newest interrupted sweep
     awg-repro matrix --resume KEY   # ... or one sweep by key prefix
-    awg-repro replay BUNDLE         # re-run a repro bundle's failure
-    awg-repro shrink BUNDLE         # delta-debug a bundle to minimal form
+    awg-repro replay BUNDLE         # re-run a cell or litmus bundle
+    awg-repro shrink BUNDLE         # delta-debug either kind to minimal
     awg-repro faults --bundles DIR --shrink   # bundle + minimize violations
     awg-repro lint                  # static kernel linter (default paths)
     awg-repro lint --json src/repro/workloads
@@ -37,8 +37,6 @@ Usage::
     awg-repro litmus run --smoke    # corpus + generated programs, judged
     awg-repro litmus run --seed 7 --programs 16      # wider random sweep
     awg-repro litmus generate --seed 3 --out progs.json
-    awg-repro litmus replay BUNDLE  # re-run one violating litmus cell
-    awg-repro litmus shrink BUNDLE  # minimize a violating litmus program
     awg-repro durability --smoke    # crash-state enumeration, golden-gated
     awg-repro durability --enumerate cache liar-fsync
     awg-repro durability --campaign io-chaos --seed 7
@@ -256,20 +254,24 @@ def _run_durability(opts, parser) -> int:
 
 
 def _run_replay(opts, parser) -> int:
-    """Re-run a repro bundle and verify its failure reproduces."""
+    """Re-run a repro bundle (cell or litmus) and verify its failure
+    reproduces."""
     import json
 
-    from repro.recovery.bundle import load_bundle, replay_bundle
+    from repro.errors import ConfigError
+    from repro.recovery.bundle import (
+        load_bundle, replay_bundle, request_type,
+    )
 
     if len(opts.args) != 1:
         parser.error("replay needs BUNDLE")
     bundle = load_bundle(opts.args[0])
-    report = replay_bundle(bundle, trace=opts.trace)
-    request = bundle["request"]
-    policy = request["policy"]["name"]
-    label = request["scenario"]["label"]
-    print(f"replaying {request['benchmark']} / {policy} [{label}] — "
-          f"expecting {report['expected']['mode']}")
+    try:
+        report = replay_bundle(bundle, trace=opts.trace)
+    except ConfigError as exc:
+        parser.error(str(exc))
+    stem = request_type(bundle["kind"]).bundle_stem(bundle["request"])
+    print(f"replaying {stem} — expecting {report['expected']['mode']}")
     if opts.json:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
     if opts.trace and opts.out:
@@ -283,15 +285,18 @@ def _run_replay(opts, parser) -> int:
         print(f"REPRODUCED: observed {report['observed']['mode']} matches "
               f"the recorded failure")
         return 0
-    print(f"NOT reproduced: observed {report['observed']['mode']}, "
-          f"expected {report['expected']['mode']} "
+    observed = {k: v for k, v in report["observed"].items()
+                if k != "result"}
+    print(f"NOT reproduced: observed {observed}, "
+          f"expected {report['expected']} "
           f"(code fingerprint in bundle provenance: "
           f"{bundle['provenance'].get('fingerprint')})", file=sys.stderr)
     return 1
 
 
 def _run_shrink(opts, parser) -> int:
-    """Delta-debug a repro bundle down to a minimal failing scenario."""
+    """Delta-debug a repro bundle (cell or litmus) down to a minimal
+    failing request."""
     from pathlib import Path
 
     from repro.recovery.bundle import load_bundle, write_bundle
@@ -347,10 +352,7 @@ def _run_litmus_command(opts, parser) -> int:
     from repro.litmus.oracle import (
         compare_golden_entry, golden_entry, golden_policies, run_corpus,
     )
-    from repro.litmus.shrinklink import (
-        emit_violation_bundles, load_litmus_bundle, replay_litmus_bundle,
-        shrink_litmus_bundle, write_litmus_bundle,
-    )
+    from repro.litmus.shrinklink import emit_violation_bundles
     from repro.workloads.litmus import litmus_corpus
 
     sub = opts.args[0] if opts.args else "run"
@@ -367,42 +369,10 @@ def _run_litmus_command(opts, parser) -> int:
             print(text)
         return 0
 
-    if sub == "replay":
-        if len(opts.args) != 2:
-            parser.error("litmus replay needs BUNDLE")
-        bundle = load_litmus_bundle(opts.args[1])
-        report = replay_litmus_bundle(bundle)
-        request = bundle["request"]
-        label = (request["program"].get("alias")
-                 or "generated litmus program")
-        print(f"replaying {label} / {request['policy']['name']} — "
-              f"expecting {report['expected']['mode']}")
-        if opts.json:
-            print(json.dumps(report, indent=2, sort_keys=True,
-                             default=str))
-        if report["reproduced"]:
-            print("REPRODUCED: the recorded violation recurs")
-            return 0
-        print(f"NOT reproduced: observed {report['observed']} "
-              f"(code fingerprint in bundle provenance: "
-              f"{bundle['provenance'].get('fingerprint')})",
-              file=sys.stderr)
-        return 1
-
-    if sub == "shrink":
-        if len(opts.args) != 2:
-            parser.error("litmus shrink needs BUNDLE")
-        source = Path(opts.args[1])
-        result = shrink_litmus_bundle(load_litmus_bundle(source))
-        print(result.render())
-        out_dir = Path(opts.out) if opts.out else source.parent
-        path = write_litmus_bundle(result.minimal, out_dir)
-        print(f"minimal bundle: {path}")
-        return 0
-
     if sub != "run":
         parser.error(f"unknown litmus subcommand {sub!r}; expected "
-                     "run, generate, replay, or shrink")
+                     "run or generate (replay/shrink take any bundle: "
+                     "`replay BUNDLE`, `shrink BUNDLE`)")
 
     started = time.time()
     corpus = litmus_corpus()
@@ -667,8 +637,8 @@ def _dispatch(argv=None) -> int:
                         help="for 'matrix': resume an interrupted sweep "
                              "(newest, or the KEY positional)")
     parser.add_argument("--trace", action="store_true",
-                        help="for 'replay': re-run with structured "
-                             "tracing on (write with --out)")
+                        help="for 'replay' of a cell bundle: re-run with "
+                             "structured tracing on (write with --out)")
     parser.add_argument("--bundles", default=None, metavar="DIR",
                         help="for 'faults'/'litmus': write a repro "
                              "bundle per violating cell into DIR")

@@ -88,11 +88,13 @@ def _emit_violation_bundles(
     bundle_dir, violating, shrink: bool,
 ) -> List[str]:
     """Write one repro bundle per replayable violating cell; with
-    ``shrink`` also write the delta-debugged minimal bundle and its
-    shrink log next to it (``.min.json`` / ``.shrinklog.json``)."""
+    ``shrink`` also write the delta-debugged minimal bundle (under its
+    own content-derived name) and a ``.shrinklog.json`` next to the
+    source bundle recording both paths and the shrink steps."""
     import json
     from pathlib import Path
 
+    from repro.durability import vfs
     from repro.errors import ReproError
     from repro.recovery.bundle import make_bundle, write_bundle
     from repro.recovery.shrink import shrink_bundle
@@ -114,12 +116,13 @@ def _emit_violation_bundles(
             shrunk = shrink_bundle(bundle)
         except ReproError:
             continue  # not reproducible in-process; keep the full bundle
-        minimal = Path(str(path).replace(".json", ".min.json"))
-        write_bundle(shrunk.minimal, minimal.parent)
-        # write_bundle names by content; link the pair via the log
+        minimal = write_bundle(shrunk.minimal, bundle_dir)
+        if minimal != path:
+            paths.append(str(minimal))
         log_path = Path(str(path).replace(".json", ".shrinklog.json"))
-        log_path.write_text(json.dumps({
+        vfs.write_atomic_text(log_path, json.dumps({
             "source": str(path),
+            "minimal": str(minimal),
             "initial_size": shrunk.initial_size,
             "final_size": shrunk.final_size,
             "trials": shrunk.trials,
@@ -163,8 +166,7 @@ def run(
         for bench in benchmarks
         for policy in policies
     ]
-    matrix = run_matrix(requests, jobs=jobs, cache=cache,
-                        bundle_dir=bundle_dir)
+    matrix = run_matrix(requests, jobs=jobs, cache=cache)
 
     table = ExperimentResult(
         title=f"Fault campaign (seed={seed}, "

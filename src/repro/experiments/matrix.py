@@ -35,9 +35,6 @@ The runner survives misbehaving cells and workers:
   invocation (or via ``python -m repro matrix --resume``) executing only
   the missing cells. SIGINT/SIGTERM additionally flush the manifest and
   kill the pool's worker processes instead of leaking them.
-- With ``bundle_dir`` (or ``REPRO_BUNDLE_DIR``) set, every failing cell
-  emits a self-contained replayable repro bundle
-  (:mod:`repro.recovery.bundle`).
 
 Simulations are seeded and deterministic, so ``jobs=1`` and ``jobs=N``
 produce bit-identical :class:`RunResult` fields.
@@ -58,15 +55,19 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 from typing import (
-    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple, Union,
 )
 
 from repro.core.policies import PolicySpec
 from repro.errors import ConfigError, DeadlockError, ReproError
-from repro.experiments.cache import ResultCache, default_cache
+from repro.experiments.cache import (
+    ResultCache, default_cache, result_to_payload,
+)
 from repro.experiments.runner import RunResult, Scenario, run_benchmark
+from repro.faults.plan import FaultPlan
+from repro.gpu.diagnostics import diagnosis_signature
 from repro.recovery.manifest import (
     SweepCheckpoint, cell_key, checkpoint_enabled,
 )
@@ -197,6 +198,186 @@ class RunRequest:
             if self.config_overrides else None,
             **(self.param_overrides or {}),
         )
+
+    # -- repro-bundle hooks (repro.recovery.bundle / .shrink) -----------
+
+    @staticmethod
+    def bundle_stem(spec: Dict[str, Any]) -> str:
+        policy = spec.get("policy", {}).get("name", "policy")
+        scenario = spec.get("scenario", {}).get("label", "scenario")
+        return f"{spec['benchmark']}-{policy}-{scenario}"
+
+    @staticmethod
+    def check_bundle(spec: Any, expected: Dict[str, Any]) -> None:
+        if not isinstance(spec, dict) or not all(
+                k in spec for k in ("benchmark", "policy", "scenario")):
+            raise ConfigError(
+                "bundle request must carry benchmark/policy/scenario specs")
+        if expected["mode"] not in ("diagnosis", "exception", "timeout",
+                                    "race"):
+            raise ConfigError(
+                f"unknown expected-failure mode {expected['mode']!r}")
+
+    def observe(self, expected: Dict[str, Any],
+                trace: bool = False) -> Dict[str, Any]:
+        """Execute the cell in-process and classify what happened into
+        the same mode vocabulary as the expected clause."""
+        mode = expected["mode"]
+        request = self
+        overrides = dict(self.config_overrides or {})
+        if mode == "race":
+            overrides["sanitize"] = True
+            request = replace(request, config_overrides=overrides,
+                              keep_gpu=True)
+        if trace:
+            from repro.trace.config import TraceConfig
+
+            overrides["trace"] = TraceConfig.parse("all")
+            request = replace(request, config_overrides=overrides)
+        budget = expected.get("seconds") if mode == "timeout" else None
+
+        try:
+            with _CellAlarm(budget):
+                result = request.execute()
+        except CellTimeoutError as exc:
+            return {"mode": "timeout", "detail": str(exc)}
+        except Exception as exc:
+            observed: Dict[str, Any] = {
+                "mode": "exception", "type": type(exc).__name__,
+                "detail": str(exc),
+            }
+            diagnosis = getattr(exc, "to_dict", None)
+            if callable(diagnosis):
+                observed["mode"] = "diagnosis"
+                observed["signature"] = diagnosis_signature(diagnosis())
+            return observed
+
+        payload = result_to_payload(replace(result, gpu=None))
+        if mode == "race" and result.gpu is not None:
+            report = result.gpu.sanitizer.report()
+            if report["races"] or report["lock_errors"]:
+                return {
+                    "mode": "race",
+                    "race_count": report["race_count"],
+                    "lock_errors": len(report["lock_errors"]),
+                    "result": payload,
+                }
+        if result.deadlocked:
+            return {
+                "mode": "diagnosis",
+                "signature": (diagnosis_signature(result.diagnosis)
+                              or {"kind": "deadlock"}),
+                "result": payload,
+            }
+        return {"mode": "ok", "result": payload}
+
+    @staticmethod
+    def matches(expected: Dict[str, Any], observed: Dict[str, Any]) -> bool:
+        if expected["mode"] != observed["mode"]:
+            return False
+        if expected["mode"] == "diagnosis":
+            return expected.get("signature") == observed.get("signature")
+        if expected["mode"] == "exception":
+            return expected.get("type") == observed.get("type")
+        return True  # timeout / race: reaching the mode is the reproduction
+
+    def size(self) -> int:
+        """Monotone shrink metric: the scenario knobs the shrinker may
+        lower plus :meth:`FaultPlan.weight`."""
+        scenario = self.scenario
+        total = (scenario.total_wgs + scenario.wgs_per_group
+                 + scenario.max_wgs_per_cu + scenario.iterations
+                 + scenario.episodes)
+        if scenario.fault_plan is not None:
+            total += scenario.fault_plan.weight()
+        return total
+
+    def reductions(self) -> Iterator[Tuple[str, str, str, "RunRequest"]]:
+        """Every one-step (dimension, from, to, request) reduction,
+        deterministic order: fault-plan shrinks first (they usually cut
+        replay time the most), then scenario scale."""
+        scenario = self.scenario
+        if scenario.fault_plan is not None:
+            for dimension, src, dst, plan in _plan_reductions(
+                    scenario.fault_plan):
+                yield (dimension, src, dst,
+                       replace(self,
+                               scenario=replace(scenario, fault_plan=plan)))
+        for dimension, src, dst, shrunk in _scenario_reductions(scenario):
+            yield (dimension, src, dst, replace(self, scenario=shrunk))
+
+
+def _plan_reductions(
+    plan: FaultPlan,
+) -> Iterator[Tuple[str, str, str, FaultPlan]]:
+    """(dimension, from, to, candidate-plan) reductions, fixed order:
+    drop whole families first (biggest steps), then thin each family."""
+    for key in ("storm", "notify", "mem", "predictor"):
+        part = getattr(plan, key)
+        if part is not None:
+            yield (f"plan.{key}", "present", "dropped",
+                   plan.with_part(key, None))
+    if plan.storm is not None:
+        storm = plan.storm
+        if storm.storms > 1:
+            yield ("plan.storm.storms", str(storm.storms),
+                   str(storm.storms // 2),
+                   plan.with_part("storm",
+                                  replace(storm, storms=storm.storms // 2)))
+        if storm.severity > 1:
+            yield ("plan.storm.severity", str(storm.severity),
+                   str(storm.severity // 2),
+                   plan.with_part(
+                       "storm", replace(storm, severity=storm.severity // 2)))
+    if plan.notify is not None:
+        notify = plan.notify
+        if notify.drop_prob > 0 and notify.delay_prob > 0:
+            yield ("plan.notify.delay_prob", str(notify.delay_prob), "0",
+                   plan.with_part("notify", replace(notify, delay_prob=0.0)))
+            yield ("plan.notify.drop_prob", str(notify.drop_prob), "0",
+                   plan.with_part("notify", replace(notify, drop_prob=0.0)))
+    if plan.mem is not None and plan.mem.spikes > 1:
+        yield ("plan.mem.spikes", str(plan.mem.spikes),
+               str(plan.mem.spikes // 2),
+               plan.with_part("mem",
+                              replace(plan.mem, spikes=plan.mem.spikes // 2)))
+    if plan.predictor is not None and plan.predictor.insertions > 1:
+        yield ("plan.predictor.insertions", str(plan.predictor.insertions),
+               str(plan.predictor.insertions // 2),
+               plan.with_part(
+                   "predictor",
+                   replace(plan.predictor,
+                           insertions=plan.predictor.insertions // 2)))
+
+
+def _scenario_reductions(
+    scenario: Scenario,
+) -> Iterator[Tuple[str, str, str, Scenario]]:
+    """Halving reductions of the scenario's scale knobs, fixed order.
+    ``total_wgs`` stays a multiple of ``wgs_per_group`` so work-group
+    grids remain well-formed."""
+    if (scenario.total_wgs > scenario.wgs_per_group
+            and (scenario.total_wgs // 2) % scenario.wgs_per_group == 0):
+        yield ("scenario.total_wgs", str(scenario.total_wgs),
+               str(scenario.total_wgs // 2),
+               replace(scenario, total_wgs=scenario.total_wgs // 2))
+    if (scenario.wgs_per_group > 1
+            and scenario.total_wgs % (scenario.wgs_per_group // 2) == 0):
+        yield ("scenario.wgs_per_group", str(scenario.wgs_per_group),
+               str(scenario.wgs_per_group // 2),
+               replace(scenario, wgs_per_group=scenario.wgs_per_group // 2))
+    if scenario.max_wgs_per_cu > 1:
+        yield ("scenario.max_wgs_per_cu", str(scenario.max_wgs_per_cu),
+               str(scenario.max_wgs_per_cu // 2),
+               replace(scenario, max_wgs_per_cu=scenario.max_wgs_per_cu // 2))
+    if scenario.iterations > 1:
+        yield ("scenario.iterations", str(scenario.iterations),
+               str(scenario.iterations // 2),
+               replace(scenario, iterations=scenario.iterations // 2))
+    if scenario.episodes > 1:
+        yield ("scenario.episodes", str(scenario.episodes),
+               str(scenario.episodes // 2),
+               replace(scenario, episodes=scenario.episodes // 2))
 
 
 class CellTimeoutError(ReproError):
@@ -569,7 +750,7 @@ def _run_cells(
     failure rather than a crash.
 
     ``on_outcome`` fires in the parent as each cell settles (checkpoint
-    writes, incremental cache puts, bundle emission); ``pool_holder``
+    writes, incremental cache puts); ``pool_holder``
     exposes the live pool to the sweep's signal handler.
     """
     outcomes: List[Optional[Tuple[Optional[RunResult],
@@ -679,30 +860,6 @@ def _resolve_checkpoint(
     return SweepCheckpoint.open(specs, root=root)
 
 
-def _resolve_bundle_dir(
-    bundle_dir: Union[None, str, os.PathLike],
-) -> Optional[Path]:
-    if bundle_dir is None:
-        bundle_dir = os.environ.get("REPRO_BUNDLE_DIR") or None
-    return Path(bundle_dir) if bundle_dir is not None else None
-
-
-def _emit_bundle(bundle_dir: Path, request: RunRequest,
-                 failure: Dict[str, Any]) -> Optional[Path]:
-    """Write a replayable repro bundle for one failed cell; never lets
-    bundle I/O break the sweep. Worker crashes carry no simulation
-    identity (the failure is the *host*, not the cell) and emit none."""
-    if failure.get("type") == "WorkerCrashError":
-        return None
-    from repro.recovery.bundle import make_bundle, write_bundle
-
-    try:
-        bundle = make_bundle(request, failure=failure)
-        return write_bundle(bundle, bundle_dir)
-    except Exception:
-        return None
-
-
 def run_matrix(
     requests: Sequence[RunRequest],
     jobs: Optional[int] = None,
@@ -712,7 +869,6 @@ def run_matrix(
     retries: Optional[int] = None,
     retry_backoff: float = 0.5,
     checkpoint: Union[None, bool, str, os.PathLike, SweepCheckpoint] = None,
-    bundle_dir: Union[None, str, os.PathLike] = None,
 ) -> MatrixResult:
     """Execute every request, in parallel and through the cache.
 
@@ -727,16 +883,13 @@ def run_matrix(
     ``checkpoint`` (default ``REPRO_CHECKPOINT``) makes the sweep
     crash-resumable: completed cells land in an atomic manifest as they
     finish, and an identical re-invocation resumes instead of
-    re-simulating (see :mod:`repro.recovery.manifest`). ``bundle_dir``
-    (default ``REPRO_BUNDLE_DIR``) emits a replayable repro bundle per
-    failing cell.
+    re-simulating (see :mod:`repro.recovery.manifest`).
     """
     jobs = resolve_jobs(jobs)
     cell_timeout = resolve_cell_timeout(cell_timeout)
     retries = resolve_cell_retries(retries)
     if cache == DEFAULT_CACHE:
         cache = default_cache()
-    bundle_path = _resolve_bundle_dir(bundle_dir)
     if jobs > 1 and any(req.keep_gpu for req in requests):
         raise ConfigError(
             "keep_gpu=True cells cannot cross the process pool (a GPU "
@@ -805,24 +958,22 @@ def run_matrix(
             by_spec[spec_key] = len(pending)
         pending.append((key, ckpt_key, req, [index]))
 
-    # Execute the surviving unique cells; each settles into the cache,
-    # the checkpoint manifest, and (on failure) a repro bundle as it
-    # completes, so progress survives a crash mid-sweep.
+    # Execute the surviving unique cells; each settles into the cache
+    # and the checkpoint manifest as it completes, so progress survives
+    # a crash mid-sweep.
     unique_requests = [req for (_k, _ck, req, _idx) in pending]
     if ckpt is not None:
         ckpt.mark_in_flight([ck for (_k, ck, _req, _idx) in pending
                              if ck is not None])
 
     def on_outcome(index: int, outcome) -> None:
-        key, ckpt_key, req, _indices = pending[index]
-        result, failure = outcome
+        key, ckpt_key, _req, _indices = pending[index]
+        result, _failure = outcome
         if result is not None:
             if key is not None and cache is not None:
                 cache.put(key, result)
             if ckpt is not None and ckpt_key is not None:
                 ckpt.record(ckpt_key, result)
-        elif failure is not None and bundle_path is not None:
-            _emit_bundle(bundle_path, req, failure)
 
     # The whole execute-and-settle span is covered by one flush-on-exit
     # wrapper: *any* exception — from the cells, the signal plumbing, or

@@ -6,7 +6,8 @@ deterministic + hypothesis-driven litmus-program generator
 program across the registered policies and judges the observed
 schedules (:mod:`repro.litmus.oracle`), and a shrink link that turns
 violating schedules into minimal self-contained repro bundles
-(:mod:`repro.litmus.shrinklink`).
+(:mod:`repro.litmus.shrinklink`; the bundle envelope, replay and
+shrink loop are :mod:`repro.recovery`'s).
 """
 
 from repro.litmus.generate import (
@@ -42,14 +43,8 @@ from repro.litmus.oracle import (
     run_litmus,
 )
 from repro.litmus.shrinklink import (
-    LITMUS_BUNDLE_KIND,
     LitmusRequest,
     emit_violation_bundles,
-    load_litmus_bundle,
-    make_litmus_bundle,
-    replay_litmus_bundle,
-    shrink_litmus_bundle,
-    write_litmus_bundle,
 )
 
 __all__ = [
@@ -79,12 +74,6 @@ __all__ = [
     "golden_policies",
     "run_corpus",
     "run_litmus",
-    "LITMUS_BUNDLE_KIND",
     "LitmusRequest",
     "emit_violation_bundles",
-    "load_litmus_bundle",
-    "make_litmus_bundle",
-    "replay_litmus_bundle",
-    "shrink_litmus_bundle",
-    "write_litmus_bundle",
 ]

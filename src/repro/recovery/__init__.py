@@ -8,10 +8,11 @@ package gives the experiment pipeline the same property. Three layers:
   a crashed or interrupted campaign resumes executing only the missing
   cells (``python -m repro matrix --resume``).
 - :mod:`repro.recovery.bundle` — self-contained, replayable JSON repro
-  bundles emitted for failing cells (``python -m repro replay BUNDLE``).
+  bundles for failing matrix cells and violating litmus cells, one
+  envelope for both kinds (``python -m repro replay BUNDLE``).
 - :mod:`repro.recovery.shrink` — a delta-debugging minimizer that
-  shrinks a failing bundle's fault plan and scenario while preserving
-  the failure (``python -m repro shrink BUNDLE``).
+  applies the bundled request's own reductions while preserving the
+  failure (``python -m repro shrink BUNDLE``).
 """
 
 from repro.recovery.bundle import (  # noqa: F401

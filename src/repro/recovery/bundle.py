@@ -1,20 +1,29 @@
-"""Repro bundles: self-contained, replayable records of failing cells.
+"""Repro bundles: self-contained, replayable records of failures.
 
 A bundle is one JSON document carrying everything needed to re-run a
-failing matrix cell on another machine with no access to the sweep that
-produced it: the cell's canonical :meth:`RunRequest.spec` (benchmark,
-policy, scenario, fault plan, seed, overrides), the *expected* failure
-(what must happen again for the replay to count as a reproduction), the
-original structured failure record, and provenance (code fingerprint,
-python, timestamp).
+failure on another machine with no access to the run that produced
+it: the request's canonical ``spec()``, the *expected* failure (what
+must happen again for the replay to count as a reproduction), and
+provenance (code fingerprint, python, timestamp). Two kinds share this
+envelope, told apart by ``bundle["kind"]``:
 
-Bundles are emitted automatically by checkpointed sweeps
-(``bundle_dir`` / ``REPRO_BUNDLE_DIR`` on
-:func:`~repro.experiments.matrix.run_matrix`) and by the fault-injection
-campaign, and consumed by ``python -m repro replay BUNDLE`` and the
-:mod:`repro.recovery.shrink` minimizer.
+``awg-repro-bundle``
+    one failing matrix cell, a
+    :class:`~repro.experiments.matrix.RunRequest` (benchmark, policy,
+    scenario, fault plan, seed, overrides), plus the original structured
+    ``failure`` record. Emitted by the fault-injection campaign.
+``awg-repro-litmus-bundle``
+    one violating litmus cell, a
+    :class:`~repro.litmus.shrinklink.LitmusRequest` (generated program,
+    policy, seed). Emitted by ``litmus run --bundles``.
 
-Expected-failure modes (``bundle["expected"]["mode"]``):
+Both are consumed by ``python -m repro replay BUNDLE`` and the
+:mod:`repro.recovery.shrink` minimizer. The request type does the
+kind-specific work: ``check_bundle``/``bundle_stem`` (document shape and
+filename), ``observe``/``matches`` (replay), ``size``/``reductions``
+(shrinking).
+
+Cell expected-failure modes (``bundle["expected"]["mode"]``):
 
 ``diagnosis``
     the run must end in a watchdog diagnosis with the same stable
@@ -29,6 +38,10 @@ Expected-failure modes (``bundle["expected"]["mode"]``):
     replayed with the dynamic sync sanitizer attached, the run must
     report at least one data race or lock error
 
+Litmus modes: ``model-violation`` (the replay must judge ``model``
+``violated`` again) and ``contract`` (the replay must hang on a cell the
+static spec calls MUST_COMPLETE again).
+
 The schema is versioned (:data:`BUNDLE_VERSION`); loaders reject
 bundles from other versions rather than mis-replaying them.
 """
@@ -36,17 +49,17 @@ bundles from other versions rather than mis-replaying them.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.durability import vfs
-from repro.errors import ConfigError, ReproError
-from repro.experiments.cache import code_fingerprint, result_to_payload
+from repro.errors import ConfigError
+from repro.experiments.cache import code_fingerprint
 from repro.gpu.diagnostics import diagnosis_signature
 
 #: bump when the bundle layout changes; replay refuses other versions
@@ -55,19 +68,37 @@ BUNDLE_VERSION = 1
 #: the document's ``kind`` marker (distinguishes bundles from manifests
 #: and cache entries when pointed at the wrong file)
 BUNDLE_KIND = "awg-repro-bundle"
+LITMUS_BUNDLE_KIND = "awg-repro-litmus-bundle"
 
 #: top-level keys every valid bundle carries, schema-stability-tested
 BUNDLE_KEYS = ("version", "kind", "request", "expected", "failure",
                "provenance")
+LITMUS_BUNDLE_KEYS = ("version", "kind", "request", "expected",
+                      "provenance")
+
+#: kind -> (module, request type, top-level keys). Resolved at call
+#: time: matrix imports repro.recovery, and the workloads registry
+#: exposes the litmus corpus, so neither type is importable from here.
+_KINDS = {
+    BUNDLE_KIND: ("repro.experiments.matrix", "RunRequest", BUNDLE_KEYS),
+    LITMUS_BUNDLE_KIND: ("repro.litmus.shrinklink", "LitmusRequest",
+                         LITMUS_BUNDLE_KEYS),
+}
+
+
+def request_type(kind: str) -> type:
+    """The request class that replays and shrinks bundles of ``kind``."""
+    module, name, _keys = _KINDS[kind]
+    return getattr(importlib.import_module(module), name)
 
 
 def derive_expected(
     failure: Optional[Dict[str, Any]] = None,
     result: Any = None,
 ) -> Dict[str, Any]:
-    """The expected-failure clause for a bundle, from either a matrix
-    failure record or a completed-but-wrong :class:`RunResult` (e.g. an
-    IFP-contract violation in the faults campaign)."""
+    """The expected-failure clause for a cell bundle, from either a
+    matrix failure record or a completed-but-wrong :class:`RunResult`
+    (e.g. an IFP-contract violation in the faults campaign)."""
     if failure is not None:
         if failure.get("diagnosis") is not None:
             return {
@@ -95,80 +126,76 @@ def make_bundle(
     result: Any = None,
     expected: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Build a bundle document for one failing cell.
+    """Build a bundle document for one failure.
 
-    ``request`` is a :class:`~repro.experiments.matrix.RunRequest` (or
-    anything with a compatible ``spec()``); ``expected`` overrides the
-    derived expected-failure clause (required for ``race`` bundles,
-    whose evidence lives in the sanitizer, not the result)."""
+    ``request`` is a :class:`~repro.experiments.matrix.RunRequest` or a
+    :class:`~repro.litmus.shrinklink.LitmusRequest`; its type picks the
+    bundle kind. ``expected`` overrides the derived expected-failure
+    clause (required for ``race`` and litmus bundles, whose evidence
+    lives in the sanitizer or the model judgments, not a failure
+    record)."""
+    kind = next(k for k in _KINDS if isinstance(request, request_type(k)))
     if expected is None:
         expected = derive_expected(failure=failure, result=result)
-    trimmed_failure = None
-    if failure is not None:
-        trimmed_failure = {k: failure[k] for k in
-                           ("type", "message", "classification", "cycle",
-                            "diagnosis") if k in failure}
-    elif result is not None:
-        trimmed_failure = {
-            "type": "ContractViolation",
-            "message": getattr(result, "reason", ""),
-            "classification": "deterministic",
-            "diagnosis": getattr(result, "diagnosis", None),
-        }
-    return {
+    bundle = {
         "version": BUNDLE_VERSION,
-        "kind": BUNDLE_KIND,
+        "kind": kind,
         "request": request.spec(),
         "expected": expected,
-        "failure": trimmed_failure,
         "provenance": {
             "fingerprint": code_fingerprint(),
             "python": sys.version.split()[0],
             "created_at": time.time(),
         },
     }
+    if "failure" in _KINDS[kind][2]:
+        trimmed_failure = None
+        if failure is not None:
+            trimmed_failure = {k: failure[k] for k in
+                               ("type", "message", "classification",
+                                "cycle", "diagnosis") if k in failure}
+        elif result is not None:
+            trimmed_failure = {
+                "type": "ContractViolation",
+                "message": getattr(result, "reason", ""),
+                "classification": "deterministic",
+                "diagnosis": getattr(result, "diagnosis", None),
+            }
+        bundle["failure"] = trimmed_failure
+    return bundle
 
 
 def validate_bundle(bundle: Any) -> Dict[str, Any]:
     """Check a loaded document is a replayable bundle; returns it."""
     if not isinstance(bundle, dict):
         raise ConfigError("bundle must be a JSON object")
-    if bundle.get("kind") != BUNDLE_KIND:
+    if bundle.get("kind") not in _KINDS:
         raise ConfigError(
             f"not a repro bundle (kind={bundle.get('kind')!r}, "
-            f"expected {BUNDLE_KIND!r})")
+            f"expected one of {sorted(_KINDS)})")
     if bundle.get("version") != BUNDLE_VERSION:
         raise ConfigError(
             f"bundle version {bundle.get('version')!r} is not supported "
             f"(this build reads version {BUNDLE_VERSION})")
-    missing = [k for k in BUNDLE_KEYS if k not in bundle]
+    missing = [k for k in _KINDS[bundle["kind"]][2] if k not in bundle]
     if missing:
         raise ConfigError(f"bundle is missing keys: {missing}")
-    request = bundle["request"]
-    if not isinstance(request, dict) or not all(
-            k in request for k in ("benchmark", "policy", "scenario")):
-        raise ConfigError(
-            "bundle request must carry benchmark/policy/scenario specs")
     expected = bundle["expected"]
     if not isinstance(expected, dict) or "mode" not in expected:
         raise ConfigError("bundle expected clause must carry a mode")
-    if expected["mode"] not in ("diagnosis", "exception", "timeout", "race"):
-        raise ConfigError(
-            f"unknown expected-failure mode {expected['mode']!r}")
+    request_type(bundle["kind"]).check_bundle(bundle["request"], expected)
     return bundle
 
 
 def bundle_name(bundle: Dict[str, Any]) -> str:
-    """Deterministic filename: cell identity + expected mode + spec hash
-    (the hash keeps shrunken variants of the same cell distinct)."""
+    """Deterministic filename: request identity + expected mode + spec
+    hash (the hash keeps shrunken variants of the same cell distinct)."""
     request = bundle["request"]
     canonical = json.dumps(request, sort_keys=True, separators=(",", ":"),
                            default=str)
     digest = hashlib.sha256(canonical.encode()).hexdigest()[:8]
-    policy = request.get("policy", {}).get("name", "policy")
-    scenario = request.get("scenario", {}).get("label", "scenario")
-    return (f"{request['benchmark']}-{policy}-{scenario}-"
-            f"{bundle['expected']['mode']}-{digest}.json")
+    stem = request_type(bundle["kind"]).bundle_stem(request)
+    return f"{stem}-{bundle['expected']['mode']}-{digest}.json"
 
 
 def write_bundle(bundle: Dict[str, Any],
@@ -195,99 +222,21 @@ def load_bundle(path: os.PathLike) -> Dict[str, Any]:
     return validate_bundle(document)
 
 
-# ---------------------------------------------------------------------------
-# replay
-# ---------------------------------------------------------------------------
-
-def _observe(request: Any, expected: Dict[str, Any],
-             trace: bool = False) -> Dict[str, Any]:
-    """Execute the cell in-process and classify what happened into the
-    same mode vocabulary as the expected clause."""
-    # lazy: matrix imports repro.recovery.manifest, so this module must
-    # not import matrix until call time
-    from repro.experiments.matrix import _CellAlarm
-
-    mode = expected["mode"]
-    overrides = dict(request.config_overrides or {})
-    if mode == "race":
-        overrides["sanitize"] = True
-        request = replace(request, config_overrides=overrides, keep_gpu=True)
-    if trace:
-        from repro.trace.config import TraceConfig
-
-        overrides["trace"] = TraceConfig.parse("all")
-        request = replace(request, config_overrides=overrides)
-    budget = expected.get("seconds") if mode == "timeout" else None
-
-    try:
-        with _CellAlarm(budget):
-            result = request.execute()
-    except Exception as exc:
-        from repro.experiments.matrix import CellTimeoutError
-
-        if isinstance(exc, CellTimeoutError):
-            return {"mode": "timeout", "detail": str(exc)}
-        observed: Dict[str, Any] = {
-            "mode": "exception", "type": type(exc).__name__,
-            "detail": str(exc),
-        }
-        diagnosis = getattr(exc, "to_dict", None)
-        if callable(diagnosis):
-            observed["mode"] = "diagnosis"
-            observed["signature"] = diagnosis_signature(diagnosis())
-        return observed
-
-    if mode == "race" and result.gpu is not None:
-        report = result.gpu.sanitizer.report()
-        if report["races"] or report["lock_errors"]:
-            return {
-                "mode": "race",
-                "race_count": report["race_count"],
-                "lock_errors": len(report["lock_errors"]),
-                "result": result_to_payload(replace(result, gpu=None)),
-            }
-    if result.deadlocked:
-        return {
-            "mode": "diagnosis",
-            "signature": (diagnosis_signature(result.diagnosis)
-                          or {"kind": "deadlock"}),
-            "result": result_to_payload(replace(result, gpu=None)),
-        }
-    return {"mode": "ok",
-            "result": result_to_payload(replace(result, gpu=None))}
-
-
-def _matches(expected: Dict[str, Any], observed: Dict[str, Any]) -> bool:
-    if expected["mode"] != observed["mode"]:
-        return False
-    if expected["mode"] == "diagnosis":
-        return expected.get("signature") == observed.get("signature")
-    if expected["mode"] == "exception":
-        return expected.get("type") == observed.get("type")
-    return True  # timeout / race: reaching the mode is the reproduction
-
-
 def replay_bundle(bundle: Dict[str, Any],
                   trace: bool = False) -> Dict[str, Any]:
-    """Re-run a bundle's cell and check the recorded failure recurs.
+    """Re-run a bundle's request and check the recorded failure recurs.
 
-    Returns ``{"reproduced", "expected", "observed", "request"}``;
-    ``observed`` carries the replayed result payload (and, with
-    ``trace=True``, its exported Chrome trace inside that payload) for
-    post-mortem inspection."""
+    Returns ``{"reproduced", "expected", "observed", "request"}``; for
+    cell bundles ``observed`` carries the replayed result payload (and,
+    with ``trace=True``, its exported Chrome trace inside that payload)
+    for post-mortem inspection. Litmus bundles reject ``trace``."""
     validate_bundle(bundle)
-    from repro.experiments.matrix import RunRequest
-
-    request = RunRequest.from_spec(bundle["request"])
+    request = request_type(bundle["kind"]).from_spec(bundle["request"])
     expected = bundle["expected"]
-    observed = _observe(request, expected, trace=trace)
+    observed = request.observe(expected, trace=trace)
     return {
-        "reproduced": _matches(expected, observed),
+        "reproduced": request.matches(expected, observed),
         "expected": expected,
         "observed": observed,
         "request": bundle["request"],
     }
-
-
-class ReplayMismatch(ReproError):
-    """A replayed bundle did not reproduce its recorded failure."""

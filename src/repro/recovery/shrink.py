@@ -1,28 +1,31 @@
 """Delta-debugging minimizer for failing repro bundles.
 
-``python -m repro shrink BUNDLE`` takes a bundle whose failure replays
-(:func:`~repro.recovery.bundle.replay_bundle`) and greedily shrinks the
-*scenario* (WG count, group size, residency, iterations, episodes) and
-the *fault plan* (dropping whole fault families, then reducing each
-family's event counts) while re-replaying after every candidate step and
-keeping only steps that preserve the failure.
+``python -m repro shrink BUNDLE`` takes a bundle of either kind whose
+failure replays (:func:`~repro.recovery.bundle.replay_bundle`) and
+greedily applies the request's one-step ``reductions()`` — for a matrix
+cell, dropping or thinning fault-plan families and halving scenario
+knobs; for a litmus cell, dropping WGs and actions and halving work —
+re-replaying after every candidate step and keeping only steps that
+preserve the failure.
 
 The search is deterministic: candidates are enumerated in a fixed order,
 the simulator is seeded, and every accepted step strictly reduces the
-combined size metric (scenario knob sum + :meth:`FaultPlan.weight`), so
-two invocations on the same bundle produce the same minimal bundle and
-the same shrink log. Termination is guaranteed by monotonicity — the
-size metric is a non-negative integer that decreases on every accepted
-step — plus a trial budget for pathological predicates.
+request's ``size()``, so two invocations on the same bundle produce the
+same minimal bundle and the same shrink log. Termination is guaranteed
+by monotonicity — the size metric is a non-negative integer that
+decreases on every accepted step — plus a trial budget for pathological
+predicates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ReproError
-from repro.faults.plan import FaultPlan
+from repro.recovery.bundle import (
+    make_bundle, replay_bundle, request_type, validate_bundle,
+)
 
 #: hard ceiling on replay attempts (the greedy loop normally converges
 #: in far fewer — each accepted step restarts a ~dozen-candidate pass)
@@ -63,107 +66,6 @@ class ShrinkResult:
         return "\n".join(lines)
 
 
-def scenario_size(scenario: Any) -> int:
-    """Monotone scenario-size metric (knobs the shrinker may lower)."""
-    return (scenario.total_wgs + scenario.wgs_per_group
-            + scenario.max_wgs_per_cu + scenario.iterations
-            + scenario.episodes)
-
-
-def bundle_size(request: Any) -> int:
-    """Combined size of a request: scenario knobs + fault-plan weight."""
-    total = scenario_size(request.scenario)
-    plan = request.scenario.fault_plan
-    if plan is not None:
-        total += plan.weight()
-    return total
-
-
-def _plan_candidates(
-    plan: FaultPlan,
-) -> Iterator[Tuple[str, str, str, FaultPlan]]:
-    """(dimension, from, to, candidate-plan) reductions, fixed order:
-    drop whole families first (biggest steps), then thin each family."""
-    for key in ("storm", "notify", "mem", "predictor"):
-        part = getattr(plan, key)
-        if part is not None:
-            yield (f"plan.{key}", "present", "dropped",
-                   plan.with_part(key, None))
-    if plan.storm is not None:
-        storm = plan.storm
-        if storm.storms > 1:
-            yield ("plan.storm.storms", str(storm.storms),
-                   str(storm.storms // 2),
-                   plan.with_part("storm",
-                                  replace(storm, storms=storm.storms // 2)))
-        if storm.severity > 1:
-            yield ("plan.storm.severity", str(storm.severity),
-                   str(storm.severity // 2),
-                   plan.with_part(
-                       "storm", replace(storm, severity=storm.severity // 2)))
-    if plan.notify is not None:
-        notify = plan.notify
-        if notify.drop_prob > 0 and notify.delay_prob > 0:
-            yield ("plan.notify.delay_prob", str(notify.delay_prob), "0",
-                   plan.with_part("notify", replace(notify, delay_prob=0.0)))
-            yield ("plan.notify.drop_prob", str(notify.drop_prob), "0",
-                   plan.with_part("notify", replace(notify, drop_prob=0.0)))
-    if plan.mem is not None and plan.mem.spikes > 1:
-        yield ("plan.mem.spikes", str(plan.mem.spikes),
-               str(plan.mem.spikes // 2),
-               plan.with_part("mem",
-                              replace(plan.mem, spikes=plan.mem.spikes // 2)))
-    if plan.predictor is not None and plan.predictor.insertions > 1:
-        yield ("plan.predictor.insertions", str(plan.predictor.insertions),
-               str(plan.predictor.insertions // 2),
-               plan.with_part(
-                   "predictor",
-                   replace(plan.predictor,
-                           insertions=plan.predictor.insertions // 2)))
-
-
-def _scenario_candidates(scenario: Any) -> Iterator[Tuple[str, str, str, Any]]:
-    """Halving reductions of the scenario's scale knobs, fixed order.
-    ``total_wgs`` stays a multiple of ``wgs_per_group`` so work-group
-    grids remain well-formed."""
-    if (scenario.total_wgs > scenario.wgs_per_group
-            and (scenario.total_wgs // 2) % scenario.wgs_per_group == 0):
-        yield ("scenario.total_wgs", str(scenario.total_wgs),
-               str(scenario.total_wgs // 2),
-               replace(scenario, total_wgs=scenario.total_wgs // 2))
-    if (scenario.wgs_per_group > 1
-            and scenario.total_wgs % (scenario.wgs_per_group // 2) == 0):
-        yield ("scenario.wgs_per_group", str(scenario.wgs_per_group),
-               str(scenario.wgs_per_group // 2),
-               replace(scenario, wgs_per_group=scenario.wgs_per_group // 2))
-    if scenario.max_wgs_per_cu > 1:
-        yield ("scenario.max_wgs_per_cu", str(scenario.max_wgs_per_cu),
-               str(scenario.max_wgs_per_cu // 2),
-               replace(scenario, max_wgs_per_cu=scenario.max_wgs_per_cu // 2))
-    if scenario.iterations > 1:
-        yield ("scenario.iterations", str(scenario.iterations),
-               str(scenario.iterations // 2),
-               replace(scenario, iterations=scenario.iterations // 2))
-    if scenario.episodes > 1:
-        yield ("scenario.episodes", str(scenario.episodes),
-               str(scenario.episodes // 2),
-               replace(scenario, episodes=scenario.episodes // 2))
-
-
-def _candidates(request: Any) -> Iterator[Tuple[str, str, str, Any]]:
-    """Every one-step reduction of a request, deterministic order:
-    fault-plan shrinks first (they usually cut replay time the most),
-    then scenario scale."""
-    scenario = request.scenario
-    if scenario.fault_plan is not None:
-        for dimension, src, dst, plan in _plan_candidates(scenario.fault_plan):
-            yield (dimension, src, dst,
-                   replace(request,
-                           scenario=replace(scenario, fault_plan=plan)))
-    for dimension, src, dst, shrunk in _scenario_candidates(scenario):
-        yield (dimension, src, dst, replace(request, scenario=shrunk))
-
-
 def shrink_bundle(
     bundle: Dict[str, Any],
     max_trials: int = DEFAULT_MAX_TRIALS,
@@ -176,11 +78,6 @@ def shrink_bundle(
     meaningfully and raises :class:`ReproError`. ``replay`` overrides
     the replay function (unit tests substitute a synthetic predicate).
     """
-    # lazy: matrix (via bundle) must stay import-cycle-free with recovery
-    from repro.experiments.matrix import RunRequest
-    from repro.recovery.bundle import make_bundle, replay_bundle, \
-        validate_bundle
-
     validate_bundle(bundle)
     replay = replay or replay_bundle
     expected = bundle["expected"]
@@ -199,8 +96,8 @@ def shrink_bundle(
         except ReproError:
             return False  # candidate spec is not even constructible
 
-    current = RunRequest.from_spec(bundle["request"])
-    initial_size = bundle_size(current)
+    current = request_type(bundle["kind"]).from_spec(bundle["request"])
+    initial_size = current.size()
     if not reproduces(current):
         raise ReproError(
             "bundle does not reproduce its recorded failure as-is; "
@@ -212,11 +109,11 @@ def shrink_bundle(
     improved = True
     while improved and trials < max_trials:
         improved = False
-        size = bundle_size(current)
-        for dimension, src, dst, candidate in _candidates(current):
+        size = current.size()
+        for dimension, src, dst, candidate in current.reductions():
             if trials >= max_trials:
                 break
-            candidate_size = bundle_size(candidate)
+            candidate_size = candidate.size()
             if candidate_size >= size:
                 continue  # not a strict reduction; skip without a replay
             accepted = reproduces(candidate)
@@ -240,5 +137,5 @@ def shrink_bundle(
         log=log,
         trials=trials,
         initial_size=initial_size,
-        final_size=bundle_size(current),
+        final_size=current.size(),
     )

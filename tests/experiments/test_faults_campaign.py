@@ -84,9 +84,10 @@ def test_violating_cells_emit_replayable_shrunk_bundles(tmp_path):
     log = json.loads(log_path.read_text())
     assert log["source"] == str(bundle_path)
     assert log["final_size"] < log["initial_size"]
-    minimal = next(p for p in tmp_path.glob("*.json")
-                   if p not in (bundle_path, log_path))
-    assert replay_bundle(load_bundle(minimal))["reproduced"]
+    # the log names the minimal bundle it describes, and so does the result
+    assert log["minimal"] in result.bundles
+    assert log["minimal"] != str(bundle_path)
+    assert replay_bundle(load_bundle(log["minimal"]))["reproduced"]
 
 
 def test_expectation_table():

@@ -1,4 +1,5 @@
-"""Litmus bundles: schema, replay, and program-level delta debugging."""
+"""Litmus bundles: schema, replay, and program-level delta debugging
+through the shared repro-bundle envelope and shrink loop."""
 
 import json
 
@@ -7,49 +8,55 @@ import pytest
 from repro.core.policies import awg, baseline
 from repro.errors import ConfigError, ReproError
 from repro.litmus.generate import handoff
-from repro.litmus.shrinklink import (
+from repro.litmus.shrinklink import LitmusRequest, program_size
+from repro.recovery.bundle import (
+    LITMUS_BUNDLE_KEYS,
     LITMUS_BUNDLE_KIND,
-    LitmusRequest,
-    load_litmus_bundle,
-    make_litmus_bundle,
-    program_size,
-    replay_litmus_bundle,
-    shrink_litmus_bundle,
-    validate_litmus_bundle,
-    write_litmus_bundle,
+    load_bundle,
+    make_bundle,
+    replay_bundle,
+    validate_bundle,
+    write_bundle,
 )
+from repro.recovery.shrink import shrink_bundle
 from repro.workloads.litmus import get_litmus
 
 
 def violation_bundle():
     request = LitmusRequest(
         program=get_litmus("LIT_HANDOFF_LOSS"), policy=baseline(), seed=1)
-    return make_litmus_bundle(
-        request, {"mode": "model-violation", "model": "OBE"})
+    return make_bundle(
+        request, expected={"mode": "model-violation", "model": "OBE"})
 
 
 def test_bundle_round_trip(tmp_path):
     bundle = violation_bundle()
-    path = write_litmus_bundle(bundle, tmp_path)
-    loaded = load_litmus_bundle(path)
+    path = write_bundle(bundle, tmp_path)
+    loaded = load_bundle(path)
     assert loaded["kind"] == LITMUS_BUNDLE_KIND
     assert LitmusRequest.from_spec(loaded["request"]) == \
         LitmusRequest.from_spec(bundle["request"])
 
 
 def test_validate_rejects_foreign_kinds():
+    with pytest.raises(ConfigError, match="not a repro bundle"):
+        validate_bundle({**violation_bundle(), "kind": "something-else"})
+    with pytest.raises(ConfigError, match="missing"):
+        validate_bundle({"kind": LITMUS_BUNDLE_KIND, "version": 1})
     with pytest.raises(ConfigError):
-        validate_litmus_bundle({"kind": "awg-repro-bundle", "version": 1})
-    with pytest.raises(ConfigError):
-        validate_litmus_bundle("not a dict")
+        validate_bundle("not a dict")
     bad = violation_bundle()
     bad["expected"] = {"mode": "nonsense"}
     with pytest.raises(ConfigError):
-        validate_litmus_bundle(bad)
+        validate_bundle(bad)
+    # a litmus expected clause is not a cell one, and vice versa
+    with pytest.raises(ConfigError):
+        validate_bundle({**violation_bundle(),
+                         "expected": {"mode": "diagnosis"}})
 
 
 def test_replay_reproduces_model_violation():
-    report = replay_litmus_bundle(violation_bundle())
+    report = replay_bundle(violation_bundle())
     assert report["reproduced"]
     assert report["observed"]["verdict"] == "violated"
 
@@ -59,21 +66,21 @@ def test_replay_detects_fixed_violation():
     # must NOT reproduce.
     request = LitmusRequest(
         program=get_litmus("LIT_HANDOFF_LOSS"), policy=awg(), seed=1)
-    bundle = make_litmus_bundle(
-        request, {"mode": "model-violation", "model": "OBE"})
-    report = replay_litmus_bundle(bundle)
+    bundle = make_bundle(
+        request, expected={"mode": "model-violation", "model": "OBE"})
+    report = replay_bundle(bundle)
     assert not report["reproduced"]
 
 
 def test_shrink_preserves_violation_and_reduces_size():
     bundle = violation_bundle()
     original = LitmusRequest.from_spec(bundle["request"]).program
-    result = shrink_litmus_bundle(bundle, max_trials=60)
+    result = shrink_bundle(bundle, max_trials=60)
     minimal = LitmusRequest.from_spec(result.minimal["request"]).program
     assert result.shrunk
     assert program_size(minimal) < program_size(original)
     assert minimal.wgs < original.wgs
-    assert replay_litmus_bundle(result.minimal)["reproduced"]
+    assert replay_bundle(result.minimal)["reproduced"]
     # the log records every trial with its accept/reject decision
     assert result.log and all(
         {"step", "dimension", "accepted", "size"} <= set(e)
@@ -81,8 +88,8 @@ def test_shrink_preserves_violation_and_reduces_size():
 
 
 def test_shrink_is_deterministic():
-    a = shrink_litmus_bundle(violation_bundle(), max_trials=40)
-    b = shrink_litmus_bundle(violation_bundle(), max_trials=40)
+    a = shrink_bundle(violation_bundle(), max_trials=40)
+    b = shrink_bundle(violation_bundle(), max_trials=40)
     assert a.minimal["request"] == b.minimal["request"]
     assert a.log == b.log
 
@@ -90,17 +97,20 @@ def test_shrink_is_deterministic():
 def test_shrink_refuses_non_reproducing_bundle():
     request = LitmusRequest(
         program=get_litmus("LIT_HANDOFF"), policy=awg(), seed=1)
-    bundle = make_litmus_bundle(
-        request, {"mode": "model-violation", "model": "OBE"})
+    bundle = make_bundle(
+        request, expected={"mode": "model-violation", "model": "OBE"})
     with pytest.raises(ReproError):
-        shrink_litmus_bundle(bundle)
+        shrink_bundle(bundle)
 
 
 def test_bundle_json_stable(tmp_path):
     bundle = violation_bundle()
-    path = write_litmus_bundle(bundle, tmp_path)
+    path = write_bundle(bundle, tmp_path)
     document = json.loads(path.read_text())
     assert document["version"] == 1
+    assert document["kind"] == "awg-repro-litmus-bundle"
+    assert sorted(document) == sorted(LITMUS_BUNDLE_KEYS) == [
+        "expected", "kind", "provenance", "request", "version"]
     assert document["request"]["program"]["alias"] == "LIT_HANDOFF_LOSS"
     assert "fingerprint" in document["provenance"]
 
@@ -123,5 +133,5 @@ def test_emit_violation_bundles_for_contract_breaks(tmp_path, monkeypatch):
 
     paths = emit_violation_bundles(FakeReport(), tmp_path, seed=1)
     assert len(paths) == 1
-    loaded = load_litmus_bundle(paths[0])
+    loaded = load_bundle(paths[0])
     assert loaded["expected"]["mode"] == "contract"

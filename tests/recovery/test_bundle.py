@@ -10,6 +10,7 @@ from repro.errors import ConfigError
 from repro.experiments.matrix import RunRequest
 from repro.experiments.runner import QUICK_SCALE
 from repro.faults.plan import named_plan
+from repro.durability import vfs
 from repro.recovery.bundle import (
     BUNDLE_KEYS, BUNDLE_VERSION, bundle_name, derive_expected, load_bundle,
     make_bundle, replay_bundle, validate_bundle, write_bundle,
@@ -109,6 +110,31 @@ def test_write_load_round_trip(tmp_path):
     assert len(list(tmp_path.glob("*.json"))) == 1
     with pytest.raises(ConfigError, match="no bundle"):
         load_bundle(tmp_path / "missing.json")
+
+
+def _litmus_bundle():
+    from repro.litmus.shrinklink import LitmusRequest
+    from repro.workloads.litmus import get_litmus
+
+    return make_bundle(
+        LitmusRequest(program=get_litmus("LIT_HANDOFF_LOSS"),
+                      policy=baseline(), seed=1),
+        expected={"mode": "model-violation", "model": "OBE"})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_bundle(_deadlock_request(), failure=_failure()),
+    _litmus_bundle,
+], ids=["cell", "litmus"])
+def test_write_goes_through_durability_gateway(make, tmp_path):
+    """Both kinds are written with the gateway's atomic-write protocol,
+    so they get its I/O retries and op logging."""
+    bundle = make()
+    with vfs.armed(tmp_path) as gw:
+        path = write_bundle(bundle, tmp_path)
+    renames = [r for r in gw.log if r.op == "rename"]
+    assert [r.dest for r in renames] == [path.name]
+    assert load_bundle(path)["kind"] == bundle["kind"]
 
 
 # ---------------------------------------------------------------------------

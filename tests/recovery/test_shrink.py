@@ -16,7 +16,7 @@ from repro.experiments.matrix import RunRequest
 from repro.experiments.runner import QUICK_SCALE
 from repro.faults.plan import named_plan
 from repro.recovery.bundle import make_bundle, replay_bundle
-from repro.recovery.shrink import bundle_size, scenario_size, shrink_bundle
+from repro.recovery.shrink import shrink_bundle
 
 
 def _race_bundle():
@@ -46,8 +46,10 @@ def _assert_strictly_smaller_and_reproducing(shrunk):
 def test_shrinks_racy_drill_bundle():
     shrunk = shrink_bundle(_race_bundle())
     _assert_strictly_smaller_and_reproducing(shrunk)
-    scenario = RunRequest.from_spec(shrunk.minimal["request"]).scenario
-    assert scenario_size(scenario) < scenario_size(QUICK_SCALE)
+    minimal = RunRequest.from_spec(shrunk.minimal["request"])
+    original = RunRequest.from_spec(shrunk.original["request"])
+    assert original.scenario == QUICK_SCALE
+    assert minimal.size() < original.size()
 
 
 def test_shrinks_chaos_deadlock_bundle_preserving_kind():
@@ -101,7 +103,7 @@ def test_every_accepted_step_strictly_reduces_size():
     sizes = []
 
     def predicate(request):
-        sizes.append(bundle_size(request))
+        sizes.append(request.size())
         return True  # everything reproduces: shrink to the floor
 
     shrunk = shrink_bundle(bundle, replay=_synthetic_replay(predicate))

@@ -124,3 +124,79 @@ def test_run_unknown_policy():
     from repro.errors import ConfigError
     with pytest.raises(ConfigError):
         main(["run", "SPM_G", "bogus", "--quick"])
+
+
+# ---------------------------------------------------------------------------
+# replay / shrink: one pair of commands for cell and litmus bundles
+# ---------------------------------------------------------------------------
+
+def _cell_bundle(tmp_path, policy):
+    """SPM_G under a blackout plan: Baseline deadlocks, AWG completes."""
+    from dataclasses import replace
+
+    from repro.core.policies import named_policy
+    from repro.experiments.matrix import RunRequest
+    from repro.experiments.runner import QUICK_SCALE
+    from repro.faults.plan import named_plan
+    from repro.recovery.bundle import make_bundle, write_bundle
+
+    scenario = replace(QUICK_SCALE, fault_plan=named_plan("blackout", seed=3))
+    request = RunRequest("SPM_G", named_policy(policy), scenario,
+                         validate=False)
+    bundle = make_bundle(request, expected={
+        "mode": "diagnosis", "signature": {"kind": "deadlock"}})
+    return str(write_bundle(bundle, tmp_path))
+
+
+def _litmus_bundle(tmp_path, policy):
+    """LIT_HANDOFF_LOSS: OBE violated under Baseline, not under AWG."""
+    from repro.core.policies import named_policy
+    from repro.litmus.shrinklink import LitmusRequest
+    from repro.recovery.bundle import make_bundle, write_bundle
+    from repro.workloads.litmus import get_litmus
+
+    request = LitmusRequest(program=get_litmus("LIT_HANDOFF_LOSS"),
+                            policy=named_policy(policy), seed=1)
+    bundle = make_bundle(request, expected={
+        "mode": "model-violation", "model": "OBE"})
+    return str(write_bundle(bundle, tmp_path))
+
+
+@pytest.mark.parametrize("make", [_cell_bundle, _litmus_bundle],
+                         ids=["cell", "litmus"])
+def test_replay_command_exit_status(make, tmp_path, capsys):
+    assert main(["replay", make(tmp_path / "hit", "baseline")]) == 0
+    assert "REPRODUCED" in capsys.readouterr().out
+    assert main(["replay", make(tmp_path / "miss", "awg")]) == 1
+    assert "NOT reproduced" in capsys.readouterr().err
+
+
+def test_shrink_command_writes_loadable_litmus_bundle(tmp_path, capsys):
+    from repro.litmus.shrinklink import LitmusRequest
+    from repro.recovery.bundle import LITMUS_BUNDLE_KIND, load_bundle
+
+    source = _litmus_bundle(tmp_path / "in", "baseline")
+    out = tmp_path / "out"
+    assert main(["shrink", source, "--out", str(out)]) == 0
+    written = list(out.glob("*.json"))
+    assert len(written) == 1
+    assert str(written[0]) in capsys.readouterr().out
+    minimal = load_bundle(written[0])
+    assert minimal["kind"] == LITMUS_BUNDLE_KIND
+    assert (LitmusRequest.from_spec(minimal["request"]).size()
+            < LitmusRequest.from_spec(load_bundle(source)["request"]).size())
+
+
+def test_litmus_replay_subcommand_is_gone(tmp_path):
+    bundle = _litmus_bundle(tmp_path, "baseline")
+    with pytest.raises(SystemExit) as exc:
+        main(["litmus", "replay", bundle])
+    assert exc.value.code == 2
+
+
+def test_replay_trace_rejects_litmus_bundle(tmp_path, capsys):
+    bundle = _litmus_bundle(tmp_path, "baseline")
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", bundle, "--trace"])
+    assert exc.value.code == 2
+    assert "trace" in capsys.readouterr().err
