@@ -7,7 +7,9 @@
 #   make analyze-golden  re-baseline analysis-table.json after a
 #                        deliberate verdict change
 #   make bench         full figure-suite regeneration (pytest-benchmark)
-#   make bench-smoke   CI smoke: fig7 twice, asserts warm-run cache hits
+#   make bench-smoke   manual cache smoke: fig7 twice, asserts warm-run
+#                      cache hits (CI covers this through tier-1
+#                      test_matrix.py::test_cache_round_trip_returns_equal_result)
 #   make faults-smoke  fault-injection campaign, smoke scale (IFP table)
 #   make trace-smoke   export one trace and validate the Perfetto schema
 #   make litmus-smoke  seeded litmus corpus + generated programs vs the

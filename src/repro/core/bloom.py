@@ -31,9 +31,12 @@ class CountingBloomFilter:
     def _slots(self, value: int) -> List[int]:
         return [h(value & 0xFFFFFFFF) for h in self.hashers]
 
+    def _all_set(self, slots: List[int]) -> bool:
+        return all(self.counters[s] > 0 for s in slots)
+
     def contains(self, value: int) -> bool:
         """Approximate membership (false positives possible, ~2.1%)."""
-        return all(self.counters[s] > 0 for s in self._slots(value))
+        return self._all_set(self._slots(value))
 
     def insert(self, value: int) -> bool:
         """Record one observed update value.
@@ -44,8 +47,9 @@ class CountingBloomFilter:
         negative for a value whose insert was a false-positive "hit".
         """
         self.insertions += 1
-        novel = not self.contains(value)
-        for s in self._slots(value):
+        slots = self._slots(value)
+        novel = not self._all_set(slots)
+        for s in slots:
             self.counters[s] += 1
         if novel:
             self.distinct_estimate += 1
@@ -53,9 +57,10 @@ class CountingBloomFilter:
 
     def remove(self, value: int) -> None:
         """Counting-filter deletion (used when unwinding a stale update)."""
-        if not self.contains(value):
+        slots = self._slots(value)
+        if not self._all_set(slots):
             return
-        for s in self._slots(value):
+        for s in slots:
             if self.counters[s] > 0:
                 self.counters[s] -= 1
         self.distinct_estimate = max(0, self.distinct_estimate - 1)

@@ -38,10 +38,13 @@ class ResumePredictor:
         rng: RngStream,
     ) -> None:
         self.filter_count = filter_count
-        self.filters = [
-            CountingBloomFilter(bits, hashes, rng.child(f"bloom{i}"))
-            for i in range(filter_count)
-        ]
+        self._bits = bits
+        self._hashes = hashes
+        self._rng = rng
+        #: filters built so far, by index; filter ``i`` is built on first
+        #: use from the ``bloom{i}`` child stream, so it is identical to one
+        #: built up front
+        self.filters: Dict[int, CountingBloomFilter] = {}
         self._index_hash = UniversalHash(filter_count, rng.child("bloom-index"))
         #: distinct-update estimate per live monitored address
         self._live: Dict[int, int] = {}
@@ -49,7 +52,13 @@ class ResumePredictor:
         self.predictions_one = 0
 
     def _filter_for(self, addr: int) -> CountingBloomFilter:
-        return self.filters[self._index_hash(addr)]
+        i = self._index_hash(addr)
+        filt = self.filters.get(i)
+        if filt is None:
+            filt = self.filters[i] = CountingBloomFilter(
+                self._bits, self._hashes, self._rng.child(f"bloom{i}")
+            )
+        return filt
 
     def record_update(self, addr: int, value: int) -> None:
         """Observe one atomic update to a monitored address."""
@@ -88,7 +97,10 @@ class ResumePredictor:
         """Condition met, all waiters resumed, address unmonitored: reset."""
         if addr in self._live:
             del self._live[addr]
-        self._filter_for(addr).reset()
+        # an unbuilt filter is all zeros already
+        filt = self.filters.get(self._index_hash(addr))
+        if filt is not None:
+            filt.reset()
 
 
 class StallTimePredictor:
