@@ -15,10 +15,6 @@
 #   make litmus-smoke  seeded litmus corpus + generated programs vs the
 #                      golden policy set; violating runs drop shrunken
 #                      repro bundles into .litmus-bundles/
-#   make durability-smoke  crash-state enumeration over the durable
-#                      subsystems (cache/manifest) + a seeded
-#                      bit-reproducible fault campaign, golden-gated;
-#                      failing crash states land in .durability-repro/
 #   make clean-cache   drop the on-disk result cache
 #
 # Knobs: REPRO_JOBS (worker processes), REPRO_NO_CACHE=1,
@@ -26,8 +22,6 @@
 # seconds), REPRO_CELL_RETRIES (environmental-failure retry rounds),
 # REPRO_CHECKPOINT=1 / REPRO_CHECKPOINT_DIR / REPRO_CHECKPOINT_FLUSH
 # (sweep crash-resume manifests and their flush throttle),
-# REPRO_IO_RETRIES / REPRO_IO_BACKOFF (transient I/O fault retries),
-# REPRO_DURABILITY_REPRO_DIR (where failing crash states land),
 # REPRO_DEBUG_OPS=1 (report device ops called without yield from).
 # Test hooks: REPRO_EXEC_LOG (log every executed cell),
 # REPRO_STRESS_KILL (sentinel file: the _KILL benchmark SIGKILLs its
@@ -37,7 +31,7 @@ PY ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint analyze analyze-golden bench bench-smoke faults-smoke \
-	trace-smoke litmus-smoke durability-smoke durability-golden clean-cache
+	trace-smoke litmus-smoke clean-cache
 
 test:
 	$(PY) -m pytest -x -q
@@ -68,14 +62,6 @@ trace-smoke:
 
 litmus-smoke:
 	$(PY) -m repro litmus run --smoke --seed 1 --bundles .litmus-bundles --shrink
-
-durability-smoke:
-	$(PY) -m repro durability --smoke --seed 1 \
-		--golden tests/golden/durability/smoke.json
-
-durability-golden:
-	$(PY) -m repro durability --smoke --seed 1 \
-		--write-golden tests/golden/durability/smoke.json
 
 clean-cache:
 	$(PY) -m repro.cli cache --clear

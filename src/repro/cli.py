@@ -37,9 +37,6 @@ Usage::
     awg-repro litmus run --smoke    # corpus + generated programs, judged
     awg-repro litmus run --seed 7 --programs 16      # wider random sweep
     awg-repro litmus generate --seed 3 --out progs.json
-    awg-repro durability --smoke    # crash-state enumeration, golden-gated
-    awg-repro durability --enumerate cache liar-fsync
-    awg-repro durability --campaign io-chaos --seed 7
 """
 
 from __future__ import annotations
@@ -80,7 +77,7 @@ EXPERIMENTS: Dict[str, Callable] = {
 COMMANDS = (
     "list", "all", "run", "ablations", "timeline", "faults", "cache",
     "matrix", "replay", "shrink", "lint", "analyze", "sanitize", "trace",
-    "litmus", "durability",
+    "litmus",
 )
 
 
@@ -162,95 +159,6 @@ def _run_matrix_command(opts, parser, matrix_kw) -> int:
               f"{error.request.policy.name}: {error.failure['type']}: "
               f"{error.failure['message']}", file=sys.stderr)
     return 0 if not result.errors else 1
-
-
-def _run_durability(opts, parser) -> int:
-    """Crash-consistency harness: enumerate the legal post-crash disk
-    states of the durable-state layer and recover every one of them
-    (see README "Durability & crash consistency")."""
-    import json
-    from pathlib import Path
-
-    from repro.durability.harness import (
-        compare_golden, default_repro_dir, run_campaign, run_scenario,
-        run_smoke, SCENARIOS, SMOKE_CAMPAIGN_PLAN,
-    )
-    from repro.durability.vfs import (
-        durability_plan_names, named_durability_plan,
-    )
-
-    repro_dir = default_repro_dir()
-
-    if opts.enumerate_:
-        if not opts.args or opts.args[0] not in SCENARIOS:
-            parser.error(f"durability --enumerate needs a scenario: "
-                         f"{', '.join(SCENARIOS)}")
-        plan = None
-        if len(opts.args) > 1:
-            plan = named_durability_plan(opts.args[1], opts.seed)
-        report = run_scenario(opts.args[0], plan=plan,
-                              max_states=opts.max_states,
-                              repro_dir=repro_dir, log=print)
-        print(f"{report.name}: {report.ops} ops, {report.states} states, "
-              f"{len(report.violations)} violations "
-              f"(signature {report.op_signature})")
-        if not report.ok:
-            print(f"failing states under {repro_dir}/")
-        return 0 if report.ok else 1
-
-    if opts.campaign:
-        plan_name = opts.args[0] if opts.args else SMOKE_CAMPAIGN_PLAN
-        if plan_name not in durability_plan_names():
-            parser.error(f"unknown durability plan {plan_name!r}; known: "
-                         f"{', '.join(durability_plan_names())}")
-        campaign = run_campaign(plan_name, opts.seed,
-                                max_states=opts.max_states,
-                                repro_dir=repro_dir, log=print)
-        verdict = ("bit-reproducible" if campaign["reproducible"]
-                   else "NOT REPRODUCIBLE")
-        print(f"campaign ({plan_name}, seed {opts.seed}): {verdict}, "
-              f"digest {campaign['digest']}, "
-              f"{campaign['violations']} violations")
-        if opts.out:
-            Path(opts.out).write_text(
-                json.dumps(campaign, indent=2, sort_keys=True) + "\n")
-        return 0 if campaign["reproducible"] and not campaign["violations"] \
-            else 1
-
-    # default / --smoke: the CI configuration
-    report = run_smoke(seed=opts.seed, max_states=opts.max_states,
-                       repro_dir=repro_dir, log=print)
-    if opts.out:
-        Path(opts.out).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if opts.write_golden:
-        golden = dict(report)
-        golden.pop("ok", None)
-        Path(opts.write_golden).parent.mkdir(parents=True, exist_ok=True)
-        Path(opts.write_golden).write_text(
-            json.dumps(golden, indent=2, sort_keys=True) + "\n")
-        print(f"wrote durability golden to {opts.write_golden}")
-        return 0
-    exit_code = 0 if report["ok"] else 1
-    if opts.golden:
-        try:
-            golden = json.loads(Path(opts.golden).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"cannot read golden {opts.golden}: {exc}")
-            return 1
-        diffs = compare_golden(report, golden)
-        if diffs:
-            print(f"DURABILITY GOLDEN DRIFT vs {opts.golden}:")
-            for diff in diffs:
-                print(f"  {diff}")
-            print("re-baseline with: python -m repro durability --smoke "
-                  f"--write-golden {opts.golden}")
-            exit_code = 1
-        else:
-            print(f"golden match: {opts.golden}")
-    if exit_code:
-        print(f"failing crash states (if any) under {repro_dir}/")
-    return exit_code
 
 
 def _run_replay(opts, parser) -> int:
@@ -682,18 +590,6 @@ def _dispatch(argv=None) -> int:
     parser.add_argument("--programs", type=int, default=None, metavar="N",
                         help="for 'litmus': generated programs per run "
                              "(default: 4 with --smoke, else 8)")
-    parser.add_argument("--enumerate", action="store_true",
-                        dest="enumerate_",
-                        help="for 'durability': enumerate + recover the "
-                             "crash states of one scenario (args: "
-                             "SCENARIO [PLAN])")
-    parser.add_argument("--campaign", action="store_true",
-                        help="for 'durability': seeded fault campaign, "
-                             "run twice and compared bit-for-bit "
-                             "(args: [PLAN])")
-    parser.add_argument("--max-states", type=int, default=400, metavar="N",
-                        help="for 'durability': crash-state cap per "
-                             "enumeration (default: 400)")
     # intermixed: allows `lint --json PATH...` (flags before positionals)
     opts = parser.parse_intermixed_args(argv)
     matrix_kw = {
@@ -742,9 +638,6 @@ def _dispatch(argv=None) -> int:
 
     if opts.command == "litmus":
         return _run_litmus_command(opts, parser)
-
-    if opts.command == "durability":
-        return _run_durability(opts, parser)
 
     if opts.command == "replay":
         return _run_replay(opts, parser)

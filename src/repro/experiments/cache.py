@@ -28,7 +28,6 @@ import hashlib
 import json
 import os
 import shutil
-import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,10 +40,6 @@ from repro.experiments.runner import RunResult
 #: entry layout is ``<2-hex-char shard>/<key>.json``; the glob must not
 #: sweep up the ``quarantine/`` directory the integrity check fills
 _ENTRY_GLOB = "[0-9a-f][0-9a-f]/*.json"
-
-#: a writer claim older than this is abandoned (its writer died between
-#: claiming the key and renaming the entry into place) and may be broken
-_CLAIM_TTL = 60.0
 
 #: RunResult fields persisted to disk (everything except ``gpu``)
 RESULT_FIELDS = (
@@ -163,8 +158,6 @@ class ResultCache:
         self.stores = 0
         #: corrupted entries deleted and re-simulated (self-heal)
         self.healed = 0
-        #: puts skipped because another live writer held the key's claim
-        self.contended = 0
         #: puts dropped by the graceful-degradation policy
         self.dropped = 0
         #: persistent ENOSPC flipped the cache to read-through: gets
@@ -219,12 +212,9 @@ class ResultCache:
         entry behind.
 
         Concurrent writers of the *same* key (two sweeps sharing the
-        cache) are serialized by an ``O_EXCL`` claim file: the first
-        writer takes the claim
-        and writes; everyone else skips the put entirely — entries are
-        content-addressed, so a rival's bytes are identical and writing
-        them again buys nothing but rename traffic. A claim left behind
-        by a dead writer is broken after ``_CLAIM_TTL`` seconds.
+        cache) need no coordination: each writes its own pid-suffixed
+        temp file, entries are content-addressed so their bytes are
+        identical, and the last rename wins.
 
         Failure policy: the cache is an accelerator, not ground truth.
         A put that still fails after the bounded retries of
@@ -252,27 +242,12 @@ class ResultCache:
         }
         text = json.dumps(document, sort_keys=True, default=str)
         path = self._path(key)
-        claim = path.with_name(f".{path.name}.claim")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            if not self._take_claim(claim):
-                self.contended += 1
-                return
-        except OSError as exc:
-            self._degrade_on(exc, key)
-            return
-        try:
             vfs.write_atomic_text(path, text)
         except OSError as exc:
             self._degrade_on(exc, key)
             return
-        finally:
-            try:
-                vfs.vunlink(claim, missing_ok=True)
-            except OSError:
-                # a stranded claim self-breaks after _CLAIM_TTL; do not
-                # let its cleanup mask the put's own outcome
-                vfs.incr_stat("durability.cache.claim_cleanup_errors")
         self.stores += 1
 
     def _degrade_on(self, exc: OSError, key: str) -> None:
@@ -293,26 +268,6 @@ class ResultCache:
                 f"result cache put of {key[:12]}… failed after retries "
                 f"({exc}); entry dropped, sweep continues",
                 RuntimeWarning, stacklevel=3)
-
-    @staticmethod
-    def _take_claim(claim: Path) -> bool:
-        """Try to own the per-key writer claim (``O_CREAT|O_EXCL`` —
-        exactly one winner). False means a live rival holds it; a stale
-        claim (dead writer) is broken and the attempt retried."""
-        while True:
-            try:
-                fd = vfs.vopen(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    age = time.time() - claim.stat().st_mtime
-                except OSError:
-                    continue  # claim vanished between open and stat
-                if age <= _CLAIM_TTL:
-                    return False
-                vfs.vunlink(claim, missing_ok=True)
-                continue
-            vfs.vclose(fd)
-            return True
 
     # -- maintenance ---------------------------------------------------
     def verify(self, quarantine: bool = True) -> "CacheVerifyReport":

@@ -18,7 +18,6 @@ CATEGORIES: Tuple[str, ...] = (
     "cp",        # Command Processor: context switches, log drains, spills
     "mem",       # memory-op counts (counts only; no per-op ring events)
     "engine",    # scheduler health: peak pending, events fired, compactions
-    "durability",  # I/O degradation: retries, dropped puts, flush failures
 )
 
 

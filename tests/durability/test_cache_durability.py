@@ -1,10 +1,9 @@
 """Graceful-degradation + temp-hygiene tests for the result cache.
 
 The regression this file pins down: ``ResultCache.put`` must never
-leave a stray temp (or claim) file behind — not when serialization
-raises, not when the disk injects EIO, not when it fills up — and a
-full disk must flip the cache to read-through instead of killing the
-sweep.
+leave a stray temp file behind — not when serialization raises, not
+when the disk injects EIO, not when it fills up — and a full disk must
+flip the cache to read-through instead of killing the sweep.
 """
 
 import dataclasses
@@ -12,17 +11,13 @@ import dataclasses
 import pytest
 
 from repro.durability import vfs
-from repro.durability.harness import _sample_results
 from repro.durability.vfs import DurabilityPlan, armed
 from repro.experiments.cache import ResultCache
-
-
-def _result():
-    return _sample_results()["a"]
+from tests.durability.conftest import sample_result as _result
 
 
 def _strays(root):
-    """Leftover temp/claim files anywhere under the cache root."""
+    """Leftover temp files anywhere under the cache root."""
     if not root.is_dir():
         return []
     return sorted(p for p in root.rglob(".*") if p.is_file())
@@ -42,7 +37,7 @@ def test_put_with_raising_serialization_leaks_nothing(tmp_path):
     with pytest.raises(ValueError):
         cache.put(cache.key_for({"cell": "poison"}), poisoned)
     # serialization happens before the first file operation: the cache
-    # root holds no temp, no claim, no shard — nothing at all
+    # root holds no temp, no shard — nothing at all
     assert _strays(tmp_path) == []
     assert cache.entry_count() == 0
 
@@ -81,20 +76,6 @@ def test_enospc_flips_read_through_degradation(tmp_path):
     got = cache.get(key_ok)
     assert got is not None and got.cycles == _result().cycles
     assert _strays(tmp_path) == []
-
-
-def test_contended_claim_skips_the_put(tmp_path):
-    cache = ResultCache(tmp_path, fingerprint="t")
-    key = cache.key_for({"cell": "a"})
-    path = cache._path(key)
-    path.parent.mkdir(parents=True)
-    claim = path.with_name(f".{path.name}.claim")
-    claim.write_text("")  # a fresh rival claim
-    cache.put(key, _result())
-    assert cache.contended == 1
-    assert cache.stores == 0
-    assert not path.exists()
-    assert claim.exists()  # the rival's claim is not ours to break
 
 
 def test_get_self_heals_torn_entries(tmp_path):

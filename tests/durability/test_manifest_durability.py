@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.policies import awg
-from repro.durability.harness import _sample_results
 from repro.durability.vfs import DurabilityPlan, armed
 from repro.experiments.matrix import RunRequest, run_matrix
 from repro.experiments.runner import QUICK_SCALE
 from repro.recovery.manifest import SweepCheckpoint, cell_key
+from tests.durability.conftest import sample_result
 
 SCEN = QUICK_SCALE.scaled(total_wgs=8, wgs_per_group=4, iterations=1,
                           episodes=2)
@@ -43,7 +43,7 @@ def _exec_counts(log_path):
 
 def test_flush_failure_degrades_to_warning_and_retries(tmp_path):
     ckpt = SweepCheckpoint.open(SPECS, root=tmp_path, fingerprint="t")
-    result = _sample_results()["a"]
+    result = sample_result()
     plan = DurabilityPlan(name="dead-disk", seed=1, eio_prob=1.0)
     with armed(tmp_path, plan=plan):
         with pytest.warns(RuntimeWarning, match="manifest flush"):

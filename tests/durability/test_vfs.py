@@ -7,10 +7,12 @@ import pytest
 
 from repro.durability import vfs
 from repro.durability.vfs import (
-    DurabilityPlan, IOGateway, armed, durability_plan_names,
-    named_durability_plan, write_atomic_text,
+    DurabilityPlan, IOGateway, armed, write_atomic_text,
 )
 from repro.errors import ConfigError
+from repro.experiments.cache import ResultCache
+from repro.recovery.manifest import SweepCheckpoint
+from tests.durability.conftest import sample_result
 
 
 def _tmp_files(root):
@@ -25,21 +27,6 @@ def test_plan_validation_rejects_bad_probabilities():
         DurabilityPlan(eio_prob=1.5)
     with pytest.raises(ConfigError):
         DurabilityPlan(enospc_after=-1)
-
-
-def test_plan_spec_round_trip_and_named_plans():
-    for name in durability_plan_names():
-        plan = named_durability_plan(name, seed=9)
-        assert DurabilityPlan.from_spec(plan.spec()) == plan
-        assert plan.seed == 9
-        assert plan.describe().startswith(name)
-    with pytest.raises(ConfigError):
-        named_durability_plan("no-such-plan")
-
-
-def test_calm_plan_is_noop_and_flaky_is_not():
-    assert named_durability_plan("calm").is_noop
-    assert not named_durability_plan("flaky-disk").is_noop
 
 
 # -- disarmed passthrough ----------------------------------------------
@@ -62,20 +49,45 @@ def test_disarmed_vops_are_raw_os(tmp_path):
 
 # -- recording ----------------------------------------------------------
 
-def test_armed_gateway_records_atomic_write_protocol(tmp_path):
+def _atomic_text(root):
+    path = root / "a.json"
+    write_atomic_text(path, "payload")
+    return path
+
+
+def _cache_put(root):
+    cache = ResultCache(root, fingerprint="t")
+    key = cache.key_for({"cell": "a"})
+    cache.put(key, sample_result())
+    return cache._path(key)
+
+
+def _manifest_flush(root):
+    ckpt = SweepCheckpoint.open([{"cell": "a"}], root=root, fingerprint="t")
+    ckpt.mark_in_flight(ckpt.keys)
+    assert ckpt.flush(force=True)
+    return ckpt.path
+
+
+@pytest.mark.parametrize("writer", [_atomic_text, _cache_put,
+                                    _manifest_flush],
+                         ids=["write_atomic_text", "ResultCache.put",
+                              "SweepCheckpoint.flush"])
+def test_armed_gateway_records_atomic_write_protocol(tmp_path, writer):
+    """Every durable writer lands its file the same way: the whole
+    payload into a temp file, fsynced, then renamed onto the final
+    path — never a write in place."""
     with armed(tmp_path) as gw:
-        write_atomic_text(tmp_path / "a.json", "payload")
-    ops = [(r.op, r.path) for r in gw.log]
-    assert ops == [
-        ("creat", ".a.json.tmp"),
-        ("write", ".a.json.tmp"),
-        ("fsync", ".a.json.tmp"),
-        ("rename", ".a.json.tmp"),
+        final = writer(tmp_path)
+    rel = final.relative_to(tmp_path)
+    tmp, dest = rel.with_name(f".{rel.name}.tmp").as_posix(), rel.as_posix()
+    assert [(r.op, r.path, r.dest) for r in gw.log] == [
+        ("creat", tmp, ""),
+        ("write", tmp, ""),
+        ("fsync", tmp, ""),
+        ("rename", tmp, dest),
     ]
-    assert gw.log[-1].dest == "a.json"
-    # the honest fsync marked everything before it durable
-    assert all(r.durable for r in gw.log[:3])
-    assert (tmp_path / "a.json").read_text() == "payload"
+    assert gw.log[1].data == final.read_bytes()
 
 
 def test_armed_tmp_names_are_deterministic(tmp_path):
@@ -118,18 +130,25 @@ def _fault_workload(root, plan):
     return gw
 
 
+def _fault_schedule(gw):
+    """(point, occurrence, fault) for every injected fault, log order."""
+    return [(r.point, r.occurrence, r.fault) for r in gw.log if r.fault]
+
+
 def test_same_seed_same_fault_schedule(tmp_path):
     # pick (deterministically) a seed whose schedule is non-empty, so
     # the equality below is not vacuous
     for seed in range(16):
-        plan = named_durability_plan("io-chaos", seed=seed)
+        plan = DurabilityPlan(name="chaos", seed=seed, eio_prob=0.1,
+                              eintr_prob=0.1, short_write_prob=0.1,
+                              fsync_eio_prob=0.05)
         a = _fault_workload(tmp_path / f"a{seed}", plan)
-        if a.fault_schedule():
+        if _fault_schedule(a):
             break
     else:  # pragma: no cover - astronomically unlucky
-        pytest.fail("no io-chaos seed in 0..15 injected anything")
+        pytest.fail("no chaos seed in 0..15 injected anything")
     b = _fault_workload(tmp_path / f"b{seed}", plan)
-    assert a.fault_schedule() == b.fault_schedule()
+    assert _fault_schedule(a) == _fault_schedule(b)
 
 
 def test_draw_is_pure_and_seed_sensitive(tmp_path):
@@ -205,81 +224,9 @@ def test_enospc_is_never_retried(tmp_path):
     assert _tmp_files(tmp_path) == []
 
 
-def test_lying_fsync_marks_nothing_durable(tmp_path):
-    plan = named_durability_plan("liar-fsync")
-    with armed(tmp_path, plan=plan) as gw:
-        write_atomic_text(tmp_path / "l.json", "lost?")
-    writes = [r for r in gw.log if r.op in ("creat", "write")]
-    assert writes and not any(r.durable for r in writes)
-    lies = [r for r in gw.log if r.fault == "fsync-lie"]
-    assert lies
-
-
 def test_fsync_eio_raises(tmp_path):
     plan = DurabilityPlan(name="fsyncgate", seed=1, fsync_eio_prob=1.0)
     with armed(tmp_path, plan=plan):
         with pytest.raises(OSError) as exc:
             write_atomic_text(tmp_path / "g.json", "x", retries=0)
     assert exc.value.errno == errno.EIO
-
-
-def test_append_text_torn_tail_is_not_retried(tmp_path):
-    plan = DurabilityPlan(name="torn-journal", seed=1,
-                          short_write_prob=1.0)
-    with armed(tmp_path, plan=plan) as gw:
-        vfs.append_text(tmp_path / "events.log", "half-a-record\n")
-    record = [r for r in gw.log if r.op == "write"][0]
-    assert record.fault == "short"
-    assert len(record.data) < record.requested
-    # exactly one write: no whole-line retry duplicating records
-    assert len([r for r in gw.log if r.op == "write"]) == 1
-
-
-# -- log export ---------------------------------------------------------
-
-def test_dump_log_and_oplog_jsonl(tmp_path):
-    with armed(tmp_path, plan=named_durability_plan("calm")) as gw:
-        write_atomic_text(tmp_path / "d.json", "doc")
-    doc = gw.dump_log()
-    assert doc["version"] == vfs.OPLOG_VERSION
-    assert doc["plan"]["name"] == "calm"
-    assert len(doc["ops"]) == len(gw.log)
-    out = tmp_path / "oplog.jsonl"
-    vfs.dump_oplog_jsonl(gw, out)
-    lines = out.read_text().splitlines()
-    assert len(lines) == len(gw.log) + 1  # header + one per op
-
-
-# -- stats + tracer -----------------------------------------------------
-
-class _FakeTracer:
-    def __init__(self):
-        self.instants = []
-
-    def instant(self, category, name, **kw):
-        self.instants.append((category, name))
-
-
-def test_incr_stat_mirrors_to_tracer():
-    vfs.reset_stats()
-    tracer = _FakeTracer()
-    vfs.set_tracer(tracer)
-    try:
-        vfs.incr_stat("durability.test.counter", 2)
-    finally:
-        vfs.set_tracer(None)
-    assert vfs.stats_snapshot()["durability.test.counter"] == 2
-    assert tracer.instants == [("durability", "durability.test.counter")]
-
-
-def test_env_knobs_for_retry_budget(monkeypatch):
-    monkeypatch.setenv("REPRO_IO_RETRIES", "7")
-    monkeypatch.setenv("REPRO_IO_BACKOFF", "0.5")
-    assert vfs.resolve_io_retries() == 7
-    assert vfs.resolve_io_backoff() == 0.5
-    monkeypatch.setenv("REPRO_IO_RETRIES", "nope")
-    with pytest.raises(ConfigError):
-        vfs.resolve_io_retries()
-    monkeypatch.setenv("REPRO_IO_BACKOFF", "nope")
-    with pytest.raises(ConfigError):
-        vfs.resolve_io_backoff()

@@ -310,7 +310,7 @@ def test_verify_flags_pre_digest_entries(cache):
 
 
 # ---------------------------------------------------------------------------
-# concurrent writers (satellite: the O_EXCL per-key writer claim)
+# concurrent writers of one key
 # ---------------------------------------------------------------------------
 
 _PUT_RIVAL = """\
@@ -331,45 +331,9 @@ for _ in range(25):
 """
 
 
-def test_put_skips_while_a_rival_holds_the_claim(cache):
-    """Entries are content-addressed, so the loser of the claim race
-    skips the write entirely instead of re-renaming identical bytes."""
-    key = "a1" + "0" * 62
-    path = cache._path(key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    claim = path.with_name(f".{path.name}.claim")
-    claim.write_text("")  # a live rival mid-write
-    cache.put(key, _simple_result())
-    assert cache.get(key) is None  # skipped, rival owns the slot
-    assert cache.contended == 1 and cache.stores == 0
-    claim.unlink()
-    cache.put(key, _simple_result())
-    assert cache.get(key).cycles == 1
-    assert cache.stores == 1
-
-
-def test_put_breaks_a_stale_claim_from_a_dead_writer(cache):
-    import os
-    import time
-
-    from repro.experiments.cache import _CLAIM_TTL
-
-    key = "b2" + "0" * 62
-    path = cache._path(key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    claim = path.with_name(f".{path.name}.claim")
-    claim.write_text("")
-    stale = time.time() - _CLAIM_TTL - 10
-    os.utime(claim, (stale, stale))
-    cache.put(key, _simple_result(cycles=3))
-    assert cache.get(key).cycles == 3  # the orphaned claim was broken
-    assert cache.contended == 0
-    assert not claim.exists()
-
-
 def test_concurrent_puts_leave_one_intact_entry(cache, tmp_path):
     """Multiprocess stress: rival writers hammering one key must end
-    with exactly one intact entry and zero claim/temp residue."""
+    with exactly one intact entry and zero temp residue."""
     import os
     import subprocess
     import sys
@@ -391,7 +355,7 @@ def test_concurrent_puts_leave_one_intact_entry(cache, tmp_path):
     assert cache.verify().clean
     residue = [p.name for p in cache._path(key).parent.iterdir()
                if p.name != f"{key}.json"]
-    assert residue == [], f"leftover claim/temp files: {residue}"
+    assert residue == [], f"leftover temp files: {residue}"
 
 
 def test_cli_cache_verify_exits_nonzero_on_corruption(tmp_path, monkeypatch):
