@@ -6,10 +6,9 @@
 #                      analysis-table.json golden
 #   make analyze-golden  re-baseline analysis-table.json after a
 #                        deliberate verdict change
-#   make bench         full figure-suite regeneration (pytest-benchmark)
-#   make bench-smoke   manual cache smoke: fig7 twice, asserts warm-run
-#                      cache hits (CI covers this through tier-1
-#                      test_matrix.py::test_cache_round_trip_returns_equal_result)
+#   make bench         regenerate every table, figure and ablation at
+#                      its committed scale into results/, failing on any
+#                      shape check (`python -m repro all --out results`)
 #   make faults-smoke  fault-injection campaign, smoke scale (IFP table)
 #   make trace-smoke   export one trace and validate the Perfetto schema
 #   make litmus-smoke  seeded litmus corpus + generated programs vs the
@@ -30,8 +29,8 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint analyze analyze-golden bench bench-smoke faults-smoke \
-	trace-smoke litmus-smoke clean-cache
+.PHONY: test lint analyze analyze-golden bench faults-smoke trace-smoke \
+	litmus-smoke clean-cache
 
 test:
 	$(PY) -m pytest -x -q
@@ -47,10 +46,7 @@ analyze-golden:
 	$(PY) -m repro analyze --write-golden analysis-table.json
 
 bench:
-	$(PY) -m pytest benchmarks -q
-
-bench-smoke:
-	$(PY) -m repro.experiments.smoke
+	$(PY) -m repro all --out results
 
 faults-smoke:
 	$(PY) -m repro faults --seed 1 --smoke --no-cache

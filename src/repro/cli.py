@@ -9,7 +9,9 @@ Usage::
     awg-repro fig14 --jobs 8        # fan cells over 8 worker processes
     awg-repro fig14 --no-cache      # force re-simulation of every cell
     awg-repro run SPM_G awg         # one benchmark under one policy
-    awg-repro all                   # every experiment, in paper order
+    awg-repro all                   # every table, figure and ablation,
+                                    # each checked against the paper's shape
+    awg-repro all --out results     # ... also writing results/<name>.txt
     awg-repro faults --smoke        # fault-injection campaign (IFP table)
     awg-repro faults --seed 7 --plans storm,chaos
     awg-repro cache                 # show result-cache location / size
@@ -44,34 +46,71 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from repro.core.policies import named_policy
 from repro.experiments import (
-    QUICK_SCALE, PAPER_SCALE, OVERSUBSCRIBED, run_benchmark,
+    QUICK_SCALE, PAPER_SCALE, OVERSUBSCRIBED, ExperimentResult, Scenario,
+    run_benchmark,
 )
 from repro.experiments import (
-    fig5, fig7, fig8, fig9, fig11, fig13, fig14, fig15, table1, table2,
+    ablations, fig5, fig7, fig8, fig9, fig11, fig13, fig14, fig15, table1,
+    table2,
 )
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.workloads.registry import benchmark_names
 
-EXPERIMENTS: Dict[str, Callable] = {
-    "table1": lambda scenario, **kw: table1.run(),
-    "table2": lambda scenario, **kw: table2.run(scenario, **kw),
-    "fig5": lambda scenario, **kw: fig5.run(scenario),
-    "fig7": lambda scenario, **kw: fig7.run(scenario, **kw),
-    "fig8": lambda scenario, **kw: fig8.run(scenario, **kw),
-    "fig9": lambda scenario, **kw: fig9.run(scenario, **kw),
-    "fig11": lambda scenario, **kw: fig11.run(scenario, **kw),
-    "fig13": lambda scenario, **kw: fig13.run(
-        scenario if scenario.resource_loss_at_us else OVERSUBSCRIBED, **kw
-    ),
-    "fig14": lambda scenario, **kw: fig14.run(scenario, **kw),
-    "fig15": lambda scenario, **kw: fig15.run(
-        scenario if scenario.resource_loss_at_us else OVERSUBSCRIBED, **kw
-    ),
+#: what ``--quick`` runs the oversubscribed figures (13, 15) at
+QUICK_OVERSUBSCRIBED = OVERSUBSCRIBED.scaled(
+    total_wgs=32, wgs_per_group=4, max_wgs_per_cu=4,
+    iterations=3, episodes=6, resource_loss_at_us=10.0,
+    label="quick-oversubscribed",
+)
+
+
+class Artifact(NamedTuple):
+    """One committed ``results/<name>.txt``. ``run()`` regenerates it at
+    the committed scale and ``check`` asserts the paper's shape there.
+    ``--quick`` passes ``quick`` to ``run`` instead (None: no smaller
+    scale) and skips ``check``."""
+
+    run: Callable[..., ExperimentResult]
+    check: Callable[[ExperimentResult], None]
+    quick: Optional[Scenario] = QUICK_SCALE
+    #: ``run`` sweeps cells through run_matrix (takes jobs=, cache=)
+    sweeps: bool = True
+
+
+#: the paper's tables and figures, in paper order
+EXPERIMENTS = {
+    "table1": Artifact(table1.run, table1.check, quick=None, sweeps=False),
+    "table2": Artifact(table2.run, table2.check),
+    "fig5": Artifact(fig5.run, fig5.check, sweeps=False),
+    "fig7": Artifact(fig7.run, fig7.check),
+    "fig8": Artifact(fig8.run, fig8.check),
+    "fig9": Artifact(fig9.run, fig9.check),
+    "fig11": Artifact(fig11.run, fig11.check),
+    "fig13": Artifact(fig13.run, fig13.check, QUICK_OVERSUBSCRIBED),
+    "fig14": Artifact(fig14.run, fig14.check),
+    "fig15": Artifact(fig15.run, fig15.check, QUICK_OVERSUBSCRIBED),
 }
+
+#: the design-choice ablations (``repro ablations``)
+ABLATIONS = {
+    "ablation_syncmon": Artifact(ablations.syncmon_capacity,
+                                 ablations.check_syncmon_capacity),
+    "ablation_log": Artifact(ablations.monitor_log_capacity,
+                             ablations.check_monitor_log_capacity),
+    "ablation_resume": Artifact(ablations.resume_prediction,
+                                ablations.check_resume_prediction),
+    "ablation_stall": Artifact(ablations.stall_prediction,
+                               ablations.check_stall_prediction,
+                               quick=None),
+}
+
+#: everything ``repro all`` runs and ``--out DIR`` writes
+ARTIFACTS = {**EXPERIMENTS, **ABLATIONS}
 
 #: every command besides the experiment ids, as dispatched below
 COMMANDS = (
@@ -79,19 +118,6 @@ COMMANDS = (
     "matrix", "replay", "shrink", "lint", "analyze", "sanitize", "trace",
     "litmus",
 )
-
-
-def _run_ablations(quick: bool, **kw) -> None:
-    from repro.experiments import ablations
-
-    scenario = QUICK_SCALE if quick else PAPER_SCALE.scaled(
-        total_wgs=64, wgs_per_group=8, max_wgs_per_cu=8,
-        iterations=2, episodes=4)
-    for fn in (ablations.syncmon_capacity, ablations.monitor_log_capacity,
-               ablations.resume_prediction):
-        print(fn(scenario, **kw).render())
-        print()
-    print(ablations.stall_prediction(**kw).render())
 
 
 def _run_cache_command(clear: bool, verify: bool = False) -> int:
@@ -466,22 +492,46 @@ def _run_timeline() -> None:
 
 
 def _run_experiment(name: str, quick: bool, chart: bool = False,
-                    **kw) -> None:
-    scenario = QUICK_SCALE if quick else PAPER_SCALE
-    if quick and name in ("fig13", "fig15"):
-        scenario = OVERSUBSCRIBED.scaled(
-            total_wgs=32, wgs_per_group=4, max_wgs_per_cu=4,
-            iterations=3, episodes=6, resource_loss_at_us=10.0,
-            label="quick-oversubscribed",
-        )
+                    out: Optional[str] = None, **kw) -> bool:
+    """Run and print one artifact; with ``out``, also write its table to
+    ``out/<name>.txt`` (without the host-dependent matrix note). Unless
+    ``quick``, run its shape check; a failed check is reported on
+    stderr and returns False."""
+    artifact = ARTIFACTS[name]
+    args = (artifact.quick,) if quick and artifact.quick else ()
     started = time.time()
-    result = EXPERIMENTS[name](scenario, **kw)
+    result = artifact.run(*args, **(kw if artifact.sweeps else {}))
+    text = result.render()
     if chart:
         from repro.experiments.charts import LOG_SCALE_EXPERIMENTS, bar_chart
         print(bar_chart(result, log=name in LOG_SCALE_EXPERIMENTS))
     else:
-        print(result.render())
+        print(text)
     print(f"[{name}: {time.time() - started:.1f}s]\n")
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        kept = [line for line in text.splitlines()
+                if not line.startswith("note: matrix:")]
+        (Path(out) / f"{name}.txt").write_text("\n".join(kept) + "\n")
+    if quick:
+        return True
+    try:
+        artifact.check(result)
+    except AssertionError as exc:
+        import traceback
+
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"FAILED {name} shape check: {where.line}{detail}",
+              file=sys.stderr)
+        return False
+    return True
+
+
+def _run_artifacts(names, opts, matrix_kw) -> int:
+    passed = [_run_experiment(name, opts.quick, opts.chart, opts.out,
+                              **matrix_kw) for name in names]
+    return 0 if all(passed) else 1
 
 
 def main(argv=None) -> int:
@@ -584,9 +634,12 @@ def _dispatch(argv=None) -> int:
     parser.add_argument("--categories", default=None, metavar="A,B,...",
                         help="for 'trace': comma-separated event "
                              "categories (default: all; see repro.trace)")
-    parser.add_argument("--out", default=None, metavar="FILE",
+    parser.add_argument("--out", default=None, metavar="PATH",
                         help="for 'trace': output path for the Chrome "
-                             "trace_event JSON (default: trace.json)")
+                             "trace_event JSON (default: trace.json); for "
+                             "an experiment id, 'ablations' or 'all': "
+                             "directory to write each rendered table to "
+                             "as <name>.txt")
     parser.add_argument("--programs", type=int, default=None, metavar="N",
                         help="for 'litmus': generated programs per run "
                              "(default: 4 with --smoke, else 8)")
@@ -646,13 +699,10 @@ def _dispatch(argv=None) -> int:
         return _run_shrink(opts, parser)
 
     if opts.command == "all":
-        for name in EXPERIMENTS:
-            _run_experiment(name, opts.quick, opts.chart, **matrix_kw)
-        return 0
+        return _run_artifacts(ARTIFACTS, opts, matrix_kw)
 
     if opts.command == "ablations":
-        _run_ablations(opts.quick, **matrix_kw)
-        return 0
+        return _run_artifacts(ABLATIONS, opts, matrix_kw)
 
     if opts.command == "timeline":
         _run_timeline()
@@ -676,8 +726,7 @@ def _dispatch(argv=None) -> int:
         return 0 if res.ok else 1
 
     if opts.command in EXPERIMENTS:
-        _run_experiment(opts.command, opts.quick, opts.chart, **matrix_kw)
-        return 0
+        return _run_artifacts([opts.command], opts, matrix_kw)
 
     parser.error(f"unknown command {opts.command!r}")
     return 2  # pragma: no cover

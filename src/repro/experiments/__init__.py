@@ -2,8 +2,10 @@
 
 Every module exposes ``run(...)`` returning an
 :class:`~repro.experiments.report.ExperimentResult` (structured rows +
-an ASCII rendering) so tests can assert the reproduced *shape* and the
-benchmark harness can print the same rows the paper reports.
+an ASCII rendering). Called with no scenario, ``run()`` regenerates the
+committed ``results/<name>.txt`` at its scale, and ``check(result)``
+asserts the paper's qualitative shape at that scale (``python -m repro
+all`` runs both for every artifact).
 
 ==========  ======================================================
 module      paper artifact

@@ -14,7 +14,7 @@ from typing import List, Optional
 from repro.core.policies import monnr_all, monnr_one, timeout
 from repro.experiments.matrix import RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import PAPER_SCALE, Scenario
+from repro.experiments.runner import SWEEP_SCALE, Scenario
 from repro.workloads.registry import benchmark_names
 
 #: the paper's Figure 11 covers the 10 Table 2 benchmarks (no SPMBO)
@@ -23,7 +23,7 @@ def fig11_benchmarks() -> List[str]:
 
 
 def run(
-    scenario: Scenario = PAPER_SCALE,
+    scenario: Scenario = SWEEP_SCALE,
     benchmarks: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     cache="default",
@@ -58,9 +58,17 @@ def run(
     return result
 
 
-def main() -> None:  # pragma: no cover
-    print(run().render(digits=3))
+def _total(row, policy):
+    return row[f"{policy} running"] + row[f"{policy} waiting"]
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check(result: ExperimentResult) -> None:
+    """Assert the paper's break-down shape at the committed scale."""
+    # MonNR-One handles contended spin mutexes well...
+    assert _total(result.data["SPM_G"], "MonNR-One") < \
+        _total(result.data["SPM_G"], "MonNR-All")
+    # ...but is poor on centralized barriers, where MonNR-All shines
+    assert _total(result.data["TB_LG"], "MonNR-All") < \
+        _total(result.data["TB_LG"], "MonNR-One")
+    # both monitor policies beat Timeout on the decentralized mutexes
+    assert _total(result.data["SLM_G"], "MonNR-All") < 1.0

@@ -18,9 +18,14 @@ from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import OVERSUBSCRIBED, Scenario
 from repro.workloads.registry import benchmark_names
 
+#: the committed table's scale: the oversubscribed grid, shorter runs,
+#: resource loss at 10 µs
+FIG13_SCALE = OVERSUBSCRIBED.scaled(iterations=3, episodes=8,
+                                    resource_loss_at_us=10.0)
+
 
 def run(
-    scenario: Scenario = OVERSUBSCRIBED,
+    scenario: Scenario = FIG13_SCALE,
     jobs: Optional[int] = None,
     cache="default",
 ) -> ExperimentResult:
@@ -56,6 +61,18 @@ def run(
     return result
 
 
+def check(result: ExperimentResult) -> None:
+    """Assert the paper's structure-size shape at the committed scale."""
+    for name, row in result.data.items():
+        assert row["Waiting WGs"] > 0, name
+        # all CP structures stay tiny (the paper's point: KBs, not MBs,
+        # with contexts dominating)
+        assert row["Waiting Conditions"] < 64
+    switched = sum(1 for row in result.data.values()
+                   if row["Saved Contexts"] > 0)
+    assert switched >= len(result.data) // 2
+
+
 def from_trace(trace) -> dict:
     """The Figure 13 structure sizes derived from one exported trace
     (requires the ``sync`` and ``cp`` categories) instead of the
@@ -63,11 +80,3 @@ def from_trace(trace) -> dict:
     from repro.trace.derive import cp_structure_bytes
 
     return cp_structure_bytes(trace)
-
-
-def main() -> None:  # pragma: no cover
-    print(run().render(digits=2))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -88,9 +88,20 @@ def run(
     return result
 
 
-def main() -> None:  # pragma: no cover
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check(result: ExperimentResult) -> None:
+    """Assert the headline's shape at paper scale. Paper: AWG 12x
+    geomean; our model reproduces the ordering and the order of
+    magnitude on centralized primitives."""
+    gm = result.data[GEOMEAN_ROW]
+    # AWG wins the geomean, by a lot
+    assert gm["AWG"] > 3.0
+    assert gm["AWG"] >= max(v for k, v in gm.items() if v is not None) * 0.999
+    # the largest wins are the centralized global mutexes (paper: ~100x)
+    assert result.data["SPM_G"]["AWG"] > 10.0
+    assert result.data["FAM_G"]["AWG"] > 10.0
+    # AWG tracks the better of MonNR-All / MonNR-One everywhere
+    for name, row in result.data.items():
+        if name == GEOMEAN_ROW:
+            continue
+        best_fixed = max(row["MonNR-All"], row["MonNR-One"])
+        assert row["AWG"] >= 0.85 * best_fixed, name

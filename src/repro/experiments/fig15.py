@@ -95,9 +95,16 @@ def run(
     return result
 
 
-def main() -> None:  # pragma: no cover
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check(result: ExperimentResult) -> None:
+    """Assert the oversubscribed shape at paper scale. Paper: Baseline
+    deadlocks everywhere; AWG 2.5x geomean over Timeout."""
+    rows = [n for n in result.data if n != GEOMEAN_ROW]
+    # Baseline cannot survive losing resources mid-kernel: every run
+    # deadlocks (current GPUs cannot restore context-switched WGs)
+    assert all(result.data[n]["Baseline"] == DEADLOCK for n in rows)
+    # every monitor-based policy and Timeout complete everywhere
+    for n in rows:
+        for policy in ("Timeout-20k", "MonNR-All", "MonNR-One", "AWG"):
+            assert result.data[n][policy] != DEADLOCK, (n, policy)
+    # AWG clearly beats the fixed-interval Timeout (paper: 2.5x geomean)
+    assert result.data[GEOMEAN_ROW]["AWG"] > 2.0

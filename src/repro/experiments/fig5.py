@@ -39,9 +39,7 @@ def run(scenario: Scenario = PAPER_SCALE) -> ExperimentResult:
     return result
 
 
-def main() -> None:  # pragma: no cover
-    print(run().render(digits=2))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check(result: ExperimentResult) -> None:
+    """Assert every context size lies in the paper's band."""
+    sizes = [row["context KB"] for row in result.data.values()]
+    assert 1.5 <= min(sizes) and max(sizes) <= 10.5  # the paper's band

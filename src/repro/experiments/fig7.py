@@ -14,7 +14,7 @@ from typing import List, Optional
 from repro.core.policies import baseline, sleep
 from repro.experiments.matrix import RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import PAPER_SCALE, Scenario
+from repro.experiments.runner import SWEEP_SCALE, Scenario
 from repro.workloads.registry import BENCHMARKS
 
 #: maximum backoff intervals, in cycles (the paper's Sleep-Xk labels)
@@ -27,7 +27,7 @@ def sleep_benchmarks() -> List[str]:
 
 
 def run(
-    scenario: Scenario = PAPER_SCALE,
+    scenario: Scenario = SWEEP_SCALE,
     intervals: Optional[List[int]] = None,
     jobs: Optional[int] = None,
     cache="default",
@@ -61,9 +61,15 @@ def run(
     return result
 
 
-def main() -> None:  # pragma: no cover
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check(result: ExperimentResult) -> None:
+    """Assert the paper's backoff findings at the committed scale."""
+    # backoff helps the contended spin mutex...
+    assert result.data["SPM_G"]["Sleep-16k"] < 1.0
+    # ...but no single interval is best across primitives
+    labels = [c for c in result.columns if c.startswith("Sleep")]
+    best = {name: min(labels, key=lambda c: row[c])
+            for name, row in result.data.items()}
+    assert len(set(best.values())) > 1
+    # over-sleeping eventually becomes counterproductive somewhere
+    assert any(row["Sleep-256k"] > row["Sleep-1k"]
+               for row in result.data.values())

@@ -14,14 +14,14 @@ from typing import List, Optional
 from repro.core.policies import baseline, timeout
 from repro.experiments.matrix import RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import PAPER_SCALE, Scenario
+from repro.experiments.runner import SWEEP_SCALE, Scenario
 from repro.workloads.registry import benchmark_names
 
 DEFAULT_INTERVALS = [10_000, 20_000, 50_000, 100_000]
 
 
 def run(
-    scenario: Scenario = PAPER_SCALE,
+    scenario: Scenario = SWEEP_SCALE,
     intervals: Optional[List[int]] = None,
     benchmarks: Optional[List[str]] = None,
     jobs: Optional[int] = None,
@@ -54,9 +54,15 @@ def run(
     return result
 
 
-def main() -> None:  # pragma: no cover
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check(result: ExperimentResult) -> None:
+    """Assert the paper's timeout findings at the committed scale."""
+    labels = [c for c in result.columns if c.startswith("Timeout")]
+    # some timeout configurations are worse than busy-waiting (the
+    # paper's motivation for monitoring hardware)
+    worst = max(row[c] for row in result.data.values() for c in labels)
+    assert worst > 1.0
+    # and no interval suits every primitive: the same interval is a big
+    # win on one benchmark and a big loss on another
+    t10k = [row["Timeout-10k"] for row in result.data.values()]
+    assert min(t10k) < 1.0 < max(t10k)
+    assert max(t10k) / min(t10k) > 5.0

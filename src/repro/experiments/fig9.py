@@ -15,12 +15,15 @@ from typing import List, Optional
 from repro.core.policies import minresume, monnr_all, monr_all, monrs_all
 from repro.experiments.matrix import RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import PAPER_SCALE, Scenario
+from repro.experiments.runner import SWEEP_SCALE, Scenario
 from repro.workloads.registry import benchmark_names
+
+CENTRALIZED = ["SPM_G", "FAM_G"]
+DECENTRALIZED = ["SLM_G", "SLM_L", "LFTB_LG", "LFTBEX_LG"]
 
 
 def run(
-    scenario: Scenario = PAPER_SCALE,
+    scenario: Scenario = SWEEP_SCALE,
     benchmarks: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     cache="default",
@@ -54,6 +57,20 @@ def run(
     return result
 
 
+def check(result: ExperimentResult) -> None:
+    """Assert the paper's wait-efficiency shape at the committed scale."""
+    # sporadic notification is dramatically inefficient on centralized
+    # primitives (paper: up to two orders of magnitude)
+    for name in CENTRALIZED:
+        assert result.data[name]["MonRS-All"] > 3.0, name
+        assert result.data[name]["MonRS-All"] >= \
+            result.data[name]["MonNR-All"] * 0.9, name
+    # decentralized primitives are unaffected (~1x)
+    for name in DECENTRALIZED:
+        for policy in ("MonRS-All", "MonR-All", "MonNR-All"):
+            assert result.data[name][policy] < 2.5, (name, policy)
+
+
 def from_traces(traces) -> dict:
     """Figure 9's metric derived from exported traces instead of stats:
     ``traces`` maps policy name -> Chrome-trace document for one
@@ -63,11 +80,3 @@ def from_traces(traces) -> dict:
     from repro.trace.derive import wait_efficiency
 
     return wait_efficiency(traces, oracle="MinResume")
-
-
-def main() -> None:  # pragma: no cover
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

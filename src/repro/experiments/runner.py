@@ -81,6 +81,14 @@ PAPER_SCALE = Scenario(
     episodes=6,
 )
 
+#: The committed scale of the interval and policy sweeps (Figures 7, 8,
+#: 9, 11 and the SyncMon, Monitor Log and resume ablations): half the
+#: paper's grid, 8 resident WGs per CU, shorter runs.
+SWEEP_SCALE = PAPER_SCALE.scaled(
+    total_wgs=64, wgs_per_group=8, max_wgs_per_cu=8,
+    iterations=2, episodes=4,
+)
+
 #: The §VI oversubscribed experiment: same grid, but one CU's WGs are
 #: forcibly context-switched out mid-run (the paper does this at 50 µs;
 #: we scale the workload up and trigger at 25 µs so the loss lands inside

@@ -20,9 +20,7 @@ def run(config: Optional[GPUConfig] = None) -> ExperimentResult:
     return result
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check(result: ExperimentResult) -> None:
+    """Assert the paper's Table 1 machine."""
+    assert result.data["Compute Units"]["value"] == "8"
+    assert "512 KB" in result.data["L2 cache shared"]["value"]

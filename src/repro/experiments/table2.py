@@ -16,9 +16,12 @@ from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import PAPER_SCALE, Scenario
 from repro.workloads.registry import BENCHMARKS
 
+#: the committed table's scale: the paper's grid, shorter runs
+TABLE2_SCALE = PAPER_SCALE.scaled(iterations=2, episodes=4)
+
 
 def run(
-    scenario: Scenario = PAPER_SCALE,
+    scenario: Scenario = TABLE2_SCALE,
     jobs: Optional[int] = None,
     cache="default",
 ) -> ExperimentResult:
@@ -65,9 +68,13 @@ def run(
     return result
 
 
-def main() -> None:  # pragma: no cover
-    print(run().render(digits=1))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check(result: ExperimentResult) -> None:
+    """Assert the paper's characterization shape."""
+    # centralized spin mutex: one variable, whole grid contends
+    assert result.data["SPM_G"]["# sync vars (meas)"] == 1
+    # decentralized primitives spread across many variables
+    assert result.data["SLM_G"]["# sync vars (meas)"] > \
+        result.data["SPM_G"]["# sync vars (meas)"]
+    # centralized barrier conditions gather many waiters; decentralized one
+    assert result.data["TB_LG"]["waiters/cond (meas)"] > \
+        result.data["LFTB_LG"]["waiters/cond (meas)"]

@@ -1,7 +1,8 @@
 """Shape tests: each experiment module reproduces the paper's qualitative
 findings at a small scale (so the test suite stays fast).
 
-The full-scale regeneration lives in benchmarks/; these tests assert the
+The committed-scale regeneration is ``python -m repro all --out
+results``, which runs each module's ``check()``; these tests assert the
 *direction* of every result the paper reports.
 """
 

@@ -2,10 +2,11 @@
 
 import inspect
 import re
+from pathlib import Path
 
 import pytest
 
-from repro.cli import COMMANDS, EXPERIMENTS, _dispatch, main
+from repro.cli import ARTIFACTS, COMMANDS, EXPERIMENTS, _dispatch, main
 
 
 def test_list(capsys):
@@ -39,6 +40,10 @@ def test_experiment_registry_covers_all_artifacts():
         "table1", "table2", "fig5", "fig7", "fig8", "fig9", "fig11",
         "fig13", "fig14", "fig15",
     }
+    # `all --out DIR` writes one <name>.txt per artifact: exactly the
+    # committed tables
+    results = Path(__file__).resolve().parents[1] / "results"
+    assert set(ARTIFACTS) == {path.stem for path in results.glob("*.txt")}
 
 
 def test_command_help_names_every_dispatched_command(capsys):
