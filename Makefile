@@ -17,14 +17,12 @@
 #   make clean-cache   drop the on-disk result cache
 #
 # Knobs: REPRO_JOBS (worker processes), REPRO_NO_CACHE=1,
-# REPRO_CACHE_DIR (cache root), REPRO_CELL_TIMEOUT (per-cell wall-clock
-# seconds), REPRO_CELL_RETRIES (environmental-failure retry rounds),
-# REPRO_CHECKPOINT=1 / REPRO_CHECKPOINT_DIR / REPRO_CHECKPOINT_FLUSH
-# (sweep crash-resume manifests and their flush throttle),
+# REPRO_CACHE_DIR (cache root; an interrupted sweep resumes from it when
+# re-run), REPRO_CELL_TIMEOUT (per-cell wall-clock seconds),
+# REPRO_CELL_RETRIES (environmental-failure retry rounds),
 # REPRO_DEBUG_OPS=1 (report device ops called without yield from).
-# Test hooks: REPRO_EXEC_LOG (log every executed cell),
-# REPRO_STRESS_KILL (sentinel file: the _KILL benchmark SIGKILLs its
-# worker once).
+# Test hook: REPRO_STRESS_KILL (sentinel file: the _KILL benchmark
+# SIGKILLs its worker once).
 
 PY ?= python
 export PYTHONPATH := src

@@ -27,7 +27,7 @@ progress and synchronization bugs the paper is about:
   as ``sanitizer.*`` stats plus a machine-readable race report.
 
 Surface: ``python -m repro lint [--json|--format=github] [paths]``,
-``python -m repro analyze [BENCH...] [--json|--table|--dot]`` and
+``python -m repro analyze [BENCH...] [--json|--dot]`` and
 ``python -m repro sanitize <benchmark>``.
 """
 

@@ -4,8 +4,9 @@ Glue layer over the pipeline ``cfg -> dataflow -> progress -> specs``:
 build one :class:`~repro.analysis.progress.ProtocolAnalysis` per
 benchmark, judge every wait-site profile under every table policy, and
 fold the results into an :class:`AnalysisReport` with renderers for the
-CLI (``--table`` / ``--json`` / ``--dot``), a committed-golden diff for
-CI (``analysis-table.json``), and the dynamic/DESIGN cross-check.
+CLI (ASCII table by default, ``--json``, ``--dot``), a committed-golden
+diff for CI (``analysis-table.json``), and the dynamic/DESIGN
+cross-check.
 """
 
 from __future__ import annotations

@@ -17,9 +17,6 @@ Usage::
     awg-repro cache                 # show result-cache location / size
     awg-repro cache --clear         # drop every cached result
     awg-repro cache --verify        # integrity sweep; quarantine corrupt
-    awg-repro matrix --list         # checkpointed sweeps awaiting resume
-    awg-repro matrix --resume       # finish the newest interrupted sweep
-    awg-repro matrix --resume KEY   # ... or one sweep by key prefix
     awg-repro replay BUNDLE         # re-run a cell or litmus bundle
     awg-repro shrink BUNDLE         # delta-debug either kind to minimal
     awg-repro faults --bundles DIR --shrink   # bundle + minimize violations
@@ -39,6 +36,10 @@ Usage::
     awg-repro litmus run --smoke    # corpus + generated programs, judged
     awg-repro litmus run --seed 7 --programs 16      # wider random sweep
     awg-repro litmus generate --seed 3 --out progs.json
+
+A sweep stopped by a crash, Ctrl-C or SIGTERM resumes by re-running the
+same command: its completed cells are result-cache hits. With
+``--no-cache`` a re-run starts over.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import time
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from repro.core.policies import named_policy
+from repro.core.policies import all_policy_names, named_policy
 from repro.experiments import (
     QUICK_SCALE, PAPER_SCALE, OVERSUBSCRIBED, ExperimentResult, Scenario,
     run_benchmark,
@@ -115,8 +116,7 @@ ARTIFACTS = {**EXPERIMENTS, **ABLATIONS}
 #: every command besides the experiment ids, as dispatched below
 COMMANDS = (
     "list", "all", "run", "ablations", "timeline", "faults", "cache",
-    "matrix", "replay", "shrink", "lint", "analyze", "sanitize", "trace",
-    "litmus",
+    "replay", "shrink", "lint", "analyze", "sanitize", "trace", "litmus",
 )
 
 
@@ -137,54 +137,6 @@ def _run_cache_command(clear: bool, verify: bool = False) -> int:
           "(or delete the directory)")
     print("verify with:   awg-repro cache --verify")
     return 0
-
-
-def _run_matrix_command(opts, parser, matrix_kw) -> int:
-    """Inspect / resume / clear checkpointed sweeps."""
-    from repro.experiments.matrix import RunRequest, run_matrix
-    from repro.recovery.manifest import (
-        default_checkpoint_dir, list_manifests, load_manifest,
-    )
-
-    root = default_checkpoint_dir()
-    manifests = list_manifests(root)
-    if opts.clear:
-        import shutil
-
-        if root.is_dir():
-            shutil.rmtree(root)
-        print(f"cleared {len(manifests)} checkpoint manifest(s) from {root}")
-        return 0
-    if not opts.resume:
-        print(f"checkpoint dir: {root}")
-        if not manifests:
-            print("no interrupted sweeps (checkpointed sweeps delete "
-                  "their manifest on completion)")
-            return 0
-        for m in manifests:
-            print(f"  {m['sweep_key']}: {m['completed']}/{m['total']} "
-                  f"cells done (fingerprint {m['fingerprint']})")
-        print("resume with:    awg-repro matrix --resume [KEY]")
-        return 0
-    if opts.args:
-        document = load_manifest(opts.args[0], root)
-    elif manifests:
-        document = load_manifest(manifests[0]["sweep_key"], root)
-    else:
-        print(f"nothing to resume under {root}", file=sys.stderr)
-        return 1
-    requests = [RunRequest.from_spec(cell["spec"])
-                for cell in document["cells"]]
-    print(f"resuming sweep {document['sweep_key']}: "
-          f"{len(document.get('completed', {}))}/{len(requests)} cells "
-          f"already done")
-    result = run_matrix(requests, checkpoint=root, **matrix_kw)
-    print(result.summary())
-    for error in result.errors:
-        print(f"  FAILED {error.request.benchmark}/"
-              f"{error.request.policy.name}: {error.failure['type']}: "
-              f"{error.failure['message']}", file=sys.stderr)
-    return 0 if not result.errors else 1
 
 
 def _run_replay(opts, parser) -> int:
@@ -535,9 +487,9 @@ def _run_artifacts(names, opts, matrix_kw) -> int:
 
 
 def main(argv=None) -> int:
-    """Dispatch one command; SIGINT/SIGTERM during a checkpointed sweep
-    exits with the conventional 128+signum after the manifest flush (the
-    sweep is resumable via ``matrix --resume`` or by re-running)."""
+    """Dispatch one command; SIGINT/SIGTERM during a sweep exits with
+    the conventional 128+signum (re-running the command resumes from
+    the result cache)."""
     from repro.experiments.matrix import SweepInterrupted
 
     try:
@@ -584,16 +536,10 @@ def _dispatch(argv=None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache")
     parser.add_argument("--clear", action="store_true",
-                        help="for 'cache'/'matrix': delete every cached "
-                             "result / checkpoint manifest")
+                        help="for 'cache': delete every cached result")
     parser.add_argument("--verify", action="store_true",
                         help="for 'cache': re-hash every entry and "
                              "quarantine corrupt ones (exit 1 if any)")
-    parser.add_argument("--list", action="store_true", dest="list_",
-                        help="for 'matrix': list interrupted sweeps")
-    parser.add_argument("--resume", action="store_true",
-                        help="for 'matrix': resume an interrupted sweep "
-                             "(newest, or the KEY positional)")
     parser.add_argument("--trace", action="store_true",
                         help="for 'replay' of a cell bundle: re-run with "
                              "structured tracing on (write with --out)")
@@ -610,9 +556,6 @@ def _dispatch(argv=None) -> int:
                         choices=("text", "json", "github"),
                         help="for 'lint': output format (github emits "
                              "GitHub Actions ::error annotations)")
-    parser.add_argument("--table", action="store_true",
-                        help="for 'analyze': ASCII verdict table "
-                             "(the default)")
     parser.add_argument("--dot", action="store_true",
                         help="for 'analyze': GraphViz wait-for graphs")
     parser.add_argument("--crosscheck", action="store_true",
@@ -656,8 +599,7 @@ def _dispatch(argv=None) -> int:
         print("experiments:", ", ".join(EXPERIMENTS))
         print("commands:   ", ", ".join(COMMANDS))
         print("benchmarks: ", ", ".join(benchmark_names()))
-        print("policies:    baseline, sleep, timeout, monrs-all, "
-              "monr-all, monnr-all, monnr-one, awg, minresume")
+        print("policies:   ", ", ".join(all_policy_names()))
         print("fault plans:", ", ".join(plan_names()))
         return 0
 
@@ -685,9 +627,6 @@ def _dispatch(argv=None) -> int:
 
     if opts.command == "cache":
         return _run_cache_command(opts.clear, opts.verify)
-
-    if opts.command == "matrix":
-        return _run_matrix_command(opts, parser, matrix_kw)
 
     if opts.command == "litmus":
         return _run_litmus_command(opts, parser)

@@ -1,5 +1,4 @@
-"""Durable-state I/O for the result cache, checkpoint manifests and
-repro bundles.
+"""Durable-state I/O for the result cache and repro bundles.
 
 :mod:`repro.durability.vfs` is the one gateway those writers go
 through: :func:`~repro.durability.vfs.write_atomic_text` (temp file +

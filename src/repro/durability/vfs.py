@@ -1,10 +1,9 @@
 """Deterministic I/O gateway: interposition, op logs, seeded faults.
 
 All durable-state writers (:mod:`repro.experiments.cache`,
-:mod:`repro.recovery.manifest`, :mod:`repro.recovery.bundle`, the
-faults shrink log) route their filesystem mutations through the
-module-level ``v*`` functions below — a thin layer over
-``open``/``write``/``fsync``/``rename``/``unlink``.
+:mod:`repro.recovery.bundle`, the faults shrink log) route their
+filesystem mutations through the module-level ``v*`` functions below —
+a thin layer over ``open``/``write``/``fsync``/``rename``/``unlink``.
 
 Disarmed (the default, and the only state production sweeps ever run
 in) every ``v*`` call is one ``is None`` check away from the raw
@@ -407,8 +406,7 @@ def write_atomic_text(path: os.PathLike, text: str,
     cleaned up on *every* failure path.
 
     Raises the last ``OSError`` once retries are exhausted; callers
-    own the degradation policy (drop the cache put, downgrade the
-    manifest flush to a warning, ...)."""
+    own the degradation policy (drop the cache put, ...)."""
     path = Path(path)
     data = text.encode()
     # armed: deterministic tmp name, so op logs are bit-stable across

@@ -12,6 +12,12 @@ holding the :class:`~repro.experiments.runner.RunResult` fields (never
 the GPU object). Writes go through a temp file + atomic rename so
 concurrent runs never observe a torn entry.
 
+The cache is also how an interrupted sweep resumes: ``run_matrix``
+puts every cell as it completes, so re-running a sweep killed
+mid-flight re-simulates only the cells that never finished. Every read
+re-checks the entry's content digest, so a resumed sweep never adopts a
+torn or edited result.
+
 Environment knobs:
 
 ``REPRO_CACHE_DIR``
@@ -31,7 +37,7 @@ import shutil
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durability import vfs
 from repro.errors import ConfigError
@@ -66,8 +72,8 @@ _FINGERPRINT: Optional[str] = None
 def result_to_payload(result: RunResult) -> Dict[str, Any]:
     """The persisted (JSON-serializable) form of a RunResult — every
     field except the never-picklable GPU handle. Shared by the result
-    cache, sweep checkpoint manifests and repro bundles so all three
-    stores round-trip results identically."""
+    cache and repro bundles so both stores round-trip results
+    identically."""
     return {name: getattr(result, name) for name in RESULT_FIELDS}
 
 
@@ -183,18 +189,18 @@ class ResultCache:
     def get(self, key: str) -> Optional[RunResult]:
         """The cached result for ``key``, or None (counted as a miss).
 
-        A present-but-unreadable entry (torn write from a killed
-        process, truncated disk, schema drift) self-heals: it is deleted
-        and treated as a miss, so the cell re-simulates and overwrites
-        it rather than failing every future sweep."""
+        Every read runs the same integrity check as :meth:`verify`. An
+        entry that fails it (torn write from a killed process, truncated
+        disk, schema drift, a payload that no longer matches its digest)
+        self-heals: it is deleted and treated as a miss, so the cell
+        re-simulates and overwrites it rather than being served."""
         path = self._path(key)
         try:
-            payload = json.loads(path.read_text())
-            result = RunResult(**payload["result"])
+            result, problem = self._check_entry(path)
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, ValueError, TypeError, KeyError):
+        if problem is not None:
             self.misses += 1
             self.healed += 1
             vfs.incr_stat("durability.cache.healed")
@@ -285,8 +291,11 @@ class ResultCache:
         if not self.root.is_dir():
             return report
         for path in sorted(self.root.glob(_ENTRY_GLOB)):
+            try:
+                _result, problem = self._check_entry(path)
+            except FileNotFoundError:
+                continue  # removed by a concurrent clear or heal
             report.checked += 1
-            problem = self._check_entry(path)
             if problem is None:
                 report.ok += 1
                 continue
@@ -302,28 +311,34 @@ class ResultCache:
             report.corrupt.append(entry)
         return report
 
-    def _check_entry(self, path: Path) -> Optional[str]:
-        """None when the entry is intact, else a one-line problem."""
+    def _check_entry(
+        self, path: Path,
+    ) -> Tuple[Optional[RunResult], Optional[str]]:
+        """``(result, None)`` when the entry is intact, else
+        ``(None, one-line problem)``. A missing file raises
+        :class:`FileNotFoundError`."""
         try:
             document = json.loads(path.read_text())
+        except FileNotFoundError:
+            raise
         except (OSError, ValueError) as exc:
-            return f"unreadable JSON ({exc})"
+            return None, f"unreadable JSON ({exc})"
         if not isinstance(document, dict) or "result" not in document:
-            return "no result payload"
+            return None, "no result payload"
         if "digest" not in document or "key" not in document:
-            return "pre-digest entry (no integrity record)"
+            return None, "pre-digest entry (no integrity record)"
         if document["key"] != path.stem:
-            return (f"embedded key {document['key'][:12]}… does not match "
-                    f"filename")
+            return None, (f"embedded key {str(document['key'])[:12]}… "
+                          f"does not match filename")
         actual = payload_digest(document["result"])
         if actual != document["digest"]:
-            return (f"payload digest mismatch (stored "
-                    f"{document['digest'][:12]}…, actual {actual[:12]}…)")
+            return None, (f"payload digest mismatch (stored "
+                          f"{str(document['digest'])[:12]}…, "
+                          f"actual {actual[:12]}…)")
         try:
-            result_from_payload(document["result"])
+            return result_from_payload(document["result"]), None
         except (TypeError, ValueError) as exc:
-            return f"payload does not reconstruct a RunResult ({exc})"
-        return None
+            return None, f"payload does not reconstruct a RunResult ({exc})"
 
     def entry_count(self) -> int:
         if not self.root.is_dir():

@@ -28,13 +28,12 @@ The runner survives misbehaving cells and workers:
   ``deterministic`` (the simulation itself raised — retrying the same
   seed and plan would fail identically) or ``environmental`` (timeout,
   crashed worker); only environmental failures are retried.
-- With checkpointing on (``checkpoint=True`` / ``REPRO_CHECKPOINT=1``),
-  the sweep writes an atomic manifest (:mod:`repro.recovery.manifest`)
-  after every completed cell. A sweep killed mid-flight — crash,
-  SIGINT/SIGTERM, ``BrokenProcessPool`` — resumes on the next identical
-  invocation (or via ``python -m repro matrix --resume``) executing only
-  the missing cells. SIGINT/SIGTERM additionally flush the manifest and
-  kill the pool's worker processes instead of leaking them.
+- Every completed cell lands in the result cache as it settles
+  (atomic temp+fsync+rename), so a sweep killed mid-flight — crash,
+  SIGINT/SIGTERM, ``BrokenProcessPool`` — resumes by re-running it:
+  completed cells are cache hits and only the missing ones execute.
+  SIGINT/SIGTERM additionally kill the pool's worker processes instead
+  of leaking them.
 
 Simulations are seeded and deterministic, so ``jobs=1`` and ``jobs=N``
 produce bit-identical :class:`RunResult` fields.
@@ -68,17 +67,9 @@ from repro.experiments.cache import (
 from repro.experiments.runner import RunResult, Scenario, run_benchmark
 from repro.faults.plan import FaultPlan
 from repro.gpu.diagnostics import diagnosis_signature
-from repro.recovery.manifest import (
-    SweepCheckpoint, cell_key, checkpoint_enabled,
-)
 
 #: sentinel: "use the process-wide default cache unless opted out"
 DEFAULT_CACHE = "default"
-
-#: test/observability hook: when set to a path, every cell *execution*
-#: (not cache/checkpoint hit) appends one line — how the kill-and-resume
-#: tests prove completed cells are not re-executed after a resume
-EXEC_LOG_ENV = "REPRO_EXEC_LOG"
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -173,9 +164,9 @@ class RunRequest:
 
     @classmethod
     def from_spec(cls, spec: Dict[str, Any]) -> "RunRequest":
-        """Rebuild a request from its canonical spec (checkpoint-manifest
-        resume, repro-bundle replay). ``keep_gpu`` is deliberately not
-        part of the spec — a resumed/replayed cell never holds a GPU."""
+        """Rebuild a request from its canonical spec (repro-bundle
+        replay). ``keep_gpu`` is deliberately not part of the spec — a
+        replayed cell never holds a GPU."""
         return cls(
             benchmark=spec["benchmark"],
             policy=PolicySpec.from_spec(spec["policy"]),
@@ -487,22 +478,6 @@ class _CellAlarm:
         return False
 
 
-def _log_execution(request: RunRequest) -> None:
-    """Append one line to ``REPRO_EXEC_LOG`` (when set) marking a real
-    cell execution; resume tests assert checkpointed cells never appear
-    here twice. O_APPEND keeps concurrent worker writes whole."""
-    path = os.environ.get(EXEC_LOG_ENV)
-    if not path:
-        return
-    line = (f"{request.benchmark}\t{request.policy.name}\t"
-            f"{request.scenario.label}\t{os.getpid()}\n")
-    try:
-        with open(path, "a") as fh:
-            fh.write(line)
-    except OSError:
-        pass
-
-
 def _cell_subprocess_child(conn, request: RunRequest) -> None:
     """Child half of the wall-clock fallback: execute and ship the
     outcome back over the pipe (structured, like the SIGALRM path)."""
@@ -572,7 +547,6 @@ def _execute_cell(
     subprocess with an outer wall-clock wait instead of silently
     running unbounded (``keep_gpu`` cells cannot cross a process
     boundary and keep the historical unbounded behaviour)."""
-    _log_execution(request)
     try:
         with _CellAlarm(timeout) as alarm:
             if timeout and not alarm.armed and not request.keep_gpu:
@@ -592,15 +566,12 @@ class MatrixResult(Sequence):
     """
 
     def __init__(self, cells: List[Cell], jobs: int,
-                 cache_hits: int, cache_misses: int, deduped: int,
-                 resumed: int = 0):
+                 cache_hits: int, cache_misses: int, deduped: int):
         self.cells = cells
         self.jobs = jobs
         self.cache_hits = cache_hits
         self.cache_misses = cache_misses
         self.deduped = deduped
-        #: cells resolved from a checkpoint manifest instead of executed
-        self.resumed = resumed
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -649,14 +620,11 @@ class MatrixResult(Sequence):
 
     def summary(self) -> str:
         """One line for experiment-report notes (hit/miss counters)."""
-        line = (
+        return (
             f"matrix: {len(self.cells)} cells, {self.cache_hits} cache "
             f"hits, {self.cache_misses} misses, {self.deduped} deduped, "
             f"jobs={self.jobs}"
         )
-        if self.resumed:
-            line += f", {self.resumed} resumed from checkpoint"
-        return line
 
 
 def _crash_failure(attempts: int) -> Dict[str, Any]:
@@ -669,17 +637,16 @@ def _crash_failure(attempts: int) -> Dict[str, Any]:
 
 
 class SweepInterrupted(ReproError):
-    """A checkpointed sweep was stopped by SIGINT/SIGTERM. The manifest
-    was flushed and the pool's workers were killed first, so re-running
-    the sweep (or ``python -m repro matrix --resume``) continues from
-    the last completed cell."""
+    """A sweep was stopped by SIGINT/SIGTERM after the pool's workers
+    were killed. With a result cache, re-running the sweep continues
+    from the completed cells; without one it starts over."""
 
-    def __init__(self, signum: int):
+    def __init__(self, signum: int, cached: bool):
         name = signal.Signals(signum).name
-        super().__init__(
-            f"sweep interrupted by {name}; checkpoint flushed — re-run "
-            f"the sweep or `python -m repro matrix --resume` to continue"
-        )
+        resume = ("completed cells are in the result cache; re-run to "
+                  "continue" if cached
+                  else "no result cache: a re-run starts over")
+        super().__init__(f"sweep interrupted by {name}; {resume}")
         self.signum = signum
 
 
@@ -689,17 +656,16 @@ class _SweepSignals:
     Without this, Ctrl-C (and any SIGTERM from a job scheduler) unwinds
     through ``ProcessPoolExecutor.__exit__``, which blocks joining
     workers mid-cell and can leak orphaned children. The installed
-    handler (main thread only) flushes the checkpoint manifest, kills
-    the pool's worker processes, and raises :class:`SweepInterrupted`
-    so callers unwind promptly with the sweep resumable.
+    handler (main thread only) kills the pool's worker processes and
+    raises :class:`SweepInterrupted` so callers unwind promptly; the
+    cells already settled into the cache stay there.
     """
 
     _SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
-    def __init__(self, pool_holder: Dict[str, Any],
-                 checkpoint: Optional[SweepCheckpoint]):
+    def __init__(self, pool_holder: Dict[str, Any], cached: bool):
         self.pool_holder = pool_holder
-        self.checkpoint = checkpoint
+        self.cached = cached
         self._previous: Dict[int, Any] = {}
 
     def __enter__(self) -> "_SweepSignals":
@@ -707,13 +673,11 @@ class _SweepSignals:
             return self
 
         def _fire(signum, _frame):
-            if self.checkpoint is not None:
-                self.checkpoint.flush(force=True)
             pool = self.pool_holder.get("pool")
             if pool is not None:
                 for proc in list(getattr(pool, "_processes", {}).values()):
                     proc.kill()
-            raise SweepInterrupted(signum)
+            raise SweepInterrupted(signum, self.cached)
 
         for signum in self._SIGNALS:
             self._previous[signum] = signal.signal(signum, _fire)
@@ -749,8 +713,8 @@ def _run_cells(
     rounds; a cell that keeps timing out reports its last timeout
     failure rather than a crash.
 
-    ``on_outcome`` fires in the parent as each cell settles (checkpoint
-    writes, incremental cache puts); ``pool_holder``
+    ``on_outcome`` fires in the parent as each cell settles (incremental
+    cache puts); ``pool_holder``
     exposes the live pool to the sweep's signal handler.
     """
     outcomes: List[Optional[Tuple[Optional[RunResult],
@@ -839,27 +803,6 @@ def _run_cells(
     return outcomes  # type: ignore[return-value]
 
 
-def _resolve_checkpoint(
-    checkpoint: Union[None, bool, str, os.PathLike, SweepCheckpoint],
-    specs: List[Dict[str, Any]],
-) -> Optional[SweepCheckpoint]:
-    """Turn the ``checkpoint`` argument into a live SweepCheckpoint.
-
-    ``None`` consults ``REPRO_CHECKPOINT``; ``True`` uses the default
-    checkpoint directory; a path uses that directory; a ready
-    :class:`SweepCheckpoint` is adopted as-is; ``False`` disables."""
-    if isinstance(checkpoint, SweepCheckpoint):
-        return checkpoint
-    if checkpoint is None:
-        checkpoint = checkpoint_enabled()
-    if checkpoint is False:
-        return None
-    if not specs:
-        return None
-    root = None if checkpoint is True else checkpoint
-    return SweepCheckpoint.open(specs, root=root)
-
-
 def run_matrix(
     requests: Sequence[RunRequest],
     jobs: Optional[int] = None,
@@ -868,7 +811,8 @@ def run_matrix(
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
     retry_backoff: float = 0.5,
-    checkpoint: Union[None, bool, str, os.PathLike, SweepCheckpoint] = None,
+    # kept only because perfbench's harness passes checkpoint=False
+    checkpoint: bool = False,
 ) -> MatrixResult:
     """Execute every request, in parallel and through the cache.
 
@@ -880,11 +824,13 @@ def run_matrix(
     ``REPRO_CELL_RETRIES``) bounds resubmission of environmentally
     failed cells (crashed workers, timeouts).
 
-    ``checkpoint`` (default ``REPRO_CHECKPOINT``) makes the sweep
-    crash-resumable: completed cells land in an atomic manifest as they
-    finish, and an identical re-invocation resumes instead of
-    re-simulating (see :mod:`repro.recovery.manifest`).
+    Each completed cell is put into the cache as it settles, so an
+    interrupted sweep resumes by re-running it with the same cache.
     """
+    if checkpoint:
+        raise ConfigError(
+            "checkpoint=True is gone: the result cache now resumes an "
+            "interrupted sweep (re-run it with the same cache)")
     jobs = resolve_jobs(jobs)
     cell_timeout = resolve_cell_timeout(cell_timeout)
     retries = resolve_cell_retries(retries)
@@ -898,115 +844,60 @@ def run_matrix(
         )
 
     cells: List[Optional[Cell]] = [None] * len(requests)
-    cache_hits = cache_misses = deduped = resumed = 0
+    cache_hits = cache_misses = deduped = 0
 
-    # The checkpoint manifest covers every unique non-keep_gpu spec in
-    # request order — its sweep key is what an identical re-invocation
-    # (auto-resume) or `python -m repro matrix --resume` finds again.
-    specs: List[Optional[Dict[str, Any]]] = [
-        None if req.keep_gpu else req.spec() for req in requests
-    ]
-    seen_ckpt_keys = set()
-    ckpt_specs = []
-    for spec in specs:
-        if spec is None:
-            continue
-        key = cell_key(spec)
-        if key not in seen_ckpt_keys:
-            seen_ckpt_keys.add(key)
-            ckpt_specs.append(spec)
-    ckpt = _resolve_checkpoint(checkpoint, ckpt_specs)
-
-    # Resolve checkpointed and cached results, and collapse duplicate
-    # specs to one execution. keep_gpu cells bypass all three (the GPU
-    # object is neither serializable nor safely shared).
-    pending: List[Tuple[Optional[str], Optional[str],
-                        RunRequest, List[int]]] = []
+    # Resolve cached results and collapse duplicate specs to one
+    # execution. keep_gpu cells bypass both (the GPU object is neither
+    # serializable nor safely shared).
+    pending: List[Tuple[Optional[str], RunRequest, List[int]]] = []
     by_spec: Dict[str, int] = {}
     for index, req in enumerate(requests):
-        spec = specs[index]
-        if spec is None:
-            pending.append((None, None, req, [index]))
+        if req.keep_gpu:
+            pending.append((None, req, [index]))
             continue
+        spec = req.spec()
         spec_key = repr(sorted(spec.items()))
         if dedupe and spec_key in by_spec:
-            pending[by_spec[spec_key]][3].append(index)
+            pending[by_spec[spec_key]][2].append(index)
             deduped += 1
             continue
-        ckpt_key = cell_key(spec) if ckpt is not None else None
-        if ckpt is not None:
-            hit = ckpt.get(ckpt_key)
-            if hit is not None:
-                resumed += 1
-                cells[index] = Cell(req, result=hit, from_cache=True)
-                continue
+        key = None
         if cache is not None:
             key = cache.key_for(spec)
             hit = cache.get(key)
             if hit is not None:
                 cache_hits += 1
                 cells[index] = Cell(req, result=hit, from_cache=True)
-                if ckpt is not None:
-                    # mirror into the manifest so a later resume works
-                    # even with the cache disabled or cleared
-                    ckpt.record(ckpt_key, hit)
                 continue
             cache_misses += 1
-        else:
-            key = None
         if dedupe:
             by_spec[spec_key] = len(pending)
-        pending.append((key, ckpt_key, req, [index]))
+        pending.append((key, req, [index]))
 
-    # Execute the surviving unique cells; each settles into the cache
-    # and the checkpoint manifest as it completes, so progress survives
-    # a crash mid-sweep.
-    unique_requests = [req for (_k, _ck, req, _idx) in pending]
-    if ckpt is not None:
-        ckpt.mark_in_flight([ck for (_k, ck, _req, _idx) in pending
-                             if ck is not None])
-
+    # Execute the surviving unique cells; each settles into the cache as
+    # it completes, so progress survives a crash mid-sweep.
     def on_outcome(index: int, outcome) -> None:
-        key, ckpt_key, _req, _indices = pending[index]
-        result, _failure = outcome
-        if result is not None:
-            if key is not None and cache is not None:
-                cache.put(key, result)
-            if ckpt is not None and ckpt_key is not None:
-                ckpt.record(ckpt_key, result)
+        key = pending[index][0]
+        result = outcome[0]
+        if result is not None and key is not None:
+            cache.put(key, result)
 
-    # The whole execute-and-settle span is covered by one flush-on-exit
-    # wrapper: *any* exception — from the cells, the signal plumbing, or
-    # the settling loop after the pool drained — leaves the manifest
-    # flushed with every completed cell, so the next run resumes there
-    # instead of re-simulating. (flush() itself degrades to a warning on
-    # I/O failure; a dying disk must not turn a clean SIGINT into a
-    # lost checkpoint AND a secondary traceback.)
     pool_holder: Dict[str, Any] = {}
-    try:
-        with _SweepSignals(pool_holder, ckpt):
-            outcomes = _run_cells(unique_requests, jobs, cell_timeout,
-                                  retries, retry_backoff,
-                                  on_outcome=on_outcome,
-                                  pool_holder=pool_holder)
+    with _SweepSignals(pool_holder, cached=cache is not None):
+        outcomes = _run_cells([req for (_k, req, _idx) in pending], jobs,
+                              cell_timeout, retries, retry_backoff,
+                              on_outcome=on_outcome,
+                              pool_holder=pool_holder)
 
-        for (key, _ck, req, indices), (result, failure) in zip(pending,
-                                                               outcomes):
-            for position, index in enumerate(indices):
-                if result is not None and position > 0:
-                    # duplicates get their own stats dict so one consumer
-                    # mutating it cannot corrupt another's view
-                    cells[index] = Cell(req, result=replace(
-                        result, stats=dict(result.stats)))
-                else:
-                    cells[index] = Cell(req, result=result, failure=failure)
-
-        if ckpt is not None:
-            ckpt.complete()
-    except BaseException:
-        if ckpt is not None:
-            ckpt.flush(force=True)
-        raise
+    for (_key, req, indices), (result, failure) in zip(pending, outcomes):
+        for position, index in enumerate(indices):
+            if result is not None and position > 0:
+                # duplicates get their own stats dict so one consumer
+                # mutating it cannot corrupt another's view
+                cells[index] = Cell(req, result=replace(
+                    result, stats=dict(result.stats)))
+            else:
+                cells[index] = Cell(req, result=result, failure=failure)
 
     return MatrixResult(
         [c for c in cells if c is not None],
@@ -1014,5 +905,4 @@ def run_matrix(
         cache_hits=cache_hits,
         cache_misses=cache_misses,
         deduped=deduped,
-        resumed=resumed,
     )

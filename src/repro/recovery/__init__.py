@@ -1,12 +1,12 @@
-"""Crash recovery for experiment sweeps: checkpoints, bundles, shrinking.
+"""Crash recovery for experiment sweeps: bundles and shrinking.
 
 The paper's subject is surviving resource loss mid-execution; this
-package gives the experiment pipeline the same property. Three layers:
+package gives the experiment pipeline the same property. A crashed or
+interrupted sweep needs nothing from here to resume: every completed
+cell is already in the result cache (:mod:`repro.experiments.cache`),
+so re-running the sweep executes only the missing cells. For cells that
+*fail*, two layers:
 
-- :mod:`repro.recovery.manifest` — atomic, versioned checkpoint
-  manifests for :func:`~repro.experiments.matrix.run_matrix` sweeps, so
-  a crashed or interrupted campaign resumes executing only the missing
-  cells (``python -m repro matrix --resume``).
 - :mod:`repro.recovery.bundle` — self-contained, replayable JSON repro
   bundles for failing matrix cells and violating litmus cells, one
   envelope for both kinds (``python -m repro replay BUNDLE``).
@@ -18,9 +18,5 @@ package gives the experiment pipeline the same property. Three layers:
 from repro.recovery.bundle import (  # noqa: F401
     BUNDLE_VERSION, load_bundle, make_bundle, replay_bundle,
     validate_bundle, write_bundle,
-)
-from repro.recovery.manifest import (  # noqa: F401
-    MANIFEST_VERSION, SweepCheckpoint, checkpoint_enabled,
-    default_checkpoint_dir,
 )
 from repro.recovery.shrink import ShrinkResult, shrink_bundle  # noqa: F401

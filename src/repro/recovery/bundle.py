@@ -65,8 +65,8 @@ from repro.gpu.diagnostics import diagnosis_signature
 #: bump when the bundle layout changes; replay refuses other versions
 BUNDLE_VERSION = 1
 
-#: the document's ``kind`` marker (distinguishes bundles from manifests
-#: and cache entries when pointed at the wrong file)
+#: the document's ``kind`` marker (distinguishes bundles from cache
+#: entries and other JSON when pointed at the wrong file)
 BUNDLE_KIND = "awg-repro-bundle"
 LITMUS_BUNDLE_KIND = "awg-repro-litmus-bundle"
 

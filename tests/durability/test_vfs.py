@@ -11,7 +11,6 @@ from repro.durability.vfs import (
 )
 from repro.errors import ConfigError
 from repro.experiments.cache import ResultCache
-from repro.recovery.manifest import SweepCheckpoint
 from tests.durability.conftest import sample_result
 
 
@@ -62,17 +61,8 @@ def _cache_put(root):
     return cache._path(key)
 
 
-def _manifest_flush(root):
-    ckpt = SweepCheckpoint.open([{"cell": "a"}], root=root, fingerprint="t")
-    ckpt.mark_in_flight(ckpt.keys)
-    assert ckpt.flush(force=True)
-    return ckpt.path
-
-
-@pytest.mark.parametrize("writer", [_atomic_text, _cache_put,
-                                    _manifest_flush],
-                         ids=["write_atomic_text", "ResultCache.put",
-                              "SweepCheckpoint.flush"])
+@pytest.mark.parametrize("writer", [_atomic_text, _cache_put],
+                         ids=["write_atomic_text", "ResultCache.put"])
 def test_armed_gateway_records_atomic_write_protocol(tmp_path, writer):
     """Every durable writer lands its file the same way: the whole
     payload into a temp file, fsynced, then renamed onto the final

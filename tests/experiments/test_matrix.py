@@ -1,6 +1,7 @@
 """Tests for the parallel experiment-matrix runner."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -60,6 +61,36 @@ def test_cache_round_trip_returns_equal_result(tmp_path):
     assert (warm.cache_hits, warm.cache_misses) == (1, 0)
     assert warm.cells[0].from_cache
     assert _result_fields(cold[0]) == _result_fields(warm[0])
+
+
+def test_tampered_entry_with_stale_digest_is_never_served(tmp_path):
+    """An entry edited after it was written — still valid JSON, but its
+    payload no longer matches the stored digest — is a miss that heals,
+    and the cell re-simulates: a rerun never adopts a tampered result."""
+    cache = ResultCache(tmp_path, fingerprint="test")
+    requests = [RunRequest("SPM_G", awg(), SCEN)]
+    cold = run_matrix(requests, jobs=1, cache=cache)
+    key = cache.key_for(requests[0].spec())
+    path = cache._path(key)
+    document = json.loads(path.read_text())
+    document["result"]["cycles"] += 12345
+    path.write_text(json.dumps(document))
+
+    assert cache.get(key) is None
+    assert cache.healed == 1
+    assert not path.exists()
+    rerun = run_matrix(requests, jobs=1, cache=cache)
+    assert (rerun.cache_hits, rerun.cache_misses) == (0, 1)
+    assert _result_fields(rerun[0]) == _result_fields(cold[0])
+
+
+def test_checkpoint_keyword_only_accepts_false(tmp_path):
+    cache = ResultCache(tmp_path, fingerprint="test")
+    requests = [RunRequest("SPM_G", awg(), SCEN)]
+    assert not run_matrix(requests, jobs=1, cache=cache,
+                          checkpoint=False).errors
+    with pytest.raises(ConfigError, match="result cache"):
+        run_matrix(requests, jobs=1, cache=cache, checkpoint=True)
 
 
 def test_identical_cells_deduplicated():

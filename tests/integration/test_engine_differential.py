@@ -12,9 +12,9 @@ surface:
   outcomes, stats snapshots, and final memory words;
 * a traced run exports an identical Chrome/Perfetto document, the
   ``engine.*`` scheduler counters included;
-* a checkpointed sweep that is SIGKILLed mid-flight and resumed under
-  the oracle finishes bit-identical to an uninterrupted sweep on the
-  production engine.
+* a cached sweep that is SIGKILLed mid-flight and resumed from the
+  result cache under the oracle finishes bit-identical to an
+  uninterrupted sweep on the production engine.
 
 Scheduling order is the simulator's ground truth — a single divergent
 tie-break cascades into different lock handoff orders, different resume
@@ -46,7 +46,7 @@ from repro.core.policies import (
     timeout,
 )
 from repro.experiments import QUICK_SCALE, run_benchmark
-from repro.experiments.cache import RESULT_FIELDS
+from repro.experiments.cache import RESULT_FIELDS, ResultCache
 from repro.experiments.matrix import run_matrix
 from repro.gpu import gpu as gpu_module
 from repro.sim.engine import Engine
@@ -178,8 +178,8 @@ from repro.experiments.runner import QUICK_SCALE
 
 
 def build_requests():
-    # _KILL placed third: two cells complete and checkpoint before the
-    # crash, two never start
+    # _KILL placed third: two cells complete and reach the cache before
+    # the crash, two never start
     benches = ["SPM_G", "FAM_G", "_KILL", "TB_LG", "SLM_G"]
     return [
         RunRequest(bench, named_policy("awg"), QUICK_SCALE, validate=False)
@@ -190,6 +190,7 @@ def build_requests():
 _CHILD_MAIN = """
 import sys
 sys.path.insert(0, sys.argv[2])
+from repro.experiments.cache import ResultCache
 from repro.experiments.matrix import SweepInterrupted, run_matrix
 from repro.gpu import gpu as gpu_module
 from tests.sim.calendar_oracle import CalendarOracle
@@ -197,8 +198,7 @@ from tests.sim.calendar_oracle import CalendarOracle
 gpu_module.Engine = CalendarOracle
 
 try:
-    run_matrix(build_requests(), jobs=1, cache=None,
-               checkpoint=sys.argv[1])
+    run_matrix(build_requests(), jobs=1, cache=ResultCache(sys.argv[1]))
 except SweepInterrupted as exc:
     sys.exit(128 + exc.signum)
 """
@@ -218,7 +218,7 @@ def test_kill_and_resume_matches_reference_engine(tmp_path):
     """SIGKILL a sweep on the oracle queue mid-flight, resume it, and
     pin the resumed results bit-equal to an uninterrupted sweep on the
     production heap engine — crash recovery and the engine compose."""
-    ckpt_dir = tmp_path / "ckpt"
+    cache_dir = tmp_path / "cache"
     sentinel = tmp_path / "kill-me"
     sentinel.write_text("")
     script = tmp_path / "child_sweep.py"
@@ -226,30 +226,28 @@ def test_kill_and_resume_matches_reference_engine(tmp_path):
     env = dict(
         os.environ,
         PYTHONPATH=SRC,
-        REPRO_NO_CACHE="1",
         REPRO_STRESS_KILL=str(sentinel),
     )
-    env.pop("REPRO_CHECKPOINT", None)
     child = subprocess.Popen(
-        [sys.executable, str(script), str(ckpt_dir), str(ROOT)],
+        [sys.executable, str(script), str(cache_dir), str(ROOT)],
         env=env, cwd=tmp_path,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     child.communicate(timeout=300)
     assert child.returncode == -signal.SIGKILL
     assert not sentinel.exists()  # the drill consumed its sentinel
+    assert ResultCache(cache_dir).entry_count() == 2  # SPM_G, FAM_G
 
     # resume on the oracle queue in-process
     requests = _build_requests()
     with _engine("calendar"):
-        resumed = run_matrix(requests, jobs=1, cache=None,
-                             checkpoint=ckpt_dir)
+        resumed = run_matrix(requests, jobs=1,
+                             cache=ResultCache(cache_dir))
     assert not resumed.errors
-    assert resumed.resumed == 2  # SPM_G, FAM_G survived the crash
+    assert (resumed.cache_hits, resumed.cache_misses) == (2, 3)
 
     # the uninterrupted control runs on the production heap engine
-    control = run_matrix(_build_requests(), jobs=1, cache=None,
-                         checkpoint=False)
+    control = run_matrix(_build_requests(), jobs=1, cache=None)
     assert not control.errors
     for index in range(len(requests)):
         assert _result_fields(resumed[index]) == \

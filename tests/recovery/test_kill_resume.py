@@ -1,34 +1,39 @@
-"""Kill-and-resume: the tentpole acceptance test.
+"""Kill-and-resume: an interrupted sweep resumes from the result cache.
 
-A checkpointed sweep is killed mid-flight in a subprocess (the `_KILL`
-stress drill SIGKILLs the process — a real crash, no cleanup handlers).
-The resumed sweep in this process must:
+A sweep is killed mid-flight in a subprocess (the `_KILL` stress drill
+SIGKILLs the process — a real crash, no cleanup handlers). Every cell
+that completed before the crash is already in the result cache, so
+re-running the sweep against the same cache must:
 
-- execute ONLY the cells the crashed run never completed (proved with
-  the ``REPRO_EXEC_LOG`` execution counter, not just timings), and
+- serve exactly those cells as cache hits and execute only the rest
+  (proved with the hit/miss counters and the surviving entry count,
+  not timings), and
 - produce results bit-identical to an uninterrupted run of the same
   sweep.
 
-A second test delivers SIGTERM instead: the signal handler must flush
-the manifest, exit with the conventional 128+signum, and leave the
-sweep resumable.
+A second test delivers SIGTERM instead: the signal handler must exit
+with the conventional 128+signum, and the rerun must hit every cell
+that reached the cache. The last tests pin the interruption message to
+what the sweep actually had: a cache to resume from, or none.
 """
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-from repro.experiments.cache import RESULT_FIELDS
-from repro.experiments.matrix import RunRequest, run_matrix
-from repro.recovery.manifest import list_manifests
+import pytest
+
+from repro.experiments.cache import RESULT_FIELDS, ResultCache
+from repro.experiments.matrix import RunRequest, SweepInterrupted, run_matrix
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 #: both the child process and the test build the sweep from this exact
-#: snippet, so the checkpoint sweep key matches across processes
+#: snippet, so the cells' cache keys match across processes
 REQUESTS_SNIPPET = """
 from repro.core.policies import named_policy
 from repro.experiments.matrix import RunRequest
@@ -36,8 +41,8 @@ from repro.experiments.runner import QUICK_SCALE
 
 
 def build_requests():
-    # _KILL placed third: two cells complete and checkpoint before the
-    # crash, two never start
+    # _KILL placed third: two cells complete and reach the cache before
+    # the crash, two never start
     benches = ["SPM_G", "FAM_G", "_KILL", "TB_LG", "SLM_G"]
     return [
         RunRequest(bench, named_policy("awg"), QUICK_SCALE, validate=False)
@@ -65,11 +70,11 @@ def build_requests():
 
 CHILD_MAIN = """
 import sys
+from repro.experiments.cache import ResultCache
 from repro.experiments.matrix import SweepInterrupted, run_matrix
 
 try:
-    run_matrix(build_requests(), jobs=1, cache=None,
-               checkpoint=sys.argv[1])
+    run_matrix(build_requests(), jobs=1, cache=ResultCache(sys.argv[1]))
 except SweepInterrupted as exc:
     sys.exit(128 + exc.signum)
 """
@@ -85,75 +90,43 @@ def _result_fields(result):
     return {name: getattr(result, name) for name in RESULT_FIELDS}
 
 
-def _exec_counts(log_path):
-    counts = {}
-    if not os.path.exists(log_path):
-        return counts
-    for line in Path(log_path).read_text().splitlines():
-        bench = line.split("\t")[0]
-        counts[bench] = counts.get(bench, 0) + 1
-    return counts
-
-
-def _spawn_child(tmp_path, ckpt_dir, exec_log, extra_env=None,
+def _spawn_child(tmp_path, cache_dir, extra_env=None,
                  snippet=REQUESTS_SNIPPET):
     script = tmp_path / "child_sweep.py"
     script.write_text(snippet + CHILD_MAIN)
-    env = dict(
-        os.environ,
-        PYTHONPATH=SRC,
-        REPRO_NO_CACHE="1",
-        REPRO_EXEC_LOG=str(exec_log),
-    )
-    env.pop("REPRO_CHECKPOINT", None)
+    env = dict(os.environ, PYTHONPATH=SRC)
     env.update(extra_env or {})
     return subprocess.Popen(
-        [sys.executable, str(script), str(ckpt_dir)],
+        [sys.executable, str(script), str(cache_dir)],
         env=env, cwd=tmp_path,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
 
 
-def test_sigkill_resume_is_bit_identical_and_reexecutes_nothing(
-        tmp_path, monkeypatch):
-    ckpt_dir = tmp_path / "ckpt"
-    exec_log = tmp_path / "exec.log"
+def test_sigkill_resume_is_bit_identical_and_reexecutes_nothing(tmp_path):
+    cache_dir = tmp_path / "cache"
     sentinel = tmp_path / "kill-me"
     sentinel.write_text("")
 
     # 1. the sweep crashes hard (SIGKILL from inside the 3rd cell)
-    child = _spawn_child(tmp_path, ckpt_dir, exec_log,
+    child = _spawn_child(tmp_path, cache_dir,
                          {"REPRO_STRESS_KILL": str(sentinel)})
     child.communicate(timeout=300)
     assert child.returncode == -signal.SIGKILL
     assert not sentinel.exists()  # the drill consumed its sentinel
+    assert ResultCache(cache_dir).entry_count() == 2  # SPM_G, FAM_G
 
-    crashed = _exec_counts(exec_log)
-    assert crashed == {"SPM_G": 1, "FAM_G": 1, "_KILL": 1}
-
-    manifests = list_manifests(ckpt_dir)
-    assert len(manifests) == 1
-    assert manifests[0]["completed"] == 2  # SPM_G, FAM_G checkpointed
-    assert manifests[0]["total"] == 5
-
-    # 2. resume in-process: only the 3 unfinished cells execute
-    monkeypatch.setenv("REPRO_EXEC_LOG", str(exec_log))
+    # 2. rerun in-process: the 2 cached cells hit, only the 3
+    # unfinished cells execute
     requests = _build_requests()
-    resumed = run_matrix(requests, jobs=1, cache=None, checkpoint=ckpt_dir)
+    resumed = run_matrix(requests, jobs=1, cache=ResultCache(cache_dir))
     assert not resumed.errors
-    assert resumed.resumed == 2
-    counts = _exec_counts(exec_log)
-    # completed cells appear exactly once across crash + resume; the
-    # killed cell and the never-started cells ran on resume only
-    assert counts == {"SPM_G": 1, "FAM_G": 1, "_KILL": 2,
-                      "TB_LG": 1, "SLM_G": 1}
-    # a finished sweep leaves nothing to resume
-    assert list_manifests(ckpt_dir) == []
+    assert (resumed.cache_hits, resumed.cache_misses) == (2, 3)
+    assert [cell.from_cache for cell in resumed.cells] == \
+        [True, True, False, False, False]
 
     # 3. bit-identity against an uninterrupted run of the same sweep
-    monkeypatch.delenv("REPRO_EXEC_LOG")
-    uninterrupted = run_matrix(_build_requests(), jobs=1, cache=None,
-                               checkpoint=False)
+    uninterrupted = run_matrix(_build_requests(), jobs=1, cache=None)
     assert not uninterrupted.errors
     for index in range(len(requests)):
         assert _result_fields(resumed[index]) == \
@@ -162,39 +135,68 @@ def test_sigkill_resume_is_bit_identical_and_reexecutes_nothing(
 
 
 def test_sigterm_flushes_checkpoint_and_exits_resumable(tmp_path):
-    ckpt_dir = tmp_path / "ckpt"
-    exec_log = tmp_path / "exec.log"
+    """The completed cells' cache entries are the checkpoint: each was
+    written atomically as the cell settled, before the signal."""
+    cache_dir = tmp_path / "cache"
 
     # de-flake: the signal must land while the sweep is mid-flight; on
     # a loaded machine the first attempt can finish first, so retry.
-    # Waiting for the SECOND exec-log line means cell 1 completed (and
-    # checkpointed) and cell 2 is running when SIGTERM arrives.
+    # One cache entry means cell 1 completed and cell 2 is running when
+    # SIGTERM arrives.
     for attempt in range(3):
-        child = _spawn_child(tmp_path, ckpt_dir, exec_log,
+        child = _spawn_child(tmp_path, cache_dir,
                              snippet=SLOW_REQUESTS_SNIPPET)
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
-            if exec_log.exists() and exec_log.read_text().count("\n") >= 2:
+            if ResultCache(cache_dir).entry_count() >= 1:
                 break
             time.sleep(0.01)
         child.send_signal(signal.SIGTERM)
         _out, err = child.communicate(timeout=300)
         if child.returncode == 128 + signal.SIGTERM:
             break
-        exec_log.unlink(missing_ok=True)  # sweep finished first: retry
+        shutil.rmtree(cache_dir, ignore_errors=True)  # finished: retry
     else:
         raise AssertionError(
             f"SIGTERM never interrupted the sweep (last rc "
             f"{child.returncode}, stderr: {err.decode()[-500:]})")
 
-    # the handler flushed the manifest before unwinding
-    manifests = list_manifests(ckpt_dir)
-    assert len(manifests) == 1
-    assert 0 < manifests[0]["completed"] < manifests[0]["total"] == 5
+    entries = ResultCache(cache_dir).entry_count()
+    assert 0 < entries < 5
 
-    # and the sweep resumes to completion
+    # the rerun finishes the sweep, serving every surviving entry
     result = run_matrix(_build_requests(SLOW_REQUESTS_SNIPPET), jobs=1,
-                        cache=None, checkpoint=ckpt_dir)
+                        cache=ResultCache(cache_dir))
     assert not result.errors
-    assert result.resumed == manifests[0]["completed"]
-    assert list_manifests(ckpt_dir) == []
+    assert result.cache_hits == entries
+    assert result.cache_misses == 5 - entries
+
+
+def _interrupt_first_cell(monkeypatch):
+    """Make the first executed cell deliver SIGTERM to this process;
+    at jobs=1 the sweep's handler raises inside that cell."""
+    def execute(self):
+        signal.raise_signal(signal.SIGTERM)
+        raise AssertionError("the sweep's SIGTERM handler did not fire")
+
+    monkeypatch.setattr(RunRequest, "execute", execute)
+
+
+def test_interrupt_with_cache_says_rerun_continues(tmp_path, monkeypatch):
+    _interrupt_first_cell(monkeypatch)
+    with pytest.raises(SweepInterrupted) as exc:
+        run_matrix(_build_requests()[:1], jobs=1,
+                   cache=ResultCache(tmp_path))
+    assert exc.value.signum == signal.SIGTERM
+    assert str(exc.value) == (
+        "sweep interrupted by SIGTERM; completed cells are in the result "
+        "cache; re-run to continue")
+
+
+def test_interrupt_without_cache_says_rerun_starts_over(monkeypatch):
+    _interrupt_first_cell(monkeypatch)
+    with pytest.raises(SweepInterrupted) as exc:
+        run_matrix(_build_requests()[:1], jobs=1, cache=None)
+    assert str(exc.value) == (
+        "sweep interrupted by SIGTERM; no result cache: a re-run starts "
+        "over")

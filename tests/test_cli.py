@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import ARTIFACTS, COMMANDS, EXPERIMENTS, _dispatch, main
+from repro.core.policies import all_policy_names
 
 
 def test_list(capsys):
@@ -18,6 +19,10 @@ def test_list(capsys):
     assert "faults" in out
     assert "chaos" in out  # fault plans are listed too
     assert "_HANG" not in out  # stress drills never surface
+    policies = next(line for line in out.splitlines()
+                    if line.startswith("policies:"))
+    for key in all_policy_names():
+        assert key in policies.split(":", 1)[1].replace(",", " ").split()
 
 
 def test_faults_command(capsys):
@@ -58,14 +63,13 @@ def test_command_help_names_every_dispatched_command(capsys):
 
 
 def test_unknown_command_is_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench"])
-    assert exc.value.code == 2
-    assert "unknown command 'bench'" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["fabric"])
-    assert exc.value.code == 2
-    assert "unknown command 'fabric'" in capsys.readouterr().err
+    # removed commands stay rejected: bench (now `all`), fabric, and
+    # matrix (the result cache resumes interrupted sweeps now)
+    for name in ("bench", "fabric", "matrix"):
+        with pytest.raises(SystemExit) as exc:
+            main([name])
+        assert exc.value.code == 2
+        assert f"unknown command {name!r}" in capsys.readouterr().err
 
 
 def test_table1_command(capsys):
