@@ -39,13 +39,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.durability import vfs
+from repro.durability import write_atomic_text
 from repro.errors import ConfigError
 from repro.experiments.runner import RunResult
 
-#: entry layout is ``<2-hex-char shard>/<key>.json``; the glob must not
-#: sweep up the ``quarantine/`` directory the integrity check fills
-_ENTRY_GLOB = "[0-9a-f][0-9a-f]/*.json"
+#: entry layout is ``<2-hex-char shard>/<key>.json``; the globs must
+#: not sweep up the ``quarantine/`` directory the integrity check fills
+_SHARD_GLOB = "[0-9a-f][0-9a-f]"
+_ENTRY_GLOB = f"{_SHARD_GLOB}/*.json"
 
 #: RunResult fields persisted to disk (everything except ``gpu``)
 RESULT_FIELDS = (
@@ -203,9 +204,8 @@ class ResultCache:
         if problem is not None:
             self.misses += 1
             self.healed += 1
-            vfs.incr_stat("durability.cache.healed")
             try:
-                vfs.vunlink(path, missing_ok=True)
+                path.unlink(missing_ok=True)
             except OSError:
                 pass
             return None
@@ -224,7 +224,7 @@ class ResultCache:
 
         Failure policy: the cache is an accelerator, not ground truth.
         A put that still fails after the bounded retries of
-        :func:`repro.durability.vfs.write_atomic_text` is *dropped*
+        :func:`repro.durability.write_atomic_text` is *dropped*
         (warned + counted), and persistent ENOSPC flips the instance to
         read-through ``degraded`` mode. No temp file survives any
         failure path — serialization happens before the first file
@@ -236,7 +236,6 @@ class ResultCache:
             )
         if self.degraded:
             self.dropped += 1
-            vfs.incr_stat("durability.cache.put_dropped")
             return
         # serialize before touching the filesystem: a payload that
         # cannot serialize must not cost (or leak) a temp file
@@ -250,7 +249,7 @@ class ResultCache:
         path = self._path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            vfs.write_atomic_text(path, text)
+            write_atomic_text(path, text)
         except OSError as exc:
             self._degrade_on(exc, key)
             return
@@ -260,16 +259,13 @@ class ResultCache:
         """Apply the put-failure policy: drop the put; persistent
         ENOSPC additionally flips read-through mode."""
         self.dropped += 1
-        vfs.incr_stat("durability.cache.put_dropped")
         if exc.errno == errno.ENOSPC:
             self.degraded = True
-            vfs.incr_stat("durability.cache.degraded")
             warnings.warn(
                 f"result cache out of space storing {key[:12]}…; "
                 f"degrading to read-through (further puts dropped)",
                 RuntimeWarning, stacklevel=3)
         else:
-            vfs.incr_stat("durability.cache.put_errors")
             warnings.warn(
                 f"result cache put of {key[:12]}… failed after retries "
                 f"({exc}); entry dropped, sweep continues",
@@ -346,10 +342,27 @@ class ResultCache:
         return sum(1 for _ in self.root.glob(_ENTRY_GLOB))
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = self.entry_count()
-        if self.root.is_dir():
-            shutil.rmtree(self.root)
+        """Delete what the cache wrote under its root: every entry, temp
+        residue in the shard directories, each shard directory left
+        empty, and ``quarantine/``. Anything else under the root
+        survives. Returns how many entries were removed."""
+        if not self.root.is_dir():
+            return 0
+        removed = 0
+        for path in self.root.glob(_ENTRY_GLOB):
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                continue  # removed by a concurrent clear or heal
+            removed += 1
+        for tmp in self.root.glob(f"{_SHARD_GLOB}/.*.tmp"):
+            tmp.unlink(missing_ok=True)
+        for shard in self.root.glob(_SHARD_GLOB):
+            try:
+                shard.rmdir()
+            except OSError:
+                pass  # a file, or a shard holding foreign files
+        shutil.rmtree(self.root / "quarantine", ignore_errors=True)
         return removed
 
     def summary(self) -> str:

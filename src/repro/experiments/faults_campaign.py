@@ -94,7 +94,7 @@ def _emit_violation_bundles(
     import json
     from pathlib import Path
 
-    from repro.durability import vfs
+    from repro.durability import write_atomic_text
     from repro.errors import ReproError
     from repro.recovery.bundle import make_bundle, write_bundle
     from repro.recovery.shrink import shrink_bundle
@@ -120,7 +120,7 @@ def _emit_violation_bundles(
         if minimal != path:
             paths.append(str(minimal))
         log_path = Path(str(path).replace(".json", ".shrinklog.json"))
-        vfs.write_atomic_text(log_path, json.dumps({
+        write_atomic_text(log_path, json.dumps({
             "source": str(path),
             "minimal": str(minimal),
             "initial_size": shrunk.initial_size,

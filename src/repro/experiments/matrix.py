@@ -20,7 +20,8 @@ The runner survives misbehaving cells and workers:
 - A killed or crashed worker (``BrokenProcessPoolError``) loses only
   the cells that had no result yet; completed cells are preserved and
   the lost ones are resubmitted to a fresh pool with exponential
-  backoff, up to ``retries`` / ``REPRO_CELL_RETRIES`` extra attempts.
+  backoff from ``RETRY_BACKOFF`` seconds, up to ``retries`` /
+  ``REPRO_CELL_RETRIES`` extra attempts.
 - Failures come back as *structured* entries (exception type, message,
   deadlock diagnosis when available, traceback) on
   :attr:`MatrixResult.errors`, and figure code can degrade to partial
@@ -70,6 +71,10 @@ from repro.gpu.diagnostics import diagnosis_signature
 
 #: sentinel: "use the process-wide default cache unless opted out"
 DEFAULT_CACHE = "default"
+
+#: seconds before the first resubmission of environmentally failed
+#: cells; doubles per retry round
+RETRY_BACKOFF = 0.5
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -699,7 +704,6 @@ def _run_cells(
     jobs: int,
     cell_timeout: Optional[float],
     retries: int,
-    retry_backoff: float,
     on_outcome: Optional[_OnOutcome] = None,
     pool_holder: Optional[Dict[str, Any]] = None,
 ) -> List[Tuple[Optional[RunResult], Optional[Dict[str, Any]]]]:
@@ -798,7 +802,7 @@ def _run_cells(
                 settle(index,
                        last_failure.get(index, (None, _crash_failure(attempt))))
             break
-        time.sleep(retry_backoff * (2 ** (attempt - 1)))
+        time.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
         attempt += 1
     return outcomes  # type: ignore[return-value]
 
@@ -807,10 +811,8 @@ def run_matrix(
     requests: Sequence[RunRequest],
     jobs: Optional[int] = None,
     cache: Union[ResultCache, str, None] = DEFAULT_CACHE,
-    dedupe: bool = True,
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
-    retry_backoff: float = 0.5,
     # kept only because perfbench's harness passes checkpoint=False
     checkpoint: bool = False,
 ) -> MatrixResult:
@@ -857,7 +859,7 @@ def run_matrix(
             continue
         spec = req.spec()
         spec_key = repr(sorted(spec.items()))
-        if dedupe and spec_key in by_spec:
+        if spec_key in by_spec:
             pending[by_spec[spec_key]][2].append(index)
             deduped += 1
             continue
@@ -870,8 +872,7 @@ def run_matrix(
                 cells[index] = Cell(req, result=hit, from_cache=True)
                 continue
             cache_misses += 1
-        if dedupe:
-            by_spec[spec_key] = len(pending)
+        by_spec[spec_key] = len(pending)
         pending.append((key, req, [index]))
 
     # Execute the surviving unique cells; each settles into the cache as
@@ -885,8 +886,7 @@ def run_matrix(
     pool_holder: Dict[str, Any] = {}
     with _SweepSignals(pool_holder, cached=cache is not None):
         outcomes = _run_cells([req for (_k, req, _idx) in pending], jobs,
-                              cell_timeout, retries, retry_backoff,
-                              on_outcome=on_outcome,
+                              cell_timeout, retries, on_outcome=on_outcome,
                               pool_holder=pool_holder)
 
     for (_key, req, indices), (result, failure) in zip(pending, outcomes):

@@ -57,7 +57,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.durability import vfs
+from repro.durability import write_atomic_text
 from repro.errors import ConfigError
 from repro.experiments.cache import code_fingerprint
 from repro.gpu.diagnostics import diagnosis_signature
@@ -201,14 +201,14 @@ def bundle_name(bundle: Dict[str, Any]) -> str:
 def write_bundle(bundle: Dict[str, Any],
                  out_dir: os.PathLike) -> Path:
     """Atomically persist one bundle (serialized before the first file
-    operation, written through the durability gateway with bounded
-    retries on transient I/O faults); returns its path."""
+    operation, written by :func:`repro.durability.write_atomic_text`
+    with bounded retries on transient I/O faults); returns its path."""
     validate_bundle(bundle)
     text = json.dumps(bundle, indent=2, sort_keys=True, default=str)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / bundle_name(bundle)
-    vfs.write_atomic_text(path, text)
+    write_atomic_text(path, text)
     return path
 
 

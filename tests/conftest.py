@@ -1,4 +1,5 @@
-"""Shared test configuration: hypothesis settings profiles.
+"""Shared test configuration: hypothesis settings profiles and the
+``disk`` fixture for the durable writers.
 
 Per-test ``@settings(...)`` used to repeat ``deadline=None`` inline in
 every property test; the profiles below centralize it. ``deadline`` is
@@ -14,6 +15,10 @@ runs keep randomized exploration by default.
 """
 
 import os
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple, Union
+
+import pytest
 
 try:
     from hypothesis import settings
@@ -24,3 +29,81 @@ if settings is not None:
     settings.register_profile("default", deadline=None)
     settings.register_profile("ci", deadline=None, derandomize=True)
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+class FakeDisk:
+    """Records, and on request faults, the ``os`` calls the durable
+    writers make on paths under ``root``.
+
+    ``log`` holds one ``(op, path)`` per call, paths relative to the
+    root: ``creat``, ``write`` and ``fsync`` name the file, ``rename``
+    names ``"src -> dst"``. A faulted call is logged too, so retries
+    show up as repeated entries. ``faults[op]`` is a queue each call of
+    that op pops from: an errno raises ``OSError`` before the real call;
+    ``"short"`` makes a ``write`` persist only the first half of its
+    buffer and report that short count."""
+
+    def __init__(self, root: Path, monkeypatch) -> None:
+        self.root = Path(root).resolve()
+        self.log: List[Tuple[str, str]] = []
+        self.faults: Dict[str, List[Union[int, str]]] = {}
+        self._fds: Dict[int, str] = {}
+        self._real = {name: getattr(os, name)
+                      for name in ("open", "write", "fsync", "close",
+                                   "replace")}
+        for name in self._real:
+            monkeypatch.setattr(os, name, getattr(self, f"_{name}"))
+
+    def _rel(self, path) -> Optional[str]:
+        try:
+            return Path(path).resolve().relative_to(self.root).as_posix()
+        except ValueError:
+            return None
+
+    def _call(self, op: str, path: str) -> Optional[Union[int, str]]:
+        self.log.append((op, path))
+        queue = self.faults.get(op)
+        fault = queue.pop(0) if queue else None
+        if isinstance(fault, int):
+            raise OSError(fault, f"injected {os.strerror(fault)} at {op}")
+        return fault
+
+    def _open(self, path, flags, mode=0o777, **kw):
+        rel = self._rel(path)
+        if rel is not None and flags & os.O_CREAT:
+            self._call("creat", rel)
+        fd = self._real["open"](path, flags, mode, **kw)
+        if rel is not None:
+            self._fds[fd] = rel
+        return fd
+
+    def _write(self, fd, data):
+        rel = self._fds.get(fd)
+        if rel is not None and self._call("write", rel) == "short":
+            data = data[:max(1, len(data) // 2)]
+        return self._real["write"](fd, data)
+
+    def _fsync(self, fd):
+        rel = self._fds.get(fd)
+        if rel is not None:
+            self._call("fsync", rel)
+        self._real["fsync"](fd)
+
+    def _close(self, fd):
+        self._fds.pop(fd, None)
+        self._real["close"](fd)
+
+    def _replace(self, src, dst, **kw):
+        rel_src, rel_dst = self._rel(src), self._rel(dst)
+        if rel_src is not None and rel_dst is not None:
+            self._call("rename", f"{rel_src} -> {rel_dst}")
+        self._real["replace"](src, dst, **kw)
+
+    def count(self, op: str) -> int:
+        return sum(1 for logged, _path in self.log if logged == op)
+
+
+@pytest.fixture
+def disk(tmp_path, monkeypatch) -> FakeDisk:
+    """A :class:`FakeDisk` over ``tmp_path``."""
+    return FakeDisk(tmp_path, monkeypatch)

@@ -7,11 +7,11 @@ flip the cache to read-through instead of killing the sweep.
 """
 
 import dataclasses
+import errno
 
 import pytest
 
-from repro.durability import vfs
-from repro.durability.vfs import DurabilityPlan, armed
+from repro.durability import IO_RETRIES
 from repro.experiments.cache import ResultCache
 from tests.durability.conftest import sample_result as _result
 
@@ -42,44 +42,45 @@ def test_put_with_raising_serialization_leaks_nothing(tmp_path):
     assert cache.entry_count() == 0
 
 
-def test_put_under_injected_eio_drops_and_leaks_nothing(tmp_path):
+def test_put_under_injected_eio_drops_and_leaks_nothing(tmp_path, disk):
     cache = ResultCache(tmp_path, fingerprint="t")
     key = cache.key_for({"cell": "a"})
-    plan = DurabilityPlan(name="dead-disk", seed=1, eio_prob=1.0)
-    with armed(tmp_path, plan=plan):
-        with pytest.warns(RuntimeWarning, match="entry dropped"):
-            cache.put(key, _result())
+    disk.faults["write"] = [errno.EIO] * (IO_RETRIES + 1)
+    with pytest.warns(RuntimeWarning, match="entry dropped"):
+        cache.put(key, _result())
+    assert disk.count("write") == IO_RETRIES + 1  # retried, then dropped
     assert cache.dropped == 1
     assert not cache.degraded  # EIO is transient, not a full disk
     assert _strays(tmp_path) == []
     assert cache.get(key) is None
 
 
-def test_enospc_flips_read_through_degradation(tmp_path):
+def test_enospc_flips_read_through_degradation(tmp_path, disk):
     cache = ResultCache(tmp_path, fingerprint="t")
     key_ok = cache.key_for({"cell": "pre"})
     cache.put(key_ok, _result())  # lands while the disk is healthy
     assert cache.stores == 1
 
-    plan = DurabilityPlan(name="full", seed=1, enospc_after=0)
+    # the disk fills: every write from here on raises ENOSPC
+    disk.faults["write"] = [errno.ENOSPC] * 8
     key_lost = cache.key_for({"cell": "post"})
-    with armed(tmp_path, plan=plan):
-        with pytest.warns(RuntimeWarning, match="out of space"):
-            cache.put(key_lost, _result())
+    with pytest.warns(RuntimeWarning, match="out of space"):
+        cache.put(key_lost, _result())
     assert cache.degraded
     assert cache.dropped == 1
 
     # degraded mode: further puts are dropped WITHOUT touching the
     # filesystem, gets still serve (read-through, the sweep survives)
+    ops = len(disk.log)
     cache.put(cache.key_for({"cell": "later"}), _result())
     assert cache.dropped == 2
+    assert len(disk.log) == ops
     got = cache.get(key_ok)
     assert got is not None and got.cycles == _result().cycles
     assert _strays(tmp_path) == []
 
 
 def test_get_self_heals_torn_entries(tmp_path):
-    vfs.reset_stats()
     cache = ResultCache(tmp_path, fingerprint="t")
     key = cache.key_for({"cell": "a"})
     path = cache._path(key)
@@ -88,4 +89,3 @@ def test_get_self_heals_torn_entries(tmp_path):
     assert cache.get(key) is None
     assert cache.healed == 1
     assert not path.exists()
-    assert vfs.stats_snapshot().get("durability.cache.healed") == 1

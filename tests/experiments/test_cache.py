@@ -207,6 +207,31 @@ def test_clear_and_entry_count(cache):
     assert cache.entry_count() == 0
 
 
+def test_clear_removes_only_what_the_cache_wrote(cache, tmp_path):
+    """``clear()`` deletes entries, temp residue, emptied shards and
+    ``quarantine/``; a cache root pointed at a directory holding other
+    files must not lose them."""
+    result = _simple_result()
+    for key in ("a" * 64, "b" * 64, "c" * 64):
+        cache.put(key, result)
+    torn = cache._path("c" * 64)
+    torn.write_text("{")
+    cache.verify()  # quarantines the torn entry
+    (tmp_path / "aa" / f".{'a' * 64}.json.123.tmp").write_text("residue")
+    foreign = [tmp_path / "notes.txt", tmp_path / "work" / "data.json",
+               tmp_path / "bb" / "README"]
+    for path in foreign:
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("not the cache's")
+
+    assert cache.clear() == 2
+    assert all(path.read_text() == "not the cache's" for path in foreign)
+    assert cache.entry_count() == 0
+    assert sorted(p.relative_to(tmp_path).as_posix()
+                  for p in tmp_path.rglob("*")) == [
+        "bb", "bb/README", "notes.txt", "work", "work/data.json"]
+
+
 def test_env_opt_outs(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
     assert default_cache_dir() == tmp_path / "c"

@@ -90,12 +90,12 @@ def test_hung_cell_times_out_off_the_main_thread():
 # ---------------------------------------------------------------------------
 
 def test_killed_worker_is_retried_and_sweep_recovers(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.experiments.matrix.RETRY_BACKOFF", 0.05)
     sentinel = tmp_path / "kill-once"
     sentinel.write_text("armed")
     monkeypatch.setenv(STRESS_KILL_ENV, str(sentinel))
     requests = [_req("_KILL"), _req("SPM_G")]
-    matrix = run_matrix(requests, jobs=2, cache=None, retries=2,
-                        retry_backoff=0.05)
+    matrix = run_matrix(requests, jobs=2, cache=None, retries=2)
     # the first attempt consumed the sentinel and died; the retry ran
     # the same cell to completion, and no other cell was lost
     assert not sentinel.exists()
@@ -105,12 +105,12 @@ def test_killed_worker_is_retried_and_sweep_recovers(tmp_path, monkeypatch):
 
 
 def test_exhausted_retries_become_structured_failures(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.experiments.matrix.RETRY_BACKOFF", 0.05)
     sentinel = tmp_path / "kill-once"
     sentinel.write_text("armed")
     monkeypatch.setenv(STRESS_KILL_ENV, str(sentinel))
     requests = [_req("_KILL"), _req("SPM_G")]
-    matrix = run_matrix(requests, jobs=2, cache=None, retries=0,
-                        retry_backoff=0.05)
+    matrix = run_matrix(requests, jobs=2, cache=None, retries=0)
     # with no retries allowed, the killed cell is recorded as a crash;
     # pool breakage may also cost in-flight siblings, but the sweep
     # itself returns every cell, each either a result or a failure

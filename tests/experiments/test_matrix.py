@@ -104,12 +104,6 @@ def test_identical_cells_deduplicated():
     assert "probe" not in matrix[2].stats
 
 
-def test_dedupe_can_be_disabled():
-    requests = [RunRequest("SPM_G", awg(), SCEN)] * 2
-    matrix = run_matrix(requests, jobs=1, cache=None, dedupe=False)
-    assert matrix.deduped == 0
-
-
 def test_keep_gpu_rejected_across_the_pool():
     requests = [RunRequest("SPM_G", awg(), SCEN, keep_gpu=True)]
     with pytest.raises(ConfigError, match="keep_gpu"):

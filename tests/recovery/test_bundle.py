@@ -10,7 +10,6 @@ from repro.errors import ConfigError
 from repro.experiments.matrix import RunRequest
 from repro.experiments.runner import QUICK_SCALE
 from repro.faults.plan import named_plan
-from repro.durability import vfs
 from repro.recovery.bundle import (
     BUNDLE_KEYS, BUNDLE_VERSION, bundle_name, derive_expected, load_bundle,
     make_bundle, replay_bundle, validate_bundle, write_bundle,
@@ -126,14 +125,14 @@ def _litmus_bundle():
     lambda: make_bundle(_deadlock_request(), failure=_failure()),
     _litmus_bundle,
 ], ids=["cell", "litmus"])
-def test_write_goes_through_durability_gateway(make, tmp_path):
-    """Both kinds are written with the gateway's atomic-write protocol,
-    so they get its I/O retries and op logging."""
+def test_write_goes_through_durability_gateway(make, tmp_path, disk):
+    """Both kinds are written by ``write_atomic_text`` (temp file,
+    fsync, rename onto the final name), so they get its I/O retries."""
     bundle = make()
-    with vfs.armed(tmp_path) as gw:
-        path = write_bundle(bundle, tmp_path)
-    renames = [r for r in gw.log if r.op == "rename"]
-    assert [r.dest for r in renames] == [path.name]
+    path = write_bundle(bundle, tmp_path)
+    assert [op for op, _path in disk.log] == [
+        "creat", "write", "fsync", "rename"]
+    assert disk.log[-1][1].endswith(f" -> {path.name}")
     assert load_bundle(path)["kind"] == bundle["kind"]
 
 
