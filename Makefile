@@ -16,11 +16,9 @@
 #                      repro bundles into .litmus-bundles/
 #   make clean-cache   drop the on-disk result cache
 #
-# Knobs: REPRO_JOBS (worker processes), REPRO_NO_CACHE=1,
-# REPRO_CACHE_DIR (cache root; an interrupted sweep resumes from it when
-# re-run), REPRO_CELL_TIMEOUT (per-cell wall-clock seconds),
-# REPRO_CELL_RETRIES (environmental-failure retry rounds),
-# REPRO_DEBUG_OPS=1 (report device ops called without yield from).
+# Knobs: REPRO_JOBS (worker processes), REPRO_CACHE_DIR (cache root; an
+# interrupted sweep resumes from it when re-run), REPRO_DEBUG_OPS=1
+# (report device ops called without yield from).
 # Test hook: REPRO_STRESS_KILL (sentinel file: the _KILL benchmark
 # SIGKILLs its worker once).
 
@@ -58,4 +56,4 @@ litmus-smoke:
 	$(PY) -m repro litmus run --smoke --seed 1 --bundles .litmus-bundles --shrink
 
 clean-cache:
-	$(PY) -m repro.cli cache --clear
+	$(PY) -m repro cache --clear

@@ -16,7 +16,6 @@ Usage::
     awg-repro faults --seed 7 --plans storm,chaos
     awg-repro cache                 # show result-cache location / size
     awg-repro cache --clear         # drop every cached result
-    awg-repro cache --verify        # integrity sweep; quarantine corrupt
     awg-repro replay BUNDLE         # re-run a cell or litmus bundle
     awg-repro shrink BUNDLE         # delta-debug either kind to minimal
     awg-repro faults --bundles DIR --shrink   # bundle + minimize violations
@@ -120,22 +119,17 @@ COMMANDS = (
 )
 
 
-def _run_cache_command(clear: bool, verify: bool = False) -> int:
+def _run_cache_command(clear: bool) -> int:
     cache = ResultCache(default_cache_dir())
     if clear:
         removed = cache.clear()
         print(f"cleared {removed} cached results from {cache.root}")
         return 0
-    if verify:
-        report = cache.verify(quarantine=True)
-        print(report.render())
-        return 0 if report.clean else 1
     print(f"cache dir:     {cache.root}")
     print(f"entries:       {cache.entry_count()}")
     print(f"fingerprint:   {cache.fingerprint}")
     print("clear with:    awg-repro cache --clear "
           "(or delete the directory)")
-    print("verify with:   awg-repro cache --verify")
     return 0
 
 
@@ -537,9 +531,6 @@ def _dispatch(argv=None) -> int:
                         help="bypass the on-disk result cache")
     parser.add_argument("--clear", action="store_true",
                         help="for 'cache': delete every cached result")
-    parser.add_argument("--verify", action="store_true",
-                        help="for 'cache': re-hash every entry and "
-                             "quarantine corrupt ones (exit 1 if any)")
     parser.add_argument("--trace", action="store_true",
                         help="for 'replay' of a cell bundle: re-run with "
                              "structured tracing on (write with --out)")
@@ -626,7 +617,7 @@ def _dispatch(argv=None) -> int:
         return _run_faults(opts, **matrix_kw)
 
     if opts.command == "cache":
-        return _run_cache_command(opts.clear, opts.verify)
+        return _run_cache_command(opts.clear)
 
     if opts.command == "litmus":
         return _run_litmus_command(opts, parser)

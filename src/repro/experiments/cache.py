@@ -15,16 +15,15 @@ concurrent runs never observe a torn entry.
 The cache is also how an interrupted sweep resumes: ``run_matrix``
 puts every cell as it completes, so re-running a sweep killed
 mid-flight re-simulates only the cells that never finished. Every read
-re-checks the entry's content digest, so a resumed sweep never adopts a
-torn or edited result.
+re-checks the entry (well-formed, key matches filename, content digest
+matches, payload rebuilds a result) and deletes one that fails, so a
+resumed sweep never adopts a torn or edited result: that cell simply
+re-simulates.
 
-Environment knobs:
-
-``REPRO_CACHE_DIR``
-    cache root (default ``$XDG_CACHE_HOME/awg-repro`` or
-    ``~/.cache/awg-repro``)
-``REPRO_NO_CACHE``
-    set to ``1`` to disable the default cache entirely
+``REPRO_CACHE_DIR`` sets the cache root (default
+``$XDG_CACHE_HOME/awg-repro`` or ``~/.cache/awg-repro``). To run
+without a cache, pass ``cache=None`` to ``run_matrix`` (``--no-cache``
+on the command line).
 """
 
 from __future__ import annotations
@@ -33,18 +32,16 @@ import errno
 import hashlib
 import json
 import os
-import shutil
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.durability import write_atomic_text
 from repro.errors import ConfigError
 from repro.experiments.runner import RunResult
 
 #: entry layout is ``<2-hex-char shard>/<key>.json``; the globs must
-#: not sweep up the ``quarantine/`` directory the integrity check fills
+#: not sweep up foreign files under a shared root
 _SHARD_GLOB = "[0-9a-f][0-9a-f]"
 _ENTRY_GLOB = f"{_SHARD_GLOB}/*.json"
 
@@ -85,7 +82,7 @@ def result_from_payload(payload: Dict[str, Any]) -> RunResult:
 
 def payload_digest(body: Dict[str, Any]) -> str:
     """Content hash of a persisted result body, stored alongside it so
-    an integrity sweep can detect torn or bit-rotted entries."""
+    every read can detect torn or bit-rotted entries."""
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"),
                            default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -107,10 +104,6 @@ def code_fingerprint() -> str:
     return _FINGERPRINT
 
 
-def cache_enabled() -> bool:
-    return os.environ.get("REPRO_NO_CACHE", "") not in ("1", "true", "yes")
-
-
 def default_cache_dir() -> Path:
     env = os.environ.get("REPRO_CACHE_DIR")
     if env:
@@ -120,34 +113,9 @@ def default_cache_dir() -> Path:
     return base / "awg-repro"
 
 
-def default_cache() -> Optional["ResultCache"]:
-    """The process-wide default cache, or None when opted out via env."""
-    if not cache_enabled():
-        return None
+def default_cache() -> "ResultCache":
+    """The process-wide default cache, at :func:`default_cache_dir`."""
     return ResultCache(default_cache_dir())
-
-
-@dataclass
-class CacheVerifyReport:
-    """Outcome of a :meth:`ResultCache.verify` integrity sweep."""
-
-    checked: int = 0
-    ok: int = 0
-    #: one ``{"path", "problem", "quarantined_to"?}`` record per bad entry
-    corrupt: List[Dict[str, str]] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.corrupt
-
-    def render(self) -> str:
-        lines = [f"verified {self.checked} entries: {self.ok} intact, "
-                 f"{len(self.corrupt)} corrupt"]
-        for entry in self.corrupt:
-            lines.append(f"  CORRUPT {entry['path']}: {entry['problem']}")
-            if "quarantined_to" in entry:
-                lines.append(f"    quarantined to {entry['quarantined_to']}")
-        return "\n".join(lines)
 
 
 class ResultCache:
@@ -190,11 +158,11 @@ class ResultCache:
     def get(self, key: str) -> Optional[RunResult]:
         """The cached result for ``key``, or None (counted as a miss).
 
-        Every read runs the same integrity check as :meth:`verify`. An
-        entry that fails it (torn write from a killed process, truncated
-        disk, schema drift, a payload that no longer matches its digest)
-        self-heals: it is deleted and treated as a miss, so the cell
-        re-simulates and overwrites it rather than being served."""
+        Every read runs :meth:`_check_entry`. An entry that fails it
+        (torn write from a killed process, truncated disk, schema drift,
+        a payload that no longer matches its digest) self-heals: it is
+        deleted and treated as a miss, so the cell re-simulates and
+        overwrites it rather than being served."""
         path = self._path(key)
         try:
             result, problem = self._check_entry(path)
@@ -271,42 +239,6 @@ class ResultCache:
                 f"({exc}); entry dropped, sweep continues",
                 RuntimeWarning, stacklevel=3)
 
-    # -- maintenance ---------------------------------------------------
-    def verify(self, quarantine: bool = True) -> "CacheVerifyReport":
-        """Integrity sweep: re-hash every stored payload against its
-        recorded content digest and check the entry is well-formed (its
-        embedded key matches its filename and the payload reconstructs a
-        :class:`RunResult`).
-
-        Corrupt entries are moved into ``<root>/quarantine/`` (or merely
-        reported with ``quarantine=False``) so the evidence survives for
-        inspection while future sweeps re-simulate the cell. Entries from
-        before digests were recorded are treated as corrupt — their
-        integrity cannot be established."""
-        report = CacheVerifyReport()
-        if not self.root.is_dir():
-            return report
-        for path in sorted(self.root.glob(_ENTRY_GLOB)):
-            try:
-                _result, problem = self._check_entry(path)
-            except FileNotFoundError:
-                continue  # removed by a concurrent clear or heal
-            report.checked += 1
-            if problem is None:
-                report.ok += 1
-                continue
-            entry = {"path": str(path), "problem": problem}
-            if quarantine:
-                dest = self.root / "quarantine" / path.name
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    path.replace(dest)
-                    entry["quarantined_to"] = str(dest)
-                except OSError:
-                    pass
-            report.corrupt.append(entry)
-        return report
-
     def _check_entry(
         self, path: Path,
     ) -> Tuple[Optional[RunResult], Optional[str]]:
@@ -336,6 +268,7 @@ class ResultCache:
         except (TypeError, ValueError) as exc:
             return None, f"payload does not reconstruct a RunResult ({exc})"
 
+    # -- maintenance ---------------------------------------------------
     def entry_count(self) -> int:
         if not self.root.is_dir():
             return 0
@@ -343,9 +276,9 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete what the cache wrote under its root: every entry, temp
-        residue in the shard directories, each shard directory left
-        empty, and ``quarantine/``. Anything else under the root
-        survives. Returns how many entries were removed."""
+        residue in the shard directories and each shard directory left
+        empty. Anything else under the root survives. Returns how many
+        entries were removed."""
         if not self.root.is_dir():
             return 0
         removed = 0
@@ -362,7 +295,6 @@ class ResultCache:
                 shard.rmdir()
             except OSError:
                 pass  # a file, or a shard holding foreign files
-        shutil.rmtree(self.root / "quarantine", ignore_errors=True)
         return removed
 
     def summary(self) -> str:

@@ -10,25 +10,22 @@ every normalized figure repeats), and returns results in deterministic
 request order with per-cell error capture — one failed cell does not
 abort the sweep.
 
-The runner survives misbehaving cells and workers:
+The runner survives failing cells and crashed workers:
 
-- Every cell gets a wall-clock budget (``cell_timeout`` /
-  ``REPRO_CELL_TIMEOUT`` seconds) enforced *inside* the worker with a
-  SIGALRM timer, so a hung simulation is reported as a
-  :class:`CellTimeoutError` failure instead of wedging the sweep, and
-  the worker process stays reusable.
-- A killed or crashed worker (``BrokenProcessPoolError``) loses only
-  the cells that had no result yet; completed cells are preserved and
-  the lost ones are resubmitted to a fresh pool with exponential
-  backoff from ``RETRY_BACKOFF`` seconds, up to ``retries`` /
-  ``REPRO_CELL_RETRIES`` extra attempts.
+- No cell needs a wall-clock budget: every simulation ends on its own,
+  completed or deadlocked, bounded by ``GPUConfig.max_cycles`` and the
+  progress watchdog.
+- A killed or crashed worker (``BrokenProcessPool``) loses only the
+  cells that had no result yet; completed cells are preserved and the
+  lost ones are resubmitted to a fresh pool with exponential backoff
+  from ``RETRY_BACKOFF`` seconds, up to ``CELL_RETRIES`` extra attempts.
 - Failures come back as *structured* entries (exception type, message,
   deadlock diagnosis when available, traceback) on
   :attr:`MatrixResult.errors`, and figure code can degrade to partial
   output via :meth:`MatrixResult.try_get`. Each failure is classified
   ``deterministic`` (the simulation itself raised — retrying the same
-  seed and plan would fail identically) or ``environmental`` (timeout,
-  crashed worker); only environmental failures are retried.
+  seed and plan would fail identically) or ``environmental`` (a crashed
+  worker); only environmental failures are retried.
 - Every completed cell lands in the result cache as it settles
   (atomic temp+fsync+rename), so a sweep killed mid-flight — crash,
   SIGINT/SIGTERM, ``BrokenProcessPool`` — resumes by re-running it:
@@ -44,14 +41,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
-import multiprocessing
 import os
 import signal
 import threading
 import time
 import traceback
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
@@ -69,12 +63,15 @@ from repro.experiments.runner import RunResult, Scenario, run_benchmark
 from repro.faults.plan import FaultPlan
 from repro.gpu.diagnostics import diagnosis_signature
 
-#: sentinel: "use the process-wide default cache unless opted out"
+#: sentinel: "use the process-wide default cache"
 DEFAULT_CACHE = "default"
 
-#: seconds before the first resubmission of environmentally failed
-#: cells; doubles per retry round
+#: seconds before the first resubmission of cells lost to a crashed
+#: worker; doubles per retry round
 RETRY_BACKOFF = 0.5
+
+#: extra rounds for cells lost to a crashed worker
+CELL_RETRIES = 2
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -90,39 +87,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
         else:
             jobs = os.cpu_count() or 1
     return max(1, int(jobs))
-
-
-def resolve_cell_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """Per-cell wall-clock budget in seconds: explicit arg, else
-    ``REPRO_CELL_TIMEOUT``; None or <= 0 means unlimited."""
-    if timeout is None:
-        env = os.environ.get("REPRO_CELL_TIMEOUT")
-        if env:
-            try:
-                timeout = float(env)
-            except ValueError:
-                raise ConfigError(
-                    f"REPRO_CELL_TIMEOUT must be a number of seconds, "
-                    f"got {env!r}")
-    if timeout is not None and timeout <= 0:
-        return None
-    return timeout
-
-
-def resolve_cell_retries(retries: Optional[int] = None) -> int:
-    """Extra attempts for cells lost to a crashed/hung worker: explicit
-    arg, else ``REPRO_CELL_RETRIES``, else 2."""
-    if retries is None:
-        env = os.environ.get("REPRO_CELL_RETRIES")
-        if env:
-            try:
-                retries = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"REPRO_CELL_RETRIES must be an integer, got {env!r}")
-        else:
-            retries = 2
-    return max(0, retries)
 
 
 def _jsonable(value: Any) -> Any:
@@ -209,8 +173,7 @@ class RunRequest:
                 k in spec for k in ("benchmark", "policy", "scenario")):
             raise ConfigError(
                 "bundle request must carry benchmark/policy/scenario specs")
-        if expected["mode"] not in ("diagnosis", "exception", "timeout",
-                                    "race"):
+        if expected["mode"] not in ("diagnosis", "exception", "race"):
             raise ConfigError(
                 f"unknown expected-failure mode {expected['mode']!r}")
 
@@ -230,13 +193,9 @@ class RunRequest:
 
             overrides["trace"] = TraceConfig.parse("all")
             request = replace(request, config_overrides=overrides)
-        budget = expected.get("seconds") if mode == "timeout" else None
 
         try:
-            with _CellAlarm(budget):
-                result = request.execute()
-        except CellTimeoutError as exc:
-            return {"mode": "timeout", "detail": str(exc)}
+            result = request.execute()
         except Exception as exc:
             observed: Dict[str, Any] = {
                 "mode": "exception", "type": type(exc).__name__,
@@ -275,7 +234,7 @@ class RunRequest:
             return expected.get("signature") == observed.get("signature")
         if expected["mode"] == "exception":
             return expected.get("type") == observed.get("type")
-        return True  # timeout / race: reaching the mode is the reproduction
+        return True  # race: reaching the mode is the reproduction
 
     def size(self) -> int:
         """Monotone shrink metric: the scenario knobs the shrinker may
@@ -376,10 +335,6 @@ def _scenario_reductions(
                replace(scenario, episodes=scenario.episodes // 2))
 
 
-class CellTimeoutError(ReproError):
-    """A matrix cell exceeded its wall-clock budget (``REPRO_CELL_TIMEOUT``)."""
-
-
 class CellError(Exception):
     """A matrix cell's simulation raised; carries the worker traceback
     plus the structured failure record (see :func:`_failure_info`)."""
@@ -427,19 +382,15 @@ class MatrixError(NamedTuple):
 def _failure_info(exc: BaseException, tb: str) -> Dict[str, Any]:
     """Structured, picklable record of one cell failure.
 
-    ``classification`` drives the retry policy: a simulation that raised
-    is ``deterministic`` — same seed, same plan, same exception — so
-    re-running it would burn retries pointlessly; a wall-clock timeout is
-    ``environmental`` (host load, not the cell) and is worth retrying.
+    A simulation that raised is ``deterministic`` — same seed, same
+    plan, same exception — so it is never retried; only a crashed
+    worker (:func:`_crash_failure`) is ``environmental``.
     """
     info: Dict[str, Any] = {
         "type": type(exc).__name__,
         "message": str(exc),
         "traceback": tb,
-        "classification": (
-            "environmental" if isinstance(exc, CellTimeoutError)
-            else "deterministic"
-        ),
+        "classification": "deterministic",
     }
     if isinstance(exc, DeadlockError):
         info["cycle"] = exc.cycle
@@ -447,116 +398,17 @@ def _failure_info(exc: BaseException, tb: str) -> Dict[str, Any]:
     return info
 
 
-class _CellAlarm:
-    """SIGALRM wall-clock budget for one cell, armed inside the process
-    that simulates it (pool worker or the ``jobs=1`` main process).
-
-    An in-worker timer — unlike an outer future timeout — interrupts the
-    simulation loop itself, so the worker survives and is reused instead
-    of leaking a hung process. No-op when ``seconds`` is falsy, off the
-    main thread, or on platforms without ``signal.setitimer``.
-    """
-
-    def __init__(self, seconds: Optional[float]):
-        self.seconds = seconds
-        self.armed = False
-
-    def __enter__(self) -> "_CellAlarm":
-        if (not self.seconds
-                or threading.current_thread() is not threading.main_thread()
-                or not hasattr(signal, "setitimer")):
-            return self
-
-        def _fire(_signum, _frame):
-            raise CellTimeoutError(
-                f"cell exceeded its {self.seconds:g}s wall-clock budget")
-
-        self._previous = signal.signal(signal.SIGALRM, _fire)
-        signal.setitimer(signal.ITIMER_REAL, self.seconds)
-        self.armed = True
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        if self.armed:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, self._previous)
-        return False
-
-
-def _cell_subprocess_child(conn, request: RunRequest) -> None:
-    """Child half of the wall-clock fallback: execute and ship the
-    outcome back over the pipe (structured, like the SIGALRM path)."""
-    try:
-        outcome = (request.execute(), None)
-    except Exception as exc:
-        outcome = (None, _failure_info(exc, traceback.format_exc()))
-    try:
-        conn.send(outcome)
-    except (OSError, ValueError):  # pragma: no cover - parent went away
-        pass
-
-
-def _execute_cell_subprocess(
-    request: RunRequest, timeout: float
-) -> Tuple[Optional[RunResult], Optional[Dict[str, Any]]]:
-    """Wall-clock per-cell budget for contexts where SIGALRM cannot arm
-    (any thread but the main one, platforms without ``setitimer``).
-
-    The cell runs in a disposable spawned subprocess; the parent waits
-    ``timeout`` seconds on the result pipe and kills the child on
-    overrun. Costs one interpreter start-up per cell, which is why the
-    in-worker alarm stays the fast path."""
-    ctx = multiprocessing.get_context("spawn")
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_cell_subprocess_child,
-                       args=(child_conn, request), daemon=True)
-    proc.start()
-    child_conn.close()
-    outcome = None
-    try:
-        if parent_conn.poll(timeout):
-            outcome = parent_conn.recv()
-    except (EOFError, OSError):
-        outcome = None  # child died mid-send
-    finally:
-        parent_conn.close()
-    if outcome is None:
-        timed_out = proc.is_alive()
-        if proc.is_alive():
-            proc.kill()
-        proc.join(timeout=10)
-        if timed_out:
-            exc = CellTimeoutError(
-                f"cell exceeded its {timeout:g}s wall-clock budget "
-                f"(subprocess fallback; SIGALRM unavailable off the "
-                f"main thread)")
-            return None, _failure_info(exc, str(exc))
-        return None, _crash_failure(1)
-    proc.join(timeout=10)
-    return outcome
-
-
 def _execute_cell(
-    request: RunRequest, timeout: Optional[float] = None
+    request: RunRequest,
 ) -> Tuple[Optional[RunResult], Optional[Dict[str, Any]]]:
     """Pool worker: never raises — failures come back structured.
 
     One exception to "never raises": a :class:`SweepInterrupted` from
     the sweep's SIGINT/SIGTERM handler. With ``jobs=1`` the cell runs in
     the main process, so the handler's raise lands *inside* this frame —
-    it must unwind the whole sweep, not become a cell failure.
-
-    When a timeout is requested but the SIGALRM budget cannot arm —
-    ``run_matrix(jobs=1)`` called off the main thread, or a platform
-    without ``setitimer`` — the cell falls back to a killable
-    subprocess with an outer wall-clock wait instead of silently
-    running unbounded (``keep_gpu`` cells cannot cross a process
-    boundary and keep the historical unbounded behaviour)."""
+    it must unwind the whole sweep, not become a cell failure."""
     try:
-        with _CellAlarm(timeout) as alarm:
-            if timeout and not alarm.armed and not request.keep_gpu:
-                return _execute_cell_subprocess(request, timeout)
-            return request.execute(), None
+        return request.execute(), None
     except SweepInterrupted:
         raise
     except Exception as exc:
@@ -617,7 +469,7 @@ class MatrixResult(Sequence):
                 default: Optional[RunResult] = None) -> Optional[RunResult]:
         """Like :meth:`get` but returns ``default`` when the cell is
         missing or failed — figure code uses this to degrade to partial
-        output when a sweep lost cells to crashes or timeouts."""
+        output when a sweep lost cells to failures or crashes."""
         try:
             return self.get(benchmark, policy_name)
         except (KeyError, CellError):
@@ -634,7 +486,7 @@ class MatrixResult(Sequence):
 
 def _crash_failure(attempts: int) -> Dict[str, Any]:
     message = (
-        f"worker process died or hung before returning a result "
+        f"worker process died before returning a result "
         f"(after {attempts} attempt{'s' if attempts != 1 else ''})"
     )
     return {"type": "WorkerCrashError", "message": message,
@@ -702,24 +554,20 @@ _OnOutcome = Callable[[int, Tuple[Optional[RunResult],
 def _run_cells(
     requests: Sequence[RunRequest],
     jobs: int,
-    cell_timeout: Optional[float],
-    retries: int,
     on_outcome: Optional[_OnOutcome] = None,
     pool_holder: Optional[Dict[str, Any]] = None,
 ) -> List[Tuple[Optional[RunResult], Optional[Dict[str, Any]]]]:
-    """Execute cells, surviving hung cells and crashed workers.
+    """Execute cells, surviving crashed workers.
 
     A cell whose simulation raises is a *deterministic* failure — the
     same seed and plan would raise identically — and is recorded without
-    retry. *Environmental* failures (a cell lost to pool breakage, or a
-    :class:`CellTimeoutError` from the in-worker alarm) are resubmitted
-    to a fresh pool with exponential backoff, up to ``retries`` extra
-    rounds; a cell that keeps timing out reports its last timeout
-    failure rather than a crash.
+    retry. A cell lost to pool breakage is resubmitted to a fresh pool
+    with exponential backoff, up to ``CELL_RETRIES`` extra rounds, and
+    then reported as a ``WorkerCrashError``.
 
     ``on_outcome`` fires in the parent as each cell settles (incremental
-    cache puts); ``pool_holder``
-    exposes the live pool to the sweep's signal handler.
+    cache puts); ``pool_holder`` exposes the live pool to the sweep's
+    signal handler.
     """
     outcomes: List[Optional[Tuple[Optional[RunResult],
                                   Optional[Dict[str, Any]]]]]
@@ -733,60 +581,30 @@ def _run_cells(
 
     if jobs <= 1 or len(requests) <= 1:
         for i, req in enumerate(requests):
-            settle(i, _execute_cell(req, cell_timeout))
+            settle(i, _execute_cell(req))
         return outcomes  # type: ignore[return-value]
 
     remaining = list(range(len(requests)))
-    #: most recent environmental failure per retried cell; reported if
-    #: retries run out (more informative than a generic crash record)
-    last_failure: Dict[int, Tuple[None, Dict[str, Any]]] = {}
     attempt = 1
     while remaining:
         lost: List[int] = []
-        retryable = attempt <= retries
         try:
             with ProcessPoolExecutor(
                     max_workers=min(jobs, len(remaining))) as pool:
                 pool_holder["pool"] = pool
-                futures = {
-                    pool.submit(_execute_cell, requests[i], cell_timeout): i
-                    for i in remaining
-                }
-                # Backstop only: the in-worker alarm is the real per-cell
-                # timeout; this catches a worker too wedged for SIGALRM.
-                deadline = (
-                    None if cell_timeout is None
-                    else cell_timeout * math.ceil(len(remaining) / jobs) + 30.0
-                )
-                try:
-                    for fut in as_completed(futures, timeout=deadline):
-                        index = futures[fut]
-                        try:
-                            outcome = fut.result()
-                        except BrokenProcessPool:
-                            lost.append(index)
-                            continue
-                        except Exception as exc:  # future-level failure
-                            outcome = (
-                                None,
-                                _failure_info(exc, traceback.format_exc()),
-                            )
-                        failure = outcome[1]
-                        if (retryable and failure is not None
-                                and failure.get("classification")
-                                == "environmental"):
-                            last_failure[index] = outcome
-                            lost.append(index)
-                            continue
-                        settle(index, outcome)
-                except FuturesTimeoutError:
-                    # Force the wedged workers down so pool shutdown (and
-                    # interpreter exit) cannot hang on joining them.
-                    for proc in list(getattr(pool, "_processes", {}).values()):
-                        proc.kill()
-                    for fut, index in futures.items():
-                        if outcomes[index] is None and index not in lost:
-                            lost.append(index)
+                futures = {pool.submit(_execute_cell, requests[i]): i
+                           for i in remaining}
+                for fut in as_completed(futures):
+                    index = futures[fut]
+                    try:
+                        outcome = fut.result()
+                    except BrokenProcessPool:
+                        lost.append(index)
+                        continue
+                    except Exception as exc:  # future-level failure
+                        outcome = (
+                            None, _failure_info(exc, traceback.format_exc()))
+                    settle(index, outcome)
         except BrokenProcessPool:
             # The pool broke during submission; everything unfinished in
             # this round is lost (completed outcomes are preserved).
@@ -797,10 +615,9 @@ def _run_cells(
         remaining = sorted(set(lost))
         if not remaining:
             break
-        if attempt > retries:
+        if attempt > CELL_RETRIES:
             for index in remaining:
-                settle(index,
-                       last_failure.get(index, (None, _crash_failure(attempt))))
+                settle(index, (None, _crash_failure(attempt)))
             break
         time.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
         attempt += 1
@@ -811,8 +628,6 @@ def run_matrix(
     requests: Sequence[RunRequest],
     jobs: Optional[int] = None,
     cache: Union[ResultCache, str, None] = DEFAULT_CACHE,
-    cell_timeout: Optional[float] = None,
-    retries: Optional[int] = None,
     # kept only because perfbench's harness passes checkpoint=False
     checkpoint: bool = False,
 ) -> MatrixResult:
@@ -820,11 +635,7 @@ def run_matrix(
 
     Results come back in request order regardless of completion order.
     ``cache`` is a :class:`ResultCache`, ``None`` (no caching), or the
-    default sentinel (honours ``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR``).
-    ``cell_timeout`` (seconds, default ``REPRO_CELL_TIMEOUT``) bounds
-    each cell's wall-clock time; ``retries`` (default
-    ``REPRO_CELL_RETRIES``) bounds resubmission of environmentally
-    failed cells (crashed workers, timeouts).
+    default sentinel (:func:`~repro.experiments.cache.default_cache`).
 
     Each completed cell is put into the cache as it settles, so an
     interrupted sweep resumes by re-running it with the same cache.
@@ -834,8 +645,6 @@ def run_matrix(
             "checkpoint=True is gone: the result cache now resumes an "
             "interrupted sweep (re-run it with the same cache)")
     jobs = resolve_jobs(jobs)
-    cell_timeout = resolve_cell_timeout(cell_timeout)
-    retries = resolve_cell_retries(retries)
     if cache == DEFAULT_CACHE:
         cache = default_cache()
     if jobs > 1 and any(req.keep_gpu for req in requests):
@@ -886,8 +695,7 @@ def run_matrix(
     pool_holder: Dict[str, Any] = {}
     with _SweepSignals(pool_holder, cached=cache is not None):
         outcomes = _run_cells([req for (_k, req, _idx) in pending], jobs,
-                              cell_timeout, retries, on_outcome=on_outcome,
-                              pool_holder=pool_holder)
+                              on_outcome=on_outcome, pool_holder=pool_holder)
 
     for (_key, req, indices), (result, failure) in zip(pending, outcomes):
         for position, index in enumerate(indices):

@@ -32,8 +32,6 @@ Cell expected-failure modes (``bundle["expected"]["mode"]``):
     scenario is shrunk)
 ``exception``
     the simulation must raise the same exception type
-``timeout``
-    the cell must exceed its recorded wall-clock budget again
 ``race``
     replayed with the dynamic sync sanitizer attached, the run must
     report at least one data race or lock error
@@ -105,9 +103,6 @@ def derive_expected(
                 "mode": "diagnosis",
                 "signature": diagnosis_signature(failure["diagnosis"]),
             }
-        if failure.get("type") == "CellTimeoutError":
-            return {"mode": "timeout",
-                    "seconds": failure.get("timeout_seconds", 60.0)}
         return {"mode": "exception", "type": failure.get("type", "Exception")}
     if result is not None and getattr(result, "deadlocked", False):
         signature = diagnosis_signature(result.diagnosis)

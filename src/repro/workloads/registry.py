@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import signal
-import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
@@ -354,10 +353,10 @@ _register(BenchmarkSpec(
 # ---------------------------------------------------------------------------
 # Stress drills live in their own registry, NOT in BENCHMARKS: figure
 # code iterates BENCHMARKS and builds every entry, and a drill that
-# sleeps or SIGKILLs must never run there. They still resolve through
+# SIGKILLs must never run there. They still resolve through
 # get_spec/build_benchmark in any process, including fresh pool
-# workers, which is what makes them usable as crash/timeout drills for
-# the experiment matrix.
+# workers, which is what makes them usable as crash drills for the
+# experiment matrix.
 
 _STRESS_DRILLS: Dict[str, BenchmarkSpec] = {}
 
@@ -372,32 +371,19 @@ def _register_stress(spec: BenchmarkSpec) -> None:
 STRESS_KILL_ENV = "REPRO_STRESS_KILL"
 
 
-def _stress_builder(mode: str) -> Callable:
+def _kill_builder() -> Callable:
     base = _mutex_builder(_spin, local_scope=False)
 
     def build(spec: BenchmarkSpec, gpu: "GPU", params: BenchmarkParams) -> Kernel:
-        if mode == "hang":
-            # Wall-clock hang (not simulated time): exercises the
-            # per-cell SIGALRM budget, which interrupts the sleep.
-            time.sleep(3600)
-        elif mode == "kill":
-            sentinel = os.environ.get(STRESS_KILL_ENV)
-            if sentinel and os.path.exists(sentinel):
-                os.remove(sentinel)
-                os.kill(os.getpid(), signal.SIGKILL)
+        sentinel = os.environ.get(STRESS_KILL_ENV)
+        if sentinel and os.path.exists(sentinel):
+            os.remove(sentinel)
+            os.kill(os.getpid(), signal.SIGKILL)
         return base(spec, gpu, params)
 
     return build
 
 
-_register_stress(BenchmarkSpec(
-    abbrev="_HANG", full_name="StressHang",
-    description="wall-clock hang; drills REPRO_CELL_TIMEOUT",
-    category="stress", scope="G",
-    builder=_stress_builder("hang"),
-    resources=_profile(7, 64, 0),
-    table2=Table2Row("-", "-", "-", "-", "-"),
-))
 def _racy_builder(spec: BenchmarkSpec, gpu: "GPU", params: BenchmarkParams) -> Kernel:
     mutexes = [SpinMutex(gpu)]
     data_addrs = [mutexes[0].home_addr + 8]
@@ -440,7 +426,7 @@ _register_stress(BenchmarkSpec(
     abbrev="_KILL", full_name="StressKill",
     description="SIGKILLs its worker once; drills BrokenProcessPool recovery",
     category="stress", scope="G",
-    builder=_stress_builder("kill"),
+    builder=_kill_builder(),
     resources=_profile(7, 64, 0),
     table2=Table2Row("-", "-", "-", "-", "-"),
 ))

@@ -63,7 +63,7 @@ def test_lf_tree_barrier_elects_leader_and_root_roles():
 
 
 def test_stress_drill_has_no_protocol():
-    analysis = analyze_benchmark("_HANG")
+    analysis = analyze_benchmark("_KILL")
     assert analysis.edges == []
     assert analysis.errors, "a drill without a protocol must say so"
 

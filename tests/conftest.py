@@ -1,5 +1,6 @@
-"""Shared test configuration: hypothesis settings profiles and the
-``disk`` fixture for the durable writers.
+"""Shared test configuration: hypothesis settings profiles, a
+session-wide private result cache, and the ``disk`` fixture for the
+durable writers.
 
 Per-test ``@settings(...)`` used to repeat ``deadline=None`` inline in
 every property test; the profiles below centralize it. ``deadline`` is
@@ -29,6 +30,21 @@ if settings is not None:
     settings.register_profile("default", deadline=None)
     settings.register_profile("ci", deadline=None, derandomize=True)
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _private_result_cache(tmp_path_factory):
+    """Point the default result cache at a fresh directory for the whole
+    session. Tests that run figures through the default cache must
+    neither fill the user's real cache nor be served from it. Set in
+    ``os.environ`` so subprocesses the tests start inherit it too."""
+    previous = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("cache"))
+    yield
+    if previous is None:
+        os.environ.pop("REPRO_CACHE_DIR", None)
+    else:
+        os.environ["REPRO_CACHE_DIR"] = previous
 
 
 class FakeDisk:

@@ -7,14 +7,15 @@ change for a respecified-but-identical cell.
 """
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.core.policies import awg, monnr_one, sleep
 from repro.errors import ConfigError
 from repro.experiments.cache import (
-    ResultCache, cache_enabled, code_fingerprint, default_cache,
-    default_cache_dir,
+    ResultCache, code_fingerprint, default_cache, default_cache_dir,
+    payload_digest,
 )
 from repro.experiments.matrix import RunRequest
 from repro.experiments.runner import QUICK_SCALE, RunResult
@@ -208,15 +209,14 @@ def test_clear_and_entry_count(cache):
 
 
 def test_clear_removes_only_what_the_cache_wrote(cache, tmp_path):
-    """``clear()`` deletes entries, temp residue, emptied shards and
-    ``quarantine/``; a cache root pointed at a directory holding other
+    """``clear()`` deletes entries (torn ones too), temp residue and
+    emptied shards; a cache root pointed at a directory holding other
     files must not lose them."""
     result = _simple_result()
     for key in ("a" * 64, "b" * 64, "c" * 64):
         cache.put(key, result)
     torn = cache._path("c" * 64)
     torn.write_text("{")
-    cache.verify()  # quarantines the torn entry
     (tmp_path / "aa" / f".{'a' * 64}.json.123.tmp").write_text("residue")
     foreign = [tmp_path / "notes.txt", tmp_path / "work" / "data.json",
                tmp_path / "bb" / "README"]
@@ -224,7 +224,7 @@ def test_clear_removes_only_what_the_cache_wrote(cache, tmp_path):
         path.parent.mkdir(exist_ok=True)
         path.write_text("not the cache's")
 
-    assert cache.clear() == 2
+    assert cache.clear() == 3
     assert all(path.read_text() == "not the cache's" for path in foreign)
     assert cache.entry_count() == 0
     assert sorted(p.relative_to(tmp_path).as_posix()
@@ -235,17 +235,8 @@ def test_clear_removes_only_what_the_cache_wrote(cache, tmp_path):
 def test_env_opt_outs(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
     assert default_cache_dir() == tmp_path / "c"
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    assert not cache_enabled()
-    assert default_cache() is None
-    monkeypatch.delenv("REPRO_NO_CACHE")
-    assert cache_enabled()
     assert default_cache().root == tmp_path / "c"
 
-
-# ---------------------------------------------------------------------------
-# integrity verification (`python -m repro cache --verify`)
-# ---------------------------------------------------------------------------
 
 def _simple_result(cycles=1):
     return RunResult(
@@ -256,82 +247,62 @@ def _simple_result(cycles=1):
     )
 
 
-def test_verify_clean_cache_is_clean(cache):
-    cache.put("1" * 64, _simple_result())
-    cache.put("2" * 64, _simple_result(cycles=2))
-    report = cache.verify()
-    assert report.clean
-    assert report.checked == 2 and report.ok == 2
-    assert "2 intact" in report.render()
+# ---------------------------------------------------------------------------
+# integrity check on every read
+# ---------------------------------------------------------------------------
+
+def _truncate(document, text):
+    return text[:40]
 
 
-def test_verify_quarantines_truncated_entry(cache):
-    """A truncated (torn-write) entry fails the digest check, is moved
-    into quarantine/, and the verify exit is dirty."""
-    good, bad = "1" * 64, "2" * 64
-    cache.put(good, _simple_result())
-    cache.put(bad, _simple_result(cycles=9))
-    path = cache._path(bad)
-    path.write_text(path.read_text()[:40])  # truncate mid-document
-    report = cache.verify(quarantine=True)
-    assert not report.clean
-    assert report.checked == 2 and report.ok == 1
-    assert len(report.corrupt) == 1
-    entry = report.corrupt[0]
-    assert entry["path"] == str(path)
-    assert not path.exists()  # moved out of the live cache...
-    quarantined = cache.root / "quarantine" / path.name
-    assert quarantined.exists()  # ...into quarantine for inspection
-    assert entry["quarantined_to"] == str(quarantined)
-    # the quarantined entry no longer counts as a live entry
-    assert cache.entry_count() == 1
-    # and a re-verify of the survivors is clean
-    assert cache.verify().clean
+def _drop_result(document, text):
+    del document["result"]
 
 
-def test_verify_detects_payload_tampering(cache):
-    """Valid JSON whose payload no longer matches its recorded digest
-    (bit rot, manual edits) is corrupt even though it parses."""
-    import json
+def _pre_digest(document, text):
+    del document["digest"], document["key"]
 
-    key = "3" * 64
+
+def _foreign_key(document, text):
+    document["key"] = "5" * 64
+
+
+def _tamper_payload(document, text):
+    document["result"]["cycles"] = 999_999  # silent corruption
+
+
+def _unbuildable_payload(document, text):
+    # an unknown field: the digest is re-stamped so only the rebuild
+    # of the RunResult can catch it
+    document["result"]["no_such_field"] = 1
+    document["digest"] = payload_digest(document["result"])
+
+
+@pytest.mark.parametrize("corrupt, problem", [
+    (_truncate, "unreadable JSON"),
+    (_drop_result, "no result payload"),
+    (_pre_digest, "pre-digest"),
+    (_foreign_key, "does not match filename"),
+    (_tamper_payload, "digest mismatch"),
+    (_unbuildable_payload, "does not reconstruct a RunResult"),
+], ids=["truncated", "no-result", "pre-digest", "key-mismatch",
+        "digest-mismatch", "not-a-RunResult"])
+def test_get_heals_every_corruption_the_check_names(cache, corrupt, problem):
+    """Each corruption trips its own branch of the per-read check, and
+    ``get()`` deletes the entry and reports a miss, so the cell
+    re-simulates instead of being served."""
+    key = "4" * 64
     cache.put(key, _simple_result(cycles=7))
     path = cache._path(key)
-    document = json.loads(path.read_text())
-    document["result"]["cycles"] = 999_999  # silent corruption
-    path.write_text(json.dumps(document))
-    report = cache.verify(quarantine=False)
-    assert not report.clean
-    assert "digest mismatch" in report.corrupt[0]["problem"]
-    assert path.exists()  # quarantine=False only reports
-
-
-def test_verify_flags_key_filename_mismatch(cache):
-    key = "4" * 64
-    cache.put(key, _simple_result())
-    path = cache._path(key)
-    misplaced = cache.root / "55" / ("5" * 64 + ".json")
-    misplaced.parent.mkdir(parents=True, exist_ok=True)
-    misplaced.write_text(path.read_text())
-    report = cache.verify(quarantine=False)
-    assert len(report.corrupt) == 1
-    problems = {e["path"]: e["problem"] for e in report.corrupt}
-    assert str(misplaced) in problems
-    assert "does not match" in problems[str(misplaced)]
-
-
-def test_verify_flags_pre_digest_entries(cache):
-    """Entries written before digests existed can't prove integrity."""
-    import json
-
-    path = cache.root / "66" / ("6" * 64 + ".json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    body = {name: getattr(_simple_result(), name)
-            for name in ("benchmark", "policy", "scenario", "cycles")}
-    path.write_text(json.dumps({"result": body}))
-    report = cache.verify(quarantine=False)
-    assert not report.clean
-    assert "pre-digest" in report.corrupt[0]["problem"]
+    text = path.read_text()
+    document = json.loads(text)
+    replacement = corrupt(document, text)
+    path.write_text(replacement if replacement is not None
+                    else json.dumps(document))
+    assert problem in cache._check_entry(path)[1]
+    assert cache.get(key) is None
+    assert cache.healed == 1
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +348,7 @@ def test_concurrent_puts_leave_one_intact_entry(cache, tmp_path):
     for proc in rivals:
         assert proc.wait(timeout=60) == 0
     assert cache.get(key).cycles == 7
-    assert cache.verify().clean
+    assert cache.healed == 0
     residue = [p.name for p in cache._path(key).parent.iterdir()
                if p.name != f"{key}.json"]
     assert residue == [], f"leftover temp files: {residue}"
-
-
-def test_cli_cache_verify_exits_nonzero_on_corruption(tmp_path, monkeypatch):
-    from repro.cli import main
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cache = ResultCache(tmp_path)
-    key = cache.key_for({"benchmark": "SPM_G"})
-    cache.put(key, _simple_result())
-    assert main(["cache", "--verify"]) == 0
-    path = cache._path(key)
-    path.write_text(path.read_text()[:25])
-    assert main(["cache", "--verify"]) == 1
-    assert main(["cache", "--verify"]) == 0  # quarantined on first pass

@@ -72,9 +72,6 @@ def test_derive_expected_modes():
     assert derive_expected(failure=_failure())["signature"] == \
         {"kind": "deadlock"}
     assert derive_expected(
-        failure={"type": "CellTimeoutError", "message": ""}) == \
-        {"mode": "timeout", "seconds": 60.0}
-    assert derive_expected(
         failure={"type": "ValueError", "message": "boom"}) == \
         {"mode": "exception", "type": "ValueError"}
     with pytest.raises(ConfigError, match="expected"):

@@ -18,7 +18,7 @@ def test_list(capsys):
     assert "awg" in out
     assert "faults" in out
     assert "chaos" in out  # fault plans are listed too
-    assert "_HANG" not in out  # stress drills never surface
+    assert "_KILL" not in out  # stress drills never surface
     policies = next(line for line in out.splitlines()
                     if line.startswith("policies:"))
     for key in all_policy_names():
