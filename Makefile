@@ -10,23 +10,21 @@
 #                      its committed scale into results/, failing on any
 #                      shape check (`python -m repro all --out results`)
 #   make faults-smoke  fault-injection campaign, smoke scale (IFP table)
-#   make trace-smoke   export one trace and validate the Perfetto schema
 #   make litmus-smoke  seeded litmus corpus + generated programs vs the
 #                      golden policy set; violating runs drop shrunken
 #                      repro bundles into .litmus-bundles/
 #   make clean-cache   drop the on-disk result cache
 #
 # Knobs: REPRO_JOBS (worker processes), REPRO_CACHE_DIR (cache root; an
-# interrupted sweep resumes from it when re-run), REPRO_DEBUG_OPS=1
-# (report device ops called without yield from).
+# interrupted sweep resumes from it when re-run).
 # Test hook: REPRO_STRESS_KILL (sentinel file: the _KILL benchmark
 # SIGKILLs its worker once).
 
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint analyze analyze-golden bench faults-smoke trace-smoke \
-	litmus-smoke clean-cache
+.PHONY: test lint analyze analyze-golden bench faults-smoke litmus-smoke \
+	clean-cache
 
 test:
 	$(PY) -m pytest -x -q
@@ -46,11 +44,6 @@ bench:
 
 faults-smoke:
 	$(PY) -m repro faults --seed 1 --smoke --no-cache
-
-trace-smoke:
-	$(PY) -m repro trace FAM_G awg --quick --out .trace-smoke.json
-	$(PY) -m repro.trace.export .trace-smoke.json
-	rm -f .trace-smoke.json
 
 litmus-smoke:
 	$(PY) -m repro litmus run --smoke --seed 1 --bundles .litmus-bundles --shrink

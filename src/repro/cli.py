@@ -411,9 +411,6 @@ def _run_trace(opts, parser) -> int:
     print(f"  events:     {sidecar['recorded']:,} recorded, "
           f"{sidecar['dropped']:,} dropped (ring bound "
           f"{trace_cfg.buffer_size:,})")
-    for key in sorted(res.stats):
-        if key.startswith("trace.") and not key.startswith("trace.count."):
-            print(f"  {key}: {res.stats[key]:,.0f}")
     print(f"  wrote {out} — open at https://ui.perfetto.dev "
           f"or chrome://tracing")
     if problems:

@@ -72,11 +72,3 @@ def check(result: ExperimentResult) -> None:
                    if row["Saved Contexts"] > 0)
     assert switched >= len(result.data) // 2
 
-
-def from_trace(trace) -> dict:
-    """The Figure 13 structure sizes derived from one exported trace
-    (requires the ``sync`` and ``cp`` categories) instead of the
-    ``cp.ds.*`` stats — same numbers, trace stream as source of truth."""
-    from repro.trace.derive import cp_structure_bytes
-
-    return cp_structure_bytes(trace)

@@ -70,13 +70,3 @@ def check(result: ExperimentResult) -> None:
         for policy in ("MonRS-All", "MonR-All", "MonNR-All"):
             assert result.data[name][policy] < 2.5, (name, policy)
 
-
-def from_traces(traces) -> dict:
-    """Figure 9's metric derived from exported traces instead of stats:
-    ``traces`` maps policy name -> Chrome-trace document for one
-    (benchmark, scenario). Requires the ``mem`` trace category; returns
-    per-policy atomic counts normalized to MinResume. The property suite
-    asserts this agrees with the stats-based :func:`run` pipeline."""
-    from repro.trace.derive import wait_efficiency
-
-    return wait_efficiency(traces, oracle="MinResume")

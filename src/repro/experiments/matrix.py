@@ -579,7 +579,7 @@ def _run_cells(
         if on_outcome is not None:
             on_outcome(index, outcome)
 
-    if jobs <= 1 or len(requests) <= 1:
+    if jobs <= 1:
         for i, req in enumerate(requests):
             settle(i, _execute_cell(req))
         return outcomes  # type: ignore[return-value]

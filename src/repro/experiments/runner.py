@@ -183,7 +183,6 @@ def run_benchmark(
         trace = gpu.tracer.export_chrome(
             label=f"{name}/{policy.name}/{scenario.label}"
         )
-        stats.update(gpu.tracer.metrics())
     return RunResult(
         benchmark=name,
         policy=policy.name,

@@ -7,10 +7,9 @@ compact ASCII strips (one character per time bucket).
 
 The strips are built from the structured trace stream
 (:mod:`repro.trace`): ``trace_run`` turns on the ``wg`` category, the
-tracer records one span per state a WG occupies, and the renderers below
-consume either the live ``GPU.state_trace`` view or an exported
-Chrome-trace document (:func:`render_timeline_from_trace`) — one source
-of truth for the live and offline views.
+tracer records one span per state a WG occupies, and the renderer below
+reads them through the ``GPU.state_trace`` view. The same spans open in
+Perfetto from ``python -m repro trace ... --out t.json``.
 
 Legend: ``.`` pending, ``R`` running, ``s`` stalled, ``x`` switching out,
 ``o`` switched out, ``r`` ready, ``i`` resuming (swap-in), ``#`` done.
@@ -18,14 +17,13 @@ Legend: ``.`` pending, ``R`` running, ``s`` stalled, ``x`` switching out,
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Dict, List
 
 from repro.core.policies import PolicySpec
 from repro.gpu.config import GPUConfig
 from repro.gpu.gpu import GPU
 from repro.gpu.workgroup import WGState
 from repro.trace import TraceConfig
-from repro.trace.derive import wg_state_transitions
 from repro.workloads.registry import build_benchmark
 
 _GLYPH = {
@@ -84,16 +82,13 @@ def trace_run(
     return gpu, outcome
 
 
-def _render_strips(
-    transitions: List[Tuple[int, int, WGState]],
-    wg_ids: List[int],
-    end: int,
-    width: int,
-) -> str:
-    end = max(1, end)
+def render_timeline(gpu: GPU, width: int = 100) -> str:
+    """ASCII strip chart of every WG's state over the whole run."""
+    wg_ids = [wg.wg_id for wg in gpu.wgs]
+    end = max(1, gpu.env.now)
     bucket = max(1, end // width)
     per_wg: Dict[int, List[tuple]] = {wg_id: [] for wg_id in wg_ids}
-    for cycle, wg_id, state in transitions:
+    for cycle, wg_id, state in gpu.state_trace:
         per_wg.setdefault(wg_id, []).append((cycle, state))
     lines = [f"one column = {bucket:,} cycles; run = {end:,} cycles"]
     for wg_id in wg_ids:
@@ -110,28 +105,6 @@ def _render_strips(
         lines.append(f"WG{wg_id:>3d} |{''.join(strip)}|")
     lines.append(_LEGEND)
     return "\n".join(lines)
-
-
-def render_timeline(gpu: GPU, width: int = 100) -> str:
-    """ASCII strip chart of every WG's state over the whole run."""
-    return _render_strips(
-        gpu.state_trace, [wg.wg_id for wg in gpu.wgs], gpu.env.now, width
-    )
-
-
-def render_timeline_from_trace(trace: Dict[str, Any], width: int = 100) -> str:
-    """The same strip chart, rebuilt from an exported Chrome-trace
-    document (``python -m repro trace ... --out t.json``)."""
-    transitions = [
-        (cycle, wg_id, WGState(name))
-        for cycle, wg_id, name in wg_state_transitions(trace)
-    ]
-    wg_ids = sorted({wg_id for _c, wg_id, _s in transitions})
-    end = max((c + 1 for c, _w, _s in transitions), default=1)
-    for ev in trace["traceEvents"]:
-        if ev.get("ph") == "X":
-            end = max(end, ev["ts"] + ev["dur"])
-    return _render_strips(transitions, wg_ids, end, width)
 
 
 def policy_signature(gpu: GPU, wg_id: int = 0) -> List[str]:

@@ -98,9 +98,6 @@ class GPUConfig:
     #: advancement before declaring livelock (0 disables the check)
     livelock_windows: int = 8
     seed: int = 1
-    #: record every WG state transition (Figure 6 timeline rendering);
-    #: legacy switch, equivalent to ``trace=TraceConfig(categories=("wg",))``
-    trace_states: bool = False
     #: structured event tracing (:mod:`repro.trace`): category filters +
     #: bounded ring buffer; None disables tracing entirely (zero cost)
     trace: Optional[TraceConfig] = None

@@ -16,17 +16,14 @@ Kernel bodies are generators; every operation is invoked as
 Every op begins with a preamble that charges SIMD issue bandwidth and
 honours forced eviction (kernel-scheduler preemption) at op boundaries.
 
-With ``REPRO_DEBUG_OPS=1`` in the environment, every device op returned
-by the ctx is wrapped so that calling it *without* ``yield from`` (the
-single most common kernel-authoring mistake — the op silently never
-executes) is detected when the unstarted generator is garbage-collected,
-and surfaced as a :class:`~repro.errors.DeviceError` naming the op.
+Calling an op *without* ``yield from`` builds a generator that never
+runs, so the op silently never executes. The kernel linter's
+``missing-yield-from`` rule (``python -m repro lint``) flags that
+statically.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.core.conditions import WaitCondition
@@ -40,73 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.gpu import GPU
     from repro.gpu.workgroup import WGState, WorkGroup
     from repro.sim.resources import FifoResource
-
-
-class _TrackedOp:
-    """Generator proxy that reports device ops dropped without ``yield from``.
-
-    Delegates the full generator protocol (PEP 380), so ``yield from`` and
-    ``return`` values behave identically to the bare generator. If the op
-    is finalized without ever being started — i.e. the kernel called
-    ``ctx.op(...)`` as a statement and discarded the result — the drop is
-    recorded on ``gpu.dropped_ops`` and reported as a DeviceError at the
-    next op preamble (or at end of run). CPython's refcounting collects
-    the discarded proxy at the offending statement, deterministically.
-    """
-
-    __slots__ = ("_gen", "_name", "_ctx", "_started", "_closed")
-
-    def __init__(self, gen, name: str, ctx: "WavefrontCtx") -> None:
-        self._gen = gen
-        self._name = name
-        self._ctx = ctx
-        self._started = False
-        self._closed = False
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        self._started = True
-        return next(self._gen)
-
-    def send(self, value):
-        self._started = True
-        return self._gen.send(value)
-
-    def throw(self, *exc_info):
-        self._started = True
-        return self._gen.throw(*exc_info)
-
-    def close(self):
-        self._closed = True
-        self._gen.close()
-
-    def __del__(self):
-        if not self._started and not self._closed:
-            ctx = self._ctx
-            ctx.gpu.dropped_ops.append(
-                {"wg": ctx.wg_id, "wf": ctx.wf_id, "op": self._name}
-            )
-            self._gen.close()
-
-
-def device_op(fn):
-    """Mark a :class:`WavefrontCtx` generator method as a device op.
-
-    Under ``REPRO_DEBUG_OPS=1`` the generator it returns is wrapped in
-    :class:`_TrackedOp`; otherwise the bare generator is returned with
-    zero overhead.
-    """
-
-    @functools.wraps(fn)
-    def wrapper(self, *args, **kwargs):
-        gen = fn(self, *args, **kwargs)
-        if self._debug_ops:
-            return _TrackedOp(gen, fn.__name__, self)
-        return gen
-
-    return wrapper
 
 
 class WavefrontCtx:
@@ -124,7 +54,6 @@ class WavefrontCtx:
         self.wf_id = wf_id
         self.simd = simd
         self.args = wg.kernel.args
-        self._debug_ops = os.environ.get("REPRO_DEBUG_OPS") == "1"
 
     def __getattr__(self, name: str):
         # Lazily bound device counters: ``self._c_loads()`` resolves to the
@@ -177,18 +106,10 @@ class WavefrontCtx:
             yield wg.gate
 
     def _preamble(self):
-        if self._debug_ops and self.gpu.dropped_ops:
-            drop = self.gpu.dropped_ops[0]
-            raise DeviceError(
-                f"device op ctx.{drop['op']}() was called without 'yield from' "
-                f"by WG{drop['wg']} wf{drop['wf']} and never executed "
-                f"(REPRO_DEBUG_OPS=1)"
-            )
         yield from self._interrupt_point()
         yield self.simd.service(self.gpu.config.issue_cycles)
 
     # -- compute and plain memory ---------------------------------------------
-    @device_op
     def compute(self, cycles: int):
         """Burn ``cycles`` of ALU work.
 
@@ -206,7 +127,6 @@ class WavefrontCtx:
                 yield from self._interrupt_point()
         return None
 
-    @device_op
     def load(self, addr: int):
         """Plain (cached) load; returns the word value."""
         yield from self._preamble()
@@ -216,7 +136,6 @@ class WavefrontCtx:
         )
         return value
 
-    @device_op
     def store(self, addr: int, value: int):
         """Write-through store; completes at the L2."""
         yield from self._preamble()
@@ -226,19 +145,16 @@ class WavefrontCtx:
         )
         return None
 
-    @device_op
     def lds_read(self, index: int):
         """Read the WG's local data share (scratchpad)."""
         yield from self._preamble()
         return self.wg.lds.get(index, 0)
 
-    @device_op
     def lds_write(self, index: int, value: int):
         yield from self._preamble()
         self.wg.lds[index] = wrap32(value)
         return None
 
-    @device_op
     def s_sleep(self, cycles: int):
         """The GCN ``s_sleep`` instruction: stall without releasing
         resources (no issue charge while asleep)."""
@@ -246,7 +162,6 @@ class WavefrontCtx:
         yield self.env.timeout(max(1, cycles))
         return None
 
-    @device_op
     def syncthreads(self):
         """WG-local barrier among the WG's wavefronts."""
         yield from self._preamble()
@@ -258,7 +173,6 @@ class WavefrontCtx:
         self.gpu.note_progress(tag)
 
     # -- plain atomics -----------------------------------------------------------
-    @device_op
     def atomic(
         self,
         op: AtomicOp,
@@ -274,38 +188,31 @@ class WavefrontCtx:
         )
         return res
 
-    @device_op
     def atomic_load(self, addr: int):
         res = yield from self.atomic(AtomicOp.LOAD, addr)
         return res.old
 
-    @device_op
     def atomic_add(self, addr: int, value: int = 1):
         res = yield from self.atomic(AtomicOp.ADD, addr, value)
         return res.old
 
-    @device_op
     def atomic_sub(self, addr: int, value: int = 1):
         res = yield from self.atomic(AtomicOp.SUB, addr, value)
         return res.old
 
-    @device_op
     def atomic_exch(self, addr: int, value: int):
         res = yield from self.atomic(AtomicOp.EXCH, addr, value)
         return res.old
 
-    @device_op
     def atomic_store(self, addr: int, value: int):
         yield from self.atomic(AtomicOp.STORE, addr, value)
         return None
 
-    @device_op
     def atomic_cas(self, addr: int, compare: int, swap: int):
         res = yield from self.atomic(AtomicOp.CAS, addr, compare, swap)
         return res.old
 
     # -- the waiting entry point ----------------------------------------------------
-    @device_op
     def sync_wait(
         self,
         addr: int,
@@ -424,7 +331,6 @@ class WavefrontCtx:
         return outcome
 
     # -- convenience acquire patterns used by the sync library ------------------
-    @device_op
     def acquire_test_and_set(self, lock_addr: int, software_backoff: bool = False):
         """Acquire a test-and-set lock: exchange 1, wait for old == 0."""
         res = yield from self.sync_wait(
@@ -437,7 +343,6 @@ class WavefrontCtx:
         )
         return res
 
-    @device_op
     def wait_for_value(
         self,
         addr: int,

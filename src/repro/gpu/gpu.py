@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.monitor_log import MonitorLog
 from repro.core.policies import PolicySpec
 from repro.core.syncmon import SyncMon
-from repro.errors import DeadlockError, DeviceError
+from repro.errors import DeadlockError
 from repro.faults.injector import FaultInjector
 from repro.gpu.compute_unit import ComputeUnit
 from repro.gpu.config import GPUConfig
@@ -35,7 +35,6 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStream
 from repro.sim.stats import StatRegistry
-from repro.trace.config import TraceConfig
 from repro.trace.tracer import Tracer
 
 
@@ -74,13 +73,10 @@ class GPU:
         self.env = Engine()
         self.rng = RngStream(seed if seed is not None else config.seed, "gpu")
         self.stats = StatRegistry(self.env)
-        trace_cfg = config.trace
-        if trace_cfg is None and config.trace_states:
-            trace_cfg = TraceConfig(categories=("wg",))
         #: structured event tracer (:mod:`repro.trace`); None = tracing off
         self.tracer: Optional[Tracer] = (
-            Tracer(self.env, trace_cfg, self.stats)
-            if trace_cfg is not None else None
+            Tracer(self.env, config.trace)
+            if config.trace is not None else None
         )
         self.store = BackingStore()
         self.hierarchy = MemoryHierarchy(self.env, config, self.store)
@@ -95,7 +91,6 @@ class GPU:
         self.dispatcher = Dispatcher(self)
         self.cp = CommandProcessor(self)
         self.hierarchy.atomic_observer = self.syncmon.on_atomic
-        self.hierarchy.tracer = self.tracer
         self.syncmon.tracer = self.tracer
         self.syncmon.resume_hook = self.dispatcher.notify_met
         self.wgs: List[WorkGroup] = []
@@ -108,9 +103,6 @@ class GPU:
         self.fault_injector: Optional[FaultInjector] = None
         if config.fault_plan is not None and not config.fault_plan.is_noop:
             self.fault_injector = FaultInjector(self, config.fault_plan)
-        #: device ops created but never started (REPRO_DEBUG_OPS=1);
-        #: each entry is {"wg", "wf", "op"} — see device_api._TrackedOp
-        self.dropped_ops: List[Dict[str, Any]] = []
         self.sanitizer = None
         if config.sanitize:
             from repro.analysis.sanitizer import SyncSanitizer  # cycle
@@ -290,16 +282,6 @@ class GPU:
             for metric, value in env.metrics().items():
                 self.tracer.counter("engine", f"engine.{metric}", value)
             self.tracer.finish()
-
-        if self.dropped_ops:
-            # REPRO_DEBUG_OPS=1: a dropped op with no later op to report
-            # it from (e.g. the kernel's last statement) surfaces here.
-            drop = self.dropped_ops[0]
-            raise DeviceError(
-                f"device op ctx.{drop['op']}() was called without 'yield from' "
-                f"by WG{drop['wg']} wf{drop['wf']} and never executed "
-                f"(REPRO_DEBUG_OPS=1; {len(self.dropped_ops)} dropped op(s))"
-            )
 
         diagnosis: Optional[Dict[str, Any]] = None
         if deadlocked:

@@ -66,10 +66,6 @@ class MemoryHierarchy:
         #: optional dynamic race detector (repro.analysis.sanitizer);
         #: installed by the GPU when config.sanitize is set
         self.sanitizer = None
-        #: structured event tracer (installed by the GPU; None = off).
-        #: Memory ops are far too frequent for per-event ring records, so
-        #: the hierarchy only ticks exact aggregate counts ("mem" category).
-        self.tracer = None
         #: extra cycles added to every L2/DRAM completion while a fault-
         #: injected memory-latency spike window is open (0 = no spike)
         self.fault_extra_latency = 0
@@ -87,8 +83,6 @@ class MemoryHierarchy:
     def load(self, cu_id: int, addr: int, wg_id: Optional[int] = None) -> Event:
         """Read a word; fires with the value after the access latency."""
         self.load_count += 1
-        if self.tracer is not None:
-            self.tracer.count("mem", "load")
         if self.sanitizer is not None and wg_id is not None:
             self.sanitizer.on_load(wg_id, addr)
         cfg = self.config
@@ -105,8 +99,6 @@ class MemoryHierarchy:
     ) -> Event:
         """Write-through store; fires when the write reaches the L2."""
         self.store_count += 1
-        if self.tracer is not None:
-            self.tracer.count("mem", "store")
         if self.sanitizer is not None and wg_id is not None:
             self.sanitizer.on_store(wg_id, addr)
         cfg = self.config
@@ -180,8 +172,6 @@ class MemoryHierarchy:
         idiom) occupy the bank like any read-modify-write.
         """
         self.atomic_count += 1
-        if self.tracer is not None:
-            self.tracer.count("mem", "atomic")
         cfg = self.config
         # Atomics bypass the L1 (performed at L2); invalidate any stale
         # L1 copy so later plain loads see a miss.
@@ -213,8 +203,6 @@ class MemoryHierarchy:
     # -- bulk transfers (context save/restore) -------------------------------
     def bulk_transfer(self, nbytes: int) -> Event:
         """Model a context save/restore as a DRAM-bandwidth-bound burst."""
-        if self.tracer is not None:
-            self.tracer.count("mem", "bulk_transfer")
         cfg = self.config
         blocks = max(1, (nbytes + cfg.block_bytes - 1) // cfg.block_bytes)
         cycles = blocks * cfg.dram_service

@@ -1,10 +1,10 @@
-"""Structured execution tracing and metrics export (:mod:`repro.trace`).
+"""Structured execution tracing (:mod:`repro.trace`).
 
 A :class:`~repro.trace.tracer.Tracer` is attached to a
 :class:`~repro.gpu.gpu.GPU` when :class:`~repro.gpu.config.GPUConfig`
 carries a :class:`~repro.trace.config.TraceConfig`. Instrumentation
-sites throughout the simulator (dispatcher, work-groups, SyncMon,
-Command Processor, preemption, fault injector, memory hierarchy) emit
+sites in the simulator (dispatcher, work-groups, SyncMon, Command
+Processor, preemption, fault injector, end-of-run engine health) emit
 typed events into a bounded ring buffer:
 
 - **spans** for WG residency: one per state the WG occupies
@@ -16,14 +16,12 @@ typed events into a bounded ring buffer:
 
 When ``GPUConfig.trace`` is None every instrumentation site reduces to
 one attribute check (``gpu.tracer is None``) — tracing is zero-cost
-when off and never alters simulated timing when on.
+when off and never alters simulated timing or stats when on.
 
-Exports: Chrome/Perfetto ``trace_event`` JSON
+The tracer only records; every number a figure reads comes from the
+run's stats. The export is Chrome/Perfetto ``trace_event`` JSON
 (:func:`~repro.trace.export.write_chrome_trace`, loadable at
-https://ui.perfetto.dev) and a flat metrics snapshot
-(:meth:`Tracer.metrics`). :mod:`repro.trace.derive` rebuilds the
-Figure 6 state timelines and the Figure 9/13 stat derivations from the
-exported trace, making the event stream the single source of truth.
+https://ui.perfetto.dev), e.g. the Figure 6 per-WG state timelines.
 """
 
 from repro.trace.config import CATEGORIES, TraceConfig

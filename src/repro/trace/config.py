@@ -16,7 +16,6 @@ CATEGORIES: Tuple[str, ...] = (
     "preempt",   # CU loss/restore and forced evictions
     "fault",     # injected faults (mirrors the faults.* stats)
     "cp",        # Command Processor: context switches, log drains, spills
-    "mem",       # memory-op counts (counts only; no per-op ring events)
     "engine",    # scheduler health: peak pending, events fired, compactions
 )
 
@@ -27,8 +26,7 @@ class TraceConfig:
 
     ``categories`` filters which subsystems record events; ``buffer_size``
     bounds the event ring (oldest events are dropped first, counted in
-    ``trace.dropped``). Aggregate per-event *counts* are exact even when
-    the ring drops detail.
+    the export's ``awg.dropped``).
     """
 
     categories: Tuple[str, ...] = CATEGORIES

@@ -8,9 +8,6 @@ and per-track names are published through ``"M"`` metadata events —
 exactly the subset both ``chrome://tracing`` and https://ui.perfetto.dev
 accept. Timestamps are simulated core cycles used as trace microseconds
 (1 ts == 1 cycle), keeping exports integer-exact and bit-deterministic.
-
-``python -m repro.trace.export FILE`` validates a trace file against
-this schema (used by ``make trace-smoke``).
 """
 
 from __future__ import annotations
@@ -86,15 +83,10 @@ def build_chrome_trace(
             "generator": "repro.trace",
         },
         # repro-specific sidecar (ignored by Chrome/Perfetto importers):
-        # exact aggregate counts and counter peaks survive ring overflow.
+        # how much the ring kept, and which categories it recorded.
         "awg": {
             "recorded": tracer.recorded,
             "dropped": tracer.dropped,
-            "counts": {k: tracer.counts[k] for k in sorted(tracer.counts)},
-            "counterPeaks": {
-                k: tracer.counter_peaks[k]
-                for k in sorted(tracer.counter_peaks)
-            },
             "categories": list(tracer.config.categories),
         },
     }
@@ -108,7 +100,7 @@ def write_chrome_trace(doc: Dict[str, Any], path) -> None:
 
 
 # ----------------------------------------------------------------------
-# validation (the trace-smoke gate)
+# validation
 # ----------------------------------------------------------------------
 def validate_chrome_trace(doc: Any) -> List[str]:
     """Return every way ``doc`` violates the trace_event schema subset we
@@ -159,43 +151,3 @@ def validate_chrome_trace(doc: Any) -> List[str]:
                 problems.append(f"{where}: C event args must be numeric")
     return problems
 
-
-def validate_trace_file(path) -> List[str]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        return [f"cannot read {path}: {exc}"]
-    return validate_chrome_trace(doc)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.trace.export",
-        description="Validate a Chrome trace_event JSON file",
-    )
-    parser.add_argument("files", nargs="+", help="trace files to validate")
-    opts = parser.parse_args(argv)
-    status = 0
-    for path in opts.files:
-        problems = validate_trace_file(path)
-        if problems:
-            status = 1
-            print(f"{path}: INVALID")
-            for problem in problems[:20]:
-                print(f"  - {problem}")
-            if len(problems) > 20:
-                print(f"  ... and {len(problems) - 20} more")
-        else:
-            with open(path) as fh:
-                n = len(json.load(fh)["traceEvents"])
-            print(f"{path}: ok ({n} events)")
-    return status
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

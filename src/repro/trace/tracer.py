@@ -1,4 +1,4 @@
-"""The event tracer: bounded ring of typed events + exact aggregate counts.
+"""The event tracer: a bounded ring of typed events.
 
 Design constraints (the tentpole's acceptance criteria):
 
@@ -12,8 +12,9 @@ Design constraints (the tentpole's acceptance criteria):
   sort by ``(ts, seq)`` so two runs of the same seed produce
   byte-identical trace files.
 - **Bounded.** The ring holds ``TraceConfig.buffer_size`` events;
-  overflow drops the oldest and increments ``dropped``. The per-event
-  ``counts`` dict and counter peaks stay exact regardless.
+  overflow drops the oldest and increments ``dropped``.
+- **Records, never counts.** Quantities a figure reads come from the
+  GPU's stats; the tracer only logs events.
 
 Event kinds map onto Chrome ``trace_event`` phases: spans → ``"X"``
 (complete events), instants → ``"i"``, counter samples → ``"C"``.
@@ -26,7 +27,6 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
-    from repro.sim.stats import StatRegistry
     from repro.trace.config import TraceConfig
 
 #: WG tracks are named ``wg/<id>``; everything else is a singleton track
@@ -40,24 +40,14 @@ def wg_track(wg_id: int) -> str:
 class Tracer:
     """Records spans/instants/counters for one GPU run."""
 
-    def __init__(
-        self,
-        env: "Engine",
-        config: "TraceConfig",
-        stats: Optional["StatRegistry"] = None,
-    ) -> None:
+    def __init__(self, env: "Engine", config: "TraceConfig") -> None:
         self.env = env
         self.config = config
         self.categories = frozenset(config.categories)
-        self.stats = stats
         self._ring: Deque[Dict[str, Any]] = deque(maxlen=config.buffer_size)
         #: open spans: track -> {"cat","name","ts","seq","args"}
         self._open: Dict[str, Dict[str, Any]] = {}
         self._seq = 0
-        #: exact "<cat>.<name>" occurrence counts (never dropped)
-        self.counts: Dict[str, int] = {}
-        #: high-water marks of every sampled counter
-        self.counter_peaks: Dict[str, int] = {}
         self.recorded = 0
         self.dropped = 0
         self.finished = False
@@ -72,12 +62,6 @@ class Tracer:
         self._seq += 1
         return self._seq
 
-    def _bump(self, cat: str, name: str) -> None:
-        key = f"{cat}.{name}"
-        self.counts[key] = self.counts.get(key, 0) + 1
-        if self.stats is not None:
-            self.stats.counter(f"trace.{cat}").incr()
-
     def _push(self, record: Dict[str, Any]) -> None:
         ring = self._ring
         if ring.maxlen is not None and len(ring) >= ring.maxlen:
@@ -89,30 +73,15 @@ class Tracer:
         """A one-shot occurrence (Chrome phase ``"i"``)."""
         if cat not in self.categories:
             return
-        self._bump(cat, name)
         self._push({
             "ph": "i", "cat": cat, "name": name, "ts": self.env.now,
             "track": track, "args": args, "seq": self._next_seq(),
         })
 
-    def count(self, cat: str, name: str, n: int = 1) -> None:
-        """Aggregate-only tick for high-frequency events (memory ops):
-        exact counts with no per-event ring record."""
-        if cat not in self.categories:
-            return
-        key = f"{cat}.{name}"
-        self.counts[key] = self.counts.get(key, 0) + n
-        if self.stats is not None:
-            self.stats.counter(f"trace.{cat}").incr(n)
-
     def counter(self, cat: str, name: str, value: int) -> None:
         """Sample a named occupancy counter (Chrome phase ``"C"``)."""
         if cat not in self.categories:
             return
-        self._bump(cat, name)
-        prev = self.counter_peaks.get(name)
-        if prev is None or value > prev:
-            self.counter_peaks[name] = value
         self._push({
             "ph": "C", "cat": cat, "name": name, "ts": self.env.now,
             "track": name, "args": {"value": value},
@@ -126,7 +95,6 @@ class Tracer:
         if cat not in self.categories:
             return
         self._close(track)
-        self._bump(cat, name)
         self._open[track] = {
             "cat": cat, "name": name, "ts": self.env.now,
             "args": args, "seq": self._next_seq(),
@@ -178,18 +146,6 @@ class Tracer:
                     (rec["ts"], int(rec["track"][len(WG_TRACK_PREFIX):]),
                      rec["name"])
                 )
-        return out
-
-    def metrics(self) -> Dict[str, float]:
-        """Flat metrics snapshot of the observability layer itself."""
-        out: Dict[str, float] = {
-            "trace.events": float(self.recorded),
-            "trace.dropped": float(self.dropped),
-        }
-        for key in sorted(self.counts):
-            out[f"trace.count.{key}"] = float(self.counts[key])
-        for key in sorted(self.counter_peaks):
-            out[f"trace.peak.{key}"] = float(self.counter_peaks[key])
         return out
 
     def export_chrome(self, label: Optional[str] = None) -> Dict[str, Any]:

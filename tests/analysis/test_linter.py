@@ -78,6 +78,45 @@ def test_missing_yield_from_flags_both_call_forms():
     assert any("acquire(ctx)" in m for m in messages)
 
 
+def _dropped_ops(source):
+    active, _ = lint_source(source, "kernel.py")
+    return [(f.line, f.message) for f in active
+            if f.rule_id == "missing-yield-from"]
+
+
+def test_missing_yield_from_flags_dropped_op_mid_kernel():
+    (finding,) = _dropped_ops(
+        "def kernel(ctx):\n"
+        "    addr = ctx.args['addr']\n"
+        "    yield from ctx.compute(100)\n"
+        "    ctx.store(addr, 1)\n"
+        "    yield from ctx.compute(100)\n"
+    )
+    assert finding[0] == 4 and "ctx.store" in finding[1]
+
+
+def test_missing_yield_from_flags_dropped_op_as_last_statement():
+    (finding,) = _dropped_ops(
+        "def kernel(ctx):\n"
+        "    addr = ctx.args['addr']\n"
+        "    yield from ctx.compute(100)\n"
+        "    ctx.atomic_add(addr, 1)\n"
+    )
+    assert finding[0] == 4 and "ctx.atomic_add" in finding[1]
+
+
+def test_missing_yield_from_allows_return_delegation():
+    # a helper that returns the op's generator hands it to its caller,
+    # which drives it with yield from: nothing is dropped
+    assert _dropped_ops(
+        "def read_it(ctx, addr):\n"
+        "    return ctx.load(addr)\n"
+        "\n"
+        "def kernel(ctx):\n"
+        "    value = yield from read_it(ctx, ctx.args['addr'])\n"
+    ) == []
+
+
 def test_divergent_syncthreads_flags_if_and_while():
     active, _ = _lint_fixture("pos_divergent_syncthreads")
     fired = [f for f in active if f.rule_id == "divergent-syncthreads"]

@@ -99,7 +99,7 @@ def test_round_trip_preserves_every_field(cache):
 
 def test_round_trip_preserves_trace_document(cache):
     """RunResult.trace (a whole Chrome-trace dict) survives the cache
-    like ``diagnosis`` does, including the exact-count sidecar."""
+    like ``diagnosis`` does, including the ``awg`` sidecar."""
     trace = {
         "traceEvents": [
             {"ph": "M", "name": "process_name", "pid": 1, "tid": 0,
@@ -109,15 +109,14 @@ def test_round_trip_preserves_trace_document(cache):
         ],
         "displayTimeUnit": "ms",
         "otherData": {"label": "t", "clock": "c", "generator": "repro.trace"},
-        "awg": {"recorded": 2, "dropped": 0, "counts": {"wg.running": 1},
-                "counterPeaks": {}, "categories": ["wg"]},
+        "awg": {"recorded": 2, "dropped": 0, "categories": ["wg"]},
     }
     result = RunResult(
         benchmark="SPM_G", policy="AWG", scenario="quick",
         cycles=9, completed=True, deadlocked=False, reason="completed",
         atomics=1, waiting_atomics=0, context_switches=0,
         wg_running_cycles=9, wg_waiting_cycles=0,
-        stats={"trace.events": 2.0}, trace=trace,
+        stats={"device.atomics": 1.0}, trace=trace,
     )
     cache.put("t" * 64, result)
     loaded = cache.get("t" * 64)

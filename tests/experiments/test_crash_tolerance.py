@@ -38,6 +38,20 @@ def test_killed_worker_is_retried_and_sweep_recovers(tmp_path, monkeypatch):
     assert not matrix.errors
 
 
+def test_lone_killed_cell_is_retried_in_a_worker(tmp_path, monkeypatch):
+    # a one-cell sweep at jobs>1 still runs in a worker: run in the
+    # calling process, the kill would end the caller instead
+    monkeypatch.setattr("repro.experiments.matrix.RETRY_BACKOFF", 0.05)
+    sentinel = tmp_path / "kill-once"
+    sentinel.write_text("armed")
+    monkeypatch.setattr("repro.experiments.matrix.CELL_RETRIES", 2)
+    monkeypatch.setenv(STRESS_KILL_ENV, str(sentinel))
+    matrix = run_matrix([_req("_KILL")], jobs=2, cache=None)
+    assert not sentinel.exists()
+    assert matrix[0].ok
+    assert not matrix.errors
+
+
 def test_exhausted_retries_become_structured_failures(tmp_path, monkeypatch):
     monkeypatch.setattr("repro.experiments.matrix.RETRY_BACKOFF", 0.05)
     sentinel = tmp_path / "kill-once"

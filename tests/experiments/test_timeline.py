@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.policies import awg, monnr_all, timeout
 from repro.experiments.timeline import (
-    glyph_for, policy_signature, render_timeline,
-    render_timeline_from_trace, trace_run,
+    glyph_for, policy_signature, render_timeline, trace_run,
 )
 from repro.gpu.workgroup import WGState
 
@@ -62,18 +61,6 @@ def test_every_wg_state_has_a_glyph():
 def test_glyph_for_rejects_unknown_state():
     with pytest.raises(ValueError, match="no timeline glyph"):
         glyph_for("not-a-state")
-
-
-def test_render_from_exported_trace_matches_live_render():
-    gpu, outcome = trace_run(awg(), total_wgs=4, wgs_per_group=2,
-                             iterations=1)
-    assert outcome.ok
-    doc = gpu.tracer.export_chrome(label="timeline-test")
-    offline = render_timeline_from_trace(doc, width=40)
-    live = render_timeline(gpu, width=40)
-    # identical strips; headers may differ only if end-cycle rounding does
-    assert [l for l in offline.splitlines() if l.startswith("WG")] == \
-        [l for l in live.splitlines() if l.startswith("WG")]
 
 
 def test_tracing_off_by_default():

@@ -96,10 +96,28 @@ def test_trace_command_writes_valid_trace(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "completed" in text
     assert "perfetto" in text
-    assert out.exists()
+    import json
 
-    from repro.trace.export import validate_trace_file
-    assert validate_trace_file(out) == []
+    from repro.trace.export import validate_chrome_trace
+    assert validate_chrome_trace(json.loads(out.read_text())) == []
+
+
+def test_trace_command_fails_on_invalid_export(tmp_path, monkeypatch,
+                                               capsys):
+    from repro.trace.tracer import Tracer
+
+    export = Tracer.export_chrome
+
+    def broken_export(self, label=None):
+        doc = export(self, label=label)
+        doc["traceEvents"].append({"ph": "Z"})
+        return doc
+
+    monkeypatch.setattr(Tracer, "export_chrome", broken_export)
+    out = tmp_path / "bad.json"
+    assert main(["trace", "FAM_G", "awg", "--quick",
+                 "--out", str(out)]) == 1
+    assert "INVALID trace" in capsys.readouterr().err
 
 
 def test_trace_command_category_filter(tmp_path):

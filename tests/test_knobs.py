@@ -11,7 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 #: knobs a user sets to change how the program runs
-RUNTIME_KNOBS = {"REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_DEBUG_OPS"}
+RUNTIME_KNOBS = {"REPRO_JOBS", "REPRO_CACHE_DIR"}
 #: knobs only tests set: the `_KILL` drill's sentinel and re-baselining
 #: the goldens
 TEST_HOOKS = {"REPRO_STRESS_KILL", "REPRO_UPDATE_GOLDENS"}

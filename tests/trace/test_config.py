@@ -57,3 +57,14 @@ def test_readme_lists_every_category():
     assert match, "README lost its trace-category list"
     listed = tuple(name.strip() for name in match.group(1).split(","))
     assert listed == CATEGORIES
+
+
+def test_stale_trace_switches_fail_loudly():
+    # memory ops are counted by the stats (device.*/hierarchy.*), not
+    # the tracer, and the Figure 6 switch is GPUConfig.trace
+    from repro.gpu.config import GPUConfig
+
+    with pytest.raises(ConfigError, match="unknown trace categories"):
+        TraceConfig(categories=("wg", "mem"))
+    with pytest.raises(TypeError, match="trace_states"):
+        GPUConfig(trace_states=True)

@@ -3,13 +3,7 @@
 import json
 
 from repro.trace import TraceConfig
-from repro.trace.export import (
-    build_chrome_trace,
-    main as validator_main,
-    validate_chrome_trace,
-    validate_trace_file,
-    write_chrome_trace,
-)
+from repro.trace.export import validate_chrome_trace, write_chrome_trace
 from repro.trace.tracer import Tracer, wg_track
 
 
@@ -42,9 +36,9 @@ def test_export_structure_and_metadata():
     assert names["wg/0"] == 1
     assert names["wg/1"] == 2
     assert names["cp.waiting_wgs"] < names["syncmon"]
-    assert doc["awg"]["counts"]["wg.running"] == 2
-    assert doc["awg"]["counterPeaks"]["cp.waiting_wgs"] == 2
-    assert doc["awg"]["dropped"] == 0
+    assert doc["awg"] == {
+        "recorded": 4, "dropped": 0, "categories": ["wg", "sync", "cp"],
+    }
 
 
 def test_export_phases():
@@ -65,7 +59,7 @@ def test_write_is_deterministic_and_validates(tmp_path):
     write_chrome_trace(doc, a)
     write_chrome_trace(small_trace(), b)
     assert a.read_bytes() == b.read_bytes()
-    assert validate_trace_file(a) == []
+    assert validate_chrome_trace(json.loads(a.read_text())) == []
 
 
 def test_validator_rejects_malformed_documents():
@@ -92,17 +86,3 @@ def test_validator_rejects_malformed_documents():
         {"ph": "C", "name": "x", "pid": 1, "tid": 1, "ts": 0,
          "args": {"value": "three"}}))
 
-
-def test_validator_cli(tmp_path, capsys):
-    good = tmp_path / "good.json"
-    write_chrome_trace(small_trace(), good)
-    assert validator_main([str(good)]) == 0
-    assert "ok" in capsys.readouterr().out
-
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"traceEvents": [{"ph": "Z"}]}))
-    assert validator_main([str(bad)]) == 1
-    assert "INVALID" in capsys.readouterr().out
-
-    missing = tmp_path / "missing.json"
-    assert validator_main([str(missing)]) == 1

@@ -9,10 +9,10 @@ class FakeClock:
         self.now = 0
 
 
-def make(categories=("wg", "sync"), buffer_size=16, stats=None):
+def make(categories=("wg", "sync"), buffer_size=16):
     clock = FakeClock()
     return clock, Tracer(clock, TraceConfig(
-        categories=categories, buffer_size=buffer_size), stats)
+        categories=categories, buffer_size=buffer_size))
 
 
 def test_wants_respects_category_filter():
@@ -26,10 +26,8 @@ def test_filtered_categories_record_nothing():
     tracer.instant("sync", "register", track="syncmon")
     tracer.set_span("sync", "syncmon", "busy")
     tracer.counter("sync", "occupancy", 3)
-    tracer.count("sync", "tick")
     assert tracer.recorded == 0
-    assert tracer.counts == {}
-    assert tracer.counter_peaks == {}
+    assert tracer.events() == []
 
 
 def test_instants_carry_clock_and_args():
@@ -40,7 +38,6 @@ def test_instants_carry_clock_and_args():
     assert ev["ph"] == "i"
     assert ev["ts"] == 42
     assert ev["args"] == {"wg": 3}
-    assert tracer.counts == {"sync.register": 1}
 
 
 def test_set_span_closes_previous_span_on_same_track():
@@ -75,33 +72,28 @@ def test_open_spans_appear_in_events_snapshot():
 
 
 def test_ring_overflow_drops_oldest_but_counts_stay_exact():
+    # "counts" are the ring's own: recorded and dropped stay exact
     clock, tracer = make(buffer_size=4)
     for i in range(10):
         clock.now = i
         tracer.instant("sync", "notify", track="syncmon", i=i)
     assert tracer.recorded == 10
     assert tracer.dropped == 6
-    assert tracer.counts == {"sync.notify": 10}
     kept = tracer.events()
     assert len(kept) == 4
     assert [ev["ts"] for ev in kept] == [6, 7, 8, 9]
 
 
-def test_count_is_aggregate_only():
-    _clock, tracer = make()
-    tracer.count("sync", "probe", n=5)
-    tracer.count("sync", "probe")
-    assert tracer.counts == {"sync.probe": 6}
-    assert tracer.events() == []
-
-
-def test_counter_tracks_peak():
+def test_counter_records_every_sample():
     clock, tracer = make()
     for value in (2, 9, 4):
         clock.now += 1
         tracer.counter("sync", "occupancy", value)
-    assert tracer.counter_peaks == {"occupancy": 9}
-    assert [ev["args"]["value"] for ev in tracer.events()] == [2, 9, 4]
+    events = tracer.events()
+    assert [ev["ph"] for ev in events] == ["C", "C", "C"]
+    assert [(ev["ts"], ev["args"]["value"]) for ev in events] == [
+        (1, 2), (2, 9), (3, 4),
+    ]
 
 
 def test_events_sorted_by_time_then_sequence():
@@ -123,28 +115,3 @@ def test_wg_transitions_view():
     tracer.finish()
     assert tracer.wg_transitions() == [(0, 2, "running"), (8, 2, "done")]
 
-
-def test_metrics_snapshot():
-    clock, tracer = make(buffer_size=1)
-    tracer.instant("sync", "a", track="syncmon")
-    clock.now = 1
-    tracer.instant("sync", "b", track="syncmon")
-    tracer.counter("sync", "occupancy", 3)
-    metrics = tracer.metrics()
-    assert metrics["trace.events"] == 3.0
-    assert metrics["trace.dropped"] == 2.0
-    assert metrics["trace.count.sync.a"] == 1.0
-    assert metrics["trace.peak.occupancy"] == 3.0
-
-
-def test_stats_integration():
-    from repro.sim.stats import StatRegistry
-
-    clock = FakeClock()
-    stats = StatRegistry(clock)
-    tracer = Tracer(clock, TraceConfig(categories=("wg", "sync")), stats)
-    tracer.instant("wg", "retry", track=wg_track(0))
-    tracer.count("sync", "probe", n=4)
-    snapshot = stats.snapshot()
-    assert snapshot["trace.wg"] == 1
-    assert snapshot["trace.sync"] == 4
