@@ -12,25 +12,20 @@ Soundness contract (the acceptance bar of the static analyzer):
   *allowed* ("may" is not "must") but reported as pessimism when the
   DESIGN table says the policy provides IFP.
 
-The dynamic side replays the differential suite's exact scenario
-(:data:`DIFFERENTIAL_SCALE` knobs on ``QUICK_SCALE``), so the CI
-cross-check and the tier-1 differential tests can never drift apart:
-both import their scenario and policy list from here /
-:func:`~repro.analysis.specs.table_policies`.
+The dynamic side is the differential suite's own 96-cell matrix
+(:data:`DIFFERENTIAL_SCALE` knobs on ``QUICK_SCALE``, every
+:func:`~repro.analysis.specs.table_policies` policy): tier-1's
+``tests/integration/test_policy_differential.py`` simulates it once and
+feeds its outcomes to :func:`crosscheck`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.specs import (
-    MAY_DEADLOCK,
-    MUST_COMPLETE,
-    UNKNOWN,
-    table_policies,
-)
+from repro.analysis.specs import MAY_DEADLOCK, MUST_COMPLETE, UNKNOWN
 
 #: the differential suite's oversubscription-after-CU-loss scenario
 #: (8 WGs, 1 slot per CU, one CU lost mid-run) as ``QUICK_SCALE.scaled``
@@ -91,34 +86,6 @@ def parse_design_ifp_table(path: str = "DESIGN.md") -> Dict[str, bool]:
     return out
 
 
-# -- dynamic observation ------------------------------------------------------
-
-def observed_outcomes(
-    benches: Optional[Sequence[str]] = None,
-    policies=None,
-) -> Dict[Tuple[str, str], Dict]:
-    """Run the differential scenario dynamically for every cell.
-
-    Returns ``(bench, policy_name) -> {"ok", "deadlocked", "reason"}``.
-    """
-    from repro.experiments import run_benchmark
-    from repro.workloads.registry import benchmark_names
-
-    scenario = differential_scenario()
-    benches = list(benches) if benches else benchmark_names()
-    policies = list(policies) if policies else table_policies()
-    out: Dict[Tuple[str, str], Dict] = {}
-    for bench in benches:
-        for policy in policies:
-            result = run_benchmark(bench, policy, scenario, validate=False)
-            out[(bench, policy.name)] = {
-                "ok": bool(result.ok),
-                "deadlocked": bool(result.deadlocked),
-                "reason": result.reason or "",
-            }
-    return out
-
-
 # -- the check ----------------------------------------------------------------
 
 @dataclass
@@ -159,8 +126,7 @@ def crosscheck(
     """Compare static verdicts against observations and the hand table.
 
     ``static_cells`` maps ``(bench, policy_name)`` to a verdict string.
-    Either reference may be omitted (``None`` skips that comparison —
-    the CLI always passes both).
+    Either reference may be omitted (``None`` skips that comparison).
     """
     report = CrosscheckReport()
     for (bench, policy), verdict in sorted(static_cells.items()):

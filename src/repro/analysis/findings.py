@@ -14,7 +14,7 @@ class Finding:
     """One rule violation at one source location.
 
     ``path`` is stored as given to the linter (relative paths in, relative
-    paths out) so baselines stay stable across checkouts.
+    paths out).
     """
 
     rule_id: str
@@ -28,10 +28,6 @@ class Finding:
     #: line of the enclosing ``def`` (0 = not inside a kernel function);
     #: a ``# repro: noqa[...]`` on that line suppresses the whole kernel.
     def_line: int = 0
-
-    def baseline_key(self) -> Dict[str, Any]:
-        """The identity a baseline entry matches on."""
-        return {"rule": self.rule_id, "path": self.path, "line": self.line}
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)

@@ -1,14 +1,10 @@
-"""Linter driver: file discovery, suppression, baseline, CLI rendering.
+"""Linter driver: file discovery, suppression, CLI rendering.
 
 Suppression: append ``# repro: noqa`` to the finding's line to silence
 every rule there, or ``# repro: noqa[rule-a,rule-b]`` for specific rules.
 A noqa comment on the enclosing ``def`` line suppresses matching rules
-for the whole kernel function.
-
-Baseline: a JSON file of known findings (``{"findings": [{"rule", "path",
-"line"}, ...]}``). Findings matching a baseline entry are reported
-separately and do not fail the run — CI fails only on *new* findings.
-Regenerate with ``python -m repro lint --write-baseline``.
+for the whole kernel function. There is no baseline of known findings:
+every unsuppressed finding fails the run.
 """
 
 from __future__ import annotations
@@ -36,15 +32,11 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)  # actionable
     suppressed: List[Finding] = field(default_factory=list)  # noqa'd
-    baselined: List[Finding] = field(default_factory=list)  # known
     files_scanned: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    def all_findings(self) -> List[Finding]:
-        return [*self.findings, *self.baselined]
 
     def to_dict(self) -> Dict:
         return {
@@ -52,7 +44,6 @@ class LintReport:
             "files_scanned": self.files_scanned,
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "baselined": [f.to_dict() for f in self.baselined],
             "rules": sorted(RULES),
         }
 
@@ -65,7 +56,6 @@ class LintReport:
             f"{self.files_scanned} file(s) scanned: {errors} error(s), "
             f"{warnings} warning(s)"
             + (f", {len(self.suppressed)} suppressed" if self.suppressed else "")
-            + (f", {len(self.baselined)} baselined" if self.baselined else "")
         )
         return "\n".join(lines)
 
@@ -132,31 +122,9 @@ def iter_python_files(paths: Sequence[str]) -> Iterable[str]:
             yield path
 
 
-def load_baseline(path: Optional[str]) -> List[Dict]:
-    if not path or not os.path.exists(path):
-        return []
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return list(data.get("findings", []))
-
-
-def write_baseline(path: str, findings: Sequence[Finding]) -> None:
-    entries = sorted(
-        (f.baseline_key() for f in findings),
-        key=lambda e: (e["path"], e["line"], e["rule"]))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": 1, "findings": entries}, fh, indent=2)
-        fh.write("\n")
-
-
-def lint_paths(
-    paths: Sequence[str],
-    baseline_path: Optional[str] = None,
-) -> LintReport:
+def lint_paths(paths: Sequence[str]) -> LintReport:
     """Lint every ``.py`` file under ``paths`` and partition the results."""
     report = LintReport()
-    baseline = load_baseline(baseline_path)
-    baseline_keys = {(e["rule"], e["path"], e["line"]) for e in baseline}
     for filename in iter_python_files(paths):
         report.files_scanned += 1
         try:
@@ -168,20 +136,14 @@ def lint_paths(
                 line=1, col=1, message=f"cannot read file: {exc}", hint=""))
             continue
         active, suppressed = lint_source(source, filename)
+        report.findings.extend(active)
         report.suppressed.extend(suppressed)
-        for f in active:
-            if (f.rule_id, f.path, f.line) in baseline_keys:
-                report.baselined.append(f)
-            else:
-                report.findings.append(f)
     return report
 
 
 def run_lint(
     paths: Sequence[str],
     json_out: bool = False,
-    baseline_path: Optional[str] = None,
-    write_baseline_path: Optional[str] = None,
     stream=None,
     fmt: Optional[str] = None,
 ) -> int:
@@ -200,12 +162,7 @@ def run_lint(
     if not targets:
         print("lint: no paths given and no default paths found", file=stream)
         return 2
-    report = lint_paths(targets, baseline_path=baseline_path)
-    if write_baseline_path:
-        write_baseline(write_baseline_path, report.all_findings())
-        print(f"wrote {len(report.all_findings())} finding(s) to "
-              f"{write_baseline_path}", file=stream)
-        return 0
+    report = lint_paths(targets)
     if fmt == "json":
         print(json.dumps(report.to_dict(), indent=2), file=stream)
     elif fmt == "github":

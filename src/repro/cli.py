@@ -12,7 +12,7 @@ Usage::
     awg-repro all                   # every table, figure and ablation,
                                     # each checked against the paper's shape
     awg-repro all --out results     # ... also writing results/<name>.txt
-    awg-repro faults --smoke        # fault-injection campaign (IFP table)
+    awg-repro faults --quick        # fault-injection campaign (IFP table)
     awg-repro faults --seed 7 --plans storm,chaos
     awg-repro cache                 # show result-cache location / size
     awg-repro cache --clear         # drop every cached result
@@ -25,20 +25,20 @@ Usage::
     awg-repro analyze               # static progress table (12x8 verdicts)
     awg-repro analyze SLM_G --json  # one benchmark, machine-readable
     awg-repro analyze --dot         # role wait-for graphs (GraphViz)
-    awg-repro analyze --golden analysis-table.json       # CI diff
-    awg-repro analyze --write-golden analysis-table.json # re-baseline
-    awg-repro analyze --crosscheck  # static vs dynamic vs DESIGN.md
     awg-repro sanitize SPM_G awg    # dynamic race detection run
     awg-repro sanitize _RACY        # the seeded-race drill (exits 1)
     awg-repro trace FAM_G awg --out t.json   # Chrome/Perfetto trace
     awg-repro trace SPM_G --quick --categories wg,sync,dispatch
-    awg-repro litmus run --smoke    # corpus + generated programs, judged
+    awg-repro litmus run --quick    # corpus + generated programs, judged
     awg-repro litmus run --seed 7 --programs 16      # wider random sweep
     awg-repro litmus generate --seed 3 --out progs.json
 
 A sweep stopped by a crash, Ctrl-C or SIGTERM resumes by re-running the
 same command: its completed cells are result-cache hits. With
 ``--no-cache`` a re-run starts over.
+
+The committed goldens (stats, litmus verdicts, the static analysis
+table) are checked, and re-baselined, by the tier-1 tests only.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def _run_faults(opts, **matrix_kw) -> int:
                  for name in opts.plans.split(",") if name.strip()]
     started = time.time()
     result = faults_campaign.run(
-        seed=opts.seed, smoke=opts.smoke or opts.quick, plans=plans,
+        seed=opts.seed, smoke=opts.quick, plans=plans,
         bundle_dir=opts.bundles, shrink=opts.shrink,
         **matrix_kw,
     )
@@ -225,14 +225,12 @@ def _run_litmus_command(opts, parser) -> int:
     OBE/Linear/IFP specs, cross-check the static expectations, and
     bundle/shrink any violation (see README "Litmus testing")."""
     import json
-    from pathlib import Path
 
     from repro.analysis.specs import table_policies
     from repro.litmus.generate import random_corpus
-    from repro.litmus.oracle import (
-        compare_golden_entry, golden_entry, golden_policies, run_corpus,
-    )
-    from repro.litmus.shrinklink import emit_violation_bundles
+    from repro.litmus.oracle import golden_policies, run_corpus
+    from repro.litmus.shrinklink import violation_bundles
+    from repro.recovery.shrink import write_violation_bundles
     from repro.workloads.litmus import litmus_corpus
 
     sub = opts.args[0] if opts.args else "run"
@@ -257,11 +255,11 @@ def _run_litmus_command(opts, parser) -> int:
     started = time.time()
     corpus = litmus_corpus()
     count = opts.programs if opts.programs is not None else (
-        4 if opts.smoke else 8)
+        4 if opts.quick else 8)
     known = {p.name for p in corpus}
     generated = [p for p in random_corpus(opts.seed, count=count)
                  if p.name not in known]
-    policies = golden_policies() if opts.smoke else table_policies()
+    policies = golden_policies() if opts.quick else table_policies()
     report = run_corpus(corpus + generated, policies, seed=opts.seed)
     if opts.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -271,36 +269,13 @@ def _run_litmus_command(opts, parser) -> int:
               f"generated programs, seed {opts.seed}, "
               f"{time.time() - started:.1f}s]")
     rc = 0
-    golden_dir = Path("tests/golden/litmus")
-    if opts.smoke and golden_dir.is_dir():
-        diffs = []
-        for program in corpus:
-            path = golden_dir / f"{program.alias}.json"
-            if not path.is_file():
-                diffs.append(f"{program.alias}: no golden file {path}")
-                continue
-            diffs.extend(compare_golden_entry(
-                golden_entry(report, program),
-                json.loads(path.read_text())))
-        if diffs:
-            print(f"litmus golden drift ({len(diffs)} diff(s)):",
-                  file=sys.stderr)
-            for diff in diffs:
-                print(f"  - {diff}", file=sys.stderr)
-            print("re-baseline with: REPRO_UPDATE_GOLDENS=1 "
-                  "python -m pytest tests/litmus/test_golden_corpus.py",
-                  file=sys.stderr)
-            rc = 1
-        else:
-            print(f"golden corpus matches {golden_dir} "
-                  f"({len(corpus)} programs)")
     if report.contract_violations:
         print(f"FAILED: {len(report.contract_violations)} "
               "litmus contract violation(s)", file=sys.stderr)
         if opts.bundles:
-            for path in emit_violation_bundles(
-                    report, opts.bundles, seed=opts.seed,
-                    shrink=opts.shrink):
+            for path in write_violation_bundles(
+                    violation_bundles(report, seed=opts.seed),
+                    opts.bundles, shrink=opts.shrink):
                 print(f"  repro bundle: {path}", file=sys.stderr)
         rc = 1
     if not report.models_distinguishable():
@@ -342,12 +317,10 @@ def _run_sanitize(opts, parser) -> int:
 
 
 def _run_analyze(opts) -> int:
-    """Static progress table: build, render, golden-diff, cross-check."""
+    """Static progress table: build and render."""
     import json
 
-    from repro.analysis.analyzer import (
-        build_report, compare_golden, run_crosscheck, write_golden,
-    )
+    from repro.analysis.analyzer import build_report
 
     report = build_report(opts.args or None)
     if opts.json:
@@ -356,29 +329,7 @@ def _run_analyze(opts) -> int:
         print(report.render_dot())
     else:
         print(report.render_table())
-    if opts.write_golden:
-        write_golden(report, opts.write_golden)
-        print(f"wrote golden table to {opts.write_golden}")
-        return 0
-    rc = 0
-    if opts.golden:
-        diffs = compare_golden(report, opts.golden)
-        if diffs:
-            print(f"golden table drift vs {opts.golden} "
-                  f"({len(diffs)} cell(s)):", file=sys.stderr)
-            for diff in diffs:
-                print(f"  - {diff}", file=sys.stderr)
-            print("re-baseline with: python -m repro analyze "
-                  f"--write-golden {opts.golden}", file=sys.stderr)
-            rc = 1
-        else:
-            print(f"golden table matches {opts.golden}")
-    if opts.crosscheck:
-        result = run_crosscheck(report)
-        print(result.render())
-        if not result.ok:
-            rc = 1
-    return rc
+    return 0
 
 
 def _run_trace(opts, parser) -> int:
@@ -507,10 +458,9 @@ def _dispatch(argv=None) -> int:
                              "(default: all); for 'sanitize'/'trace': "
                              "BENCHMARK [POLICY]")
     parser.add_argument("--quick", action="store_true",
-                        help="small-scale smoke configuration")
-    parser.add_argument("--smoke", action="store_true",
-                        help="for 'faults': two-benchmark smoke campaign; "
-                             "for 'litmus': golden policies + small corpus")
+                        help="small-scale configuration; for 'faults': "
+                             "two-benchmark campaign; for 'litmus': "
+                             "golden policies + small corpus")
     parser.add_argument("--seed", type=int, default=1, metavar="N",
                         help="for 'faults'/'litmus': root seed for fault "
                              "plans / program generation")
@@ -546,22 +496,6 @@ def _dispatch(argv=None) -> int:
                              "GitHub Actions ::error annotations)")
     parser.add_argument("--dot", action="store_true",
                         help="for 'analyze': GraphViz wait-for graphs")
-    parser.add_argument("--crosscheck", action="store_true",
-                        help="for 'analyze': replay the differential "
-                             "scenario dynamically and fail on any "
-                             "unsound static verdict")
-    parser.add_argument("--golden", default=None, metavar="FILE",
-                        help="for 'analyze': diff the table against a "
-                             "committed golden file (exit 1 on drift)")
-    parser.add_argument("--write-golden", default=None, metavar="FILE",
-                        help="for 'analyze': (re)write the golden table "
-                             "and exit 0")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="for 'lint': known-findings file; only new "
-                             "findings fail the run")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="for 'lint': record current findings as the "
-                             "baseline and exit 0")
     parser.add_argument("--categories", default=None, metavar="A,B,...",
                         help="for 'trace': comma-separated event "
                              "categories (default: all; see repro.trace)")
@@ -573,7 +507,7 @@ def _dispatch(argv=None) -> int:
                              "as <name>.txt")
     parser.add_argument("--programs", type=int, default=None, metavar="N",
                         help="for 'litmus': generated programs per run "
-                             "(default: 4 with --smoke, else 8)")
+                             "(default: 4 with --quick, else 8)")
     # intermixed: allows `lint --json PATH...` (flags before positionals)
     opts = parser.parse_intermixed_args(argv)
     matrix_kw = {
@@ -594,12 +528,7 @@ def _dispatch(argv=None) -> int:
     if opts.command == "lint":
         from repro.analysis.linter import run_lint
 
-        return run_lint(
-            opts.args, json_out=opts.json,
-            baseline_path=opts.baseline,
-            write_baseline_path=opts.write_baseline,
-            fmt=opts.fmt,
-        )
+        return run_lint(opts.args, json_out=opts.json, fmt=opts.fmt)
 
     if opts.command == "analyze":
         return _run_analyze(opts)

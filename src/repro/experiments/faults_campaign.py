@@ -84,52 +84,18 @@ def _expectation(policy: PolicySpec, plan: FaultPlan) -> str:
             else "deadlock")
 
 
-def _emit_violation_bundles(
-    bundle_dir, violating, shrink: bool,
-) -> List[str]:
-    """Write one repro bundle per replayable violating cell; with
-    ``shrink`` also write the delta-debugged minimal bundle (under its
-    own content-derived name) and a ``.shrinklog.json`` next to the
-    source bundle recording both paths and the shrink steps."""
-    import json
-    from pathlib import Path
+def _violation_bundles(violating):
+    """One repro bundle per replayable violating cell: a deadlock
+    diagnosis or a raised exception (not a worker crash)."""
+    from repro.recovery.bundle import make_bundle
 
-    from repro.durability import write_atomic_text
-    from repro.errors import ReproError
-    from repro.recovery.bundle import make_bundle, write_bundle
-    from repro.recovery.shrink import shrink_bundle
-
-    paths: List[str] = []
     for request, cell in violating:
         if cell.result is not None and cell.result.deadlocked:
-            bundle = make_bundle(request, result=cell.result)
+            yield make_bundle(request, result=cell.result)
         elif (cell.failure is not None
               and cell.failure.get("type") != "WorkerCrashError"):
-            bundle = make_bundle(request, failure=cell.failure)
-        else:
-            continue  # e.g. completed-when-deadlock-expected: no failure
-        path = write_bundle(bundle, bundle_dir)
-        paths.append(str(path))
-        if not shrink:
-            continue
-        try:
-            shrunk = shrink_bundle(bundle)
-        except ReproError:
-            continue  # not reproducible in-process; keep the full bundle
-        minimal = write_bundle(shrunk.minimal, bundle_dir)
-        if minimal != path:
-            paths.append(str(minimal))
-        log_path = Path(str(path).replace(".json", ".shrinklog.json"))
-        write_atomic_text(log_path, json.dumps({
-            "source": str(path),
-            "minimal": str(minimal),
-            "initial_size": shrunk.initial_size,
-            "final_size": shrunk.final_size,
-            "trials": shrunk.trials,
-            "log": shrunk.log,
-        }, indent=2, sort_keys=True))
-        paths.append(str(log_path))
-    return paths
+            yield make_bundle(request, failure=cell.failure)
+        # else e.g. completed-when-deadlock-expected: no failure to replay
 
 
 def run(
@@ -149,7 +115,7 @@ def run(
     With ``bundle_dir`` set, every violating cell that carries a
     replayable failure (a deadlock diagnosis or a raised exception)
     emits a repro bundle there; ``shrink=True`` additionally minimizes
-    each bundle with :func:`repro.recovery.shrink.shrink_bundle`."""
+    each one (:func:`repro.recovery.shrink.write_violation_bundles`)."""
     scenario = scenario or (SMOKE_SCALE if smoke else CAMPAIGN_SCALE)
     scenario = scenario.scaled(seed=seed)
     benchmarks = benchmarks or (
@@ -243,7 +209,10 @@ def run(
     table.notes.append(matrix.summary())
     bundles: List[str] = []
     if bundle_dir is not None and violating_cells:
-        bundles = _emit_violation_bundles(bundle_dir, violating_cells, shrink)
+        from repro.recovery.shrink import write_violation_bundles
+
+        bundles = write_violation_bundles(
+            _violation_bundles(violating_cells), bundle_dir, shrink)
         table.notes.append(
             f"wrote {len(bundles)} repro-bundle file(s) to {bundle_dir}")
     return CampaignResult(table=table, violations=violations, matrix=matrix,

@@ -72,7 +72,7 @@ class GPU:
         self.policy = policy
         self.env = Engine()
         self.rng = RngStream(seed if seed is not None else config.seed, "gpu")
-        self.stats = StatRegistry(self.env)
+        self.stats = StatRegistry()
         #: structured event tracer (:mod:`repro.trace`); None = tracing off
         self.tracer: Optional[Tracer] = (
             Tracer(self.env, config.trace)

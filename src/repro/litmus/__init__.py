@@ -42,10 +42,7 @@ from repro.litmus.oracle import (
     run_corpus,
     run_litmus,
 )
-from repro.litmus.shrinklink import (
-    LitmusRequest,
-    emit_violation_bundles,
-)
+from repro.litmus.shrinklink import LitmusRequest, violation_bundles
 
 __all__ = [
     "LitmusProgram",
@@ -75,5 +72,5 @@ __all__ = [
     "run_corpus",
     "run_litmus",
     "LitmusRequest",
-    "emit_violation_bundles",
+    "violation_bundles",
 ]

@@ -163,14 +163,6 @@ def _action_from_json(raw: Sequence[Any]) -> Action:
 # schedule-independent under fairness)
 # ---------------------------------------------------------------------------
 
-def _flat_actions(script: Script):
-    for action in script:
-        yield action
-        if action[0] == IF_FLAG:
-            for sub in action[3]:
-                yield sub
-
-
 def validate_program(program: LitmusProgram) -> None:
     """Raise :class:`ConfigError` unless the program is well-formed."""
     if program.wgs < 1:
@@ -600,7 +592,7 @@ def unsatisfiable_wait(alias: Optional[str] = None) -> LitmusProgram:
 
 
 # ---------------------------------------------------------------------------
-# seeded random generation (the CLI / smoke exploration surface)
+# seeded random generation (the CLI exploration surface)
 # ---------------------------------------------------------------------------
 
 def random_program(rng: random.Random) -> LitmusProgram:

@@ -68,7 +68,7 @@ REPORT_VERSION = 1
 #: the policy subset the committed golden corpus pins: the non-IFP
 #: baseline, the timer-only design, the most wake-loss-prone monitor
 #: design (resume one, non-fused), and the paper's headline AWG policy.
-#: ``litmus run`` without ``--smoke`` widens to all 8 table policies.
+#: ``litmus run`` without ``--quick`` widens to all 8 table policies.
 def golden_policies() -> List[PolicySpec]:
     return [baseline(), timeout(20_000), monnr_one(), awg()]
 
@@ -395,62 +395,3 @@ def run_corpus(
         for policy in policies:
             report.runs.append(run_litmus(program, policy, seed=seed))
     return report
-
-
-# ---------------------------------------------------------------------------
-# golden corpus comparison (tests/golden/litmus/)
-# ---------------------------------------------------------------------------
-
-def golden_entry(report: LitmusReport,
-                 program: LitmusProgram) -> Dict[str, Any]:
-    """The committed-golden subset for one corpus program: canonical
-    spec, per-policy outcome bits and per-model verdicts. Cycle counts
-    are deliberately excluded so engine perf work does not churn the
-    litmus goldens."""
-    cells = {}
-    for run in report.runs:
-        if run.program.name != program.name:
-            continue
-        cells[run.policy] = {
-            "completed": run.outcome.completed,
-            "expected": run.expected,
-            "verdicts": {m: j.verdict for m, j in run.judgments.items()},
-        }
-    return {
-        "version": REPORT_VERSION,
-        "alias": program.alias,
-        "name": program.name,
-        "program": program.spec(),
-        "policies": list(report.policies),
-        "cells": cells,
-    }
-
-
-def compare_golden_entry(fresh: Dict[str, Any],
-                         golden: Dict[str, Any]) -> List[str]:
-    """Human-readable diffs between a fresh entry and a committed one."""
-    diffs: List[str] = []
-    label = fresh.get("alias") or fresh.get("name")
-    if golden.get("version") != fresh["version"]:
-        return [f"{label}: golden schema version "
-                f"{golden.get('version')} != {fresh['version']} — "
-                "regenerate with REPRO_UPDATE_GOLDENS=1"]
-    if golden.get("name") != fresh["name"]:
-        diffs.append(f"{label}: canonical name changed "
-                     f"{golden.get('name')} -> {fresh['name']} "
-                     "(program content drifted)")
-    for policy, cell in fresh["cells"].items():
-        want = golden.get("cells", {}).get(policy)
-        if want is None:
-            diffs.append(f"{label}/{policy}: no golden cell")
-            continue
-        for key in ("completed", "expected"):
-            if want.get(key) != cell[key]:
-                diffs.append(f"{label}/{policy}: {key} "
-                             f"golden={want.get(key)} fresh={cell[key]}")
-        for model, verdict in cell["verdicts"].items():
-            got = want.get("verdicts", {}).get(model)
-            if got != verdict:
-                diffs.append(f"{label}/{policy}/{model}: "
-                             f"golden={got} fresh={verdict}")
-    return diffs

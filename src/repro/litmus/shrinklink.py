@@ -8,7 +8,7 @@ packaged as an ``awg-repro-litmus-bundle`` through
 :func:`repro.recovery.shrink.shrink_bundle`. This module supplies only
 what is litmus-specific: :class:`LitmusRequest` (its spec, how a replay
 observes and matches the expected clause, its program size and one-step
-program reductions) and the oracle hook that emits bundles for a report.
+program reductions) and the oracle hook that builds bundles for a report.
 
 Program reductions, in fixed order: drop a whole WG script, drop a
 single action (validity-checked — e.g. dropping an ``acquire`` also
@@ -18,13 +18,11 @@ window.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.policies import PolicySpec, named_policy
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError
 from repro.litmus.generate import (
     ACQUIRE,
     LitmusProgram,
@@ -209,37 +207,19 @@ def _drop_action(script, index) -> Tuple[Any, ...]:
 
 
 # ---------------------------------------------------------------------------
-# oracle hook: emit (and optionally shrink) bundles for a report
+# oracle hook: one bundle per contract-violating run
 # ---------------------------------------------------------------------------
 
-def emit_violation_bundles(
-    report,
-    out_dir: os.PathLike,
-    seed: int = 1,
-    shrink: bool = False,
-    max_trials: int = 40,
-) -> List[Path]:
-    """Write one bundle per contract-violating run in ``report``;
-    with ``shrink=True`` each is minimized first (bounded trials so CI
-    stays fast)."""
-    from repro.recovery.bundle import make_bundle, write_bundle
-    from repro.recovery.shrink import shrink_bundle
+def violation_bundles(report, seed: int = 1) -> List[Dict[str, Any]]:
+    """One ``contract`` bundle per contract-violating run in ``report``
+    (written, and shrunk on request, by
+    :func:`repro.recovery.shrink.write_violation_bundles`)."""
+    from repro.recovery.bundle import make_bundle
 
-    paths: List[Path] = []
-    for run in report.violating_runs():
-        request = LitmusRequest(
-            program=run.program,
-            policy=named_policy(run.policy),
-            seed=seed,
-        )
-        bundle = make_bundle(request, expected={
-            "mode": "contract",
-            "expected_verdict": run.expected,
-        })
-        if shrink:
-            try:
-                bundle = shrink_bundle(bundle, max_trials=max_trials).minimal
-            except ReproError:
-                pass  # keep the unshrunk bundle if replay is flaky
-        paths.append(write_bundle(bundle, out_dir))
-    return paths
+    return [
+        make_bundle(
+            LitmusRequest(program=run.program,
+                          policy=named_policy(run.policy), seed=seed),
+            expected={"mode": "contract", "expected_verdict": run.expected})
+        for run in report.violating_runs()
+    ]

@@ -86,19 +86,3 @@ def execute(
     if wrote:
         store.write(addr, new)
     return AtomicResult(op=op, addr=addr, old=old, new=new, wrote=wrote)
-
-
-def waiting_success(op: AtomicOp, result: AtomicResult, expected: int) -> bool:
-    """Did a *waiting* atomic succeed against its expected value?
-
-    - ``LOAD`` (compare-and-wait, the new instruction of §IV.D): succeeds
-      when the loaded value equals ``expected``.
-    - ``CAS``: succeeds when the swap happened (old == compare operand);
-      the waiting condition is the compare operand itself.
-    - ``EXCH``/others: succeed when the *old* value equals ``expected``
-      (e.g. test-and-set waits for the lock word to return to 0).
-    """
-    expected = wrap32(expected)
-    if op is AtomicOp.CAS:
-        return result.old == expected
-    return result.old == expected

@@ -12,11 +12,15 @@ so re-running the sweep executes only the missing cells. For cells that
   envelope for both kinds (``python -m repro replay BUNDLE``).
 - :mod:`repro.recovery.shrink` — a delta-debugging minimizer that
   applies the bundled request's own reductions while preserving the
-  failure (``python -m repro shrink BUNDLE``).
+  failure (``python -m repro shrink BUNDLE``), and the one writer that
+  drops violation bundles (and, on request, their minimal twins) for
+  ``faults --bundles`` and ``litmus run --bundles``.
 """
 
 from repro.recovery.bundle import (  # noqa: F401
     BUNDLE_VERSION, load_bundle, make_bundle, replay_bundle,
     validate_bundle, write_bundle,
 )
-from repro.recovery.shrink import ShrinkResult, shrink_bundle  # noqa: F401
+from repro.recovery.shrink import (  # noqa: F401
+    ShrinkResult, shrink_bundle, write_violation_bundles,
+)

@@ -19,12 +19,16 @@ predicates.
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
+from repro.durability import write_atomic_text
 from repro.errors import ReproError
 from repro.recovery.bundle import (
-    make_bundle, replay_bundle, request_type, validate_bundle,
+    make_bundle, replay_bundle, request_type, validate_bundle, write_bundle,
 )
 
 #: hard ceiling on replay attempts (the greedy loop normally converges
@@ -139,3 +143,39 @@ def shrink_bundle(
         initial_size=initial_size,
         final_size=current.size(),
     )
+
+
+def write_violation_bundles(
+    bundles: Iterable[Dict[str, Any]],
+    out_dir: os.PathLike,
+    shrink: bool = False,
+) -> List[str]:
+    """Write each violation bundle into ``out_dir``; returns every path
+    written. With ``shrink``, each bundle that reproduces in-process is
+    also minimized: its minimal twin is written under its own
+    content-derived name, and a ``.shrinklog.json`` next to the source
+    bundle records both paths and the shrink steps."""
+    paths: List[str] = []
+    for bundle in bundles:
+        path = write_bundle(bundle, out_dir)
+        paths.append(str(path))
+        if not shrink:
+            continue
+        try:
+            shrunk = shrink_bundle(bundle)
+        except ReproError:
+            continue  # not reproducible in-process; keep the full bundle
+        minimal = write_bundle(shrunk.minimal, out_dir)
+        if minimal != path:
+            paths.append(str(minimal))
+        log_path = Path(str(path).replace(".json", ".shrinklog.json"))
+        write_atomic_text(log_path, json.dumps({
+            "source": str(path),
+            "minimal": str(minimal),
+            "initial_size": shrunk.initial_size,
+            "final_size": shrunk.final_size,
+            "trials": shrunk.trials,
+            "log": shrunk.log,
+        }, indent=2, sort_keys=True))
+        paths.append(str(log_path))
+    return paths

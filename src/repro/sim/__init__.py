@@ -12,7 +12,7 @@ of SimPy, specialized for cycle-accurate-ish hardware modelling:
   is resumed with their values; supports interruption.
 - :class:`~repro.sim.resources.FifoResource` — a FIFO-arbitrated resource
   used to model issue ports, cache banks and the command processor.
-- :mod:`~repro.sim.stats` — counters and time-weighted statistics.
+- :mod:`~repro.sim.stats` — counters and running means.
 """
 
 from repro.sim.engine import Engine
@@ -20,7 +20,7 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import FifoResource
 from repro.sim.rng import RngStream
-from repro.sim.stats import Counter, StatRegistry, TimeWeighted
+from repro.sim.stats import Counter, StatRegistry
 
 __all__ = [
     "AllOf",
@@ -33,6 +33,5 @@ __all__ = [
     "Process",
     "RngStream",
     "StatRegistry",
-    "TimeWeighted",
     "Timeout",
 ]

@@ -146,21 +146,6 @@ class Engine:
         }
 
     # -- firing ----------------------------------------------------------
-    def peek(self) -> Optional[int]:
-        """The time of the next scheduled event, or None if idle.
-
-        Dead (cancelled) heads drained here feed the same compaction
-        accounting as the run loop, so scheduler statistics stay exact
-        whichever path discards them."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._dead -= 1
-            self._reaped += 1
-        if not heap:
-            return None
-        return heap[0][0]
-
     def step(self) -> bool:
         """Fire the next event. Returns False if the queue is empty."""
         heap = self._heap

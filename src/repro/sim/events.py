@@ -139,11 +139,6 @@ class AnyOf(Event):
 
         return _cb
 
-    def winner(self) -> int:
-        """Index of the child that fired first (valid after firing)."""
-        idx, _ = self.value  # type: ignore[misc]
-        return idx
-
 
 class AllOf(Event):
     """Fires once all children have fired; value is the list of values."""
@@ -164,9 +159,3 @@ class AllOf(Event):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed([c.value for c in self.children])
-
-
-def first_of(env: "Engine", *events: Optional[Event]) -> AnyOf:
-    """Convenience: AnyOf over the non-None arguments."""
-    live = [ev for ev in events if ev is not None]
-    return AnyOf(env, live)

@@ -1,4 +1,4 @@
-"""Statistics collection: counters, time-weighted values, histograms.
+"""Statistics collection: counters and running means.
 
 Every hardware component registers its statistics in a
 :class:`StatRegistry` so experiment harnesses can dump a flat, stable
@@ -7,11 +7,7 @@ name → value mapping after a run.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Dict, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Engine
+from typing import Dict, Optional
 
 
 class Counter:
@@ -33,59 +29,19 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class TimeWeighted:
-    """Tracks the time integral of a piecewise-constant value.
-
-    Used for occupancy-style stats (e.g. number of waiting WGs over time).
-    """
-
-    def __init__(self, env: "Engine", name: str, initial: float = 0.0) -> None:
-        self.env = env
-        self.name = name
-        self._value = initial
-        self._last_change = env.now
-        self._integral = 0.0
-        self.peak = initial
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> None:
-        now = self.env.now
-        self._integral += self._value * (now - self._last_change)
-        self._last_change = now
-        self._value = value
-        self.peak = max(self.peak, value)
-
-    def adjust(self, delta: float) -> None:
-        self.set(self._value + delta)
-
-    def mean(self) -> float:
-        """Time-weighted mean over [0, now]."""
-        now = self.env.now
-        total = self._integral + self._value * (now - self._last_change)
-        if now == 0:
-            return self._value
-        return total / now
-
-
 class RunningMean:
-    """Streaming mean/variance (Welford) for latency-style samples."""
+    """Streaming mean for latency-style samples."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
     def add(self, sample: float) -> None:
         self.count += 1
-        delta = sample - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (sample - self._mean)
+        self._mean += (sample - self._mean) / self.count
         self.min = sample if self.min is None else min(self.min, sample)
         self.max = sample if self.max is None else max(self.max, sample)
 
@@ -93,53 +49,18 @@ class RunningMean:
     def mean(self) -> float:
         return self._mean
 
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-
-class Histogram:
-    """A fixed-bucket histogram with power-of-two bucket edges."""
-
-    def __init__(self, name: str, buckets: int = 24) -> None:
-        self.name = name
-        self.counts: List[int] = [0] * buckets
-        self.samples = 0
-
-    def add(self, sample: int) -> None:
-        self.samples += 1
-        idx = 0 if sample <= 0 else min(int(sample).bit_length(), len(self.counts) - 1)
-        self.counts[idx] += 1
-
-    def nonzero(self) -> Dict[int, int]:
-        """Map of bucket upper edge (2**i) to count, for populated buckets."""
-        return {1 << i: c for i, c in enumerate(self.counts) if c}
-
 
 class StatRegistry:
     """Flat registry of named statistics for one simulation run."""
 
-    def __init__(self, env: "Engine") -> None:
-        self.env = env
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._weighted: Dict[str, TimeWeighted] = {}
         self._means: Dict[str, RunningMean] = {}
 
     def counter(self, name: str) -> Counter:
         if name not in self._counters:
             self._counters[name] = Counter(name)
         return self._counters[name]
-
-    def time_weighted(self, name: str, initial: float = 0.0) -> TimeWeighted:
-        if name not in self._weighted:
-            self._weighted[name] = TimeWeighted(self.env, name, initial)
-        return self._weighted[name]
 
     def running_mean(self, name: str) -> RunningMean:
         if name not in self._means:
@@ -151,9 +72,6 @@ class StatRegistry:
         out: Dict[str, float] = {}
         for name, c in sorted(self._counters.items()):
             out[name] = float(c.value)
-        for name, w in sorted(self._weighted.items()):
-            out[f"{name}.mean"] = w.mean()
-            out[f"{name}.peak"] = float(w.peak)
         for name, m in sorted(self._means.items()):
             out[f"{name}.mean"] = m.mean
             out[f"{name}.count"] = float(m.count)

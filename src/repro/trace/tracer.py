@@ -55,9 +55,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def wants(self, cat: str) -> bool:
-        return cat in self.categories
-
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
@@ -99,9 +96,6 @@ class Tracer:
             "cat": cat, "name": name, "ts": self.env.now,
             "args": args, "seq": self._next_seq(),
         }
-
-    def end_span(self, track: str) -> None:
-        self._close(track)
 
     def _close(self, track: str) -> None:
         span = self._open.pop(track, None)

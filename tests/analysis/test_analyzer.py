@@ -5,22 +5,28 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.analyzer import (
-    build_report,
-    compare_golden,
-    run_crosscheck,
-    write_golden,
-)
+from repro.analysis.analyzer import build_report
+from repro.analysis.crosscheck import crosscheck, parse_design_ifp_table
 from repro.analysis.specs import MAY_DEADLOCK, MUST_COMPLETE
 from repro.cli import main
 from repro.workloads.registry import benchmark_names
+from tests.conftest import check_golden
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+GOLDEN = REPO_ROOT / "tests" / "golden" / "analysis-table.json"
 
 
 @pytest.fixture(scope="module")
 def report():
     return build_report()
+
+
+def golden_table(report):
+    """The committed subset: verdicts only, no line numbers or reason
+    strings, so refactors of the protocol sources leave it alone."""
+    doc = report.to_dict()
+    return {key: doc[key]
+            for key in ("version", "benchmarks", "policies", "table")}
 
 
 def test_full_table_covers_every_cell(report):
@@ -50,31 +56,35 @@ def test_every_cell_explains_itself(report):
 
 
 def test_committed_golden_matches_fresh_analysis(report):
-    diffs = compare_golden(report, str(REPO_ROOT / "analysis-table.json"))
-    assert diffs == [], (
-        "analysis-table.json is stale; re-baseline with "
-        "`make analyze-golden` if the verdict change is deliberate")
+    check_golden(GOLDEN, golden_table(report))
 
 
-def test_golden_roundtrip_and_drift_detection(report, tmp_path):
+def test_golden_roundtrip_and_drift_detection(report, tmp_path,
+                                              monkeypatch):
     path = tmp_path / "golden.json"
-    write_golden(report, str(path))
-    assert compare_golden(report, str(path)) == []
+    monkeypatch.setattr("tests.conftest.UPDATE_GOLDENS", True)
+    check_golden(path, golden_table(report))
+    monkeypatch.setattr("tests.conftest.UPDATE_GOLDENS", False)
+    check_golden(path, golden_table(report))
     doc = json.loads(path.read_text())
     doc["table"]["SPM_G"]["AWG"] = MAY_DEADLOCK
     path.write_text(json.dumps(doc))
-    diffs = compare_golden(report, str(path))
-    assert len(diffs) == 1 and "SPM_G/AWG" in diffs[0]
+    with pytest.raises(AssertionError) as exc:
+        check_golden(path, golden_table(report))
+    assert "1 value(s)" in str(exc.value)
+    assert "table.SPM_G.AWG" in str(exc.value)
 
 
-def test_missing_golden_says_how_to_create_it(report, tmp_path):
-    diffs = compare_golden(report, str(tmp_path / "nope.json"))
-    assert diffs and "--write-golden" in diffs[0]
+def test_missing_golden_says_how_to_create_it(report, tmp_path,
+                                              monkeypatch):
+    monkeypatch.setattr("tests.conftest.UPDATE_GOLDENS", False)
+    with pytest.raises(AssertionError, match="REPRO_UPDATE_GOLDENS=1"):
+        check_golden(tmp_path / "nope.json", golden_table(report))
 
 
 def test_crosscheck_against_design_only(report):
-    result = run_crosscheck(report, design_path=str(REPO_ROOT / "DESIGN.md"),
-                            dynamic=False)
+    result = crosscheck(report.verdicts, None,
+                        parse_design_ifp_table(str(REPO_ROOT / "DESIGN.md")))
     assert result.ok, result.violations
     assert result.cells_checked == 96
 
@@ -108,16 +118,3 @@ def test_cli_analyze_json(capsys):
 def test_cli_analyze_dot(capsys):
     assert main(["analyze", "TB_LG", "--dot"]) == 0
     assert capsys.readouterr().out.startswith("digraph")
-
-
-def test_cli_analyze_golden_gate(tmp_path, capsys):
-    path = tmp_path / "golden.json"
-    assert main(["analyze", "--write-golden", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["analyze", "--golden", str(path)]) == 0
-    capsys.readouterr()
-    doc = json.loads(path.read_text())
-    doc["table"]["SPM_G"]["AWG"] = "MAY_DEADLOCK"
-    path.write_text(json.dumps(doc))
-    assert main(["analyze", "--golden", str(path)]) == 1
-    assert "drift" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Static kernel linter: per-rule fixtures, suppression, baseline, CLI."""
+"""Static kernel linter: per-rule fixtures, suppression, CLI."""
 
 import json
 from pathlib import Path
@@ -10,8 +10,6 @@ from repro.analysis.linter import (
     DEFAULT_PATHS,
     lint_paths,
     lint_source,
-    load_baseline,
-    write_baseline,
 )
 from repro.analysis.rules import RULES
 from repro.cli import main
@@ -170,36 +168,6 @@ def test_unparsable_file_yields_syntax_error_finding():
     assert active[0].severity == "error"
 
 
-# -- baseline ----------------------------------------------------------------
-
-def test_baseline_partitions_known_findings(tmp_path):
-    fixture = FIXTURES / "pos_busy_wait_loop.py"
-    report = lint_paths([str(fixture)])
-    assert not report.ok
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(str(baseline_file), report.findings)
-    assert load_baseline(str(baseline_file))
-    again = lint_paths([str(fixture)], baseline_path=str(baseline_file))
-    assert again.ok  # every finding is known
-    assert len(again.baselined) == len(report.findings)
-    assert again.findings == []
-
-
-def test_baseline_does_not_hide_new_findings(tmp_path):
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(str(baseline_file), [Finding(
-        rule_id="busy-wait-loop", severity="error", path="elsewhere.py",
-        line=1, col=1, message="", hint="")])
-    report = lint_paths([str(FIXTURES / "pos_busy_wait_loop.py")],
-                        baseline_path=str(baseline_file))
-    assert not report.ok
-
-
-def test_missing_baseline_file_is_empty():
-    assert load_baseline(None) == []
-    assert load_baseline("/nonexistent/baseline.json") == []
-
-
 # -- CLI ---------------------------------------------------------------------
 
 def test_cli_lint_json_reports_findings(capsys):
@@ -219,17 +187,6 @@ def test_cli_lint_clean_file_exits_zero(capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
-def test_cli_lint_write_baseline_roundtrip(tmp_path, capsys):
-    baseline = tmp_path / "b.json"
-    rc = main(["lint", "--write-baseline", str(baseline),
-               str(FIXTURES / "pos_busy_wait_loop.py")])
-    assert rc == 0
-    capsys.readouterr()
-    rc = main(["lint", "--baseline", str(baseline),
-               str(FIXTURES / "pos_busy_wait_loop.py")])
-    assert rc == 0  # all findings baselined -> clean
-
-
 # -- dogfood: the shipped tree must lint clean --------------------------------
 
 def test_shipped_tree_lints_clean():
@@ -237,13 +194,6 @@ def test_shipped_tree_lints_clean():
     report = lint_paths(paths)
     assert report.files_scanned >= 10
     assert report.findings == [], [f.render() for f in report.findings]
-
-
-def test_shipped_baseline_is_empty():
-    # The committed baseline must stay empty: new findings are fixed or
-    # noqa'd with justification, never baselined silently.
-    data = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-    assert data["findings"] == []
 
 
 # -- docs meta-test ----------------------------------------------------------

@@ -1,6 +1,8 @@
 """Shared test configuration: hypothesis settings profiles, a
-session-wide private result cache, and the ``disk`` fixture for the
-durable writers.
+session-wide private result cache, the ``disk`` fixture for the
+durable writers, and :func:`check_golden`, the one way a test compares
+against (or, with ``REPRO_UPDATE_GOLDENS=1``, re-baselines) a committed
+golden JSON file.
 
 Per-test ``@settings(...)`` used to repeat ``deadline=None`` inline in
 every property test; the profiles below centralize it. ``deadline`` is
@@ -15,9 +17,10 @@ Select it with ``HYPOTHESIS_PROFILE=ci`` (the workflow does); local
 runs keep randomized exploration by default.
 """
 
+import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import pytest
 
@@ -30,6 +33,52 @@ if settings is not None:
     settings.register_profile("default", deadline=None)
     settings.register_profile("ci", deadline=None, derandomize=True)
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+#: set to re-baseline every golden the run compares against
+UPDATE_GOLDENS = os.environ.get("REPRO_UPDATE_GOLDENS", "") in (
+    "1", "true", "yes")
+
+_ABSENT = "<absent>"
+
+
+def golden_diffs(golden: Any, fresh: Any, where: str = "") -> List[str]:
+    """One line per differing leaf between two parsed JSON documents,
+    named by its key path (``stats.engine.fired``, ``table.SPM_G.AWG``).
+    Lists compare whole."""
+    if isinstance(golden, dict) and isinstance(fresh, dict):
+        out: List[str] = []
+        for key in sorted(set(golden) | set(fresh)):
+            out += golden_diffs(golden.get(key, _ABSENT),
+                                fresh.get(key, _ABSENT),
+                                f"{where}.{key}" if where else key)
+        return out
+    if golden == fresh:
+        return []
+    return [f"{where or '<root>'}: golden={golden!r} now={fresh!r}"]
+
+
+def check_golden(path: Path, fresh: Any, indent: int = 2) -> None:
+    """Assert ``fresh`` equals the committed golden JSON at ``path``.
+
+    ``fresh`` is compared as it would be written (through a JSON round
+    trip), so tuples and lists, or int and str keys, never differ. With
+    ``REPRO_UPDATE_GOLDENS=1`` the golden is rewritten instead, sorted
+    and at ``indent``, so re-baselining an unchanged golden leaves its
+    bytes alone."""
+    path = Path(path)
+    text = json.dumps(fresh, indent=indent, sort_keys=True) + "\n"
+    if UPDATE_GOLDENS:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        return
+    assert path.is_file(), (
+        f"no golden file {path}; generate it with REPRO_UPDATE_GOLDENS=1")
+    diffs = golden_diffs(json.loads(path.read_text()), json.loads(text))
+    assert not diffs, (
+        f"{path.name} drifted ({len(diffs)} value(s)):\n  "
+        + "\n  ".join(diffs[:40])
+        + "\nIf intentional, re-baseline with REPRO_UPDATE_GOLDENS=1.")
 
 
 @pytest.fixture(scope="session", autouse=True)

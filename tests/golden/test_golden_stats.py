@@ -16,17 +16,15 @@ and commit the rewritten JSON files alongside the code change.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
 import pytest
 
 from repro.core.policies import awg, baseline, monnr_one, timeout
 from repro.experiments import QUICK_SCALE, run_benchmark
+from tests.conftest import check_golden
 
 GOLDEN_DIR = Path(__file__).parent
-UPDATE = os.environ.get("REPRO_UPDATE_GOLDENS", "") in ("1", "true", "yes")
 
 BENCHMARKS = ["SPM_G", "FAM_G", "TB_LG"]
 POLICIES = [baseline(), timeout(20_000), monnr_one(), awg()]
@@ -44,7 +42,7 @@ def golden_path(bench: str, policy_name: str) -> Path:
 
 def compute_record(bench: str, policy) -> dict:
     result = run_benchmark(bench, policy, QUICK_SCALE, validate=False)
-    record = {
+    return {
         "benchmark": bench,
         "policy": policy.name,
         "scenario": QUICK_SCALE.label,
@@ -54,47 +52,11 @@ def compute_record(bench: str, policy) -> dict:
         "context_switches": result.context_switches,
         "stats": result.stats,
     }
-    # normalize floats/ints exactly the way the stored golden was
-    return json.loads(json.dumps(record, sort_keys=True))
-
-
-def diff_records(golden: dict, fresh: dict) -> list:
-    problems = []
-    for field in sorted(set(golden) | set(fresh)):
-        if field == "stats":
-            continue
-        if golden.get(field) != fresh.get(field):
-            problems.append(
-                f"{field}: golden={golden.get(field)!r} now={fresh.get(field)!r}"
-            )
-    gstats, fstats = golden.get("stats", {}), fresh.get("stats", {})
-    for key in sorted(set(gstats) | set(fstats)):
-        if gstats.get(key) != fstats.get(key):
-            problems.append(
-                f"stats[{key}]: golden={gstats.get(key)!r} "
-                f"now={fstats.get(key)!r}"
-            )
-    return problems
 
 
 @pytest.mark.parametrize(
     "bench,policy", CELLS, ids=[f"{b}-{p.name}" for b, p in CELLS]
 )
 def test_golden_stats(bench, policy):
-    path = golden_path(bench, policy.name)
-    fresh = compute_record(bench, policy)
-    if UPDATE:
-        path.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
-        return
-    if not path.exists():
-        pytest.fail(
-            f"missing golden {path.name}; generate with "
-            f"REPRO_UPDATE_GOLDENS=1 pytest tests/golden"
-        )
-    golden = json.loads(path.read_text())
-    problems = diff_records(golden, fresh)
-    assert not problems, (
-        f"{bench}/{policy.name} drifted from {path.name} "
-        f"({len(problems)} fields):\n  " + "\n  ".join(problems[:40])
-        + "\nIf intentional, re-baseline with REPRO_UPDATE_GOLDENS=1."
-    )
+    check_golden(golden_path(bench, policy.name),
+                 compute_record(bench, policy), indent=1)

@@ -20,23 +20,30 @@ invariants that define the policy table:
   AWG's straggler rescues push it slightly above; excluded by design.)
 * Every policy that completes leaves bit-identical final memory --
   scheduling may differ, results may not.
+* The static analyzer's 96-cell table is sound against these runs and
+  agrees with DESIGN.md's IFP column (:mod:`repro.analysis.crosscheck`).
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from repro.analysis.crosscheck import differential_scenario
+from repro.analysis.analyzer import build_report
+from repro.analysis.crosscheck import (
+    crosscheck, differential_scenario, parse_design_ifp_table,
+)
 from repro.analysis.specs import table_policies
 from repro.experiments import run_benchmark
 from repro.workloads.registry import benchmark_names
 
 #: oversubscription after CU loss: 8 WGs, 1 slot per CU, one CU lost
 #: mid-run.  Baseline deadlocks on every benchmark at this scale; all
-#: 96 cells simulate in ~10 s in-process.  Shared with the static
-#: analyzer's cross-check (repro.analysis.crosscheck) so the static and
-#: dynamic tables always describe the same experiment.
+#: 96 cells simulate in ~10 s in-process.
 SCENARIO = differential_scenario()
+
+DESIGN = Path(__file__).resolve().parents[2] / "DESIGN.md"
 
 POLICIES = table_policies()
 POLICY_BY_NAME = {p.name: p for p in POLICIES}
@@ -144,3 +151,17 @@ def test_final_memory_identical(matrix, bench):
             f"final memory at {len(diffs)} addresses "
             f"(first: {[hex(a) for a in diffs[:5]]})"
         )
+
+
+def test_static_table_is_sound_against_the_matrix(matrix):
+    """No statically MUST_COMPLETE cell deadlocked here, and no policy
+    DESIGN.md marks non-IFP owns a MUST_COMPLETE cell."""
+    observed = {
+        key: {"ok": result.ok, "deadlocked": result.deadlocked,
+              "reason": result.reason or ""}
+        for key, result in matrix.items()
+    }
+    report = crosscheck(build_report(BENCHMARKS).verdicts, observed,
+                        parse_design_ifp_table(str(DESIGN)))
+    assert report.cells_checked == len(BENCHMARKS) * len(POLICIES)
+    assert report.ok, report.render()

@@ -3,9 +3,10 @@
 The static analyzer (PR 8) claims MUST_COMPLETE / MAY_DEADLOCK for
 every (benchmark, policy) cell; the litmus oracle derives its
 expectations from the *same* ``repro.analysis.specs`` rules. This
-suite pins the soundness direction on both surfaces: a cell the static
-reasoning calls MUST_COMPLETE may never produce an observed hang or a
-violation of the policy's claimed progress model.
+suite pins the soundness direction on the litmus corpus: a cell the
+static reasoning calls MUST_COMPLETE may never produce an observed hang
+or a violation of the policy's claimed progress model. The benchmark
+table's side is ``tests/integration/test_policy_differential.py``.
 """
 
 from repro.analysis.specs import MUST_COMPLETE, table_policies
@@ -53,21 +54,3 @@ def test_ifp_policies_never_violate_ifp_anywhere():
             continue
         assert run.judgments["IFP"].verdict != VIOLATED, (
             run.program.label, run.policy)
-
-
-def test_static_benchmark_table_sound_against_observation():
-    # The analyzer's own 96-cell table, spot-checked dynamically on two
-    # shipped benchmarks: MUST_COMPLETE cells complete when replayed
-    # under the differential scenario.
-    from repro.analysis.analyzer import build_report
-    from repro.analysis.crosscheck import observed_outcomes
-    from repro.core.policies import awg, baseline
-
-    benches = ["SPM_G", "TB_LG"]
-    policies = [baseline(), awg()]
-    static = build_report(benches)
-    observed = observed_outcomes(benches, policies)
-    for (bench, policy), result in observed.items():
-        verdict = static.cells[(bench, policy)].verdict
-        if verdict == MUST_COMPLETE:
-            assert result["ok"], (bench, policy, result["reason"])

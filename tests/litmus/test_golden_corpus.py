@@ -2,8 +2,9 @@
 
 One JSON file per corpus program under ``tests/golden/litmus/``,
 holding its canonical spec and the (policy -> outcome/expected/verdict)
-cells for the golden policy subset. CI runs the fixed corpus
-deterministically; hypothesis exploration stays opt-in.
+cells for the golden policy subset, taken from the seed-1 quick litmus
+run (``quick_litmus_run``). Cycle counts are deliberately left out so
+engine perf work does not churn the litmus goldens.
 
 Re-baseline after an intentional behavior change::
 
@@ -11,52 +12,45 @@ Re-baseline after an intentional behavior change::
         tests/litmus/test_golden_corpus.py -q
 """
 
-import json
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.litmus.oracle import (
-    compare_golden_entry,
-    golden_entry,
-    golden_policies,
-    run_corpus,
-)
+from repro.litmus.oracle import REPORT_VERSION
 from repro.workloads.litmus import litmus_corpus
+from tests.conftest import UPDATE_GOLDENS, check_golden
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden" / "litmus"
-UPDATE = os.environ.get("REPRO_UPDATE_GOLDENS", "") in ("1", "true", "yes")
-
-_REPORT = None
 
 
-def corpus_report():
-    global _REPORT
-    if _REPORT is None:
-        _REPORT = run_corpus(litmus_corpus(), golden_policies(), seed=1)
-    return _REPORT
+def golden_entry(document, program):
+    """The committed subset of one corpus program's report entry."""
+    entry = next(p for p in document["programs"]
+                 if p["name"] == program.name)
+    return {
+        "version": REPORT_VERSION,
+        "alias": program.alias,
+        "name": program.name,
+        "program": entry["spec"],
+        "policies": document["policies"],
+        "cells": {
+            policy: {key: cell[key]
+                     for key in ("completed", "expected", "verdicts")}
+            for policy, cell in entry["cells"].items()
+        },
+    }
 
 
 @pytest.mark.parametrize(
     "program", litmus_corpus(), ids=lambda p: p.alias)
-def test_golden_corpus_program(program):
-    fresh = golden_entry(corpus_report(), program)
-    path = GOLDEN_DIR / f"{program.alias}.json"
-    if UPDATE:
-        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
-        return
-    assert path.is_file(), (
-        f"no golden file {path}; generate with REPRO_UPDATE_GOLDENS=1")
-    diffs = compare_golden_entry(fresh, json.loads(path.read_text()))
-    assert not diffs, (
-        "litmus golden drift:\n  " + "\n  ".join(diffs)
-        + "\nIf intentional, re-baseline with REPRO_UPDATE_GOLDENS=1.")
+def test_golden_corpus_program(quick_litmus_run, program):
+    _rc, document = quick_litmus_run
+    check_golden(GOLDEN_DIR / f"{program.alias}.json",
+                 golden_entry(document, program))
 
 
 def test_no_stale_golden_files():
-    if UPDATE or not GOLDEN_DIR.is_dir():
+    if UPDATE_GOLDENS or not GOLDEN_DIR.is_dir():
         pytest.skip("regenerating or goldens absent")
     committed = {p.name for p in GOLDEN_DIR.glob("*.json")}
     expected = {f"{p.alias}.json" for p in litmus_corpus()}
@@ -65,14 +59,16 @@ def test_no_stale_golden_files():
         f"missing: {sorted(expected - committed)}")
 
 
-def test_golden_corpus_is_classified_correctly():
-    # The acceptance criterion in executable form: every corpus program
+def test_golden_corpus_is_classified_correctly(quick_litmus_run):
+    # The acceptance criterion in executable form: every program
     # classified against all three models without contract violations,
     # and the models observably distinguishable.
-    report = corpus_report()
-    assert report.ok, report.contract_violations
-    assert report.models_distinguishable()
-    for run in report.runs:
-        for model in ("OBE", "Linear", "IFP"):
-            assert run.judgments[model].verdict in (
-                "satisfied", "violated", "vacuous")
+    rc, document = quick_litmus_run
+    assert rc == 0, document["summary"]
+    assert document["summary"]["contract_violations"] == []
+    assert document["summary"]["models_distinguishable"] is True
+    for program in document["programs"]:
+        for cell in program["cells"].values():
+            assert set(cell["verdicts"]) == {"OBE", "Linear", "IFP"}
+            for verdict in cell["verdicts"].values():
+                assert verdict in ("satisfied", "violated", "vacuous")

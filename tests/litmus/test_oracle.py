@@ -71,14 +71,18 @@ def test_ifp_policies_complete_whole_corpus_except_unsat():
             assert run.contract_violation is None
 
 
-def test_corpus_report_clean_and_distinguishable():
-    report = run_corpus(litmus_corpus(), golden_policies(), seed=1)
-    assert report.ok, report.contract_violations
-    assert report.models_distinguishable()
-    document = report.to_dict()
+def test_corpus_report_clean_and_distinguishable(quick_litmus_run):
+    rc, document = quick_litmus_run
+    assert rc == 0
     assert document["summary"]["contract_violations"] == []
     assert document["summary"]["models_distinguishable"] is True
-    assert len(document["programs"]) == len(litmus_names())
+    assert document["policies"] == [p.name for p in golden_policies()]
+    # the whole corpus, plus the generated programs of the quick run
+    names = {p["alias"] for p in document["programs"]}
+    assert set(litmus_names()) <= names
+    assert len(document["programs"]) > len(litmus_names())
+    assert document["summary"]["runs"] == (
+        len(document["programs"]) * len(golden_policies()))
 
 
 def test_oracle_bit_reproducible():

@@ -120,7 +120,8 @@ def test_emit_violation_bundles_for_contract_breaks(tmp_path, monkeypatch):
     # and check a bundle lands on disk for it.
     from repro.litmus.models import judge_all
     from repro.litmus.oracle import run_litmus
-    from repro.litmus.shrinklink import emit_violation_bundles
+    from repro.litmus.shrinklink import violation_bundles
+    from repro.recovery.shrink import write_violation_bundles
 
     run = run_litmus(get_litmus("LIT_HANDOFF_LOSS"), baseline())
     assert not run.outcome.ok
@@ -131,7 +132,8 @@ def test_emit_violation_bundles_for_contract_breaks(tmp_path, monkeypatch):
         def violating_runs(self):
             return [forged]
 
-    paths = emit_violation_bundles(FakeReport(), tmp_path, seed=1)
+    paths = write_violation_bundles(violation_bundles(FakeReport(), seed=1),
+                                    tmp_path)
     assert len(paths) == 1
     loaded = load_bundle(paths[0])
     assert loaded["expected"]["mode"] == "contract"

@@ -82,23 +82,3 @@ def test_add_wraps_32bit(store):
     res = atomics.execute(store, AtomicOp.ADD, store._addr, 1)
     assert res.new == -0x80000000
 
-
-def test_waiting_success_load():
-    res = atomics.AtomicResult(AtomicOp.LOAD, 0, old=5, new=5, wrote=False)
-    assert atomics.waiting_success(AtomicOp.LOAD, res, 5)
-    assert not atomics.waiting_success(AtomicOp.LOAD, res, 6)
-
-
-def test_waiting_success_exch_test_and_set():
-    # failed test-and-set: old was 1 (locked); expected 0
-    res = atomics.AtomicResult(AtomicOp.EXCH, 0, old=1, new=1, wrote=False)
-    assert not atomics.waiting_success(AtomicOp.EXCH, res, 0)
-    # successful: old was 0
-    res2 = atomics.AtomicResult(AtomicOp.EXCH, 0, old=0, new=1, wrote=True)
-    assert atomics.waiting_success(AtomicOp.EXCH, res2, 0)
-
-
-def test_waiting_success_cas():
-    res = atomics.AtomicResult(AtomicOp.CAS, 0, old=3, new=9, wrote=True)
-    assert atomics.waiting_success(AtomicOp.CAS, res, 3)
-    assert not atomics.waiting_success(AtomicOp.CAS, res, 4)

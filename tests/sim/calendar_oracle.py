@@ -98,9 +98,6 @@ class CalendarOracle(Engine):
             raise SimulationError("engine is already running (re-entrant run)")
         self._running = True
 
-    def peek(self) -> Optional[int]:
-        return self._next_time()
-
     def step(self) -> bool:
         when = self._next_time()
         if when is None:

@@ -111,17 +111,6 @@ def test_run_max_events(env):
     assert env.run(max_events=3) == 3
 
 
-def test_peek_skips_cancelled_events(env):
-    ev = env.timeout(5)
-    env.timeout(9)
-    ev.cancel()
-    assert env.peek() == 9
-
-
-def test_peek_empty_returns_none(env):
-    assert env.peek() is None
-
-
 def test_step_returns_false_when_idle(env):
     assert env.step() is False
 
@@ -297,8 +286,8 @@ def test_fused_run_skips_cancelled_head(env):
 
 
 def test_run_until_with_only_cancelled_events_left(env):
-    # the queue drains (modulo cancelled residue) before `until`; like the
-    # pre-fusion peek()+step() loop, the clock stays at the last event
+    # the queue drains (modulo cancelled residue) before `until`; the
+    # clock stays at the last event
     a = env.timeout(20)
     env.timeout(2)
     a.cancel()
@@ -373,14 +362,15 @@ def test_compaction_during_active_run_is_safe(env):
     assert len(_queued(env)) == 0
 
 
-# -- peek() accounting (the drain feeds compaction statistics) ----------------
+# -- step() accounting (the drain feeds compaction statistics) ----------------
 
-def test_peek_drain_feeds_compaction_accounting(env):
+def test_step_drain_feeds_compaction_accounting(env):
     a = env.timeout(5)
     env.timeout(9)
     a.cancel()
     assert env.metrics()["dead_pending"] == 1
-    assert env.peek() == 9
+    assert env.step() is True
+    assert env.now == 9
     m = env.metrics()
     assert m["dead_pending"] == 0
     assert m["cancelled_reaped"] == 1

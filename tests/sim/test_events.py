@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event, Timeout, first_of
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
 
 
 @pytest.fixture
@@ -63,7 +63,6 @@ def test_anyof_fires_on_first_child(env):
     env.run(until=50)
     assert any_ev.fired
     assert any_ev.value == (1, "fast")
-    assert any_ev.winner() == 1
 
 
 def test_anyof_ignores_later_children(env):
@@ -86,7 +85,7 @@ def test_anyof_with_already_fired_child(env):
     env.run()
     any_ev = AnyOf(env, [ev, env.timeout(10)])
     env.run(until=5)
-    assert any_ev.fired and any_ev.winner() == 0
+    assert any_ev.fired and any_ev.value == (0, "done")
 
 
 def test_allof_collects_values_in_child_order(env):
@@ -113,9 +112,3 @@ def test_allof_waits_for_slowest(env):
     env.run()
     assert all_ev.fired
 
-
-def test_first_of_skips_none(env):
-    ev = env.timeout(3, value="v")
-    any_ev = first_of(env, None, ev, None)
-    env.run()
-    assert any_ev.value == (0, "v")

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Engine
-from repro.sim.stats import Counter, Histogram, RunningMean, StatRegistry, TimeWeighted
-
-
-@pytest.fixture
-def env():
-    return Engine()
+from repro.sim.stats import Counter, RunningMean, StatRegistry
 
 
 def test_counter_increments():
@@ -19,67 +13,23 @@ def test_counter_increments():
     assert "x=5" in repr(c)
 
 
-def test_time_weighted_mean(env):
-    tw = TimeWeighted(env, "occ", initial=0)
-    env.timeout(10)
-    env.run()
-    tw.set(4)  # 0 for [0,10)
-    env.timeout(10)
-    env.run()
-    tw.set(0)  # 4 for [10,20)
-    env.timeout(20)
-    env.run()  # 0 for [20,40)
-    assert tw.mean() == pytest.approx((0 * 10 + 4 * 10 + 0 * 20) / 40)
-    assert tw.peak == 4
-
-
-def test_time_weighted_adjust(env):
-    tw = TimeWeighted(env, "occ")
-    tw.adjust(3)
-    tw.adjust(-1)
-    assert tw.value == 2
-
-
-def test_time_weighted_at_time_zero(env):
-    tw = TimeWeighted(env, "occ", initial=7)
-    assert tw.mean() == 7
-
-
 def test_running_mean_statistics():
     rm = RunningMean("lat")
     for v in (2.0, 4.0, 6.0):
         rm.add(v)
     assert rm.mean == pytest.approx(4.0)
-    assert rm.variance == pytest.approx(4.0)
-    assert rm.stddev == pytest.approx(2.0)
     assert rm.min == 2.0 and rm.max == 6.0
     assert rm.count == 3
 
 
-def test_running_mean_single_sample_no_variance():
-    rm = RunningMean("lat")
-    rm.add(5)
-    assert rm.variance == 0.0
-
-
-def test_histogram_buckets():
-    h = Histogram("h")
-    for v in (0, 1, 2, 3, 1000):
-        h.add(v)
-    assert h.samples == 5
-    nz = h.nonzero()
-    assert sum(nz.values()) == 5
-
-
-def test_registry_reuses_instances(env):
-    reg = StatRegistry(env)
+def test_registry_reuses_instances():
+    reg = StatRegistry()
     assert reg.counter("a") is reg.counter("a")
-    assert reg.time_weighted("b") is reg.time_weighted("b")
     assert reg.running_mean("c") is reg.running_mean("c")
 
 
-def test_registry_snapshot_is_flat_and_sorted(env):
-    reg = StatRegistry(env)
+def test_registry_snapshot_is_flat_and_sorted():
+    reg = StatRegistry()
     reg.counter("z").incr(2)
     reg.counter("a").incr(1)
     reg.running_mean("m").add(3.0)

@@ -26,18 +26,22 @@ def test_list(capsys):
 
 
 def test_faults_command(capsys):
-    assert main(["faults", "--smoke", "--no-cache", "--jobs", "2",
-                 "--plans", "calm,blackout", "--seed", "3"]) == 0
+    # the full quick campaign, seed 1: 2 benchmarks x 5 policies x every
+    # named plan, judged against the IFP contract
+    from repro.faults.plan import plan_names
+
+    assert main(["faults", "--quick", "--no-cache", "--jobs", "2"]) == 0
     out = capsys.readouterr().out
-    assert "Fault campaign (seed=3" in out
+    assert "Fault campaign (seed=1" in out
     assert "IFP contract held" in out
-    assert "DEADLOCK" in out  # Baseline under blackout
+    assert "DEADLOCK" in out  # Baseline under the WG-evicting plans
+    assert f"{2 * 5 * len(plan_names())} cells" in out
 
 
 def test_faults_command_unknown_plan():
     from repro.errors import ConfigError
     with pytest.raises(ConfigError, match="unknown fault plan"):
-        main(["faults", "--smoke", "--no-cache", "--plans", "earthquake"])
+        main(["faults", "--quick", "--no-cache", "--plans", "earthquake"])
 
 
 def test_experiment_registry_covers_all_artifacts():

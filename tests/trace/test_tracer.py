@@ -15,12 +15,6 @@ def make(categories=("wg", "sync"), buffer_size=16):
         categories=categories, buffer_size=buffer_size))
 
 
-def test_wants_respects_category_filter():
-    _clock, tracer = make(categories=("wg",))
-    assert tracer.wants("wg")
-    assert not tracer.wants("sync")
-
-
 def test_filtered_categories_record_nothing():
     _clock, tracer = make(categories=("wg",))
     tracer.instant("sync", "register", track="syncmon")
@@ -52,12 +46,6 @@ def test_set_span_closes_previous_span_on_same_track():
     assert [(s["name"], s["ts"], s["dur"]) for s in spans] == [
         ("running", 0, 10), ("stalled", 10, 15),
     ]
-
-
-def test_end_span_without_open_span_is_a_noop():
-    _clock, tracer = make()
-    tracer.end_span(wg_track(0))
-    assert tracer.recorded == 0
 
 
 def test_open_spans_appear_in_events_snapshot():
