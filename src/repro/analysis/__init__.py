@@ -16,9 +16,8 @@ progress and synchronization bugs the paper is about:
   role wait-for graphs per benchmark, and executable policy progress
   specs (:mod:`repro.analysis.specs`) that classify every
   (benchmark, policy) cell as MUST_COMPLETE / MAY_DEADLOCK / UNKNOWN —
-  a static prediction of the paper's IFP deadlock table, cross-checked
-  against the dynamic differential suite
-  (:mod:`repro.analysis.crosscheck`).
+  a static prediction of the paper's IFP deadlock table. Tier-1 holds
+  it to the dynamic differential runs and to DESIGN.md's IFP column.
 - :mod:`repro.analysis.sanitizer` — an opt-in
   (:attr:`~repro.gpu.config.GPUConfig.sanitize`) dynamic detector that
   maintains per-WG vector clocks and locksets over the memory hierarchy's

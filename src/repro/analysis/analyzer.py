@@ -5,9 +5,9 @@ build one :class:`~repro.analysis.progress.ProtocolAnalysis` per
 benchmark, judge every wait-site profile under every table policy, and
 fold the results into an :class:`AnalysisReport` with renderers for the
 CLI (ASCII table by default, ``--json``, ``--dot``). Tier-1 pins the
-verdict table against ``tests/golden/analysis-table.json`` and
-cross-checks it against the differential runs and DESIGN.md
-(:mod:`repro.analysis.crosscheck`).
+verdict table against ``tests/golden/analysis-table.json`` and asserts
+it is sound against the differential runs and agrees with DESIGN.md's
+IFP column.
 """
 
 from __future__ import annotations

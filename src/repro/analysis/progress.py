@@ -43,6 +43,9 @@ from repro.analysis.dsl import iter_kernel_functions
 from repro.analysis.findings import Finding
 from repro.analysis.specs import WaitProfile
 
+#: the ``repro`` package directory, under which every protocol source lives
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 #: modules whose sources carry every shipped protocol
 PROTOCOL_MODULES = (
     "repro.workloads.heterosync",
@@ -113,12 +116,9 @@ class ProtocolFunction:
 
 
 def _module_path(module: str) -> str:
-    import importlib.util
-
-    spec = importlib.util.find_spec(module)
-    if spec is None or not spec.origin:  # pragma: no cover - broken install
-        raise FileNotFoundError(f"cannot locate source of {module}")
-    return spec.origin
+    """Source file of ``repro.<parts>``, found without importing it."""
+    _package, *parts = module.split(".")
+    return os.path.join(_PACKAGE_DIR, *parts) + ".py"
 
 
 @lru_cache(maxsize=None)

@@ -227,16 +227,18 @@ def _run_litmus_command(opts, parser) -> int:
     import json
 
     from repro.analysis.specs import table_policies
+    from repro.litmus.corpus import litmus_corpus
     from repro.litmus.generate import random_corpus
     from repro.litmus.oracle import golden_policies, run_corpus
     from repro.litmus.shrinklink import violation_bundles
     from repro.recovery.shrink import write_violation_bundles
-    from repro.workloads.litmus import litmus_corpus
 
     sub = opts.args[0] if opts.args else "run"
+    count = opts.programs if opts.programs is not None else (
+        4 if opts.quick else 8)
 
     if sub == "generate":
-        programs = random_corpus(opts.seed, count=opts.programs or 8)
+        programs = random_corpus(opts.seed, count=count)
         text = json.dumps([p.spec() for p in programs], indent=2,
                           sort_keys=True)
         if opts.out:
@@ -254,8 +256,6 @@ def _run_litmus_command(opts, parser) -> int:
 
     started = time.time()
     corpus = litmus_corpus()
-    count = opts.programs if opts.programs is not None else (
-        4 if opts.quick else 8)
     known = {p.name for p in corpus}
     generated = [p for p in random_corpus(opts.seed, count=count)
                  if p.name not in known]

@@ -26,7 +26,6 @@ fig15       Figure 15 — oversubscribed speedup vs Timeout
 from repro.experiments.cache import ResultCache, default_cache
 from repro.experiments.matrix import (
     CellError,
-    MatrixError,
     MatrixResult,
     RunRequest,
     run_matrix,
@@ -44,7 +43,6 @@ from repro.experiments.runner import (
 __all__ = [
     "CellError",
     "ExperimentResult",
-    "MatrixError",
     "MatrixResult",
     "OVERSUBSCRIBED",
     "PAPER_SCALE",

@@ -58,27 +58,15 @@ def run(
     ]
     matrix = run_matrix(requests, jobs=jobs, cache=cache)
     speedups: Dict[str, List[float]] = {p.name: [] for p in policies}
-    dropped = 0
     for name in benchmarks:
-        # Degrade to partial output: a benchmark whose cells were lost
-        # to a crash or timeout is reported as blank, not a sweep abort.
-        base = matrix.try_get(name, "Baseline")
+        base = matrix.get(name, "Baseline")
         for policy in policies:
-            res = (None if base is None or _skip(name, policy)
-                   else matrix.try_get(name, policy.name))
-            if res is None:
+            if _skip(name, policy):
                 result.add_row(name, **{policy.name: None})
-                if base is None or not _skip(name, policy):
-                    dropped += 1
                 continue
-            speedup = base.cycles / res.cycles
+            speedup = base.cycles / matrix.get(name, policy.name).cycles
             speedups[policy.name].append(speedup)
             result.add_row(name, **{policy.name: speedup})
-    if dropped:
-        result.notes.append(
-            f"PARTIAL: {dropped} cell(s) missing or failed; see "
-            f"MatrixResult.errors for the structured failure records"
-        )
     result.add_row(
         GEOMEAN_ROW,
         **{p.name: geomean(speedups[p.name]) for p in policies},

@@ -55,29 +55,16 @@ def run(
     ]
     matrix = run_matrix(requests, jobs=jobs, cache=cache)
     speedups: Dict[str, List[float]] = {p.name: [] for p in policies}
-    dropped = 0
     for name in benchmarks:
-        # Degrade to partial output: a benchmark whose cells were lost
-        # to a crash or timeout is reported as blank, not a sweep abort.
-        norm = matrix.try_get(name, "Timeout-20k")
+        norm = matrix.get(name, "Timeout-20k")
         for policy in policies:
-            res = (None if norm is None
-                   else matrix.try_get(name, policy.name))
-            if res is None:
-                result.add_row(name, **{policy.name: None})
-                dropped += 1
-                continue
+            res = matrix.get(name, policy.name)
             if not res.ok:
                 result.add_row(name, **{policy.name: DEADLOCK})
                 continue
             speedup = norm.cycles / res.cycles
             speedups[policy.name].append(speedup)
             result.add_row(name, **{policy.name: speedup})
-    if dropped:
-        result.notes.append(
-            f"PARTIAL: {dropped} cell(s) missing or failed; see "
-            f"MatrixResult.errors for the structured failure records"
-        )
     result.add_row(
         GEOMEAN_ROW,
         **{

@@ -19,13 +19,15 @@ The runner survives failing cells and crashed workers:
   cells that had no result yet; completed cells are preserved and the
   lost ones are resubmitted to a fresh pool with exponential backoff
   from ``RETRY_BACKOFF`` seconds, up to ``CELL_RETRIES`` extra attempts.
-- Failures come back as *structured* entries (exception type, message,
-  deadlock diagnosis when available, traceback) on
-  :attr:`MatrixResult.errors`, and figure code can degrade to partial
-  output via :meth:`MatrixResult.try_get`. Each failure is classified
-  ``deterministic`` (the simulation itself raised — retrying the same
-  seed and plan would fail identically) or ``environmental`` (a crashed
-  worker); only environmental failures are retried.
+- A failed cell carries a *structured* failure record (exception type,
+  message, deadlock diagnosis when available, traceback), and
+  :attr:`MatrixResult.errors` lists the failed cells. Reading a failed
+  cell's result raises :class:`CellError`, so a figure fails on its
+  first lost cell instead of rendering a partial table. Each failure
+  is classified ``deterministic`` (the simulation itself raised —
+  retrying the same seed and plan would fail identically) or
+  ``environmental`` (a crashed worker); only environmental failures are
+  retried.
 - Every completed cell lands in the result cache as it settles
   (atomic temp+fsync+rename), so a sweep killed mid-flight — crash,
   SIGINT/SIGTERM, ``BrokenProcessPool`` — resumes by re-running it:
@@ -50,8 +52,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from typing import (
-    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
-    Tuple, Union,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from repro.core.policies import PolicySpec
@@ -368,17 +369,6 @@ class Cell:
         return self.failure["traceback"] if self.failure else None
 
 
-class MatrixError(NamedTuple):
-    """One :attr:`MatrixResult.errors` entry. Tuple-compatible with the
-    historical ``(index, request, traceback)`` shape, plus the
-    structured failure record."""
-
-    index: int
-    request: RunRequest
-    traceback: str
-    failure: Dict[str, Any]
-
-
 def _failure_info(exc: BaseException, tb: str) -> Dict[str, Any]:
     """Structured, picklable record of one cell failure.
 
@@ -442,9 +432,9 @@ class MatrixResult(Sequence):
         return cell.result
 
     @property
-    def errors(self) -> List[MatrixError]:
-        return [MatrixError(i, c.request, c.error, c.failure)
-                for i, c in enumerate(self.cells) if c.failure is not None]
+    def errors(self) -> List[Cell]:
+        """The failed cells, in request order."""
+        return [c for c in self.cells if c.failure is not None]
 
     def get(self, benchmark: str, policy_name: str) -> RunResult:
         """Result of the unique (benchmark, policy-name) cell.
@@ -464,16 +454,6 @@ class MatrixResult(Sequence):
                 f"({len(matches)} cells); index by position"
             )
         return self[matches[0]]
-
-    def try_get(self, benchmark: str, policy_name: str,
-                default: Optional[RunResult] = None) -> Optional[RunResult]:
-        """Like :meth:`get` but returns ``default`` when the cell is
-        missing or failed — figure code uses this to degrade to partial
-        output when a sweep lost cells to failures or crashes."""
-        try:
-            return self.get(benchmark, policy_name)
-        except (KeyError, CellError):
-            return default
 
     def summary(self) -> str:
         """One line for experiment-report notes (hit/miss counters)."""

@@ -1,13 +1,13 @@
 """Progress-model litmus harness.
 
 Executable OBE / Linear / IFP specs (:mod:`repro.litmus.models`), a
-deterministic + hypothesis-driven litmus-program generator
-(:mod:`repro.litmus.generate`), a differential oracle that runs every
-program across the registered policies and judges the observed
-schedules (:mod:`repro.litmus.oracle`), and a shrink link that turns
-violating schedules into minimal self-contained repro bundles
-(:mod:`repro.litmus.shrinklink`; the bundle envelope, replay and
-shrink loop are :mod:`repro.recovery`'s).
+seeded litmus-program generator (:mod:`repro.litmus.generate`), the
+committed ``LIT_*`` corpus (:mod:`repro.litmus.corpus`), a
+differential oracle that runs every program across the registered
+policies and judges the observed schedules (:mod:`repro.litmus.oracle`),
+and a shrink link that turns violating schedules into minimal
+self-contained repro bundles (:mod:`repro.litmus.shrinklink`; the
+bundle envelope, replay and shrink loop are :mod:`repro.recovery`'s).
 """
 
 from repro.litmus.generate import (
@@ -15,7 +15,6 @@ from repro.litmus.generate import (
     canonicalize,
     interpret,
     program_name,
-    program_strategy,
     random_corpus,
     validate_program,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "canonicalize",
     "interpret",
     "program_name",
-    "program_strategy",
     "random_corpus",
     "validate_program",
     "OBE",

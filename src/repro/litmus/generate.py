@@ -654,47 +654,3 @@ def random_corpus(seed: int, count: int) -> List[LitmusProgram]:
             seen.add(program.name)
             out.append(program)
     return out
-
-
-# ---------------------------------------------------------------------------
-# hypothesis strategies (property tests; exploration stays opt-in)
-# ---------------------------------------------------------------------------
-
-def program_strategy():
-    """A hypothesis strategy over well-formed canonical programs.
-
-    Imported lazily so the runtime package works without hypothesis
-    installed (only the property tests need it)."""
-    import hypothesis.strategies as st
-
-    handoffs = st.builds(
-        handoff,
-        wgs=st.integers(2, 5),
-        wgs_per_cu=st.integers(1, 3),
-        rounds=st.integers(1, 3),
-        cs_cycles=st.integers(100, 600),
-        loss_at_us=st.one_of(st.none(), st.floats(0.5, 3.0)),
-    )
-    prodcons = st.builds(
-        producer_consumer,
-        consumers=st.integers(2, 5),
-        wgs_per_cu=st.integers(1, 3),
-        produce_cycles=st.integers(100, 500),
-    )
-    chains = st.builds(
-        chain,
-        wgs=st.integers(3, 6),
-        wgs_per_cu=st.integers(1, 3),
-        forward=st.booleans(),
-    )
-    barriers = st.integers(3, 6).flatmap(
-        lambda wgs: st.builds(
-            barrier_subset,
-            wgs=st.just(wgs),
-            participants=st.integers(2, wgs),
-            wgs_per_cu=st.integers(1, 3),
-        ))
-    fixtures = st.sampled_from(["unreachable", "unsatisfiable"]).map(
-        lambda kind: unreachable_wait() if kind == "unreachable"
-        else unsatisfiable_wait())
-    return st.one_of(handoffs, prodcons, chains, barriers, fixtures)

@@ -33,10 +33,10 @@ from repro.litmus.generate import (
 )
 from repro.litmus.models import VIOLATED
 
-# NOTE: repro.recovery must NOT be imported at module scope: the
-# workloads registry exposes the litmus corpus, so experiments.cache ->
-# runner -> workloads -> litmus -> recovery -> bundle -> cache would
-# close an import cycle.
+# NOTE: repro.recovery.bundle imports LitmusRequest from this module at
+# module scope, so violation_bundles imports make_bundle lazily: a
+# module-scope import here would close the cycle bundle -> shrinklink
+# -> bundle.
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ envelope, told apart by ``bundle["kind"]``:
     policy, seed). Emitted by ``litmus run --bundles``.
 
 Both are consumed by ``python -m repro replay BUNDLE`` and the
-:mod:`repro.recovery.shrink` minimizer. The request type does the
+:mod:`repro.recovery.shrink` minimizer. Each kind maps to its request
+type, imported at module scope (:data:`_KINDS`); that type does the
 kind-specific work: ``check_bundle``/``bundle_stem`` (document shape and
 filename), ``observe``/``matches`` (replay), ``size``/``reductions``
 (shrinking).
@@ -47,7 +48,6 @@ bundles from other versions rather than mis-replaying them.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 import os
 import sys
@@ -58,7 +58,9 @@ from typing import Any, Dict, Optional
 from repro.durability import write_atomic_text
 from repro.errors import ConfigError
 from repro.experiments.cache import code_fingerprint
+from repro.experiments.matrix import RunRequest
 from repro.gpu.diagnostics import diagnosis_signature
+from repro.litmus.shrinklink import LitmusRequest
 
 #: bump when the bundle layout changes; replay refuses other versions
 BUNDLE_VERSION = 1
@@ -74,20 +76,16 @@ BUNDLE_KEYS = ("version", "kind", "request", "expected", "failure",
 LITMUS_BUNDLE_KEYS = ("version", "kind", "request", "expected",
                       "provenance")
 
-#: kind -> (module, request type, top-level keys). Resolved at call
-#: time: matrix imports repro.recovery, and the workloads registry
-#: exposes the litmus corpus, so neither type is importable from here.
+#: kind -> (request type, top-level keys)
 _KINDS = {
-    BUNDLE_KIND: ("repro.experiments.matrix", "RunRequest", BUNDLE_KEYS),
-    LITMUS_BUNDLE_KIND: ("repro.litmus.shrinklink", "LitmusRequest",
-                         LITMUS_BUNDLE_KEYS),
+    BUNDLE_KIND: (RunRequest, BUNDLE_KEYS),
+    LITMUS_BUNDLE_KIND: (LitmusRequest, LITMUS_BUNDLE_KEYS),
 }
 
 
 def request_type(kind: str) -> type:
     """The request class that replays and shrinks bundles of ``kind``."""
-    module, name, _keys = _KINDS[kind]
-    return getattr(importlib.import_module(module), name)
+    return _KINDS[kind][0]
 
 
 def derive_expected(
@@ -129,7 +127,8 @@ def make_bundle(
     clause (required for ``race`` and litmus bundles, whose evidence
     lives in the sanitizer or the model judgments, not a failure
     record)."""
-    kind = next(k for k in _KINDS if isinstance(request, request_type(k)))
+    kind = next(k for k, (cls, _keys) in _KINDS.items()
+                if isinstance(request, cls))
     if expected is None:
         expected = derive_expected(failure=failure, result=result)
     bundle = {
@@ -143,7 +142,7 @@ def make_bundle(
             "created_at": time.time(),
         },
     }
-    if "failure" in _KINDS[kind][2]:
+    if "failure" in _KINDS[kind][1]:
         trimmed_failure = None
         if failure is not None:
             trimmed_failure = {k: failure[k] for k in
@@ -172,7 +171,7 @@ def validate_bundle(bundle: Any) -> Dict[str, Any]:
         raise ConfigError(
             f"bundle version {bundle.get('version')!r} is not supported "
             f"(this build reads version {BUNDLE_VERSION})")
-    missing = [k for k in _KINDS[bundle["kind"]][2] if k not in bundle]
+    missing = [k for k in _KINDS[bundle["kind"]][1] if k not in bundle]
     if missing:
         raise ConfigError(f"bundle is missing keys: {missing}")
     expected = bundle["expected"]

@@ -165,9 +165,9 @@ class Engine:
             return True
         return False
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains, ``until`` cycles pass, or the event
-        budget is exhausted. Returns the number of events processed.
+    def run(self, until: Optional[int] = None) -> int:
+        """Run until the queue drains or ``until`` cycles pass. Returns the
+        number of events processed.
 
         Events scheduled exactly at ``until`` still fire; the clock only
         advances to ``until`` when a strictly later event remains."""
@@ -187,8 +187,6 @@ class Engine:
                     continue
                 if until is not None and when > until:
                     self._now = until
-                    break
-                if max_events is not None and processed >= max_events:
                     break
                 pop(heap)
                 if when < self._now:

@@ -7,7 +7,7 @@ name → value mapping after a run.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 
 class Counter:
@@ -36,14 +36,10 @@ class RunningMean:
         self.name = name
         self.count = 0
         self._mean = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
 
     def add(self, sample: float) -> None:
         self.count += 1
         self._mean += (sample - self._mean) / self.count
-        self.min = sample if self.min is None else min(self.min, sample)
-        self.max = sample if self.max is None else max(self.max, sample)
 
     @property
     def mean(self) -> float:

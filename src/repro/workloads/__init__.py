@@ -5,12 +5,6 @@ the Table 2 caption.
 
 from repro.workloads.bank import build_bank_account_kernel
 from repro.workloads.hashtable import build_hash_table_kernel
-from repro.workloads.litmus import (
-    get_litmus,
-    litmus_corpus,
-    litmus_names,
-    litmus_spec,
-)
 from repro.workloads.registry import (
     BENCHMARKS,
     BenchmarkParams,
@@ -28,9 +22,5 @@ __all__ = [
     "build_bank_account_kernel",
     "build_benchmark",
     "build_hash_table_kernel",
-    "get_litmus",
     "get_spec",
-    "litmus_corpus",
-    "litmus_names",
-    "litmus_spec",
 ]

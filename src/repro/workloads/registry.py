@@ -448,13 +448,6 @@ def get_spec(name: str) -> BenchmarkSpec:
         return BENCHMARKS[name]
     if name in _STRESS_DRILLS:
         return _STRESS_DRILLS[name]
-    if name.startswith("LIT_") or name.startswith("lit-"):
-        # Litmus progress probes resolve lazily and stay out of
-        # BENCHMARKS: figure code iterates that dict, and litmus
-        # programs are adversarial probes, not paper workloads.
-        from repro.workloads.litmus import litmus_spec
-
-        return litmus_spec(name)
     raise ConfigError(f"unknown benchmark {name!r}; known: {list(BENCHMARKS)}")
 
 

@@ -23,7 +23,7 @@ def _requests():
             RunRequest("TB_LG", awg(), SCEN)]
 
 
-def test_run_matrix_flushes_manifest_on_unexpected_exception(
+def test_cells_settle_into_the_cache_before_run_matrix_returns(
         tmp_path, monkeypatch):
     """Kill-and-resume, exception variant: a crash AFTER the cells ran
     but before ``run_matrix`` returns must still leave every completed

@@ -1,12 +1,16 @@
-"""Matrix-runner survival: killed workers, bounded retries.
+"""Matrix-runner survival: killed workers, bounded retries, and a failed
+cell failing the figure that reads it.
 
 Uses the underscore-prefixed `_KILL` stress drill from the workload
 registry (it SIGKILLs its worker once, gated on a sentinel file), which
 resolves in any process but never appears in figures.
 """
 
-from repro.core.policies import awg
-from repro.experiments.matrix import RunRequest, run_matrix
+import pytest
+
+from repro.core.policies import awg, baseline, timeout
+from repro.experiments import fig14, fig15
+from repro.experiments.matrix import CellError, RunRequest, run_matrix
 from repro.experiments.runner import QUICK_SCALE
 from repro.workloads.registry import STRESS_KILL_ENV
 
@@ -75,12 +79,22 @@ def test_exhausted_retries_become_structured_failures(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# try_get degradation
+# a failed cell fails its figure
 # ---------------------------------------------------------------------------
 
-def test_try_get_returns_default_for_failed_or_missing_cells():
-    matrix = run_matrix([_req("NO_SUCH_BENCHMARK"), _req("SPM_G")], jobs=1,
-                        cache=None)
-    assert matrix.try_get("NO_SUCH_BENCHMARK", "AWG") is None
-    assert matrix.try_get("NO_SUCH", "AWG") is None
-    assert matrix.try_get("SPM_G", "AWG").ok
+@pytest.mark.parametrize("figure", [fig14, fig15], ids=["fig14", "fig15"])
+def test_failed_cell_fails_its_figure_with_its_cell_error(figure,
+                                                          monkeypatch):
+    execute = RunRequest.execute
+
+    def fail_one(request):
+        if (request.benchmark, request.policy.name) == ("TB_LG", "AWG"):
+            raise RuntimeError("injected cell failure")
+        return execute(request)
+
+    monkeypatch.setattr(RunRequest, "execute", fail_one)
+    with pytest.raises(CellError, match=r"cell \(TB_LG, AWG, ") as exc:
+        figure.run(SCEN, benchmarks=["SPM_G", "TB_LG"],
+                   policies=[baseline(), timeout(20_000), awg()],
+                   jobs=1, cache=None)
+    assert exc.value.failure["message"] == "injected cell failure"

@@ -131,8 +131,7 @@ def test_per_cell_error_capture_does_not_abort_sweep():
     matrix = run_matrix(requests, jobs=1, cache=None)
     assert matrix[0].ok
     assert matrix[2].ok
-    errors = matrix.errors
-    assert len(errors) == 1 and errors[0][0] == 1
+    assert matrix.errors == [matrix.cells[1]]
     with pytest.raises(CellError, match="NO_SUCH_BENCHMARK"):
         matrix[1]
 

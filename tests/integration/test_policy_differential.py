@@ -20,30 +20,33 @@ invariants that define the policy table:
   AWG's straggler rescues push it slightly above; excluded by design.)
 * Every policy that completes leaves bit-identical final memory --
   scheduling may differ, results may not.
-* The static analyzer's 96-cell table is sound against these runs and
-  agrees with DESIGN.md's IFP column (:mod:`repro.analysis.crosscheck`).
+* The static analyzer's 96-cell table is sound against these runs: no
+  MUST_COMPLETE cell deadlocks. (That the table agrees with DESIGN.md's
+  IFP column is checked in ``tests/analysis/test_analyzer.py``.)
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.analysis.analyzer import build_report
-from repro.analysis.crosscheck import (
-    crosscheck, differential_scenario, parse_design_ifp_table,
-)
-from repro.analysis.specs import table_policies
-from repro.experiments import run_benchmark
+from repro.analysis.specs import MUST_COMPLETE, table_policies
+from repro.experiments import QUICK_SCALE, run_benchmark
 from repro.workloads.registry import benchmark_names
 
 #: oversubscription after CU loss: 8 WGs, 1 slot per CU, one CU lost
 #: mid-run.  Baseline deadlocks on every benchmark at this scale; all
 #: 96 cells simulate in ~10 s in-process.
-SCENARIO = differential_scenario()
-
-DESIGN = Path(__file__).resolve().parents[2] / "DESIGN.md"
+SCENARIO = QUICK_SCALE.scaled(
+    total_wgs=8,
+    wgs_per_group=4,
+    max_wgs_per_cu=1,
+    iterations=1,
+    episodes=4,
+    resource_loss_at_us=0.5,
+    deadlock_window=100_000,
+    label="differential",
+)
 
 POLICIES = table_policies()
 POLICY_BY_NAME = {p.name: p for p in POLICIES}
@@ -154,14 +157,12 @@ def test_final_memory_identical(matrix, bench):
 
 
 def test_static_table_is_sound_against_the_matrix(matrix):
-    """No statically MUST_COMPLETE cell deadlocked here, and no policy
-    DESIGN.md marks non-IFP owns a MUST_COMPLETE cell."""
-    observed = {
-        key: {"ok": result.ok, "deadlocked": result.deadlocked,
-              "reason": result.reason or ""}
-        for key, result in matrix.items()
-    }
-    report = crosscheck(build_report(BENCHMARKS).verdicts, observed,
-                        parse_design_ifp_table(str(DESIGN)))
-    assert report.cells_checked == len(BENCHMARKS) * len(POLICIES)
-    assert report.ok, report.render()
+    """No statically MUST_COMPLETE cell deadlocked here: a static
+    verdict may be pessimistic, never unsound."""
+    verdicts = build_report(BENCHMARKS).verdicts
+    assert set(verdicts) == set(matrix)
+    for key, verdict in sorted(verdicts.items()):
+        result = matrix[key]
+        assert not (verdict == MUST_COMPLETE and result.deadlocked), (
+            f"{key[0]}/{key[1]}: static MUST_COMPLETE but the "
+            f"differential run deadlocked ({result.reason})")

@@ -10,9 +10,9 @@ table's side is ``tests/integration/test_policy_differential.py``.
 """
 
 from repro.analysis.specs import MUST_COMPLETE, table_policies
+from repro.litmus.corpus import litmus_corpus
 from repro.litmus.models import VIOLATED, claimed_model
 from repro.litmus.oracle import run_corpus
-from repro.workloads.litmus import litmus_corpus
 
 _REPORT = None
 

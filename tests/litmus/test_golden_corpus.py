@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.litmus.corpus import litmus_corpus
 from repro.litmus.oracle import REPORT_VERSION
-from repro.workloads.litmus import litmus_corpus
 from tests.conftest import UPDATE_GOLDENS, check_golden
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden" / "litmus"

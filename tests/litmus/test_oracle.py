@@ -1,12 +1,12 @@
 """The oracle end-to-end: simulator runs judged against the models,
-static expectations enforced, determinism, and registry integration."""
+static expectations enforced, determinism, and corpus lookup."""
 
 import pytest
 
 from repro.core.policies import awg, baseline, monnr_one, timeout
+from repro.litmus.corpus import get_litmus, litmus_corpus, litmus_names
 from repro.litmus.models import IFP, OBE, SATISFIED, VACUOUS, VIOLATED
 from repro.litmus.oracle import golden_policies, run_corpus, run_litmus
-from repro.workloads.litmus import get_litmus, litmus_corpus, litmus_names
 
 
 def test_acceptance_witness_obe_violated_ifp_satisfied():
@@ -109,29 +109,15 @@ def test_observer_reconstructs_completed_schedule():
     assert schedule.locks == (0,)
 
 
-def test_registry_resolves_litmus_names():
-    from repro.workloads.registry import BENCHMARKS, get_spec
+def test_litmus_names_are_not_benchmarks():
+    # a litmus program runs only through run_litmus, on its own 2-CU
+    # machine and loss window; the benchmark path would drop both
+    from repro.errors import ConfigError
+    from repro.experiments import QUICK_SCALE, run_benchmark
 
-    spec = get_spec("LIT_HANDOFF")
-    assert spec.category == "litmus"
-    assert spec.abbrev == "LIT_HANDOFF"
-    # canonical names resolve too
-    assert get_spec(get_litmus("LIT_HANDOFF").name).full_name == \
-        get_litmus("LIT_HANDOFF").name
-    # but litmus programs never leak into the benchmark table
-    assert not any(name.startswith("LIT_") for name in BENCHMARKS)
-
-
-def test_registry_builds_litmus_kernel():
-    from repro.gpu.gpu import GPU
-    from repro.litmus.oracle import litmus_config
-    from repro.workloads.registry import build_benchmark
-
-    program = get_litmus("LIT_PRODCONS")
-    gpu = GPU(litmus_config(program, seed=1), awg())
-    kernel = build_benchmark("LIT_PRODCONS", gpu)
-    gpu.launch(kernel)
-    assert gpu.run().ok
+    for name in ("LIT_HANDOFF", get_litmus("LIT_HANDOFF").name):
+        with pytest.raises(ConfigError, match="unknown benchmark"):
+            run_benchmark(name, baseline(), QUICK_SCALE, validate=False)
 
 
 def test_unknown_litmus_name_raises():

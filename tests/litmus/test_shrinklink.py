@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.policies import awg, baseline
 from repro.errors import ConfigError, ReproError
+from repro.litmus.corpus import get_litmus
 from repro.litmus.generate import handoff
 from repro.litmus.shrinklink import LitmusRequest, program_size
 from repro.recovery.bundle import (
@@ -19,7 +20,6 @@ from repro.recovery.bundle import (
     write_bundle,
 )
 from repro.recovery.shrink import shrink_bundle
-from repro.workloads.litmus import get_litmus
 
 
 def violation_bundle():

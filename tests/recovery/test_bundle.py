@@ -109,8 +109,8 @@ def test_write_load_round_trip(tmp_path):
 
 
 def _litmus_bundle():
+    from repro.litmus.corpus import get_litmus
     from repro.litmus.shrinklink import LitmusRequest
-    from repro.workloads.litmus import get_litmus
 
     return make_bundle(
         LitmusRequest(program=get_litmus("LIT_HANDOFF_LOSS"),

@@ -105,7 +105,7 @@ class CalendarOracle(Engine):
         self._fire(when)
         return True
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[int] = None) -> int:
         self._enter()
         processed = 0
         try:
@@ -115,8 +115,6 @@ class CalendarOracle(Engine):
                     break
                 if until is not None and when > until:
                     self._now = until
-                    break
-                if max_events is not None and processed >= max_events:
                     break
                 self._fire(when)
                 processed += 1

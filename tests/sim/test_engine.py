@@ -105,12 +105,6 @@ def test_run_returns_event_count(env):
     assert env.run() == 4
 
 
-def test_run_max_events(env):
-    for i in range(10):
-        env.timeout(i + 1)
-    assert env.run(max_events=3) == 3
-
-
 def test_step_returns_false_when_idle(env):
     assert env.step() is False
 
@@ -178,13 +172,13 @@ def test_run_until_exactly_next_event_time_with_ties(env):
     assert order == [0, 1, 2, "z", "late"]
 
 
-def test_run_max_events_expires_mid_batch(env):
-    """An event budget can split a same-timestamp batch; the remainder
+def test_step_splits_a_same_timestamp_batch(env):
+    """Single steps can split a same-timestamp batch; the remainder
     fires, in FIFO order, on the next run()."""
     order = []
     for i in range(5):
         env.timeout(10).add_callback(lambda e, i=i: order.append(i))
-    assert env.run(max_events=3) == 3
+    assert all(env.step() for _ in range(3))
     assert order == [0, 1, 2]
     assert env.now == 10
     assert env.pending_events() == 2
@@ -255,7 +249,8 @@ def test_pending_events_matches_scan_oracle(env):
             if not ev.fired:
                 ev.cancel()
         else:
-            env.run(max_events=rng.randrange(1, 5))
+            for _ in range(rng.randrange(1, 5)):
+                env.step()
             live = [ev for ev in live if not ev.fired]
         assert env.pending_events() == _scan_pending_events(env)
     env.run()

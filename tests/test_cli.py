@@ -182,9 +182,9 @@ def _cell_bundle(tmp_path, policy):
 def _litmus_bundle(tmp_path, policy):
     """LIT_HANDOFF_LOSS: OBE violated under Baseline, not under AWG."""
     from repro.core.policies import named_policy
+    from repro.litmus.corpus import get_litmus
     from repro.litmus.shrinklink import LitmusRequest
     from repro.recovery.bundle import make_bundle, write_bundle
-    from repro.workloads.litmus import get_litmus
 
     request = LitmusRequest(program=get_litmus("LIT_HANDOFF_LOSS"),
                             policy=named_policy(policy), seed=1)
@@ -223,6 +223,14 @@ def test_litmus_replay_subcommand_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["litmus", "replay", bundle])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_litmus_generate_prints_the_requested_count(count, capsys):
+    import json
+
+    assert main(["litmus", "generate", "--programs", str(count)]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == count
 
 
 def test_replay_trace_rejects_litmus_bundle(tmp_path, capsys):
