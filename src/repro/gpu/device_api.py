@@ -106,7 +106,9 @@ class WavefrontCtx:
             yield wg.gate
 
     def _preamble(self):
-        yield from self._interrupt_point()
+        wg = self.wg
+        if wg.evict_requested or wg.gate is not None:
+            yield from self._interrupt_point()
         yield self.simd.service(self.gpu.config.issue_cycles)
 
     # -- compute and plain memory ---------------------------------------------

@@ -212,16 +212,15 @@ class GPU:
         reason = "completed"
         deadlocked = False
 
-        def outstanding() -> bool:
-            # len(self.wgs) is re-read each time: deferred launches
-            # (cooperative groups) add WGs mid-run and hold completion
-            # until they dispatch.
-            return self._finished < len(self.wgs) or self._completion_holds > 0
+        wgs = self.wgs
 
         def halted() -> bool:
-            return not outstanding()
+            # nothing outstanding. len(wgs) is re-read each time: deferred
+            # launches (cooperative groups) add WGs mid-run and hold
+            # completion until they dispatch.
+            return self._finished >= len(wgs) and self._completion_holds <= 0
 
-        while outstanding():
+        while not halted():
             if env.now >= cfg.max_cycles:
                 reason = "max_cycles"
                 deadlocked = True
@@ -255,7 +254,7 @@ class GPU:
             # without per-event Python dispatch in between.
             boundary = cfg.max_cycles if cfg.max_cycles < next_check else next_check
             env.drain_batches(boundary, halted)
-            if not outstanding():
+            if halted():
                 break
             # The next event (if any) is at or past the boundary. The old
             # loop fired exactly one such event before its checks could
@@ -309,7 +308,7 @@ class GPU:
                     total=len(self.wgs),
                     stall_report=stalls,
                 )
-        return self._outcome(not deadlocked and not outstanding(),
+        return self._outcome(not deadlocked and halted(),
                              deadlocked, reason, diagnosis)
 
     def _outcome(

@@ -88,9 +88,8 @@ class MemoryHierarchy:
         cfg = self.config
         l1 = self.l1s[cu_id]
         if l1.access(addr):
-            done = self.env.timeout(cfg.l1_latency)
             result = Event(self.env)
-            done.add_callback(lambda _ev: result.try_succeed(self.store.read(addr)))
+            self.env.call_at(cfg.l1_latency, self._reply_read, result, addr)
             return result
         return self._l2_access(addr, extra_latency=cfg.l1_latency, write=False)
 
@@ -116,6 +115,11 @@ class MemoryHierarchy:
         done.add_callback(_commit)
         return result
 
+    def _reply_read(self, result: Event, addr: int) -> None:
+        """The reply relay of a load: the word is read when the reply
+        lands, not when the request is issued."""
+        result.try_succeed(self.store.read(addr))
+
     def _l2_access(self, addr: int, extra_latency: int, write: bool) -> Event:
         cfg = self.config
         result = Event(self.env)
@@ -129,15 +133,12 @@ class MemoryHierarchy:
                 dram_done = self.dram.service(cfg.dram_service)
 
                 def _from_dram(_ev2: Event) -> None:
-                    fin = self.env.timeout(latency + cfg.dram_latency)
-                    fin.add_callback(
-                        lambda _e: result.try_succeed(self.store.read(addr))
-                    )
+                    self.env.call_at(latency + cfg.dram_latency,
+                                     self._reply_read, result, addr)
 
                 dram_done.add_callback(_from_dram)
             else:
-                fin = self.env.timeout(latency)
-                fin.add_callback(lambda _e: result.try_succeed(self.store.read(addr)))
+                self.env.call_at(latency, self._reply_read, result, addr)
 
         granted.add_callback(_at_l2)
         return result
@@ -190,8 +191,7 @@ class MemoryHierarchy:
                 l2_hook(res)
             latency = (cfg.l2_latency + (0 if hit else cfg.dram_latency)
                        + self.fault_extra_latency)
-            fin = self.env.timeout(latency)
-            fin.add_callback(lambda _e: result.try_succeed(res))
+            self.env.call_at(latency, result.try_succeed, res)
 
         granted.add_callback(_at_l2)
         return result

@@ -6,7 +6,7 @@ of SimPy, specialized for cycle-accurate-ish hardware modelling:
 - :class:`~repro.sim.engine.Engine` — the event heap and simulation clock
   (integer cycles).
 - :class:`~repro.sim.events.Event` — one-shot completion events with
-  callbacks; :class:`~repro.sim.events.Timeout`,
+  callbacks (``Engine.timeout`` builds a delayed one);
   :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.AllOf`.
 - :class:`~repro.sim.process.Process` — a generator that yields events and
   is resumed with their values; supports interruption.
@@ -16,7 +16,7 @@ of SimPy, specialized for cycle-accurate-ish hardware modelling:
 """
 
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, AnyOf, Event
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import FifoResource
 from repro.sim.rng import RngStream
@@ -33,5 +33,4 @@ __all__ = [
     "Process",
     "RngStream",
     "StatRegistry",
-    "Timeout",
 ]

@@ -1,12 +1,14 @@
 """The discrete-event simulation engine.
 
 The engine owns the simulation clock (an integer cycle count) and the
-set of scheduled events, kept in one binary heap of
-``(time, seq, event)`` entries. Components schedule
-:class:`~repro.sim.events.Event` objects to fire after a delay;
-processes (see :mod:`repro.sim.process`) yield events to wait for them.
+set of scheduled entries, kept in one binary heap of
+``(time, seq, entry)`` tuples plus a zero-delay FIFO lane. An entry is
+an :class:`~repro.sim.events.Event` (processes yield events to wait for
+them, see :mod:`repro.sim.process`) or a
+:class:`~repro.sim.events.Call`, a bare ``fn(*args)`` timer for the
+fixed latencies of the device-op path.
 
-**Determinism contract.** Events scheduled at the same cycle fire in
+**Determinism contract.** Entries scheduled for the same cycle fire in
 FIFO order of scheduling (the ``seq`` tie-break), so a run's event
 order, stats, traces and final memory are a pure function of its
 inputs. The golden stat corpus (``tests/golden``) and the benchmark's
@@ -14,11 +16,22 @@ recorded cell digests pin that order, and
 ``tests/integration/test_engine_differential.py`` checks it against a
 naive per-timestamp oracle queue.
 
-Cancellation is lazy: a cancelled event's heap entry is garbage until
-its timestamp is reached, so preemption storms that cancel many
-far-future timeouts would otherwise grow memory and pop cost without
-bound. When dead entries cross a threshold the heap is compacted in
-place (see :meth:`Engine.note_cancelled`).
+**Zero-delay lane.** About half of all schedules are zero-delay relays
+(a resource finish succeeding its completion event, a process exit).
+While :meth:`Engine.drain_batches` fires the batch at ``now``, such an
+entry is appended to a deque instead of being pushed on the heap. Each
+timestamp fires its heap entries first, then the lane. That is the
+heap's own order: nothing can add a heap entry at ``now`` while the
+batch runs (a zero-delay entry goes to the lane, any other one lands
+later), so every lane entry was scheduled after every heap entry at
+``now`` and would have drawn a larger ``seq``. Outside
+``drain_batches`` zero-delay entries go on the heap.
+
+Cancellation is lazy: a cancelled entry stays queued as garbage until
+it would have been the next to fire, so preemption storms that cancel
+many far-future timeouts would otherwise grow memory and pop cost
+without bound. When dead entries cross a threshold the heap and the lane
+are compacted in place (see :meth:`Engine.note_cancelled`).
 
 A calendar queue is faster than this heap on synthetic event drains,
 but not on the system benchmark's workloads, and it uses more memory
@@ -27,28 +40,35 @@ but not on the system benchmark's workloads, and it uses more memory
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from heapq import heapify, heappop, heappush
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import Call, Event
 
 #: never compact below this many dead entries (tiny queues aren't worth it)
 COMPACT_MIN_DEAD = 64
 
+Entry = Union[Event, Call]
+
 
 class Engine:
-    """Simulation clock plus a binary heap of ``(time, seq, event)``."""
+    """Simulation clock plus a binary heap of ``(time, seq, entry)`` and
+    the zero-delay lane of the batch being drained."""
 
     def __init__(self) -> None:
         self._now: int = 0
         self._seq: int = 0
         self._running = False
-        self._heap: List[Tuple[int, int, Event]] = []
-        #: live (scheduled, non-cancelled) events — maintained incrementally
+        self._heap: List[Tuple[int, int, Entry]] = []
+        #: zero-delay entries at ``now``; only exists while drain_batches
+        #: runs (None otherwise, when zero-delay entries go on the heap)
+        self._lane: Optional[Deque[Entry]] = None
+        #: live (scheduled, non-cancelled) entries — maintained incrementally
         #: on schedule/cancel/fire so :meth:`pending_events` is O(1)
         self._live: int = 0
-        #: cancelled events still physically queued (lazy deletion debt)
+        #: cancelled entries still physically queued (lazy deletion debt)
         self._dead: int = 0
         # -- observability (engine.* counters in the trace layer) ------
         self._peak_pending: int = 0
@@ -69,32 +89,28 @@ class Engine:
 
     def timeout(self, delay: int, value: object = None) -> Event:
         """Create an event that fires ``delay`` cycles from now."""
-        ev = Event(self)
-        self.schedule(ev, delay=delay, value=value)
-        return ev
+        return Event(self).succeed(value, delay)
 
-    def call_at(self, delay: int, fn: Callable[[], None]) -> Event:
-        """Invoke ``fn`` after ``delay`` cycles (fire-and-forget helper)."""
-        ev = self.timeout(delay)
-        ev.add_callback(lambda _ev: fn())
-        return ev
+    def call_at(self, delay: int, fn: Callable[..., None], *args) -> None:
+        """Call ``fn(*args)`` after ``delay`` cycles (fire-and-forget)."""
+        self._enqueue(Call(fn, args), delay)
 
-    def schedule(self, event: Event, delay: int = 0, value: object = None) -> Event:
-        """Arrange for ``event`` to fire ``delay`` cycles from now.
-
-        The event's value is set at fire time; scheduling an already-fired
-        or already-scheduled event is an error.
-        """
-        if delay < 0:
+    def _enqueue(self, entry: Entry, delay: int) -> None:
+        """Queue ``entry`` (an Event or a Call) to fire ``delay`` cycles
+        from now. Every schedule goes through here, so a queue with
+        another layout overrides only this (the test oracle queue does)."""
+        lane = self._lane
+        if lane is not None and delay == 0:
+            lane.append(entry)
+        elif delay >= 0:
+            self._seq += 1
+            heappush(self._heap, (self._now + delay, self._seq, entry))
+        else:
             raise SimulationError(f"negative delay: {delay}")
-        event.mark_scheduled(value)
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
         live = self._live + 1
         self._live = live
         if live > self._peak_pending:
             self._peak_pending = live
-        return event
 
     # -- lazy-cancellation accounting ----------------------------------
     def note_cancelled(self) -> None:
@@ -106,23 +122,30 @@ class Engine:
         timeouts) keep bounded memory and pop cost."""
         self._live -= 1
         self._dead += 1
-        if (self._dead >= COMPACT_MIN_DEAD
-                and self._dead * 2 >= len(self._heap)):
-            self._compact()
+        if self._dead >= COMPACT_MIN_DEAD:
+            lane = self._lane
+            size = len(self._heap) + (len(lane) if lane else 0)
+            if self._dead * 2 >= size:
+                self._compact()
 
     def _compact(self) -> None:
         heap = self._heap
         removed = self._dead
-        # in place, so aliases held by an active run() loop stay valid
+        # in place, so aliases held by an active drain loop stay valid
         heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
+        heapify(heap)
+        lane = self._lane
+        if lane:
+            live = [entry for entry in lane if not entry.cancelled]
+            lane.clear()
+            lane.extend(live)
         self._dead = 0
         self._compactions += 1
         self._compacted_entries += removed
         self._reaped += removed
 
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still scheduled.
+        """Number of live (non-cancelled) entries still scheduled.
 
         O(1): an incrementally maintained counter (the full-queue scan it
         replaces survives as the oracle in ``tests/sim/test_engine.py``).
@@ -147,12 +170,11 @@ class Engine:
 
     # -- firing ----------------------------------------------------------
     def step(self) -> bool:
-        """Fire the next event. Returns False if the queue is empty."""
+        """Fire the next entry. Returns False if the queue is empty."""
         heap = self._heap
-        pop = heapq.heappop
         while heap:
-            when, _seq, event = pop(heap)
-            if event.cancelled:
+            when, _seq, entry = heappop(heap)
+            if entry.cancelled:
                 self._dead -= 1
                 self._reaped += 1
                 continue
@@ -161,64 +183,67 @@ class Engine:
             self._now = when
             self._live -= 1
             self._fired += 1
-            event.fire()
+            entry.fire()
             return True
         return False
 
     def run(self, until: Optional[int] = None) -> int:
         """Run until the queue drains or ``until`` cycles pass. Returns the
-        number of events processed.
+        number of entries fired.
 
-        Events scheduled exactly at ``until`` still fire; the clock only
-        advances to ``until`` when a strictly later event remains."""
+        Entries scheduled exactly at ``until`` still fire; the clock only
+        advances to ``until`` when a strictly later entry remains."""
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
         self._running = True
         heap = self._heap
-        pop = heapq.heappop
         processed = 0
         try:
             while heap:
-                when, _seq, event = heap[0]
-                if event.cancelled:
-                    pop(heap)
+                when, _seq, entry = heap[0]
+                if entry.cancelled:
+                    heappop(heap)
                     self._dead -= 1
                     self._reaped += 1
                     continue
                 if until is not None and when > until:
                     self._now = until
                     break
-                pop(heap)
+                heappop(heap)
                 if when < self._now:
                     raise SimulationError("event heap time went backwards")
                 self._now = when
                 self._live -= 1
                 self._fired += 1
-                event.fire()
+                entry.fire()
                 processed += 1
         finally:
             self._running = False
         return processed
 
     def drain_batches(self, boundary: int, should_halt: Callable[[], bool]) -> int:
-        """Fire whole same-timestamp batches while the next event is
+        """Fire whole same-timestamp batches while the next entry is
         strictly before ``boundary``; re-check ``should_halt`` only
-        between timestamps. Returns the number of events fired.
+        between timestamps. Returns the number of entries fired.
 
         This is the hot API behind :meth:`repro.gpu.gpu.GPU.run`: the
         caller performs its (rare) watchdog / cycle-budget checks at
-        batch boundaries instead of paying per-event Python dispatch."""
+        batch boundaries instead of paying per-event Python dispatch.
+        Zero-delay entries scheduled meanwhile go to the lane (see the
+        module docstring)."""
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
         self._running = True
         heap = self._heap
-        pop = heapq.heappop
+        lane: Deque[Entry] = deque()
+        popleft = lane.popleft
+        self._lane = lane
         fired = 0
         try:
             while heap:
                 head = heap[0]
                 if head[2].cancelled:
-                    pop(heap)
+                    heappop(heap)
                     self._dead -= 1
                     self._reaped += 1
                     continue
@@ -230,22 +255,38 @@ class Engine:
                 if t < self._now:
                     raise SimulationError("event heap time went backwards")
                 self._now = t
-                # drain every event at t (including ones scheduled at t
-                # by the events themselves) in one inner loop
+                # the heap entries at t first; a dead entry is reaped only
+                # when it would have been the next to fire, so one at a
+                # later time waits until the lane has drained
                 while heap:
-                    when, _seq, event = heap[0]
-                    if event.cancelled:
-                        pop(heap)
+                    when, _seq, entry = heap[0]
+                    if when != t:
+                        break
+                    heappop(heap)
+                    if entry.cancelled:
                         self._dead -= 1
                         self._reaped += 1
                         continue
-                    if when != t:
-                        break
-                    pop(heap)
                     self._live -= 1
-                    event.fire()
+                    entry.fire()
+                    fired += 1
+                # then every zero-delay entry the batch scheduled, FIFO
+                while lane:
+                    entry = popleft()
+                    if entry.cancelled:
+                        self._dead -= 1
+                        self._reaped += 1
+                        continue
+                    self._live -= 1
+                    entry.fire()
                     fired += 1
         finally:
+            self._lane = None
+            # an entry that raised leaves the rest of the lane behind: it
+            # goes on the heap, after the heap entries at now, in order
+            for entry in lane:
+                self._seq += 1
+                heappush(heap, (self._now, self._seq, entry))
             self._running = False
         self._fired += fired
         return fired

@@ -1,8 +1,8 @@
-"""One-shot events and composite events for the simulation engine."""
+"""One-shot events, direct-call queue entries and composite events."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -19,101 +19,126 @@ _FIRED = "fired"
 class Event:
     """A one-shot completion event.
 
-    Lifecycle: *pending* → *scheduled* (sitting in the engine heap) →
+    Lifecycle: *pending* → *scheduled* (sitting in the engine queue) →
     *fired* (callbacks run, value available). ``succeed`` schedules the
     event at the current time; ``try_succeed`` is the idempotent variant
     used by racy notifiers (e.g. a resume racing a timeout). ``cancel``
-    marks a scheduled event dead so the heap skips it.
+    marks a scheduled event dead so the queue skips it.
     """
 
-    __slots__ = ("env", "_state", "_value", "_callbacks", "cancelled")
+    __slots__ = ("env", "_state", "_value", "_cb", "_more", "cancelled")
 
     def __init__(self, env: "Engine") -> None:
         self.env = env
         self._state = _PENDING
         self._value: object = None
-        # lazily allocated: most timeouts get at most one observer, and
-        # pure delays (quantum ticks) get none at all
-        self._callbacks: Optional[List[Callback]] = None
+        # Nearly every event has exactly one observer (the process that
+        # yielded it), so the first callback sits in a slot and a list is
+        # allocated only for the second; pure delays (quantum ticks) get
+        # none at all.
+        self._cb: Optional[Callback] = None
+        self._more: Optional[List[Callback]] = None
         self.cancelled = False
 
     # -- state ---------------------------------------------------------
     @property
     def triggered(self) -> bool:
         """True once the event has been scheduled or fired."""
-        return self._state != _PENDING
+        return self._state is not _PENDING
 
     @property
     def fired(self) -> bool:
-        return self._state == _FIRED
+        return self._state is _FIRED
 
     @property
     def value(self) -> object:
-        if self._state != _FIRED:
+        if self._state is not _FIRED:
             raise SimulationError("event value read before it fired")
         return self._value
 
     # -- triggering ----------------------------------------------------
-    def mark_scheduled(self, value: object) -> None:
-        if self._state != _PENDING:
+    def succeed(self, value: object = None, delay: int = 0) -> "Event":
+        """Schedule this event to fire ``delay`` cycles from now.
+
+        The event's value is set at fire time; scheduling an already-fired
+        or already-scheduled event is an error."""
+        if self._state is not _PENDING:
             raise SimulationError("event scheduled twice")
+        self.env._enqueue(self, delay)
         self._state = _SCHEDULED
         self._value = value
-
-    def succeed(self, value: object = None, delay: int = 0) -> "Event":
-        """Schedule this event to fire ``delay`` cycles from now."""
-        self.env.schedule(self, delay=delay, value=value)
         return self
 
     def try_succeed(self, value: object = None, delay: int = 0) -> bool:
         """Like :meth:`succeed` but a no-op if already triggered."""
-        if self.triggered or self.cancelled:
+        if self._state is not _PENDING or self.cancelled:
             return False
-        self.succeed(value, delay=delay)
+        # succeed() inlined: this is the relay every resource completion,
+        # memory reply and process exit goes through
+        self.env._enqueue(self, delay)
+        self._state = _SCHEDULED
+        self._value = value
         return True
 
     def cancel(self) -> None:
         """Mark the event dead; it will never fire."""
-        if self._state == _FIRED:
+        if self._state is _FIRED:
             raise SimulationError("cannot cancel a fired event")
         if self.cancelled:
             return
         self.cancelled = True
-        if self._state == _SCHEDULED:
+        if self._state is _SCHEDULED:
             # keep the engine's live-event counter in sync: the entry
-            # stays in the heap but will be skipped, not fired
+            # stays queued but will be skipped, not fired
             self.env.note_cancelled()
 
     def fire(self) -> None:
-        if self.cancelled:
-            return
-        if self._state != _SCHEDULED:
-            raise SimulationError("firing an event that was not scheduled")
+        """Run the callbacks. Called by the engine only, and only for a
+        scheduled, non-cancelled event."""
         self._state = _FIRED
-        callbacks, self._callbacks = self._callbacks, None
-        if callbacks:
-            for cb in callbacks:
-                cb(self)
+        cb = self._cb
+        if cb is not None:
+            self._cb = None
+            cb(self)
+            more = self._more
+            if more is not None:
+                self._more = None
+                for cb in more:
+                    cb(self)
 
     # -- observers -----------------------------------------------------
     def add_callback(self, cb: Callback) -> None:
-        """Run ``cb(event)`` when the event fires (immediately if fired)."""
-        if self._state == _FIRED:
+        """Run ``cb(event)`` when the event fires (immediately if fired).
+        Callbacks run in the order they were added."""
+        if self._state is _FIRED:
             cb(self)
-        elif self._callbacks is None:
-            self._callbacks = [cb]
+        elif self._cb is None:
+            self._cb = cb
+        elif self._more is None:
+            self._more = [cb]
         else:
-            self._callbacks.append(cb)
+            self._more.append(cb)
 
 
-class Timeout(Event):
-    """An event that fires a fixed delay after creation."""
+class Call:
+    """A queue entry that calls ``fn(*args)`` when it fires.
 
-    __slots__ = ()
+    The fixed-latency timers of the device-op path (resource finishes,
+    memory replies, process starts) need no value and no observers, so
+    they are queued as a bare call instead of an :class:`Event` with a
+    callback closure. A call takes its ``(time, seq)`` place in the queue
+    exactly like the event it replaces.
+    """
 
-    def __init__(self, env: "Engine", delay: int, value: object = None) -> None:
-        super().__init__(env)
-        env.schedule(self, delay=delay, value=value)
+    __slots__ = ("fn", "args", "cancelled")
+
+    def __init__(self, fn: Callable[..., None], args: Tuple) -> None:
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
+
+    def fire(self) -> None:
+        self.fn(*self.args)
 
 
 class AnyOf(Event):
@@ -130,14 +155,12 @@ class AnyOf(Event):
         self.children: List[Event] = list(children)
         if not self.children:
             raise SimulationError("AnyOf needs at least one child event")
-        for idx, child in enumerate(self.children):
-            child.add_callback(self._make_cb(idx))
+        for child in self.children:
+            child.add_callback(self._child_fired)
 
-    def _make_cb(self, idx: int) -> Callback:
-        def _cb(child: Event) -> None:
-            self.try_succeed((idx, child.value))
-
-        return _cb
+    def _child_fired(self, child: Event) -> None:
+        if self._state is _PENDING:
+            self.try_succeed((self.children.index(child), child._value))
 
 
 class AllOf(Event):

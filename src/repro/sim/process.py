@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import _FIRED, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -40,7 +40,7 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         # Start on the next engine tick at the current time so creation
         # order does not leak into execution order mid-callback.
-        env.timeout(0).add_callback(lambda _ev: self._resume(None, None))
+        env.call_at(0, self._resume, None, None)
 
     @property
     def alive(self) -> bool:
@@ -50,17 +50,13 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at its wait point."""
         if self.fired:
             return
-        waiting = self._waiting_on
-        self._waiting_on = None
         # The event the process was waiting for may still fire later; the
         # stale callback checks _waiting_on identity and ignores it.
-        self.env.timeout(0).add_callback(
-            lambda _ev, c=cause: self._resume(None, Interrupt(c))
-        )
-        del waiting
+        self._waiting_on = None
+        self.env.call_at(0, self._resume, None, Interrupt(cause))
 
     def _resume(self, value: object, exc: Optional[BaseException]) -> None:
-        if self.fired:
+        if self._state is _FIRED:
             return
         self._waiting_on = None
         try:
@@ -88,4 +84,4 @@ class Process(Event):
         # process abandoned — e.g. after an interrupt — firing later), so
         # the closure's captured target added nothing but allocations.
         if self._waiting_on is event:
-            self._resume(event.value, None)
+            self._resume(event._value, None)

@@ -56,25 +56,22 @@ class FifoResource:
         self.total_service_cycles += cycles
         done = Event(self.env)
         if self._busy < self.slots:
-            self._begin(done, cycles, queued_at=None)
+            self._busy += 1
+            self.env.call_at(cycles, self._finish, done)
         else:
             self._queue.append((done, cycles, self.env.now))
             self.peak_queue_depth = max(self.peak_queue_depth, len(self._queue))
         return done
 
-    def _begin(self, done: Event, cycles: int, queued_at) -> None:
-        self._busy += 1
-        if queued_at is not None:
-            self.total_queue_cycles += self.env.now - queued_at
-        finish = self.env.timeout(cycles)
-        finish.add_callback(lambda _ev: self._finish(done))
-
     def _finish(self, done: Event) -> None:
+        # a direct-call entry: the finish timer is no Event of its own
         self._busy -= 1
         done.try_succeed()
         if self._queue and self._busy < self.slots:
             nxt, cycles, arrived = self._queue.popleft()
-            self._begin(nxt, cycles, queued_at=arrived)
+            self._busy += 1
+            self.total_queue_cycles += self.env.now - arrived
+            self.env.call_at(cycles, self._finish, nxt)
 
     def utilization(self) -> float:
         """Fraction of elapsed time the resource spent serving requests.

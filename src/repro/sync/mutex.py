@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import DeviceError
-from repro.workloads.roles import WaitHint, kernel_roles
+from repro.sync.roles import WaitHint, kernel_roles
 
 if TYPE_CHECKING:  # pragma: no cover
     from typing import Optional

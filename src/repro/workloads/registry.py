@@ -27,7 +27,7 @@ from repro.workloads.heterosync import (
     validate_barrier_run,
     validate_mutex_run,
 )
-from repro.workloads.roles import (
+from repro.sync.roles import (
     SyncProtocol,
     barrier_protocol,
     mutex_protocol,

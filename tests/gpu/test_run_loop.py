@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.policies import awg
 from repro.errors import SimulationError
+from repro.experiments import QUICK_SCALE, run_benchmark
 from repro.sim.events import AllOf
 
 from tests.gpu.conftest import make_gpu, simple_kernel
@@ -82,3 +83,13 @@ def test_second_run_call_continues(gpu):
     out = gpu.run()
     assert out.ok
     assert gpu.finished_wgs == 2
+
+
+def test_event_counts_of_a_quick_cell_are_pinned():
+    """How many queue entries one quick SPM_G/AWG cell fires, and the
+    most it keeps pending at once. Making events cheaper must not change
+    which events exist; a change that does must update these literals
+    on purpose."""
+    result = run_benchmark("SPM_G", awg(), QUICK_SCALE, keep_gpu=True)
+    metrics = result.gpu.env.metrics()
+    assert (metrics["fired"], metrics["peak_pending"]) == (2896, 94)

@@ -22,8 +22,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import COMPACT_MIN_DEAD, Engine
-from repro.sim.events import Event
+from repro.sim.engine import COMPACT_MIN_DEAD, Engine, Entry
 
 
 class CalendarOracle(Engine):
@@ -31,24 +30,23 @@ class CalendarOracle(Engine):
 
     def __init__(self) -> None:
         super().__init__()
-        self._days: Dict[int, Deque[Event]] = {}
+        self._days: Dict[int, Deque[Entry]] = {}
 
     def physical_size(self) -> int:
-        """Queued entries, live and dead (``len(Engine._heap)``)."""
+        """Queued entries, live and dead (the heap plus the lane)."""
         return sum(len(day) for day in self._days.values())
 
     def queued(self):
-        """Every physically queued event, live or dead."""
+        """Every physically queued entry, live or dead."""
         return [ev for day in self._days.values() for ev in day]
 
-    def schedule(self, event: Event, delay: int = 0, value: object = None) -> Event:
+    def _enqueue(self, entry: Entry, delay: int) -> None:
+        # the one way into the queue: events, direct calls, every delay
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        event.mark_scheduled(value)
-        self._days.setdefault(self._now + delay, deque()).append(event)
+        self._days.setdefault(self._now + delay, deque()).append(entry)
         self._live += 1
         self._peak_pending = max(self._peak_pending, self._live)
-        return event
 
     def note_cancelled(self) -> None:
         self._live -= 1
@@ -85,13 +83,13 @@ class CalendarOracle(Engine):
         return None
 
     def _fire(self, when: int) -> None:
-        event = self._days[when].popleft()
+        entry = self._days[when].popleft()
         if when < self._now:
             raise SimulationError("event time went backwards")
         self._now = when
         self._live -= 1
         self._fired += 1
-        event.fire()
+        entry.fire()
 
     def _enter(self) -> None:
         if self._running:

@@ -23,10 +23,10 @@ def env(request):
 
 
 def _queued(env):
-    """Every physically queued event, live or dead."""
+    """Every physically queued entry, live or dead."""
     if isinstance(env, CalendarOracle):
         return env.queued()
-    return [ev for (_, _, ev) in env._heap]
+    return [ev for (_, _, ev) in env._heap] + list(env._lane or ())
 
 
 def test_clock_starts_at_zero(env):
@@ -112,8 +112,23 @@ def test_step_returns_false_when_idle(env):
 def test_call_at_runs_callable(env):
     seen = []
     env.call_at(12, lambda: seen.append(env.now))
+    env.call_at(12, seen.append, "arg")
     env.run()
-    assert seen == [12]
+    assert seen == [12, "arg"]
+
+
+def test_callbacks_run_in_the_order_they_were_added(env):
+    """The first callback sits in a slot, later ones in a list; all run
+    in the order they were added, and one added after firing runs at
+    once."""
+    order = []
+    ev = env.timeout(3)
+    for name in ("first", "second", "third", "fourth"):
+        ev.add_callback(lambda e, name=name: order.append(name))
+    env.run()
+    assert order == ["first", "second", "third", "fourth"]
+    ev.add_callback(lambda e: order.append("late"))
+    assert order[-1] == "late"
 
 
 def test_cancelled_event_never_fires(env):
@@ -140,9 +155,9 @@ def test_scheduling_during_callback(env):
 
 def test_event_scheduled_twice_raises(env):
     ev = Event(env)
-    env.schedule(ev, 1)
+    ev.succeed(delay=1)
     with pytest.raises(SimulationError):
-        env.schedule(ev, 2)
+        ev.succeed(delay=2)
 
 
 def test_pending_events_counts_live_only(env):
@@ -381,3 +396,104 @@ def test_metrics_track_peak_pending_and_fired(env):
     assert m["peak_pending"] == 8
     assert m["pending"] == 0
     assert m["fired"] == 8
+
+
+# -- the zero-delay lane of drain_batches --------------------------------------
+
+def _drain(env):
+    return env.drain_batches(1_000_000, lambda: False)
+
+
+def test_zero_delay_entry_fires_after_everything_queued_at_now(env):
+    """A zero-delay entry scheduled mid-batch fires at the same cycle,
+    after every entry already queued for it: ones scheduled far ahead,
+    ones scheduled shortly before, in scheduling order; zero-delay
+    entries it schedules in turn come after it."""
+    order = []
+    target = 3000
+
+    def mark(name):
+        order.append((name, env.now))
+
+    def first(_ev):
+        mark("far0")
+        env.timeout(0).add_callback(lambda e: (
+            mark("zero0"), env.call_at(0, mark, "zero2")))
+        env.call_at(0, mark, "zero1")
+
+    env.timeout(target).add_callback(first)
+    env.timeout(target).add_callback(lambda e: mark("far1"))
+    env.timeout(target - 10).add_callback(
+        lambda e: env.timeout(10).add_callback(lambda e2: mark("near")))
+    env.timeout(target + 1).add_callback(lambda e: mark("later"))
+    assert _drain(env) == 8
+    assert order == [("far0", target), ("far1", target), ("near", target),
+                     ("zero0", target), ("zero1", target), ("zero2", target),
+                     ("later", target + 1)]
+    assert env.pending_events() == 0
+    assert env.metrics()["fired"] == 8
+
+
+def test_cancelled_lane_entry_is_skipped_and_counted(env):
+    order = []
+    seen_pending = []
+
+    def schedule_and_cancel(_ev):
+        doomed = env.timeout(0)
+        doomed.add_callback(lambda e: order.append("doomed"))
+        env.timeout(0).add_callback(lambda e: order.append("kept"))
+        before = env.pending_events()
+        doomed.cancel()
+        seen_pending.append((before, env.pending_events()))
+
+    env.timeout(5).add_callback(schedule_and_cancel)
+    assert _drain(env) == 2
+    assert order == ["kept"]
+    assert seen_pending == [(2, 1)]
+    m = env.metrics()
+    assert (m["pending"], m["dead_pending"], m["cancelled_reaped"]) == (0, 0, 1)
+    assert _queued(env) == []
+
+
+def test_cancel_storm_in_the_lane_compacts_it(env):
+    """Cancelling many zero-delay entries mid-batch compacts the lane like
+    the heap: the physical queue stays small and every dead entry is
+    reaped exactly once."""
+    order = []
+    sizes = []
+
+    def storm(_ev):
+        lane = [env.timeout(0) for _ in range(200)]
+        for ev in lane:
+            ev.cancel()
+        sizes.append(len(_queued(env)))
+        env.timeout(0).add_callback(lambda e: order.append("after"))
+
+    env.timeout(5).add_callback(storm)
+    env.timeout(6).add_callback(lambda e: order.append("next"))
+    assert _drain(env) == 3
+    assert order == ["after", "next"]
+    assert sizes[0] < COMPACT_MIN_DEAD + 1
+    m = env.metrics()
+    assert m["compactions"] == 2
+    assert m["cancelled_reaped"] == 200
+    assert m["dead_pending"] == 0 and m["pending"] == 0
+
+
+def test_lane_survives_a_raising_entry_in_order(env):
+    """An entry that raises mid-batch leaves the rest of the batch queued
+    at ``now``, in order, for the next run."""
+    order = []
+
+    def boom(_ev):
+        env.timeout(0).add_callback(lambda e: order.append("z0"))
+        env.timeout(0).add_callback(lambda e: order.append("z1"))
+        raise RuntimeError("boom")
+
+    env.timeout(5).add_callback(boom)
+    env.timeout(7).add_callback(lambda e: order.append("late"))
+    with pytest.raises(RuntimeError):
+        _drain(env)
+    assert env.pending_events() == 3
+    env.run()
+    assert order == ["z0", "z1", "late"]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, AnyOf, Event
 
 
 @pytest.fixture
@@ -51,7 +51,7 @@ def test_cancel_fired_event_raises(env):
 
 
 def test_timeout_event_fires_with_value(env):
-    ev = Timeout(env, 5, value="x")
+    ev = env.timeout(5, value="x")
     env.run()
     assert env.now == 5 and ev.value == "x"
 
