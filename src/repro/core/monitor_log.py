@@ -40,10 +40,6 @@ class MonitorLog:
         self._head = 0  # next entry the CP will drain
         self._tail = 0  # next free slot
         self._count = 0
-        # statistics
-        self.total_appends = 0
-        self.total_drains = 0
-        self.full_rejections = 0
         self.peak_occupancy = 0
 
     # -- producer side (SyncMon) ------------------------------------------
@@ -58,12 +54,10 @@ class MonitorLog:
     def append(self, entry: LogEntry) -> bool:
         """Write one entry at the tail; False (reject) if the log is full."""
         if self.full:
-            self.full_rejections += 1
             return False
         self._entries[self._tail] = entry
         self._tail = (self._tail + 1) % self.capacity
         self._count += 1
-        self.total_appends += 1
         self.peak_occupancy = max(self.peak_occupancy, self._count)
         return True
 
@@ -79,7 +73,6 @@ class MonitorLog:
             self._head = (self._head + 1) % self.capacity
             self._count -= 1
             out.append(entry)
-        self.total_drains += len(out)
         return out
 
     def footprint_bytes(self) -> int:

@@ -48,8 +48,6 @@ class ResumePredictor:
         self._index_hash = UniversalHash(filter_count, rng.child("bloom-index"))
         #: distinct-update estimate per live monitored address
         self._live: Dict[int, int] = {}
-        self.predictions_all = 0
-        self.predictions_one = 0
 
     def _filter_for(self, addr: int) -> CountingBloomFilter:
         i = self._index_hash(addr)
@@ -73,13 +71,10 @@ class ResumePredictor:
         """Resume-all vs resume-one decision for a met condition."""
         uniques = self.unique_updates(addr)
         if num_waiters > 1 and uniques > 2:
-            self.predictions_all += 1
             return ResumeDecision.ALL
         if num_waiters > 1:
-            self.predictions_one += 1
             return ResumeDecision.ONE
         # A single waiter: resuming "all" and "one" coincide.
-        self.predictions_all += 1
         return ResumeDecision.ALL
 
     def live_addrs(self):

@@ -107,7 +107,6 @@ class SyncMon:
         self.notifications = 0
         self.resumed_wgs = 0
         self.conditions_met = 0
-        self.straggler_rescues = 0
         self.peak_conditions = 0
         self.peak_waiters = 0
         #: cumulative characterization (Table 2 "measured" columns)
@@ -372,7 +371,6 @@ class SyncMon:
                 self._drop_entry(entry)
             else:
                 self._schedule_straggler_rescue(cond)
-            self.straggler_rescues += 1
             self._resume([wg_id], cause="straggler-timeout", stagger=0)
 
         self.env.call_at(interval, _rescue)

@@ -40,9 +40,6 @@ class CommandProcessor:
         self.peak_spilled_conditions = 0
         self.peak_waiting_wgs = 0
         self.peak_monitored_addrs = 0
-        # counters
-        self.log_parses = 0
-        self.spilled_checks = 0
         self.spilled_resumes = 0
         self._tick_scheduled = False
         self._schedule_tick()
@@ -110,7 +107,6 @@ class CommandProcessor:
         log = self.gpu.monitor_log
         tracer = self.gpu.tracer
         if log.occupancy:
-            self.log_parses += 1
             drained = 0
             for entry in log.drain():
                 key = (entry.addr, entry.value)
@@ -134,7 +130,6 @@ class CommandProcessor:
         store = self.gpu.store
         met = []
         for (addr, expected), wg_ids in self.spilled.items():
-            self.spilled_checks += 1
             if store.read(addr) == expected:
                 met.append((addr, expected, wg_ids))
         tracer = self.gpu.tracer

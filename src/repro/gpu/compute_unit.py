@@ -33,9 +33,6 @@ class ComputeUnit:
             for i in range(config.simds_per_cu)
         ]
         self._next_simd = 0
-        # statistics
-        self.wgs_dispatched = 0
-        self.wgs_evicted = 0
 
     @property
     def free_slots(self) -> int:
@@ -50,7 +47,6 @@ class ComputeUnit:
         if not self.has_slot():
             raise SimulationError(f"CU{self.cu_id} has no free WG slot")
         self.resident.add(wg)
-        self.wgs_dispatched += 1
 
     def release(self, wg: "WorkGroup") -> None:
         if wg not in self.resident:

@@ -40,17 +40,13 @@ class ContextArena:
     def __init__(self) -> None:
         self._saved: dict = {}
         self.peak_bytes = 0
-        self.total_saves = 0
-        self.total_restores = 0
 
     def save(self, wg_id: int, nbytes: int) -> None:
         self._saved[wg_id] = nbytes
-        self.total_saves += 1
         self.peak_bytes = max(self.peak_bytes, self.current_bytes)
 
     def restore(self, wg_id: int) -> None:
         self._saved.pop(wg_id, None)
-        self.total_restores += 1
 
     @property
     def current_bytes(self) -> int:

@@ -57,7 +57,7 @@ def launch_cooperative(gpu: "GPU", kernel: Kernel) -> CooperativeLaunch:
     Raises :class:`~repro.errors.DeviceError` if the grid can never fit
     (grid > machine capacity) — the hard portability limit static
     assignment imposes. Otherwise the launch waits until *all* WGs can
-    be resident at once, then dispatches them together.
+    be resident at once, then places them all together.
     """
     if kernel.grid_wgs > gpu.config.wg_capacity:
         raise DeviceError(

@@ -42,12 +42,6 @@ class Dispatcher:
         self._frozen: List["WorkGroup"] = []
         self._kick_scheduled = False
         self._pending_passovers = 0
-        # statistics
-        self.dispatches = 0
-        self.swap_ins = 0
-        self.notifies_delivered = 0
-        self.notifies_dropped = 0
-        self.starvation_dispatches = 0
 
     # ------------------------------------------------------------------
     # queue management
@@ -117,7 +111,6 @@ class Dispatcher:
                 if not wg.kernel_suspended:
                     self.pending.remove(wg)
                     self._pending_passovers = 0
-                    self.starvation_dispatches += 1
                     tracer = self.gpu.tracer
                     if tracer is not None:
                         tracer.instant(
@@ -191,7 +184,6 @@ class Dispatcher:
             tracer.instant("dispatch", "dispatch", track="dispatcher",
                            wg=wg.wg_id, cu=cu.cu_id)
         wg.set_state(WGState.RUNNING)
-        self.dispatches += 1
         procs = [wf.start(cu.pick_simd()) for wf in wg.wavefronts]
         AllOf(self.gpu.env, procs).add_callback(
             lambda _ev, w=wg: self.gpu.wg_done(w)
@@ -209,7 +201,6 @@ class Dispatcher:
             tracer.instant("dispatch", "swap-in", track="dispatcher",
                            wg=wg.wg_id, cu=cu.cu_id)
         wg.set_state(WGState.RESUMING)
-        self.swap_ins += 1
         Process(self.gpu.env, self._swap_in(wg, cu), name=f"swapin.wg{wg.wg_id}")
 
     def _swap_in(self, wg: "WorkGroup", cu: "ComputeUnit"):
@@ -244,15 +235,12 @@ class Dispatcher:
         if wg.state is WGState.STALLED:
             ev = wg.resume_event
             if ev is not None and ev.try_succeed():
-                self.notifies_delivered += 1
                 return
         elif wg.state is WGState.SWITCHED_OUT:
-            self.notifies_delivered += 1
             self.mark_ready(wg, cause=cause)
             return
         elif wg.state is WGState.SWITCHING_OUT:
             wg.ready_when_saved = True
-            self.notifies_delivered += 1
             return
         elif wg.state is WGState.RUNNING:
             # The notification raced the waiting atomic's response back to
@@ -262,11 +250,9 @@ class Dispatcher:
             # the resume message arrives with/after the atomic response and
             # the desired waiting state is never entered).
             wg.pending_notify = True
-            self.notifies_delivered += 1
             return
         # READY / RESUMING / DONE: the WG is already on its way
         # (Mesa semantics make dropped hints harmless).
         if tracer is not None:
             tracer.instant("dispatch", "drop", track="dispatcher",
                            wg=wg.wg_id, cause=cause, state=wg.state.value)
-        self.notifies_dropped += 1

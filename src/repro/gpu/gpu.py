@@ -328,11 +328,12 @@ class GPU:
             switches += wg.context_switches
         snap = self.stats.snapshot()
         snap.update(self.syncmon.snapshot())
-        snap["hierarchy.atomics"] = float(self.hierarchy.atomic_count)
-        snap["hierarchy.loads"] = float(self.hierarchy.load_count)
-        snap["hierarchy.stores"] = float(self.hierarchy.store_count)
+        # hierarchy.* and log.appends repeat counts kept once elsewhere;
+        # a device counter is registered on first use, so it may be absent
+        for kind in ("atomics", "loads", "stores"):
+            snap[f"hierarchy.{kind}"] = snap.get(f"device.{kind}", 0.0)
         snap["l2.hit_rate"] = self.hierarchy.l2.stats.hit_rate
-        snap["log.appends"] = float(self.monitor_log.total_appends)
+        snap["log.appends"] = snap["syncmon.spills"]
         snap["log.peak"] = float(self.monitor_log.peak_occupancy)
         snap["cp.spilled_resumes"] = float(self.cp.spilled_resumes)
         return RunOutcome(

@@ -117,7 +117,6 @@ class WorkGroup:
         self._bucket_idx = _BUCKET_INDEX[self.state]
         self.context_switches = 0
         self.wait_episodes = 0
-        self.spurious_wakeups = 0
 
     # ------------------------------------------------------------------
     # state accounting
@@ -202,7 +201,6 @@ class WorkGroup:
         cu, self.cu = self.cu, None
         if cu is not None:
             cu.release(self)
-            cu.wgs_evicted += 1
         self.set_state(WGState.SWITCHED_OUT)
         gpu.dispatcher.kick()
         if self.ready_when_saved:
@@ -252,7 +250,6 @@ class WorkGroup:
             # Our condition was met while the failing atomic's response
             # was still in flight; never enter the waiting state.
             self.pending_notify = False
-            self.spurious_wakeups += 1
             if tracer is not None:
                 tracer.instant("wg", "wait:pending-notify",
                                track=f"wg/{self.wg_id}", addr=cond.addr)

@@ -516,7 +516,7 @@ def producer_consumer(
 ) -> LitmusProgram:
     """The §IV.B occupancy slot cycle: the *last* WG produces a flag
     every earlier WG waits on. With consumers filling the occupancy,
-    a non-IFP scheduler never dispatches the producer."""
+    a non-IFP scheduler never places the producer on a CU."""
     consumer: Script = ((WAIT, 0, 1), (WORK, 100))
     producer: Script = ((WORK, produce_cycles), (SET, 0, 1))
     return canonicalize(LitmusProgram(

@@ -69,10 +69,6 @@ class MemoryHierarchy:
         #: extra cycles added to every L2/DRAM completion while a fault-
         #: injected memory-latency spike window is open (0 = no spike)
         self.fault_extra_latency = 0
-        # statistics
-        self.atomic_count = 0
-        self.load_count = 0
-        self.store_count = 0
 
     # -- topology --------------------------------------------------------
     def bank_for(self, addr: int) -> FifoResource:
@@ -82,7 +78,6 @@ class MemoryHierarchy:
     # -- plain loads/stores ------------------------------------------------
     def load(self, cu_id: int, addr: int, wg_id: Optional[int] = None) -> Event:
         """Read a word; fires with the value after the access latency."""
-        self.load_count += 1
         if self.sanitizer is not None and wg_id is not None:
             self.sanitizer.on_load(wg_id, addr)
         cfg = self.config
@@ -91,13 +86,12 @@ class MemoryHierarchy:
             result = Event(self.env)
             self.env.call_at(cfg.l1_latency, self._reply_read, result, addr)
             return result
-        return self._l2_access(addr, extra_latency=cfg.l1_latency, write=False)
+        return self._l2_access(addr, extra_latency=cfg.l1_latency)
 
     def store_word(
         self, cu_id: int, addr: int, value: int, wg_id: Optional[int] = None
     ) -> Event:
         """Write-through store; fires when the write reaches the L2."""
-        self.store_count += 1
         if self.sanitizer is not None and wg_id is not None:
             self.sanitizer.on_store(wg_id, addr)
         cfg = self.config
@@ -109,7 +103,8 @@ class MemoryHierarchy:
         def _commit(_ev: Event) -> None:
             self.l2.access(addr)
             res = atomic_alu.execute(self.store, AtomicOp.STORE, addr, value)
-            self._observe(res, None)
+            if self.atomic_observer is not None:
+                self.atomic_observer(res, None)
             result.try_succeed(None)
 
         done.add_callback(_commit)
@@ -120,7 +115,7 @@ class MemoryHierarchy:
         lands, not when the request is issued."""
         result.try_succeed(self.store.read(addr))
 
-    def _l2_access(self, addr: int, extra_latency: int, write: bool) -> Event:
+    def _l2_access(self, addr: int, extra_latency: int) -> Event:
         cfg = self.config
         result = Event(self.env)
         bank = self.bank_for(addr)
@@ -172,7 +167,6 @@ class MemoryHierarchy:
         whereas software atomic loads (HeteroSync's ``atomicAdd(x, 0)``
         idiom) occupy the bank like any read-modify-write.
         """
-        self.atomic_count += 1
         cfg = self.config
         # Atomics bypass the L1 (performed at L2); invalidate any stale
         # L1 copy so later plain loads see a miss.
@@ -184,7 +178,8 @@ class MemoryHierarchy:
         def _at_l2(_ev: Event) -> None:
             hit = self.l2.access(addr)
             res = atomic_alu.execute(self.store, op, addr, operand, operand2)
-            self._observe(res, wg_id)
+            if self.atomic_observer is not None:
+                self.atomic_observer(res, wg_id)
             if self.sanitizer is not None and wg_id is not None:
                 self.sanitizer.on_atomic(wg_id, addr, res)
             if l2_hook is not None:
@@ -195,10 +190,6 @@ class MemoryHierarchy:
 
         granted.add_callback(_at_l2)
         return result
-
-    def _observe(self, res: AtomicResult, wg_id: Optional[int]) -> None:
-        if self.atomic_observer is not None:
-            self.atomic_observer(res, wg_id)
 
     # -- bulk transfers (context save/restore) -------------------------------
     def bulk_transfer(self, nbytes: int) -> Event:

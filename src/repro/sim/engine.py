@@ -193,33 +193,11 @@ class Engine:
 
         Entries scheduled exactly at ``until`` still fire; the clock only
         advances to ``until`` when a strictly later entry remains."""
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant run)")
-        self._running = True
-        heap = self._heap
-        processed = 0
-        try:
-            while heap:
-                when, _seq, entry = heap[0]
-                if entry.cancelled:
-                    heappop(heap)
-                    self._dead -= 1
-                    self._reaped += 1
-                    continue
-                if until is not None and when > until:
-                    self._now = until
-                    break
-                heappop(heap)
-                if when < self._now:
-                    raise SimulationError("event heap time went backwards")
-                self._now = when
-                self._live -= 1
-                self._fired += 1
-                entry.fire()
-                processed += 1
-        finally:
-            self._running = False
-        return processed
+        boundary = float("inf") if until is None else until + 1
+        fired = self.drain_batches(boundary, lambda: False)
+        if until is not None and self._live:
+            self._now = until
+        return fired
 
     def drain_batches(self, boundary: int, should_halt: Callable[[], bool]) -> int:
         """Fire whole same-timestamp batches while the next entry is
@@ -288,5 +266,5 @@ class Engine:
                 self._seq += 1
                 heappush(heap, (self._now, self._seq, entry))
             self._running = False
-        self._fired += fired
+            self._fired += fired
         return fired

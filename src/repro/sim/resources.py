@@ -22,8 +22,7 @@ class FifoResource:
     """A resource with ``slots`` parallel servers and a FIFO queue.
 
     ``service(cycles)`` returns an event that fires when the request has
-    *completed* service (queueing delay + service time). Busy-time and
-    queue statistics are tracked for reporting.
+    *completed* service (queueing delay + service time).
     """
 
     def __init__(self, env: "Engine", name: str, slots: int = 1) -> None:
@@ -33,12 +32,7 @@ class FifoResource:
         self.name = name
         self.slots = slots
         self._busy = 0
-        self._queue: Deque[Tuple[Event, int, int]] = deque()  # (done, cycles, arrived)
-        # statistics
-        self.total_requests = 0
-        self.total_service_cycles = 0
-        self.total_queue_cycles = 0
-        self.peak_queue_depth = 0
+        self._queue: Deque[Tuple[Event, int]] = deque()  # (done, cycles)
 
     @property
     def busy(self) -> int:
@@ -52,15 +46,12 @@ class FifoResource:
         """Request ``cycles`` of service; returns the completion event."""
         if cycles < 0:
             raise SimulationError("negative service time")
-        self.total_requests += 1
-        self.total_service_cycles += cycles
         done = Event(self.env)
         if self._busy < self.slots:
             self._busy += 1
             self.env.call_at(cycles, self._finish, done)
         else:
-            self._queue.append((done, cycles, self.env.now))
-            self.peak_queue_depth = max(self.peak_queue_depth, len(self._queue))
+            self._queue.append((done, cycles))
         return done
 
     def _finish(self, done: Event) -> None:
@@ -68,15 +59,6 @@ class FifoResource:
         self._busy -= 1
         done.try_succeed()
         if self._queue and self._busy < self.slots:
-            nxt, cycles, arrived = self._queue.popleft()
+            nxt, cycles = self._queue.popleft()
             self._busy += 1
-            self.total_queue_cycles += self.env.now - arrived
             self.env.call_at(cycles, self._finish, nxt)
-
-    def utilization(self) -> float:
-        """Fraction of elapsed time the resource spent serving requests.
-
-        Approximate for multi-slot resources (sums service demand)."""
-        if self.env.now == 0:
-            return 0.0
-        return self.total_service_cycles / (self.env.now * self.slots)

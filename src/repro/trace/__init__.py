@@ -9,7 +9,7 @@ typed events into a bounded ring buffer:
 
 - **spans** for WG residency: one per state the WG occupies
   (``running``, ``stalled``, ``switched_out``, ...);
-- **instants** for one-shot occurrences: dispatches, notifies, resume
+- **instants** for one-shot occurrences: WG placements, notifies, resume
   predictions, faults, evictions, retry-timer expiries;
 - **counter samples** for occupancy curves: waiting conditions,
   waiting WGs, Monitor Log fill.

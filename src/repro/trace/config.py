@@ -10,7 +10,7 @@ from repro.errors import ConfigError
 #: every event category the simulator emits, in presentation order
 CATEGORIES: Tuple[str, ...] = (
     "wg",        # WG state spans, retry-timer expiries, watchdog verdicts
-    "dispatch",  # dispatches, swap-ins, ready transitions, notify delivery
+    "dispatch",  # WG placements, swap-ins, ready transitions, notify delivery
     "sync",      # SyncMon registrations, notifies, withdrawals
     "predict",   # resume-predictor decisions, stall-time predictions
     "preempt",   # CU loss/restore and forced evictions

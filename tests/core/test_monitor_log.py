@@ -29,7 +29,7 @@ def test_full_log_rejects():
     assert log.append(entry(1))
     assert log.full
     assert not log.append(entry(2))
-    assert log.full_rejections == 1
+    assert log.drain() == [entry(0), entry(1)]  # the rejected entry is not kept
 
 
 def test_wraps_around():
@@ -55,12 +55,9 @@ def test_drain_empty():
 
 def test_stats():
     log = make_log(capacity=2)
-    log.append(entry(0))
-    log.append(entry(1))
-    log.append(entry(2))  # rejected
-    log.drain()
-    assert log.total_appends == 2
-    assert log.total_drains == 2
+    accepted = [log.append(entry(i)) for i in range(3)]  # the third rejected
+    assert accepted == [True, True, False]
+    assert len(log.drain()) == 2
     assert log.peak_occupancy == 2
 
 

@@ -72,12 +72,10 @@ def test_distinct_addresses_do_not_interfere(pred):
 def test_prediction_counters(pred):
     for v in range(1, 8):
         pred.record_update(ADDR, v)
-    pred.predict(ADDR, 5)
+    assert pred.predict(ADDR, 5) is ResumeDecision.ALL
     pred.release(ADDR)
     pred.record_update(ADDR, 1)
-    pred.predict(ADDR, 5)
-    assert pred.predictions_all == 1
-    assert pred.predictions_one == 1
+    assert pred.predict(ADDR, 5) is ResumeDecision.ONE
 
 
 # -- filters built on first use ------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the WG dispatcher."""
 
 from repro.core.policies import awg, monnr_all
+from repro.trace.config import TraceConfig
 
 from tests.gpu.conftest import make_gpu, simple_kernel
 
@@ -68,17 +69,20 @@ def test_has_runnable_work(gpu):
     assert not gpu.dispatcher.has_runnable_work()
 
 
-def test_notify_unknown_states_dropped(gpu):
+def test_notify_unknown_states_dropped():
+    gpu = make_gpu(trace=TraceConfig(categories=("dispatch",)))
+
     def body(ctx):
         yield from ctx.compute(10)
 
     gpu.launch(simple_kernel(body))
     gpu.run()
-    # notifying a DONE WG is harmless and counted as dropped; bound the
+    # notifying a DONE WG is harmless and traced as a drop; bound the
     # engine run because the CP tick reschedules itself forever
     gpu.dispatcher.notify_met([0], cause="test", stagger=0)
     gpu.env.run(until=gpu.env.now + 10_000)
-    assert gpu.dispatcher.notifies_dropped >= 1
+    drops = [ev["args"] for ev in gpu.tracer.events() if ev["name"] == "drop"]
+    assert drops == [{"wg": 0, "cause": "test", "state": "done"}]
 
 
 def test_disabled_cu_not_used():

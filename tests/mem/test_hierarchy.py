@@ -172,9 +172,8 @@ def test_bulk_transfer_scales_with_bytes(hier):
 
 
 def test_counters(hier):
-    _run(hier, hier.load(0, hier._addr))
-    _run(hier, hier.store_word(0, hier._addr, 1))
-    _run(hier, hier.atomic(0, AtomicOp.ADD, hier._addr, 1))
-    assert hier.load_count == 1
-    assert hier.store_count == 1
-    assert hier.atomic_count == 1
+    # a cold load, a store and an atomic each reach the L2 exactly once
+    assert _run(hier, hier.load(0, hier._addr)) == 0
+    assert _run(hier, hier.store_word(0, hier._addr, 1)) is None
+    assert _run(hier, hier.atomic(0, AtomicOp.ADD, hier._addr, 1)).new == 2
+    assert hier.l2.stats.accesses == 3

@@ -103,23 +103,6 @@ class CalendarOracle(Engine):
         self._fire(when)
         return True
 
-    def run(self, until: Optional[int] = None) -> int:
-        self._enter()
-        processed = 0
-        try:
-            while True:
-                when = self._next_time()
-                if when is None:
-                    break
-                if until is not None and when > until:
-                    self._now = until
-                    break
-                self._fire(when)
-                processed += 1
-        finally:
-            self._running = False
-        return processed
-
     def drain_batches(self, boundary: int, should_halt: Callable[[], bool]) -> int:
         self._enter()
         fired = 0

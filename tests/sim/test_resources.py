@@ -57,10 +57,11 @@ def test_zero_slots_rejected(env):
 
 def test_queue_depth_tracking(env):
     res = FifoResource(env, "r")
+    depths = []
     for _ in range(5):
         res.service(10)
-    assert res.queue_depth == 4
-    assert res.peak_queue_depth == 4
+        depths.append(res.queue_depth)
+    assert depths == [0, 1, 2, 3, 4]
     env.run()
     assert res.queue_depth == 0
 
@@ -68,9 +69,11 @@ def test_queue_depth_tracking(env):
 def test_queue_cycles_accounting(env):
     res = FifoResource(env, "r")
     res.service(10)
-    res.service(10)  # queues for 10 cycles
+    queued = res.service(10)  # queues for 10 cycles, then serves 10
+    done_at = []
+    queued.add_callback(lambda e: done_at.append(env.now))
     env.run()
-    assert res.total_queue_cycles == 10
+    assert done_at == [20]
 
 
 def test_busy_count(env):
@@ -83,12 +86,14 @@ def test_busy_count(env):
 
 
 def test_utilization(env):
+    # busy for the 10 service cycles, idle for the 10 after them
     res = FifoResource(env, "r")
     res.service(10)
+    busy = []
+    for t in (5, 15):
+        env.call_at(t, lambda: busy.append(res.busy))
     env.run()
-    env.timeout(10)
-    env.run()
-    assert res.utilization() == pytest.approx(0.5)
+    assert busy == [1, 0] and env.now == 15
 
 
 def test_late_arrival_after_idle(env):
@@ -105,8 +110,7 @@ def test_late_arrival_after_idle(env):
 
 def test_total_requests_and_service(env):
     res = FifoResource(env, "r")
-    res.service(3)
-    res.service(4)
+    first, second = res.service(3), res.service(4)
     env.run()
-    assert res.total_requests == 2
-    assert res.total_service_cycles == 7
+    assert first.fired and second.fired
+    assert env.now == 7  # 3 + 4 service cycles, back to back
