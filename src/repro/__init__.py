@@ -39,7 +39,7 @@ from repro.core import (
     timeout,
 )
 from repro.core.policies import PolicySpec
-from repro.errors import ConfigError, DeadlockError, ReproError, SimulationError
+from repro.errors import ConfigError, ReproError, SimulationError
 from repro.gpu import GPU, GPUConfig, Kernel, ResourceLossEvent, RunOutcome
 
 __version__ = "1.0.0"
@@ -52,7 +52,6 @@ __all__ = [
     "ResourceLossEvent",
     "RunOutcome",
     "ConfigError",
-    "DeadlockError",
     "ReproError",
     "SimulationError",
     "awg",

@@ -19,8 +19,10 @@ For every shipped benchmark the pass
    :class:`~repro.analysis.specs.WaitProfile` per site for the policy
    specs to judge.
 
-Everything here is pure ``ast``: the protocol sources are parsed, never
-imported, so the analyzer runs on a checkout without the simulator.
+Everything here is pure ``ast``: the protocol sources are parsed, not
+introspected, because the heterosync kernels are nested functions that
+no import can reach. The ``kernel_roles`` decorators are read from the
+same trees.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from repro.analysis.dataflow import (
 from repro.analysis.dsl import iter_kernel_functions
 from repro.analysis.findings import Finding
 from repro.analysis.specs import WaitProfile
+from repro.sync.roles import WaitHint
 
 #: the ``repro`` package directory, under which every protocol source lives
 _PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -57,17 +60,9 @@ PROTOCOL_MODULES = (
 # -- decorator hints (parsed from the AST, not imported) ----------------------
 
 @dataclass(frozen=True)
-class ParsedHint:
-    base: str
-    waiter: str
-    updater: str
-    single_waiter: bool = False
-
-
-@dataclass(frozen=True)
 class ParsedRoles:
     roles: Tuple[str, ...] = ()
-    hints: Tuple[ParsedHint, ...] = ()
+    hints: Tuple[WaitHint, ...] = ()
 
 
 def _const(node: ast.AST):
@@ -82,7 +77,7 @@ def _parse_kernel_roles(fn: ast.FunctionDef) -> ParsedRoles:
             continue
         roles = tuple(v for v in (_const(a) for a in dec.args)
                       if isinstance(v, str))
-        hints: List[ParsedHint] = []
+        hints: List[WaitHint] = []
         for kw in dec.keywords:
             if kw.arg != "waits" or not isinstance(kw.value, ast.Tuple):
                 continue
@@ -94,7 +89,7 @@ def _parse_kernel_roles(fn: ast.FunctionDef) -> ParsedRoles:
                 base = _const(elt.args[0]) if elt.args else None
                 kv = {k.arg: _const(k.value) for k in elt.keywords}
                 if isinstance(base, str):
-                    hints.append(ParsedHint(
+                    hints.append(WaitHint(
                         base=base,
                         waiter=str(kv.get("waiter", "waiter")),
                         updater=str(kv.get("updater", "updater")),
@@ -269,7 +264,7 @@ def analyze_benchmark(bench: str) -> ProtocolAnalysis:
     # satisfying write usually lives in a *different* method than the
     # wait (release vs acquire).
     writes_by_base: Dict[str, List[Tuple[str, WriteSite]]] = {}
-    hints_by_base: Dict[str, ParsedHint] = {}
+    hints_by_base: Dict[str, WaitHint] = {}
     waiter_default, updater_default = _default_roles(protocol.kind)
     for pf in wanted:
         for w in pf.writes:

@@ -9,6 +9,7 @@ Usage::
     awg-repro fig14 --jobs 8        # fan cells over 8 worker processes
     awg-repro fig14 --no-cache      # force re-simulation of every cell
     awg-repro run SPM_G awg         # one benchmark under one policy
+    awg-repro run SPM_G --quick --oversubscribed --seed 7
     awg-repro all                   # every table, figure and ablation,
                                     # each checked against the paper's shape
     awg-repro all --out results     # ... also writing results/<name>.txt
@@ -25,10 +26,10 @@ Usage::
     awg-repro analyze               # static progress table (12x8 verdicts)
     awg-repro analyze SLM_G --json  # one benchmark, machine-readable
     awg-repro analyze --dot         # role wait-for graphs (GraphViz)
-    awg-repro sanitize SPM_G awg    # dynamic race detection run
-    awg-repro sanitize _RACY        # the seeded-race drill (exits 1)
-    awg-repro trace FAM_G awg --out t.json   # Chrome/Perfetto trace
-    awg-repro trace SPM_G --quick --categories wg,sync,dispatch
+    awg-repro run SPM_G awg --sanitize   # dynamic race detection run
+    awg-repro run _RACY --sanitize  # the seeded-race drill (exits 1)
+    awg-repro run FAM_G awg --trace --out t.json   # Chrome/Perfetto trace
+    awg-repro run SPM_G --quick --trace --categories wg,sync,dispatch
     awg-repro litmus run --quick    # corpus + generated programs, judged
     awg-repro litmus run --seed 7 --programs 16      # wider random sweep
     awg-repro litmus generate --seed 3 --out progs.json
@@ -115,7 +116,7 @@ ARTIFACTS = {**EXPERIMENTS, **ABLATIONS}
 #: every command besides the experiment ids, as dispatched below
 COMMANDS = (
     "list", "all", "run", "ablations", "timeline", "faults", "cache",
-    "replay", "shrink", "lint", "analyze", "sanitize", "trace", "litmus",
+    "replay", "shrink", "lint", "analyze", "litmus",
 )
 
 
@@ -285,37 +286,6 @@ def _run_litmus_command(opts, parser) -> int:
     return rc
 
 
-def _run_sanitize(opts, parser) -> int:
-    """Run one benchmark with the dynamic sync sanitizer attached."""
-    import json
-
-    if not 1 <= len(opts.args) <= 2:
-        parser.error("sanitize needs BENCHMARK [POLICY]")
-    bench = opts.args[0]
-    policy_name = opts.args[1] if len(opts.args) == 2 else "awg"
-    scenario = QUICK_SCALE if opts.quick else PAPER_SCALE
-    res = run_benchmark(
-        bench, named_policy(policy_name), scenario,
-        validate=False, keep_gpu=True,
-        config_overrides={"sanitize": True, "seed": opts.seed},
-    )
-    sanitizer = res.gpu.sanitizer
-    report = sanitizer.report()
-    report["benchmark"] = bench
-    report["policy"] = res.policy
-    report["scenario"] = scenario.label
-    report["completed"] = res.completed
-    report["deadlocked"] = res.deadlocked
-    if opts.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        status = "completed" if res.ok else f"DEADLOCK ({res.reason})"
-        print(f"{bench} under {res.policy} [{scenario.label}]: {status}")
-        print(sanitizer.render())
-    clean = res.ok and not report["races"] and not report["lock_errors"]
-    return 0 if clean else 1
-
-
 def _run_analyze(opts) -> int:
     """Static progress table: build and render."""
     import json
@@ -332,31 +302,80 @@ def _run_analyze(opts) -> int:
     return 0
 
 
-def _run_trace(opts, parser) -> int:
-    """Run one benchmark with structured tracing on and export the
-    Chrome/Perfetto trace_event JSON (see README "Tracing")."""
+def _run_cell(opts, parser) -> int:
+    """``run BENCHMARK [POLICY]``: one benchmark under one policy
+    (default AWG) at the scale ``--quick``/``--oversubscribed`` name,
+    with ``--seed`` as the scenario seed. Plain ``run`` validates the
+    final memory state; ``--sanitize`` and ``--trace`` skip that check
+    and attach the sync sanitizer or the structured tracer instead."""
+    if not 1 <= len(opts.args) <= 2:
+        parser.error("run needs BENCHMARK [POLICY]")
+    if opts.sanitize and opts.trace:
+        parser.error("run takes --sanitize or --trace, not both")
+    bench = opts.args[0]
+    policy = named_policy(opts.args[1] if len(opts.args) == 2 else "awg")
+    if opts.quick:
+        scenario = QUICK_OVERSUBSCRIBED if opts.oversubscribed else QUICK_SCALE
+    else:
+        scenario = OVERSUBSCRIBED if opts.oversubscribed else PAPER_SCALE
+    scenario = scenario.scaled(seed=opts.seed)
+    if opts.sanitize:
+        return _report_sanitized(bench, policy, scenario, opts.json)
+    if opts.trace:
+        return _report_traced(bench, policy, scenario, opts)
+    res = run_benchmark(bench, policy, scenario)
+    print(_headline(res))
+    print(f"  cycles:           {res.cycles:,}")
+    print(f"  atomics:          {res.atomics:,}")
+    print(f"  context switches: {res.context_switches:,}")
+    print(f"  WG running/waiting cycles: "
+          f"{res.wg_running_cycles:,} / {res.wg_waiting_cycles:,}")
+    return 0 if res.ok else 1
+
+
+def _headline(res) -> str:
+    status = "completed" if res.ok else f"DEADLOCK ({res.reason})"
+    return f"{res.benchmark} under {res.policy} [{res.scenario}]: {status}"
+
+
+def _report_sanitized(bench, policy, scenario, json_out: bool) -> int:
+    """Run with the dynamic sync sanitizer attached; exit 1 on a race,
+    a lock error or a run that did not complete."""
+    import json
+
+    res = run_benchmark(
+        bench, policy, scenario, validate=False, keep_gpu=True,
+        config_overrides={"sanitize": True},
+    )
+    sanitizer = res.gpu.sanitizer
+    report = sanitizer.report()
+    report.update(benchmark=bench, policy=res.policy, scenario=res.scenario,
+                  completed=res.completed, deadlocked=res.deadlocked)
+    if json_out:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print(_headline(res))
+        print(sanitizer.render())
+    clean = res.ok and not report["races"] and not report["lock_errors"]
+    return 0 if clean else 1
+
+
+def _report_traced(bench, policy, scenario, opts) -> int:
+    """Run with structured tracing on and export the Chrome/Perfetto
+    trace_event JSON (see README "Tracing"); exit 1 on an invalid
+    export."""
     from repro.trace.config import TraceConfig
     from repro.trace.export import validate_chrome_trace, write_chrome_trace
 
-    if not 1 <= len(opts.args) <= 2:
-        parser.error("trace needs BENCHMARK [POLICY]")
-    bench = opts.args[0]
-    policy_name = opts.args[1] if len(opts.args) == 2 else "awg"
-    scenario = OVERSUBSCRIBED if opts.oversubscribed else PAPER_SCALE
-    if opts.quick:
-        scenario = QUICK_SCALE
     trace_cfg = TraceConfig.parse(opts.categories or "all")
     res = run_benchmark(
-        bench, named_policy(policy_name), scenario,
-        validate=False,
-        config_overrides={"trace": trace_cfg, "seed": opts.seed},
+        bench, policy, scenario, validate=False,
+        config_overrides={"trace": trace_cfg},
     )
     out = opts.out or "trace.json"
     write_chrome_trace(res.trace, out)
     problems = validate_chrome_trace(res.trace)
-    status = "completed" if res.ok else f"DEADLOCK ({res.reason})"
-    print(f"{bench} under {res.policy} [{scenario.label}]: {status} "
-          f"in {res.cycles:,} cycles")
+    print(f"{_headline(res)} in {res.cycles:,} cycles")
     sidecar = res.trace["awg"]
     print(f"  categories: {','.join(sidecar['categories'])}")
     print(f"  events:     {sidecar['recorded']:,} recorded, "
@@ -453,16 +472,16 @@ def _dispatch(argv=None) -> int:
              "of: " + ", ".join(COMMANDS),
     )
     parser.add_argument("args", nargs="*",
-                        help="for 'run': BENCHMARK POLICY; for 'lint': "
-                             "paths; for 'analyze': benchmarks "
-                             "(default: all); for 'sanitize'/'trace': "
-                             "BENCHMARK [POLICY]")
+                        help="for 'run': BENCHMARK [POLICY] (default "
+                             "policy: awg); for 'lint': paths; for "
+                             "'analyze': benchmarks (default: all)")
     parser.add_argument("--quick", action="store_true",
                         help="small-scale configuration; for 'faults': "
                              "two-benchmark campaign; for 'litmus': "
                              "golden policies + small corpus")
     parser.add_argument("--seed", type=int, default=1, metavar="N",
-                        help="for 'faults'/'litmus': root seed for fault "
+                        help="for 'run': the scenario seed; for "
+                             "'faults'/'litmus': root seed for fault "
                              "plans / program generation")
     parser.add_argument("--plans", default=None, metavar="A,B,...",
                         help="for 'faults': comma-separated plan names "
@@ -470,7 +489,8 @@ def _dispatch(argv=None) -> int:
     parser.add_argument("--chart", action="store_true",
                         help="render figures as ASCII bar charts")
     parser.add_argument("--oversubscribed", action="store_true",
-                        help="for 'run': inject the resource-loss event")
+                        help="for 'run': inject the resource-loss event "
+                             "(with --quick: quick-oversubscribed scale)")
     parser.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
                         help="parallel simulation workers (default: "
                              "$REPRO_JOBS or cpu count; 1 = in-process)")
@@ -479,8 +499,12 @@ def _dispatch(argv=None) -> int:
     parser.add_argument("--clear", action="store_true",
                         help="for 'cache': delete every cached result")
     parser.add_argument("--trace", action="store_true",
-                        help="for 'replay' of a cell bundle: re-run with "
-                             "structured tracing on (write with --out)")
+                        help="for 'run' and 'replay' of a cell bundle: "
+                             "trace the run (write the Chrome/Perfetto "
+                             "trace with --out)")
+    parser.add_argument("--sanitize", action="store_true",
+                        help="for 'run': attach the dynamic sync "
+                             "sanitizer; exit 1 on a race or lock error")
     parser.add_argument("--bundles", default=None, metavar="DIR",
                         help="for 'faults'/'litmus': write a repro "
                              "bundle per violating cell into DIR")
@@ -488,7 +512,7 @@ def _dispatch(argv=None) -> int:
                         help="for 'faults'/'litmus': also minimize each "
                              "emitted bundle (delta debugging)")
     parser.add_argument("--json", action="store_true",
-                        help="for 'lint'/'sanitize'/'analyze': "
+                        help="for 'lint'/'analyze'/'run --sanitize': "
                              "machine-readable output")
     parser.add_argument("--format", default=None, dest="fmt",
                         choices=("text", "json", "github"),
@@ -497,10 +521,10 @@ def _dispatch(argv=None) -> int:
     parser.add_argument("--dot", action="store_true",
                         help="for 'analyze': GraphViz wait-for graphs")
     parser.add_argument("--categories", default=None, metavar="A,B,...",
-                        help="for 'trace': comma-separated event "
+                        help="for 'run --trace': comma-separated event "
                              "categories (default: all; see repro.trace)")
     parser.add_argument("--out", default=None, metavar="PATH",
-                        help="for 'trace': output path for the Chrome "
+                        help="for 'run --trace': output path for the Chrome "
                              "trace_event JSON (default: trace.json); for "
                              "an experiment id, 'ablations' or 'all': "
                              "directory to write each rendered table to "
@@ -533,12 +557,6 @@ def _dispatch(argv=None) -> int:
     if opts.command == "analyze":
         return _run_analyze(opts)
 
-    if opts.command == "sanitize":
-        return _run_sanitize(opts, parser)
-
-    if opts.command == "trace":
-        return _run_trace(opts, parser)
-
     if opts.command == "faults":
         return _run_faults(opts, **matrix_kw)
 
@@ -565,28 +583,10 @@ def _dispatch(argv=None) -> int:
         return 0
 
     if opts.command == "run":
-        if len(opts.args) != 2:
-            parser.error("run needs BENCHMARK and POLICY")
-        bench, policy_name = opts.args
-        scenario = OVERSUBSCRIBED if opts.oversubscribed else PAPER_SCALE
-        if opts.quick:
-            scenario = QUICK_SCALE
-        res = run_benchmark(bench, named_policy(policy_name), scenario)
-        status = "completed" if res.ok else f"DEADLOCK ({res.reason})"
-        print(f"{bench} under {res.policy} [{scenario.label}]: {status}")
-        print(f"  cycles:           {res.cycles:,}")
-        print(f"  atomics:          {res.atomics:,}")
-        print(f"  context switches: {res.context_switches:,}")
-        print(f"  WG running/waiting cycles: "
-              f"{res.wg_running_cycles:,} / {res.wg_waiting_cycles:,}")
-        return 0 if res.ok else 1
+        return _run_cell(opts, parser)
 
     if opts.command in EXPERIMENTS:
         return _run_artifacts([opts.command], opts, matrix_kw)
 
     parser.error(f"unknown command {opts.command!r}")
     return 2  # pragma: no cover
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -6,8 +6,6 @@ callers can catch simulator failures without masking programming errors.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
-
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
@@ -15,52 +13,6 @@ class ReproError(Exception):
 
 class SimulationError(ReproError):
     """The simulation engine was driven into an invalid state."""
-
-
-class DeadlockError(SimulationError):
-    """The progress watchdog declared the workload deadlocked (or
-    livelocked).
-
-    Beyond the human-readable message it carries a machine-readable
-    diagnosis: the cycle at which progress stopped, the watchdog verdict
-    (``kind`` is ``"deadlock"`` for no progress events at all,
-    ``"livelock"`` for progress events without condition advancement),
-    and a per-WG stall report (which condition each unfinished WG waits
-    on, how long it has been in its state, and whether it still holds CU
-    residency). ``to_dict()`` is what the experiment matrix persists.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        cycle: int = 0,
-        reason: str = "watchdog",
-        kind: str = "deadlock",
-        policy: str = "",
-        finished: int = 0,
-        total: int = 0,
-        stall_report: Optional[List[Dict[str, Any]]] = None,
-    ):
-        super().__init__(message)
-        self.cycle = cycle
-        self.reason = reason
-        self.kind = kind
-        self.policy = policy
-        self.finished = finished
-        self.total = total
-        self.stall_report = stall_report or []
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable diagnosis (cacheable / pool-picklable)."""
-        return {
-            "kind": self.kind,
-            "reason": self.reason,
-            "cycle": self.cycle,
-            "policy": self.policy,
-            "finished": self.finished,
-            "total": self.total,
-            "stalls": self.stall_report,
-        }
 
 
 class ConfigError(ReproError):

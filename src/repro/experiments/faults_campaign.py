@@ -217,11 +217,3 @@ def run(
             f"wrote {len(bundles)} repro-bundle file(s) to {bundle_dir}")
     return CampaignResult(table=table, violations=violations, matrix=matrix,
                           bundles=bundles)
-
-
-def main() -> None:  # pragma: no cover
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

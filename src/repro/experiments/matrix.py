@@ -19,8 +19,10 @@ The runner survives failing cells and crashed workers:
   cells that had no result yet; completed cells are preserved and the
   lost ones are resubmitted to a fresh pool with exponential backoff
   from ``RETRY_BACKOFF`` seconds, up to ``CELL_RETRIES`` extra attempts.
-- A failed cell carries a *structured* failure record (exception type,
-  message, deadlock diagnosis when available, traceback), and
+- A deadlocked cell is no failure: it completes, with
+  :attr:`RunResult.deadlocked` and the watchdog's ``diagnosis``.
+- A failed cell, one whose simulation raised, carries a *structured*
+  failure record (exception type, message, traceback), and
   :attr:`MatrixResult.errors` lists the failed cells. Reading a failed
   cell's result raises :class:`CellError`, so a figure fails on its
   first lost cell instead of rendering a partial table. Each failure
@@ -56,7 +58,7 @@ from typing import (
 )
 
 from repro.core.policies import PolicySpec
-from repro.errors import ConfigError, DeadlockError, ReproError
+from repro.errors import ConfigError, ReproError
 from repro.experiments.cache import (
     ResultCache, default_cache, result_to_payload,
 )
@@ -117,7 +119,6 @@ class RunRequest:
     policy: PolicySpec
     scenario: Scenario
     validate: bool = True
-    keep_gpu: bool = False
     config_overrides: Optional[Dict[str, Any]] = None
     param_overrides: Optional[Dict[str, Any]] = None
 
@@ -135,8 +136,7 @@ class RunRequest:
     @classmethod
     def from_spec(cls, spec: Dict[str, Any]) -> "RunRequest":
         """Rebuild a request from its canonical spec (repro-bundle
-        replay). ``keep_gpu`` is deliberately not part of the spec — a
-        replayed cell never holds a GPU."""
+        replay)."""
         return cls(
             benchmark=spec["benchmark"],
             policy=PolicySpec.from_spec(spec["policy"]),
@@ -154,7 +154,6 @@ class RunRequest:
             self.policy,
             self.scenario,
             validate=self.validate,
-            keep_gpu=self.keep_gpu,
             config_overrides=dict(self.config_overrides)
             if self.config_overrides else None,
             **(self.param_overrides or {}),
@@ -174,7 +173,7 @@ class RunRequest:
                 k in spec for k in ("benchmark", "policy", "scenario")):
             raise ConfigError(
                 "bundle request must carry benchmark/policy/scenario specs")
-        if expected["mode"] not in ("diagnosis", "exception", "race"):
+        if expected["mode"] not in ("diagnosis", "exception"):
             raise ConfigError(
                 f"unknown expected-failure mode {expected['mode']!r}")
 
@@ -182,42 +181,21 @@ class RunRequest:
                 trace: bool = False) -> Dict[str, Any]:
         """Execute the cell in-process and classify what happened into
         the same mode vocabulary as the expected clause."""
-        mode = expected["mode"]
         request = self
-        overrides = dict(self.config_overrides or {})
-        if mode == "race":
-            overrides["sanitize"] = True
-            request = replace(request, config_overrides=overrides,
-                              keep_gpu=True)
         if trace:
             from repro.trace.config import TraceConfig
 
+            overrides = dict(self.config_overrides or {})
             overrides["trace"] = TraceConfig.parse("all")
             request = replace(request, config_overrides=overrides)
 
         try:
             result = request.execute()
         except Exception as exc:
-            observed: Dict[str, Any] = {
-                "mode": "exception", "type": type(exc).__name__,
-                "detail": str(exc),
-            }
-            diagnosis = getattr(exc, "to_dict", None)
-            if callable(diagnosis):
-                observed["mode"] = "diagnosis"
-                observed["signature"] = diagnosis_signature(diagnosis())
-            return observed
+            return {"mode": "exception", "type": type(exc).__name__,
+                    "detail": str(exc)}
 
-        payload = result_to_payload(replace(result, gpu=None))
-        if mode == "race" and result.gpu is not None:
-            report = result.gpu.sanitizer.report()
-            if report["races"] or report["lock_errors"]:
-                return {
-                    "mode": "race",
-                    "race_count": report["race_count"],
-                    "lock_errors": len(report["lock_errors"]),
-                    "result": payload,
-                }
+        payload = result_to_payload(result)
         if result.deadlocked:
             return {
                 "mode": "diagnosis",
@@ -233,9 +211,7 @@ class RunRequest:
             return False
         if expected["mode"] == "diagnosis":
             return expected.get("signature") == observed.get("signature")
-        if expected["mode"] == "exception":
-            return expected.get("type") == observed.get("type")
-        return True  # race: reaching the mode is the reproduction
+        return expected.get("type") == observed.get("type")
 
     def size(self) -> int:
         """Monotone shrink metric: the scenario knobs the shrinker may
@@ -358,8 +334,8 @@ class Cell:
 
     request: RunRequest
     result: Optional[RunResult] = None
-    #: structured failure record: ``type`` / ``message`` / ``traceback``,
-    #: plus ``cycle`` and ``diagnosis`` for watchdog deadlocks
+    #: structured failure record: ``type`` / ``message`` / ``traceback``
+    #: / ``classification``
     failure: Optional[Dict[str, Any]] = None
     from_cache: bool = False
 
@@ -376,16 +352,12 @@ def _failure_info(exc: BaseException, tb: str) -> Dict[str, Any]:
     plan, same exception — so it is never retried; only a crashed
     worker (:func:`_crash_failure`) is ``environmental``.
     """
-    info: Dict[str, Any] = {
+    return {
         "type": type(exc).__name__,
         "message": str(exc),
         "traceback": tb,
         "classification": "deterministic",
     }
-    if isinstance(exc, DeadlockError):
-        info["cycle"] = exc.cycle
-        info["diagnosis"] = exc.to_dict()
-    return info
 
 
 def _execute_cell(
@@ -627,25 +599,15 @@ def run_matrix(
     jobs = resolve_jobs(jobs)
     if cache == DEFAULT_CACHE:
         cache = default_cache()
-    if jobs > 1 and any(req.keep_gpu for req in requests):
-        raise ConfigError(
-            "keep_gpu=True cells cannot cross the process pool (a GPU "
-            "object is not picklable); use jobs=1 or drop keep_gpu and "
-            "read the derived metrics from RunResult.stats instead"
-        )
 
     cells: List[Optional[Cell]] = [None] * len(requests)
     cache_hits = cache_misses = deduped = 0
 
     # Resolve cached results and collapse duplicate specs to one
-    # execution. keep_gpu cells bypass both (the GPU object is neither
-    # serializable nor safely shared).
+    # execution.
     pending: List[Tuple[Optional[str], RunRequest, List[int]]] = []
     by_spec: Dict[str, int] = {}
     for index, req in enumerate(requests):
-        if req.keep_gpu:
-            pending.append((None, req, [index]))
-            continue
         spec = req.spec()
         spec_key = repr(sorted(spec.items()))
         if spec_key in by_spec:

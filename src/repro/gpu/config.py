@@ -9,8 +9,8 @@ one 32 KB 8-way instruction cache and one 16 KB 8-way scalar cache per
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Optional
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
@@ -85,8 +85,7 @@ class GPUConfig:
     backstop_timeout: int = 100_000
     #: fixed interval for the Timeout policy (swept in Fig 8)
     timeout_interval: int = 20_000
-    #: software exponential backoff bounds for the Sleep policy (Fig 7)
-    sleep_backoff_min: int = 64
+    #: software exponential backoff cap for the Sleep policy (Fig 7)
     sleep_backoff_max: int = 16_000
     #: retry delay when the Monitor Log is full (Mesa busy retry)
     log_full_retry: int = 200
@@ -138,37 +137,6 @@ class GPUConfig:
     def with_overrides(self, **kwargs) -> "GPUConfig":
         """Functional update; used by experiment sweeps."""
         return replace(self, **kwargs)
-
-    # -- canonical serialization (repro bundles) -----------------------
-    def spec(self) -> Dict[str, Any]:
-        """JSON-serializable dict that fully determines this machine.
-
-        Repro bundles embed the *resolved* config so a failure is
-        replayable even if scenario defaults drift later."""
-        out: Dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in ("fault_plan", "trace"):
-                continue
-            out[f.name] = value
-        out["fault_plan"] = (
-            self.fault_plan.spec() if self.fault_plan is not None else None)
-        out["trace"] = (
-            {"categories": list(self.trace.categories),
-             "buffer_size": self.trace.buffer_size}
-            if self.trace is not None else None)
-        return out
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any]) -> "GPUConfig":
-        """Inverse of :meth:`spec`."""
-        kwargs = dict(spec)
-        plan = kwargs.get("fault_plan")
-        kwargs["fault_plan"] = (
-            FaultPlan.from_spec(plan) if plan is not None else None)
-        trace = kwargs.get("trace")
-        kwargs["trace"] = TraceConfig(**trace) if trace is not None else None
-        return cls(**kwargs)
 
     def describe(self) -> Dict[str, str]:
         """Human-readable Table 1 rendition."""

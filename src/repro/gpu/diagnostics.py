@@ -95,23 +95,3 @@ def diagnosis_signature(
         return None
     return {"kind": diagnosis.get("kind")}
 
-
-def summarize_stalls(report: List[Dict[str, Any]]) -> str:
-    """One-line human rendering of a stall report (for error messages)."""
-    if not report:
-        return "no unfinished WGs"
-    by_state: Dict[str, int] = {}
-    waiting_addrs = set()
-    evicted = 0
-    for entry in report:
-        by_state[entry["state"]] = by_state.get(entry["state"], 0) + 1
-        if entry["condition"] is not None:
-            waiting_addrs.add(entry["condition"]["addr"])
-        if not entry["resident"]:
-            evicted += 1
-    states = ", ".join(f"{n} {s}" for s, n in sorted(by_state.items()))
-    return (
-        f"{len(report)} unfinished WGs ({states}); "
-        f"{len(waiting_addrs)} distinct wait addresses; "
-        f"{evicted} without CU residency"
-    )

@@ -16,16 +16,11 @@ from typing import Any, Dict, List, Optional
 from repro.core.monitor_log import MonitorLog
 from repro.core.policies import PolicySpec
 from repro.core.syncmon import SyncMon
-from repro.errors import DeadlockError
 from repro.faults.injector import FaultInjector
 from repro.gpu.compute_unit import ComputeUnit
 from repro.gpu.config import GPUConfig
 from repro.gpu.command_processor import CommandProcessor
-from repro.gpu.diagnostics import (
-    build_stall_report,
-    classify_stagnation,
-    summarize_stalls,
-)
+from repro.gpu.diagnostics import build_stall_report, classify_stagnation
 from repro.gpu.dispatcher import Dispatcher
 from repro.gpu.kernel import Kernel, KernelLaunch
 from repro.gpu.wavefront import Wavefront
@@ -202,7 +197,7 @@ class GPU:
     # ------------------------------------------------------------------
     # the run loop
     # ------------------------------------------------------------------
-    def run(self, raise_on_deadlock: bool = False) -> RunOutcome:
+    def run(self) -> RunOutcome:
         cfg = self.config
         env = self.env
         last_progress = -1
@@ -284,30 +279,15 @@ class GPU:
 
         diagnosis: Optional[Dict[str, Any]] = None
         if deadlocked:
-            stalls = build_stall_report(self)
-            kind = classify_stagnation(reason != "livelock")
             diagnosis = {
-                "kind": kind,
+                "kind": classify_stagnation(reason != "livelock"),
                 "reason": reason,
                 "cycle": env.now,
                 "policy": self.policy.name,
                 "finished": self._finished,
                 "total": len(self.wgs),
-                "stalls": stalls,
+                "stalls": build_stall_report(self),
             }
-            if raise_on_deadlock:
-                raise DeadlockError(
-                    f"{self.policy.name}: {reason} at cycle {env.now} "
-                    f"({self._finished}/{len(self.wgs)} WGs finished); "
-                    f"{summarize_stalls(stalls)}",
-                    cycle=env.now,
-                    reason=reason,
-                    kind=kind,
-                    policy=self.policy.name,
-                    finished=self._finished,
-                    total=len(self.wgs),
-                    stall_report=stalls,
-                )
         return self._outcome(not deadlocked and halted(),
                              deadlocked, reason, diagnosis)
 

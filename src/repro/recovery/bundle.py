@@ -33,9 +33,6 @@ Cell expected-failure modes (``bundle["expected"]["mode"]``):
     scenario is shrunk)
 ``exception``
     the simulation must raise the same exception type
-``race``
-    replayed with the dynamic sync sanitizer attached, the run must
-    report at least one data race or lock error
 
 Litmus modes: ``model-violation`` (the replay must judge ``model``
 ``violated`` again) and ``contract`` (the replay must hang on a cell the
@@ -93,14 +90,10 @@ def derive_expected(
     result: Any = None,
 ) -> Dict[str, Any]:
     """The expected-failure clause for a cell bundle, from either a
-    matrix failure record or a completed-but-wrong :class:`RunResult`
-    (e.g. an IFP-contract violation in the faults campaign)."""
+    matrix failure record (the simulation raised) or a deadlocked
+    :class:`RunResult` (e.g. an IFP-contract violation in the faults
+    campaign)."""
     if failure is not None:
-        if failure.get("diagnosis") is not None:
-            return {
-                "mode": "diagnosis",
-                "signature": diagnosis_signature(failure["diagnosis"]),
-            }
         return {"mode": "exception", "type": failure.get("type", "Exception")}
     if result is not None and getattr(result, "deadlocked", False):
         signature = diagnosis_signature(result.diagnosis)
@@ -110,7 +103,7 @@ def derive_expected(
         }
     raise ConfigError(
         "cannot derive an expected failure: need a failure record or a "
-        "deadlocked result (pass expected=... explicitly for race bundles)")
+        "deadlocked result")
 
 
 def make_bundle(
@@ -124,9 +117,8 @@ def make_bundle(
     ``request`` is a :class:`~repro.experiments.matrix.RunRequest` or a
     :class:`~repro.litmus.shrinklink.LitmusRequest`; its type picks the
     bundle kind. ``expected`` overrides the derived expected-failure
-    clause (required for ``race`` and litmus bundles, whose evidence
-    lives in the sanitizer or the model judgments, not a failure
-    record)."""
+    clause (required for litmus bundles, whose evidence lives in the
+    model judgments, not a failure record)."""
     kind = next(k for k, (cls, _keys) in _KINDS.items()
                 if isinstance(request, cls))
     if expected is None:
@@ -146,8 +138,8 @@ def make_bundle(
         trimmed_failure = None
         if failure is not None:
             trimmed_failure = {k: failure[k] for k in
-                               ("type", "message", "classification",
-                                "cycle", "diagnosis") if k in failure}
+                               ("type", "message", "classification")
+                               if k in failure}
         elif result is not None:
             trimmed_failure = {
                 "type": "ContractViolation",

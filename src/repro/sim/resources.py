@@ -34,14 +34,6 @@ class FifoResource:
         self._busy = 0
         self._queue: Deque[Tuple[Event, int]] = deque()  # (done, cycles)
 
-    @property
-    def busy(self) -> int:
-        return self._busy
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     def service(self, cycles: int) -> Event:
         """Request ``cycles`` of service; returns the completion event."""
         if cycles < 0:

@@ -13,10 +13,9 @@ explicit :func:`kernel_roles` annotation. The canonical example is
 ``SleepMutex``: the waiter polls ``self._slot(ticket)`` — a *computed*
 address — and only the ``waits=`` hint tells the analyzer that the slot
 family is written by the lock holder and has exactly one waiter per
-word (Figure 10's decentralized queue). Annotations are deliberately
-dual-readable: they attach attributes for runtime introspection *and*
-are plain enough for the AST pass to parse the decorator call without
-importing the module.
+word (Figure 10's decentralized queue). The annotation does nothing at
+run time: the AST pass parses the decorator call from the source, which
+also reaches the heterosync kernels, nested functions that no import can.
 
 This module is import-light on purpose (stdlib only): it is imported by
 ``repro.sync`` primitives and must not drag the simulator in.
@@ -26,10 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Tuple
-
-#: attribute names the static pass looks for on annotated functions
-ROLES_ATTR = "__repro_roles__"
-WAIT_HINTS_ATTR = "__repro_wait_hints__"
 
 
 @dataclass(frozen=True)
@@ -87,8 +82,8 @@ def kernel_roles(*roles: str,
                  waits: Tuple[WaitHint, ...] = ()) -> Callable:
     """Annotate a kernel (or sync-primitive method) with its WG roles.
 
-    Purely declarative: returns the function unchanged apart from two
-    introspection attributes. Example::
+    Purely declarative: returns the function unchanged; the static pass
+    reads the call from the source. Example::
 
         @kernel_roles("holder", "contender",
                       waits=(WaitHint("_slot", waiter="contender",
@@ -96,9 +91,4 @@ def kernel_roles(*roles: str,
         def acquire(self, ctx): ...
     """
 
-    def deco(fn: Callable) -> Callable:
-        setattr(fn, ROLES_ATTR, tuple(roles))
-        setattr(fn, WAIT_HINTS_ATTR, tuple(waits))
-        return fn
-
-    return deco
+    return lambda fn: fn

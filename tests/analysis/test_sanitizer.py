@@ -125,11 +125,11 @@ def test_sanitizer_records_release_without_acquire():
 def test_cli_sanitize_exit_codes(capsys):
     from repro.cli import main
 
-    assert main(["sanitize", "SPM_G", "awg", "--quick"]) == 0
+    assert main(["run", "SPM_G", "awg", "--quick", "--sanitize"]) == 0
     out = capsys.readouterr().out
     assert "no races detected" in out
 
-    assert main(["sanitize", "_RACY", "--quick", "--json"]) == 1
+    assert main(["run", "_RACY", "--quick", "--sanitize", "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["race_count"] > 0
     assert data["benchmark"] == "_RACY"
@@ -139,7 +139,7 @@ def test_cli_sanitize_exit_codes(capsys):
 def test_cli_sanitize_default_policy_is_awg(capsys):
     from repro.cli import main
 
-    assert main(["sanitize", "SPM_G", "--quick"]) == 0
+    assert main(["run", "SPM_G", "--quick", "--sanitize"]) == 0
     assert "under AWG" in capsys.readouterr().out
 
 

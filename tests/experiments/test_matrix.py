@@ -104,24 +104,6 @@ def test_identical_cells_deduplicated():
     assert "probe" not in matrix[2].stats
 
 
-def test_keep_gpu_rejected_across_the_pool():
-    requests = [RunRequest("SPM_G", awg(), SCEN, keep_gpu=True)]
-    with pytest.raises(ConfigError, match="keep_gpu"):
-        run_matrix(requests, jobs=2, cache=None)
-
-
-def test_keep_gpu_allowed_in_process(tmp_path):
-    cache = ResultCache(tmp_path, fingerprint="test")
-    matrix = run_matrix(
-        [RunRequest("SPM_G", awg(), SCEN, keep_gpu=True)],
-        jobs=1, cache=cache,
-    )
-    assert matrix[0].gpu is not None
-    # keep_gpu cells bypass the cache entirely
-    assert (matrix.cache_hits, matrix.cache_misses) == (0, 0)
-    assert cache.entry_count() == 0
-
-
 def test_per_cell_error_capture_does_not_abort_sweep():
     requests = [
         RunRequest("SPM_G", awg(), SCEN),

@@ -1,13 +1,10 @@
 """Structured watchdog diagnostics: stall reports, deadlock vs livelock."""
 
-import pytest
-
 from repro.core.policies import awg, baseline
-from repro.errors import DeadlockError
 from repro.experiments.runner import QUICK_SCALE, run_benchmark
 from repro.faults.plan import FaultPlan, PreemptionStorm
 from repro.gpu.config import GPUConfig
-from repro.gpu.diagnostics import classify_stagnation, summarize_stalls
+from repro.gpu.diagnostics import classify_stagnation
 from repro.gpu.gpu import GPU
 from repro.gpu.kernel import Kernel
 from repro.workloads.registry import BenchmarkParams, build_benchmark
@@ -62,7 +59,7 @@ def test_completed_run_has_no_diagnosis():
     assert res.diagnosis is None
 
 
-def test_raise_on_deadlock_carries_the_full_report():
+def test_gpu_run_diagnosis_carries_the_full_report():
     config = SCEN.scaled(fault_plan=BLACKOUT).config()
     gpu = GPU(config, baseline())
     kernel = build_benchmark(
@@ -71,16 +68,14 @@ def test_raise_on_deadlock_carries_the_full_report():
                                iterations=1, episodes=4),
     )
     gpu.launch(kernel)
-    with pytest.raises(DeadlockError) as excinfo:
-        gpu.run(raise_on_deadlock=True)
-    err = excinfo.value
-    assert err.cycle > 0
-    assert err.kind == "deadlock"
-    assert err.reason == "watchdog"
-    assert err.policy == "Baseline"
-    assert err.stall_report
-    assert err.to_dict()["stalls"] == err.stall_report
-    assert "unfinished WGs" in str(err)  # summarize_stalls in the message
+    diag = gpu.run().diagnosis
+    assert diag["cycle"] == gpu.env.now > 0
+    assert diag["kind"] == "deadlock"
+    assert diag["reason"] == "watchdog"
+    assert diag["policy"] == "Baseline"
+    assert diag["stalls"]
+    assert len(diag["stalls"]) == diag["total"] - diag["finished"]
+    assert all(STALL_KEYS <= set(entry) for entry in diag["stalls"])
 
 
 def _spin_forever(ctx):
@@ -120,17 +115,3 @@ def test_livelock_detection_can_be_disabled():
 def test_classify_stagnation():
     assert classify_stagnation(True) == "deadlock"
     assert classify_stagnation(False) == "livelock"
-
-
-def test_summarize_stalls_renders_counts():
-    assert summarize_stalls([]) == "no unfinished WGs"
-    report = [
-        {"state": "waiting", "resident": True,
-         "condition": {"addr": 64, "expected": 1}},
-        {"state": "switched_out", "resident": False, "condition": None},
-    ]
-    text = summarize_stalls(report)
-    assert "2 unfinished WGs" in text
-    assert "1 switched_out" in text
-    assert "1 waiting" in text
-    assert "1 without CU residency" in text

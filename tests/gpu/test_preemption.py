@@ -105,9 +105,7 @@ def test_awg_survives_the_same_loss():
     kernel.args["validate"](gpu)
 
 
-def test_raise_on_deadlock_flag():
-    import pytest
-    from repro.errors import DeadlockError
+def test_deadlock_is_returned_as_a_diagnosis():
     from repro.workloads import build_benchmark
 
     gpu = make_gpu(baseline(), num_cus=2, max_wgs_per_cu=2,
@@ -116,5 +114,11 @@ def test_raise_on_deadlock_flag():
                              iterations=10, work_cycles=10, cs_cycles=5_000)
     ResourceLossEvent(at_us=5, cu_id=1).schedule(gpu)
     gpu.launch(kernel)
-    with pytest.raises(DeadlockError):
-        gpu.run(raise_on_deadlock=True)
+    out = gpu.run()
+    assert out.deadlocked and not out.completed
+    diag = out.diagnosis
+    assert diag["kind"] == "deadlock"
+    assert diag["reason"] == out.reason == "watchdog"
+    assert diag["policy"] == "Baseline"
+    assert diag["cycle"] == out.cycles > 0
+    assert len(diag["stalls"]) == diag["total"] - diag["finished"] > 0

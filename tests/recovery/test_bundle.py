@@ -2,10 +2,11 @@
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from repro.core.policies import awg, baseline, named_policy
+from repro.core.policies import awg, baseline
 from repro.errors import ConfigError
 from repro.experiments.matrix import RunRequest
 from repro.experiments.runner import QUICK_SCALE
@@ -21,15 +22,11 @@ def _deadlock_request():
     return RunRequest("SPM_G", baseline(), scen, validate=False)
 
 
-def _failure(kind="deadlock"):
-    return {
-        "type": "DeadlockError",
-        "message": "watchdog",
-        "traceback": "...",
-        "classification": "deterministic",
-        "cycle": 123,
-        "diagnosis": {"kind": kind, "cycle": 123, "stalls": []},
-    }
+def _deadlocked(kind="deadlock"):
+    """A stand-in for a deadlocked RunResult (what bundles read of it)."""
+    return SimpleNamespace(
+        deadlocked=True, reason="watchdog",
+        diagnosis={"kind": kind, "cycle": 123, "stalls": []})
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +37,7 @@ def test_bundle_schema_is_stable():
     """The bundle layout is a published interface (EXPERIMENTS.md):
     adding/removing top-level keys or changing the expected-mode
     vocabulary requires a BUNDLE_VERSION bump and doc updates."""
-    bundle = make_bundle(_deadlock_request(), failure=_failure())
+    bundle = make_bundle(_deadlock_request(), result=_deadlocked())
     assert sorted(bundle) == sorted(BUNDLE_KEYS)
     assert sorted(BUNDLE_KEYS) == [
         "expected", "failure", "kind", "provenance", "request", "version",
@@ -60,7 +57,7 @@ def test_bundle_schema_is_stable():
 
 def test_bundle_request_spec_round_trips():
     req = _deadlock_request()
-    bundle = make_bundle(req, failure=_failure())
+    bundle = make_bundle(req, result=_deadlocked())
     rebuilt = RunRequest.from_spec(bundle["request"])
     assert rebuilt.spec() == req.spec()
     assert rebuilt.policy == req.policy
@@ -68,9 +65,10 @@ def test_bundle_request_spec_round_trips():
 
 
 def test_derive_expected_modes():
-    assert derive_expected(failure=_failure())["mode"] == "diagnosis"
-    assert derive_expected(failure=_failure())["signature"] == \
-        {"kind": "deadlock"}
+    assert derive_expected(result=_deadlocked()) == {
+        "mode": "diagnosis", "signature": {"kind": "deadlock"}}
+    assert derive_expected(result=_deadlocked("livelock"))["signature"] == \
+        {"kind": "livelock"}
     assert derive_expected(
         failure={"type": "ValueError", "message": "boom"}) == \
         {"mode": "exception", "type": "ValueError"}
@@ -79,7 +77,7 @@ def test_derive_expected_modes():
 
 
 def test_validate_rejects_foreign_and_future_documents():
-    bundle = make_bundle(_deadlock_request(), failure=_failure())
+    bundle = make_bundle(_deadlock_request(), result=_deadlocked())
     validate_bundle(bundle)
 
     with pytest.raises(ConfigError, match="not a repro bundle"):
@@ -96,7 +94,7 @@ def test_validate_rejects_foreign_and_future_documents():
 
 
 def test_write_load_round_trip(tmp_path):
-    bundle = make_bundle(_deadlock_request(), failure=_failure())
+    bundle = make_bundle(_deadlock_request(), result=_deadlocked())
     path = write_bundle(bundle, tmp_path)
     assert path.name == bundle_name(bundle)
     assert path.name.startswith("SPM_G-Baseline-quick-diagnosis-")
@@ -119,7 +117,7 @@ def _litmus_bundle():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: make_bundle(_deadlock_request(), failure=_failure()),
+    lambda: make_bundle(_deadlock_request(), result=_deadlocked()),
     _litmus_bundle,
 ], ids=["cell", "litmus"])
 def test_write_goes_through_durability_gateway(make, tmp_path, disk):
@@ -160,16 +158,6 @@ def test_replay_detects_non_reproduction():
     report = replay_bundle(bundle)
     assert not report["reproduced"]
     assert report["observed"]["mode"] == "ok"
-
-
-def test_replay_race_bundle_attaches_sanitizer():
-    bundle = make_bundle(
-        RunRequest("_RACY", named_policy("awg"), QUICK_SCALE,
-                   validate=False),
-        expected={"mode": "race"})
-    report = replay_bundle(bundle)
-    assert report["reproduced"]
-    assert report["observed"]["race_count"] > 0
 
 
 def test_replay_exception_bundle():

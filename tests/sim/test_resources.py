@@ -56,14 +56,13 @@ def test_zero_slots_rejected(env):
 
 
 def test_queue_depth_tracking(env):
+    # five back-to-back requests: the k-th waits behind k others
     res = FifoResource(env, "r")
-    depths = []
-    for _ in range(5):
-        res.service(10)
-        depths.append(res.queue_depth)
-    assert depths == [0, 1, 2, 3, 4]
+    done = []
+    for i in range(5):
+        res.service(10).add_callback(lambda e, i=i: done.append((i, env.now)))
     env.run()
-    assert res.queue_depth == 0
+    assert done == [(i, 10 * (i + 1)) for i in range(5)]
 
 
 def test_queue_cycles_accounting(env):
@@ -77,23 +76,26 @@ def test_queue_cycles_accounting(env):
 
 
 def test_busy_count(env):
+    # two slots, three requests: the third takes the first freed slot
     res = FifoResource(env, "r", slots=2)
-    res.service(10)
-    res.service(10)
-    assert res.busy == 2
+    done = []
+    for i, cycles in enumerate((10, 4, 10)):
+        res.service(cycles).add_callback(
+            lambda e, i=i: done.append((i, env.now)))
     env.run()
-    assert res.busy == 0
+    assert done == [(1, 4), (0, 10), (2, 14)]
 
 
 def test_utilization(env):
-    # busy for the 10 service cycles, idle for the 10 after them
+    # busy for the 10 service cycles, idle for the 10 after them: a
+    # request arriving at cycle 20 is served at once
     res = FifoResource(env, "r")
-    res.service(10)
-    busy = []
-    for t in (5, 15):
-        env.call_at(t, lambda: busy.append(res.busy))
+    done = []
+    res.service(10).add_callback(lambda e: done.append(env.now))
+    env.call_at(20, lambda: res.service(10).add_callback(
+        lambda e: done.append(env.now)))
     env.run()
-    assert busy == [1, 0] and env.now == 15
+    assert done == [10, 30]
 
 
 def test_late_arrival_after_idle(env):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import ARTIFACTS, COMMANDS, EXPERIMENTS, _dispatch, main
 from repro.core.policies import all_policy_names
+from repro.experiments import run_benchmark
 
 
 def test_list(capsys):
@@ -67,9 +68,10 @@ def test_command_help_names_every_dispatched_command(capsys):
 
 
 def test_unknown_command_is_rejected(capsys):
-    # removed commands stay rejected: bench (now `all`), fabric, and
-    # matrix (the result cache resumes interrupted sweeps now)
-    for name in ("bench", "fabric", "matrix"):
+    # removed commands stay rejected: bench (now `all`), fabric, matrix
+    # (the result cache resumes interrupted sweeps now), and sanitize and
+    # trace (now `run --sanitize` and `run --trace`)
+    for name in ("bench", "fabric", "matrix", "sanitize", "trace"):
         with pytest.raises(SystemExit) as exc:
             main([name])
         assert exc.value.code == 2
@@ -93,9 +95,50 @@ def test_run_command(capsys):
     assert "cycles" in out
 
 
+def _captured_scenarios(monkeypatch):
+    """Record the scenario of every run the CLI starts."""
+    import repro.cli as cli
+
+    seen = []
+
+    def capture(bench, policy, scenario, **kw):
+        seen.append(scenario)
+        return run_benchmark(bench, policy, scenario, **kw)
+
+    monkeypatch.setattr(cli, "run_benchmark", capture)
+    return seen
+
+
+@pytest.mark.parametrize("mode", [[], ["--sanitize"], ["--trace"]],
+                         ids=["plain", "sanitize", "trace"])
+def test_run_seed_reaches_the_scenario(mode, monkeypatch, tmp_path, capsys):
+    seen = _captured_scenarios(monkeypatch)
+    assert main(["run", "SPM_G", "awg", "--quick", "--seed", "7",
+                 "--out", str(tmp_path / "t.json"), *mode]) == 0
+    assert [(s.label, s.seed) for s in seen] == [("quick", 7)]
+
+
+@pytest.mark.parametrize("mode", [[], ["--sanitize"], ["--trace"]],
+                         ids=["plain", "sanitize", "trace"])
+def test_run_oversubscribed_means_the_same_in_every_mode(
+        mode, monkeypatch, tmp_path, capsys):
+    from repro.cli import QUICK_OVERSUBSCRIBED
+
+    seen = _captured_scenarios(monkeypatch)
+    assert main(["run", "SPM_G", "--quick", "--oversubscribed",
+                 "--out", str(tmp_path / "t.json"), *mode]) == 0
+    assert seen == [QUICK_OVERSUBSCRIBED]
+    assert "under AWG [quick-oversubscribed]" in capsys.readouterr().out
+
+
+def test_run_takes_one_mode():
+    with pytest.raises(SystemExit):
+        main(["run", "SPM_G", "--quick", "--sanitize", "--trace"])
+
+
 def test_trace_command_writes_valid_trace(tmp_path, capsys):
     out = tmp_path / "t.json"
-    assert main(["trace", "FAM_G", "awg", "--quick",
+    assert main(["run", "FAM_G", "awg", "--quick", "--trace",
                  "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "completed" in text
@@ -119,7 +162,7 @@ def test_trace_command_fails_on_invalid_export(tmp_path, monkeypatch,
 
     monkeypatch.setattr(Tracer, "export_chrome", broken_export)
     out = tmp_path / "bad.json"
-    assert main(["trace", "FAM_G", "awg", "--quick",
+    assert main(["run", "FAM_G", "awg", "--quick", "--trace",
                  "--out", str(out)]) == 1
     assert "INVALID trace" in capsys.readouterr().err
 
@@ -128,7 +171,7 @@ def test_trace_command_category_filter(tmp_path):
     import json
 
     out = tmp_path / "wg.json"
-    assert main(["trace", "SPM_G", "monnr-one", "--quick",
+    assert main(["run", "SPM_G", "monnr-one", "--quick", "--trace",
                  "--categories", "wg,sync", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["awg"]["categories"] == ["wg", "sync"]
@@ -138,12 +181,13 @@ def test_trace_command_category_filter(tmp_path):
 
 def test_trace_command_needs_benchmark():
     with pytest.raises(SystemExit):
-        main(["trace"])
+        main(["run", "--trace"])
 
 
-def test_run_command_needs_two_args():
-    with pytest.raises(SystemExit):
-        main(["run", "SPM_G"])
+def test_run_command_needs_a_benchmark():
+    for args in ([], ["SPM_G", "awg", "extra"]):
+        with pytest.raises(SystemExit):
+            main(["run", *args])
 
 
 def test_unknown_command():

@@ -3,22 +3,15 @@
 import pytest
 
 from repro.errors import (
-    ConfigError, DeadlockError, DeviceError, MemoryError_, ReproError,
-    SimulationError,
+    ConfigError, DeviceError, MemoryError_, ReproError, SimulationError,
 )
 
 
 @pytest.mark.parametrize("exc", [
-    SimulationError, DeadlockError, ConfigError, MemoryError_, DeviceError,
+    SimulationError, ConfigError, MemoryError_, DeviceError,
 ])
 def test_all_derive_from_repro_error(exc):
     assert issubclass(exc, ReproError)
-
-
-def test_deadlock_error_carries_cycle():
-    err = DeadlockError("stuck", cycle=1234)
-    assert err.cycle == 1234
-    assert "stuck" in str(err)
 
 
 def test_repro_error_catchable_as_exception():
