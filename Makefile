@@ -12,8 +12,6 @@
 #
 # Knobs: REPRO_JOBS (worker processes), REPRO_CACHE_DIR (cache root; an
 # interrupted sweep resumes from it when re-run).
-# Test hook: REPRO_STRESS_KILL (sentinel file: the _KILL benchmark
-# SIGKILLs its worker once).
 
 PY ?= python
 export PYTHONPATH := src

@@ -27,7 +27,7 @@ progress and synchronization bugs the paper is about:
 
 Surface: ``python -m repro lint [--json|--format=github] [paths]``,
 ``python -m repro analyze [BENCH...] [--json|--dot]`` and
-``python -m repro sanitize <benchmark>``.
+``python -m repro run BENCH [POLICY] --sanitize``.
 """
 
 from repro.analysis.analyzer import AnalysisReport, build_report

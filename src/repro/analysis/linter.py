@@ -141,22 +141,14 @@ def lint_paths(paths: Sequence[str]) -> LintReport:
     return report
 
 
-def run_lint(
-    paths: Sequence[str],
-    json_out: bool = False,
-    stream=None,
-    fmt: Optional[str] = None,
-) -> int:
+def run_lint(paths: Sequence[str], fmt: str = "text", stream=None) -> int:
     """CLI entry point for ``python -m repro lint``; returns exit status.
 
-    ``fmt`` selects the rendering: ``"text"`` (default), ``"json"``, or
+    ``fmt`` selects the rendering: ``"text"``, ``"json"``, or
     ``"github"`` (GitHub Actions ``::error``/``::warning`` workflow
-    commands, one per finding, plus the text summary on stderr-style
-    trailing line).
+    commands, one per finding, then a one-line count).
     """
     stream = stream if stream is not None else sys.stdout
-    if fmt is None:
-        fmt = "json" if json_out else "text"
     targets = list(paths) if paths else [
         p for p in DEFAULT_PATHS if os.path.exists(p)]
     if not targets:

@@ -338,8 +338,8 @@ def render_dot(analyses: Sequence[ProtocolAnalysis]) -> str:
             lines.append(
                 f'    "{pa.bench}.{e.waiter}" -> "{pa.bench}.{e.updater}"'
                 f' [label="{e.base}", style={style}];')
-        for role in {e.waiter for e in pa.edges} | \
-                {e.updater for e in pa.edges}:
+        for role in sorted({e.waiter for e in pa.edges}
+                           | {e.updater for e in pa.edges}):
             lines.append(
                 f'    "{pa.bench}.{role}" [label="{role}"];')
         lines.append("  }")

@@ -1,38 +1,29 @@
 """Command-line entry point: regenerate any table/figure of the paper.
 
-Usage::
+Each command takes only its own flags (``awg-repro COMMAND --help``
+lists them); any other flag is a usage error and exits 2. Usage::
 
-    awg-repro list                  # available experiments / benchmarks
-    awg-repro table1                # print Table 1
+    awg-repro list                  # experiments, commands, benchmarks, ...
     awg-repro fig14                 # regenerate Figure 14 (headline)
-    awg-repro fig14 --quick         # small-scale smoke version
-    awg-repro fig14 --jobs 8        # fan cells over 8 worker processes
-    awg-repro fig14 --no-cache      # force re-simulation of every cell
+    awg-repro fig14 --quick --chart # smoke scale, as an ASCII bar chart
+    awg-repro fig14 --jobs 8 --no-cache   # 8 workers, no result cache
+    awg-repro all --out results     # every artifact, checked, into results/
+    awg-repro timeline              # Figure 6 policy timelines
     awg-repro run SPM_G awg         # one benchmark under one policy
     awg-repro run SPM_G --quick --oversubscribed --seed 7
-    awg-repro all                   # every table, figure and ablation,
-                                    # each checked against the paper's shape
-    awg-repro all --out results     # ... also writing results/<name>.txt
-    awg-repro faults --quick        # fault-injection campaign (IFP table)
-    awg-repro faults --seed 7 --plans storm,chaos
-    awg-repro cache                 # show result-cache location / size
+    awg-repro run _RACY --quick --sanitize --json   # race report (exits 1)
+    awg-repro run SPM_G --quick --trace --categories wg,sync --out t.json
+    awg-repro faults --quick --plans storm,chaos --bundles out --shrink
     awg-repro cache --clear         # drop every cached result
-    awg-repro replay BUNDLE         # re-run a cell or litmus bundle
-    awg-repro shrink BUNDLE         # delta-debug either kind to minimal
-    awg-repro faults --bundles DIR --shrink   # bundle + minimize violations
-    awg-repro lint                  # static kernel linter (default paths)
-    awg-repro lint --json src/repro/workloads
-    awg-repro lint --format=github  # CI annotations (::error file=...)
-    awg-repro analyze               # static progress table (12x8 verdicts)
-    awg-repro analyze SLM_G --json  # one benchmark, machine-readable
-    awg-repro analyze --dot         # role wait-for graphs (GraphViz)
-    awg-repro run SPM_G awg --sanitize   # dynamic race detection run
-    awg-repro run _RACY --sanitize  # the seeded-race drill (exits 1)
-    awg-repro run FAM_G awg --trace --out t.json   # Chrome/Perfetto trace
-    awg-repro run SPM_G --quick --trace --categories wg,sync,dispatch
-    awg-repro litmus run --quick    # corpus + generated programs, judged
-    awg-repro litmus run --seed 7 --programs 16      # wider random sweep
+    awg-repro replay BUNDLE --trace --out t.json   # re-run a bundle
+    awg-repro shrink BUNDLE --out DIR   # delta-debug it to minimal
+    awg-repro lint --format=github  # static kernel linter, CI annotations
+    awg-repro analyze SLM_G --json  # static progress table (--dot: graphs)
+    awg-repro litmus run --quick --seed 7 --programs 16
     awg-repro litmus generate --seed 3 --out progs.json
+
+``--seed`` is the scenario seed for ``run``, the fault plans' root seed
+for ``faults`` and the program generator's seed for ``litmus``.
 
 A sweep stopped by a crash, Ctrl-C or SIGTERM resumes by re-running the
 same command: its completed cells are result-cache hits. With
@@ -47,6 +38,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -113,16 +105,21 @@ ABLATIONS = {
 #: everything ``repro all`` runs and ``--out DIR`` writes
 ARTIFACTS = {**EXPERIMENTS, **ABLATIONS}
 
-#: every command besides the experiment ids, as dispatched below
-COMMANDS = (
-    "list", "all", "run", "ablations", "timeline", "faults", "cache",
-    "replay", "shrink", "lint", "analyze", "litmus",
-)
+
+def _run_list(opts) -> int:
+    from repro.faults.plan import plan_names
+
+    print("experiments:", ", ".join(EXPERIMENTS))
+    print("commands:   ", ", ".join(opts.commands))
+    print("benchmarks: ", ", ".join(benchmark_names()))
+    print("policies:   ", ", ".join(all_policy_names()))
+    print("fault plans:", ", ".join(plan_names()))
+    return 0
 
 
-def _run_cache_command(clear: bool) -> int:
+def _run_cache_command(opts) -> int:
     cache = ResultCache(default_cache_dir())
-    if clear:
+    if opts.clear:
         removed = cache.clear()
         print(f"cleared {removed} cached results from {cache.root}")
         return 0
@@ -134,7 +131,7 @@ def _run_cache_command(clear: bool) -> int:
     return 0
 
 
-def _run_replay(opts, parser) -> int:
+def _run_replay(opts) -> int:
     """Re-run a repro bundle (cell or litmus) and verify its failure
     reproduces."""
     import json
@@ -144,13 +141,11 @@ def _run_replay(opts, parser) -> int:
         load_bundle, replay_bundle, request_type,
     )
 
-    if len(opts.args) != 1:
-        parser.error("replay needs BUNDLE")
-    bundle = load_bundle(opts.args[0])
+    bundle = load_bundle(opts.bundle)
     try:
         report = replay_bundle(bundle, trace=opts.trace)
     except ConfigError as exc:
-        parser.error(str(exc))
+        opts.usage_error(str(exc))
     stem = request_type(bundle["kind"]).bundle_stem(bundle["request"])
     print(f"replaying {stem} — expecting {report['expected']['mode']}")
     if opts.json:
@@ -175,17 +170,13 @@ def _run_replay(opts, parser) -> int:
     return 1
 
 
-def _run_shrink(opts, parser) -> int:
+def _run_shrink(opts) -> int:
     """Delta-debug a repro bundle (cell or litmus) down to a minimal
     failing request."""
-    from pathlib import Path
-
     from repro.recovery.bundle import load_bundle, write_bundle
     from repro.recovery.shrink import shrink_bundle
 
-    if len(opts.args) != 1:
-        parser.error("shrink needs BUNDLE")
-    source = Path(opts.args[0])
+    source = Path(opts.bundle)
     bundle = load_bundle(source)
     result = shrink_bundle(bundle)
     print(result.render())
@@ -195,7 +186,7 @@ def _run_shrink(opts, parser) -> int:
     return 0
 
 
-def _run_faults(opts, **matrix_kw) -> int:
+def _run_faults(opts) -> int:
     from repro.experiments import faults_campaign
     from repro.faults.plan import named_plan
 
@@ -207,7 +198,7 @@ def _run_faults(opts, **matrix_kw) -> int:
     result = faults_campaign.run(
         seed=opts.seed, smoke=opts.quick, plans=plans,
         bundle_dir=opts.bundles, shrink=opts.shrink,
-        **matrix_kw,
+        **_matrix_kw(opts),
     )
     print(result.render())
     print(f"[faults: {time.time() - started:.1f}s]")
@@ -220,11 +211,37 @@ def _run_faults(opts, **matrix_kw) -> int:
     return 0
 
 
-def _run_litmus_command(opts, parser) -> int:
-    """Progress-model litmus harness: run the corpus + generated
-    programs across policies, judge each observed schedule against the
-    OBE/Linear/IFP specs, cross-check the static expectations, and
-    bundle/shrink any violation (see README "Litmus testing")."""
+def _program_count(opts) -> int:
+    if opts.programs is not None:
+        return opts.programs
+    return 4 if opts.quick else 8
+
+
+def _generate_litmus(opts) -> int:
+    """``litmus generate``: print (or write) seeded random programs in
+    canonical JSON form."""
+    import json
+
+    from repro.litmus.generate import random_corpus
+
+    programs = random_corpus(opts.seed, count=_program_count(opts))
+    text = json.dumps([p.spec() for p in programs], indent=2,
+                      sort_keys=True)
+    if opts.out:
+        Path(opts.out).write_text(text + "\n")
+        print(f"wrote {len(programs)} canonical programs to "
+              f"{opts.out} (seed {opts.seed})")
+    else:
+        print(text)
+    return 0
+
+
+def _run_litmus(opts) -> int:
+    """``litmus run``: the progress-model litmus harness. Run the corpus
+    + generated programs across policies, judge each observed schedule
+    against the OBE/Linear/IFP specs, cross-check the static
+    expectations, and bundle/shrink any violation (see README "Litmus
+    testing")."""
     import json
 
     from repro.analysis.specs import table_policies
@@ -234,31 +251,11 @@ def _run_litmus_command(opts, parser) -> int:
     from repro.litmus.shrinklink import violation_bundles
     from repro.recovery.shrink import write_violation_bundles
 
-    sub = opts.args[0] if opts.args else "run"
-    count = opts.programs if opts.programs is not None else (
-        4 if opts.quick else 8)
-
-    if sub == "generate":
-        programs = random_corpus(opts.seed, count=count)
-        text = json.dumps([p.spec() for p in programs], indent=2,
-                          sort_keys=True)
-        if opts.out:
-            Path(opts.out).write_text(text + "\n")
-            print(f"wrote {len(programs)} canonical programs to "
-                  f"{opts.out} (seed {opts.seed})")
-        else:
-            print(text)
-        return 0
-
-    if sub != "run":
-        parser.error(f"unknown litmus subcommand {sub!r}; expected "
-                     "run or generate (replay/shrink take any bundle: "
-                     "`replay BUNDLE`, `shrink BUNDLE`)")
-
     started = time.time()
     corpus = litmus_corpus()
     known = {p.name for p in corpus}
-    generated = [p for p in random_corpus(opts.seed, count=count)
+    generated = [p for p in random_corpus(opts.seed,
+                                          count=_program_count(opts))
                  if p.name not in known]
     policies = golden_policies() if opts.quick else table_policies()
     report = run_corpus(corpus + generated, policies, seed=opts.seed)
@@ -292,7 +289,7 @@ def _run_analyze(opts) -> int:
 
     from repro.analysis.analyzer import build_report
 
-    report = build_report(opts.args or None)
+    report = build_report(opts.benchmarks or None)
     if opts.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     elif opts.dot:
@@ -302,18 +299,21 @@ def _run_analyze(opts) -> int:
     return 0
 
 
-def _run_cell(opts, parser) -> int:
+def _run_lint(opts) -> int:
+    from repro.analysis.linter import run_lint
+
+    return run_lint(opts.paths,
+                    fmt=opts.fmt or ("json" if opts.json else "text"))
+
+
+def _run_cell(opts) -> int:
     """``run BENCHMARK [POLICY]``: one benchmark under one policy
     (default AWG) at the scale ``--quick``/``--oversubscribed`` name,
     with ``--seed`` as the scenario seed. Plain ``run`` validates the
     final memory state; ``--sanitize`` and ``--trace`` skip that check
     and attach the sync sanitizer or the structured tracer instead."""
-    if not 1 <= len(opts.args) <= 2:
-        parser.error("run needs BENCHMARK [POLICY]")
-    if opts.sanitize and opts.trace:
-        parser.error("run takes --sanitize or --trace, not both")
-    bench = opts.args[0]
-    policy = named_policy(opts.args[1] if len(opts.args) == 2 else "awg")
+    bench = opts.benchmark
+    policy = named_policy(opts.policy)
     if opts.quick:
         scenario = QUICK_OVERSUBSCRIBED if opts.oversubscribed else QUICK_SCALE
     else:
@@ -392,7 +392,7 @@ def _report_traced(bench, policy, scenario, opts) -> int:
     return 0
 
 
-def _run_timeline() -> None:
+def _run_timeline(opts) -> int:
     from repro.core.policies import awg, monnr_all, monnr_one, timeout
     from repro.experiments.timeline import render_timeline, trace_run
 
@@ -402,6 +402,7 @@ def _run_timeline() -> None:
         print(f"=== {policy.name} — {status} in {outcome.cycles:,} cycles ===")
         print(render_timeline(gpu, width=90))
         print()
+    return 0
 
 
 def _run_experiment(name: str, quick: bool, chart: bool = False,
@@ -441,152 +442,140 @@ def _run_experiment(name: str, quick: bool, chart: bool = False,
     return True
 
 
-def _run_artifacts(names, opts, matrix_kw) -> int:
-    passed = [_run_experiment(name, opts.quick, opts.chart, opts.out,
-                              **matrix_kw) for name in names]
+def _matrix_kw(opts) -> dict:
+    """The sweep keywords of a command that declares ``--jobs`` and
+    ``--no-cache``."""
+    return {"jobs": opts.jobs, "cache": None if opts.no_cache else "default"}
+
+
+def _run_artifacts(names, opts) -> int:
+    kw = _matrix_kw(opts) if "jobs" in opts else {}
+    passed = [_run_experiment(name, opts.quick, opts.chart, opts.out, **kw)
+              for name in names]
     return 0 if all(passed) else 1
 
 
-def main(argv=None) -> int:
-    """Dispatch one command; SIGINT/SIGTERM during a sweep exits with
-    the conventional 128+signum (re-running the command resumes from
-    the result cache)."""
-    from repro.experiments.matrix import SweepInterrupted
+def _parser() -> argparse.ArgumentParser:
+    """One subcommand per command; each declares only the flags its
+    handler reads, so any other flag is a usage error (exit 2)."""
+    def flags(*names, **kw) -> argparse.ArgumentParser:
+        group = argparse.ArgumentParser(add_help=False)
+        group.add_argument(*names, **kw)
+        return group
 
-    try:
-        return _dispatch(argv)
-    except SweepInterrupted as exc:
-        print(f"\n{exc}", file=sys.stderr)
-        return 128 + exc.signum
+    quick = flags("--quick", action="store_true",
+                  help="small-scale configuration (seconds, not minutes)")
+    seed = flags("--seed", type=int, default=1, metavar="N",
+                 help="seed (default: 1)")
+    as_json = flags("--json", action="store_true",
+                    help="machine-readable output")
+    programs = flags("--programs", type=int, default=None, metavar="N",
+                     help="generated programs (default: 4 with --quick, "
+                          "else 8)")
+    matrix = flags("--jobs", "-j", type=int, default=None, metavar="N",
+                   help="worker processes (default: $REPRO_JOBS or the "
+                        "CPU count; 1 = in-process)")
+    matrix.add_argument("--no-cache", action="store_true",
+                        help="bypass the on-disk result cache")
+    bundles = flags("--bundles", default=None, metavar="DIR",
+                    help="write a repro bundle per violation into DIR")
+    bundles.add_argument("--shrink", action="store_true",
+                         help="also minimize each bundle")
+    report = flags("--chart", action="store_true",
+                   help="render figures as ASCII bar charts")
+    report.add_argument("--out", default=None, metavar="DIR",
+                        help="also write each table to DIR/<name>.txt")
 
-
-def _dispatch(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="awg-repro",
         description="Reproduce 'Independent Forward Progress of "
-                    "Work-groups' (ISCA 2020)",
-    )
-    parser.add_argument(
-        "command",
-        help="an experiment id (" + ", ".join(EXPERIMENTS) + ") or one "
-             "of: " + ", ".join(COMMANDS),
-    )
-    parser.add_argument("args", nargs="*",
-                        help="for 'run': BENCHMARK [POLICY] (default "
-                             "policy: awg); for 'lint': paths; for "
-                             "'analyze': benchmarks (default: all)")
-    parser.add_argument("--quick", action="store_true",
-                        help="small-scale configuration; for 'faults': "
-                             "two-benchmark campaign; for 'litmus': "
-                             "golden policies + small corpus")
-    parser.add_argument("--seed", type=int, default=1, metavar="N",
-                        help="for 'run': the scenario seed; for "
-                             "'faults'/'litmus': root seed for fault "
-                             "plans / program generation")
-    parser.add_argument("--plans", default=None, metavar="A,B,...",
-                        help="for 'faults': comma-separated plan names "
-                             "(default: all named plans)")
-    parser.add_argument("--chart", action="store_true",
-                        help="render figures as ASCII bar charts")
-    parser.add_argument("--oversubscribed", action="store_true",
-                        help="for 'run': inject the resource-loss event "
-                             "(with --quick: quick-oversubscribed scale)")
-    parser.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
-                        help="parallel simulation workers (default: "
-                             "$REPRO_JOBS or cpu count; 1 = in-process)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk result cache")
-    parser.add_argument("--clear", action="store_true",
-                        help="for 'cache': delete every cached result")
-    parser.add_argument("--trace", action="store_true",
-                        help="for 'run' and 'replay' of a cell bundle: "
-                             "trace the run (write the Chrome/Perfetto "
-                             "trace with --out)")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="for 'run': attach the dynamic sync "
-                             "sanitizer; exit 1 on a race or lock error")
-    parser.add_argument("--bundles", default=None, metavar="DIR",
-                        help="for 'faults'/'litmus': write a repro "
-                             "bundle per violating cell into DIR")
-    parser.add_argument("--shrink", action="store_true",
-                        help="for 'faults'/'litmus': also minimize each "
-                             "emitted bundle (delta debugging)")
-    parser.add_argument("--json", action="store_true",
-                        help="for 'lint'/'analyze'/'run --sanitize': "
-                             "machine-readable output")
-    parser.add_argument("--format", default=None, dest="fmt",
-                        choices=("text", "json", "github"),
-                        help="for 'lint': output format (github emits "
-                             "GitHub Actions ::error annotations)")
-    parser.add_argument("--dot", action="store_true",
-                        help="for 'analyze': GraphViz wait-for graphs")
-    parser.add_argument("--categories", default=None, metavar="A,B,...",
-                        help="for 'run --trace': comma-separated event "
-                             "categories (default: all; see repro.trace)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="for 'run --trace': output path for the Chrome "
-                             "trace_event JSON (default: trace.json); for "
-                             "an experiment id, 'ablations' or 'all': "
-                             "directory to write each rendered table to "
-                             "as <name>.txt")
-    parser.add_argument("--programs", type=int, default=None, metavar="N",
-                        help="for 'litmus': generated programs per run "
-                             "(default: 4 with --quick, else 8)")
-    # intermixed: allows `lint --json PATH...` (flags before positionals)
-    opts = parser.parse_intermixed_args(argv)
-    matrix_kw = {
-        "jobs": opts.jobs,
-        "cache": None if opts.no_cache else "default",
-    }
+                    "Work-groups' (ISCA 2020). `awg-repro COMMAND --help` "
+                    "lists a command's flags.")
+    sub = parser.add_subparsers(metavar="COMMAND", required=True)
 
-    if opts.command == "list":
-        from repro.faults.plan import plan_names
+    def command(name, func, help, *parents, under=sub):
+        cmd = under.add_parser(name, help=help, description=help,
+                               parents=parents)
+        cmd.set_defaults(func=func, usage_error=cmd.error)
+        return cmd
 
-        print("experiments:", ", ".join(EXPERIMENTS))
-        print("commands:   ", ", ".join(COMMANDS))
-        print("benchmarks: ", ", ".join(benchmark_names()))
-        print("policies:   ", ", ".join(all_policy_names()))
-        print("fault plans:", ", ".join(plan_names()))
-        return 0
+    for name, artifact in EXPERIMENTS.items():
+        command(name, partial(_run_artifacts, [name]),
+                f"regenerate {name}, checked against the paper's shape",
+                quick, report, *([matrix] if artifact.sweeps else []))
+    command("list", _run_list, "what the other commands can name")
+    command("all", partial(_run_artifacts, ARTIFACTS),
+            "every table, figure and ablation", quick, report, matrix)
+    run = command("run", _run_cell, "one benchmark under one policy "
+                  "(--seed: the scenario seed)", quick, seed, as_json)
+    run.add_argument("benchmark", metavar="BENCHMARK")
+    run.add_argument("policy", nargs="?", default="awg", metavar="POLICY")
+    run.add_argument("--oversubscribed", action="store_true",
+                     help="inject the resource-loss event")
+    mode = run.add_mutually_exclusive_group()
+    mode.add_argument("--sanitize", action="store_true",
+                      help="attach the sync sanitizer; exit 1 on a race")
+    mode.add_argument("--trace", action="store_true",
+                      help="write a Chrome/Perfetto trace")
+    run.add_argument("--categories", default=None, metavar="A,B,...",
+                     help="trace categories (default: all)")
+    run.add_argument("--out", default=None, metavar="PATH",
+                     help="trace path (default: trace.json)")
+    command("ablations", partial(_run_artifacts, ABLATIONS),
+            "the design-choice ablations", quick, report, matrix)
+    command("timeline", _run_timeline, "Figure 6 policy timelines")
+    faults = command("faults", _run_faults, "fault-injection campaign "
+                     "(--seed: the plans' root seed)",
+                     quick, seed, matrix, bundles)
+    faults.add_argument("--plans", default=None, metavar="A,B,...",
+                        help="fault plans (default: all)")
+    cache = command("cache", _run_cache_command, "show the result cache")
+    cache.add_argument("--clear", action="store_true",
+                       help="delete every cached result")
+    replay = command("replay", _run_replay, "re-run a repro bundle", as_json)
+    replay.add_argument("bundle", metavar="BUNDLE")
+    replay.add_argument("--trace", action="store_true",
+                        help="trace a replayed cell")
+    replay.add_argument("--out", default=None, metavar="PATH",
+                        help="trace path")
+    shrink = command("shrink", _run_shrink, "minimize a repro bundle")
+    shrink.add_argument("bundle", metavar="BUNDLE")
+    shrink.add_argument("--out", default=None, metavar="DIR",
+                        help="default: beside BUNDLE")
+    lint = command("lint", _run_lint, "static kernel linter", as_json)
+    lint.add_argument("paths", nargs="*", metavar="PATH")
+    lint.add_argument("--format", default=None, dest="fmt",
+                      choices=("text", "github"))
+    analyze = command("analyze", _run_analyze, "static progress table",
+                      as_json)
+    analyze.add_argument("benchmarks", nargs="*", metavar="BENCHMARK")
+    analyze.add_argument("--dot", action="store_true",
+                         help="GraphViz role wait-for graphs")
+    litmus = sub.add_parser("litmus", help="progress-model litmus harness")
+    litmus_sub = litmus.add_subparsers(metavar="SUBCOMMAND", required=True)
+    command("run", _run_litmus, "judge the corpus and generated programs",
+            quick, seed, programs, as_json, bundles, under=litmus_sub)
+    generate = command("generate", _generate_litmus,
+                       "print generated programs", quick, seed, programs,
+                       under=litmus_sub)
+    generate.add_argument("--out", default=None, metavar="PATH",
+                          help="write them to PATH")
+    sub.choices["list"].set_defaults(
+        commands=[name for name in sub.choices if name not in EXPERIMENTS])
+    return parser
 
-    if opts.command == "lint":
-        from repro.analysis.linter import run_lint
 
-        return run_lint(opts.args, json_out=opts.json, fmt=opts.fmt)
+def main(argv=None) -> int:
+    """Run one command; SIGINT/SIGTERM during a sweep exits with the
+    conventional 128+signum (re-running the command resumes from the
+    result cache)."""
+    from repro.experiments.matrix import SweepInterrupted
 
-    if opts.command == "analyze":
-        return _run_analyze(opts)
-
-    if opts.command == "faults":
-        return _run_faults(opts, **matrix_kw)
-
-    if opts.command == "cache":
-        return _run_cache_command(opts.clear)
-
-    if opts.command == "litmus":
-        return _run_litmus_command(opts, parser)
-
-    if opts.command == "replay":
-        return _run_replay(opts, parser)
-
-    if opts.command == "shrink":
-        return _run_shrink(opts, parser)
-
-    if opts.command == "all":
-        return _run_artifacts(ARTIFACTS, opts, matrix_kw)
-
-    if opts.command == "ablations":
-        return _run_artifacts(ABLATIONS, opts, matrix_kw)
-
-    if opts.command == "timeline":
-        _run_timeline()
-        return 0
-
-    if opts.command == "run":
-        return _run_cell(opts, parser)
-
-    if opts.command in EXPERIMENTS:
-        return _run_artifacts([opts.command], opts, matrix_kw)
-
-    parser.error(f"unknown command {opts.command!r}")
-    return 2  # pragma: no cover
+    opts, extra = _parser().parse_known_args(argv)
+    if extra:  # name the command whose flags these are not
+        opts.usage_error(f"unrecognized arguments: {' '.join(extra)}")
+    try:
+        return opts.func(opts)
+    except SweepInterrupted as exc:
+        print(f"\n{exc}", file=sys.stderr)
+        return 128 + exc.signum

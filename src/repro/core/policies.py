@@ -86,6 +86,11 @@ class PolicySpec:
             raise ConfigError(f"{self.name}: sleep policy needs backoff_max")
         if self.timeout_interval is not None and self.timeout_interval <= 0:
             raise ConfigError(f"{self.name}: timeout_interval must be positive")
+        if (self.notify is NotifyMode.NONE and self.timeout_interval is None
+                and self.mechanism in (WaitMechanism.WAIT_INSTR,
+                                       WaitMechanism.WAITING_ATOMIC)):
+            raise ConfigError(f"{self.name}: a hardware wait with no monitor "
+                              "needs timeout_interval")
 
     @property
     def uses_monitor(self) -> bool:

@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.durability import write_atomic_text
-from repro.errors import ConfigError
 from repro.experiments.runner import RunResult
 
 #: entry layout is ``<2-hex-char shard>/<key>.json``; the globs must
@@ -197,11 +196,6 @@ class ResultCache:
         read-through ``degraded`` mode. No temp file survives any
         failure path — serialization happens before the first file
         operation, and the atomic writer owns its temp's lifetime."""
-        if result.gpu is not None:
-            raise ConfigError(
-                "refusing to cache a RunResult holding a GPU object; "
-                "run with keep_gpu=False"
-            )
         if self.degraded:
             self.dropped += 1
             return
@@ -296,6 +290,3 @@ class ResultCache:
             except OSError:
                 pass  # a file, or a shard holding foreign files
         return removed
-
-    def summary(self) -> str:
-        return f"{self.hits} hits / {self.misses} misses"

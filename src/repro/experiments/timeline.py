@@ -8,8 +8,9 @@ compact ASCII strips (one character per time bucket).
 The strips are built from the structured trace stream
 (:mod:`repro.trace`): ``trace_run`` turns on the ``wg`` category, the
 tracer records one span per state a WG occupies, and the renderer below
-reads them through the ``GPU.state_trace`` view. The same spans open in
-Perfetto from ``python -m repro trace ... --out t.json``.
+reads them through the ``GPU.state_trace`` view. ``python -m repro
+timeline`` prints the strips of four policies; the same spans open in
+Perfetto from ``python -m repro run BENCH POLICY --trace --out t.json``.
 
 Legend: ``.`` pending, ``R`` running, ``s`` stalled, ``x`` switching out,
 ``o`` switched out, ``r`` ready, ``i`` resuming (swap-in), ``#`` done.

@@ -80,12 +80,9 @@ class GPUConfig:
     cp_check_interval: int = 2_000
     cp_check_cost: int = 200  # CP occupancy per spilled-condition sweep
 
-    # -- policy defaults ----------------------------------------------------
-    #: backstop timeout for monitor policies (recovers races/mispredictions)
-    backstop_timeout: int = 100_000
-    #: fixed interval for the Timeout policy (swept in Fig 8)
-    timeout_interval: int = 20_000
-    #: software exponential backoff cap for the Sleep policy (Fig 7)
+    # -- waiting (a policy's own timers live in its PolicySpec) ---------------
+    #: software exponential backoff cap for SPMBO's backoff under
+    #: policies without one (Baseline)
     sleep_backoff_max: int = 16_000
     #: retry delay when the Monitor Log is full (Mesa busy retry)
     log_full_retry: int = 200

@@ -279,9 +279,7 @@ class WorkGroup:
             # Timeout policy: no monitor; pure timer.
             if oversub and policy.provides_ifp:
                 switch_deadline = started  # switch immediately
-                retry_deadline = started + (policy.timeout_interval or cfg.timeout_interval)
-            else:
-                retry_deadline = started + (policy.timeout_interval or cfg.timeout_interval)
+            retry_deadline = started + policy.timeout_interval
         elif policy.predict_stall:
             # AWG: stall a predicted period before considering a switch;
             # retry on the straggler timeout (misprediction recovery) or
@@ -409,13 +407,12 @@ class WorkGroup:
         The straggler timeout only applies to *stalled* (resident) WGs —
         re-swapping a switched-out WG on a short timer would thrash the
         context-switch path. Monitor policies fall back to the long
-        backstop once out; the Timeout policy keeps its fixed interval
-        (sleeping switched-out for the interval *is* its semantics)."""
+        backstop once out (none without a backstop: only a notify resumes
+        it); the Timeout policy keeps its fixed interval (sleeping
+        switched-out for the interval *is* its semantics)."""
         policy = self.gpu.policy
-        cfg = self.gpu.config
         if policy.notify is NotifyMode.NONE:
             return retry_deadline, retry_source
-        deadline = self.gpu.env.now + (
-            policy.backstop_timeout or cfg.backstop_timeout
-        )
-        return deadline, "backstop"
+        if policy.backstop_timeout is None:
+            return None, retry_source
+        return self.gpu.env.now + policy.backstop_timeout, "backstop"

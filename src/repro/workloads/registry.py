@@ -10,8 +10,6 @@ entry point the experiments and tests use.
 
 from __future__ import annotations
 
-import os
-import signal
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
@@ -349,40 +347,12 @@ _register(BenchmarkSpec(
 
 
 # ---------------------------------------------------------------------------
-# stress benchmarks (matrix-runner fault drills, not paper workloads)
+# stress drill (the sanitizer's positive fixture, not a paper workload)
 # ---------------------------------------------------------------------------
-# Stress drills live in their own registry, NOT in BENCHMARKS: figure
-# code iterates BENCHMARKS and builds every entry, and a drill that
-# SIGKILLs must never run there. They still resolve through
-# get_spec/build_benchmark in any process, including fresh pool
-# workers, which is what makes them usable as crash drills for the
-# experiment matrix.
-
-_STRESS_DRILLS: Dict[str, BenchmarkSpec] = {}
-
-
-def _register_stress(spec: BenchmarkSpec) -> None:
-    if spec.abbrev in _STRESS_DRILLS or spec.abbrev in BENCHMARKS:
-        raise ConfigError(f"duplicate benchmark {spec.abbrev}")
-    _STRESS_DRILLS[spec.abbrev] = spec
-
-#: path of a sentinel file; when present, building ``_KILL`` consumes it
-#: and SIGKILLs the worker (so the *retry* of the same cell succeeds)
-STRESS_KILL_ENV = "REPRO_STRESS_KILL"
-
-
-def _kill_builder() -> Callable:
-    base = _mutex_builder(_spin, local_scope=False)
-
-    def build(spec: BenchmarkSpec, gpu: "GPU", params: BenchmarkParams) -> Kernel:
-        sentinel = os.environ.get(STRESS_KILL_ENV)
-        if sentinel and os.path.exists(sentinel):
-            os.remove(sentinel)
-            os.kill(os.getpid(), signal.SIGKILL)
-        return base(spec, gpu, params)
-
-    return build
-
+# The drill lives outside BENCHMARKS: figure code iterates BENCHMARKS and
+# builds every entry, and a racy kernel must never run there. It still
+# resolves through get_spec/build_benchmark in any process, so
+# `run _RACY --sanitize` and sweeps can name it.
 
 def _racy_builder(spec: BenchmarkSpec, gpu: "GPU", params: BenchmarkParams) -> Kernel:
     mutexes = [SpinMutex(gpu)]
@@ -414,29 +384,21 @@ def _racy_builder(spec: BenchmarkSpec, gpu: "GPU", params: BenchmarkParams) -> K
     )
 
 
-_register_stress(BenchmarkSpec(
+_STRESS_DRILLS = {"_RACY": BenchmarkSpec(
     abbrev="_RACY", full_name="StressRacyMutex",
     description="every 4th WG bypasses the lock; sanitizer positive fixture",
     category="stress", scope="G",
     builder=_racy_builder,
     resources=_profile(7, 64, 0),
     table2=Table2Row("-", "-", "-", "-", "-"),
-))
-_register_stress(BenchmarkSpec(
-    abbrev="_KILL", full_name="StressKill",
-    description="SIGKILLs its worker once; drills BrokenProcessPool recovery",
-    category="stress", scope="G",
-    builder=_kill_builder(),
-    resources=_profile(7, 64, 0),
-    table2=Table2Row("-", "-", "-", "-", "-"),
-))
+)}
 
 
 def benchmark_names(category: Optional[str] = None) -> List[str]:
     """Registered benchmark abbreviations, in Table 2 / figure order.
 
-    Stress drills are excluded — they are matrix robustness fixtures,
-    not workloads."""
+    The stress drill is excluded: it is a test fixture, not a
+    workload."""
     return [
         name for name, spec in BENCHMARKS.items()
         if category is None or spec.category == category

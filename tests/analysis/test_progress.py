@@ -63,7 +63,7 @@ def test_lf_tree_barrier_elects_leader_and_root_roles():
 
 
 def test_stress_drill_has_no_protocol():
-    analysis = analyze_benchmark("_KILL")
+    analysis = analyze_benchmark("_RACY")
     assert analysis.edges == []
     assert analysis.errors, "a drill without a protocol must say so"
 
@@ -74,3 +74,12 @@ def test_render_dot_clusters_per_benchmark():
     assert dot.startswith("digraph")
     assert "cluster_SPM_G" in dot and "cluster_TB_LG" in dot
     assert '"SPM_G.contender" -> "SPM_G.holder"' in dot
+
+
+def test_render_dot_lists_roles_in_sorted_order():
+    # set order would vary with the string hash seed from run to run
+    import re
+
+    dot = render_dot([analyze_benchmark("LFTB_LG")])
+    roles = re.findall(r'^ +"LFTB_LG\.(\w+)" \[label="\w+"\];$', dot, re.M)
+    assert roles == sorted(roles) == ["leader", "member", "root"]

@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro.core.policies import awg, monnr_one, sleep
-from repro.errors import ConfigError
 from repro.experiments.cache import (
     ResultCache, code_fingerprint, default_cache, default_cache_dir,
     payload_digest,
@@ -180,17 +179,6 @@ def test_diagnosis_survives_the_round_trip(cache):
     )
     cache.put("9" * 64, result)
     assert cache.get("9" * 64).diagnosis == diagnosis
-
-
-def test_put_refuses_gpu_handles(cache):
-    result = RunResult(
-        benchmark="SPM_G", policy="AWG", scenario="quick",
-        cycles=1, completed=True, deadlocked=False, reason="completed",
-        atomics=0, waiting_atomics=0, context_switches=0,
-        wg_running_cycles=0, wg_waiting_cycles=0, gpu=object(),
-    )
-    with pytest.raises(ConfigError, match="GPU"):
-        cache.put("b" * 64, result)
 
 
 def test_clear_and_entry_count(cache):

@@ -1,10 +1,14 @@
 """Matrix-runner survival: killed workers, bounded retries, and a failed
 cell failing the figure that reads it.
 
-Uses the underscore-prefixed `_KILL` stress drill from the workload
-registry (it SIGKILLs its worker once, gated on a sentinel file), which
-resolves in any process but never appears in figures.
+The kill drill is a `RunRequest` whose first execution SIGKILLs the
+process running it. The pool's workers are forked, so they resolve the
+test-defined class when they unpickle the request.
 """
+
+import os
+import signal
+from dataclasses import dataclass
 
 import pytest
 
@@ -12,14 +16,35 @@ from repro.core.policies import awg, baseline, timeout
 from repro.experiments import fig14, fig15
 from repro.experiments.matrix import CellError, RunRequest, run_matrix
 from repro.experiments.runner import QUICK_SCALE
-from repro.workloads.registry import STRESS_KILL_ENV
 
 SCEN = QUICK_SCALE.scaled(total_wgs=8, wgs_per_group=4, iterations=1,
                           episodes=2)
 
 
+@dataclass(frozen=True)
+class KillOnce(RunRequest):
+    """Consumes ``sentinel`` and SIGKILLs its worker if the file exists,
+    so the retry of the same cell runs it to completion."""
+
+    sentinel: str = ""
+
+    def execute(self):
+        if os.path.exists(self.sentinel):
+            os.remove(self.sentinel)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().execute()
+
+
 def _req(benchmark):
     return RunRequest(benchmark, awg(), SCEN, validate=False)
+
+
+def _killer(tmp_path):
+    sentinel = tmp_path / "kill-once"
+    sentinel.write_text("armed")
+    request = KillOnce("SPM_L", awg(), SCEN, validate=False,
+                       sentinel=str(sentinel))
+    return request, sentinel
 
 
 # ---------------------------------------------------------------------------
@@ -28,11 +53,9 @@ def _req(benchmark):
 
 def test_killed_worker_is_retried_and_sweep_recovers(tmp_path, monkeypatch):
     monkeypatch.setattr("repro.experiments.matrix.RETRY_BACKOFF", 0.05)
-    sentinel = tmp_path / "kill-once"
-    sentinel.write_text("armed")
+    killer, sentinel = _killer(tmp_path)
     monkeypatch.setattr("repro.experiments.matrix.CELL_RETRIES", 2)
-    monkeypatch.setenv(STRESS_KILL_ENV, str(sentinel))
-    requests = [_req("_KILL"), _req("SPM_G")]
+    requests = [killer, _req("SPM_G")]
     matrix = run_matrix(requests, jobs=2, cache=None)
     # the first attempt consumed the sentinel and died; the retry ran
     # the same cell to completion, and no other cell was lost
@@ -46,11 +69,9 @@ def test_lone_killed_cell_is_retried_in_a_worker(tmp_path, monkeypatch):
     # a one-cell sweep at jobs>1 still runs in a worker: run in the
     # calling process, the kill would end the caller instead
     monkeypatch.setattr("repro.experiments.matrix.RETRY_BACKOFF", 0.05)
-    sentinel = tmp_path / "kill-once"
-    sentinel.write_text("armed")
+    killer, sentinel = _killer(tmp_path)
     monkeypatch.setattr("repro.experiments.matrix.CELL_RETRIES", 2)
-    monkeypatch.setenv(STRESS_KILL_ENV, str(sentinel))
-    matrix = run_matrix([_req("_KILL")], jobs=2, cache=None)
+    matrix = run_matrix([killer], jobs=2, cache=None)
     assert not sentinel.exists()
     assert matrix[0].ok
     assert not matrix.errors
@@ -58,11 +79,9 @@ def test_lone_killed_cell_is_retried_in_a_worker(tmp_path, monkeypatch):
 
 def test_exhausted_retries_become_structured_failures(tmp_path, monkeypatch):
     monkeypatch.setattr("repro.experiments.matrix.RETRY_BACKOFF", 0.05)
-    sentinel = tmp_path / "kill-once"
-    sentinel.write_text("armed")
+    killer, _sentinel = _killer(tmp_path)
     monkeypatch.setattr("repro.experiments.matrix.CELL_RETRIES", 0)
-    monkeypatch.setenv(STRESS_KILL_ENV, str(sentinel))
-    requests = [_req("_KILL"), _req("SPM_G")]
+    requests = [killer, _req("SPM_G")]
     matrix = run_matrix(requests, jobs=2, cache=None)
     # with no retries allowed, the killed cell is recorded as a crash;
     # pool breakage may also cost in-flight siblings, but the sweep

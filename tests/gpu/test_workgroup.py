@@ -199,3 +199,32 @@ def test_syncthreads_joins_wavefronts(gpu):
     assert len(order) == 2
     assert abs(order[0][1] - order[1][1]) == 0
     assert min(t for _n, t in order) >= 2000
+
+
+def test_a_policy_without_a_backstop_never_backstops():
+    # a monitor policy's timers come from its PolicySpec alone: without a
+    # backstop, a switched-out waiter waits for a notify. MonR-All's race
+    # window then loses wake-ups, as analysis.specs predicts (MAY_DEADLOCK).
+    from dataclasses import replace
+
+    from repro.cli import QUICK_OVERSUBSCRIBED
+    from repro.core.policies import monr_all
+    from repro.experiments import run_benchmark
+
+    def run(policy):
+        return run_benchmark("TB_LG", policy, QUICK_OVERSUBSCRIBED,
+                             validate=False)
+
+    with_backstop = run(monr_all())
+    assert with_backstop.completed
+    assert with_backstop.stats["wait.retry.backstop"] > 0
+    without = run(replace(monr_all(), backstop_timeout=None))
+    assert without.stats.get("wait.retry.backstop", 0) == 0
+    assert without.deadlocked
+
+
+def test_a_hardware_wait_without_monitor_or_interval_is_rejected():
+    from repro.errors import ConfigError
+
+    with pytest.raises(ConfigError, match="needs timeout_interval"):
+        timeout().with_overrides(timeout_interval=None)

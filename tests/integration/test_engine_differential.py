@@ -177,10 +177,13 @@ from repro.experiments.matrix import RunRequest
 from repro.experiments.runner import QUICK_SCALE
 
 
+#: the child SIGKILLs itself in this cell: two cells complete and reach
+#: the cache before the crash, two never start
+KILLED = "SPM_L"
+
+
 def build_requests():
-    # _KILL placed third: two cells complete and reach the cache before
-    # the crash, two never start
-    benches = ["SPM_G", "FAM_G", "_KILL", "TB_LG", "SLM_G"]
+    benches = ["SPM_G", "FAM_G", KILLED, "TB_LG", "SLM_G"]
     return [
         RunRequest(bench, named_policy("awg"), QUICK_SCALE, validate=False)
         for bench in benches
@@ -188,6 +191,8 @@ def build_requests():
 """
 
 _CHILD_MAIN = """
+import os
+import signal
 import sys
 sys.path.insert(0, sys.argv[2])
 from repro.experiments.cache import ResultCache
@@ -196,6 +201,16 @@ from repro.gpu import gpu as gpu_module
 from tests.sim.calendar_oracle import CalendarOracle
 
 gpu_module.Engine = CalendarOracle
+execute = RunRequest.execute
+
+
+def kill_in_killed_cell(request):
+    if request.benchmark == KILLED:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return execute(request)
+
+
+RunRequest.execute = kill_in_killed_cell
 
 try:
     run_matrix(build_requests(), jobs=1, cache=ResultCache(sys.argv[1]))
@@ -219,15 +234,9 @@ def test_kill_and_resume_matches_reference_engine(tmp_path):
     pin the resumed results bit-equal to an uninterrupted sweep on the
     production heap engine — crash recovery and the engine compose."""
     cache_dir = tmp_path / "cache"
-    sentinel = tmp_path / "kill-me"
-    sentinel.write_text("")
     script = tmp_path / "child_sweep.py"
     script.write_text(_REQUESTS_SNIPPET + _CHILD_MAIN)
-    env = dict(
-        os.environ,
-        PYTHONPATH=SRC,
-        REPRO_STRESS_KILL=str(sentinel),
-    )
+    env = dict(os.environ, PYTHONPATH=SRC)
     child = subprocess.Popen(
         [sys.executable, str(script), str(cache_dir), str(ROOT)],
         env=env, cwd=tmp_path,
@@ -235,7 +244,6 @@ def test_kill_and_resume_matches_reference_engine(tmp_path):
     )
     child.communicate(timeout=300)
     assert child.returncode == -signal.SIGKILL
-    assert not sentinel.exists()  # the drill consumed its sentinel
     assert ResultCache(cache_dir).entry_count() == 2  # SPM_G, FAM_G
 
     # resume on the oracle queue in-process

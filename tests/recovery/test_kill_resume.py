@@ -1,7 +1,7 @@
 """Kill-and-resume: an interrupted sweep resumes from the result cache.
 
-A sweep is killed mid-flight in a subprocess (the `_KILL` stress drill
-SIGKILLs the process — a real crash, no cleanup handlers). Every cell
+A sweep is killed mid-flight in a subprocess (its script makes the
+third cell SIGKILL the process — a real crash, no cleanup handlers). Every cell
 that completed before the crash is already in the result cache, so
 re-running the sweep against the same cache must:
 
@@ -40,10 +40,13 @@ from repro.experiments.matrix import RunRequest
 from repro.experiments.runner import QUICK_SCALE
 
 
+#: the child SIGKILLs itself in this cell: two cells complete and reach
+#: the cache before the crash, two never start
+KILLED = "SPM_L"
+
+
 def build_requests():
-    # _KILL placed third: two cells complete and reach the cache before
-    # the crash, two never start
-    benches = ["SPM_G", "FAM_G", "_KILL", "TB_LG", "SLM_G"]
+    benches = ["SPM_G", "FAM_G", KILLED, "TB_LG", "SLM_G"]
     return [
         RunRequest(bench, named_policy("awg"), QUICK_SCALE, validate=False)
         for bench in benches
@@ -68,6 +71,23 @@ def build_requests():
     ]
 """
 
+#: prepended to the SIGKILL test's child: the kill drill
+KILL_DRILL = """
+import os
+import signal
+
+execute = RunRequest.execute
+
+
+def kill_in_killed_cell(request):
+    if request.benchmark == KILLED:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return execute(request)
+
+
+RunRequest.execute = kill_in_killed_cell
+"""
+
 CHILD_MAIN = """
 import sys
 from repro.experiments.cache import ResultCache
@@ -90,12 +110,10 @@ def _result_fields(result):
     return {name: getattr(result, name) for name in RESULT_FIELDS}
 
 
-def _spawn_child(tmp_path, cache_dir, extra_env=None,
-                 snippet=REQUESTS_SNIPPET):
+def _spawn_child(tmp_path, cache_dir, snippet):
     script = tmp_path / "child_sweep.py"
     script.write_text(snippet + CHILD_MAIN)
     env = dict(os.environ, PYTHONPATH=SRC)
-    env.update(extra_env or {})
     return subprocess.Popen(
         [sys.executable, str(script), str(cache_dir)],
         env=env, cwd=tmp_path,
@@ -105,15 +123,11 @@ def _spawn_child(tmp_path, cache_dir, extra_env=None,
 
 def test_sigkill_resume_is_bit_identical_and_reexecutes_nothing(tmp_path):
     cache_dir = tmp_path / "cache"
-    sentinel = tmp_path / "kill-me"
-    sentinel.write_text("")
 
     # 1. the sweep crashes hard (SIGKILL from inside the 3rd cell)
-    child = _spawn_child(tmp_path, cache_dir,
-                         {"REPRO_STRESS_KILL": str(sentinel)})
+    child = _spawn_child(tmp_path, cache_dir, REQUESTS_SNIPPET + KILL_DRILL)
     child.communicate(timeout=300)
     assert child.returncode == -signal.SIGKILL
-    assert not sentinel.exists()  # the drill consumed its sentinel
     assert ResultCache(cache_dir).entry_count() == 2  # SPM_G, FAM_G
 
     # 2. rerun in-process: the 2 cached cells hit, only the 3

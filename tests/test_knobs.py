@@ -12,9 +12,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: knobs a user sets to change how the program runs
 RUNTIME_KNOBS = {"REPRO_JOBS", "REPRO_CACHE_DIR"}
-#: knobs only tests set: the `_KILL` drill's sentinel. (Re-baselining the
-#: goldens, ``REPRO_UPDATE_GOLDENS``, is read by the tests alone.)
-TEST_HOOKS = {"REPRO_STRESS_KILL"}
+#: knobs only tests set: none. Test drills live in ``tests/`` (the kill
+#: drill is a ``RunRequest`` subclass there), and re-baselining the
+#: goldens, ``REPRO_UPDATE_GOLDENS``, is read by the tests alone.
+TEST_HOOKS = set()
 
 
 def _knobs_under_src():
