@@ -38,7 +38,6 @@ from repro.analysis.dsl import (
     addr_arg,
     addr_base,
     addr_is_private,
-    divergent_test,
     dump,
     keyword,
 )
@@ -192,10 +191,6 @@ class WaitSite:
     guards: Tuple[Tuple[ast.AST, bool], ...] = ()
     #: names of ctx polls when kind == BUSY_SPIN
     polls: List[str] = field(default_factory=list)
-
-    @property
-    def divergent_guard(self) -> bool:
-        return any(divergent_test(t) for t, _ in self.guards)
 
 
 def _loop_of(cfg: CFG, op: DeviceOp) -> Optional[Loop]:

@@ -364,7 +364,7 @@ def _report_traced(bench, policy, scenario, opts) -> int:
     """Run with structured tracing on and export the Chrome/Perfetto
     trace_event JSON (see README "Tracing"); exit 1 on an invalid
     export."""
-    from repro.trace.config import TraceConfig
+    from repro.trace.config import BUFFER_SIZE, TraceConfig
     from repro.trace.export import validate_chrome_trace, write_chrome_trace
 
     trace_cfg = TraceConfig.parse(opts.categories or "all")
@@ -380,7 +380,7 @@ def _report_traced(bench, policy, scenario, opts) -> int:
     print(f"  categories: {','.join(sidecar['categories'])}")
     print(f"  events:     {sidecar['recorded']:,} recorded, "
           f"{sidecar['dropped']:,} dropped (ring bound "
-          f"{trace_cfg.buffer_size:,})")
+          f"{BUFFER_SIZE:,})")
     print(f"  wrote {out} — open at https://ui.perfetto.dev "
           f"or chrome://tracing")
     if problems:

@@ -68,8 +68,3 @@ class CountingBloomFilter:
     def reset(self) -> None:
         self.counters = [0] * self.bits
         self.distinct_estimate = 0
-
-    @property
-    def saturation(self) -> float:
-        """Fraction of non-zero counters (diagnostic for false positives)."""
-        return sum(1 for c in self.counters if c) / self.bits

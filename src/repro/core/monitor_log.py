@@ -74,6 +74,3 @@ class MonitorLog:
             self._count -= 1
             out.append(entry)
         return out
-
-    def footprint_bytes(self) -> int:
-        return self.capacity * ENTRY_BYTES

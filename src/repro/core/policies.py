@@ -49,6 +49,18 @@ class NotifyMode(enum.Enum):
     CONDITION = "condition"  # condition checked on updates (MonR/MonNR/AWG)
 
 
+#: hardware waits (a wait instruction or a waiting atomic) let the WG be
+#: context switched out while it waits, which is what provides IFP;
+#: software spinning and backoff never give up the CU
+_IFP_MECHANISMS = frozenset({WaitMechanism.WAIT_INSTR,
+                             WaitMechanism.WAITING_ATOMIC})
+
+#: first ``s_sleep`` interval of software exponential backoff (cycles)
+BACKOFF_MIN = 64
+#: stagger (cycles) between waiters the oracle policy resumes together
+ORACLE_STAGGER = 200
+
+
 class ResumeMode(enum.Enum):
     """How many waiters the SyncMon resumes when a condition is met."""
 
@@ -61,27 +73,29 @@ class ResumeMode(enum.Enum):
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Declarative description of one cooperative scheduling policy."""
+    """Declarative description of one cooperative scheduling policy.
+
+    ``provides_ifp`` (can this policy context switch WGs out?) is not a
+    field: it follows from ``mechanism``, so it cannot contradict it."""
 
     name: str
     mechanism: WaitMechanism
     notify: NotifyMode
     resume: ResumeMode
-    #: can this policy context switch WGs out (i.e. provide IFP)?
-    provides_ifp: bool
     #: fixed stall/switch interval (Timeout; also MonNR-One's straggler timer)
     timeout_interval: Optional[int] = None
     #: backstop timeout for monitor policies (races / mispredictions)
     backstop_timeout: Optional[int] = None
     #: software exponential backoff cap (Sleep policy / SPMBO kernels)
     backoff_max: Optional[int] = None
-    backoff_min: int = 64
     #: AWG: stall for a predicted period before context switching
     predict_stall: bool = False
-    #: stagger (cycles) between resumed waiters for the oracle policy
-    oracle_stagger: int = 200
 
     def __post_init__(self) -> None:
+        # a plain attribute, set once: the dispatcher reads it on every
+        # mark_ready
+        object.__setattr__(self, "provides_ifp",
+                           self.mechanism in _IFP_MECHANISMS)
         if self.mechanism is WaitMechanism.SLEEP_BACKOFF and not self.backoff_max:
             raise ConfigError(f"{self.name}: sleep policy needs backoff_max")
         if self.timeout_interval is not None and self.timeout_interval <= 0:
@@ -95,10 +109,6 @@ class PolicySpec:
     @property
     def uses_monitor(self) -> bool:
         return self.notify is not NotifyMode.NONE
-
-    @property
-    def uses_waiting_atomics(self) -> bool:
-        return self.mechanism is WaitMechanism.WAITING_ATOMIC
 
     @property
     def has_race_window(self) -> bool:
@@ -138,20 +148,17 @@ def baseline() -> PolicySpec:
         mechanism=WaitMechanism.BUSY,
         notify=NotifyMode.NONE,
         resume=ResumeMode.NONE,
-        provides_ifp=False,
     )
 
 
-def sleep(backoff_max: int = 16_000, backoff_min: int = 64) -> PolicySpec:
+def sleep(backoff_max: int = 16_000) -> PolicySpec:
     """Software exponential backoff with ``s_sleep`` (§IV.C.i, Fig 7)."""
     return PolicySpec(
         name=f"Sleep-{backoff_max // 1000}k" if backoff_max >= 1000 else "Sleep",
         mechanism=WaitMechanism.SLEEP_BACKOFF,
         notify=NotifyMode.NONE,
         resume=ResumeMode.NONE,
-        provides_ifp=False,
         backoff_max=backoff_max,
-        backoff_min=backoff_min,
     )
 
 
@@ -162,7 +169,6 @@ def timeout(interval: int = 20_000) -> PolicySpec:
         mechanism=WaitMechanism.WAITING_ATOMIC,
         notify=NotifyMode.NONE,
         resume=ResumeMode.NONE,
-        provides_ifp=True,
         timeout_interval=interval,
     )
 
@@ -174,7 +180,6 @@ def monrs_all(backstop: int = 100_000) -> PolicySpec:
         mechanism=WaitMechanism.WAIT_INSTR,
         notify=NotifyMode.SPORADIC,
         resume=ResumeMode.ALL,
-        provides_ifp=True,
         backstop_timeout=backstop,
     )
 
@@ -186,7 +191,6 @@ def monr_all(backstop: int = 100_000) -> PolicySpec:
         mechanism=WaitMechanism.WAIT_INSTR,
         notify=NotifyMode.CONDITION,
         resume=ResumeMode.ALL,
-        provides_ifp=True,
         backstop_timeout=backstop,
     )
 
@@ -198,7 +202,6 @@ def monnr_all(backstop: int = 100_000) -> PolicySpec:
         mechanism=WaitMechanism.WAITING_ATOMIC,
         notify=NotifyMode.CONDITION,
         resume=ResumeMode.ALL,
-        provides_ifp=True,
         backstop_timeout=backstop,
     )
 
@@ -214,7 +217,6 @@ def monnr_one(straggler_timeout: int = 20_000, backstop: int = 100_000) -> Polic
         mechanism=WaitMechanism.WAITING_ATOMIC,
         notify=NotifyMode.CONDITION,
         resume=ResumeMode.ONE,
-        provides_ifp=True,
         timeout_interval=straggler_timeout,
         backstop_timeout=backstop,
     )
@@ -232,14 +234,13 @@ def awg(straggler_timeout: int = 20_000, backstop: int = 100_000) -> PolicySpec:
         mechanism=WaitMechanism.WAITING_ATOMIC,
         notify=NotifyMode.CONDITION,
         resume=ResumeMode.PREDICT,
-        provides_ifp=True,
         timeout_interval=straggler_timeout,
         backstop_timeout=backstop,
         predict_stall=True,
     )
 
 
-def minresume(stagger: int = 200, backstop: int = 150_000) -> PolicySpec:
+def minresume(backstop: int = 150_000) -> PolicySpec:
     """Oracular configuration that never resumes WGs unnecessarily (Fig 9
     normalizer): condition-checked, exact resume counts, retries spread
     out so resumed WGs do not contend. The backstop exists only so a WG
@@ -251,9 +252,7 @@ def minresume(stagger: int = 200, backstop: int = 150_000) -> PolicySpec:
         mechanism=WaitMechanism.WAITING_ATOMIC,
         notify=NotifyMode.CONDITION,
         resume=ResumeMode.ORACLE,
-        provides_ifp=True,
         backstop_timeout=backstop,
-        oracle_stagger=stagger,
     )
 
 

@@ -27,7 +27,9 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from repro.core.conditions import WaitCondition
 from repro.core.hashing import UniversalHash, condition_set_index
 from repro.core.monitor_log import LogEntry, MonitorLog
-from repro.core.policies import NotifyMode, PolicySpec, ResumeMode
+from repro.core.policies import (
+    ORACLE_STAGGER, NotifyMode, PolicySpec, ResumeMode,
+)
 from repro.core.predictor import ResumeDecision, ResumePredictor, StallTimePredictor
 from repro.mem.atomics import AtomicResult
 from repro.sim.rng import RngStream
@@ -145,10 +147,6 @@ class SyncMon:
     @property
     def condition_count(self) -> int:
         return self._entry_count
-
-    @property
-    def waiter_count(self) -> int:
-        return self._waiting_list_used
 
     # ------------------------------------------------------------------
     # registration (fast path ❸ / spill path ④)
@@ -324,7 +322,7 @@ class SyncMon:
             resume_mode = (
                 ResumeMode.ONE if entry.cond.exclusive else ResumeMode.ALL
             )
-            stagger = self.policy.oracle_stagger
+            stagger = ORACLE_STAGGER
 
         if resume_mode is ResumeMode.ONE:
             wg_id, registered = next(iter(entry.waiters.items()))

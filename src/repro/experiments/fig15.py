@@ -6,7 +6,8 @@ The shape to reproduce: Baseline and Sleep DEADLOCK wherever the evicted
 WGs are required for progress (FIFO locks, barriers); every
 monitor-based policy completes; AWG has the best or near-best geomean
 (paper: 2.5× over Timeout), with the stall-time predictor costing it a
-little on some latency-sensitive tree barriers.
+little where it holds a slot that a switch would free (FAM_G and
+LFTBEX_LG here).
 """
 
 from __future__ import annotations

@@ -120,7 +120,6 @@ class RunRequest:
     scenario: Scenario
     validate: bool = True
     config_overrides: Optional[Dict[str, Any]] = None
-    param_overrides: Optional[Dict[str, Any]] = None
 
     def spec(self) -> Dict[str, Any]:
         """Canonical dict of everything that determines the result."""
@@ -130,7 +129,6 @@ class RunRequest:
             "scenario": self.scenario.spec(),
             "validate": self.validate,
             "config_overrides": _jsonable(self.config_overrides or {}),
-            "param_overrides": _jsonable(self.param_overrides or {}),
         }
 
     @classmethod
@@ -144,8 +142,6 @@ class RunRequest:
             validate=spec.get("validate", True),
             config_overrides=dict(spec["config_overrides"])
             if spec.get("config_overrides") else None,
-            param_overrides=dict(spec["param_overrides"])
-            if spec.get("param_overrides") else None,
         )
 
     def execute(self) -> RunResult:
@@ -156,7 +152,6 @@ class RunRequest:
             validate=self.validate,
             config_overrides=dict(self.config_overrides)
             if self.config_overrides else None,
-            **(self.param_overrides or {}),
         )
 
     # -- repro-bundle hooks (repro.recovery.bundle / .shrink) -----------

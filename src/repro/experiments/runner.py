@@ -39,14 +39,16 @@ class Scenario:
         )
 
     def config(self, **overrides) -> GPUConfig:
-        base: Dict[str, Any] = dict(
+        """The machine for this scenario. ``overrides`` set other
+        :class:`GPUConfig` fields; naming one the scenario owns raises
+        ``TypeError`` (set it on the scenario instead)."""
+        return GPUConfig(
             max_wgs_per_cu=self.max_wgs_per_cu,
             deadlock_window=self.deadlock_window,
             seed=self.seed,
             fault_plan=self.fault_plan,
+            **overrides,
         )
-        base.update(overrides)
-        return GPUConfig(**base)
 
     def scaled(self, **kwargs) -> "Scenario":
         return replace(self, **kwargs)

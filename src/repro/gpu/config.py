@@ -5,12 +5,16 @@ All timing is in core clock cycles at ``clock_ghz``. The Table 1 machine:
 32 KB 16-way L1 per CU (30 cycles); 512 KB 16-way shared L2 (50 cycles);
 one 32 KB 8-way instruction cache and one 16 KB 8-way scalar cache per
 4 CUs (4 cycles); DDR3 DRAM with 4 channels at 1 GHz.
+
+Only what the simulator reads is a field. SIMD width, wavefront slots and
+the instruction and scalar caches are not modelled, so they appear only
+as the paper's text in :mod:`repro.experiments.table1`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
@@ -25,17 +29,9 @@ class GPUConfig:
     clock_ghz: float = 2.0
     num_cus: int = 8
     simds_per_cu: int = 2
-    simd_width: int = 64
-    wavefronts_per_simd: int = 20
 
     # -- Table 1: memory hierarchy (64 B blocks) -------------------------
     block_bytes: int = 64
-    icache_size: int = 32 * 1024
-    icache_assoc: int = 8
-    icache_latency: int = 4
-    scalar_cache_size: int = 16 * 1024
-    scalar_cache_assoc: int = 8
-    scalar_cache_latency: int = 4
     l1_size: int = 32 * 1024
     l1_assoc: int = 16
     l1_latency: int = 30
@@ -90,9 +86,6 @@ class GPUConfig:
     # -- run control ----------------------------------------------------------
     max_cycles: int = 50_000_000
     deadlock_window: int = 400_000
-    #: consecutive watchdog windows with progress events but no condition
-    #: advancement before declaring livelock (0 disables the check)
-    livelock_windows: int = 8
     seed: int = 1
     #: structured event tracing (:mod:`repro.trace`): category filters +
     #: bounded ring buffer; None disables tracing entirely (zero cost)
@@ -134,31 +127,3 @@ class GPUConfig:
     def with_overrides(self, **kwargs) -> "GPUConfig":
         """Functional update; used by experiment sweeps."""
         return replace(self, **kwargs)
-
-    def describe(self) -> Dict[str, str]:
-        """Human-readable Table 1 rendition."""
-        return {
-            "Compute Units": f"{self.num_cus}",
-            "Clock": f"{self.clock_ghz} GHz",
-            "SIMD units / CU": f"{self.simds_per_cu}",
-            "SIMD width": f"{self.simd_width}",
-            "Wavefronts per SIMD": f"{self.wavefronts_per_simd}",
-            "Instruction Cache / 4 CUs": (
-                f"{self.icache_size // 1024} KB, {self.icache_assoc}-way, "
-                f"{self.icache_latency} cycles"
-            ),
-            "Scalar Cache / 4 CUs": (
-                f"{self.scalar_cache_size // 1024} KB, {self.scalar_cache_assoc}-way, "
-                f"{self.scalar_cache_latency} cycles"
-            ),
-            "L1 cache / CU": (
-                f"{self.l1_size // 1024} KB, {self.l1_assoc}-way, "
-                f"{self.l1_latency} cycles"
-            ),
-            "L2 cache shared": (
-                f"{self.l2_size // 1024} KB, {self.l2_assoc}-way, "
-                f"{self.l2_latency} cycles"
-            ),
-            "DRAM": f"DDR3, {self.dram_channels} Channels, 1 GHz",
-            "Block size": f"{self.block_bytes} B",
-        }

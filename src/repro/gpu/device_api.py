@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.core.conditions import WaitCondition
-from repro.core.policies import WaitMechanism
+from repro.core.policies import BACKOFF_MIN, WaitMechanism
 from repro.core.syncmon import RegisterOutcome
 from repro.errors import DeviceError
 from repro.mem.atomics import AtomicOp, AtomicResult
@@ -266,7 +266,7 @@ class WavefrontCtx:
                 yield from self.wg.wait_on_condition(cond, outcome)
 
         # Software-only mechanisms: busy-wait or exponential backoff.
-        backoff = policy.backoff_min
+        backoff = BACKOFF_MIN
         cap = policy.backoff_max or self.gpu.config.sleep_backoff_max
         use_backoff = mech is WaitMechanism.SLEEP_BACKOFF or software_backoff
         while True:

@@ -32,6 +32,10 @@ from repro.sim.rng import RngStream
 from repro.sim.stats import StatRegistry
 from repro.trace.tracer import Tracer
 
+#: consecutive watchdog windows with progress events but no condition
+#: advancement before the run is declared livelocked
+LIVELOCK_WINDOWS = 8
+
 
 @dataclass
 class RunOutcome:
@@ -182,10 +186,6 @@ class GPU:
         wg.done_event.try_succeed()
         self.dispatcher.kick()
 
-    @property
-    def finished_wgs(self) -> int:
-        return self._finished
-
     def hold_completion(self) -> None:
         """Keep :meth:`run` going even with no launched WGs outstanding
         (used by deferred launches, e.g. cooperative groups)."""
@@ -226,13 +226,13 @@ class GPU:
                     reason = "watchdog"
                     deadlocked = True
                     break
-                if cfg.livelock_windows > 0 and self.advancement_count == last_advance:
+                if self.advancement_count == last_advance:
                     # Instructions retire but no condition ever advances:
                     # livelock (e.g. polling loops burning ALU cycles).
                     # Requires several consecutive stagnant windows so a
                     # long fault-free compute phase is not misdiagnosed.
                     stagnant_windows += 1
-                    if stagnant_windows >= cfg.livelock_windows:
+                    if stagnant_windows >= LIVELOCK_WINDOWS:
                         reason = "livelock"
                         deadlocked = True
                         break

@@ -30,6 +30,7 @@ from repro.core.conditions import WaitCondition
 from repro.core.policies import NotifyMode
 from repro.core.syncmon import RegisterOutcome
 from repro.sim.events import AnyOf, Event
+from repro.trace.tracer import wg_track
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.compute_unit import ComputeUnit
@@ -136,7 +137,7 @@ class WorkGroup:
         if new is not self.state:
             tracer = self.gpu.tracer
             if tracer is not None:
-                tracer.set_span("wg", f"wg/{self.wg_id}", new.value)
+                tracer.set_span("wg", wg_track(self.wg_id), new.value)
         self.state = new
         self._bucket_idx = _BUCKET_INDEX[new]
 
@@ -242,7 +243,7 @@ class WorkGroup:
             # Nowhere to store the condition: Mesa busy retry (§V.A).
             if tracer is not None:
                 tracer.instant("wg", "wait:log-full",
-                               track=f"wg/{self.wg_id}", addr=cond.addr)
+                               track=wg_track(self.wg_id), addr=cond.addr)
             yield env.timeout(cfg.log_full_retry)
             return
 
@@ -252,7 +253,7 @@ class WorkGroup:
             self.pending_notify = False
             if tracer is not None:
                 tracer.instant("wg", "wait:pending-notify",
-                               track=f"wg/{self.wg_id}", addr=cond.addr)
+                               track=wg_track(self.wg_id), addr=cond.addr)
             yield env.timeout(cfg.resume_latency)
             return
 
@@ -276,18 +277,19 @@ class WorkGroup:
         retry_deadline: Optional[int] = None
         retry_source = "interval"
         if policy.notify is NotifyMode.NONE:
-            # Timeout policy: no monitor; pure timer.
-            if oversub and policy.provides_ifp:
-                switch_deadline = started  # switch immediately
+            # Timeout policy: no monitor; pure timer. Only hardware waits
+            # get here, and they all provide IFP: switch now iff
+            # oversubscribed.
+            if oversub:
+                switch_deadline = started
             retry_deadline = started + policy.timeout_interval
         elif policy.predict_stall:
-            # AWG: stall a predicted period before considering a switch;
-            # retry on the straggler timeout (misprediction recovery) or
-            # the backstop, whichever is sooner. A repeat wait on a
-            # condition whose previous episode already timed out means the
-            # stall prediction failed — don't re-predict, consider
-            # switching right away (Mesa retries must not reset the
-            # stall clock, or stalled WGs starve ready ones forever).
+            # AWG: stall a predicted period before considering a switch.
+            # A repeat wait on a condition whose previous episode already
+            # timed out means the stall prediction failed — don't
+            # re-predict, consider switching right away (Mesa retries must
+            # not reset the stall clock, or stalled WGs starve ready ones
+            # forever).
             if self._timer_expired_cond == cond:
                 switch_deadline = started
             else:
@@ -295,24 +297,18 @@ class WorkGroup:
                 switch_deadline = started + predicted
                 if tracer is not None:
                     tracer.instant("predict", "stall",
-                                   track=f"wg/{self.wg_id}",
+                                   track=wg_track(self.wg_id),
                                    cycles=predicted, addr=cond.addr)
+        elif oversub:
+            # Monitor policies: switch now iff oversubscribed.
+            switch_deadline = started
+        if policy.notify is not NotifyMode.NONE:
+            # Monitor policies retry on the straggler timeout (MonNR-One;
+            # AWG's misprediction recovery) or the backstop, whichever is
+            # sooner.
             deadlines = [
                 (d, src) for d, src in
                 ((policy.timeout_interval, "straggler"),
-                 (policy.backstop_timeout, "backstop"))
-                if d is not None
-            ]
-            if deadlines:
-                soonest, retry_source = min(deadlines)
-                retry_deadline = started + soonest
-        else:
-            # Monitor policies: switch now iff oversubscribed.
-            if oversub:
-                switch_deadline = started
-            deadlines = [
-                (d, src) for d, src in
-                ((policy.timeout_interval, "straggler"),  # MonNR-One only
                  (policy.backstop_timeout, "backstop"))
                 if d is not None
             ]
@@ -375,7 +371,7 @@ class WorkGroup:
                 gpu.stats.counter(f"wait.retry.{retry_source}").incr()
                 if tracer is not None:
                     tracer.instant("wg", f"retry:{retry_source}",
-                                   track=f"wg/{self.wg_id}", addr=cond.addr,
+                                   track=wg_track(self.wg_id), addr=cond.addr,
                                    waited=env.now - started)
                 if registered and policy.uses_monitor:
                     gpu.syncmon.withdraw(self.wg_id, cond)

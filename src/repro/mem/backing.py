@@ -47,19 +47,6 @@ class BackingStore:
         self._brk = addr + nbytes
         return addr
 
-    def alloc_array(self, nwords: int, stride_bytes: int = WORD_BYTES) -> int:
-        """Allocate ``nwords`` words spaced ``stride_bytes`` apart.
-
-        Synchronization variables use a 64-byte stride to get one variable
-        per cache line (the paper's benchmarks pad the same way)."""
-        if stride_bytes < WORD_BYTES:
-            raise MemoryError_("stride must cover at least one word")
-        return self.alloc(nwords * stride_bytes, align=max(stride_bytes, WORD_BYTES))
-
-    @property
-    def bytes_allocated(self) -> int:
-        return self._brk - self._base
-
     # -- access ----------------------------------------------------------
     def _check(self, addr: int) -> None:
         if addr % WORD_BYTES != 0:

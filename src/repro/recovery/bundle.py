@@ -60,7 +60,7 @@ from repro.gpu.diagnostics import diagnosis_signature
 from repro.litmus.shrinklink import LitmusRequest
 
 #: bump when the bundle layout changes; replay refuses other versions
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 #: the document's ``kind`` marker (distinguishes bundles from cache
 #: entries and other JSON when pointed at the wrong file)

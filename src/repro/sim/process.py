@@ -42,10 +42,6 @@ class Process(Event):
         # order does not leak into execution order mid-callback.
         env.call_at(0, self._resume, None, None)
 
-    @property
-    def alive(self) -> bool:
-        return not self.fired
-
     def interrupt(self, cause: object = None) -> None:
         """Throw :class:`Interrupt` into the process at its wait point."""
         if self.fired:

@@ -101,10 +101,6 @@ class SpinMutex(_LockDiscipline):
         self._note_release(ctx.wg_id)
         yield from ctx.atomic_exch(self.lock_addr, 0)
 
-    def locked(self) -> bool:
-        """Host-side inspection (for tests)."""
-        return self.gpu.store.read(self.lock_addr) != 0
-
 
 class FAMutex(_LockDiscipline):
     """Centralized fetch-and-add ticket lock (HeteroSync FAMutex).

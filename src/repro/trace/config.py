@@ -19,18 +19,17 @@ CATEGORIES: Tuple[str, ...] = (
     "engine",    # scheduler health: peak pending, events fired, compactions
 )
 
+#: events the ring keeps; older ones are dropped first and counted in
+#: the export's ``awg.dropped``
+BUFFER_SIZE = 65_536
+
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """What to record and how much of it to keep.
-
-    ``categories`` filters which subsystems record events; ``buffer_size``
-    bounds the event ring (oldest events are dropped first, counted in
-    the export's ``awg.dropped``).
-    """
+    """What to record: ``categories`` filters which subsystems record
+    events. The ring keeps the last :data:`BUFFER_SIZE` of them."""
 
     categories: Tuple[str, ...] = CATEGORIES
-    buffer_size: int = 65_536
 
     def __post_init__(self) -> None:
         # tolerate lists (e.g. from JSON round trips) by normalizing
@@ -43,15 +42,13 @@ class TraceConfig:
             )
         if len(set(self.categories)) != len(self.categories):
             raise ConfigError("duplicate trace categories")
-        if self.buffer_size < 1:
-            raise ConfigError("trace buffer_size must be >= 1")
 
     @classmethod
-    def parse(cls, spec: str, buffer_size: int = 65_536) -> "TraceConfig":
+    def parse(cls, spec: str) -> "TraceConfig":
         """Build from a CLI-style comma list, e.g. ``"wg,sync,dispatch"``.
         ``"all"`` (or an empty string) selects every category."""
         text = spec.strip()
         if not text or text == "all":
-            return cls(buffer_size=buffer_size)
+            return cls()
         names = tuple(c.strip() for c in text.split(",") if c.strip())
-        return cls(categories=names, buffer_size=buffer_size)
+        return cls(categories=names)

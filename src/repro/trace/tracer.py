@@ -11,7 +11,7 @@ Design constraints (the tentpole's acceptance criteria):
 - **Bit-deterministic.** Events carry a global sequence number; exports
   sort by ``(ts, seq)`` so two runs of the same seed produce
   byte-identical trace files.
-- **Bounded.** The ring holds ``TraceConfig.buffer_size`` events;
+- **Bounded.** The ring holds :data:`~repro.trace.config.BUFFER_SIZE` events;
   overflow drops the oldest and increments ``dropped``.
 - **Records, never counts.** Quantities a figure reads come from the
   GPU's stats; the tracer only logs events.
@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
+
+from repro.trace.config import BUFFER_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -44,7 +46,7 @@ class Tracer:
         self.env = env
         self.config = config
         self.categories = frozenset(config.categories)
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=config.buffer_size)
+        self._ring: Deque[Dict[str, Any]] = deque(maxlen=BUFFER_SIZE)
         #: open spans: track -> {"cat","name","ts","seq","args"}
         self._open: Dict[str, Dict[str, Any]] = {}
         self._seq = 0

@@ -24,6 +24,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.gpu import GPU
     from repro.sync.barrier import AtomicTreeBarrier, LFTreeBarrier
 
+#: spread (cycles) of the per-WG, per-episode extra compute before each
+#: barrier, so arrivals do not land in lockstep
+WORK_JITTER = 400
+
 
 def make_mutex_body(
     mutexes: Sequence,
@@ -117,7 +121,6 @@ def make_barrier_body(
     barrier,
     episodes: int,
     work_cycles: int,
-    work_jitter: int,
     episode_addrs: Sequence[int],
     multi_wavefront: bool = False,
 ):
@@ -130,7 +133,7 @@ def make_barrier_body(
     def body(ctx: "WavefrontCtx"):
         idx = ctx.grid_index
         for episode in range(episodes):
-            jitter = (idx * 7 + episode * 13) % max(1, work_jitter)
+            jitter = (idx * 7 + episode * 13) % WORK_JITTER
             yield from ctx.compute(work_cycles + jitter)
             yield from barrier.arrive(ctx, idx, episode)
             if multi_wavefront:

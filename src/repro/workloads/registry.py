@@ -48,7 +48,6 @@ class BenchmarkParams:
     work_cycles: int = 400
     cs_cycles: int = 150
     episodes: int = 6
-    work_jitter: int = 400
     #: wavefronts per WG; > 1 adds worker wavefronts joining syncthreads
     #: each iteration (the master-thread idiom of the paper's Figure 10)
     wavefronts_per_wg: int = 1
@@ -144,7 +143,7 @@ def _barrier_builder(barrier_factory: Callable):
         multi = params.wavefronts_per_wg > 1
         body = make_barrier_body(
             barrier, params.episodes, params.work_cycles,
-            params.work_jitter, episode_addrs, multi_wavefront=multi,
+            episode_addrs, multi_wavefront=multi,
         )
 
         def validate(g: "GPU") -> None:

@@ -45,7 +45,7 @@ def test_monr_checks_conditions_but_racy():
 
 def test_monnr_uses_waiting_atomics_no_race():
     for p in (monnr_all(), monnr_one(), awg(), minresume()):
-        assert p.uses_waiting_atomics
+        assert p.mechanism is WaitMechanism.WAITING_ATOMIC
         assert not p.has_race_window
 
 
@@ -90,3 +90,19 @@ def test_invalid_specs_rejected():
         sleep(0)
     with pytest.raises(ConfigError):
         timeout(0)
+
+
+@pytest.mark.parametrize("mechanism,ifp", [
+    (WaitMechanism.BUSY, False),
+    (WaitMechanism.SLEEP_BACKOFF, False),
+    (WaitMechanism.WAIT_INSTR, True),
+    (WaitMechanism.WAITING_ATOMIC, True),
+])
+def test_provides_ifp_follows_the_wait_mechanism(mechanism, ifp):
+    factories = [baseline(), sleep(), timeout(), monrs_all(), monr_all(),
+                 monnr_all(), monnr_one(), awg(), minresume()]
+    same = [p for p in factories if p.mechanism is mechanism]
+    assert same and all(p.provides_ifp is ifp for p in same)
+    # a derived policy recomputes it, and it never enters the spec
+    assert same[0].with_overrides(name="x").provides_ifp is ifp
+    assert "provides_ifp" not in same[0].spec()

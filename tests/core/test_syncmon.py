@@ -47,7 +47,7 @@ def test_register_sets_monitored_bit():
     assert out is RegisterOutcome.REGISTERED
     assert sm.hierarchy.l2.is_monitored(ADDR)
     assert sm.condition_count == 1
-    assert sm.waiter_count == 1
+    assert sm.snapshot()["syncmon.peak_waiters"] == 1
 
 
 def test_register_same_wg_twice_idempotent():
@@ -55,7 +55,7 @@ def test_register_same_wg_twice_idempotent():
     cond = WaitCondition(ADDR, 5)
     sm.register(1, cond)
     sm.register(1, cond)
-    assert sm.waiter_count == 1
+    assert sm.snapshot()["syncmon.peak_waiters"] == 1
 
 
 def test_condition_met_resumes_all_waiters():
@@ -74,7 +74,7 @@ def test_wrong_value_does_not_resume():
     sm.register(1, WaitCondition(ADDR, 5))
     update(sm, ADDR, 4)
     assert sm._resumed_log == []
-    assert sm.waiter_count == 1
+    assert sm.withdraw(1, WaitCondition(ADDR, 5))  # still waiting
 
 
 def test_non_write_does_not_resume_condition_mode():
@@ -98,7 +98,6 @@ def test_resume_one_keeps_condition():
     sm.register(2, cond)
     update(sm, ADDR, 5)
     assert sm._resumed_log == [((1,), "condition-met")]
-    assert sm.waiter_count == 1
     assert sm.hierarchy.l2.is_monitored(ADDR)
     # a second met update releases the next waiter (FIFO)
     update(sm, ADDR, 4)
@@ -136,7 +135,7 @@ def test_withdraw_removes_waiter_and_unmonitors():
     cond = WaitCondition(ADDR, 5)
     sm.register(1, cond)
     assert sm.withdraw(1, cond)
-    assert sm.waiter_count == 0
+    assert not sm.withdraw(1, cond)  # no longer waiting
     assert not sm.hierarchy.l2.is_monitored(ADDR)
     assert not sm.withdraw(1, cond)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.policies import awg, baseline
+from repro.experiments.matrix import RunRequest
 from repro.experiments.runner import (
     OVERSUBSCRIBED, PAPER_SCALE, QUICK_SCALE, run_benchmark,
 )
@@ -35,7 +36,7 @@ def test_run_benchmark_keep_gpu():
     res = run_benchmark("SPM_G", awg(), QUICK_SCALE, keep_gpu=True,
                         iterations=1)
     assert res.gpu is not None
-    assert res.gpu.finished_wgs == QUICK_SCALE.total_wgs
+    assert res.stats["progress.wg_done"] == QUICK_SCALE.total_wgs
 
 
 def test_param_overrides_flow_through():
@@ -58,3 +59,15 @@ def test_config_overrides():
                         keep_gpu=True,
                         config_overrides={"l2_banks": 16})
     assert len(res.gpu.hierarchy.l2_banks) == 16
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", 2), ("max_wgs_per_cu", 4), ("deadlock_window", 1),
+    ("fault_plan", None),
+])
+def test_config_overrides_cannot_shadow_the_scenario(key, value):
+    # a cell has one spelling: what the scenario owns is set on it
+    request = RunRequest("SPM_G", awg(), QUICK_SCALE,
+                         config_overrides={key: value})
+    with pytest.raises(TypeError, match=key):
+        request.execute()

@@ -82,4 +82,4 @@ def test_requeue_idempotent_for_pending():
     gpu.dispatcher.requeue(wg)  # already pending: must not duplicate
     out = gpu.run()
     assert out.ok
-    assert gpu.finished_wgs == 2
+    assert out.stats["progress.wg_done"] == 2

@@ -30,7 +30,7 @@ def test_multiple_launches_unique_ids(gpu):
     assert l1.wg_ids == [0, 1]
     assert l2.wg_ids == [2, 3]
     out = gpu.run()
-    assert out.ok and gpu.finished_wgs == 4
+    assert out.ok and out.stats["progress.wg_done"] == 4
 
 
 def test_outcome_stats_populated(gpu):

@@ -82,7 +82,7 @@ def test_second_run_call_continues(gpu):
     gpu.launch(simple_kernel(body))
     out = gpu.run()
     assert out.ok
-    assert gpu.finished_wgs == 2
+    assert out.stats["progress.wg_done"] == 2
 
 
 def test_event_counts_of_a_quick_cell_are_pinned():

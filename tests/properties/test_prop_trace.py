@@ -43,8 +43,8 @@ def traced_run(bench, policy, seed, categories=None):
         else TraceConfig(categories=categories)
     )
     return run_benchmark(
-        bench, policy, SCENARIO, validate=False,
-        config_overrides={"trace": cfg, "seed": seed},
+        bench, policy, SCENARIO.scaled(seed=seed), validate=False,
+        config_overrides={"trace": cfg},
     )
 
 
@@ -137,10 +137,8 @@ def test_trace_is_deterministic(bench, policy, seed):
 @settings(max_examples=8)
 def test_tracing_never_perturbs_the_simulation(bench, policy, seed):
     traced = traced_run(bench, policy, seed)
-    plain = run_benchmark(
-        bench, policy, SCENARIO, validate=False,
-        config_overrides={"seed": seed},
-    )
+    plain = run_benchmark(bench, policy, SCENARIO.scaled(seed=seed),
+                          validate=False)
     assert plain.trace is None
     assert traced.cycles == plain.cycles
     assert traced.completed == plain.completed
@@ -160,9 +158,9 @@ def test_wg_category_matches_live_state_trace(bench, policy, seed):
     """The offline transition list recovered from the export equals the
     live GPU view (same tracer, two consumers)."""
     result = run_benchmark(
-        bench, policy, SCENARIO, validate=False, keep_gpu=True,
-        config_overrides={"trace": TraceConfig(categories=("wg",)),
-                          "seed": seed},
+        bench, policy, SCENARIO.scaled(seed=seed), validate=False,
+        keep_gpu=True,
+        config_overrides={"trace": TraceConfig(categories=("wg",))},
     )
     offline = wg_state_transitions(result.trace)
     live = [

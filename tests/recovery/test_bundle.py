@@ -42,14 +42,13 @@ def test_bundle_schema_is_stable():
     assert sorted(BUNDLE_KEYS) == [
         "expected", "failure", "kind", "provenance", "request", "version",
     ]
-    assert bundle["version"] == BUNDLE_VERSION == 1
+    assert bundle["version"] == BUNDLE_VERSION == 2
     assert bundle["kind"] == "awg-repro-bundle"
     assert set(bundle["provenance"]) == {"fingerprint", "python",
                                          "created_at"}
     request = bundle["request"]
     assert sorted(request) == [
-        "benchmark", "config_overrides", "param_overrides", "policy",
-        "scenario", "validate",
+        "benchmark", "config_overrides", "policy", "scenario", "validate",
     ]
     # the whole document is JSON-serializable as-is
     json.dumps(bundle)
@@ -84,6 +83,12 @@ def test_validate_rejects_foreign_and_future_documents():
         validate_bundle({"kind": "something-else"})
     with pytest.raises(ConfigError, match="version"):
         validate_bundle({**bundle, "version": BUNDLE_VERSION + 1})
+    # a version-1 bundle (its request still carries param_overrides) is
+    # refused by version before its request is rebuilt
+    old = {**bundle, "version": 1,
+           "request": {**bundle["request"], "param_overrides": {}}}
+    with pytest.raises(ConfigError, match="version 1 is not supported"):
+        validate_bundle(old)
     with pytest.raises(ConfigError, match="missing"):
         validate_bundle({k: v for k, v in bundle.items()
                          if k != "provenance"})

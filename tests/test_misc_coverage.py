@@ -28,18 +28,22 @@ def test_resource_restore_event_standalone():
 def test_spin_mutex_locked_inspection():
     gpu = make_gpu(awg())
     mutex = SpinMutex(gpu)
-    assert not mutex.locked()
+
+    def locked():
+        return gpu.store.read(mutex.lock_addr) != 0
+
+    assert not locked()
     holder = {}
 
     def body(ctx):
         token = yield from mutex.acquire(ctx)
-        holder["locked_inside"] = mutex.locked()
+        holder["locked_inside"] = locked()
         yield from mutex.release(ctx, token)
 
     gpu.launch(simple_kernel(body))
     assert gpu.run().ok
     assert holder["locked_inside"] is True
-    assert not mutex.locked()
+    assert not locked()
 
 
 def test_outcome_ok_semantics():

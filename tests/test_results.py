@@ -116,3 +116,44 @@ def test_experiments_md_quotes_the_committed_awg_geomean(name):
     geomean = fmt(committed(name).data["GeoMean"]["AWG"])
     text = (ROOT / "EXPERIMENTS.md").read_text()
     assert f"AWG GeoMean {geomean}×" in text
+
+
+
+def _experiments_section(heading: str) -> str:
+    """The text of EXPERIMENTS.md's ``## <heading>`` section."""
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    start = text.index(f"\n## {heading}")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end != -1 else None]
+
+
+def _doc_number(text):
+    text = text.strip().strip("*")
+    return None if text == "–" else float(text)
+
+
+def test_experiments_md_fig14_table_matches_the_committed_table():
+    table = committed("fig14")
+    rows = [line.strip("|").split("|")
+            for line in _experiments_section("Figure 14").splitlines()
+            if line.startswith("|")]
+    header, _rule, *body = rows
+    assert body, "EXPERIMENTS.md lost its Figure 14 table"
+    # the doc drops the interval from "Sleep-16k" and "Timeout-20k"
+    short = {"Sleep": "Sleep-16k", "Timeout": "Timeout-20k"}
+    columns = [short.get(name.strip(), name.strip()) for name in header[1:]]
+    for label, *cells in body:
+        row = label.strip().strip("*")
+        for column, cell in zip(columns, cells):
+            assert _doc_number(cell) == table.data[row][column], (row, column)
+
+
+def test_experiments_md_quotes_the_committed_fig15_ratios():
+    data = committed("fig15").data
+    text = " ".join(_experiments_section("Figure 15").split())
+    spin = data["SPM_G"]["MonNR-All"]
+    assert spin == data["SPMBO_G"]["MonNR-All"]  # "at 0.20× on both"
+    assert f"AWG GeoMean {fmt(data['GeoMean']['AWG'])}× over Timeout" in text
+    assert (f"AWG runs at {fmt(data['SPM_G']['AWG'])}× of Timeout on SPM_G "
+            f"and {fmt(data['SPMBO_G']['AWG'])}× on SPMBO_G, and MonNR-All "
+            f"at {fmt(spin)}× on both") in text

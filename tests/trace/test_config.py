@@ -7,12 +7,12 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.trace import CATEGORIES, TraceConfig
+from repro.trace.config import BUFFER_SIZE
 
 
 def test_defaults_select_every_category():
     cfg = TraceConfig()
     assert cfg.categories == CATEGORIES
-    assert cfg.buffer_size == 65_536
 
 
 def test_lists_normalize_to_tuples():
@@ -30,9 +30,14 @@ def test_duplicate_category_rejected():
         TraceConfig(categories=("wg", "wg"))
 
 
-def test_buffer_size_must_be_positive():
-    with pytest.raises(ConfigError, match="buffer_size"):
-        TraceConfig(buffer_size=0)
+def test_ring_bound_is_not_a_setting():
+    # the ring keeps the last BUFFER_SIZE events; a stale setting fails
+    # loudly instead of being ignored
+    assert BUFFER_SIZE == 65_536
+    with pytest.raises(TypeError, match="buffer_size"):
+        TraceConfig(buffer_size=128)
+    with pytest.raises(TypeError, match="buffer_size"):
+        TraceConfig.parse("wg", buffer_size=128)
 
 
 @pytest.mark.parametrize("spec", ["", "all"])
@@ -41,9 +46,8 @@ def test_parse_all(spec):
 
 
 def test_parse_comma_list():
-    cfg = TraceConfig.parse(" wg, sync ,dispatch ", buffer_size=128)
+    cfg = TraceConfig.parse(" wg, sync ,dispatch ")
     assert cfg.categories == ("wg", "sync", "dispatch")
-    assert cfg.buffer_size == 128
 
 
 def test_parse_bad_name():

@@ -1,6 +1,6 @@
 """Tracer unit tests: ring bounds, span bookkeeping, category filters."""
 
-from repro.trace import TraceConfig
+from repro.trace import TraceConfig, tracer as tracer_module
 from repro.trace.tracer import Tracer, wg_track
 
 
@@ -9,10 +9,9 @@ class FakeClock:
         self.now = 0
 
 
-def make(categories=("wg", "sync"), buffer_size=16):
+def make(categories=("wg", "sync")):
     clock = FakeClock()
-    return clock, Tracer(clock, TraceConfig(
-        categories=categories, buffer_size=buffer_size))
+    return clock, Tracer(clock, TraceConfig(categories=categories))
 
 
 def test_filtered_categories_record_nothing():
@@ -59,9 +58,10 @@ def test_open_spans_appear_in_events_snapshot():
     assert tracer.finished
 
 
-def test_ring_overflow_drops_oldest_but_counts_stay_exact():
+def test_ring_overflow_drops_oldest_but_counts_stay_exact(monkeypatch):
     # "counts" are the ring's own: recorded and dropped stay exact
-    clock, tracer = make(buffer_size=4)
+    monkeypatch.setattr(tracer_module, "BUFFER_SIZE", 4)
+    clock, tracer = make()
     for i in range(10):
         clock.now = i
         tracer.instant("sync", "notify", track="syncmon", i=i)
