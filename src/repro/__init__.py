@@ -40,7 +40,7 @@ from repro.core import (
 )
 from repro.core.policies import PolicySpec
 from repro.errors import ConfigError, ReproError, SimulationError
-from repro.gpu import GPU, GPUConfig, Kernel, ResourceLossEvent, RunOutcome
+from repro.gpu import GPU, GPUConfig, Kernel, ResourceLossEvent, RunResult
 
 __version__ = "1.0.0"
 
@@ -50,7 +50,7 @@ __all__ = [
     "Kernel",
     "PolicySpec",
     "ResourceLossEvent",
-    "RunOutcome",
+    "RunResult",
     "ConfigError",
     "ReproError",
     "SimulationError",

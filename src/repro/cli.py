@@ -44,8 +44,8 @@ from typing import Callable, NamedTuple, Optional
 
 from repro.core.policies import all_policy_names, named_policy
 from repro.experiments import (
-    QUICK_SCALE, PAPER_SCALE, OVERSUBSCRIBED, ExperimentResult, Scenario,
-    run_benchmark,
+    QUICK_OVERSUBSCRIBED, QUICK_SCALE, PAPER_SCALE, OVERSUBSCRIBED,
+    ExperimentResult, Scenario, run_benchmark,
 )
 from repro.experiments import (
     ablations, fig5, fig7, fig8, fig9, fig11, fig13, fig14, fig15, table1,
@@ -54,25 +54,23 @@ from repro.experiments import (
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.workloads.registry import benchmark_names
 
-#: what ``--quick`` runs the oversubscribed figures (13, 15) at
-QUICK_OVERSUBSCRIBED = OVERSUBSCRIBED.scaled(
-    total_wgs=32, wgs_per_group=4, max_wgs_per_cu=4,
-    iterations=3, episodes=6, resource_loss_at_us=10.0,
-    label="quick-oversubscribed",
-)
-
-
 class Artifact(NamedTuple):
     """One committed ``results/<name>.txt``. ``run()`` regenerates it at
     the committed scale and ``check`` asserts the paper's shape there.
-    ``--quick`` passes ``quick`` to ``run`` instead (None: no smaller
-    scale) and skips ``check``."""
+    ``--quick`` passes ``quick`` to ``run`` instead and skips ``check``;
+    an artifact without a smaller scale (``quick=None``) runs, and is
+    checked, at its committed scale either way."""
 
     run: Callable[..., ExperimentResult]
     check: Callable[[ExperimentResult], None]
     quick: Optional[Scenario] = QUICK_SCALE
     #: ``run`` sweeps cells through run_matrix (takes jobs=, cache=)
     sweeps: bool = True
+
+    def scale(self, quick: bool) -> tuple:
+        """``run``'s positional arguments: ``(self.quick,)`` under
+        ``--quick`` when there is a quick scale, else ``()``."""
+        return (self.quick,) if quick and self.quick is not None else ()
 
 
 #: the paper's tables and figures, in paper order
@@ -409,10 +407,10 @@ def _run_experiment(name: str, quick: bool, chart: bool = False,
                     out: Optional[str] = None, **kw) -> bool:
     """Run and print one artifact; with ``out``, also write its table to
     ``out/<name>.txt`` (without the host-dependent matrix note). Unless
-    ``quick``, run its shape check; a failed check is reported on
-    stderr and returns False."""
+    a smaller scale ran, run its shape check; a failed check is reported
+    on stderr and returns False."""
     artifact = ARTIFACTS[name]
-    args = (artifact.quick,) if quick and artifact.quick else ()
+    args = artifact.scale(quick)
     started = time.time()
     result = artifact.run(*args, **(kw if artifact.sweeps else {}))
     text = result.render()
@@ -427,7 +425,7 @@ def _run_experiment(name: str, quick: bool, chart: bool = False,
         kept = [line for line in text.splitlines()
                 if not line.startswith("note: matrix:")]
         (Path(out) / f"{name}.txt").write_text("\n".join(kept) + "\n")
-    if quick:
+    if args:
         return True
     try:
         artifact.check(result)

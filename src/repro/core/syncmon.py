@@ -325,13 +325,9 @@ class SyncMon:
             stagger = ORACLE_STAGGER
 
         if resume_mode is ResumeMode.ONE:
-            wg_id, registered = next(iter(entry.waiters.items()))
-            del entry.waiters[wg_id]
-            self._waiting_list_used -= 1
+            wg_id, registered = self._pop_oldest(entry)
             self.stall_predictor.record(self.env.now - registered)
-            if not entry.waiters:
-                self._drop_entry(entry)
-            elif self.policy.timeout_interval:
+            if entry.waiters and self.policy.timeout_interval:
                 # "The rest of the waiters are resumed when a different
                 # update to the monitored address meets the condition or
                 # after a fixed timeout interval" (§IV.E). Without this,
@@ -362,16 +358,22 @@ class SyncMon:
             entry = self._find(cond)
             if entry is None or not entry.waiters:
                 return
-            wg_id, _registered = next(iter(entry.waiters.items()))
-            del entry.waiters[wg_id]
-            self._waiting_list_used -= 1
-            if not entry.waiters:
-                self._drop_entry(entry)
-            else:
+            wg_id, _registered = self._pop_oldest(entry)
+            if entry.waiters:
                 self._schedule_straggler_rescue(cond)
             self._resume([wg_id], cause="straggler-timeout", stagger=0)
 
         self.env.call_at(interval, _rescue)
+
+    def _pop_oldest(self, entry: _ConditionEntry) -> Tuple[int, int]:
+        """Remove the longest-waiting WG of ``entry`` (dropping the entry
+        once it has no waiters left); returns ``(wg_id, registered)``."""
+        wg_id, registered = next(iter(entry.waiters.items()))
+        del entry.waiters[wg_id]
+        self._waiting_list_used -= 1
+        if not entry.waiters:
+            self._drop_entry(entry)
+        return wg_id, registered
 
     def _resume(self, wg_ids: List[int], cause: str, stagger: int) -> None:
         if self.notify_fault is not None:

@@ -34,6 +34,7 @@ from repro.experiments.report import ExperimentResult, geomean
 from repro.experiments.runner import (
     OVERSUBSCRIBED,
     PAPER_SCALE,
+    QUICK_OVERSUBSCRIBED,
     QUICK_SCALE,
     RunResult,
     Scenario,
@@ -46,6 +47,7 @@ __all__ = [
     "MatrixResult",
     "OVERSUBSCRIBED",
     "PAPER_SCALE",
+    "QUICK_OVERSUBSCRIBED",
     "QUICK_SCALE",
     "ResultCache",
     "RunRequest",

@@ -21,39 +21,43 @@ table, and each has a ``check_*`` that asserts its finding there.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.policies import awg, monnr_all, monnr_one
 from repro.experiments.matrix import RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import PAPER_SCALE, SWEEP_SCALE, Scenario
 
+#: SyncMon condition-cache set counts swept, fully provisioned first
+SYNCMON_SETS = [256, 16, 4, 1]
+
+#: Monitor Log capacities swept, in entries, largest first
+LOG_ENTRIES = [1024, 64, 8, 2]
+
 
 def syncmon_capacity(
     scenario: Scenario = SWEEP_SCALE,
-    benchmark: str = "FAM_G",
-    set_counts: Optional[List[int]] = None,
     jobs: Optional[int] = None,
     cache="default",
 ) -> ExperimentResult:
-    """Condition-cache capacity sweep (4-way, so capacity = 4 x sets)."""
-    set_counts = set_counts or [256, 16, 4, 1]
+    """Condition-cache capacity sweep on FAM_G (4-way, so capacity = 4 x
+    sets)."""
     result = ExperimentResult(
-        title=f"Ablation: SyncMon condition-cache capacity ({benchmark})",
+        title="Ablation: SyncMon condition-cache capacity (FAM_G)",
         columns=["conditions", "cycles", "normalized", "spills",
                  "log peak", "cp resumes"],
         row_label="config",
     )
     matrix = run_matrix(
         [
-            RunRequest(benchmark, awg(), scenario,
+            RunRequest("FAM_G", awg(), scenario,
                        config_overrides={"syncmon_sets": sets})
-            for sets in set_counts
+            for sets in SYNCMON_SETS
         ],
         jobs=jobs, cache=cache,
     )
     base_cycles = None
-    for sets, res in zip(set_counts, matrix):
+    for sets, res in zip(SYNCMON_SETS, matrix):
         assert res.ok, f"virtualization must preserve progress (sets={sets})"
         if base_cycles is None:
             base_cycles = res.cycles
@@ -81,33 +85,31 @@ def check_syncmon_capacity(result: ExperimentResult) -> None:
 
 def monitor_log_capacity(
     scenario: Scenario = SWEEP_SCALE,
-    benchmark: str = "SLM_G",
-    capacities: Optional[List[int]] = None,
     jobs: Optional[int] = None,
     cache="default",
 ) -> ExperimentResult:
-    """Monitor Log capacity sweep with a tiny SyncMon (everything spills)."""
-    capacities = capacities or [1024, 64, 8, 2]
+    """Monitor Log capacity sweep on SLM_G with a tiny SyncMon
+    (everything spills)."""
     result = ExperimentResult(
-        title=f"Ablation: Monitor Log capacity ({benchmark}, 4-condition "
+        title="Ablation: Monitor Log capacity (SLM_G, 4-condition "
               "SyncMon so the log carries the load)",
         columns=["cycles", "normalized", "log-full retries"],
         row_label="entries",
     )
     matrix = run_matrix(
         [
-            RunRequest(benchmark, awg(), scenario,
+            RunRequest("SLM_G", awg(), scenario,
                        config_overrides={
                            "syncmon_sets": 1,
                            "monitor_log_entries": cap,
                            "cp_check_interval": 1_000,
                        })
-            for cap in capacities
+            for cap in LOG_ENTRIES
         ],
         jobs=jobs, cache=cache,
     )
     base_cycles = None
-    for cap, res in zip(capacities, matrix):
+    for cap, res in zip(LOG_ENTRIES, matrix):
         assert res.ok, f"Mesa busy-retry must preserve progress (cap={cap})"
         if base_cycles is None:
             base_cycles = res.cycles

@@ -33,6 +33,7 @@ import hashlib
 import json
 import os
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
@@ -45,23 +46,7 @@ _SHARD_GLOB = "[0-9a-f][0-9a-f]"
 _ENTRY_GLOB = f"{_SHARD_GLOB}/*.json"
 
 #: RunResult fields persisted to disk (everything except ``gpu``)
-RESULT_FIELDS = (
-    "benchmark",
-    "policy",
-    "scenario",
-    "cycles",
-    "completed",
-    "deadlocked",
-    "reason",
-    "atomics",
-    "waiting_atomics",
-    "context_switches",
-    "wg_running_cycles",
-    "wg_waiting_cycles",
-    "stats",
-    "diagnosis",
-    "trace",
-)
+_PERSISTED = tuple(f.name for f in fields(RunResult) if f.name != "gpu")
 
 _FINGERPRINT: Optional[str] = None
 
@@ -71,7 +56,7 @@ def result_to_payload(result: RunResult) -> Dict[str, Any]:
     field except the never-picklable GPU handle. Shared by the result
     cache and repro bundles so both stores round-trip results
     identically."""
-    return {name: getattr(result, name) for name in RESULT_FIELDS}
+    return {name: getattr(result, name) for name in _PERSISTED}
 
 
 def result_from_payload(payload: Dict[str, Any]) -> RunResult:

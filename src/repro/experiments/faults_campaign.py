@@ -56,9 +56,8 @@ SMOKE_SCALE = CAMPAIGN_SCALE.scaled(
 SMOKE_BENCHMARKS = ["SPM_G", "TB_LG"]
 
 
-def default_policies() -> List[PolicySpec]:
-    """Baseline (no IFP) plus the IFP ladder the paper argues for."""
-    return [baseline(), timeout(20_000), monnr_all(), monnr_one(), awg()]
+#: Baseline (no IFP) plus the IFP ladder the paper argues for
+POLICIES = [baseline(), timeout(20_000), monnr_all(), monnr_one(), awg()]
 
 
 @dataclass
@@ -101,10 +100,7 @@ def _violation_bundles(violating):
 def run(
     seed: int = 1,
     smoke: bool = False,
-    benchmarks: Optional[List[str]] = None,
-    policies: Optional[List[PolicySpec]] = None,
     plans: Optional[List[FaultPlan]] = None,
-    scenario: Optional[Scenario] = None,
     jobs: Optional[int] = None,
     cache="default",
     bundle_dir=None,
@@ -116,11 +112,8 @@ def run(
     replayable failure (a deadlock diagnosis or a raised exception)
     emits a repro bundle there; ``shrink=True`` additionally minimizes
     each one (:func:`repro.recovery.shrink.write_violation_bundles`)."""
-    scenario = scenario or (SMOKE_SCALE if smoke else CAMPAIGN_SCALE)
-    scenario = scenario.scaled(seed=seed)
-    benchmarks = benchmarks or (
-        SMOKE_BENCHMARKS if smoke else benchmark_names())
-    policies = policies or default_policies()
+    scenario = (SMOKE_SCALE if smoke else CAMPAIGN_SCALE).scaled(seed=seed)
+    benchmarks = SMOKE_BENCHMARKS if smoke else benchmark_names()
     plans = plans or [named_plan(name, seed=seed) for name in plan_names()]
 
     requests = [
@@ -130,14 +123,14 @@ def run(
                    validate=_expectation(policy, plan) == "complete")
         for plan in plans
         for bench in benchmarks
-        for policy in policies
+        for policy in POLICIES
     ]
     matrix = run_matrix(requests, jobs=jobs, cache=cache)
 
     table = ExperimentResult(
         title=f"Fault campaign (seed={seed}, "
               f"{scenario.label}): cycles, or the failure mode",
-        columns=[p.name for p in policies],
+        columns=[p.name for p in POLICIES],
         row_label="benchmark × plan",
     )
     violations: List[str] = []
@@ -147,7 +140,7 @@ def run(
     for plan in plans:
         for bench in benchmarks:
             row = f"{bench} × {plan.name}"
-            for policy in policies:
+            for policy in POLICIES:
                 cell = matrix.cells[index]
                 index += 1
                 expect = _expectation(policy, plan)

@@ -9,7 +9,7 @@ component.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.policies import monnr_all, monnr_one, timeout
 from repro.experiments.matrix import RunRequest, run_matrix
@@ -18,17 +18,14 @@ from repro.experiments.runner import SWEEP_SCALE, Scenario
 from repro.workloads.registry import benchmark_names
 
 #: the paper's Figure 11 covers the 10 Table 2 benchmarks (no SPMBO)
-def fig11_benchmarks() -> List[str]:
-    return [n for n in benchmark_names() if not n.startswith("SPMBO")]
+BENCHMARKS = [n for n in benchmark_names() if not n.startswith("SPMBO")]
 
 
 def run(
     scenario: Scenario = SWEEP_SCALE,
-    benchmarks: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     cache="default",
 ) -> ExperimentResult:
-    benchmarks = benchmarks or fig11_benchmarks()
     policies = [timeout(20_000), monnr_all(), monnr_one()]
     cols = []
     for p in policies:
@@ -40,10 +37,10 @@ def run(
     )
     requests = [
         RunRequest(name, policy, scenario)
-        for name in benchmarks for policy in policies
+        for name in BENCHMARKS for policy in policies
     ]
     matrix = run_matrix(requests, jobs=jobs, cache=cache)
-    for name in benchmarks:
+    for name in BENCHMARKS:
         runs = {p.name: matrix.get(name, p.name) for p in policies}
         denom = max(
             1, runs["Timeout-20k"].wg_running_cycles

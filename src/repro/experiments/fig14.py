@@ -23,8 +23,7 @@ from repro.workloads.registry import BENCHMARKS, benchmark_names
 GEOMEAN_ROW = "GeoMean"
 
 
-def default_policies() -> List[PolicySpec]:
-    return [baseline(), sleep(16_000), timeout(20_000),
+POLICIES = [baseline(), sleep(16_000), timeout(20_000),
             monnr_all(), monnr_one(), awg()]
 
 
@@ -37,30 +36,27 @@ def _skip(name: str, policy: PolicySpec) -> bool:
 
 def run(
     scenario: Scenario = PAPER_SCALE,
-    benchmarks: Optional[List[str]] = None,
-    policies: Optional[List[PolicySpec]] = None,
     jobs: Optional[int] = None,
     cache="default",
 ) -> ExperimentResult:
-    benchmarks = benchmarks or benchmark_names()
-    policies = policies or default_policies()
+    benchmarks = benchmark_names()
     result = ExperimentResult(
         title="Figure 14: Speedup normalized to Baseline, "
               "non-oversubscribed (log-scale in the paper)",
-        columns=[p.name for p in policies],
+        columns=[p.name for p in POLICIES],
     )
     requests = [RunRequest(name, baseline(), scenario) for name in benchmarks]
     requests += [
         RunRequest(name, policy, scenario)
         for name in benchmarks
-        for policy in policies
+        for policy in POLICIES
         if policy.name != "Baseline" and not _skip(name, policy)
     ]
     matrix = run_matrix(requests, jobs=jobs, cache=cache)
-    speedups: Dict[str, List[float]] = {p.name: [] for p in policies}
+    speedups: Dict[str, List[float]] = {p.name: [] for p in POLICIES}
     for name in benchmarks:
         base = matrix.get(name, "Baseline")
-        for policy in policies:
+        for policy in POLICIES:
             if _skip(name, policy):
                 result.add_row(name, **{policy.name: None})
                 continue
@@ -69,7 +65,7 @@ def run(
             result.add_row(name, **{policy.name: speedup})
     result.add_row(
         GEOMEAN_ROW,
-        **{p.name: geomean(speedups[p.name]) for p in policies},
+        **{p.name: geomean(speedups[p.name]) for p in POLICIES},
     )
     result.notes.append("paper: AWG geomean = 12x over Baseline")
     result.notes.append(matrix.summary())

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.policies import (
-    PolicySpec, awg, baseline, monnr_all, monnr_one, sleep, timeout,
+    awg, baseline, monnr_all, monnr_one, sleep, timeout,
 )
 from repro.experiments.matrix import RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult, geomean
@@ -26,24 +26,20 @@ GEOMEAN_ROW = "GeoMean"
 DEADLOCK = "DEADLOCK"
 
 
-def default_policies() -> List[PolicySpec]:
-    return [baseline(), sleep(16_000), timeout(20_000),
+POLICIES = [baseline(), sleep(16_000), timeout(20_000),
             monnr_all(), monnr_one(), awg()]
 
 
 def run(
     scenario: Scenario = OVERSUBSCRIBED,
-    benchmarks: Optional[List[str]] = None,
-    policies: Optional[List[PolicySpec]] = None,
     jobs: Optional[int] = None,
     cache="default",
 ) -> ExperimentResult:
-    benchmarks = benchmarks or benchmark_names()
-    policies = policies or default_policies()
+    benchmarks = benchmark_names()
     result = ExperimentResult(
         title="Figure 15: Speedup normalized to Timeout, oversubscribed "
               f"(resource loss at {scenario.resource_loss_at_us} us)",
-        columns=[p.name for p in policies],
+        columns=[p.name for p in POLICIES],
     )
     requests = [
         RunRequest(name, timeout(20_000), scenario) for name in benchmarks
@@ -51,14 +47,14 @@ def run(
     requests += [
         RunRequest(name, policy, scenario)
         for name in benchmarks
-        for policy in policies
+        for policy in POLICIES
         if policy.name != "Timeout-20k"
     ]
     matrix = run_matrix(requests, jobs=jobs, cache=cache)
-    speedups: Dict[str, List[float]] = {p.name: [] for p in policies}
+    speedups: Dict[str, List[float]] = {p.name: [] for p in POLICIES}
     for name in benchmarks:
         norm = matrix.get(name, "Timeout-20k")
-        for policy in policies:
+        for policy in POLICIES:
             res = matrix.get(name, policy.name)
             if not res.ok:
                 result.add_row(name, **{policy.name: DEADLOCK})
@@ -70,7 +66,7 @@ def run(
         GEOMEAN_ROW,
         **{
             p.name: (geomean(speedups[p.name]) if speedups[p.name] else None)
-            for p in policies
+            for p in POLICIES
         },
     )
     result.notes.append(

@@ -9,7 +9,7 @@ every benchmark.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.policies import baseline, sleep
 from repro.experiments.matrix import RunRequest, run_matrix
@@ -18,39 +18,35 @@ from repro.experiments.runner import SWEEP_SCALE, Scenario
 from repro.workloads.registry import BENCHMARKS
 
 #: maximum backoff intervals, in cycles (the paper's Sleep-Xk labels)
-DEFAULT_INTERVALS = [1_000, 2_000, 4_000, 8_000, 16_000, 32_000,
-                     64_000, 128_000, 256_000]
+INTERVALS = [1_000, 2_000, 4_000, 8_000, 16_000, 32_000,
+             64_000, 128_000, 256_000]
 
-
-def sleep_benchmarks() -> List[str]:
-    return [n for n, s in BENCHMARKS.items() if s.supports_sleep]
+#: the benchmarks the paper modified to use exponential backoff
+SLEEP_BENCHMARKS = [n for n, s in BENCHMARKS.items() if s.supports_sleep]
 
 
 def run(
     scenario: Scenario = SWEEP_SCALE,
-    intervals: Optional[List[int]] = None,
     jobs: Optional[int] = None,
     cache="default",
 ) -> ExperimentResult:
-    intervals = intervals or DEFAULT_INTERVALS
-    labels = [f"Sleep-{i // 1000}k" for i in intervals]
+    labels = [f"Sleep-{i // 1000}k" for i in INTERVALS]
     result = ExperimentResult(
         title="Figure 7: Exponential backoff with s_sleep "
               "(runtime normalized to Baseline; < 1 is faster)",
         columns=["Baseline"] + labels,
     )
-    names = sleep_benchmarks()
     requests = []
-    for name in names:
+    for name in SLEEP_BENCHMARKS:
         requests.append(RunRequest(name, baseline(), scenario))
-        for interval in intervals:
+        for interval in INTERVALS:
             requests.append(
                 RunRequest(name, sleep(backoff_max=interval), scenario))
     matrix = run_matrix(requests, jobs=jobs, cache=cache)
-    for name in names:
+    for name in SLEEP_BENCHMARKS:
         base = matrix.get(name, "Baseline")
         result.add_row(name, Baseline=1.0)
-        for interval, label in zip(intervals, labels):
+        for interval, label in zip(INTERVALS, labels):
             res = matrix.get(name, sleep(backoff_max=interval).name)
             result.add_row(name, **{label: res.cycles / base.cycles})
     result.notes.append(

@@ -9,7 +9,7 @@ hardware monitoring.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.policies import baseline, timeout
 from repro.experiments.matrix import RunRequest, run_matrix
@@ -17,19 +17,17 @@ from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import SWEEP_SCALE, Scenario
 from repro.workloads.registry import benchmark_names
 
-DEFAULT_INTERVALS = [10_000, 20_000, 50_000, 100_000]
+#: timeout intervals, in cycles (the paper's Timeout-Xk labels)
+INTERVALS = [10_000, 20_000, 50_000, 100_000]
 
 
 def run(
     scenario: Scenario = SWEEP_SCALE,
-    intervals: Optional[List[int]] = None,
-    benchmarks: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     cache="default",
 ) -> ExperimentResult:
-    intervals = intervals or DEFAULT_INTERVALS
-    benchmarks = benchmarks or benchmark_names()
-    labels = [f"Timeout-{i // 1000}k" for i in intervals]
+    benchmarks = benchmark_names()
+    labels = [f"Timeout-{i // 1000}k" for i in INTERVALS]
     result = ExperimentResult(
         title="Figure 8: Timeout interval runtime, normalized to Baseline",
         columns=["Baseline"] + labels,
@@ -37,13 +35,13 @@ def run(
     requests = []
     for name in benchmarks:
         requests.append(RunRequest(name, baseline(), scenario))
-        for interval in intervals:
+        for interval in INTERVALS:
             requests.append(RunRequest(name, timeout(interval), scenario))
     matrix = run_matrix(requests, jobs=jobs, cache=cache)
     for name in benchmarks:
         base = matrix.get(name, "Baseline")
         result.add_row(name, Baseline=1.0)
-        for interval, label in zip(intervals, labels):
+        for interval, label in zip(INTERVALS, labels):
             res = matrix.get(name, timeout(interval).name)
             result.add_row(name, **{label: res.cycles / base.cycles})
     result.notes.append(

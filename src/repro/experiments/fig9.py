@@ -10,7 +10,7 @@ condition has one waiter and one update.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.policies import minresume, monnr_all, monr_all, monrs_all
 from repro.experiments.matrix import RunRequest, run_matrix
@@ -24,11 +24,10 @@ DECENTRALIZED = ["SLM_G", "SLM_L", "LFTB_LG", "LFTBEX_LG"]
 
 def run(
     scenario: Scenario = SWEEP_SCALE,
-    benchmarks: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     cache="default",
 ) -> ExperimentResult:
-    benchmarks = benchmarks or benchmark_names()
+    benchmarks = benchmark_names()
     policies = [minresume(), monrs_all(), monr_all(), monnr_all()]
     result = ExperimentResult(
         title="Figure 9: Wait efficiency — dynamic atomic instruction "

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional
 
 from repro.core.policies import PolicySpec
 from repro.faults.plan import FaultPlan
 from repro.gpu.config import GPUConfig
-from repro.gpu.gpu import GPU
+from repro.gpu.gpu import GPU, RunResult
 from repro.gpu.preemption import ResourceLossEvent
 from repro.workloads.registry import BenchmarkParams, build_benchmark
 
@@ -116,35 +116,13 @@ QUICK_SCALE = Scenario(
     deadlock_window=200_000,
 )
 
-
-@dataclass
-class RunResult:
-    """Outcome of one (benchmark, policy, scenario) simulation."""
-
-    benchmark: str
-    policy: str
-    scenario: str
-    cycles: int
-    completed: bool
-    deadlocked: bool
-    reason: str
-    atomics: int
-    waiting_atomics: int
-    context_switches: int
-    wg_running_cycles: int
-    wg_waiting_cycles: int
-    stats: Dict[str, float] = field(default_factory=dict)
-    #: structured watchdog diagnosis for deadlocked/livelocked runs
-    diagnosis: Optional[Dict[str, Any]] = None
-    #: exported Chrome trace_event document when ``GPUConfig.trace`` was
-    #: set (plain JSON-serializable dict; survives the result cache like
-    #: ``diagnosis`` does); None with tracing off
-    trace: Optional[Dict[str, Any]] = None
-    gpu: Optional[GPU] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.completed and not self.deadlocked
+#: the oversubscribed experiment at ``QUICK_SCALE``'s machine size (what
+#: ``--quick`` runs Figures 13 and 15 and ``run --oversubscribed`` at)
+QUICK_OVERSUBSCRIBED = OVERSUBSCRIBED.scaled(
+    total_wgs=32, wgs_per_group=4, max_wgs_per_cu=4,
+    iterations=3, episodes=6, resource_loss_at_us=10.0,
+    label="quick-oversubscribed",
+)
 
 
 def run_benchmark(
@@ -154,52 +132,24 @@ def run_benchmark(
     validate: bool = True,
     keep_gpu: bool = False,
     config_overrides: Optional[Dict] = None,
-    **param_overrides,
 ) -> RunResult:
     """Simulate one benchmark under one policy in one scenario.
 
     Validates final memory state (mutual exclusion / barrier completion)
     for completed runs unless ``validate=False``."""
-    config = scenario.config(**(config_overrides or {}))
-    gpu = GPU(config, policy)
-    params = scenario.params().with_overrides(**param_overrides)
-    kernel = build_benchmark(name, gpu, params=params)
+    gpu = GPU(scenario.config(**(config_overrides or {})), policy)
+    kernel = build_benchmark(name, gpu, params=scenario.params())
     if scenario.resource_loss_at_us is not None:
         ResourceLossEvent(at_us=scenario.resource_loss_at_us).schedule(gpu)
     gpu.launch(kernel)
-    outcome = gpu.run()
-    if outcome.ok and validate:
+    result = gpu.run()
+    if result.ok and validate:
         kernel.args["validate"](gpu)
-    stats = dict(outcome.stats)
-    # Derived metrics the table/figure modules need. Exporting them here
-    # keeps RunResult self-contained (picklable across the run_matrix
-    # process pool and serializable into the result cache) so no consumer
-    # has to hold onto the GPU object.
-    for key, nbytes in gpu.cp.datastructure_bytes().items():
-        stats[f"cp.ds.{key}"] = float(nbytes)
-    stats["cp.arena.peak_bytes"] = float(gpu.cp.arena.peak_bytes)
-    for key, value in gpu.syncmon.characterization().items():
-        stats[f"char.{key}"] = float(value)
-    trace = None
+    result.scenario = scenario.label
     if gpu.tracer is not None:
-        trace = gpu.tracer.export_chrome(
+        result.trace = gpu.tracer.export_chrome(
             label=f"{name}/{policy.name}/{scenario.label}"
         )
-    return RunResult(
-        benchmark=name,
-        policy=policy.name,
-        scenario=scenario.label,
-        cycles=outcome.cycles,
-        completed=outcome.completed,
-        deadlocked=outcome.deadlocked,
-        reason=outcome.reason,
-        atomics=int(outcome.stats.get("device.atomics", 0)),
-        waiting_atomics=int(outcome.stats.get("device.waiting_atomics", 0)),
-        context_switches=outcome.context_switches,
-        wg_running_cycles=outcome.wg_running_cycles,
-        wg_waiting_cycles=outcome.wg_waiting_cycles,
-        stats=stats,
-        diagnosis=outcome.diagnosis,
-        trace=trace,
-        gpu=gpu if keep_gpu else None,
-    )
+    if keep_gpu:
+        result.gpu = gpu
+    return result

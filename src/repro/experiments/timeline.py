@@ -18,11 +18,11 @@ Legend: ``.`` pending, ``R`` running, ``s`` stalled, ``x`` switching out,
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core.policies import PolicySpec
 from repro.gpu.config import GPUConfig
-from repro.gpu.gpu import GPU
+from repro.gpu.gpu import GPU, RunResult
 from repro.gpu.workgroup import WGState
 from repro.trace import TraceConfig
 from repro.workloads.registry import build_benchmark
@@ -58,29 +58,19 @@ def glyph_for(state: WGState) -> str:
         ) from None
 
 
-def trace_run(
-    policy: PolicySpec,
-    benchmark: str = "FAM_G",
-    total_wgs: int = 6,
-    wgs_per_group: int = 3,
-    iterations: int = 2,
-    max_wgs_per_cu: int = 2,
-    num_cus: int = 2,
-):
-    """Run a tiny oversubscription-prone configuration with tracing on."""
+def trace_run(policy: PolicySpec) -> Tuple[GPU, RunResult]:
+    """Run FAM_G on a tiny oversubscription-prone machine (6 WGs, 2 CUs
+    of 2 slots each) with the ``wg`` trace category on."""
     config = GPUConfig(
-        num_cus=num_cus,
-        max_wgs_per_cu=max_wgs_per_cu,
+        num_cus=2,
+        max_wgs_per_cu=2,
         trace=TraceConfig(categories=("wg",)),
         deadlock_window=250_000,
     )
     gpu = GPU(config, policy)
-    kernel = build_benchmark(benchmark, gpu, total_wgs=total_wgs,
-                             wgs_per_group=wgs_per_group,
-                             iterations=iterations)
-    gpu.launch(kernel)
-    outcome = gpu.run()
-    return gpu, outcome
+    gpu.launch(build_benchmark("FAM_G", gpu, total_wgs=6, wgs_per_group=3,
+                               iterations=2))
+    return gpu, gpu.run()
 
 
 def render_timeline(gpu: GPU, width: int = 100) -> str:

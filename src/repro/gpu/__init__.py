@@ -10,7 +10,7 @@ compute units; the command processor performs the slow operations
 
 from repro.gpu.config import GPUConfig
 from repro.gpu.cooperative import CooperativeLaunch, launch_cooperative
-from repro.gpu.gpu import GPU, RunOutcome
+from repro.gpu.gpu import GPU, RunResult
 from repro.gpu.kernel import Kernel, KernelLaunch
 from repro.gpu.kernel_scheduler import PriorityKernelScheduler
 from repro.gpu.preemption import ResourceLossEvent, ResourceRestoreEvent
@@ -25,7 +25,7 @@ __all__ = [
     "PriorityKernelScheduler",
     "ResourceLossEvent",
     "ResourceRestoreEvent",
-    "RunOutcome",
+    "RunResult",
     "WGState",
     "launch_cooperative",
 ]

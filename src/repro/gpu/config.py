@@ -13,7 +13,7 @@ as the paper's text in :mod:`repro.experiments.table1`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -123,7 +123,3 @@ class GPUConfig:
 
     def microseconds(self, cycles: int) -> float:
         return cycles / (self.clock_ghz * 1_000)
-
-    def with_overrides(self, **kwargs) -> "GPUConfig":
-        """Functional update; used by experiment sweeps."""
-        return replace(self, **kwargs)

@@ -38,24 +38,42 @@ LIVELOCK_WINDOWS = 8
 
 
 @dataclass
-class RunOutcome:
-    """Result of one :meth:`GPU.run`."""
+class RunResult:
+    """Outcome of one simulated run: what :meth:`GPU.run` returns, and
+    what the experiment matrix caches (every field but ``gpu``)."""
 
+    benchmark: str
+    policy: str
+    cycles: int
     completed: bool
     deadlocked: bool
-    cycles: int
     reason: str
+    context_switches: int
+    wg_running_cycles: int
+    wg_waiting_cycles: int
+    #: scenario label (set by ``run_benchmark``; "" for a bare GPU run)
+    scenario: str = ""
     stats: Dict[str, float] = field(default_factory=dict)
-    wg_running_cycles: int = 0
-    wg_waiting_cycles: int = 0
-    context_switches: int = 0
     #: structured watchdog diagnosis (kind, reason, per-WG stall report);
     #: None unless the run deadlocked or livelocked
     diagnosis: Optional[Dict[str, Any]] = None
+    #: exported Chrome trace_event document when ``GPUConfig.trace`` was
+    #: set and ``run_benchmark`` ran the cell (plain JSON-serializable
+    #: dict, so it survives the result cache); None otherwise
+    trace: Optional[Dict[str, Any]] = None
+    gpu: Optional["GPU"] = None
 
     @property
     def ok(self) -> bool:
         return self.completed and not self.deadlocked
+
+    @property
+    def atomics(self) -> int:
+        return int(self.stats.get("device.atomics", 0))
+
+    @property
+    def waiting_atomics(self) -> int:
+        return int(self.stats.get("device.waiting_atomics", 0))
 
 
 class GPU:
@@ -65,12 +83,11 @@ class GPU:
         self,
         config: GPUConfig,
         policy: PolicySpec,
-        seed: Optional[int] = None,
     ) -> None:
         self.config = config
         self.policy = policy
         self.env = Engine()
-        self.rng = RngStream(seed if seed is not None else config.seed, "gpu")
+        self.rng = RngStream(config.seed, "gpu")
         self.stats = StatRegistry()
         #: structured event tracer (:mod:`repro.trace`); None = tracing off
         self.tracer: Optional[Tracer] = (
@@ -197,7 +214,7 @@ class GPU:
     # ------------------------------------------------------------------
     # the run loop
     # ------------------------------------------------------------------
-    def run(self) -> RunOutcome:
+    def run(self) -> RunResult:
         cfg = self.config
         env = self.env
         last_progress = -1
@@ -297,7 +314,7 @@ class GPU:
         deadlocked: bool,
         reason: str,
         diagnosis: Optional[Dict[str, Any]] = None,
-    ) -> RunOutcome:
+    ) -> RunResult:
         running = 0
         waiting = 0
         switches = 0
@@ -316,14 +333,24 @@ class GPU:
         snap["log.appends"] = snap["syncmon.spills"]
         snap["log.peak"] = float(self.monitor_log.peak_occupancy)
         snap["cp.spilled_resumes"] = float(self.cp.spilled_resumes)
-        return RunOutcome(
+        # derived metrics the table/figure modules read, so a result
+        # stands alone (picklable across the process pool, serializable
+        # into the result cache) without the GPU object
+        for key, nbytes in self.cp.datastructure_bytes().items():
+            snap[f"cp.ds.{key}"] = float(nbytes)
+        snap["cp.arena.peak_bytes"] = float(self.cp.arena.peak_bytes)
+        for key, value in self.syncmon.characterization().items():
+            snap[f"char.{key}"] = float(value)
+        return RunResult(
+            benchmark="+".join(launch.kernel.name for launch in self.launches),
+            policy=self.policy.name,
+            cycles=self.env.now,
             completed=completed,
             deadlocked=deadlocked,
-            cycles=self.env.now,
             reason=reason,
-            stats=snap,
+            context_switches=switches,
             wg_running_cycles=running,
             wg_waiting_cycles=waiting,
-            context_switches=switches,
+            stats=snap,
             diagnosis=diagnosis,
         )

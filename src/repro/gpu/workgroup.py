@@ -208,7 +208,7 @@ class WorkGroup:
             self.ready_when_saved = False
             gpu.dispatcher.mark_ready(self, cause="met-while-switching")
 
-    def evict_and_park(self, is_runnable: bool = True):
+    def evict_and_park(self):
         """Generator: forced eviction of a RUNNING WG at an op boundary.
 
         The WG is runnable (it was not waiting on a condition) so it goes
@@ -216,7 +216,7 @@ class WorkGroup:
         self.evict_requested = False
         self.resume_event = Event(self.gpu.env)
         yield from self.switch_out()
-        if is_runnable and not self.kernel_suspended:
+        if not self.kernel_suspended:
             self.gpu.dispatcher.mark_ready(self, cause="evicted")
         yield self.resume_event
         self.set_state(WGState.RUNNING)

@@ -35,7 +35,7 @@ from repro.core.policies import (
     timeout,
 )
 from repro.gpu.config import GPUConfig
-from repro.gpu.gpu import GPU, RunOutcome
+from repro.gpu.gpu import GPU, RunResult
 from repro.gpu.kernel import Kernel, ResourceProfile
 from repro.gpu.preemption import ResourceLossEvent, ResourceRestoreEvent
 from repro.litmus.generate import (
@@ -206,7 +206,7 @@ class LitmusRun:
 
     program: LitmusProgram
     policy: str
-    outcome: RunOutcome
+    outcome: RunResult
     schedule: ObservedSchedule
     judgments: Dict[str, Judgment]
     expected: str
@@ -268,7 +268,7 @@ def run_litmus(program: LitmusProgram, policy: PolicySpec,
 def _reconstruct(program: LitmusProgram, gpu: GPU,
                  layout: LitmusLayout,
                  observer: LitmusObserver,
-                 outcome: RunOutcome) -> ObservedSchedule:
+                 outcome: RunResult) -> ObservedSchedule:
     """Assemble the judged schedule from observer + final memory."""
     return ObservedSchedule(
         wgs=program.wgs,

@@ -52,9 +52,6 @@ class BenchmarkParams:
     #: each iteration (the master-thread idiom of the paper's Figure 10)
     wavefronts_per_wg: int = 1
 
-    def with_overrides(self, **kwargs) -> "BenchmarkParams":
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class Table2Row:
@@ -423,5 +420,5 @@ def build_benchmark(
     Keyword overrides update the default :class:`BenchmarkParams`, e.g.
     ``build_benchmark("SPM_G", gpu, total_wgs=64, iterations=2)``."""
     spec = get_spec(name)
-    params = (params or BenchmarkParams()).with_overrides(**overrides)
+    params = replace(params or BenchmarkParams(), **overrides)
     return spec.builder(spec, gpu, params)

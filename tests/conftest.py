@@ -1,5 +1,6 @@
 """Shared test configuration: hypothesis settings profiles, a
-session-wide private result cache, the ``disk`` fixture for the
+session-wide private result cache, the ``quick_table`` fixture (each
+artifact's ``--quick`` table, built once), the ``disk`` fixture for the
 durable writers, and :func:`check_golden`, the one way a test compares
 against (or, with ``REPRO_UPDATE_GOLDENS=1``, re-baselines) a committed
 golden JSON file.
@@ -94,6 +95,25 @@ def _private_result_cache(tmp_path_factory):
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = previous
+
+
+@pytest.fixture(scope="session")
+def quick_table(_private_result_cache):
+    """``quick_table(name)``: artifact ``name``'s table as ``awg-repro
+    NAME --quick`` builds it (its quick scale, or its committed scale
+    where it has none), built once per session through the session's
+    result cache."""
+    from repro.cli import ARTIFACTS
+
+    tables = {}
+
+    def build(name):
+        if name not in tables:
+            artifact = ARTIFACTS[name]
+            tables[name] = artifact.run(*artifact.scale(True))
+        return tables[name]
+
+    return build
 
 
 class FakeDisk:

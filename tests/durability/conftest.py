@@ -9,6 +9,5 @@ def sample_result() -> RunResult:
     return RunResult(
         benchmark="bench-a", policy="awg", scenario="durability",
         cycles=100, completed=True, deadlocked=False, reason="completed",
-        atomics=10, waiting_atomics=0, context_switches=3,
-        wg_running_cycles=93, wg_waiting_cycles=7,
+        context_switches=3, wg_running_cycles=93, wg_waiting_cycles=7,
         stats={"sync.acquires": 9.0})

@@ -1,44 +1,30 @@
-"""Quick-scale tests for the ablation studies."""
-
-import pytest
-
-from repro.experiments.ablations import (
-    monitor_log_capacity, resume_prediction, stall_prediction,
-    syncmon_capacity,
-)
-from repro.experiments.runner import PAPER_SCALE
-
-SCEN = PAPER_SCALE.scaled(total_wgs=32, wgs_per_group=4, max_wgs_per_cu=4,
-                          iterations=2, episodes=3, label="quick")
+"""The ablation studies' findings on their ``--quick`` tables (each
+``check_*`` also runs there, in ``test_figures.py``)."""
 
 
-def test_syncmon_capacity_spills_but_progresses():
-    result = syncmon_capacity(SCEN, set_counts=[256, 1])
-    rows = list(result.data.values())
+def test_syncmon_capacity_spills_but_progresses(quick_table):
+    rows = list(quick_table("ablation_syncmon").data.values())
     assert rows[0]["spills"] == 0
-    assert rows[1]["spills"] > 0
-    assert rows[1]["normalized"] >= 1.0
+    assert rows[-1]["spills"] > 0
+    assert rows[-1]["normalized"] >= 1.0
 
 
-def test_monitor_log_capacity_busy_retries():
-    result = monitor_log_capacity(SCEN, capacities=[1024, 2])
-    rows = list(result.data.values())
+def test_monitor_log_capacity_busy_retries(quick_table):
+    rows = list(quick_table("ablation_log").data.values())
     assert rows[0]["log-full retries"] == 0
-    assert rows[1]["log-full retries"] > 0
+    assert rows[-1]["log-full retries"] > 0
 
 
-def test_resume_prediction_tracks_best_fixed():
-    result = resume_prediction(SCEN)
+def test_resume_prediction_tracks_best_fixed(quick_table):
+    result = quick_table("ablation_resume")
     for name, row in result.data.items():
         assert row["AWG vs best fixed"] <= 1.2, name
     assert result.data["SPM_G"]["MonNR-One"] < result.data["SPM_G"]["MonNR-All"]
     assert result.data["TB_LG"]["MonNR-All"] < result.data["TB_LG"]["MonNR-One"]
 
 
-def test_stall_prediction_saves_switches():
-    from repro.experiments.ablations import STANDING_OVERSUB
-    scen = STANDING_OVERSUB.scaled(total_wgs=32, wgs_per_group=4,
-                                   max_wgs_per_cu=2, iterations=2, episodes=3)
-    result = stall_prediction(scen)
+def test_stall_prediction_saves_switches(quick_table):
+    # no quick scale: --quick runs the committed standing oversubscription
+    result = quick_table("ablation_stall")
     assert any(row["stall saves switches"] > 0
                for row in result.data.values())

@@ -88,9 +88,9 @@ def test_round_trip_preserves_every_field(cache):
     result = RunResult(
         benchmark="SPM_G", policy="AWG", scenario="quick",
         cycles=12345, completed=True, deadlocked=False, reason="completed",
-        atomics=678, waiting_atomics=90, context_switches=3,
-        wg_running_cycles=1000, wg_waiting_cycles=250,
-        stats={"l2.hit_rate": 0.123456789, "syncmon.spills": 4.0},
+        context_switches=3, wg_running_cycles=1000, wg_waiting_cycles=250,
+        stats={"l2.hit_rate": 0.123456789, "syncmon.spills": 4.0,
+               "device.atomics": 678.0, "device.waiting_atomics": 90.0},
     )
     cache.put("k" * 64, result)
     loaded = cache.get("k" * 64)
@@ -115,8 +115,7 @@ def test_round_trip_preserves_trace_document(cache):
     result = RunResult(
         benchmark="SPM_G", policy="AWG", scenario="quick",
         cycles=9, completed=True, deadlocked=False, reason="completed",
-        atomics=1, waiting_atomics=0, context_switches=0,
-        wg_running_cycles=9, wg_waiting_cycles=0,
+        context_switches=0, wg_running_cycles=9, wg_waiting_cycles=0,
         stats={"device.atomics": 1.0}, trace=trace,
     )
     cache.put("t" * 64, result)
@@ -143,8 +142,7 @@ def test_corrupt_entry_self_heals(cache):
     result = RunResult(
         benchmark="SPM_G", policy="AWG", scenario="quick",
         cycles=1, completed=True, deadlocked=False, reason="completed",
-        atomics=0, waiting_atomics=0, context_switches=0,
-        wg_running_cycles=0, wg_waiting_cycles=0,
+        context_switches=0, wg_running_cycles=0, wg_waiting_cycles=0,
     )
     key = "e" * 64
     cache.put(key, result)
@@ -161,8 +159,7 @@ def test_put_is_atomic_leaves_no_temp_files(cache):
     result = RunResult(
         benchmark="SPM_G", policy="AWG", scenario="quick",
         cycles=1, completed=True, deadlocked=False, reason="completed",
-        atomics=0, waiting_atomics=0, context_switches=0,
-        wg_running_cycles=0, wg_waiting_cycles=0,
+        context_switches=0, wg_running_cycles=0, wg_waiting_cycles=0,
     )
     key = "f" * 64
     cache.put(key, result)
@@ -176,8 +173,8 @@ def test_diagnosis_survives_the_round_trip(cache):
     result = RunResult(
         benchmark="SPM_G", policy="Baseline", scenario="quick",
         cycles=42, completed=False, deadlocked=True, reason="watchdog",
-        atomics=0, waiting_atomics=0, context_switches=1,
-        wg_running_cycles=0, wg_waiting_cycles=0, diagnosis=diagnosis,
+        context_switches=1, wg_running_cycles=0, wg_waiting_cycles=0,
+        diagnosis=diagnosis,
     )
     cache.put("9" * 64, result)
     assert cache.get("9" * 64).diagnosis == diagnosis
@@ -187,8 +184,7 @@ def test_clear_and_entry_count(cache):
     result = RunResult(
         benchmark="SPM_G", policy="AWG", scenario="quick",
         cycles=1, completed=True, deadlocked=False, reason="completed",
-        atomics=0, waiting_atomics=0, context_switches=0,
-        wg_running_cycles=0, wg_waiting_cycles=0,
+        context_switches=0, wg_running_cycles=0, wg_waiting_cycles=0,
     )
     cache.put("c" * 64, result)
     cache.put("d" * 64, result)
@@ -231,8 +227,7 @@ def _simple_result(cycles=1):
     return RunResult(
         benchmark="SPM_G", policy="AWG", scenario="quick",
         cycles=cycles, completed=True, deadlocked=False, reason="completed",
-        atomics=0, waiting_atomics=0, context_switches=0,
-        wg_running_cycles=0, wg_waiting_cycles=0,
+        context_switches=0, wg_running_cycles=0, wg_waiting_cycles=0,
     )
 
 
@@ -307,8 +302,7 @@ root, key = sys.argv[1], sys.argv[2]
 result = RunResult(
     benchmark="SPM_G", policy="AWG", scenario="quick",
     cycles=7, completed=True, deadlocked=False, reason="completed",
-    atomics=0, waiting_atomics=0, context_switches=0,
-    wg_running_cycles=0, wg_waiting_cycles=0,
+    context_switches=0, wg_running_cycles=0, wg_waiting_cycles=0,
 )
 cache = ResultCache(root, fingerprint="fp0")
 for _ in range(25):

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core.policies import awg, baseline, timeout
-from repro.experiments import fig14, fig15
+from repro.cli import ARTIFACTS
+from repro.core.policies import awg
+from repro.experiments.cache import ResultCache, default_cache
 from repro.experiments.matrix import CellError, RunRequest, run_matrix
 from repro.experiments.runner import QUICK_SCALE
 
@@ -101,19 +102,26 @@ def test_exhausted_retries_become_structured_failures(tmp_path, monkeypatch):
 # a failed cell fails its figure
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("figure", [fig14, fig15], ids=["fig14", "fig15"])
-def test_failed_cell_fails_its_figure_with_its_cell_error(figure,
+@pytest.mark.parametrize("name", ["fig14", "fig15"])
+def test_failed_cell_fails_its_figure_with_its_cell_error(name, quick_table,
                                                           monkeypatch):
-    execute = RunRequest.execute
+    # the --quick table's cells are in the session cache; only the
+    # failing cell misses, so it alone executes
+    quick_table(name)
+    artifact = ARTIFACTS[name]
+    failing = RunRequest("TB_LG", awg(), artifact.quick)
+    miss = default_cache().key_for(failing.spec())
+    get = ResultCache.get
+    monkeypatch.setattr(ResultCache, "get", lambda self, key:
+                        None if key == miss else get(self, key))
+    executed = []
 
     def fail_one(request):
-        if (request.benchmark, request.policy.name) == ("TB_LG", "AWG"):
-            raise RuntimeError("injected cell failure")
-        return execute(request)
+        executed.append((request.benchmark, request.policy.name))
+        raise RuntimeError("injected cell failure")
 
     monkeypatch.setattr(RunRequest, "execute", fail_one)
     with pytest.raises(CellError, match=r"cell \(TB_LG, AWG, ") as exc:
-        figure.run(SCEN, benchmarks=["SPM_G", "TB_LG"],
-                   policies=[baseline(), timeout(20_000), awg()],
-                   jobs=1, cache=None)
+        artifact.run(*artifact.scale(True), jobs=1)
     assert exc.value.failure["message"] == "injected cell failure"
+    assert executed == [("TB_LG", "AWG")]

@@ -18,11 +18,19 @@ from repro.recovery.bundle import load_bundle, replay_bundle
 def small_campaign():
     return faults_campaign.run(
         seed=1, smoke=True,
-        benchmarks=["SPM_G"],
-        policies=[baseline(), awg()],
         plans=[named_plan("calm"), named_plan("blackout")],
         jobs=1, cache=None,
     )
+
+
+def _cell(campaign, plan, bench, policy):
+    """The result of one cell; the campaign orders its cells plan ->
+    benchmark -> policy."""
+    benches = faults_campaign.SMOKE_BENCHMARKS
+    names = [p.name for p in faults_campaign.POLICIES]
+    index = ((plan * len(benches) + benches.index(bench)) * len(names)
+             + names.index(policy))
+    return campaign.matrix[index]
 
 
 def test_contract_holds(small_campaign):
@@ -40,34 +48,35 @@ def test_table_shows_cycles_and_failure_modes(small_campaign):
 
 
 def test_matrix_cells_follow_the_expectation(small_campaign):
-    matrix = small_campaign.matrix
-    # order: plan -> bench -> policy, i.e. (calm: Baseline, AWG),
-    # (blackout: Baseline, AWG)
-    assert matrix[0].ok                 # Baseline, no faults
-    assert matrix[1].ok                 # AWG, no faults
-    assert matrix[2].deadlocked         # Baseline loses a CU for good
-    assert matrix[2].diagnosis is not None
-    assert matrix[3].ok                 # AWG restores the evicted WGs
+    calm, blackout = 0, 1
+    assert _cell(small_campaign, calm, "SPM_G", "Baseline").ok
+    assert _cell(small_campaign, calm, "SPM_G", "AWG").ok
+    # Baseline loses a CU for good
+    stuck = _cell(small_campaign, blackout, "SPM_G", "Baseline")
+    assert stuck.deadlocked
+    assert stuck.diagnosis is not None
+    # AWG restores the evicted WGs
+    assert _cell(small_campaign, blackout, "SPM_G", "AWG").ok
 
 
 def test_campaign_is_deterministic():
-    kwargs = dict(seed=1, smoke=True, benchmarks=["SPM_G"],
-                  policies=[awg()], plans=[named_plan("storm")],
+    kwargs = dict(seed=1, smoke=True, plans=[named_plan("storm")],
                   jobs=1, cache=None)
     a = faults_campaign.run(**kwargs)
     b = faults_campaign.run(**kwargs)
     assert a.render() == b.render()
 
 
-def test_violating_cells_emit_replayable_shrunk_bundles(tmp_path):
+def test_violating_cells_emit_replayable_shrunk_bundles(tmp_path,
+                                                        monkeypatch):
     """`faults --bundles DIR --shrink`: every replayable violation
     lands as a bundle plus its minimized twin and shrink log."""
     # total_wgs=0 makes every cell raise ConfigError — a deterministic
     # "cell failed" violation with a replayable exception bundle
+    monkeypatch.setattr(faults_campaign, "SMOKE_SCALE",
+                        SMOKE_SCALE.scaled(total_wgs=0))
     result = faults_campaign.run(
-        seed=1, benchmarks=["SPM_G"], policies=[awg()],
-        plans=[named_plan("calm", seed=1)],
-        scenario=SMOKE_SCALE.scaled(total_wgs=0),
+        seed=1, smoke=True, plans=[named_plan("calm", seed=1)],
         jobs=1, cache=None, bundle_dir=tmp_path, shrink=True)
     assert not result.ok
     assert result.bundles, "a violating cell must emit a bundle"

@@ -22,41 +22,44 @@ def test_scenario_scaled():
     assert QUICK_SCALE.total_wgs == 32
 
 
+#: QUICK_SCALE with one iteration per WG
+ONE_ITERATION = QUICK_SCALE.scaled(iterations=1)
+
+
 def test_run_benchmark_returns_result():
-    res = run_benchmark("SPM_G", awg(), QUICK_SCALE, iterations=1)
+    res = run_benchmark("SPM_G", awg(), ONE_ITERATION)
     assert res.ok
     assert res.benchmark == "SPM_G"
     assert res.policy == "AWG"
+    assert res.scenario == "quick"
     assert res.cycles > 0
     assert res.atomics > 0
     assert res.gpu is None
 
 
 def test_run_benchmark_keep_gpu():
-    res = run_benchmark("SPM_G", awg(), QUICK_SCALE, keep_gpu=True,
-                        iterations=1)
+    res = run_benchmark("SPM_G", awg(), ONE_ITERATION, keep_gpu=True)
     assert res.gpu is not None
     assert res.stats["progress.wg_done"] == QUICK_SCALE.total_wgs
 
 
-def test_param_overrides_flow_through():
-    res = run_benchmark("SPM_G", awg(), QUICK_SCALE, total_wgs=8,
-                        wgs_per_group=4, iterations=1, keep_gpu=True)
+def test_scenario_scale_flows_through():
+    res = run_benchmark("SPM_G", awg(),
+                        ONE_ITERATION.scaled(total_wgs=8, wgs_per_group=4),
+                        keep_gpu=True)
     assert len(res.gpu.wgs) == 8
 
 
 def test_oversubscribed_scenario_deadlocks_baseline():
     scenario = OVERSUBSCRIBED.scaled(
         total_wgs=16, wgs_per_group=8, max_wgs_per_cu=2,
-        resource_loss_at_us=5.0, deadlock_window=150_000)
-    res = run_benchmark("FAM_G", baseline(), scenario,
-                        iterations=10, work_cycles=10, cs_cycles=5_000)
+        resource_loss_at_us=5.0, deadlock_window=150_000, iterations=10)
+    res = run_benchmark("FAM_G", baseline(), scenario)
     assert res.deadlocked
 
 
 def test_config_overrides():
-    res = run_benchmark("SPM_G", awg(), QUICK_SCALE, iterations=1,
-                        keep_gpu=True,
+    res = run_benchmark("SPM_G", awg(), ONE_ITERATION, keep_gpu=True,
                         config_overrides={"l2_banks": 16})
     assert len(res.gpu.hierarchy.l2_banks) == 16
 

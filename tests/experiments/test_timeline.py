@@ -10,8 +10,7 @@ from repro.gpu.workgroup import WGState
 
 
 def test_trace_records_transitions():
-    gpu, outcome = trace_run(monnr_all(), total_wgs=4, wgs_per_group=2,
-                             iterations=1)
+    gpu, outcome = trace_run(monnr_all())
     assert outcome.ok
     assert gpu.state_trace
     # every WG ends DONE and its last recorded transition says so
@@ -22,14 +21,13 @@ def test_trace_records_transitions():
 
 
 def test_trace_is_time_ordered():
-    gpu, _ = trace_run(awg(), total_wgs=4, wgs_per_group=2, iterations=1)
+    gpu, _ = trace_run(awg())
     cycles = [c for c, _w, _s in gpu.state_trace]
     assert cycles == sorted(cycles)
 
 
 def test_render_contains_every_wg():
-    gpu, _ = trace_run(timeout(10_000), total_wgs=4, wgs_per_group=2,
-                       iterations=1)
+    gpu, _ = trace_run(timeout(10_000))
     text = render_timeline(gpu, width=40)
     for wg in gpu.wgs:
         assert f"WG{wg.wg_id:>3d}" in text

@@ -37,12 +37,6 @@ def test_cycle_conversions():
     assert cfg.microseconds(100_000) == pytest.approx(50.0)
 
 
-def test_with_overrides():
-    cfg = GPUConfig().with_overrides(num_cus=2)
-    assert cfg.num_cus == 2
-    assert GPUConfig().num_cus == 8
-
-
 def test_describe_renders_table1():
     from repro.experiments import table1
 

@@ -207,7 +207,7 @@ def test_a_policy_without_a_backstop_never_backstops():
     # window then loses wake-ups, as analysis.specs predicts (MAY_DEADLOCK).
     from dataclasses import replace
 
-    from repro.cli import QUICK_OVERSUBSCRIBED
+    from repro.experiments import QUICK_OVERSUBSCRIBED
     from repro.core.policies import monr_all
     from repro.experiments import run_benchmark
 

@@ -46,7 +46,7 @@ from repro.core.policies import (
     timeout,
 )
 from repro.experiments import QUICK_SCALE, run_benchmark
-from repro.experiments.cache import RESULT_FIELDS, ResultCache
+from repro.experiments.cache import ResultCache, result_to_payload
 from repro.experiments.matrix import run_matrix
 from repro.gpu import gpu as gpu_module
 from repro.sim.engine import Engine
@@ -225,10 +225,6 @@ def _build_requests():
     return namespace["build_requests"]()
 
 
-def _result_fields(result):
-    return {name: getattr(result, name) for name in RESULT_FIELDS}
-
-
 def test_kill_and_resume_matches_reference_engine(tmp_path):
     """SIGKILL a sweep on the oracle queue mid-flight, resume it, and
     pin the resumed results bit-equal to an uninterrupted sweep on the
@@ -258,8 +254,8 @@ def test_kill_and_resume_matches_reference_engine(tmp_path):
     control = run_matrix(_build_requests(), jobs=1, cache=None)
     assert not control.errors
     for index in range(len(requests)):
-        assert _result_fields(resumed[index]) == \
-            _result_fields(control[index]), (
+        assert result_to_payload(resumed[index]) == \
+            result_to_payload(control[index]), (
                 f"cell {index} diverged between a killed-and-resumed "
                 f"oracle sweep and an uninterrupted production sweep"
             )

@@ -37,7 +37,7 @@ FIFO_BENCHMARKS = ["SPM_G", "FAM_G", "SLM_G", "FAM_L", "SLM_L", "TB_LG",
                          ids=lambda p: p.name)
 @pytest.mark.parametrize("bench", benchmark_names())
 def test_non_oversubscribed_everyone_completes(bench, policy):
-    res = run_benchmark(bench, policy, QUICK_SCALE, iterations=2, episodes=3)
+    res = run_benchmark(bench, policy, QUICK_SCALE)
     assert res.ok, (bench, policy.name, res.reason)
 
 
@@ -67,8 +67,7 @@ def test_all_policies_agree_on_final_memory():
     schedule differs; the computation must not)."""
     finals = {}
     for policy in IFP_POLICIES + NON_IFP:
-        res = run_benchmark("FAM_G", policy, QUICK_SCALE, iterations=2,
-                            keep_gpu=True)
+        res = run_benchmark("FAM_G", policy, QUICK_SCALE, keep_gpu=True)
         assert res.ok
         kernel_args = res.gpu.launches[0].kernel.args
         finals[policy.name] = res.gpu.store.read(kernel_args["data_addrs"][0])

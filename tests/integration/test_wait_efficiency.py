@@ -8,7 +8,7 @@ from repro.experiments.runner import QUICK_SCALE, run_benchmark
 
 
 def atomics_for(policy, bench="SPM_G"):
-    return run_benchmark(bench, policy, QUICK_SCALE, iterations=2).atomics
+    return run_benchmark(bench, policy, QUICK_SCALE).atomics
 
 
 def test_efficiency_ladder_on_contended_mutex():
@@ -32,8 +32,7 @@ def test_awg_close_to_oracle():
 def test_race_window_costs_time_not_correctness():
     """MonR-All (wait instruction) has the §IV.C window of vulnerability:
     it must still complete (backstop) and never corrupt data."""
-    res = run_benchmark("SLM_G", monr_all(backstop=30_000), QUICK_SCALE,
-                        iterations=2)
+    res = run_benchmark("SLM_G", monr_all(backstop=30_000), QUICK_SCALE)
     assert res.ok
 
 
@@ -41,9 +40,7 @@ def test_waiting_atomics_register_atomically():
     """MonNR policies never need the backstop on the decentralized ticket
     lock: no wakeups are lost, so runtime stays far below backstop-bound
     behaviour."""
-    racy = run_benchmark("SLM_G", monr_all(backstop=60_000), QUICK_SCALE,
-                         iterations=2)
-    racefree = run_benchmark("SLM_G", monnr_all(backstop=60_000), QUICK_SCALE,
-                             iterations=2)
+    racy = run_benchmark("SLM_G", monr_all(backstop=60_000), QUICK_SCALE)
+    racefree = run_benchmark("SLM_G", monnr_all(backstop=60_000), QUICK_SCALE)
     assert racefree.ok and racy.ok
     assert racefree.cycles <= racy.cycles

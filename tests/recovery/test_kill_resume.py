@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.cache import RESULT_FIELDS, ResultCache
+from repro.experiments.cache import ResultCache, result_to_payload
 from repro.experiments.matrix import RunRequest, SweepInterrupted, run_matrix
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -106,10 +106,6 @@ def _build_requests(snippet=REQUESTS_SNIPPET):
     return namespace["build_requests"]()
 
 
-def _result_fields(result):
-    return {name: getattr(result, name) for name in RESULT_FIELDS}
-
-
 def _spawn_child(tmp_path, cache_dir, snippet):
     script = tmp_path / "child_sweep.py"
     script.write_text(snippet + CHILD_MAIN)
@@ -143,8 +139,8 @@ def test_sigkill_resume_is_bit_identical_and_reexecutes_nothing(tmp_path):
     uninterrupted = run_matrix(_build_requests(), jobs=1, cache=None)
     assert not uninterrupted.errors
     for index in range(len(requests)):
-        assert _result_fields(resumed[index]) == \
-            _result_fields(uninterrupted[index]), \
+        assert result_to_payload(resumed[index]) == \
+            result_to_payload(uninterrupted[index]), \
             f"cell {index} diverged after crash-resume"
 
 

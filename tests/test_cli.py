@@ -128,7 +128,7 @@ def test_run_seed_reaches_the_scenario(mode, monkeypatch, tmp_path, capsys):
                          ids=["plain", "sanitize", "trace"])
 def test_run_oversubscribed_means_the_same_in_every_mode(
         mode, monkeypatch, tmp_path, capsys):
-    from repro.cli import QUICK_OVERSUBSCRIBED
+    from repro.experiments import QUICK_OVERSUBSCRIBED
 
     seen = _captured_scenarios(monkeypatch)
     assert main(["run", "SPM_G", "--quick", "--oversubscribed",

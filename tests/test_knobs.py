@@ -8,6 +8,7 @@ settings.
 """
 
 import ast
+import inspect
 import re
 import sys
 from dataclasses import fields
@@ -120,3 +121,52 @@ def test_every_machine_and_policy_field_is_read(cls):
     module = Path(sys.modules[cls.__module__].__file__).resolve()
     read = _names_read(module)
     assert [f.name for f in fields(cls) if f.name not in read] == []
+
+
+# -- entry-point census ------------------------------------------------------
+#
+# An experiment entry point takes its scale and, where it sweeps, the
+# matrix's jobs and cache: what the CLI passes. The parameter names are
+# pinned, so a parameter only a test would set cannot return unnoticed.
+
+SWEEP = ("scenario", "jobs", "cache")
+
+ENTRY_POINT_PARAMS = {
+    "table1": (),
+    "table2": SWEEP,
+    "fig5": ("scenario",),
+    "fig7": SWEEP,
+    "fig8": SWEEP,
+    "fig9": SWEEP,
+    "fig11": SWEEP,
+    "fig13": SWEEP,
+    "fig14": SWEEP,
+    "fig15": SWEEP,
+    "ablation_syncmon": SWEEP,
+    "ablation_log": SWEEP,
+    "ablation_resume": SWEEP,
+    "ablation_stall": SWEEP,
+    # besides the artifacts: every parameter is one the CLI passes
+    "faults_campaign.run": ("seed", "smoke", "plans", "jobs", "cache",
+                            "bundle_dir", "shrink"),
+    "timeline.trace_run": ("policy",),
+    "run_benchmark": ("name", "policy", "scenario", "validate", "keep_gpu",
+                      "config_overrides"),
+}
+
+
+def _entry_points():
+    from repro.cli import ARTIFACTS
+    from repro.experiments import faults_campaign, run_benchmark, timeline
+
+    functions = {name: artifact.run for name, artifact in ARTIFACTS.items()}
+    functions["faults_campaign.run"] = faults_campaign.run
+    functions["timeline.trace_run"] = timeline.trace_run
+    functions["run_benchmark"] = run_benchmark
+    return functions
+
+
+def test_entry_point_parameters_are_pinned():
+    found = {name: tuple(inspect.signature(fn).parameters)
+             for name, fn in _entry_points().items()}
+    assert found == ENTRY_POINT_PARAMS

@@ -47,12 +47,16 @@ def test_spin_mutex_locked_inspection():
 
 
 def test_outcome_ok_semantics():
-    from repro.gpu.gpu import RunOutcome
+    from repro.gpu.gpu import RunResult
 
-    good = RunOutcome(completed=True, deadlocked=False, cycles=1,
-                      reason="completed")
-    bad = RunOutcome(completed=False, deadlocked=True, cycles=1,
-                     reason="watchdog")
+    def outcome(completed, deadlocked, reason):
+        return RunResult(benchmark="k", policy="p", cycles=1,
+                         completed=completed, deadlocked=deadlocked,
+                         reason=reason, context_switches=0,
+                         wg_running_cycles=0, wg_waiting_cycles=0)
+
+    good = outcome(True, False, "completed")
+    bad = outcome(False, True, "watchdog")
     assert good.ok and not bad.ok
 
 

@@ -37,8 +37,12 @@ def test_get_spec_unknown():
 
 
 def test_params_overrides():
-    p = BenchmarkParams().with_overrides(total_wgs=16, iterations=1)
+    # keyword overrides update the default parameters, nothing else
+    kernel = build_benchmark("SPM_G", make_gpu(awg()), total_wgs=16,
+                             iterations=1)
+    p = kernel.args["params"]
     assert p.total_wgs == 16 and p.iterations == 1
+    assert p == BenchmarkParams(total_wgs=16, iterations=1)
     assert BenchmarkParams().total_wgs == 64
 
 
