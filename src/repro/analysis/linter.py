@@ -17,8 +17,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.dsl import iter_kernel_functions
 from repro.analysis.findings import Finding
-from repro.analysis.rules import RULES, check_kernel, iter_kernel_functions
+from repro.analysis.rules import RULES, check_kernel
 
 #: default lint targets, relative to the repository root
 DEFAULT_PATHS = ("src/repro/workloads", "src/repro/sync", "examples")

@@ -59,24 +59,17 @@ PROTOCOL_MODULES = (
 
 # -- decorator hints (parsed from the AST, not imported) ----------------------
 
-@dataclass(frozen=True)
-class ParsedRoles:
-    roles: Tuple[str, ...] = ()
-    hints: Tuple[WaitHint, ...] = ()
-
-
 def _const(node: ast.AST):
     return node.value if isinstance(node, ast.Constant) else None
 
 
-def _parse_kernel_roles(fn: ast.FunctionDef) -> ParsedRoles:
+def _parse_wait_hints(fn: ast.FunctionDef) -> Tuple[WaitHint, ...]:
+    """The ``waits=`` hints of the function's ``kernel_roles`` decorator."""
     for dec in fn.decorator_list:
         if not (isinstance(dec, ast.Call) and
                 isinstance(dec.func, ast.Name) and
                 dec.func.id == "kernel_roles"):
             continue
-        roles = tuple(v for v in (_const(a) for a in dec.args)
-                      if isinstance(v, str))
         hints: List[WaitHint] = []
         for kw in dec.keywords:
             if kw.arg != "waits" or not isinstance(kw.value, ast.Tuple):
@@ -95,8 +88,8 @@ def _parse_kernel_roles(fn: ast.FunctionDef) -> ParsedRoles:
                         updater=str(kv.get("updater", "updater")),
                         single_waiter=bool(kv.get("single_waiter", False)),
                     ))
-        return ParsedRoles(roles=roles, hints=tuple(hints))
-    return ParsedRoles()
+        return tuple(hints)
+    return ()
 
 
 # -- protocol source index ----------------------------------------------------
@@ -105,7 +98,7 @@ def _parse_kernel_roles(fn: ast.FunctionDef) -> ParsedRoles:
 class ProtocolFunction:
     qualname: str
     cfg: CFG
-    roles: ParsedRoles
+    hints: Tuple[WaitHint, ...]
     waits: List[WaitSite] = field(default_factory=list)
     writes: List[WriteSite] = field(default_factory=list)
 
@@ -127,7 +120,7 @@ def _index_module(module: str) -> Tuple[ProtocolFunction, ...]:
         cfg = build_cfg(kfn)
         pf = ProtocolFunction(
             qualname=kfn.qualname, cfg=cfg,
-            roles=_parse_kernel_roles(kfn.node),
+            hints=_parse_wait_hints(kfn.node),
             waits=classify_waits(cfg),
             writes=collect_writes(cfg),
         )
@@ -269,7 +262,7 @@ def analyze_benchmark(bench: str) -> ProtocolAnalysis:
     for pf in wanted:
         for w in pf.writes:
             writes_by_base.setdefault(w.base, []).append((pf.qualname, w))
-        for h in pf.roles.hints:
+        for h in pf.hints:
             hints_by_base[h.base] = h
         for finding in pf.cfg.errors:
             errors.append(f"{pf.qualname}: {finding.message}")

@@ -36,23 +36,10 @@ from repro.analysis.dataflow import (
     reaching_rmw,
 )
 
-# Re-exported so existing imports (`from repro.analysis.rules import
-# DEVICE_GEN_OPS, iter_kernel_functions, ...`) keep working after the
-# DSL surface moved to repro.analysis.dsl.
-from repro.analysis.dsl import (  # noqa: F401
-    CTX_PLAIN_OPS,
-    DEVICE_GEN_OPS,
-    DIVERGENT_NAMES,
-    POLL_OPS,
-    PRIVATE_NAMES,
-    RMW_OPS,
-    SYNC_ENTRY_METHODS,
-    WAIT_OPS,
+from repro.analysis.dsl import (
     KernelFunction,
-    classify_call,
     divergent_test as _test_is_divergent,
     dump as _dump,
-    iter_kernel_functions,
     keyword as _keyword,
 )
 from repro.analysis.findings import SEVERITIES, Finding

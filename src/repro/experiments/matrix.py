@@ -25,11 +25,9 @@ The runner survives failing cells and crashed workers:
   failure record (exception type, message, traceback), and
   :attr:`MatrixResult.errors` lists the failed cells. Reading a failed
   cell's result raises :class:`CellError`, so a figure fails on its
-  first lost cell instead of rendering a partial table. Each failure
-  is classified ``deterministic`` (the simulation itself raised —
-  retrying the same seed and plan would fail identically) or
-  ``environmental`` (a crashed worker); only environmental failures are
-  retried.
+  first lost cell instead of rendering a partial table. Only a cell
+  lost to a crashed worker is retried: a simulation that raised would
+  raise identically on the same seed and plan.
 - Every completed cell lands in the result cache as it settles
   (atomic temp+fsync+rename), so a sweep killed mid-flight — crash,
   SIGINT/SIGTERM, ``BrokenProcessPool`` — resumes by re-running it:
@@ -330,7 +328,6 @@ class Cell:
     request: RunRequest
     result: Optional[RunResult] = None
     #: structured failure record: ``type`` / ``message`` / ``traceback``
-    #: / ``classification``
     failure: Optional[Dict[str, Any]] = None
     from_cache: bool = False
 
@@ -343,15 +340,14 @@ class Cell:
 def _failure_info(exc: BaseException, tb: str) -> Dict[str, Any]:
     """Structured, picklable record of one cell failure.
 
-    A simulation that raised is ``deterministic`` — same seed, same
-    plan, same exception — so it is never retried; only a crashed
-    worker (:func:`_crash_failure`) is ``environmental``.
+    A simulation that raised would raise again on the same seed and
+    plan, so it is never retried; only a crashed worker
+    (:func:`_crash_failure`, type ``WorkerCrashError``) is.
     """
     return {
         "type": type(exc).__name__,
         "message": str(exc),
         "traceback": tb,
-        "classification": "deterministic",
     }
 
 
@@ -437,7 +433,7 @@ def _crash_failure(attempts: int) -> Dict[str, Any]:
         f"(after {attempts} attempt{'s' if attempts != 1 else ''})"
     )
     return {"type": "WorkerCrashError", "message": message,
-            "traceback": message, "classification": "environmental"}
+            "traceback": message}
 
 
 class SweepInterrupted(ReproError):
@@ -506,11 +502,11 @@ def _run_cells(
 ) -> List[Tuple[Optional[RunResult], Optional[Dict[str, Any]]]]:
     """Execute cells, surviving crashed workers.
 
-    A cell whose simulation raises is a *deterministic* failure — the
-    same seed and plan would raise identically — and is recorded without
-    retry. A cell lost to pool breakage is resubmitted to a fresh pool
-    with exponential backoff, up to ``CELL_RETRIES`` extra rounds, and
-    then reported as a ``WorkerCrashError``.
+    A cell whose simulation raises is recorded without retry: the same
+    seed and plan would raise identically. A cell lost to pool breakage
+    is resubmitted to a fresh pool with exponential backoff, up to
+    ``CELL_RETRIES`` extra rounds, and then reported as a
+    ``WorkerCrashError``.
 
     ``on_outcome`` fires in the parent as each cell settles (incremental
     cache puts); ``pool_holder`` exposes the live pool to the sweep's

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Set, Tuple
 
-from repro.gpu.context import ContextArena, switch_cycles
+from repro.gpu.context import ContextArena
 from repro.sim.resources import FifoResource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,10 +48,13 @@ class CommandProcessor:
     # context switching (❼/⑧ in Figure 12)
     # ------------------------------------------------------------------
     def save_context(self, wg: "WorkGroup"):
-        """Generator: stream the WG context out to global memory."""
-        cfg = self.gpu.config
+        """Generator: stream the WG context out to global memory.
+
+        The CP charges a fixed overhead per direction; the bytes go
+        through :meth:`~repro.mem.hierarchy.MemoryHierarchy.bulk_transfer`,
+        so they contend with other DRAM traffic."""
         nbytes = wg.context_bytes()
-        yield self.resource.service(switch_cycles(cfg, nbytes))
+        yield self.resource.service(self.gpu.config.context_switch_overhead)
         yield self.gpu.hierarchy.bulk_transfer(nbytes)
         self.arena.save(wg.wg_id, nbytes)
         self.gpu.stats.counter("cp.context_saves").incr()
@@ -61,10 +64,9 @@ class CommandProcessor:
                            wg=wg.wg_id, bytes=nbytes)
 
     def restore_context(self, wg: "WorkGroup"):
-        """Generator: stream the WG context back in."""
-        cfg = self.gpu.config
+        """Generator: stream the WG context back in (costed as a save)."""
         nbytes = wg.context_bytes()
-        yield self.resource.service(switch_cycles(cfg, nbytes))
+        yield self.resource.service(self.gpu.config.context_switch_overhead)
         yield self.gpu.hierarchy.bulk_transfer(nbytes)
         self.arena.restore(wg.wg_id)
         self.gpu.stats.counter("cp.context_restores").incr()

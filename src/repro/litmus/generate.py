@@ -15,8 +15,9 @@ program outcomes are *schedule-independent under fairness*:
   a script may only ``work``/``set``/``add``, and never holds more
   than one mutex — so a mutex, once acquired, is always released after
   finitely many non-blocking steps;
-- ``if_flag`` (the vacuity fixture) may only guard on flags *no script
-  ever sets*, so the branch is deterministically never taken.
+- ``if_flag`` (the vacuity fixture) may only guard on a nonzero value
+  of a flag *no script ever sets*; flags start at 0, so the branch is
+  deterministically never taken.
 
 Under those rules "does the program terminate when every WG is
 scheduled fairly?" has a single schedule-independent answer, computed
@@ -241,6 +242,11 @@ def validate_program(program: LitmusProgram) -> None:
             elif op == IF_FLAG:
                 _, flag, value, sub = action
                 _check_index(w, "flag", flag, program.flags)
+                if value < 1:
+                    raise ConfigError(
+                        f"wg{w}: if_flag on the initial flag value 0 is "
+                        "always taken — guards must be statically "
+                        "never-taken")
                 if held is not None:
                     raise ConfigError(f"wg{w}: if_flag inside a critical "
                                       "section")
@@ -257,7 +263,8 @@ def validate_program(program: LitmusProgram) -> None:
                 f"wg{w}: script ends still holding mutex {held}")
 
     # if_flag guards must be deterministically never-taken: the guarded
-    # flag may not be set by any script (see module docstring).
+    # flag may not be set by any script, so it stays 0 (see module
+    # docstring), and the guard value is at least 1 (checked above).
     for w, script in enumerate(program.scripts):
         for action in script:
             if action[0] == IF_FLAG and action[1] in set_flags:
@@ -402,26 +409,17 @@ def interpret(
     fair_set = set(range(program.wgs)) if fair is None else set(fair)
     state = start if start is not None else InterpState.initial(program)
     waits_reached = 0
-    # sub-scripts of taken if_flag branches; empty for valid programs
-    # (guards are statically never-taken) but handled for completeness
-    pending_sub: Dict[int, List[Action]] = {}
 
     def step_wg(w: int) -> bool:
         """Run wg ``w`` until blocked/done; True if it executed anything."""
         nonlocal waits_reached
         script = program.scripts[w]
         moved = False
-        while True:
-            queue = pending_sub.get(w)
-            if queue:
-                action = queue[0]
-            elif state.pcs[w] >= len(script):
-                return moved
-            else:
-                action = script[state.pcs[w]]
+        while state.pcs[w] < len(script):
+            action = script[state.pcs[w]]
             op = action[0]
             if op in WAIT_OPS:
-                key = (w, state.pcs[w], len(queue) if queue else -1)
+                key = (w, state.pcs[w])
                 if key not in _entered:
                     _entered.add(key)
                     waits_reached += 1
@@ -435,19 +433,13 @@ def interpret(
                 state.flags[action[1]] = action[2]
             elif op == ADD:
                 state.counters[action[1]] += action[2]
-            elif op == IF_FLAG:
-                if state.flags[action[1]] == action[2]:
-                    pending_sub.setdefault(w, []).extend(action[3])
-            # WORK and WAIT/WAITC (once enabled) have no state effect
-            if queue:
-                queue.pop(0)
-                if not queue:
-                    del pending_sub[w]
-            else:
-                state.pcs[w] += 1
+            # WORK, WAIT/WAITC (once enabled) and IF_FLAG (whose guard is
+            # never taken in a valid program) have no state effect
+            state.pcs[w] += 1
             moved = True
+        return moved
 
-    _entered: Set[Tuple[int, int, int]] = set()
+    _entered: Set[Tuple[int, int]] = set()
     progressed = True
     while progressed:
         progressed = False
@@ -457,16 +449,10 @@ def interpret(
 
     completed = frozenset(
         w for w in range(program.wgs)
-        if state.pcs[w] >= len(program.scripts[w]) and w not in pending_sub)
-    blocked: Dict[int, Action] = {}
-    for w in range(program.wgs):
-        if w in completed:
-            continue
-        queue = pending_sub.get(w)
-        if queue:
-            blocked[w] = queue[0]
-        elif state.pcs[w] < len(program.scripts[w]):
-            blocked[w] = program.scripts[w][state.pcs[w]]
+        if state.pcs[w] >= len(program.scripts[w]))
+    blocked: Dict[int, Action] = {
+        w: program.scripts[w][state.pcs[w]]
+        for w in range(program.wgs) if w not in completed}
     return InterpResult(
         completed=completed,
         terminated=len(completed) == program.wgs,

@@ -22,8 +22,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    pinned_blocks: int = 0
-    monitored_sets: int = 0
 
     @property
     def accesses(self) -> int:
@@ -90,8 +88,8 @@ class Cache:
         return self._maps[(addr // block) % self.num_sets].get(tag)
 
     # -- access ----------------------------------------------------------
-    def access(self, addr: int, allocate: bool = True) -> bool:
-        """Probe the cache; returns True on hit. Misses allocate by default."""
+    def access(self, addr: int) -> bool:
+        """Probe the cache; returns True on hit. A miss allocates the line."""
         self._tick += 1
         line = self._find(addr)
         if line is not None:
@@ -99,8 +97,7 @@ class Cache:
             self.stats.hits += 1
             return True
         self.stats.misses += 1
-        if allocate:
-            self._insert(addr)
+        self._insert(addr)
         return False
 
     def contains(self, addr: int) -> bool:
@@ -114,8 +111,7 @@ class Cache:
             victims = [w for w in ways if not w.pinned]
             if not victims:
                 # Every way pinned: cannot allocate; caller sees a miss
-                # that bypasses the cache. Counted for visibility.
-                self.stats.monitored_sets += 1
+                # that bypasses the cache.
                 return line
             victim = min(victims, key=lambda w: w.last_use)
             ways.remove(victim)
@@ -149,11 +145,6 @@ class Cache:
             # a detached line (the SyncMon itself still holds the condition).
             if line not in self._sets[self.set_index(addr)]:
                 return
-        # pinned lines only ever change state here (eviction and
-        # invalidation both skip them), so the count stays incremental —
-        # the full-cache recount this replaces was a profiling hot spot
-        if line.pinned != monitored:
-            self.stats.pinned_blocks += 1 if monitored else -1
         line.monitored = monitored
         line.pinned = monitored
 

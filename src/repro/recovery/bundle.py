@@ -137,14 +137,12 @@ def make_bundle(
     if "failure" in _KINDS[kind][1]:
         trimmed_failure = None
         if failure is not None:
-            trimmed_failure = {k: failure[k] for k in
-                               ("type", "message", "classification")
+            trimmed_failure = {k: failure[k] for k in ("type", "message")
                                if k in failure}
         elif result is not None:
             trimmed_failure = {
                 "type": "ContractViolation",
                 "message": getattr(result, "reason", ""),
-                "classification": "deterministic",
                 "diagnosis": getattr(result, "diagnosis", None),
             }
         bundle["failure"] = trimmed_failure

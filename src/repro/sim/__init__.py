@@ -9,28 +9,10 @@ of SimPy, specialized for cycle-accurate-ish hardware modelling:
   callbacks (``Engine.timeout`` builds a delayed one);
   :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.AllOf`.
 - :class:`~repro.sim.process.Process` — a generator that yields events and
-  is resumed with their values; supports interruption.
+  is resumed with their values.
 - :class:`~repro.sim.resources.FifoResource` — a FIFO-arbitrated resource
   used to model issue ports, cache banks and the command processor.
 - :mod:`~repro.sim.stats` — counters and running means.
+
+Import each name from its module; this package re-exports nothing.
 """
-
-from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event
-from repro.sim.process import Interrupt, Process
-from repro.sim.resources import FifoResource
-from repro.sim.rng import RngStream
-from repro.sim.stats import Counter, StatRegistry
-
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Counter",
-    "Engine",
-    "Event",
-    "FifoResource",
-    "Interrupt",
-    "Process",
-    "RngStream",
-    "StatRegistry",
-]

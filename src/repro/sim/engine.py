@@ -27,11 +27,10 @@ later), so every lane entry was scheduled after every heap entry at
 ``now`` and would have drawn a larger ``seq``. Outside
 ``drain_batches`` zero-delay entries go on the heap.
 
-Cancellation is lazy: a cancelled entry stays queued as garbage until
-it would have been the next to fire, so preemption storms that cancel
-many far-future timeouts would otherwise grow memory and pop cost
-without bound. When dead entries cross a threshold the heap and the lane
-are compacted in place (see :meth:`Engine.note_cancelled`).
+A scheduled entry always fires. Waits follow Mesa semantics (a WG parks
+on ``AnyOf(resume, evict, timer)`` and re-checks its condition when it
+wakes), so the wake-ups that lose the race fire harmlessly and nothing
+is ever withdrawn from the queue.
 
 A calendar queue is faster than this heap on synthetic event drains,
 but not on the system benchmark's workloads, and it uses more memory
@@ -41,14 +40,11 @@ but not on the system benchmark's workloads, and it uses more memory
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.sim.events import Call, Event
-
-#: never compact below this many dead entries (tiny queues aren't worth it)
-COMPACT_MIN_DEAD = 64
 
 Entry = Union[Event, Call]
 
@@ -65,17 +61,11 @@ class Engine:
         #: zero-delay entries at ``now``; only exists while drain_batches
         #: runs (None otherwise, when zero-delay entries go on the heap)
         self._lane: Optional[Deque[Entry]] = None
-        #: live (scheduled, non-cancelled) entries — maintained incrementally
-        #: on schedule/cancel/fire so :meth:`pending_events` is O(1)
+        #: scheduled entries not yet fired, heap and lane together
         self._live: int = 0
-        #: cancelled entries still physically queued (lazy deletion debt)
-        self._dead: int = 0
         # -- observability (engine.* counters in the trace layer) ------
         self._peak_pending: int = 0
         self._fired: int = 0
-        self._reaped: int = 0
-        self._compactions: int = 0
-        self._compacted_entries: int = 0
 
     # -- clock and event factory ---------------------------------------
     @property
@@ -87,9 +77,9 @@ class Engine:
         """Create a fresh unfired event bound to this engine."""
         return Event(self)
 
-    def timeout(self, delay: int, value: object = None) -> Event:
+    def timeout(self, delay: int) -> Event:
         """Create an event that fires ``delay`` cycles from now."""
-        return Event(self).succeed(value, delay)
+        return Event(self).succeed(None, delay)
 
     def call_at(self, delay: int, fn: Callable[..., None], *args) -> None:
         """Call ``fn(*args)`` after ``delay`` cycles (fire-and-forget)."""
@@ -112,80 +102,35 @@ class Engine:
         if live > self._peak_pending:
             self._peak_pending = live
 
-    # -- lazy-cancellation accounting ----------------------------------
-    def note_cancelled(self) -> None:
-        """A scheduled event was cancelled (called by :meth:`Event.cancel`).
-
-        The queue entry stays behind as garbage; once dead entries are
-        both numerous and the majority of the queue, compact in place so
-        cancel-heavy runs (preemption storms cancelling far-future
-        timeouts) keep bounded memory and pop cost."""
-        self._live -= 1
-        self._dead += 1
-        if self._dead >= COMPACT_MIN_DEAD:
-            lane = self._lane
-            size = len(self._heap) + (len(lane) if lane else 0)
-            if self._dead * 2 >= size:
-                self._compact()
-
-    def _compact(self) -> None:
-        heap = self._heap
-        removed = self._dead
-        # in place, so aliases held by an active drain loop stay valid
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapify(heap)
-        lane = self._lane
-        if lane:
-            live = [entry for entry in lane if not entry.cancelled]
-            lane.clear()
-            lane.extend(live)
-        self._dead = 0
-        self._compactions += 1
-        self._compacted_entries += removed
-        self._reaped += removed
-
-    def pending_events(self) -> int:
-        """Number of live (non-cancelled) entries still scheduled.
-
-        O(1): an incrementally maintained counter (the full-queue scan it
-        replaces survives as the oracle in ``tests/sim/test_engine.py``).
-        """
-        return self._live
-
     # -- observability --------------------------------------------------
     def metrics(self) -> Dict[str, int]:
         """Scheduler observability counters (``engine.*`` in traces).
 
         Reading them never perturbs a run: they are plain integers
-        maintained by the normal schedule/fire/cancel paths."""
+        maintained by the normal schedule/fire paths."""
         return {
             "peak_pending": self._peak_pending,
             "pending": self._live,
-            "dead_pending": self._dead,
             "fired": self._fired,
-            "cancelled_reaped": self._reaped,
-            "compactions": self._compactions,
-            "compacted_entries": self._compacted_entries,
+            # always 0 (nothing is withdrawn); the benchmark's layer
+            # report reads this key
+            "cancelled_reaped": 0,
         }
 
     # -- firing ----------------------------------------------------------
     def step(self) -> bool:
         """Fire the next entry. Returns False if the queue is empty."""
         heap = self._heap
-        while heap:
-            when, _seq, entry = heappop(heap)
-            if entry.cancelled:
-                self._dead -= 1
-                self._reaped += 1
-                continue
-            if when < self._now:
-                raise SimulationError("event heap time went backwards")
-            self._now = when
-            self._live -= 1
-            self._fired += 1
-            entry.fire()
-            return True
-        return False
+        if not heap:
+            return False
+        when, _seq, entry = heappop(heap)
+        if when < self._now:
+            raise SimulationError("event heap time went backwards")
+        self._now = when
+        self._live -= 1
+        self._fired += 1
+        entry.fire()
+        return True
 
     def run(self, until: Optional[int] = None) -> int:
         """Run until the queue drains or ``until`` cycles pass. Returns the
@@ -219,13 +164,7 @@ class Engine:
         fired = 0
         try:
             while heap:
-                head = heap[0]
-                if head[2].cancelled:
-                    heappop(heap)
-                    self._dead -= 1
-                    self._reaped += 1
-                    continue
-                t = head[0]
+                t = heap[0][0]
                 if t >= boundary:
                     break
                 if should_halt():
@@ -233,28 +172,15 @@ class Engine:
                 if t < self._now:
                     raise SimulationError("event heap time went backwards")
                 self._now = t
-                # the heap entries at t first; a dead entry is reaped only
-                # when it would have been the next to fire, so one at a
-                # later time waits until the lane has drained
-                while heap:
-                    when, _seq, entry = heap[0]
-                    if when != t:
-                        break
-                    heappop(heap)
-                    if entry.cancelled:
-                        self._dead -= 1
-                        self._reaped += 1
-                        continue
+                # the heap entries at t first
+                while heap and heap[0][0] == t:
+                    entry = heappop(heap)[2]
                     self._live -= 1
                     entry.fire()
                     fired += 1
                 # then every zero-delay entry the batch scheduled, FIFO
                 while lane:
                     entry = popleft()
-                    if entry.cancelled:
-                        self._dead -= 1
-                        self._reaped += 1
-                        continue
                     self._live -= 1
                     entry.fire()
                     fired += 1

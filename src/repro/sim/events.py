@@ -22,11 +22,11 @@ class Event:
     Lifecycle: *pending* → *scheduled* (sitting in the engine queue) →
     *fired* (callbacks run, value available). ``succeed`` schedules the
     event at the current time; ``try_succeed`` is the idempotent variant
-    used by racy notifiers (e.g. a resume racing a timeout). ``cancel``
-    marks a scheduled event dead so the queue skips it.
+    used by racy notifiers (e.g. a resume racing a timeout). A scheduled
+    event always fires.
     """
 
-    __slots__ = ("env", "_state", "_value", "_cb", "_more", "cancelled")
+    __slots__ = ("env", "_state", "_value", "_cb", "_more")
 
     def __init__(self, env: "Engine") -> None:
         self.env = env
@@ -38,14 +38,8 @@ class Event:
         # none at all.
         self._cb: Optional[Callback] = None
         self._more: Optional[List[Callback]] = None
-        self.cancelled = False
 
     # -- state ---------------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """True once the event has been scheduled or fired."""
-        return self._state is not _PENDING
-
     @property
     def fired(self) -> bool:
         return self._state is _FIRED
@@ -69,32 +63,21 @@ class Event:
         self._value = value
         return self
 
-    def try_succeed(self, value: object = None, delay: int = 0) -> bool:
-        """Like :meth:`succeed` but a no-op if already triggered."""
-        if self._state is not _PENDING or self.cancelled:
+    def try_succeed(self, value: object = None) -> bool:
+        """Schedule this event to fire now, unless it is already scheduled
+        or fired; returns whether it did."""
+        if self._state is not _PENDING:
             return False
         # succeed() inlined: this is the relay every resource completion,
         # memory reply and process exit goes through
-        self.env._enqueue(self, delay)
+        self.env._enqueue(self, 0)
         self._state = _SCHEDULED
         self._value = value
         return True
 
-    def cancel(self) -> None:
-        """Mark the event dead; it will never fire."""
-        if self._state is _FIRED:
-            raise SimulationError("cannot cancel a fired event")
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._state is _SCHEDULED:
-            # keep the engine's live-event counter in sync: the entry
-            # stays queued but will be skipped, not fired
-            self.env.note_cancelled()
-
     def fire(self) -> None:
         """Run the callbacks. Called by the engine only, and only for a
-        scheduled, non-cancelled event."""
+        scheduled event."""
         self._state = _FIRED
         cb = self._cb
         if cb is not None:
@@ -130,12 +113,11 @@ class Call:
     exactly like the event it replaces.
     """
 
-    __slots__ = ("fn", "args", "cancelled")
+    __slots__ = ("fn", "args")
 
     def __init__(self, fn: Callable[..., None], args: Tuple) -> None:
         self.fn = fn
         self.args = args
-        self.cancelled = False
 
     def fire(self) -> None:
         self.fn(*self.args)

@@ -60,22 +60,19 @@ class SyncProtocol:
     primitive: str  # class name in repro.sync, e.g. "SpinMutex"
     body_builder: str  # factory in repro.workloads.heterosync
     decentralized: bool
-    roles: Tuple[str, ...]
 
 
 def mutex_protocol(primitive: str, decentralized: bool = False) -> SyncProtocol:
     return SyncProtocol(kind="mutex", primitive=primitive,
                         body_builder="make_mutex_body",
-                        decentralized=decentralized,
-                        roles=("holder", "contender"))
+                        decentralized=decentralized)
 
 
-def barrier_protocol(primitive: str, decentralized: bool = False,
-                     roles: Tuple[str, ...] = ()) -> SyncProtocol:
+def barrier_protocol(primitive: str,
+                     decentralized: bool = False) -> SyncProtocol:
     return SyncProtocol(kind="barrier", primitive=primitive,
                         body_builder="make_barrier_body",
-                        decentralized=decentralized,
-                        roles=roles or ("member", "leader"))
+                        decentralized=decentralized)
 
 
 def kernel_roles(*roles: str,

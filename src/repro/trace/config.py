@@ -16,7 +16,7 @@ CATEGORIES: Tuple[str, ...] = (
     "preempt",   # CU loss/restore and forced evictions
     "fault",     # injected faults (mirrors the faults.* stats)
     "cp",        # Command Processor: context switches, log drains, spills
-    "engine",    # scheduler health: peak pending, events fired, compactions
+    "engine",    # scheduler health: peak and final pending, events fired
 )
 
 #: events the ring keeps; older ones are dropped first and counted in

@@ -317,8 +317,7 @@ _register(BenchmarkSpec(
     builder=_barrier_builder(_lf_tree_barrier(exchange=False)),
     resources=_profile(26, 96, 512),  # ~7 KB
     table2=Table2Row("n", "G", "1", "1", "1"),
-    protocol=barrier_protocol("LFTreeBarrier", decentralized=True,
-                             roles=("member", "leader", "root")),
+    protocol=barrier_protocol("LFTreeBarrier", decentralized=True),
 ))
 _register(BenchmarkSpec(
     abbrev="TBEX_LG", full_name="AtomicTreeBarrLocalExch",
@@ -337,8 +336,7 @@ _register(BenchmarkSpec(
     builder=_barrier_builder(_lf_tree_barrier(exchange=True)),
     resources=_profile(30, 128, 1024),  # ~9 KB
     table2=Table2Row("n", "G", "1", "1", "1"),
-    protocol=barrier_protocol("LFTreeBarrier", decentralized=True,
-                             roles=("member", "leader", "root")),
+    protocol=barrier_protocol("LFTreeBarrier", decentralized=True),
 ))
 
 

@@ -85,7 +85,7 @@ def test_violating_cells_emit_replayable_shrunk_bundles(tmp_path,
     bundle_path = Path(result.bundles[0])
     bundle = load_bundle(bundle_path)
     assert bundle["expected"]["mode"] == "exception"
-    assert bundle["failure"]["classification"] == "deterministic"
+    assert bundle["failure"]["type"] == "ConfigError"
     assert replay_bundle(bundle)["reproduced"]
 
     log_path = Path(str(bundle_path).replace(".json", ".shrinklog.json"))

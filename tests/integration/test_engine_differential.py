@@ -19,9 +19,10 @@ surface:
 Scheduling order is the simulator's ground truth — a single divergent
 tie-break cascades into different lock handoff orders, different resume
 sets, and different final stats. The goldens pin that order for a few
-policies at one scale; this grid checks the heap's tie-breaks, lazy
-cancellation, compaction and fused batch drain against the oracle under
-preemption storms and cancellation churn.
+policies at one scale; this grid checks the heap's tie-breaks, its
+zero-delay lane and its fused batch drain against the oracle under
+preemption storms and every wait mechanism's losing wake-ups, which
+stay queued and fire harmlessly.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ SRC = str(ROOT / "src")
 #: the policy-differential scenario: small enough that the whole
 #: 12 × 8 × 2-queue grid simulates in-process in well under a minute,
 #: oversubscribed enough (CU loss, 1 WG slot per CU) to exercise
-#: preemption storms, cancellation churn, and every wait mechanism
+#: preemption storms and every wait mechanism
 SCENARIO = QUICK_SCALE.scaled(
     total_wgs=8,
     wgs_per_group=4,

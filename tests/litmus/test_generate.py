@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.litmus.generate import (
     ACQUIRE,
+    IF_FLAG,
     LitmusProgram,
     RELEASE,
     SET,
@@ -88,6 +89,20 @@ def test_validate_rejects_flag_rewrite():
         flags=1)
     with pytest.raises(ConfigError):
         validate_program(program)
+
+
+def test_validate_rejects_guard_on_the_initial_flag_value():
+    """Flags start at 0, so an ``if_flag`` guarding on 0 is always taken:
+    the guarded wait below would be reached although no static wait
+    profile sees it, and a spec must not smuggle it in."""
+    guarded = ((IF_FLAG, 0, 0, ((WAIT, 1, 1),)),)
+    program = LitmusProgram(
+        wgs=3, scripts=(guarded, guarded, ((SET, 1, 1),)),
+        flags=2, wgs_per_cu=1)
+    with pytest.raises(ConfigError, match="initial flag value 0"):
+        validate_program(program)
+    with pytest.raises(ConfigError, match="initial flag value 0"):
+        LitmusProgram.from_spec(program.spec())
 
 
 def test_interpreter_ground_truths():

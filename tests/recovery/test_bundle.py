@@ -172,7 +172,6 @@ def test_replay_exception_bundle():
                      replace(QUICK_SCALE, total_wgs=0), validate=False)
     bundle = make_bundle(bad, failure={
         "type": "ConfigError", "message": "total_wgs", "traceback": "...",
-        "classification": "deterministic",
     })
     report = replay_bundle(bundle)
     assert report["expected"] == {"mode": "exception", "type": "ConfigError"}

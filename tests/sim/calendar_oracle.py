@@ -2,12 +2,10 @@
 
 :class:`CalendarOracle` keeps a calendar of one FIFO "day" list per
 timestamp and finds the next event with ``min()`` over the days, so its
-firing order is (time, scheduling order) by construction. It shares
-:class:`~repro.sim.engine.Engine`'s lazy-cancellation and compaction
-accounting rules (a dead entry is reaped when it would have been the
-next to fire), so every observable surface — event order, stats,
-``engine.*`` metrics, traces, final memory — must match the production
-binary heap exactly.
+firing order is (time, scheduling order) by construction. It keeps
+:class:`~repro.sim.engine.Engine`'s pending and fired counts, so every
+observable surface — event order, stats, ``engine.*`` metrics, traces,
+final memory — must match the production binary heap exactly.
 
 The engine unit tests run against both queues (``env`` ids
 ``reference`` for the production heap, ``calendar`` for this oracle)
@@ -22,7 +20,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import COMPACT_MIN_DEAD, Engine, Entry
+from repro.sim.engine import Engine, Entry
 
 
 class CalendarOracle(Engine):
@@ -32,12 +30,8 @@ class CalendarOracle(Engine):
         super().__init__()
         self._days: Dict[int, Deque[Entry]] = {}
 
-    def physical_size(self) -> int:
-        """Queued entries, live and dead (the heap plus the lane)."""
-        return sum(len(day) for day in self._days.values())
-
     def queued(self):
-        """Every physically queued entry, live or dead."""
+        """Every queued entry."""
         return [ev for day in self._days.values() for ev in day]
 
     def _enqueue(self, entry: Entry, delay: int) -> None:
@@ -48,42 +42,15 @@ class CalendarOracle(Engine):
         self._live += 1
         self._peak_pending = max(self._peak_pending, self._live)
 
-    def note_cancelled(self) -> None:
-        self._live -= 1
-        self._dead += 1
-        if (self._dead >= COMPACT_MIN_DEAD
-                and self._dead * 2 >= self.physical_size()):
-            self._compact()
-
-    def _compact(self) -> None:
-        removed = self._dead
-        for when in list(self._days):
-            keep = [ev for ev in self._days[when] if not ev.cancelled]
-            if keep:
-                self._days[when] = deque(keep)
-            else:
-                del self._days[when]
-        self._dead = 0
-        self._compactions += 1
-        self._compacted_entries += removed
-        self._reaped += removed
-
     def _next_time(self) -> Optional[int]:
-        """Timestamp of the next live event, reaping dead heads."""
-        while self._days:
-            when = min(self._days)
-            day = self._days[when]
-            while day and day[0].cancelled:
-                day.popleft()
-                self._dead -= 1
-                self._reaped += 1
-            if day:
-                return when
-            del self._days[when]
-        return None
+        """Timestamp of the next event (no day is ever kept empty)."""
+        return min(self._days) if self._days else None
 
     def _fire(self, when: int) -> None:
-        entry = self._days[when].popleft()
+        day = self._days[when]
+        entry = day.popleft()
+        if not day:
+            del self._days[when]
         if when < self._now:
             raise SimulationError("event time went backwards")
         self._now = when

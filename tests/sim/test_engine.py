@@ -10,7 +10,7 @@ differential suite if it meets the same contract.
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import COMPACT_MIN_DEAD, Engine
+from repro.sim.engine import Engine
 from repro.sim.events import Event
 from tests.sim.calendar_oracle import CalendarOracle
 
@@ -23,7 +23,7 @@ def env(request):
 
 
 def _queued(env):
-    """Every physically queued entry, live or dead."""
+    """Every queued entry (the heap plus the lane)."""
     if isinstance(env, CalendarOracle):
         return env.queued()
     return [ev for (_, _, ev) in env._heap] + list(env._lane or ())
@@ -131,15 +131,6 @@ def test_callbacks_run_in_the_order_they_were_added(env):
     assert order[-1] == "late"
 
 
-def test_cancelled_event_never_fires(env):
-    fired = []
-    ev = env.timeout(5)
-    ev.add_callback(lambda e: fired.append(1))
-    ev.cancel()
-    env.run()
-    assert fired == []
-
-
 def test_scheduling_during_callback(env):
     order = []
 
@@ -160,13 +151,6 @@ def test_event_scheduled_twice_raises(env):
         ev.succeed(delay=2)
 
 
-def test_pending_events_counts_live_only(env):
-    a = env.timeout(1)
-    env.timeout(2)
-    a.cancel()
-    assert env.pending_events() == 1
-
-
 # -- run() batching edge cases -------------------------------------------------
 
 def test_run_until_exactly_next_event_time_with_ties(env):
@@ -182,7 +166,7 @@ def test_run_until_exactly_next_event_time_with_ties(env):
     env.run(until=10)
     assert order == [0, 1, 2, "z"]
     assert env.now == 10
-    assert env.pending_events() == 1
+    assert env.metrics()["pending"] == 1
     env.run()
     assert order == [0, 1, 2, "z", "late"]
 
@@ -196,7 +180,7 @@ def test_step_splits_a_same_timestamp_batch(env):
     assert all(env.step() for _ in range(3))
     assert order == [0, 1, 2]
     assert env.now == 10
-    assert env.pending_events() == 2
+    assert env.metrics()["pending"] == 2
     assert env.run() == 2
     assert order == [0, 1, 2, 3, 4]
     assert env.now == 10
@@ -242,148 +226,23 @@ def test_drain_batches_stops_at_boundary_and_halt(env):
     assert fired == [5, 5, 10]
 
 
-# -- incremental live-event counter -------------------------------------------
-
-def _scan_pending_events(env):
-    """The original O(n) full-queue scan, kept as the oracle for the
-    incrementally maintained counter behind ``pending_events()``."""
-    return sum(1 for ev in _queued(env) if not ev.cancelled)
-
+# -- incremental pending-entry counter ----------------------------------------
 
 def test_pending_events_matches_scan_oracle(env):
+    """The incrementally maintained ``pending`` metric equals a full scan
+    of the queue after every schedule and every step."""
     import random
 
     rng = random.Random(42)
-    live = []
     for _ in range(400):
-        action = rng.random()
-        if action < 0.5 or not live:
-            live.append(env.timeout(rng.randrange(0, 50)))
-        elif action < 0.75:
-            ev = live.pop(rng.randrange(len(live)))
-            if not ev.fired:
-                ev.cancel()
+        if rng.random() < 0.6:
+            env.timeout(rng.randrange(0, 50))
         else:
             for _ in range(rng.randrange(1, 5)):
                 env.step()
-            live = [ev for ev in live if not ev.fired]
-        assert env.pending_events() == _scan_pending_events(env)
+        assert env.metrics()["pending"] == len(_queued(env))
     env.run()
-    assert env.pending_events() == _scan_pending_events(env) == 0
-
-
-def test_pending_events_double_cancel_counts_once(env):
-    ev = env.timeout(5)
-    env.timeout(6)
-    ev.cancel()
-    ev.cancel()
-    assert env.pending_events() == 1
-
-
-def test_cancel_unscheduled_event_does_not_underflow(env):
-    Event(env).cancel()  # pending, never queued
-    assert env.pending_events() == 0
-
-
-def test_fused_run_skips_cancelled_head(env):
-    fired = []
-    a = env.timeout(1)
-    env.timeout(2).add_callback(lambda e: fired.append(2))
-    a.cancel()
-    assert env.run() == 1
-    assert fired == [2]
-    assert env.now == 2
-
-
-def test_run_until_with_only_cancelled_events_left(env):
-    # the queue drains (modulo cancelled residue) before `until`; the
-    # clock stays at the last event
-    a = env.timeout(20)
-    env.timeout(2)
-    a.cancel()
-    env.run(until=10)
-    assert env.now == 2
-    assert env.pending_events() == 0
-
-
-# -- lazy-deletion compaction --------------------------------------------------
-
-FAR = 1_000_000  # far-future timers, like the 100k-cycle policy backstops
-
-
-def test_cancel_storm_keeps_physical_size_bounded(env):
-    """Scheduling then cancelling 10k far-future events must not leave
-    10k dead entries queued: threshold compaction reclaims them."""
-    events = [env.timeout(FAR + i) for i in range(10_000)]
-    assert len(_queued(env)) == 10_000
-    for ev in events:
-        ev.cancel()
-    assert env.pending_events() == 0
-    # geometric compaction cadence: at most a sub-threshold residue stays
-    assert len(_queued(env)) <= COMPACT_MIN_DEAD
-    m = env.metrics()
-    assert m["compactions"] > 0
-    assert m["cancelled_reaped"] + m["dead_pending"] == 10_000
-
-
-def test_interleaved_cancel_storm_stays_small(env):
-    """schedule+cancel churn (a preemption storm cancelling its own
-    timers) keeps the physical queue near-empty at every point."""
-    peak = 0
-    for i in range(10_000):
-        env.timeout(FAR + i).cancel()
-        peak = max(peak, len(_queued(env)))
-    assert peak < 256
-    assert len(_queued(env)) < 256
-
-
-def test_compaction_preserves_fifo_order_of_survivors(env):
-    order = []
-    keep = []
-    for i in range(200):
-        ev = env.timeout(10)
-        ev.add_callback(lambda e, i=i: order.append(i))
-        keep.append((i, ev))
-    # cancel every odd event; enough dead to cross the threshold
-    for i, ev in keep:
-        if i % 2:
-            ev.cancel()
-    env.run()
-    assert order == [i for i in range(200) if i % 2 == 0]
-
-
-def test_compaction_during_active_run_is_safe(env):
-    """A callback cancelling enough events to trigger compaction must not
-    disturb the batch currently being drained."""
-    order = []
-    victims = [env.timeout(FAR + i) for i in range(200)]
-
-    def cancel_all(_ev):
-        order.append("cancel")
-        for v in victims:
-            v.cancel()
-
-    env.timeout(5).add_callback(cancel_all)
-    for i in range(3):
-        env.timeout(5).add_callback(lambda e, i=i: order.append(i))
-    env.timeout(6).add_callback(lambda e: order.append("after"))
-    env.run()
-    assert order == ["cancel", 0, 1, 2, "after"]
-    assert len(_queued(env)) == 0
-
-
-# -- step() accounting (the drain feeds compaction statistics) ----------------
-
-def test_step_drain_feeds_compaction_accounting(env):
-    a = env.timeout(5)
-    env.timeout(9)
-    a.cancel()
-    assert env.metrics()["dead_pending"] == 1
-    assert env.step() is True
-    assert env.now == 9
-    m = env.metrics()
-    assert m["dead_pending"] == 0
-    assert m["cancelled_reaped"] == 1
+    assert env.metrics()["pending"] == len(_queued(env)) == 0
 
 
 # -- observability metrics ----------------------------------------------------
@@ -430,54 +289,8 @@ def test_zero_delay_entry_fires_after_everything_queued_at_now(env):
     assert order == [("far0", target), ("far1", target), ("near", target),
                      ("zero0", target), ("zero1", target), ("zero2", target),
                      ("later", target + 1)]
-    assert env.pending_events() == 0
+    assert env.metrics()["pending"] == 0
     assert env.metrics()["fired"] == 8
-
-
-def test_cancelled_lane_entry_is_skipped_and_counted(env):
-    order = []
-    seen_pending = []
-
-    def schedule_and_cancel(_ev):
-        doomed = env.timeout(0)
-        doomed.add_callback(lambda e: order.append("doomed"))
-        env.timeout(0).add_callback(lambda e: order.append("kept"))
-        before = env.pending_events()
-        doomed.cancel()
-        seen_pending.append((before, env.pending_events()))
-
-    env.timeout(5).add_callback(schedule_and_cancel)
-    assert _drain(env) == 2
-    assert order == ["kept"]
-    assert seen_pending == [(2, 1)]
-    m = env.metrics()
-    assert (m["pending"], m["dead_pending"], m["cancelled_reaped"]) == (0, 0, 1)
-    assert _queued(env) == []
-
-
-def test_cancel_storm_in_the_lane_compacts_it(env):
-    """Cancelling many zero-delay entries mid-batch compacts the lane like
-    the heap: the physical queue stays small and every dead entry is
-    reaped exactly once."""
-    order = []
-    sizes = []
-
-    def storm(_ev):
-        lane = [env.timeout(0) for _ in range(200)]
-        for ev in lane:
-            ev.cancel()
-        sizes.append(len(_queued(env)))
-        env.timeout(0).add_callback(lambda e: order.append("after"))
-
-    env.timeout(5).add_callback(storm)
-    env.timeout(6).add_callback(lambda e: order.append("next"))
-    assert _drain(env) == 3
-    assert order == ["after", "next"]
-    assert sizes[0] < COMPACT_MIN_DEAD + 1
-    m = env.metrics()
-    assert m["compactions"] == 2
-    assert m["cancelled_reaped"] == 200
-    assert m["dead_pending"] == 0 and m["pending"] == 0
 
 
 def test_lane_survives_a_raising_entry_in_order(env):
@@ -494,6 +307,6 @@ def test_lane_survives_a_raising_entry_in_order(env):
     env.timeout(7).add_callback(lambda e: order.append("late"))
     with pytest.raises(RuntimeError):
         _drain(env)
-    assert env.pending_events() == 3
+    assert env.metrics()["pending"] == 3
     env.run()
     assert order == ["z0", "z1", "late"]

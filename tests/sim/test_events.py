@@ -42,23 +42,15 @@ def test_callback_after_fire_runs_immediately(env):
     assert got == [7]
 
 
-def test_cancel_fired_event_raises(env):
-    ev = Event(env)
-    ev.succeed()
-    env.run()
-    with pytest.raises(SimulationError):
-        ev.cancel()
-
-
 def test_timeout_event_fires_with_value(env):
-    ev = env.timeout(5, value="x")
+    ev = Event(env).succeed("x", 5)
     env.run()
     assert env.now == 5 and ev.value == "x"
 
 
 def test_anyof_fires_on_first_child(env):
-    slow = env.timeout(100, value="slow")
-    fast = env.timeout(3, value="fast")
+    slow = Event(env).succeed("slow", 100)
+    fast = Event(env).succeed("fast", 3)
     any_ev = AnyOf(env, [slow, fast])
     env.run(until=50)
     assert any_ev.fired
@@ -66,8 +58,8 @@ def test_anyof_fires_on_first_child(env):
 
 
 def test_anyof_ignores_later_children(env):
-    a = env.timeout(1, value="a")
-    b = env.timeout(2, value="b")
+    a = Event(env).succeed("a", 1)
+    b = Event(env).succeed("b", 2)
     any_ev = AnyOf(env, [a, b])
     env.run()
     assert any_ev.value == (0, "a")
@@ -89,8 +81,8 @@ def test_anyof_with_already_fired_child(env):
 
 
 def test_allof_collects_values_in_child_order(env):
-    a = env.timeout(20, value="a")
-    b = env.timeout(10, value="b")
+    a = Event(env).succeed("a", 20)
+    b = Event(env).succeed("b", 10)
     all_ev = AllOf(env, [a, b])
     env.run()
     assert all_ev.fired

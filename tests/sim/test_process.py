@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import AnyOf
-from repro.sim.process import Interrupt, Process
+from repro.sim.events import AnyOf, Event
+from repro.sim.process import Process
 
 
 @pytest.fixture
@@ -30,7 +30,7 @@ def test_yield_receives_event_value(env):
     got = []
 
     def gen():
-        v = yield env.timeout(3, value=42)
+        v = yield Event(env).succeed(42, 3)
         got.append(v)
 
     Process(env, gen())
@@ -80,69 +80,10 @@ def test_non_generator_rejected(env):
         Process(env, lambda: None)
 
 
-def test_interrupt_thrown_at_wait_point(env):
-    caught = []
-
-    def gen():
-        try:
-            yield env.timeout(1000)
-        except Interrupt as exc:
-            caught.append(exc.cause)
-        return "recovered"
-
-    proc = Process(env, gen())
-    env.run(until=5)
-    proc.interrupt(cause="preempt")
-    env.run()
-    assert caught == ["preempt"]
-    assert proc.value == "recovered"
-
-
-def test_interrupt_after_completion_is_noop(env):
-    def gen():
-        yield env.timeout(1)
-
-    proc = Process(env, gen())
-    env.run()
-    proc.interrupt()  # must not raise
-    env.run()
-    assert proc.fired
-
-
-def test_unhandled_interrupt_terminates_quietly(env):
-    def gen():
-        yield env.timeout(1000)
-
-    proc = Process(env, gen())
-    env.run(until=1)
-    proc.interrupt()
-    env.run()
-    assert proc.fired and proc.value is None
-
-
-def test_stale_event_after_interrupt_ignored(env):
-    """The event the process was waiting on fires after the interrupt;
-    the process must not be resumed twice."""
-    resumes = []
-
-    def gen():
-        try:
-            yield env.timeout(10)
-        except Interrupt:
-            resumes.append("interrupted")
-        yield env.timeout(100)
-        resumes.append("end")
-
-    Process(env, gen())
-    env.run(until=5)
-    # interrupt before the timeout(10) fires; the timeout still fires later
-    # (after the process already moved on) and must be ignored.
-
-
 def test_anyof_in_process(env):
     def gen():
-        idx, value = yield AnyOf(env, [env.timeout(50, "slow"),
-                                       env.timeout(5, "fast")])
+        idx, value = yield AnyOf(env, [Event(env).succeed("slow", 50),
+                                       Event(env).succeed("fast", 5)])
         return (idx, value)
 
     proc = Process(env, gen())
