@@ -36,6 +36,7 @@ table) are checked, and re-baselined, by the tier-1 tests only.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 from functools import partial
@@ -563,17 +564,28 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    """Run one command; SIGINT/SIGTERM during a sweep exits with the
-    conventional 128+signum (re-running the command resumes from the
-    result cache)."""
-    from repro.experiments.matrix import SweepInterrupted
+def _interrupt(signum, _frame):
+    raise KeyboardInterrupt(signum)
 
+
+def main(argv=None) -> int:
+    """Run one command. SIGTERM unwinds it as Ctrl-C does (a sweep kills
+    its pool's workers on the way out), and either signal exits with
+    the conventional 128+signum after one stderr line that, for a
+    sweeping command, says whether a re-run resumes."""
     opts, extra = _parser().parse_known_args(argv)
     if extra:  # name the command whose flags these are not
         opts.usage_error(f"unrecognized arguments: {' '.join(extra)}")
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         return opts.func(opts)
-    except SweepInterrupted as exc:
-        print(f"\n{exc}", file=sys.stderr)
-        return 128 + exc.signum
+    except KeyboardInterrupt as exc:
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        note = f"interrupted by {signal.Signals(signum).name}"
+        if hasattr(opts, "no_cache"):  # the command sweeps cells
+            note += ("; a re-run starts over" if opts.no_cache
+                     else "; a re-run resumes from the result cache")
+        print(f"\n{note}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        signal.signal(signal.SIGTERM, previous)

@@ -10,7 +10,8 @@ the cache instead of re-simulating.
 Layout: ``<root>/<key[:2]>/<key>.json``, one JSON document per cell
 holding the :class:`~repro.experiments.runner.RunResult` fields (never
 the GPU object). Writes go through a temp file + atomic rename so
-concurrent runs never observe a torn entry.
+concurrent runs never observe a torn entry; a write that fails drops
+that one entry with a warning and the sweep goes on.
 
 The cache is also how an interrupted sweep resumes: ``run_matrix``
 puts every cell as it completes, so re-running a sweep killed
@@ -28,7 +29,6 @@ on the command line).
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import os
@@ -117,12 +117,8 @@ class ResultCache:
         self.stores = 0
         #: corrupted entries deleted and re-simulated (self-heal)
         self.healed = 0
-        #: puts dropped by the graceful-degradation policy
+        #: puts whose write raised an OSError (warned and dropped)
         self.dropped = 0
-        #: persistent ENOSPC flipped the cache to read-through: gets
-        #: still serve, puts are dropped — a full disk must never kill
-        #: the sweep that was merely trying to memoize itself
-        self.degraded = False
 
     # -- keys ----------------------------------------------------------
     def key_for(self, spec: Dict[str, Any]) -> str:
@@ -174,18 +170,12 @@ class ResultCache:
         temp file, entries are content-addressed so their bytes are
         identical, and the last rename wins.
 
-        Failure policy: the cache is an accelerator, not ground truth.
-        A put that still fails after the bounded retries of
-        :func:`repro.durability.write_atomic_text` is *dropped*
-        (warned + counted), and persistent ENOSPC flips the instance to
-        read-through ``degraded`` mode. No temp file survives any
-        failure path — serialization happens before the first file
-        operation, and the atomic writer owns its temp's lifetime."""
-        if self.degraded:
-            self.dropped += 1
-            return
-        # serialize before touching the filesystem: a payload that
-        # cannot serialize must not cost (or leak) a temp file
+        The cache is an accelerator, not ground truth: a put whose
+        write raises any ``OSError`` (a full disk, a device error) is
+        warned, counted in ``dropped`` and dropped, and the sweep goes
+        on. The payload is serialized before the first file operation,
+        and the atomic writer removes its temp file on every failure
+        path, so no failed put leaves a file behind."""
         body = result_to_payload(result)
         document = {
             "result": body,
@@ -198,25 +188,12 @@ class ResultCache:
             path.parent.mkdir(parents=True, exist_ok=True)
             write_atomic_text(path, text)
         except OSError as exc:
-            self._degrade_on(exc, key)
+            self.dropped += 1
+            warnings.warn(
+                f"result cache put of {key[:12]}… failed ({exc}); entry "
+                f"dropped, sweep continues", RuntimeWarning, stacklevel=2)
             return
         self.stores += 1
-
-    def _degrade_on(self, exc: OSError, key: str) -> None:
-        """Apply the put-failure policy: drop the put; persistent
-        ENOSPC additionally flips read-through mode."""
-        self.dropped += 1
-        if exc.errno == errno.ENOSPC:
-            self.degraded = True
-            warnings.warn(
-                f"result cache out of space storing {key[:12]}…; "
-                f"degrading to read-through (further puts dropped)",
-                RuntimeWarning, stacklevel=3)
-        else:
-            warnings.warn(
-                f"result cache put of {key[:12]}… failed after retries "
-                f"({exc}); entry dropped, sweep continues",
-                RuntimeWarning, stacklevel=3)
 
     def _check_entry(
         self, path: Path,

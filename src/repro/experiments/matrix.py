@@ -1,39 +1,36 @@
 """Parallel execution of the experiment matrix with result caching.
 
 Every figure/table sweep is a list of independent simulation cells
-(benchmark × policy × scenario × overrides). :func:`run_matrix` fans the
-cells out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-(``jobs=1`` preserves the in-process path for debugging), consults the
-content-addressed :mod:`~repro.experiments.cache`, deduplicates
-identical cells inside one sweep (e.g. the per-benchmark Baseline run
-every normalized figure repeats), and returns results in deterministic
+(benchmark × policy × scenario × overrides). :func:`run_matrix`
+deduplicates identical cells inside one sweep (e.g. the per-benchmark
+Baseline run every normalized figure repeats), serves what it can from
+the content-addressed :mod:`~repro.experiments.cache`, runs the rest
+(in-process at ``jobs=1``, else on one
+:class:`~concurrent.futures.ProcessPoolExecutor`), puts each result
+into the cache as it settles, and returns results in deterministic
 request order with per-cell error capture — one failed cell does not
 abort the sweep.
 
-The runner survives failing cells and crashed workers:
-
 - No cell needs a wall-clock budget: every simulation ends on its own,
   completed or deadlocked, bounded by ``GPUConfig.max_cycles`` and the
-  progress watchdog.
-- A killed or crashed worker (``BrokenProcessPool``) loses only the
-  cells that had no result yet; completed cells are preserved and the
-  lost ones are resubmitted to a fresh pool with exponential backoff
-  from ``RETRY_BACKOFF`` seconds, up to ``CELL_RETRIES`` extra attempts.
-- A deadlocked cell is no failure: it completes, with
-  :attr:`RunResult.deadlocked` and the watchdog's ``diagnosis``.
+  progress watchdog. A deadlocked cell is no failure: it completes,
+  with :attr:`RunResult.deadlocked` and the watchdog's ``diagnosis``.
 - A failed cell, one whose simulation raised, carries a *structured*
   failure record (exception type, message, traceback), and
   :attr:`MatrixResult.errors` lists the failed cells. Reading a failed
   cell's result raises :class:`CellError`, so a figure fails on its
-  first lost cell instead of rendering a partial table. Only a cell
-  lost to a crashed worker is retried: a simulation that raised would
-  raise identically on the same seed and plan.
-- Every completed cell lands in the result cache as it settles
-  (atomic temp+fsync+rename), so a sweep killed mid-flight — crash,
-  SIGINT/SIGTERM, ``BrokenProcessPool`` — resumes by re-running it:
-  completed cells are cache hits and only the missing ones execute.
-  SIGINT/SIGTERM additionally kill the pool's worker processes instead
-  of leaking them.
+  first lost cell instead of rendering a partial table. Nothing is
+  retried: a simulation that raised would raise again on the same seed
+  and plan.
+- A worker that dies (``BrokenProcessPool``) ends the pool: every cell
+  still without a result gets a ``WorkerCrashError`` failure.
+- Any exception that leaves the pool, ``KeyboardInterrupt`` included,
+  kills the pool's workers before it propagates, so none outlives the
+  sweep.
+
+Every completed cell is already in the result cache, so a sweep that
+crashed or was interrupted resumes by re-running it: completed cells are
+cache hits and only the missing ones execute.
 
 Simulations are seeded and deterministic, so ``jobs=1`` and ``jobs=N``
 produce bit-identical :class:`RunResult` fields.
@@ -44,9 +41,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import os
-import signal
-import threading
-import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -56,7 +50,7 @@ from typing import (
 )
 
 from repro.core.policies import PolicySpec
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError
 from repro.experiments.cache import (
     ResultCache, default_cache, result_to_payload,
 )
@@ -66,13 +60,6 @@ from repro.gpu.diagnostics import diagnosis_signature
 
 #: sentinel: "use the process-wide default cache"
 DEFAULT_CACHE = "default"
-
-#: seconds before the first resubmission of cells lost to a crashed
-#: worker; doubles per retry round
-RETRY_BACKOFF = 0.5
-
-#: extra rounds for cells lost to a crashed worker
-CELL_RETRIES = 2
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -338,12 +325,7 @@ class Cell:
 
 
 def _failure_info(exc: BaseException, tb: str) -> Dict[str, Any]:
-    """Structured, picklable record of one cell failure.
-
-    A simulation that raised would raise again on the same seed and
-    plan, so it is never retried; only a crashed worker
-    (:func:`_crash_failure`, type ``WorkerCrashError``) is.
-    """
+    """Structured, picklable record of one cell failure."""
     return {
         "type": type(exc).__name__,
         "message": str(exc),
@@ -351,19 +333,15 @@ def _failure_info(exc: BaseException, tb: str) -> Dict[str, Any]:
     }
 
 
-def _execute_cell(
-    request: RunRequest,
-) -> Tuple[Optional[RunResult], Optional[Dict[str, Any]]]:
-    """Pool worker: never raises — failures come back structured.
+#: one cell's outcome: (result, failure record)
+_Outcome = Tuple[Optional[RunResult], Optional[Dict[str, Any]]]
 
-    One exception to "never raises": a :class:`SweepInterrupted` from
-    the sweep's SIGINT/SIGTERM handler. With ``jobs=1`` the cell runs in
-    the main process, so the handler's raise lands *inside* this frame —
-    it must unwind the whole sweep, not become a cell failure."""
+
+def _execute_cell(request: RunRequest) -> _Outcome:
+    """Pool worker: a simulation that raises comes back as a structured
+    failure."""
     try:
         return request.execute(), None
-    except SweepInterrupted:
-        raise
     except Exception as exc:
         return None, _failure_info(exc, traceback.format_exc())
 
@@ -427,144 +405,51 @@ class MatrixResult(Sequence):
         )
 
 
-def _crash_failure(attempts: int) -> Dict[str, Any]:
-    message = (
-        f"worker process died before returning a result "
-        f"(after {attempts} attempt{'s' if attempts != 1 else ''})"
-    )
-    return {"type": "WorkerCrashError", "message": message,
-            "traceback": message}
+_CRASH_MESSAGE = "a worker process died before the cell returned a result"
 
-
-class SweepInterrupted(ReproError):
-    """A sweep was stopped by SIGINT/SIGTERM after the pool's workers
-    were killed. With a result cache, re-running the sweep continues
-    from the completed cells; without one it starts over."""
-
-    def __init__(self, signum: int, cached: bool):
-        name = signal.Signals(signum).name
-        resume = ("completed cells are in the result cache; re-run to "
-                  "continue" if cached
-                  else "no result cache: a re-run starts over")
-        super().__init__(f"sweep interrupted by {name}; {resume}")
-        self.signum = signum
-
-
-class _SweepSignals:
-    """SIGINT/SIGTERM handling for the duration of one sweep.
-
-    Without this, Ctrl-C (and any SIGTERM from a job scheduler) unwinds
-    through ``ProcessPoolExecutor.__exit__``, which blocks joining
-    workers mid-cell and can leak orphaned children. The installed
-    handler (main thread only) kills the pool's worker processes and
-    raises :class:`SweepInterrupted` so callers unwind promptly; the
-    cells already settled into the cache stay there.
-    """
-
-    _SIGNALS = (signal.SIGINT, signal.SIGTERM)
-
-    def __init__(self, pool_holder: Dict[str, Any], cached: bool):
-        self.pool_holder = pool_holder
-        self.cached = cached
-        self._previous: Dict[int, Any] = {}
-
-    def __enter__(self) -> "_SweepSignals":
-        if threading.current_thread() is not threading.main_thread():
-            return self
-
-        def _fire(signum, _frame):
-            pool = self.pool_holder.get("pool")
-            if pool is not None:
-                for proc in list(getattr(pool, "_processes", {}).values()):
-                    proc.kill()
-            raise SweepInterrupted(signum, self.cached)
-
-        for signum in self._SIGNALS:
-            self._previous[signum] = signal.signal(signum, _fire)
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        for signum, previous in self._previous.items():
-            signal.signal(signum, previous)
-        return False
-
-
-#: per-completion callback: (index, (result, failure))
-_OnOutcome = Callable[[int, Tuple[Optional[RunResult],
-                                  Optional[Dict[str, Any]]]], None]
+#: the failure of a cell left without a result when a worker died
+_WORKER_CRASH = {"type": "WorkerCrashError", "message": _CRASH_MESSAGE,
+                 "traceback": _CRASH_MESSAGE}
 
 
 def _run_cells(
     requests: Sequence[RunRequest],
     jobs: int,
-    on_outcome: Optional[_OnOutcome] = None,
-    pool_holder: Optional[Dict[str, Any]] = None,
-) -> List[Tuple[Optional[RunResult], Optional[Dict[str, Any]]]]:
-    """Execute cells, surviving crashed workers.
+    settle: Callable[[int, _Outcome], None],
+) -> None:
+    """Execute every cell, calling ``settle(index, outcome)`` in this
+    process as each one finishes.
 
-    A cell whose simulation raises is recorded without retry: the same
-    seed and plan would raise identically. A cell lost to pool breakage
-    is resubmitted to a fresh pool with exponential backoff, up to
-    ``CELL_RETRIES`` extra rounds, and then reported as a
-    ``WorkerCrashError``.
-
-    ``on_outcome`` fires in the parent as each cell settles (incremental
-    cache puts); ``pool_holder`` exposes the live pool to the sweep's
-    signal handler.
+    At ``jobs>1`` the cells share one pool. If a worker dies, the pool
+    is broken and every cell not yet finished settles as a
+    ``WorkerCrashError`` failure. Any exception that leaves the pool
+    (``KeyboardInterrupt`` included) kills its workers first: shutting
+    down would wait for the cells in flight, and a parent that died
+    instead would leave them running.
     """
-    outcomes: List[Optional[Tuple[Optional[RunResult],
-                                  Optional[Dict[str, Any]]]]]
-    outcomes = [None] * len(requests)
-    pool_holder = pool_holder if pool_holder is not None else {}
-
-    def settle(index: int, outcome) -> None:
-        outcomes[index] = outcome
-        if on_outcome is not None:
-            on_outcome(index, outcome)
-
     if jobs <= 1:
-        for i, req in enumerate(requests):
-            settle(i, _execute_cell(req))
-        return outcomes  # type: ignore[return-value]
+        for index, request in enumerate(requests):
+            settle(index, _execute_cell(request))
+        return
 
-    remaining = list(range(len(requests)))
-    attempt = 1
-    while remaining:
-        lost: List[int] = []
+    with ProcessPoolExecutor(max_workers=min(jobs, len(requests))) as pool:
         try:
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(remaining))) as pool:
-                pool_holder["pool"] = pool
-                futures = {pool.submit(_execute_cell, requests[i]): i
-                           for i in remaining}
-                for fut in as_completed(futures):
-                    index = futures[fut]
-                    try:
-                        outcome = fut.result()
-                    except BrokenProcessPool:
-                        lost.append(index)
-                        continue
-                    except Exception as exc:  # future-level failure
-                        outcome = (
-                            None, _failure_info(exc, traceback.format_exc()))
-                    settle(index, outcome)
-        except BrokenProcessPool:
-            # The pool broke during submission; everything unfinished in
-            # this round is lost (completed outcomes are preserved).
-            lost = [i for i in remaining if outcomes[i] is None]
-        finally:
-            pool_holder.pop("pool", None)
-
-        remaining = sorted(set(lost))
-        if not remaining:
-            break
-        if attempt > CELL_RETRIES:
-            for index in remaining:
-                settle(index, (None, _crash_failure(attempt)))
-            break
-        time.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
-        attempt += 1
-    return outcomes  # type: ignore[return-value]
+            futures = {}
+            for index, request in enumerate(requests):
+                try:
+                    futures[pool.submit(_execute_cell, request)] = index
+                except BrokenProcessPool:  # a worker died mid-submission
+                    settle(index, (None, _WORKER_CRASH))
+            for future in as_completed(futures):
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    outcome = (None, _WORKER_CRASH)
+                settle(futures[future], outcome)
+        except BaseException:
+            for process in list(pool._processes.values()):
+                process.kill()
+            raise
 
 
 def run_matrix(
@@ -618,17 +503,17 @@ def run_matrix(
         pending.append((key, req, [index]))
 
     # Execute the surviving unique cells; each settles into the cache as
-    # it completes, so progress survives a crash mid-sweep.
-    def on_outcome(index: int, outcome) -> None:
-        key = pending[index][0]
-        result = outcome[0]
-        if result is not None and key is not None:
-            cache.put(key, result)
+    # it completes, so a re-run of a sweep that died mid-way resumes.
+    outcomes: List[_Outcome] = [(None, None)] * len(pending)
 
-    pool_holder: Dict[str, Any] = {}
-    with _SweepSignals(pool_holder, cached=cache is not None):
-        outcomes = _run_cells([req for (_k, req, _idx) in pending], jobs,
-                              on_outcome=on_outcome, pool_holder=pool_holder)
+    def settle(index: int, outcome: _Outcome) -> None:
+        outcomes[index] = outcome
+        key = pending[index][0]
+        if outcome[0] is not None and key is not None:
+            cache.put(key, outcome[0])
+
+    if pending:
+        _run_cells([req for (_k, req, _idx) in pending], jobs, settle)
 
     for (_key, req, indices), (result, failure) in zip(pending, outcomes):
         for position, index in enumerate(indices):

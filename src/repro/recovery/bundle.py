@@ -185,8 +185,8 @@ def bundle_name(bundle: Dict[str, Any]) -> str:
 def write_bundle(bundle: Dict[str, Any],
                  out_dir: os.PathLike) -> Path:
     """Atomically persist one bundle (serialized before the first file
-    operation, written by :func:`repro.durability.write_atomic_text`
-    with bounded retries on transient I/O faults); returns its path."""
+    operation, written by :func:`repro.durability.write_atomic_text`);
+    returns its path."""
     validate_bundle(bundle)
     text = json.dumps(bundle, indent=2, sort_keys=True, default=str)
     out_dir = Path(out_dir)

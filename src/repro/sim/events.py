@@ -41,10 +41,6 @@ class Event:
 
     # -- state ---------------------------------------------------------
     @property
-    def fired(self) -> bool:
-        return self._state is _FIRED
-
-    @property
     def value(self) -> object:
         if self._state is not _FIRED:
             raise SimulationError("event value read before it fired")

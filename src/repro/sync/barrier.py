@@ -21,8 +21,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.errors import DeviceError
-from repro.sync.roles import kernel_roles
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device_api import WavefrontCtx
     from repro.gpu.gpu import GPU
@@ -69,7 +67,6 @@ class AtomicTreeBarrier(_TreeTopology):
         self.global_counter = gpu.alloc_sync_vars(1)[0]
         self._last_episode: dict = {}
 
-    @kernel_roles("member", "leader")
     def arrive(self, ctx: "WavefrontCtx", wg_index: int, episode: int):
         """Join barrier episode ``episode``.
 
@@ -141,7 +138,6 @@ class LFTreeBarrier(_TreeTopology):
         self.group_release: List[int] = gpu.alloc_sync_vars(self.num_groups)
         self._last_episode: dict = {}
 
-    @kernel_roles("member", "leader", "root")
     def arrive(self, ctx: "WavefrontCtx", wg_index: int, episode: int):
         last = self._last_episode.get(wg_index, -1)
         if episode != last + 1:

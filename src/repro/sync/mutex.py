@@ -87,7 +87,6 @@ class SpinMutex(_LockDiscipline):
         HeteroSync keeps lock and protected data adjacent)."""
         return self.lock_addr
 
-    @kernel_roles("holder", "contender")
     def acquire(self, ctx: "WavefrontCtx"):
         """Returns an opaque token to pass to :meth:`release`."""
         yield from ctx.acquire_test_and_set(
@@ -119,7 +118,6 @@ class FAMutex(_LockDiscipline):
     def home_addr(self) -> int:
         return self.serving_addr
 
-    @kernel_roles("holder", "contender")
     def acquire(self, ctx: "WavefrontCtx"):
         my_ticket = yield from ctx.atomic_add(self.ticket_addr, 1)
         yield from ctx.wait_for_value(
@@ -169,8 +167,7 @@ class SleepMutex(_LockDiscipline):
     # wait-to-writer matching cannot be inferred from the address
     # expression alone — the hint carries Figure 10's structure: the
     # holder's release writes the next slot, one waiter per word.
-    @kernel_roles("holder", "contender",
-                  waits=(WaitHint("_slot", waiter="contender",
+    @kernel_roles(waits=(WaitHint("_slot", waiter="contender",
                                   updater="holder", single_waiter=True),))
     def acquire(self, ctx: "WavefrontCtx"):
         ticket = yield from ctx.atomic_add(self.tail_addr, 1)

@@ -75,16 +75,16 @@ def barrier_protocol(primitive: str,
                         decentralized=decentralized)
 
 
-def kernel_roles(*roles: str,
-                 waits: Tuple[WaitHint, ...] = ()) -> Callable:
-    """Annotate a kernel (or sync-primitive method) with its WG roles.
+def kernel_roles(waits: Tuple[WaitHint, ...] = ()) -> Callable:
+    """Annotate a kernel (or sync-primitive method) with the wait-for
+    edges inference cannot see.
 
     Purely declarative: returns the function unchanged; the static pass
     reads the call from the source. Example::
 
-        @kernel_roles("holder", "contender",
-                      waits=(WaitHint("_slot", waiter="contender",
-                             updater="holder", single_waiter=True),))
+        @kernel_roles(waits=(WaitHint("_slot", waiter="contender",
+                                      updater="holder",
+                                      single_waiter=True),))
         def acquire(self, ctx): ...
     """
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Sequence
 
-from repro.sync.roles import kernel_roles
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device_api import WavefrontCtx
     from repro.gpu.gpu import GPU
@@ -47,7 +45,6 @@ def make_mutex_body(
     the WG's worker wavefronts each iteration (the paper's Figure 10
     master-thread idiom)."""
 
-    @kernel_roles("holder", "contender")
     def body(ctx: "WavefrontCtx"):
         group = group_of(ctx.grid_index)
         mutex = mutexes[group]
@@ -129,7 +126,6 @@ def make_barrier_body(
     Each WG stamps its per-WG episode word after every episode; a correct
     barrier leaves every word equal to ``episodes``."""
 
-    @kernel_roles("participant")
     def body(ctx: "WavefrontCtx"):
         idx = ctx.grid_index
         for episode in range(episodes):

@@ -122,11 +122,11 @@ class FakeDisk:
 
     ``log`` holds one ``(op, path)`` per call, paths relative to the
     root: ``creat``, ``write`` and ``fsync`` name the file, ``rename``
-    names ``"src -> dst"``. A faulted call is logged too, so retries
-    show up as repeated entries. ``faults[op]`` is a queue each call of
-    that op pops from: an errno raises ``OSError`` before the real call;
-    ``"short"`` makes a ``write`` persist only the first half of its
-    buffer and report that short count."""
+    names ``"src -> dst"``. A faulted call is logged too.
+    ``faults[op]`` is a queue each call of that op pops from: an errno
+    raises ``OSError`` before the real call; ``"short"`` makes a
+    ``write`` persist only the first half of its buffer and report
+    that short count."""
 
     def __init__(self, root: Path, monkeypatch) -> None:
         self.root = Path(root).resolve()

@@ -1,9 +1,9 @@
-"""Graceful-degradation + temp-hygiene tests for the result cache.
+"""Dropped-put + temp-hygiene tests for the result cache.
 
 The regression this file pins down: ``ResultCache.put`` must never
 leave a stray temp file behind — not when serialization raises, not
-when the disk injects EIO, not when it fills up — and a full disk must
-flip the cache to read-through instead of killing the sweep.
+when the disk injects EIO, not when it fills up — and a put the disk
+refuses is dropped instead of killing the sweep.
 """
 
 import dataclasses
@@ -11,7 +11,6 @@ import errno
 
 import pytest
 
-from repro.durability import IO_RETRIES
 from repro.experiments.cache import ResultCache
 from tests.durability.conftest import sample_result as _result
 
@@ -45,38 +44,38 @@ def test_put_with_raising_serialization_leaks_nothing(tmp_path):
 def test_put_under_injected_eio_drops_and_leaks_nothing(tmp_path, disk):
     cache = ResultCache(tmp_path, fingerprint="t")
     key = cache.key_for({"cell": "a"})
-    disk.faults["write"] = [errno.EIO] * (IO_RETRIES + 1)
+    disk.faults["write"] = [errno.EIO]
     with pytest.warns(RuntimeWarning, match="entry dropped"):
         cache.put(key, _result())
-    assert disk.count("write") == IO_RETRIES + 1  # retried, then dropped
+    assert disk.count("write") == 1  # one attempt, then dropped
     assert cache.dropped == 1
-    assert not cache.degraded  # EIO is transient, not a full disk
+    assert cache.stores == 0
     assert _strays(tmp_path) == []
     assert cache.get(key) is None
 
 
-def test_enospc_flips_read_through_degradation(tmp_path, disk):
+def test_put_on_a_full_disk_is_dropped_and_gets_still_serve(tmp_path, disk):
     cache = ResultCache(tmp_path, fingerprint="t")
     key_ok = cache.key_for({"cell": "pre"})
     cache.put(key_ok, _result())  # lands while the disk is healthy
     assert cache.stores == 1
 
-    # the disk fills: every write from here on raises ENOSPC
-    disk.faults["write"] = [errno.ENOSPC] * 8
+    # the disk fills: the next write raises ENOSPC
+    disk.faults["write"] = [errno.ENOSPC]
     key_lost = cache.key_for({"cell": "post"})
-    with pytest.warns(RuntimeWarning, match="out of space"):
+    with pytest.warns(RuntimeWarning, match="entry dropped"):
         cache.put(key_lost, _result())
-    assert cache.degraded
     assert cache.dropped == 1
+    assert disk.count("write") == 2  # the healthy put, the dropped one
+    assert cache.get(key_lost) is None
 
-    # degraded mode: further puts are dropped WITHOUT touching the
-    # filesystem, gets still serve (read-through, the sweep survives)
-    ops = len(disk.log)
-    cache.put(cache.key_for({"cell": "later"}), _result())
-    assert cache.dropped == 2
-    assert len(disk.log) == ops
+    # the cache still serves what it holds, and a put once the disk has
+    # room lands again
     got = cache.get(key_ok)
     assert got is not None and got.cycles == _result().cycles
+    cache.put(key_lost, _result())
+    assert cache.stores == 2
+    assert cache.get(key_lost) == _result()
     assert _strays(tmp_path) == []
 
 

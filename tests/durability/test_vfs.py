@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.durability import IO_RETRIES, write_atomic_text
+from repro.durability import write_atomic_text
 from repro.experiments.cache import ResultCache
 from tests.durability.conftest import sample_result
 
@@ -69,41 +69,33 @@ def test_short_writes_are_absorbed_by_the_write_loop(tmp_path, disk):
     assert disk.count("rename") == 1
 
 
-def test_eio_exhausts_retries_without_leaking_tmp(tmp_path, disk):
-    disk.faults["write"] = [errno.EIO] * (IO_RETRIES + 1)
+def test_eio_raises_after_one_attempt_without_leaking_tmp(tmp_path, disk):
+    disk.faults["write"] = [errno.EIO]
     with pytest.raises(OSError) as exc:
         write_atomic_text(tmp_path / "e.json", "x")
     assert exc.value.errno == errno.EIO
     assert _tmp_files(tmp_path) == []
     assert not (tmp_path / "e.json").exists()
-    # the first attempt plus IO_RETRIES retries, then give up
-    assert disk.count("creat") == disk.count("write") == IO_RETRIES + 1
+    # one attempt: an EIO from a local disk is a device error
+    assert disk.count("creat") == disk.count("write") == 1
     assert disk.count("rename") == 0
 
 
-def test_transient_eio_retry_succeeds(tmp_path, disk):
-    disk.faults["write"] = [errno.EIO]
-    write_atomic_text(tmp_path / "r.json", "recovered")
-    assert (tmp_path / "r.json").read_text() == "recovered"
-    assert disk.count("write") == 2  # the faulted write, then its retry
-    assert _tmp_files(tmp_path) == []
-
-
 def test_enospc_is_never_retried(tmp_path, disk):
-    # ENOSPC must fail fast, not burn the retry budget
-    disk.faults["write"] = [errno.ENOSPC] * (IO_RETRIES + 1)
+    disk.faults["write"] = [errno.ENOSPC]
     with pytest.raises(OSError) as exc:
         write_atomic_text(tmp_path / "n.json", "x")
     assert exc.value.errno == errno.ENOSPC
-    assert disk.count("write") == 1
+    assert disk.count("creat") == disk.count("write") == 1
     assert _tmp_files(tmp_path) == []
 
 
 def test_fsync_eio_raises(tmp_path, disk):
-    disk.faults["fsync"] = [errno.EIO] * (IO_RETRIES + 1)
+    disk.faults["fsync"] = [errno.EIO]
     with pytest.raises(OSError) as exc:
         write_atomic_text(tmp_path / "g.json", "x")
     assert exc.value.errno == errno.EIO
     assert not (tmp_path / "g.json").exists()
+    assert disk.count("fsync") == 1
     assert disk.count("rename") == 0
     assert _tmp_files(tmp_path) == []

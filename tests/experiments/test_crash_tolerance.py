@@ -1,5 +1,5 @@
-"""Matrix-runner survival: killed workers, bounded retries, and a failed
-cell failing the figure that reads it.
+"""Matrix-runner survival: a killed worker, and a failed cell failing
+the figure that reads it.
 
 The kill drill is a `RunRequest` whose first execution SIGKILLs the
 process running it. The pool's workers are forked, so they resolve the
@@ -25,7 +25,7 @@ SCEN = QUICK_SCALE.scaled(total_wgs=8, wgs_per_group=4, iterations=1,
 @dataclass(frozen=True)
 class KillOnce(RunRequest):
     """Consumes ``sentinel`` and SIGKILLs its worker if the file exists,
-    so the retry of the same cell runs it to completion."""
+    so a re-run of the same cell runs it to completion."""
 
     sentinel: str = ""
 
@@ -49,53 +49,33 @@ def _killer(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# killed workers (BrokenProcessPool recovery)
+# a killed worker (BrokenProcessPool)
 # ---------------------------------------------------------------------------
 
-def test_killed_worker_is_retried_and_sweep_recovers(tmp_path, monkeypatch):
-    monkeypatch.setattr("repro.experiments.matrix.RETRY_BACKOFF", 0.05)
+def test_killed_worker_fails_its_cell_and_a_rerun_completes_it(tmp_path):
     killer, sentinel = _killer(tmp_path)
-    monkeypatch.setattr("repro.experiments.matrix.CELL_RETRIES", 2)
     requests = [killer, _req("SPM_G")]
-    matrix = run_matrix(requests, jobs=2, cache=None)
-    # the first attempt consumed the sentinel and died; the retry ran
-    # the same cell to completion, and no other cell was lost
+    cache = ResultCache(tmp_path / "cache")
+    # jobs=2 runs even the killer in a worker: in the calling process the
+    # kill would end the caller
+    matrix = run_matrix(requests, jobs=2, cache=cache)
     assert not sentinel.exists()
-    assert matrix[0].ok
-    assert matrix[1].ok
-    assert not matrix.errors
-
-
-def test_lone_killed_cell_is_retried_in_a_worker(tmp_path, monkeypatch):
-    # a one-cell sweep at jobs>1 still runs in a worker: run in the
-    # calling process, the kill would end the caller instead
-    monkeypatch.setattr("repro.experiments.matrix.RETRY_BACKOFF", 0.05)
-    killer, sentinel = _killer(tmp_path)
-    monkeypatch.setattr("repro.experiments.matrix.CELL_RETRIES", 2)
-    matrix = run_matrix([killer], jobs=2, cache=None)
-    assert not sentinel.exists()
-    assert matrix[0].ok
-    assert not matrix.errors
-
-
-def test_exhausted_retries_become_structured_failures(tmp_path, monkeypatch):
-    monkeypatch.setattr("repro.experiments.matrix.RETRY_BACKOFF", 0.05)
-    killer, _sentinel = _killer(tmp_path)
-    monkeypatch.setattr("repro.experiments.matrix.CELL_RETRIES", 0)
-    requests = [killer, _req("SPM_G")]
-    matrix = run_matrix(requests, jobs=2, cache=None)
-    # with no retries allowed, the killed cell is recorded as a crash;
-    # pool breakage may also cost in-flight siblings, but the sweep
-    # itself returns every cell, each either a result or a failure
+    # the sweep returns every cell, each a result or a structured crash
+    # failure; the broken pool may also cost the sibling in flight
     assert len(matrix.cells) == 2
-    failures = [c.failure for c in matrix.cells if c.failure is not None]
-    assert failures
-    assert all(f["type"] == "WorkerCrashError" for f in failures)
     assert matrix.cells[0].failure is not None  # the killed cell, always
     for err in matrix.errors:
         assert err.failure["type"] == "WorkerCrashError"
         assert set(err.failure) == {"type", "message", "traceback"}
-        assert "attempt" in err.failure["message"]
+    with pytest.raises(CellError, match=r"cell \(SPM_L, AWG, "):
+        matrix[0]
+
+    # a re-run on the same cache runs only the lost cells, to completion
+    rerun = run_matrix(requests, jobs=2, cache=cache)
+    assert not rerun.errors
+    assert rerun.cache_misses == len(matrix.errors)
+    assert rerun.cache_hits == 2 - len(matrix.errors)
+    assert all(result.ok for result in rerun)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,31 @@ def test_tampered_entry_with_stale_digest_is_never_served(tmp_path):
     assert _result_fields(rerun[0]) == _result_fields(cold[0])
 
 
+def test_cells_settle_into_the_cache_before_run_matrix_returns(
+        tmp_path, monkeypatch):
+    """Each cell is put into the cache as it settles, not in an
+    epilogue: an exception escaping ``run_matrix`` after the cells ran
+    loses nothing, and the rerun serves every cell from the cache."""
+    requests = [RunRequest("SPM_G", awg(), SCEN),
+                RunRequest("TB_LG", awg(), SCEN)]
+    cache = ResultCache(tmp_path)
+
+    def boom(*_args, **_kwargs):
+        raise RuntimeError("simulated crash in the sweep epilogue")
+
+    monkeypatch.setattr("repro.experiments.matrix.MatrixResult", boom)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        run_matrix(requests, jobs=1, cache=cache)
+    assert cache.entry_count() == 2
+
+    monkeypatch.undo()
+    resumed = run_matrix(requests, jobs=1, cache=ResultCache(tmp_path))
+    assert (resumed.cache_hits, resumed.cache_misses) == (2, 0)
+    fresh = run_matrix(requests, jobs=1, cache=None)
+    for a, b in zip(resumed, fresh):
+        assert a.cycles == b.cycles and a.stats == b.stats
+
+
 def test_checkpoint_keyword_only_accepts_false(tmp_path):
     cache = ResultCache(tmp_path, fingerprint="test")
     requests = [RunRequest("SPM_G", awg(), SCEN)]

@@ -197,7 +197,7 @@ import signal
 import sys
 sys.path.insert(0, sys.argv[2])
 from repro.experiments.cache import ResultCache
-from repro.experiments.matrix import SweepInterrupted, run_matrix
+from repro.experiments.matrix import run_matrix
 from repro.gpu import gpu as gpu_module
 from tests.sim.calendar_oracle import CalendarOracle
 
@@ -213,10 +213,7 @@ def kill_in_killed_cell(request):
 
 RunRequest.execute = kill_in_killed_cell
 
-try:
-    run_matrix(build_requests(), jobs=1, cache=ResultCache(sys.argv[1]))
-except SweepInterrupted as exc:
-    sys.exit(128 + exc.signum)
+run_matrix(build_requests(), jobs=1, cache=ResultCache(sys.argv[1]))
 """
 
 

@@ -11,12 +11,14 @@ re-running the sweep against the same cache must:
 - produce results bit-identical to an uninterrupted run of the same
   sweep.
 
-A second test delivers SIGTERM instead: the signal handler must exit
-with the conventional 128+signum, and the rerun must hit every cell
-that reached the cache. The last tests pin the interruption message to
-what the sweep actually had: a cache to resume from, or none.
+A second test delivers SIGTERM to ``python -m repro`` instead:
+``cli.main`` must exit with the conventional 128+signum, and the rerun
+must hit every cell that reached the cache. The last test interrupts a
+paper-scale sweep at ``--jobs 2`` with SIGTERM and SIGINT: the command
+exits 143 and 130, and none of its pool's workers outlives it.
 """
 
+import glob
 import os
 import shutil
 import signal
@@ -27,8 +29,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import fig7
 from repro.experiments.cache import ResultCache, result_to_payload
-from repro.experiments.matrix import RunRequest, SweepInterrupted, run_matrix
+from repro.experiments.matrix import run_matrix
+from repro.experiments.runner import QUICK_SCALE
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -53,24 +57,6 @@ def build_requests():
     ]
 """
 
-#: the SIGTERM child runs a slower sweep so the signal reliably lands
-#: mid-flight (the quick cells finish in well under a second)
-SLOW_REQUESTS_SNIPPET = """
-from repro.core.policies import named_policy
-from repro.experiments.matrix import RunRequest
-from repro.experiments.runner import QUICK_SCALE
-
-SLOW = QUICK_SCALE.scaled(label="slow", iterations=4, episodes=16)
-
-
-def build_requests():
-    benches = ["SPM_G", "FAM_G", "TB_LG", "SLM_G", "SPM_L"]
-    return [
-        RunRequest(bench, named_policy("awg"), SLOW, validate=False)
-        for bench in benches
-    ]
-"""
-
 #: prepended to the SIGKILL test's child: the kill drill
 KILL_DRILL = """
 import os
@@ -91,30 +77,29 @@ RunRequest.execute = kill_in_killed_cell
 CHILD_MAIN = """
 import sys
 from repro.experiments.cache import ResultCache
-from repro.experiments.matrix import SweepInterrupted, run_matrix
+from repro.experiments.matrix import run_matrix
 
-try:
-    run_matrix(build_requests(), jobs=1, cache=ResultCache(sys.argv[1]))
-except SweepInterrupted as exc:
-    sys.exit(128 + exc.signum)
+run_matrix(build_requests(), jobs=1, cache=ResultCache(sys.argv[1]))
 """
 
 
-def _build_requests(snippet=REQUESTS_SNIPPET):
+def _build_requests():
     namespace = {}
-    exec(snippet, namespace)
+    exec(REQUESTS_SNIPPET, namespace)
     return namespace["build_requests"]()
+
+
+def _spawn(tmp_path, args, **env):
+    return subprocess.Popen(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC, **env),
+        cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
 
 
 def _spawn_child(tmp_path, cache_dir, snippet):
     script = tmp_path / "child_sweep.py"
     script.write_text(snippet + CHILD_MAIN)
-    env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.Popen(
-        [sys.executable, str(script), str(cache_dir)],
-        env=env, cwd=tmp_path,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
+    return _spawn(tmp_path, [str(script), str(cache_dir)])
 
 
 def test_sigkill_resume_is_bit_identical_and_reexecutes_nothing(tmp_path):
@@ -148,19 +133,18 @@ def test_sigterm_flushes_checkpoint_and_exits_resumable(tmp_path):
     """The completed cells' cache entries are the checkpoint: each was
     written atomically as the cell settled, before the signal."""
     cache_dir = tmp_path / "cache"
+    command = ["-m", "repro", "fig7", "--quick", "--jobs", "1"]
 
     # de-flake: the signal must land while the sweep is mid-flight; on
     # a loaded machine the first attempt can finish first, so retry.
-    # One cache entry means cell 1 completed and cell 2 is running when
-    # SIGTERM arrives.
+    # One cache entry means the sweep is running when SIGTERM arrives.
     for attempt in range(3):
-        child = _spawn_child(tmp_path, cache_dir,
-                             snippet=SLOW_REQUESTS_SNIPPET)
+        child = _spawn(tmp_path, command, REPRO_CACHE_DIR=str(cache_dir))
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
             if ResultCache(cache_dir).entry_count() >= 1:
                 break
-            time.sleep(0.01)
+            time.sleep(0.005)
         child.send_signal(signal.SIGTERM)
         _out, err = child.communicate(timeout=300)
         if child.returncode == 128 + signal.SIGTERM:
@@ -170,43 +154,79 @@ def test_sigterm_flushes_checkpoint_and_exits_resumable(tmp_path):
         raise AssertionError(
             f"SIGTERM never interrupted the sweep (last rc "
             f"{child.returncode}, stderr: {err.decode()[-500:]})")
+    assert err.decode().strip().splitlines()[-1] == (
+        "interrupted by SIGTERM; a re-run resumes from the result cache")
 
     entries = ResultCache(cache_dir).entry_count()
-    assert 0 < entries < 5
+    assert 0 < entries < 60
 
     # the rerun finishes the sweep, serving every surviving entry
-    result = run_matrix(_build_requests(SLOW_REQUESTS_SNIPPET), jobs=1,
-                        cache=ResultCache(cache_dir))
-    assert not result.errors
-    assert result.cache_hits == entries
-    assert result.cache_misses == 5 - entries
+    cache = ResultCache(cache_dir)
+    fig7.run(QUICK_SCALE, jobs=1, cache=cache)
+    assert cache.hits == entries
+    assert cache.misses == 60 - entries
 
 
-def _interrupt_first_cell(monkeypatch):
-    """Make the first executed cell deliver SIGTERM to this process;
-    at jobs=1 the sweep's handler raises inside that cell."""
-    def execute(self):
-        signal.raise_signal(signal.SIGTERM)
-        raise AssertionError("the sweep's SIGTERM handler did not fire")
-
-    monkeypatch.setattr(RunRequest, "execute", execute)
-
-
-def test_interrupt_with_cache_says_rerun_continues(tmp_path, monkeypatch):
-    _interrupt_first_cell(monkeypatch)
-    with pytest.raises(SweepInterrupted) as exc:
-        run_matrix(_build_requests()[:1], jobs=1,
-                   cache=ResultCache(tmp_path))
-    assert exc.value.signum == signal.SIGTERM
-    assert str(exc.value) == (
-        "sweep interrupted by SIGTERM; completed cells are in the result "
-        "cache; re-run to continue")
+def _children(pid):
+    """The pids of ``pid``'s child processes, over all its threads."""
+    pids = set()
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        try:
+            with open(path) as fh:
+                pids.update(int(word) for word in fh.read().split())
+        except OSError:  # the thread exited
+            pass
+    return pids
 
 
-def test_interrupt_without_cache_says_rerun_starts_over(monkeypatch):
-    _interrupt_first_cell(monkeypatch)
-    with pytest.raises(SweepInterrupted) as exc:
-        run_matrix(_build_requests()[:1], jobs=1, cache=None)
-    assert str(exc.value) == (
-        "sweep interrupted by SIGTERM; no result cache: a re-run starts "
-        "over")
+def _alive(pid):
+    """Whether ``pid`` runs: it exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not glob.glob("/proc/self/task/*/children"),
+                    reason="needs /proc/<pid>/task/<tid>/children")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
+                         ids=["SIGTERM", "SIGINT"])
+def test_interrupted_pool_sweep_exits_and_leaves_no_worker(tmp_path, signum):
+    """A paper-scale sweep (several seconds) is interrupted once both
+    pool workers run a cell. The command exits 128+signum at once,
+    without waiting for the cells in flight, and no worker outlives it:
+    a parent left to SIGTERM's default action would orphan them."""
+    # stderr goes to a file: an orphaned worker would hold a pipe open
+    err_path = tmp_path / "stderr"
+    with open(err_path, "w") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fig14", "--jobs", "2",
+             "--no-cache"], env=dict(os.environ, PYTHONPATH=SRC),
+            cwd=tmp_path, stdout=subprocess.DEVNULL, stderr=err)
+    workers = set()
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(child.pid)
+        assert len(workers) >= 2, "the pool never started its workers"
+        time.sleep(0.5)  # both workers are inside a cell
+        child.send_signal(signum)
+        child.wait(timeout=3)
+        deadline = time.monotonic() + 1
+        while any(_alive(pid) for pid in workers) and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:  # a failed run must not leak its processes
+        child.kill()
+        child.wait()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+    last = err_path.read_text().strip().splitlines()[-1]
+    assert child.returncode == 128 + signum, last
+    assert f"interrupted by {signal.Signals(signum).name}; " in last
+    assert last.endswith("a re-run starts over")

@@ -22,7 +22,7 @@ def test_succeed_carries_value(env):
     ev = Event(env)
     ev.succeed("payload")
     env.run()
-    assert ev.fired and ev.value == "payload"
+    assert ev.value == "payload"
 
 
 def test_try_succeed_idempotent(env):
@@ -53,7 +53,6 @@ def test_anyof_fires_on_first_child(env):
     fast = Event(env).succeed("fast", 3)
     any_ev = AnyOf(env, [slow, fast])
     env.run(until=50)
-    assert any_ev.fired
     assert any_ev.value == (1, "fast")
 
 
@@ -63,7 +62,7 @@ def test_anyof_ignores_later_children(env):
     any_ev = AnyOf(env, [a, b])
     env.run()
     assert any_ev.value == (0, "a")
-    assert b.fired  # loser still fires harmlessly
+    assert b.value == "b"  # loser still fires harmlessly
 
 
 def test_anyof_empty_raises(env):
@@ -77,7 +76,7 @@ def test_anyof_with_already_fired_child(env):
     env.run()
     any_ev = AnyOf(env, [ev, env.timeout(10)])
     env.run(until=5)
-    assert any_ev.fired and any_ev.value == (0, "done")
+    assert any_ev.value == (0, "done")
 
 
 def test_allof_collects_values_in_child_order(env):
@@ -85,14 +84,13 @@ def test_allof_collects_values_in_child_order(env):
     b = Event(env).succeed("b", 10)
     all_ev = AllOf(env, [a, b])
     env.run()
-    assert all_ev.fired
     assert all_ev.value == ["a", "b"]
 
 
 def test_allof_empty_fires_immediately(env):
     all_ev = AllOf(env, [])
     env.run()
-    assert all_ev.fired and all_ev.value == []
+    assert all_ev.value == []
 
 
 def test_allof_waits_for_slowest(env):
@@ -100,7 +98,8 @@ def test_allof_waits_for_slowest(env):
     b = env.timeout(50)
     all_ev = AllOf(env, [a, b])
     env.run(until=10)
-    assert not all_ev.fired
+    with pytest.raises(SimulationError):  # not fired yet
+        _ = all_ev.value
     env.run()
-    assert all_ev.fired
+    assert all_ev.value == [None, None]
 

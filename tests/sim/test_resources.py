@@ -16,7 +16,8 @@ def test_single_request_takes_service_time(env):
     res = FifoResource(env, "r")
     done = res.service(10)
     env.run()
-    assert done.fired and env.now == 10
+    # a service event fires with value None; reading it earlier raises
+    assert done.value is None and env.now == 10
 
 
 def test_requests_serialize_fifo(env):
@@ -41,7 +42,7 @@ def test_zero_cycle_service(env):
     res = FifoResource(env, "r")
     done = res.service(0)
     env.run()
-    assert done.fired and env.now == 0
+    assert done.value is None and env.now == 0
 
 
 def test_negative_service_rejected(env):
@@ -114,5 +115,5 @@ def test_total_requests_and_service(env):
     res = FifoResource(env, "r")
     first, second = res.service(3), res.service(4)
     env.run()
-    assert first.fired and second.fired
+    assert first.value is None and second.value is None
     assert env.now == 7  # 3 + 4 service cycles, back to back

@@ -2,6 +2,7 @@
 
 import re
 import shlex
+import signal
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,30 @@ def test_unknown_command_is_rejected(capsys):
             main([name])
         assert exc.value.code == 2
         assert f"invalid choice: {name!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, interrupt, code, note", [
+    (["table1"], KeyboardInterrupt(signal.SIGTERM), 143,
+     "interrupted by SIGTERM"),
+    (["fig7"], KeyboardInterrupt(signal.SIGTERM), 143,
+     "interrupted by SIGTERM; a re-run resumes from the result cache"),
+    (["fig7", "--no-cache"], KeyboardInterrupt(), 130,
+     "interrupted by SIGINT; a re-run starts over"),
+], ids=["no-sweep", "sweep", "sweep-no-cache"])
+def test_interrupt_exits_128_plus_signum_with_one_line(argv, interrupt, code,
+                                                       note, monkeypatch,
+                                                       capsys):
+    """SIGTERM reaches a command as ``KeyboardInterrupt(signum)``, Ctrl-C
+    as a bare ``KeyboardInterrupt``; a sweeping command's line says
+    whether a re-run resumes."""
+    def interrupted(_names, _opts):
+        raise interrupt
+
+    monkeypatch.setattr("repro.cli._run_artifacts", interrupted)
+    handler = signal.getsignal(signal.SIGTERM)
+    assert main(argv) == code
+    assert capsys.readouterr().err.strip() == note
+    assert signal.getsignal(signal.SIGTERM) == handler  # restored
 
 
 def test_table1_command(capsys):
