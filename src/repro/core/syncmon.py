@@ -59,6 +59,8 @@ class _ConditionEntry:
     """One condition-cache entry: a condition plus its waiter FIFO."""
 
     cond: WaitCondition
+    #: index of the condition-cache set holding this entry
+    set_idx: int
     #: wg_id -> registration cycle (insertion-ordered FIFO)
     waiters: "OrderedDict[int, int]" = field(default_factory=OrderedDict)
 
@@ -88,9 +90,10 @@ class SyncMon:
         #: cached condition total (the per-registration peak tracking made
         #: summing 256 sets per call the hottest SyncMon line)
         self._entry_count = 0
-        #: live condition entries per address; makes the "last condition
-        #: on this address dropped?" check O(1) instead of a full scan
-        self._addr_counts: Dict[int, int] = {}
+        #: live condition entries per monitored address, in set-index
+        #: then way order: a monitored write visits only its own address's
+        #: entries, in the order a scan over every set and way would
+        self._by_addr: Dict[int, List[_ConditionEntry]] = {}
         self.predictor = ResumePredictor(
             config.bloom_filter_count,
             config.bloom_bits,
@@ -120,29 +123,29 @@ class SyncMon:
     # ------------------------------------------------------------------
     # lookup helpers
     # ------------------------------------------------------------------
-    def _set_for(self, cond: WaitCondition) -> List[_ConditionEntry]:
-        idx = condition_set_index(
+    def _set_index(self, cond: WaitCondition) -> int:
+        return condition_set_index(
             cond.addr,
             cond.expected,
             self.config.block_bytes,
             self.config.syncmon_sets,
             self._set_hash,
         )
-        return self._sets[idx]
 
     def _find(self, cond: WaitCondition) -> Optional[_ConditionEntry]:
-        for entry in self._set_for(cond):
+        for entry in self._sets[self._set_index(cond)]:
             if entry.cond == cond:
                 return entry
         return None
 
     def _entries_for_addr(self, addr: int) -> List[_ConditionEntry]:
-        return [
-            entry
-            for ways in self._sets
-            for entry in ways
-            if entry.cond.addr == addr
-        ]
+        """A copy: the caller may drop entries while it walks them."""
+        return list(self._by_addr.get(addr, ()))
+
+    @property
+    def monitored_addrs(self):
+        """The addresses with at least one cached condition."""
+        return self._by_addr.keys()
 
     @property
     def condition_count(self) -> int:
@@ -182,17 +185,24 @@ class SyncMon:
 
         self.seen_addrs.add(cond.addr)
         self.seen_conditions.add((cond.addr, cond.expected))
-        ways = self._set_for(cond)
+        set_idx = self._set_index(cond)
+        ways = self._sets[set_idx]
         if (
             len(ways) >= self.config.syncmon_assoc
             or self._waiting_list_used >= self.config.waiting_wg_list_size
         ):
             return self._spill(wg_id, cond)
-        entry = _ConditionEntry(cond=cond)
+        entry = _ConditionEntry(cond=cond, set_idx=set_idx)
         entry.waiters[wg_id] = self.env.now
         ways.append(entry)
         self._entry_count += 1
-        self._addr_counts[cond.addr] = self._addr_counts.get(cond.addr, 0) + 1
+        same_addr = self._by_addr.setdefault(cond.addr, [])
+        # after every entry of a lower or equal set (a new way is the
+        # last of its set)
+        pos = len(same_addr)
+        while pos and same_addr[pos - 1].set_idx > set_idx:
+            pos -= 1
+        same_addr.insert(pos, entry)
         self._waiting_list_used += 1
         self.hierarchy.l2.set_monitored(cond.addr, True)
         self._track_peaks()
@@ -227,17 +237,16 @@ class SyncMon:
         return True
 
     def _drop_entry(self, entry: _ConditionEntry) -> None:
-        ways = self._set_for(entry.cond)
+        ways = self._sets[entry.set_idx]
         addr = entry.cond.addr
         if entry in ways:
             ways.remove(entry)
             self._entry_count -= 1
-            remaining = self._addr_counts.get(addr, 1) - 1
-            if remaining:
-                self._addr_counts[addr] = remaining
-            else:
-                del self._addr_counts[addr]
-        if not self._addr_counts.get(addr):
+            same_addr = self._by_addr[addr]
+            same_addr.remove(entry)
+            if not same_addr:
+                del self._by_addr[addr]
+        if addr not in self._by_addr:
             self.hierarchy.l2.set_monitored(addr, False)
             self.predictor.release(addr)
 

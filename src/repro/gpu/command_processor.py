@@ -81,14 +81,13 @@ class CommandProcessor:
     def note_waiting(self, wg: "WorkGroup") -> None:
         self._waiting_wgs.add(wg.wg_id)
         self.peak_waiting_wgs = max(self.peak_waiting_wgs, len(self._waiting_wgs))
-        # distinct monitored addrs = cached per-addr counts in the SyncMon
-        # plus spilled-only addrs; the old full condition-cache scan per
-        # waiting transition was a profiling hot spot
-        counts = self.gpu.syncmon._addr_counts
-        n_addrs = len(counts)
+        # distinct monitored addrs = the SyncMon's cached addresses plus
+        # spilled-only addrs
+        cached = self.gpu.syncmon.monitored_addrs
+        n_addrs = len(cached)
         if self.spilled:
             n_addrs += len(
-                {addr for (addr, _v) in self.spilled if addr not in counts}
+                {addr for (addr, _v) in self.spilled if addr not in cached}
             )
         self.peak_monitored_addrs = max(self.peak_monitored_addrs, n_addrs)
         tracer = self.gpu.tracer

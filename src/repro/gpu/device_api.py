@@ -13,8 +13,9 @@ Kernel bodies are generators; every operation is invoked as
   backoff, plain-atomic + ``wait`` instruction (with the §IV.C window of
   vulnerability), or a fused waiting atomic (§IV.D).
 
-Every op begins with a preamble that charges SIMD issue bandwidth and
-honours forced eviction (kernel-scheduler preemption) at op boundaries.
+Every op begins with the same preamble, written out in each op rather
+than delegated to a generator: honour forced eviction (kernel-scheduler
+preemption) at the op boundary, then charge SIMD issue bandwidth.
 
 Calling an op *without* ``yield from`` builds a generator that never
 runs, so the op silently never executes. The kernel linter's
@@ -36,6 +37,7 @@ from repro.mem.backing import wrap32
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.gpu import GPU
     from repro.gpu.workgroup import WGState, WorkGroup
+    from repro.sim.events import Event
     from repro.sim.resources import FifoResource
 
 
@@ -54,6 +56,11 @@ class WavefrontCtx:
         self.wf_id = wf_id
         self.simd = simd
         self.args = wg.kernel.args
+        #: the waiting atomic in flight (a wavefront issues one op at a
+        #: time): its (condition, predicate), and the SyncMon outcome its
+        #: L2 hook leaves behind
+        self._cmp: Optional[Tuple[WaitCondition, Callable[[int], bool]]] = None
+        self._outcome: Optional[RegisterOutcome] = None
 
     def __getattr__(self, name: str):
         # Lazily bound device counters: ``self._c_loads()`` resolves to the
@@ -86,15 +93,12 @@ class WavefrontCtx:
     def env(self):
         return self.gpu.env
 
-    def _cu_id(self) -> int:
-        cu = self.wg.cu
-        if cu is None:
-            raise DeviceError(
-                f"WG{self.wg_id} issued a device op while not resident"
-            )
-        return cu.cu_id
+    def _not_resident(self) -> DeviceError:
+        return DeviceError(
+            f"WG{self.wg_id} issued a device op while not resident"
+        )
 
-    # -- preamble: issue bandwidth + eviction gate ---------------------------
+    # -- op boundary: eviction gate ---------------------------------------------
     def _interrupt_point(self):
         """Honour forced eviction / the suspension gate (op boundary)."""
         from repro.gpu.workgroup import WGState  # local import (cycle)
@@ -105,19 +109,16 @@ class WavefrontCtx:
         while wg.gate is not None and not self.is_master:
             yield wg.gate
 
-    def _preamble(self):
-        wg = self.wg
-        if wg.evict_requested or wg.gate is not None:
-            yield from self._interrupt_point()
-        yield self.simd.service(self.gpu.config.issue_cycles)
-
     # -- compute and plain memory ---------------------------------------------
     def compute(self, cycles: int):
         """Burn ``cycles`` of ALU work.
 
         Long bursts are quantized so kernel-scheduler preemption can take
         effect at instruction granularity, not only at op boundaries."""
-        yield from self._preamble()
+        wg = self.wg
+        if wg.evict_requested or wg.gate is not None:
+            yield from self._interrupt_point()
+        yield self.simd.service(self.gpu.config.issue_cycles)
         quantum = self.gpu.config.compute_quantum
         remaining = cycles
         while remaining > 0:
@@ -131,30 +132,46 @@ class WavefrontCtx:
 
     def load(self, addr: int):
         """Plain (cached) load; returns the word value."""
-        yield from self._preamble()
+        wg = self.wg
+        if wg.evict_requested or wg.gate is not None:
+            yield from self._interrupt_point()
+        yield self.simd.service(self.gpu.config.issue_cycles)
         self._c_loads()
-        value = yield self.gpu.hierarchy.load(
-            self._cu_id(), addr, wg_id=self.wg_id
-        )
+        cu = wg.cu
+        if cu is None:
+            raise self._not_resident()
+        value = yield self.gpu.hierarchy.load(cu.cu_id, addr, wg_id=wg.wg_id)
         return value
 
     def store(self, addr: int, value: int):
         """Write-through store; completes at the L2."""
-        yield from self._preamble()
+        wg = self.wg
+        if wg.evict_requested or wg.gate is not None:
+            yield from self._interrupt_point()
+        yield self.simd.service(self.gpu.config.issue_cycles)
         self._c_stores()
+        cu = wg.cu
+        if cu is None:
+            raise self._not_resident()
         yield self.gpu.hierarchy.store_word(
-            self._cu_id(), addr, value, wg_id=self.wg_id
+            cu.cu_id, addr, value, wg_id=wg.wg_id
         )
         return None
 
     def lds_read(self, index: int):
         """Read the WG's local data share (scratchpad)."""
-        yield from self._preamble()
-        return self.wg.lds.get(index, 0)
+        wg = self.wg
+        if wg.evict_requested or wg.gate is not None:
+            yield from self._interrupt_point()
+        yield self.simd.service(self.gpu.config.issue_cycles)
+        return wg.lds.get(index, 0)
 
     def lds_write(self, index: int, value: int):
-        yield from self._preamble()
-        self.wg.lds[index] = wrap32(value)
+        wg = self.wg
+        if wg.evict_requested or wg.gate is not None:
+            yield from self._interrupt_point()
+        yield self.simd.service(self.gpu.config.issue_cycles)
+        wg.lds[index] = wrap32(value)
         return None
 
     def s_sleep(self, cycles: int):
@@ -166,8 +183,11 @@ class WavefrontCtx:
 
     def syncthreads(self):
         """WG-local barrier among the WG's wavefronts."""
-        yield from self._preamble()
-        yield self.wg.syncthreads_arrive()
+        wg = self.wg
+        if wg.evict_requested or wg.gate is not None:
+            yield from self._interrupt_point()
+        yield self.simd.service(self.gpu.config.issue_cycles)
+        yield wg.syncthreads_arrive()
         return None
 
     def progress(self, tag: str = "progress") -> None:
@@ -183,10 +203,16 @@ class WavefrontCtx:
         operand2: int = 0,
     ):
         """Perform an atomic at the L2; returns the :class:`AtomicResult`."""
-        yield from self._preamble()
+        wg = self.wg
+        if wg.evict_requested or wg.gate is not None:
+            yield from self._interrupt_point()
+        yield self.simd.service(self.gpu.config.issue_cycles)
         self._c_atomics()
+        cu = wg.cu
+        if cu is None:
+            raise self._not_resident()
         res = yield self.gpu.hierarchy.atomic(
-            self._cu_id(), op, addr, operand, operand2, wg_id=self.wg_id
+            cu.cu_id, op, addr, operand, operand2, wg_id=wg.wg_id
         )
         return res
 
@@ -290,18 +316,18 @@ class WavefrontCtx:
     ):
         """Issue one waiting atomic; comparison + SyncMon registration
         happen atomically at the L2 (the race-free point)."""
-        yield from self._preamble()
+        wg = self.wg
+        if wg.evict_requested or wg.gate is not None:
+            yield from self._interrupt_point()
+        yield self.simd.service(self.gpu.config.issue_cycles)
         gpu = self.gpu
         self._c_atomics()
         self._c_waiting_atomics()
-        holder: dict = {}
-
-        def _hook(result: AtomicResult) -> None:
-            ok = satisfied(result.old)
-            result.success = ok
-            if not ok and gpu.policy.uses_monitor:
-                holder["outcome"] = gpu.syncmon.register(self.wg_id, cond)
-
+        cu = wg.cu
+        if cu is None:
+            raise self._not_resident()
+        self._cmp = (cond, satisfied)
+        self._outcome = None
         # A compare-and-wait (LOAD-form waiting atomic) never modifies the
         # word: it is a read probe at the L2 and does not hold the bank
         # for a full read-modify-write.
@@ -309,33 +335,46 @@ class WavefrontCtx:
             gpu.config.l2_load_service if op is AtomicOp.LOAD else None
         )
         res = yield gpu.hierarchy.atomic(
-            self._cu_id(), op, addr, operand, operand2,
-            wg_id=self.wg_id, l2_hook=_hook, service=service,
+            cu.cu_id, op, addr, operand, operand2,
+            wg_id=wg.wg_id, l2_hook=self._compare_at_l2, service=service,
         )
-        return res, holder.get("outcome")
+        return res, self._outcome
+
+    def _compare_at_l2(self, result: AtomicResult) -> None:
+        """The waiting atomic's L2 hook: compare, and register the
+        condition with the SyncMon if it failed."""
+        cond, satisfied = self._cmp
+        ok = satisfied(result.old)
+        result.success = ok
+        gpu = self.gpu
+        if not ok and gpu.policy.uses_monitor:
+            self._outcome = gpu.syncmon.register(self.wg.wg_id, cond)
 
     def _wait_instr(self, cond: WaitCondition):
         """The standalone ``wait`` instruction (MonR/MonRS): a separate
         trip to the L2 that arms the SyncMon — racy by construction."""
-        yield from self._preamble()
+        wg = self.wg
+        if wg.evict_requested or wg.gate is not None:
+            yield from self._interrupt_point()
+        yield self.simd.service(self.gpu.config.issue_cycles)
         gpu = self.gpu
         self._c_wait_instrs()
-        bank = gpu.hierarchy.bank_for(cond.addr)
-        done = bank.service(gpu.config.l2_store_service)
         result = gpu.env.event()
-
-        def _arm(_ev) -> None:
-            outcome = gpu.syncmon.register(self.wg_id, cond)
-            result.try_succeed(outcome)
-
-        done.add_callback(_arm)
+        gpu.hierarchy.bank_for(cond.addr).request(
+            gpu.config.l2_store_service, self._arm, result, cond)
         outcome = yield result
         return outcome
 
+    def _arm(self, result: "Event", cond: WaitCondition) -> None:
+        """The wait instruction's L2 stage: register the condition."""
+        result.try_succeed(self.gpu.syncmon.register(self.wg.wg_id, cond))
+
     # -- convenience acquire patterns used by the sync library ------------------
+    # Both return sync_wait's own generator rather than wrapping it in one
+    # more: ``yield from`` runs it the same, one frame shallower per resume.
     def acquire_test_and_set(self, lock_addr: int, software_backoff: bool = False):
         """Acquire a test-and-set lock: exchange 1, wait for old == 0."""
-        res = yield from self.sync_wait(
+        return self.sync_wait(
             lock_addr,
             expected=0,
             op=AtomicOp.EXCH,
@@ -343,7 +382,6 @@ class WavefrontCtx:
             exclusive=True,
             software_backoff=software_backoff,
         )
-        return res
 
     def wait_for_value(
         self,
@@ -355,7 +393,7 @@ class WavefrontCtx:
     ):
         """Wait until an atomic load of ``addr`` satisfies the predicate
         (the paper's compare-and-wait instruction, Figure 10 right)."""
-        res = yield from self.sync_wait(
+        return self.sync_wait(
             addr,
             expected=expected,
             op=AtomicOp.LOAD,
@@ -363,4 +401,3 @@ class WavefrontCtx:
             exclusive=exclusive,
             software_backoff=software_backoff,
         )
-        return res

@@ -30,6 +30,7 @@ from repro.core.conditions import WaitCondition
 from repro.core.policies import NotifyMode
 from repro.core.syncmon import RegisterOutcome
 from repro.sim.events import AnyOf, Event
+from repro.sim.stats import Counter, RunningMean
 from repro.trace.tracer import wg_track
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,6 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class WGState(enum.Enum):
+    # identity hash: the per-transition dict and set lookups below skip
+    # Enum's Python-level __hash__ (members compare by identity anyway)
+    __hash__ = object.__hash__
+
     PENDING = "pending"
     RUNNING = "running"
     STALLED = "stalled"
@@ -118,6 +123,10 @@ class WorkGroup:
         self._bucket_idx = _BUCKET_INDEX[self.state]
         self.context_switches = 0
         self.wait_episodes = 0
+        # wait-episode stat handles, looked up at first use so that a run
+        # without wait episodes registers neither stat
+        self._episode_cycles: Optional[RunningMean] = None
+        self._retries: Dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
     # state accounting
@@ -305,33 +314,29 @@ class WorkGroup:
         if policy.notify is not NotifyMode.NONE:
             # Monitor policies retry on the straggler timeout (MonNR-One;
             # AWG's misprediction recovery) or the backstop, whichever is
-            # sooner.
-            deadlines = [
-                (d, src) for d, src in
-                ((policy.timeout_interval, "straggler"),
-                 (policy.backstop_timeout, "backstop"))
-                if d is not None
-            ]
-            if deadlines:
-                soonest, retry_source = min(deadlines)
-                retry_deadline = started + soonest
+            # sooner (the backstop on a tie).
+            straggler = policy.timeout_interval
+            backstop = policy.backstop_timeout
+            if backstop is not None and (straggler is None
+                                         or backstop <= straggler):
+                retry_deadline, retry_source = started + backstop, "backstop"
+            elif straggler is not None:
+                retry_deadline, retry_source = started + straggler, "straggler"
 
         self.set_state(WGState.STALLED)
         gpu.cp.note_waiting(self)
         try:
             while True:
                 branches = [self.resume_event, self.evict_event]
-                timer: Optional[Event] = None
-                deadline_kind = None
-                candidates = []
-                if switch_deadline is not None and self.resident:
-                    candidates.append((switch_deadline, "switch"))
-                if retry_deadline is not None:
-                    candidates.append((retry_deadline, "retry"))
-                if candidates:
-                    when, deadline_kind = min(candidates)
-                    timer = env.timeout(max(0, when - env.now))
-                    branches.append(timer)
+                # the timer is for the sooner deadline (the retry on a tie)
+                if switch_deadline is not None and self.resident and (
+                        retry_deadline is None
+                        or switch_deadline < retry_deadline):
+                    when, deadline_kind = switch_deadline, "switch"
+                else:
+                    when, deadline_kind = retry_deadline, "retry"
+                if when is not None:
+                    branches.append(env.timeout(max(0, when - env.now)))
 
                 choice = yield AnyOf(env, branches)
                 idx, _value = choice
@@ -368,7 +373,11 @@ class WorkGroup:
 
                 # retry deadline: give up waiting, re-check the condition.
                 self._timer_expired_cond = cond
-                gpu.stats.counter(f"wait.retry.{retry_source}").incr()
+                retries = self._retries.get(retry_source)
+                if retries is None:
+                    retries = self._retries[retry_source] = (
+                        gpu.stats.counter(f"wait.retry.{retry_source}"))
+                retries.incr()
                 if tracer is not None:
                     tracer.instant("wg", f"retry:{retry_source}",
                                    track=wg_track(self.wg_id), addr=cond.addr,
@@ -394,7 +403,11 @@ class WorkGroup:
                 gpu.dispatcher.mark_ready(self, cause="late-resume")
                 yield self.resume_event
         self.set_state(WGState.RUNNING)
-        gpu.stats.running_mean("wg.wait_episode_cycles").add(env.now - started)
+        episode_cycles = self._episode_cycles
+        if episode_cycles is None:
+            episode_cycles = self._episode_cycles = (
+                gpu.stats.running_mean("wg.wait_episode_cycles"))
+        episode_cycles.add(env.now - started)
 
     def _switched_retry_deadline(self, retry_deadline, retry_source: str):
         """Recompute the (retry deadline, deadline source) after a

@@ -94,21 +94,19 @@ class MemoryHierarchy:
         """Write-through store; fires when the write reaches the L2."""
         if self.sanitizer is not None and wg_id is not None:
             self.sanitizer.on_store(wg_id, addr)
-        cfg = self.config
         self.l1s[cu_id].access(addr)  # write-allocate into L1 tags
         result = Event(self.env)
-        bank = self.bank_for(addr)
-        done = bank.service(cfg.l2_store_service)
-
-        def _commit(_ev: Event) -> None:
-            self.l2.access(addr)
-            res = atomic_alu.execute(self.store, AtomicOp.STORE, addr, value)
-            if self.atomic_observer is not None:
-                self.atomic_observer(res, None)
-            result.try_succeed(None)
-
-        done.add_callback(_commit)
+        self.bank_for(addr).request(self.config.l2_store_service,
+                                    self._commit_store, result, addr, value)
         return result
+
+    def _commit_store(self, result: Event, addr: int, value: int) -> None:
+        """A store's L2 stage, when its bank finishes serving it."""
+        self.l2.access(addr)
+        res = atomic_alu.execute(self.store, AtomicOp.STORE, addr, value)
+        if self.atomic_observer is not None:
+            self.atomic_observer(res, None)
+        result.try_succeed(None)
 
     def _reply_read(self, result: Event, addr: int) -> None:
         """The reply relay of a load: the word is read when the reply
@@ -116,27 +114,22 @@ class MemoryHierarchy:
         result.try_succeed(self.store.read(addr))
 
     def _l2_access(self, addr: int, extra_latency: int) -> Event:
-        cfg = self.config
         result = Event(self.env)
-        bank = self.bank_for(addr)
-        granted = bank.service(cfg.l2_load_service)
-
-        def _at_l2(_ev: Event) -> None:
-            hit = self.l2.access(addr)
-            latency = extra_latency + cfg.l2_latency + self.fault_extra_latency
-            if not hit:
-                dram_done = self.dram.service(cfg.dram_service)
-
-                def _from_dram(_ev2: Event) -> None:
-                    self.env.call_at(latency + cfg.dram_latency,
-                                     self._reply_read, result, addr)
-
-                dram_done.add_callback(_from_dram)
-            else:
-                self.env.call_at(latency, self._reply_read, result, addr)
-
-        granted.add_callback(_at_l2)
+        self.bank_for(addr).request(self.config.l2_load_service,
+                                    self._load_at_l2, result, addr, extra_latency)
         return result
+
+    def _load_at_l2(self, result: Event, addr: int, extra_latency: int) -> None:
+        """A load's L2 stage: on a miss the reply waits for DRAM too."""
+        cfg = self.config
+        latency = extra_latency + cfg.l2_latency + self.fault_extra_latency
+        if self.l2.access(addr):
+            self.env.call_at(latency, self._reply_read, result, addr)
+        else:
+            # DRAM's continuation schedules the reply itself
+            self.dram.request(cfg.dram_service, self.env.call_at,
+                              latency + cfg.dram_latency,
+                              self._reply_read, result, addr)
 
     # -- atomics -----------------------------------------------------------
     def atomic(
@@ -167,29 +160,33 @@ class MemoryHierarchy:
         whereas software atomic loads (HeteroSync's ``atomicAdd(x, 0)``
         idiom) occupy the bank like any read-modify-write.
         """
-        cfg = self.config
         # Atomics bypass the L1 (performed at L2); invalidate any stale
         # L1 copy so later plain loads see a miss.
         self.l1s[cu_id].invalidate(addr)
         result = Event(self.env)
-        bank = self.bank_for(addr)
-        granted = bank.service(cfg.l2_atomic_service if service is None else service)
-
-        def _at_l2(_ev: Event) -> None:
-            hit = self.l2.access(addr)
-            res = atomic_alu.execute(self.store, op, addr, operand, operand2)
-            if self.atomic_observer is not None:
-                self.atomic_observer(res, wg_id)
-            if self.sanitizer is not None and wg_id is not None:
-                self.sanitizer.on_atomic(wg_id, addr, res)
-            if l2_hook is not None:
-                l2_hook(res)
-            latency = (cfg.l2_latency + (0 if hit else cfg.dram_latency)
-                       + self.fault_extra_latency)
-            self.env.call_at(latency, result.try_succeed, res)
-
-        granted.add_callback(_at_l2)
+        self.bank_for(addr).request(
+            self.config.l2_atomic_service if service is None else service,
+            self._atomic_at_l2, result, op, addr, operand, operand2,
+            wg_id, l2_hook,
+        )
         return result
+
+    def _atomic_at_l2(self, result: Event, op: AtomicOp, addr: int,
+                      operand: int, operand2: int, wg_id: Optional[int],
+                      l2_hook: Optional[Callable[[AtomicResult], None]]) -> None:
+        """An atomic's L2 stage, when its bank grants service."""
+        cfg = self.config
+        hit = self.l2.access(addr)
+        res = atomic_alu.execute(self.store, op, addr, operand, operand2)
+        if self.atomic_observer is not None:
+            self.atomic_observer(res, wg_id)
+        if self.sanitizer is not None and wg_id is not None:
+            self.sanitizer.on_atomic(wg_id, addr, res)
+        if l2_hook is not None:
+            l2_hook(res)
+        latency = (cfg.l2_latency + (0 if hit else cfg.dram_latency)
+                   + self.fault_extra_latency)
+        self.env.call_at(latency, result.try_succeed, res)
 
     # -- bulk transfers (context save/restore) -------------------------------
     def bulk_transfer(self, nbytes: int) -> Event:

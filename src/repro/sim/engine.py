@@ -2,11 +2,12 @@
 
 The engine owns the simulation clock (an integer cycle count) and the
 set of scheduled entries, kept in one binary heap of
-``(time, seq, entry)`` tuples plus a zero-delay FIFO lane. An entry is
-an :class:`~repro.sim.events.Event` (processes yield events to wait for
-them, see :mod:`repro.sim.process`) or a
-:class:`~repro.sim.events.Call`, a bare ``fn(*args)`` timer for the
-fixed latencies of the device-op path.
+``(time, seq, fn, args)`` tuples plus a zero-delay FIFO lane of
+``(fn, args)`` pairs. Every entry is a call ``fn(*args)``: an
+:class:`~repro.sim.events.Event` queues its own ``fire`` (processes
+yield events to wait for them, see :mod:`repro.sim.process`), and the
+fixed latencies of the device-op path queue the bound method that
+continues the op. Every schedule goes through :meth:`Engine.call_at`.
 
 **Determinism contract.** Entries scheduled for the same cycle fire in
 FIFO order of scheduling (the ``seq`` tie-break), so a run's event
@@ -17,7 +18,7 @@ recorded cell digests pin that order, and
 naive per-timestamp oracle queue.
 
 **Zero-delay lane.** About half of all schedules are zero-delay relays
-(a resource finish succeeding its completion event, a process exit).
+(a resource's continuation after its finish, a process exit).
 While :meth:`Engine.drain_batches` fires the batch at ``now``, such an
 entry is appended to a deque instead of being pushed on the heap. Each
 timestamp fires its heap entries first, then the lane. That is the
@@ -41,23 +42,24 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import Call, Event
+from repro.sim.events import Event
 
-Entry = Union[Event, Call]
+#: a queued call ``fn(*args)``
+Entry = Tuple[Callable[..., None], tuple]
 
 
 class Engine:
-    """Simulation clock plus a binary heap of ``(time, seq, entry)`` and
-    the zero-delay lane of the batch being drained."""
+    """Simulation clock plus a binary heap of ``(time, seq, fn, args)``
+    and the zero-delay lane of the batch being drained."""
 
     def __init__(self) -> None:
         self._now: int = 0
         self._seq: int = 0
         self._running = False
-        self._heap: List[Tuple[int, int, Entry]] = []
+        self._heap: List[Tuple[int, int, Callable[..., None], tuple]] = []
         #: zero-delay entries at ``now``; only exists while drain_batches
         #: runs (None otherwise, when zero-delay entries go on the heap)
         self._lane: Optional[Deque[Entry]] = None
@@ -82,19 +84,17 @@ class Engine:
         return Event(self).succeed(None, delay)
 
     def call_at(self, delay: int, fn: Callable[..., None], *args) -> None:
-        """Call ``fn(*args)`` after ``delay`` cycles (fire-and-forget)."""
-        self._enqueue(Call(fn, args), delay)
+        """Call ``fn(*args)`` after ``delay`` cycles (fire-and-forget).
 
-    def _enqueue(self, entry: Entry, delay: int) -> None:
-        """Queue ``entry`` (an Event or a Call) to fire ``delay`` cycles
-        from now. Every schedule goes through here, so a queue with
-        another layout overrides only this (the test oracle queue does)."""
+        Every schedule goes through here, events included, so a queue
+        with another layout overrides only this (the test oracle queue
+        does)."""
         lane = self._lane
         if lane is not None and delay == 0:
-            lane.append(entry)
+            lane.append((fn, args))
         elif delay >= 0:
             self._seq += 1
-            heappush(self._heap, (self._now + delay, self._seq, entry))
+            heappush(self._heap, (self._now + delay, self._seq, fn, args))
         else:
             raise SimulationError(f"negative delay: {delay}")
         live = self._live + 1
@@ -123,13 +123,13 @@ class Engine:
         heap = self._heap
         if not heap:
             return False
-        when, _seq, entry = heappop(heap)
+        when, _seq, fn, args = heappop(heap)
         if when < self._now:
             raise SimulationError("event heap time went backwards")
         self._now = when
         self._live -= 1
         self._fired += 1
-        entry.fire()
+        fn(*args)
         return True
 
     def run(self, until: Optional[int] = None) -> int:
@@ -137,7 +137,11 @@ class Engine:
         number of entries fired.
 
         Entries scheduled exactly at ``until`` still fire; the clock only
-        advances to ``until`` when a strictly later entry remains."""
+        advances to ``until`` when a strictly later entry remains. An
+        ``until`` before ``now`` is an error: the clock never goes back."""
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"run(until={until}) is before now ({self._now})")
         boundary = float("inf") if until is None else until + 1
         fired = self.drain_batches(boundary, lambda: False)
         if until is not None and self._live:
@@ -174,23 +178,23 @@ class Engine:
                 self._now = t
                 # the heap entries at t first
                 while heap and heap[0][0] == t:
-                    entry = heappop(heap)[2]
+                    _t, _seq, fn, args = heappop(heap)
                     self._live -= 1
-                    entry.fire()
+                    fn(*args)
                     fired += 1
                 # then every zero-delay entry the batch scheduled, FIFO
                 while lane:
-                    entry = popleft()
+                    fn, args = popleft()
                     self._live -= 1
-                    entry.fire()
+                    fn(*args)
                     fired += 1
         finally:
             self._lane = None
             # an entry that raised leaves the rest of the lane behind: it
             # goes on the heap, after the heap entries at now, in order
-            for entry in lane:
+            for fn, args in lane:
                 self._seq += 1
-                heappush(heap, (self._now, self._seq, entry))
+                heappush(heap, (self._now, self._seq, fn, args))
             self._running = False
             self._fired += fired
         return fired

@@ -1,8 +1,8 @@
-"""One-shot events, direct-call queue entries and composite events."""
+"""One-shot events and composite events."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 from repro.errors import SimulationError
 
@@ -19,11 +19,11 @@ _FIRED = "fired"
 class Event:
     """A one-shot completion event.
 
-    Lifecycle: *pending* → *scheduled* (sitting in the engine queue) →
-    *fired* (callbacks run, value available). ``succeed`` schedules the
-    event at the current time; ``try_succeed`` is the idempotent variant
-    used by racy notifiers (e.g. a resume racing a timeout). A scheduled
-    event always fires.
+    Lifecycle: *pending* → *scheduled* (its ``fire`` sitting in the
+    engine queue) → *fired* (callbacks run, value available).
+    ``succeed`` schedules the event at the current time; ``try_succeed``
+    is the idempotent variant used by racy notifiers (e.g. a resume
+    racing a timeout). A scheduled event always fires.
     """
 
     __slots__ = ("env", "_state", "_value", "_cb", "_more")
@@ -54,7 +54,7 @@ class Event:
         or already-scheduled event is an error."""
         if self._state is not _PENDING:
             raise SimulationError("event scheduled twice")
-        self.env._enqueue(self, delay)
+        self.env.call_at(delay, self.fire)
         self._state = _SCHEDULED
         self._value = value
         return self
@@ -64,16 +64,17 @@ class Event:
         or fired; returns whether it did."""
         if self._state is not _PENDING:
             return False
-        # succeed() inlined: this is the relay every resource completion,
-        # memory reply and process exit goes through
-        self.env._enqueue(self, 0)
+        # succeed() inlined: this is the relay every memory reply and
+        # process exit goes through
+        self.env.call_at(0, self.fire)
         self._state = _SCHEDULED
         self._value = value
         return True
 
     def fire(self) -> None:
-        """Run the callbacks. Called by the engine only, and only for a
-        scheduled event."""
+        """Run the callbacks. Called from the engine queue only: queued by
+        ``succeed``, or as the continuation of
+        :meth:`~repro.sim.resources.FifoResource.service`."""
         self._state = _FIRED
         cb = self._cb
         if cb is not None:
@@ -97,26 +98,6 @@ class Event:
             self._more = [cb]
         else:
             self._more.append(cb)
-
-
-class Call:
-    """A queue entry that calls ``fn(*args)`` when it fires.
-
-    The fixed-latency timers of the device-op path (resource finishes,
-    memory replies, process starts) need no value and no observers, so
-    they are queued as a bare call instead of an :class:`Event` with a
-    callback closure. A call takes its ``(time, seq)`` place in the queue
-    exactly like the event it replaces.
-    """
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: Callable[..., None], args: Tuple) -> None:
-        self.fn = fn
-        self.args = args
-
-    def fire(self) -> None:
-        self.fn(*self.args)
 
 
 class AnyOf(Event):

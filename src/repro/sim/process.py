@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import _FIRED, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class Process(Event):
     """A running generator; fires (as an event) when the generator ends."""
 
-    __slots__ = ("name", "_gen")
+    __slots__ = ("name", "_gen", "_wake")
 
     def __init__(self, env: "Engine", generator: Generator, name: str = "") -> None:
         super().__init__(env)
@@ -29,6 +29,9 @@ class Process(Event):
             raise SimulationError(f"Process needs a generator, got {type(generator)!r}")
         self.name = name or getattr(generator, "__name__", "process")
         self._gen = generator
+        #: the wakeup bound once: each yield registers exactly one, for
+        #: the event the process now waits on
+        self._wake = self._wakeup
         # Start on the next engine tick at the current time so creation
         # order does not leak into execution order mid-callback.
         env.call_at(0, self._resume, None)
@@ -43,9 +46,11 @@ class Process(Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Events"
             )
-        target.add_callback(self._wakeup)
+        if target._cb is None and target._state is not _FIRED:
+            # add_callback inlined for the usual case: a lone observer
+            target._cb = self._wake
+        else:
+            target.add_callback(self._wake)
 
     def _wakeup(self, event: Event) -> None:
-        # a bound method, not a per-yield closure: each yield registers
-        # exactly one wakeup, for the event the process now waits on
         self._resume(event._value)

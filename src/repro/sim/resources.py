@@ -9,7 +9,7 @@ holds the resource for a caller-specified service time.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -21,8 +21,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class FifoResource:
     """A resource with ``slots`` parallel servers and a FIFO queue.
 
-    ``service(cycles)`` returns an event that fires when the request has
-    *completed* service (queueing delay + service time).
+    ``request(cycles, fn, *args)`` calls ``fn(*args)`` when the request
+    has *completed* service (queueing delay + service time);
+    ``service(cycles)`` returns an event that fires then instead. Either
+    way the completion is one zero-delay queue entry, scheduled when the
+    request finishes.
     """
 
     def __init__(self, env: "Engine", name: str, slots: int = 1) -> None:
@@ -32,25 +35,31 @@ class FifoResource:
         self.name = name
         self.slots = slots
         self._busy = 0
-        self._queue: Deque[Tuple[Event, int]] = deque()  # (done, cycles)
+        #: waiting requests: (cycles, fn, args)
+        self._queue: Deque[Tuple[int, Callable[..., None], tuple]] = deque()
 
     def service(self, cycles: int) -> Event:
         """Request ``cycles`` of service; returns the completion event."""
-        if cycles < 0:
-            raise SimulationError("negative service time")
         done = Event(self.env)
-        if self._busy < self.slots:
-            self._busy += 1
-            self.env.call_at(cycles, self._finish, done)
-        else:
-            self._queue.append((done, cycles))
+        self.request(cycles, done.fire)
         return done
 
-    def _finish(self, done: Event) -> None:
-        # a direct-call entry: the finish timer is no Event of its own
-        self._busy -= 1
-        done.try_succeed()
-        if self._queue and self._busy < self.slots:
-            nxt, cycles = self._queue.popleft()
+    def request(self, cycles: int, fn: Callable[..., None], *args) -> None:
+        """Request ``cycles`` of service; call ``fn(*args)`` once it has
+        completed."""
+        if cycles < 0:
+            raise SimulationError("negative service time")
+        if self._busy < self.slots:
             self._busy += 1
-            self.env.call_at(cycles, self._finish, nxt)
+            self.env.call_at(cycles, self._finish, fn, args)
+        else:
+            self._queue.append((cycles, fn, args))
+
+    def _finish(self, fn: Callable[..., None], args: tuple) -> None:
+        self._busy -= 1
+        # the continuation takes the next zero-delay slot
+        self.env.call_at(0, fn, *args)
+        if self._queue and self._busy < self.slots:
+            cycles, nfn, nargs = self._queue.popleft()
+            self._busy += 1
+            self.env.call_at(cycles, self._finish, nfn, nargs)

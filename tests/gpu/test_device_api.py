@@ -200,5 +200,8 @@ def test_op_outside_residency_raises(gpu):
     kernel = simple_kernel(lambda ctx: iter(()))
     wg = WorkGroup(gpu, kernel, 0)
     ctx = WavefrontCtx(gpu, wg, 0, gpu.cus[0].simds[0])
-    with pytest.raises(DeviceError):
-        ctx._cu_id()
+    addr = gpu.malloc(4)
+    for op in (ctx.load(addr), ctx.store(addr, 1), ctx.atomic_add(addr)):
+        op.send(None)  # the issue slot
+        with pytest.raises(DeviceError, match="while not resident"):
+            op.send(None)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.policies import awg
+from repro.core.policies import awg, baseline, monnr_one, timeout
 from repro.errors import SimulationError
-from repro.experiments import QUICK_SCALE, run_benchmark
+from repro.experiments import QUICK_OVERSUBSCRIBED, QUICK_SCALE, run_benchmark
 from repro.sim.events import AllOf
 
 from tests.gpu.conftest import make_gpu, simple_kernel
@@ -85,11 +85,23 @@ def test_second_run_call_continues(gpu):
     assert out.stats["progress.wg_done"] == 2
 
 
-def test_event_counts_of_a_quick_cell_are_pinned():
-    """How many queue entries one quick SPM_G/AWG cell fires, and the
-    most it keeps pending at once. Making events cheaper must not change
-    which events exist; a change that does must update these literals
-    on purpose."""
-    result = run_benchmark("SPM_G", awg(), QUICK_SCALE, keep_gpu=True)
+@pytest.mark.parametrize(
+    "bench, policy, scenario, fired, peak_pending",
+    [
+        ("SPM_G", awg(), QUICK_SCALE, 2896, 94),
+        # ends at the deadlock watchdog: pins the knife-edge step() path
+        ("SPM_G", baseline(), QUICK_OVERSUBSCRIBED, 32440, 34),
+        ("FAM_G", timeout(20_000), QUICK_OVERSUBSCRIBED, 20447, 37),
+        ("TB_LG", monnr_one(), QUICK_OVERSUBSCRIBED, 10183, 52),
+    ],
+    ids=["SPM_G-AWG-quick", "SPM_G-Baseline-oversub",
+         "FAM_G-Timeout-oversub", "TB_LG-MonNR-One-oversub"],
+)
+def test_event_counts_of_a_quick_cell_are_pinned(
+        bench, policy, scenario, fired, peak_pending):
+    """How many queue entries one quick cell fires, and the most it keeps
+    pending at once. Making events cheaper must not change which events
+    exist; a change that does must update these literals on purpose."""
+    result = run_benchmark(bench, policy, scenario, keep_gpu=True)
     metrics = result.gpu.env.metrics()
-    assert (metrics["fired"], metrics["peak_pending"]) == (2896, 94)
+    assert (metrics["fired"], metrics["peak_pending"]) == (fired, peak_pending)

@@ -111,3 +111,36 @@ def test_monitored_bits_match_live_conditions(sequence):
         for a in ADDRS:
             live = bool(sm._entries_for_addr(a))
             assert sm.hierarchy.l2.is_monitored(a) == live
+
+
+@given(ops, st.sampled_from([1, 4, 256]))
+@settings(max_examples=60)
+def test_address_index_matches_a_full_scan(sequence, sets):
+    """The per-address index yields the entries a scan over every set and
+    way would, in the same order (set index, then way), after every
+    registration, withdrawal and update."""
+    env = Engine()
+    cfg = GPUConfig(syncmon_sets=sets, syncmon_assoc=4)
+    store = BackingStore()
+    hier = MemoryHierarchy(env, cfg, store)
+    log = MonitorLog(store, cfg.monitor_log_entries)
+    sm = SyncMon(env, cfg, hier, log, monnr_all(), RngStream(3, "prop"))
+    mem = {a: 0 for a in ADDRS}
+    for op, wg, addr, value in sequence:
+        if op == "register":
+            sm.register(wg, WaitCondition(addr, value))
+        elif op == "withdraw":
+            sm.withdraw(wg, WaitCondition(addr, value))
+        else:
+            old = mem[addr]
+            mem[addr] = value
+            sm.on_atomic(
+                AtomicResult(op=AtomicOp.STORE, addr=addr, old=old,
+                             new=value, wrote=value != old), None)
+        for a in ADDRS:
+            scan = [entry for ways in sm._sets for entry in ways
+                    if entry.cond.addr == a]
+            assert [id(e) for e in sm._entries_for_addr(a)] == \
+                [id(e) for e in scan]
+        assert sorted(sm.monitored_addrs) == sorted(
+            {entry.cond.addr for ways in sm._sets for entry in ways})

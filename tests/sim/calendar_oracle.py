@@ -31,14 +31,14 @@ class CalendarOracle(Engine):
         self._days: Dict[int, Deque[Entry]] = {}
 
     def queued(self):
-        """Every queued entry."""
+        """Every queued ``(fn, args)`` entry."""
         return [ev for day in self._days.values() for ev in day]
 
-    def _enqueue(self, entry: Entry, delay: int) -> None:
+    def call_at(self, delay: int, fn: Callable[..., None], *args) -> None:
         # the one way into the queue: events, direct calls, every delay
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        self._days.setdefault(self._now + delay, deque()).append(entry)
+        self._days.setdefault(self._now + delay, deque()).append((fn, args))
         self._live += 1
         self._peak_pending = max(self._peak_pending, self._live)
 
@@ -48,7 +48,7 @@ class CalendarOracle(Engine):
 
     def _fire(self, when: int) -> None:
         day = self._days[when]
-        entry = day.popleft()
+        fn, args = day.popleft()
         if not day:
             del self._days[when]
         if when < self._now:
@@ -56,7 +56,7 @@ class CalendarOracle(Engine):
         self._now = when
         self._live -= 1
         self._fired += 1
-        entry.fire()
+        fn(*args)
 
     def _enter(self) -> None:
         if self._running:

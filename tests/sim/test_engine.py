@@ -26,7 +26,8 @@ def _queued(env):
     """Every queued entry (the heap plus the lane)."""
     if isinstance(env, CalendarOracle):
         return env.queued()
-    return [ev for (_, _, ev) in env._heap] + list(env._lane or ())
+    return ([(fn, args) for (_, _, fn, args) in env._heap]
+            + list(env._lane or ()))
 
 
 def test_clock_starts_at_zero(env):
@@ -97,6 +98,25 @@ def test_run_until_resumes(env):
     env.run()
     assert fired == [50]
     assert env.now == 50
+
+
+def test_run_until_before_now_raises(env):
+    """The clock never goes back: with ``now`` at 50 and entries still
+    queued, ``run(until=20)`` raises and leaves the clock and the queue
+    as they were, so later schedules still land after what has fired."""
+    env.timeout(50)
+    env.timeout(80)
+    env.run(until=50)
+    assert env.now == 50
+    with pytest.raises(SimulationError):
+        env.run(until=20)
+    assert env.now == 50
+    assert env.metrics()["pending"] == 1
+    fired = []
+    env.timeout(10).add_callback(lambda e: fired.append(env.now))
+    env.run()
+    assert fired == [60]
+    assert env.now == 80
 
 
 def test_run_returns_event_count(env):

@@ -5,11 +5,20 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
 from repro.sim.resources import FifoResource
+from tests.sim.calendar_oracle import CalendarOracle
+
+QUEUES = {"calendar": CalendarOracle, "reference": Engine}
 
 
 @pytest.fixture
 def env():
     return Engine()
+
+
+@pytest.fixture(params=sorted(QUEUES))
+def queue(request):
+    """An engine on the production heap or on the oracle queue."""
+    return QUEUES[request.param]()
 
 
 def test_single_request_takes_service_time(env):
@@ -117,3 +126,50 @@ def test_total_requests_and_service(env):
     env.run()
     assert first.value is None and second.value is None
     assert env.now == 7  # 3 + 4 service cycles, back to back
+
+
+# -- completions: request() continuations and service() events -----------------
+
+def test_completions_fire_from_the_lane_in_finish_order(queue):
+    """A ``request`` continuation and a ``service`` event that finish in
+    the same cycle fire in the order their requests finished, after every
+    entry the heap holds for that cycle."""
+    env = queue
+    first, second, third = (FifoResource(env, n) for n in "abc")
+    order = []
+    second.service(10).add_callback(lambda e: order.append("b-event"))
+    first.request(10, order.append, "a-cont")
+    third.request(10, order.append, "c-cont")
+    env.call_at(10, order.append, "heap")
+    env.run()
+    assert order == ["heap", "b-event", "a-cont", "c-cont"]
+    assert env.now == 10
+    assert env.metrics()["fired"] == 7  # 3 finishes, 3 completions, 1 call
+
+
+def test_queued_continuations_fire_in_fifo_order(queue):
+    """Requests queued behind a busy server complete one service time
+    apart, continuations and events alike, in the order they queued."""
+    env = queue
+    res = FifoResource(env, "r")
+    done = []
+    for i in range(4):
+        if i % 2:
+            res.service(5).add_callback(
+                lambda e, i=i: done.append((i, env.now)))
+        else:
+            res.request(5, lambda i: done.append((i, env.now)), i)
+    env.run()
+    assert done == [(0, 5), (1, 10), (2, 15), (3, 20)]
+
+
+def test_parallel_slots_complete_in_fifo_order(queue):
+    """Two slots: requests that finish in the same cycle complete in the
+    order they were made, and a queued one takes the first freed slot."""
+    env = queue
+    res = FifoResource(env, "r", slots=2)
+    done = []
+    for i in range(5):
+        res.request(4, lambda i: done.append((i, env.now)), i)
+    env.run()
+    assert done == [(0, 4), (1, 4), (2, 8), (3, 8), (4, 12)]
