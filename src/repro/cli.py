@@ -41,64 +41,75 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.core.policies import all_policy_names, named_policy
 from repro.experiments import (
     QUICK_OVERSUBSCRIBED, QUICK_SCALE, PAPER_SCALE, OVERSUBSCRIBED,
-    ExperimentResult, Scenario, run_benchmark,
+    ExperimentResult, MatrixResult, RunRequest, Scenario, run_benchmark,
 )
 from repro.experiments import (
     ablations, fig5, fig7, fig8, fig9, fig11, fig13, fig14, fig15, table1,
     table2,
 )
 from repro.experiments.cache import ResultCache, default_cache_dir
+from repro.experiments.runner import SWEEP_SCALE
 from repro.workloads.registry import benchmark_names
 
 class Artifact(NamedTuple):
-    """One committed ``results/<name>.txt``. ``run()`` regenerates it at
-    the committed scale and ``check`` asserts the paper's shape there.
-    ``--quick`` passes ``quick`` to ``run`` instead and skips ``check``;
+    """One committed ``results/<name>.txt``: ``requests(scale)`` lists
+    its cells, ``table(matrix)`` tabulates their results, and ``check``
+    asserts the paper's shape at ``scale``, the committed scale.
+    ``--quick`` runs the cells at ``quick`` instead and skips ``check``;
     an artifact without a smaller scale (``quick=None``) runs, and is
-    checked, at its committed scale either way."""
+    checked, at its committed scale either way. table1 and fig5
+    simulate nothing: ``requests`` is None and ``table()`` takes no
+    argument."""
 
-    run: Callable[..., ExperimentResult]
+    requests: Optional[Callable[[Scenario], List[RunRequest]]]
+    table: Callable[..., ExperimentResult]
     check: Callable[[ExperimentResult], None]
+    scale: Optional[Scenario] = None
     quick: Optional[Scenario] = QUICK_SCALE
-    #: ``run`` sweeps cells through run_matrix (takes jobs=, cache=)
-    sweeps: bool = True
-
-    def scale(self, quick: bool) -> tuple:
-        """``run``'s positional arguments: ``(self.quick,)`` under
-        ``--quick`` when there is a quick scale, else ``()``."""
-        return (self.quick,) if quick and self.quick is not None else ()
 
 
 #: the paper's tables and figures, in paper order
 EXPERIMENTS = {
-    "table1": Artifact(table1.run, table1.check, quick=None, sweeps=False),
-    "table2": Artifact(table2.run, table2.check),
-    "fig5": Artifact(fig5.run, fig5.check, sweeps=False),
-    "fig7": Artifact(fig7.run, fig7.check),
-    "fig8": Artifact(fig8.run, fig8.check),
-    "fig9": Artifact(fig9.run, fig9.check),
-    "fig11": Artifact(fig11.run, fig11.check),
-    "fig13": Artifact(fig13.run, fig13.check, QUICK_OVERSUBSCRIBED),
-    "fig14": Artifact(fig14.run, fig14.check),
-    "fig15": Artifact(fig15.run, fig15.check, QUICK_OVERSUBSCRIBED),
+    "table1": Artifact(None, table1.table, table1.check, quick=None),
+    "table2": Artifact(table2.requests, table2.table, table2.check,
+                       table2.TABLE2_SCALE),
+    "fig5": Artifact(None, fig5.table, fig5.check, quick=None),
+    "fig7": Artifact(fig7.requests, fig7.table, fig7.check, SWEEP_SCALE),
+    "fig8": Artifact(fig8.requests, fig8.table, fig8.check, SWEEP_SCALE),
+    "fig9": Artifact(fig9.requests, fig9.table, fig9.check, SWEEP_SCALE),
+    "fig11": Artifact(fig11.requests, fig11.table, fig11.check,
+                      SWEEP_SCALE),
+    "fig13": Artifact(fig13.requests, fig13.table, fig13.check,
+                      fig13.FIG13_SCALE, QUICK_OVERSUBSCRIBED),
+    "fig14": Artifact(fig14.requests, fig14.table, fig14.check,
+                      PAPER_SCALE),
+    "fig15": Artifact(fig15.requests, fig15.table, fig15.check,
+                      OVERSUBSCRIBED, QUICK_OVERSUBSCRIBED),
 }
 
 #: the design-choice ablations (``repro ablations``)
 ABLATIONS = {
-    "ablation_syncmon": Artifact(ablations.syncmon_capacity,
-                                 ablations.check_syncmon_capacity),
-    "ablation_log": Artifact(ablations.monitor_log_capacity,
-                             ablations.check_monitor_log_capacity),
-    "ablation_resume": Artifact(ablations.resume_prediction,
-                                ablations.check_resume_prediction),
-    "ablation_stall": Artifact(ablations.stall_prediction,
+    "ablation_syncmon": Artifact(ablations.requests_syncmon_capacity,
+                                 ablations.table_syncmon_capacity,
+                                 ablations.check_syncmon_capacity,
+                                 SWEEP_SCALE),
+    "ablation_log": Artifact(ablations.requests_monitor_log_capacity,
+                             ablations.table_monitor_log_capacity,
+                             ablations.check_monitor_log_capacity,
+                             SWEEP_SCALE),
+    "ablation_resume": Artifact(ablations.requests_resume_prediction,
+                                ablations.table_resume_prediction,
+                                ablations.check_resume_prediction,
+                                SWEEP_SCALE),
+    "ablation_stall": Artifact(ablations.requests_stall_prediction,
+                               ablations.table_stall_prediction,
                                ablations.check_stall_prediction,
-                               quick=None),
+                               ablations.STANDING_OVERSUB, quick=None),
 }
 
 #: everything ``repro all`` runs and ``--out DIR`` writes
@@ -404,29 +415,46 @@ def _run_timeline(opts) -> int:
     return 0
 
 
+def tabulate(name: str, quick: bool = False,
+             **matrix_kw) -> Tuple[ExperimentResult, Optional[MatrixResult]]:
+    """Artifact ``name``'s table, and the matrix its cells ran in (None
+    for table1 and fig5). The cells run at the artifact's quick scale
+    under ``quick`` where it has one, else at its committed scale;
+    ``matrix_kw`` are ``run_matrix``'s ``jobs`` and ``cache``."""
+    artifact = ARTIFACTS[name]
+    if artifact.requests is None:
+        return artifact.table(), None
+    scale = (artifact.quick if quick and artifact.quick is not None
+             else artifact.scale)
+    # run_matrix is looked up in the artifact's module, not imported
+    # here: perfbench's quick-sweep workload captures a figure's cells
+    # by replacing that module's run_matrix.
+    run_matrix = sys.modules[artifact.table.__module__].run_matrix
+    matrix = run_matrix(artifact.requests(scale), **matrix_kw)
+    return artifact.table(matrix), matrix
+
+
 def _run_experiment(name: str, quick: bool, chart: bool = False,
                     out: Optional[str] = None, **kw) -> bool:
-    """Run and print one artifact; with ``out``, also write its table to
-    ``out/<name>.txt`` (without the host-dependent matrix note). Unless
-    a smaller scale ran, run its shape check; a failed check is reported
-    on stderr and returns False."""
-    artifact = ARTIFACTS[name]
-    args = artifact.scale(quick)
+    """Build and print one artifact; with ``out``, also write its table
+    to ``out/<name>.txt`` before the host-dependent matrix note is
+    added. Unless a smaller scale ran, run its shape check; a failed
+    check is reported on stderr and returns False."""
     started = time.time()
-    result = artifact.run(*args, **(kw if artifact.sweeps else {}))
-    text = result.render()
+    result, matrix = tabulate(name, quick, **kw)
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        (Path(out) / f"{name}.txt").write_text(result.render() + "\n")
+    if matrix is not None:
+        result.notes.append(matrix.summary())
     if chart:
         from repro.experiments.charts import LOG_SCALE_EXPERIMENTS, bar_chart
         print(bar_chart(result, log=name in LOG_SCALE_EXPERIMENTS))
     else:
-        print(text)
+        print(result.render())
     print(f"[{name}: {time.time() - started:.1f}s]\n")
-    if out:
-        Path(out).mkdir(parents=True, exist_ok=True)
-        kept = [line for line in text.splitlines()
-                if not line.startswith("note: matrix:")]
-        (Path(out) / f"{name}.txt").write_text("\n".join(kept) + "\n")
-    if args:
+    artifact = ARTIFACTS[name]
+    if quick and artifact.quick is not None:
         return True
     try:
         artifact.check(result)
@@ -501,7 +529,7 @@ def _parser() -> argparse.ArgumentParser:
     for name, artifact in EXPERIMENTS.items():
         command(name, partial(_run_artifacts, [name]),
                 f"regenerate {name}, checked against the paper's shape",
-                quick, report, *([matrix] if artifact.sweeps else []))
+                quick, report, *([matrix] if artifact.requests else []))
     command("list", _run_list, "what the other commands can name")
     command("all", partial(_run_artifacts, ARTIFACTS),
             "every table, figure and ablation", quick, report, matrix)

@@ -1,11 +1,15 @@
 """Experiment harness: one module per table/figure of the paper.
 
-Every module exposes ``run(...)`` returning an
+A module that simulates exposes its artifact as data and pure
+functions: ``requests(scale)`` lists its :class:`RunRequest` cells,
+``table(matrix)`` turns their :class:`MatrixResult` into an
 :class:`~repro.experiments.report.ExperimentResult` (structured rows +
-an ASCII rendering). Called with no scenario, ``run()`` regenerates the
-committed ``results/<name>.txt`` at its scale, and ``check(result)``
-asserts the paper's qualitative shape at that scale (``python -m repro
-all`` runs both for every artifact).
+an ASCII rendering), and ``check(result)`` asserts the paper's shape at
+the scale of the committed ``results/<name>.txt``. table1 and fig5
+simulate nothing; their ``table()`` takes no argument. ``repro.cli``
+holds each artifact's committed and quick scales and runs the cells in
+between (the ablations module's triples are ``requests_*``,
+``table_*``, ``check_*``).
 
 ==========  ======================================================
 module      paper artifact

@@ -15,18 +15,19 @@ Four sweeps over the knobs the paper argues about:
   thrash on short waits, but can hurt latency-sensitive barriers (the
   paper's Figure 15 caveat).
 
-Each sweep defaults to the scale of its committed ``results/ablation_*``
-table, and each has a ``check_*`` that asserts its finding there.
+Each sweep is a ``requests_*`` (its cells at a scale), a ``table_*``
+(their results tabulated) and a ``check_*`` (its finding asserted at the
+scale of its committed ``results/ablation_*`` table).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.core.policies import awg, monnr_all, monnr_one
-from repro.experiments.matrix import RunRequest, run_matrix
+from repro.experiments.matrix import MatrixResult, RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import PAPER_SCALE, SWEEP_SCALE, Scenario
+from repro.experiments.runner import PAPER_SCALE, Scenario
 
 #: SyncMon condition-cache set counts swept, fully provisioned first
 SYNCMON_SETS = [256, 16, 4, 1]
@@ -35,26 +36,20 @@ SYNCMON_SETS = [256, 16, 4, 1]
 LOG_ENTRIES = [1024, 64, 8, 2]
 
 
-def syncmon_capacity(
-    scenario: Scenario = SWEEP_SCALE,
-    jobs: Optional[int] = None,
-    cache="default",
-) -> ExperimentResult:
+def requests_syncmon_capacity(scale: Scenario) -> List[RunRequest]:
     """Condition-cache capacity sweep on FAM_G (4-way, so capacity = 4 x
     sets)."""
+    return [RunRequest("FAM_G", awg(), scale,
+                       config_overrides={"syncmon_sets": sets})
+            for sets in SYNCMON_SETS]
+
+
+def table_syncmon_capacity(matrix: MatrixResult) -> ExperimentResult:
     result = ExperimentResult(
         title="Ablation: SyncMon condition-cache capacity (FAM_G)",
         columns=["conditions", "cycles", "normalized", "spills",
                  "log peak", "cp resumes"],
         row_label="config",
-    )
-    matrix = run_matrix(
-        [
-            RunRequest("FAM_G", awg(), scenario,
-                       config_overrides={"syncmon_sets": sets})
-            for sets in SYNCMON_SETS
-        ],
-        jobs=jobs, cache=cache,
     )
     base_cycles = None
     for sets, res in zip(SYNCMON_SETS, matrix):
@@ -70,7 +65,6 @@ def syncmon_capacity(
             **{"log peak": int(res.stats["log.peak"]),
                "cp resumes": int(res.stats["cp.spilled_resumes"])},
         )
-    result.notes.append(matrix.summary())
     return result
 
 
@@ -83,30 +77,24 @@ def check_syncmon_capacity(result: ExperimentResult) -> None:
     assert rows[-1]["normalized"] >= 1.0
 
 
-def monitor_log_capacity(
-    scenario: Scenario = SWEEP_SCALE,
-    jobs: Optional[int] = None,
-    cache="default",
-) -> ExperimentResult:
+def requests_monitor_log_capacity(scale: Scenario) -> List[RunRequest]:
     """Monitor Log capacity sweep on SLM_G with a tiny SyncMon
     (everything spills)."""
-    result = ExperimentResult(
-        title="Ablation: Monitor Log capacity (SLM_G, 4-condition "
-              "SyncMon so the log carries the load)",
-        columns=["cycles", "normalized", "log-full retries"],
-        row_label="entries",
-    )
-    matrix = run_matrix(
-        [
-            RunRequest("SLM_G", awg(), scenario,
+    return [RunRequest("SLM_G", awg(), scale,
                        config_overrides={
                            "syncmon_sets": 1,
                            "monitor_log_entries": cap,
                            "cp_check_interval": 1_000,
                        })
-            for cap in LOG_ENTRIES
-        ],
-        jobs=jobs, cache=cache,
+            for cap in LOG_ENTRIES]
+
+
+def table_monitor_log_capacity(matrix: MatrixResult) -> ExperimentResult:
+    result = ExperimentResult(
+        title="Ablation: Monitor Log capacity (SLM_G, 4-condition "
+              "SyncMon so the log carries the load)",
+        columns=["cycles", "normalized", "log-full retries"],
+        row_label="entries",
     )
     base_cycles = None
     for cap, res in zip(LOG_ENTRIES, matrix):
@@ -119,7 +107,6 @@ def monitor_log_capacity(
             normalized=res.cycles / base_cycles,
             **{"log-full retries": int(res.stats["syncmon.log_full"])},
         )
-    result.notes.append(matrix.summary())
     return result
 
 
@@ -129,26 +116,27 @@ def check_monitor_log_capacity(result: ExperimentResult) -> None:
     assert rows[-1]["log-full retries"] > 0
 
 
-def resume_prediction(
-    scenario: Scenario = SWEEP_SCALE,
-    jobs: Optional[int] = None,
-    cache="default",
-) -> ExperimentResult:
+#: the resume-prediction ablation's two workloads, which disagree on
+#: the better fixed resume count
+RESUME_BENCHMARKS = ("SPM_G", "TB_LG")
+RESUME_POLICIES = (monnr_all(), monnr_one(), awg())
+
+
+def requests_resume_prediction(scale: Scenario) -> List[RunRequest]:
     """The predictor must match resume-One on mutexes and resume-All on
     barriers — the whole point of AWG over MonNR-* (§IV.E)."""
+    return [RunRequest(b, p, scale)
+            for b in RESUME_BENCHMARKS for p in RESUME_POLICIES]
+
+
+def table_resume_prediction(matrix: MatrixResult) -> ExperimentResult:
     result = ExperimentResult(
         title="Ablation: resume-count prediction (cycles)",
         columns=["MonNR-All", "MonNR-One", "AWG", "AWG vs best fixed"],
     )
-    benchmarks = ("SPM_G", "TB_LG")
-    policies = (monnr_all(), monnr_one(), awg())
-    matrix = run_matrix(
-        [RunRequest(b, p, scenario) for b in benchmarks for p in policies],
-        jobs=jobs, cache=cache,
-    )
-    for benchmark in benchmarks:
+    for benchmark in RESUME_BENCHMARKS:
         cycles = {p.name: matrix.get(benchmark, p.name).cycles
-                  for p in policies}
+                  for p in RESUME_POLICIES}
         best_fixed = min(cycles["MonNR-All"], cycles["MonNR-One"])
         result.add_row(
             benchmark,
@@ -159,7 +147,6 @@ def resume_prediction(
                 "AWG vs best fixed": cycles["AWG"] / best_fixed,
             },
         )
-    result.notes.append(matrix.summary())
     return result
 
 
@@ -179,34 +166,31 @@ STANDING_OVERSUB = PAPER_SCALE.scaled(
     episodes=4, label="standing-oversubscription",
 )
 
+STALL_BENCHMARKS = ("SPM_G", "FAM_G", "TB_LG", "LFTB_LG")
+STALL_POLICIES = (awg(), awg().with_overrides(name="AWG-NoStall",
+                                              predict_stall=False))
 
-def stall_prediction(
-    scenario: Scenario = STANDING_OVERSUB,
-    jobs: Optional[int] = None,
-    cache="default",
-) -> ExperimentResult:
+
+def requests_stall_prediction(scale: Scenario) -> List[RunRequest]:
     """AWG with and without the predicted stall-before-switch.
 
     With a standing oversubscription (grid larger than residency),
     switching immediately on every failed wait thrashes the context-
     switch path; stalling for the predicted period first lets short
     waits resolve in place (§IV.B)."""
-    with_stall = awg()
-    no_stall = awg().with_overrides(name="AWG-NoStall", predict_stall=False)
+    return [RunRequest(b, p, scale)
+            for b in STALL_BENCHMARKS for p in STALL_POLICIES]
+
+
+def table_stall_prediction(matrix: MatrixResult) -> ExperimentResult:
     result = ExperimentResult(
         title="Ablation: predicted stall period before context switching "
-              f"({scenario.label})",
+              f"({matrix.cells[0].request.scenario.label})",
         columns=["AWG", "AWG-NoStall", "stall saves switches"],
     )
-    benchmarks = ("SPM_G", "FAM_G", "TB_LG", "LFTB_LG")
-    matrix = run_matrix(
-        [RunRequest(b, p, scenario)
-         for b in benchmarks for p in (with_stall, no_stall)],
-        jobs=jobs, cache=cache,
-    )
-    for benchmark in benchmarks:
+    for benchmark in STALL_BENCHMARKS:
         runs = {p.name: matrix.get(benchmark, p.name)
-                for p in (with_stall, no_stall)}
+                for p in STALL_POLICIES}
         result.add_row(
             benchmark,
             **{
@@ -217,7 +201,6 @@ def stall_prediction(
                     - runs["AWG"].context_switches,
             },
         )
-    result.notes.append(matrix.summary())
     return result
 
 

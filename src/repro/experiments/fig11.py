@@ -9,49 +9,45 @@ component.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.core.policies import monnr_all, monnr_one, timeout
-from repro.experiments.matrix import RunRequest, run_matrix
+from repro.experiments.matrix import MatrixResult, RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import SWEEP_SCALE, Scenario
+from repro.experiments.runner import Scenario
 from repro.workloads.registry import benchmark_names
 
 #: the paper's Figure 11 covers the 10 Table 2 benchmarks (no SPMBO)
 BENCHMARKS = [n for n in benchmark_names() if not n.startswith("SPMBO")]
 
+POLICIES = [timeout(20_000), monnr_all(), monnr_one()]
 
-def run(
-    scenario: Scenario = SWEEP_SCALE,
-    jobs: Optional[int] = None,
-    cache="default",
-) -> ExperimentResult:
-    policies = [timeout(20_000), monnr_all(), monnr_one()]
+
+def requests(scale: Scenario) -> List[RunRequest]:
+    return [RunRequest(name, policy, scale)
+            for name in BENCHMARKS for policy in POLICIES]
+
+
+def table(matrix: MatrixResult) -> ExperimentResult:
     cols = []
-    for p in policies:
+    for p in POLICIES:
         cols += [f"{p.name} running", f"{p.name} waiting"]
     result = ExperimentResult(
         title="Figure 11: WG execution break-down, normalized to Timeout "
               "(running + waiting cycles summed over WGs)",
         columns=cols,
     )
-    requests = [
-        RunRequest(name, policy, scenario)
-        for name in BENCHMARKS for policy in policies
-    ]
-    matrix = run_matrix(requests, jobs=jobs, cache=cache)
     for name in BENCHMARKS:
-        runs = {p.name: matrix.get(name, p.name) for p in policies}
+        runs = {p.name: matrix.get(name, p.name) for p in POLICIES}
         denom = max(
             1, runs["Timeout-20k"].wg_running_cycles
             + runs["Timeout-20k"].wg_waiting_cycles
         )
         values = {}
-        for p in policies:
+        for p in POLICIES:
             values[f"{p.name} running"] = runs[p.name].wg_running_cycles / denom
             values[f"{p.name} waiting"] = runs[p.name].wg_waiting_cycles / denom
         result.add_row(name, **values)
-    result.notes.append(matrix.summary())
     return result
 
 

@@ -10,10 +10,10 @@ equivalent.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.core.policies import awg
-from repro.experiments.matrix import RunRequest, run_matrix
+from repro.experiments.matrix import MatrixResult, RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import OVERSUBSCRIBED, Scenario
 from repro.workloads.registry import benchmark_names
@@ -24,11 +24,11 @@ FIG13_SCALE = OVERSUBSCRIBED.scaled(iterations=3, episodes=8,
                                     resource_loss_at_us=10.0)
 
 
-def run(
-    scenario: Scenario = FIG13_SCALE,
-    jobs: Optional[int] = None,
-    cache="default",
-) -> ExperimentResult:
+def requests(scale: Scenario) -> List[RunRequest]:
+    return [RunRequest(name, awg(), scale) for name in benchmark_names()]
+
+
+def table(matrix: MatrixResult) -> ExperimentResult:
     result = ExperimentResult(
         title="Figure 13: CP scheduling data-structure sizes (KB), "
               "measured peaks under AWG",
@@ -40,12 +40,7 @@ def run(
             "Saved Contexts",
         ],
     )
-    names = benchmark_names()
-    matrix = run_matrix(
-        [RunRequest(name, awg(), scenario) for name in names],
-        jobs=jobs, cache=cache,
-    )
-    for name in names:
+    for name in benchmark_names():
         stats = matrix.get(name, "AWG").stats
         result.add_row(
             name,
@@ -57,7 +52,6 @@ def run(
                 "Saved Contexts": stats["cp.arena.peak_bytes"] / 1024.0,
             },
         )
-    result.notes.append(matrix.summary())
     return result
 
 

@@ -10,14 +10,14 @@ exponential backoff (as in the paper).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.policies import (
     PolicySpec, awg, baseline, monnr_all, monnr_one, sleep, timeout,
 )
-from repro.experiments.matrix import RunRequest, run_matrix
+from repro.experiments.matrix import MatrixResult, RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult, geomean
-from repro.experiments.runner import PAPER_SCALE, Scenario
+from repro.experiments.runner import Scenario
 from repro.workloads.registry import BENCHMARKS, benchmark_names
 
 GEOMEAN_ROW = "GeoMean"
@@ -34,27 +34,26 @@ def _skip(name: str, policy: PolicySpec) -> bool:
             and not BENCHMARKS[name].supports_sleep)
 
 
-def run(
-    scenario: Scenario = PAPER_SCALE,
-    jobs: Optional[int] = None,
-    cache="default",
-) -> ExperimentResult:
+def requests(scale: Scenario) -> List[RunRequest]:
     benchmarks = benchmark_names()
+    cells = [RunRequest(name, baseline(), scale) for name in benchmarks]
+    cells += [
+        RunRequest(name, policy, scale)
+        for name in benchmarks
+        for policy in POLICIES
+        if policy.name != "Baseline" and not _skip(name, policy)
+    ]
+    return cells
+
+
+def table(matrix: MatrixResult) -> ExperimentResult:
     result = ExperimentResult(
         title="Figure 14: Speedup normalized to Baseline, "
               "non-oversubscribed (log-scale in the paper)",
         columns=[p.name for p in POLICIES],
     )
-    requests = [RunRequest(name, baseline(), scenario) for name in benchmarks]
-    requests += [
-        RunRequest(name, policy, scenario)
-        for name in benchmarks
-        for policy in POLICIES
-        if policy.name != "Baseline" and not _skip(name, policy)
-    ]
-    matrix = run_matrix(requests, jobs=jobs, cache=cache)
     speedups: Dict[str, List[float]] = {p.name: [] for p in POLICIES}
-    for name in benchmarks:
+    for name in benchmark_names():
         base = matrix.get(name, "Baseline")
         for policy in POLICIES:
             if _skip(name, policy):
@@ -68,7 +67,6 @@ def run(
         **{p.name: geomean(speedups[p.name]) for p in POLICIES},
     )
     result.notes.append("paper: AWG geomean = 12x over Baseline")
-    result.notes.append(matrix.summary())
     return result
 
 

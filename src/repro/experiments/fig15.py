@@ -12,14 +12,14 @@ LFTBEX_LG here).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.policies import (
     awg, baseline, monnr_all, monnr_one, sleep, timeout,
 )
-from repro.experiments.matrix import RunRequest, run_matrix
+from repro.experiments.matrix import MatrixResult, RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult, geomean
-from repro.experiments.runner import OVERSUBSCRIBED, Scenario
+from repro.experiments.runner import Scenario
 from repro.workloads.registry import benchmark_names
 
 GEOMEAN_ROW = "GeoMean"
@@ -30,29 +30,27 @@ POLICIES = [baseline(), sleep(16_000), timeout(20_000),
             monnr_all(), monnr_one(), awg()]
 
 
-def run(
-    scenario: Scenario = OVERSUBSCRIBED,
-    jobs: Optional[int] = None,
-    cache="default",
-) -> ExperimentResult:
+def requests(scale: Scenario) -> List[RunRequest]:
     benchmarks = benchmark_names()
-    result = ExperimentResult(
-        title="Figure 15: Speedup normalized to Timeout, oversubscribed "
-              f"(resource loss at {scenario.resource_loss_at_us} us)",
-        columns=[p.name for p in POLICIES],
-    )
-    requests = [
-        RunRequest(name, timeout(20_000), scenario) for name in benchmarks
-    ]
-    requests += [
-        RunRequest(name, policy, scenario)
+    cells = [RunRequest(name, timeout(20_000), scale) for name in benchmarks]
+    cells += [
+        RunRequest(name, policy, scale)
         for name in benchmarks
         for policy in POLICIES
         if policy.name != "Timeout-20k"
     ]
-    matrix = run_matrix(requests, jobs=jobs, cache=cache)
+    return cells
+
+
+def table(matrix: MatrixResult) -> ExperimentResult:
+    scale = matrix.cells[0].request.scenario
+    result = ExperimentResult(
+        title="Figure 15: Speedup normalized to Timeout, oversubscribed "
+              f"(resource loss at {scale.resource_loss_at_us} us)",
+        columns=[p.name for p in POLICIES],
+    )
     speedups: Dict[str, List[float]] = {p.name: [] for p in POLICIES}
-    for name in benchmarks:
+    for name in benchmark_names():
         norm = matrix.get(name, "Timeout-20k")
         for policy in POLICIES:
             res = matrix.get(name, policy.name)
@@ -75,7 +73,6 @@ def run(
         "switched WG"
     )
     result.notes.append("paper: AWG geomean = 2.5x over Timeout")
-    result.notes.append(matrix.summary())
     return result
 
 

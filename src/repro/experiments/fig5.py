@@ -3,26 +3,28 @@
 The paper reports 2-10 KB across the HeteroSync benchmarks; the size
 drives the cost of every context switch (vector registers for every WI,
 scalar registers for every wavefront, plus the WG's LDS allocation).
+It depends on a benchmark's resources, not on the grid, so the kernels
+are built at one scale and nothing is simulated.
 """
 
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import PAPER_SCALE, Scenario
+from repro.experiments.runner import PAPER_SCALE
 from repro.gpu.config import GPUConfig
 from repro.gpu.gpu import GPU
 from repro.core.policies import awg
 from repro.workloads.registry import BENCHMARKS, build_benchmark
 
 
-def run(scenario: Scenario = PAPER_SCALE) -> ExperimentResult:
+def table() -> ExperimentResult:
     result = ExperimentResult(
         title="Figure 5: Work-group context size",
         columns=["context KB", "VGPR bytes", "SGPR bytes", "LDS bytes"],
     )
     for name, spec in BENCHMARKS.items():
         gpu = GPU(GPUConfig(), awg())
-        kernel = build_benchmark(name, gpu, params=scenario.params())
+        kernel = build_benchmark(name, gpu, params=PAPER_SCALE.params())
         res = spec.resources
         vgpr = res.vgprs_per_wi * 4 * kernel.wis_per_wg
         sgpr = res.sgprs_per_wavefront * 4 * kernel.wavefronts_per_wg

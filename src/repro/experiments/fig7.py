@@ -9,12 +9,12 @@ every benchmark.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.core.policies import baseline, sleep
-from repro.experiments.matrix import RunRequest, run_matrix
+from repro.experiments.matrix import MatrixResult, RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import SWEEP_SCALE, Scenario
+from repro.experiments.runner import Scenario
 from repro.workloads.registry import BENCHMARKS
 
 #: maximum backoff intervals, in cycles (the paper's Sleep-Xk labels)
@@ -25,24 +25,22 @@ INTERVALS = [1_000, 2_000, 4_000, 8_000, 16_000, 32_000,
 SLEEP_BENCHMARKS = [n for n, s in BENCHMARKS.items() if s.supports_sleep]
 
 
-def run(
-    scenario: Scenario = SWEEP_SCALE,
-    jobs: Optional[int] = None,
-    cache="default",
-) -> ExperimentResult:
+def requests(scale: Scenario) -> List[RunRequest]:
+    cells = []
+    for name in SLEEP_BENCHMARKS:
+        cells.append(RunRequest(name, baseline(), scale))
+        for interval in INTERVALS:
+            cells.append(RunRequest(name, sleep(backoff_max=interval), scale))
+    return cells
+
+
+def table(matrix: MatrixResult) -> ExperimentResult:
     labels = [f"Sleep-{i // 1000}k" for i in INTERVALS]
     result = ExperimentResult(
         title="Figure 7: Exponential backoff with s_sleep "
               "(runtime normalized to Baseline; < 1 is faster)",
         columns=["Baseline"] + labels,
     )
-    requests = []
-    for name in SLEEP_BENCHMARKS:
-        requests.append(RunRequest(name, baseline(), scenario))
-        for interval in INTERVALS:
-            requests.append(
-                RunRequest(name, sleep(backoff_max=interval), scenario))
-    matrix = run_matrix(requests, jobs=jobs, cache=cache)
     for name in SLEEP_BENCHMARKS:
         base = matrix.get(name, "Baseline")
         result.add_row(name, Baseline=1.0)
@@ -53,7 +51,6 @@ def run(
         "the paper's finding: no single static sleep configuration is "
         "best across primitives"
     )
-    result.notes.append(matrix.summary())
     return result
 
 

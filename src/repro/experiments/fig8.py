@@ -9,36 +9,34 @@ hardware monitoring.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.core.policies import baseline, timeout
-from repro.experiments.matrix import RunRequest, run_matrix
+from repro.experiments.matrix import MatrixResult, RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import SWEEP_SCALE, Scenario
+from repro.experiments.runner import Scenario
 from repro.workloads.registry import benchmark_names
 
 #: timeout intervals, in cycles (the paper's Timeout-Xk labels)
 INTERVALS = [10_000, 20_000, 50_000, 100_000]
 
 
-def run(
-    scenario: Scenario = SWEEP_SCALE,
-    jobs: Optional[int] = None,
-    cache="default",
-) -> ExperimentResult:
-    benchmarks = benchmark_names()
+def requests(scale: Scenario) -> List[RunRequest]:
+    cells = []
+    for name in benchmark_names():
+        cells.append(RunRequest(name, baseline(), scale))
+        for interval in INTERVALS:
+            cells.append(RunRequest(name, timeout(interval), scale))
+    return cells
+
+
+def table(matrix: MatrixResult) -> ExperimentResult:
     labels = [f"Timeout-{i // 1000}k" for i in INTERVALS]
     result = ExperimentResult(
         title="Figure 8: Timeout interval runtime, normalized to Baseline",
         columns=["Baseline"] + labels,
     )
-    requests = []
-    for name in benchmarks:
-        requests.append(RunRequest(name, baseline(), scenario))
-        for interval in INTERVALS:
-            requests.append(RunRequest(name, timeout(interval), scenario))
-    matrix = run_matrix(requests, jobs=jobs, cache=cache)
-    for name in benchmarks:
+    for name in benchmark_names():
         base = matrix.get(name, "Baseline")
         result.add_row(name, Baseline=1.0)
         for interval, label in zip(INTERVALS, labels):
@@ -48,7 +46,6 @@ def run(
         "values > 1 mean Timeout is slower than busy-waiting — the "
         "paper's motivation for monitor-based hardware support"
     )
-    result.notes.append(matrix.summary())
     return result
 
 

@@ -10,39 +10,35 @@ condition has one waiter and one update.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.core.policies import minresume, monnr_all, monr_all, monrs_all
-from repro.experiments.matrix import RunRequest, run_matrix
+from repro.experiments.matrix import MatrixResult, RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import SWEEP_SCALE, Scenario
+from repro.experiments.runner import Scenario
 from repro.workloads.registry import benchmark_names
 
 CENTRALIZED = ["SPM_G", "FAM_G"]
 DECENTRALIZED = ["SLM_G", "SLM_L", "LFTB_LG", "LFTBEX_LG"]
 
+POLICIES = [minresume(), monrs_all(), monr_all(), monnr_all()]
 
-def run(
-    scenario: Scenario = SWEEP_SCALE,
-    jobs: Optional[int] = None,
-    cache="default",
-) -> ExperimentResult:
-    benchmarks = benchmark_names()
-    policies = [minresume(), monrs_all(), monr_all(), monnr_all()]
+
+def requests(scale: Scenario) -> List[RunRequest]:
+    return [RunRequest(name, policy, scale)
+            for name in benchmark_names() for policy in POLICIES]
+
+
+def table(matrix: MatrixResult) -> ExperimentResult:
     result = ExperimentResult(
         title="Figure 9: Wait efficiency — dynamic atomic instruction "
               "count normalized to MinResume (log-scale in the paper)",
-        columns=[p.name for p in policies],
+        columns=[p.name for p in POLICIES],
     )
-    requests = [
-        RunRequest(name, policy, scenario)
-        for name in benchmarks for policy in policies
-    ]
-    matrix = run_matrix(requests, jobs=jobs, cache=cache)
-    for name in benchmarks:
+    for name in benchmark_names():
         counts = {
             policy.name: matrix.get(name, policy.name).atomics
-            for policy in policies
+            for policy in POLICIES
         }
         oracle = max(1, counts["MinResume"])
         result.add_row(
@@ -52,7 +48,6 @@ def run(
         "MonRS-All resumes waiters on every access without checking the "
         "condition, so centralized primitives retry massively"
     )
-    result.notes.append(matrix.summary())
     return result
 
 

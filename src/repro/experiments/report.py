@@ -45,12 +45,6 @@ class ExperimentResult:
     def add_row(self, key: str, **values: Cell) -> None:
         self.data.setdefault(key, {}).update(values)
 
-    def rows(self) -> List[str]:
-        return list(self.data.keys())
-
-    def column(self, name: str) -> Dict[str, Cell]:
-        return {row: vals.get(name) for row, vals in self.data.items()}
-
     def render(self, digits: int = 2) -> str:
         headers = [self.row_label] + self.columns
         body = [
@@ -74,6 +68,3 @@ class ExperimentResult:
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.render()

@@ -10,7 +10,7 @@ from repro.experiments.report import ExperimentResult
 from repro.gpu.config import GPUConfig
 
 
-def run() -> ExperimentResult:
+def table() -> ExperimentResult:
     config = GPUConfig()
     rows = {
         "Compute Units": f"{config.num_cus}",

@@ -8,10 +8,10 @@ counters a complete characterization of the synchronization behaviour).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.core.policies import monnr_all
-from repro.experiments.matrix import RunRequest, run_matrix
+from repro.experiments.matrix import MatrixResult, RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import PAPER_SCALE, Scenario
 from repro.workloads.registry import BENCHMARKS
@@ -20,14 +20,15 @@ from repro.workloads.registry import BENCHMARKS
 TABLE2_SCALE = PAPER_SCALE.scaled(iterations=2, episodes=4)
 
 
-def run(
-    scenario: Scenario = TABLE2_SCALE,
-    jobs: Optional[int] = None,
-    cache="default",
-) -> ExperimentResult:
+def requests(scale: Scenario) -> List[RunRequest]:
+    return [RunRequest(name, monnr_all(), scale) for name in BENCHMARKS]
+
+
+def table(matrix: MatrixResult) -> ExperimentResult:
+    scale = matrix.cells[0].request.scenario
     result = ExperimentResult(
         title="Table 2: Inter-WG synchronization benchmarks "
-              f"[G={scenario.total_wgs}, L={scenario.wgs_per_group}]",
+              f"[G={scale.total_wgs}, L={scale.wgs_per_group}]",
         columns=[
             "description",
             "# sync vars (paper)",
@@ -39,10 +40,6 @@ def run(
             "updates until met (paper)",
             "updates until met (meas)",
         ],
-    )
-    matrix = run_matrix(
-        [RunRequest(name, monnr_all(), scenario) for name in BENCHMARKS],
-        jobs=jobs, cache=cache,
     )
     for name, spec in BENCHMARKS.items():
         stats = matrix.get(name, "MonNR-All").stats
@@ -64,7 +61,6 @@ def run(
         "paper columns are symbolic (G = total WGs, L = WGs per group, "
         "n = WIs per WG); measured columns are SyncMon counters."
     )
-    result.notes.append(matrix.summary())
     return result
 
 

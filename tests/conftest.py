@@ -45,14 +45,21 @@ _ABSENT = "<absent>"
 
 def golden_diffs(golden: Any, fresh: Any, where: str = "") -> List[str]:
     """One line per differing leaf between two parsed JSON documents,
-    named by its key path (``stats.engine.fired``, ``table.SPM_G.AWG``).
-    Lists compare whole."""
+    named by its key path (``stats.engine.fired``, ``table.SPM_G.AWG``,
+    ``fig14.quick[3].policy.name``). Lists of one length compare item
+    by item, others whole."""
     if isinstance(golden, dict) and isinstance(fresh, dict):
         out: List[str] = []
         for key in sorted(set(golden) | set(fresh)):
             out += golden_diffs(golden.get(key, _ABSENT),
                                 fresh.get(key, _ABSENT),
                                 f"{where}.{key}" if where else key)
+        return out
+    if (isinstance(golden, list) and isinstance(fresh, list)
+            and len(golden) == len(fresh)):
+        out = []
+        for index, (old, new) in enumerate(zip(golden, fresh)):
+            out += golden_diffs(old, new, f"{where}[{index}]")
         return out
     if golden == fresh:
         return []
@@ -103,14 +110,13 @@ def quick_table(_private_result_cache):
     NAME --quick`` builds it (its quick scale, or its committed scale
     where it has none), built once per session through the session's
     result cache."""
-    from repro.cli import ARTIFACTS
+    from repro.cli import tabulate
 
     tables = {}
 
     def build(name):
         if name not in tables:
-            artifact = ARTIFACTS[name]
-            tables[name] = artifact.run(*artifact.scale(True))
+            tables[name], _matrix = tabulate(name, quick=True)
         return tables[name]
 
     return build

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.cli import ARTIFACTS
+from repro.cli import ARTIFACTS, tabulate
 from repro.core.policies import awg
 from repro.experiments.cache import ResultCache, default_cache
 from repro.experiments.matrix import CellError, RunRequest, run_matrix
@@ -102,6 +102,6 @@ def test_failed_cell_fails_its_figure_with_its_cell_error(name, quick_table,
 
     monkeypatch.setattr(RunRequest, "execute", fail_one)
     with pytest.raises(CellError, match=r"cell \(TB_LG, AWG, ") as exc:
-        artifact.run(*artifact.scale(True), jobs=1)
+        tabulate(name, quick=True, jobs=1)
     assert exc.value.failure["message"] == "injected cell failure"
     assert executed == [("TB_LG", "AWG")]

@@ -11,7 +11,9 @@ findings no ``check()`` asserts.
 import pytest
 
 from repro.cli import ARTIFACTS
-from repro.experiments import QUICK_OVERSUBSCRIBED, fig13, fig14, fig15
+from repro.experiments import (
+    QUICK_OVERSUBSCRIBED, fig13, fig14, fig15, run_matrix,
+)
 
 #: the artifacts whose own check() holds on their --quick table
 QUICK_CHECKED = [
@@ -173,9 +175,9 @@ def test_fig13_sizes_positive_and_bounded():
     # At the quick scale's 10 us loss only 4 of 12 rows save a
     # context; trigger the loss early and run longer so it lands inside
     # even the fast runs.
-    r = fig13.run(QUICK_OVERSUBSCRIBED.scaled(
+    r = fig13.table(run_matrix(fig13.requests(QUICK_OVERSUBSCRIBED.scaled(
         iterations=4, episodes=8, resource_loss_at_us=4.0,
-        deadlock_window=200_000))
+        deadlock_window=200_000))))
     switched = 0
     for name, row in r.data.items():
         assert row["Waiting WGs"] > 0, name

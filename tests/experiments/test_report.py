@@ -33,8 +33,9 @@ def test_result_rows_and_columns():
     r.add_row("row1", a=1.0)
     r.add_row("row1", b=2.0)
     r.add_row("row2", a=3.0, b=4.0)
-    assert r.rows() == ["row1", "row2"]
-    assert r.column("a") == {"row1": 1.0, "row2": 3.0}
+    assert list(r.data) == ["row1", "row2"]
+    assert {row: vals["a"] for row, vals in r.data.items()} == \
+        {"row1": 1.0, "row2": 3.0}
     assert r.data["row1"]["b"] == 2.0
 
 
@@ -47,7 +48,6 @@ def test_render_contains_everything():
     assert "SPM_G" in text
     assert "12.50" in text
     assert "note: a note" in text
-    assert str(r) == text
 
 
 def test_render_missing_cells_as_dash():

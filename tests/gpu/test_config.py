@@ -40,7 +40,7 @@ def test_cycle_conversions():
 def test_describe_renders_table1():
     from repro.experiments import table1
 
-    desc = {row: cells["value"] for row, cells in table1.run().data.items()}
+    desc = {row: cells["value"] for row, cells in table1.table().data.items()}
     assert desc["Compute Units"] == "8"
     assert "30 cycles" in desc["L1 cache / CU"]
     assert "DDR3" in desc["DRAM"]

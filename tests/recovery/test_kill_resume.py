@@ -162,7 +162,7 @@ def test_sigterm_flushes_checkpoint_and_exits_resumable(tmp_path):
 
     # the rerun finishes the sweep, serving every surviving entry
     cache = ResultCache(cache_dir)
-    fig7.run(QUICK_SCALE, jobs=1, cache=cache)
+    run_matrix(fig7.requests(QUICK_SCALE), jobs=1, cache=cache)
     assert cache.hits == entries
     assert cache.misses == 60 - entries
 

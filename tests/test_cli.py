@@ -322,6 +322,8 @@ def test_replay_trace_rejects_litmus_bundle(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     "table1 --seed 7",
+    "table1 --no-cache",
+    "fig5 --jobs 2",
     "fig14 --quick --seed 7",
     "cache --sanitize",
     "analyze --quick",

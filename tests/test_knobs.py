@@ -125,27 +125,22 @@ def test_every_machine_and_policy_field_is_read(cls):
 
 # -- entry-point census ------------------------------------------------------
 #
-# An experiment entry point takes its scale and, where it sweeps, the
-# matrix's jobs and cache: what the CLI passes. The parameter names are
-# pinned, so a parameter only a test would set cannot return unnoticed.
+# An artifact is a triple: ``requests(scale)`` lists its cells and
+# ``table(matrix)`` tabulates their results (table1 and fig5 simulate
+# nothing, so their ``table()`` takes no argument). The CLI runs the
+# matrix between the two, so neither takes jobs or a cache. The
+# parameter names are pinned, so a parameter only a test would set
+# cannot return unnoticed.
 
-SWEEP = ("scenario", "jobs", "cache")
+SWEEP = {"requests": ("scale",), "table": ("matrix",)}
 
 ENTRY_POINT_PARAMS = {
-    "table1": (),
-    "table2": SWEEP,
-    "fig5": ("scenario",),
-    "fig7": SWEEP,
-    "fig8": SWEEP,
-    "fig9": SWEEP,
-    "fig11": SWEEP,
-    "fig13": SWEEP,
-    "fig14": SWEEP,
-    "fig15": SWEEP,
-    "ablation_syncmon": SWEEP,
-    "ablation_log": SWEEP,
-    "ablation_resume": SWEEP,
-    "ablation_stall": SWEEP,
+    **{name: SWEEP for name in (
+        "table2", "fig7", "fig8", "fig9", "fig11", "fig13", "fig14",
+        "fig15", "ablation_syncmon", "ablation_log", "ablation_resume",
+        "ablation_stall")},
+    "table1": {"table": ()},
+    "fig5": {"table": ()},
     # besides the artifacts: every parameter is one the CLI passes
     "faults_campaign.run": ("seed", "smoke", "plans", "jobs", "cache",
                             "bundle_dir", "shrink"),
@@ -155,18 +150,25 @@ ENTRY_POINT_PARAMS = {
 }
 
 
+def _params(fn):
+    return tuple(inspect.signature(fn).parameters)
+
+
 def _entry_points():
     from repro.cli import ARTIFACTS
     from repro.experiments import faults_campaign, run_benchmark, timeline
 
-    functions = {name: artifact.run for name, artifact in ARTIFACTS.items()}
-    functions["faults_campaign.run"] = faults_campaign.run
-    functions["timeline.trace_run"] = timeline.trace_run
-    functions["run_benchmark"] = run_benchmark
-    return functions
+    found = {
+        name: {role: _params(getattr(artifact, role))
+               for role in ("requests", "table")
+               if getattr(artifact, role) is not None}
+        for name, artifact in ARTIFACTS.items()
+    }
+    found["faults_campaign.run"] = _params(faults_campaign.run)
+    found["timeline.trace_run"] = _params(timeline.trace_run)
+    found["run_benchmark"] = _params(run_benchmark)
+    return found
 
 
 def test_entry_point_parameters_are_pinned():
-    found = {name: tuple(inspect.signature(fn).parameters)
-             for name, fn in _entry_points().items()}
-    assert found == ENTRY_POINT_PARAMS
+    assert _entry_points() == ENTRY_POINT_PARAMS
