@@ -17,6 +17,13 @@ Every op begins with the same preamble, written out in each op rather
 than delegated to a generator: honour forced eviction (kernel-scheduler
 preemption) at the op boundary, then charge SIMD issue bandwidth.
 
+An Event only where more than one party can wake a process;
+single-waiter stages queue the resume. The issue slot, a compute
+quantum, ``s_sleep``, a memory reply and the ``wait`` instruction's L2
+stage each have exactly one waiter, so the op hands the stage its
+process's ``_resume`` and yields :data:`~repro.sim.process.QUEUED`.
+Only the gate, ``syncthreads`` and the wait episodes yield events.
+
 Calling an op *without* ``yield from`` builds a generator that never
 runs, so the op silently never executes. The kernel linter's
 ``missing-yield-from`` rule (``python -m repro lint``) flags that
@@ -33,11 +40,11 @@ from repro.core.syncmon import RegisterOutcome
 from repro.errors import DeviceError
 from repro.mem.atomics import AtomicOp, AtomicResult
 from repro.mem.backing import wrap32
+from repro.sim.process import QUEUED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.gpu import GPU
     from repro.gpu.workgroup import WGState, WorkGroup
-    from repro.sim.events import Event
     from repro.sim.resources import FifoResource
 
 
@@ -52,10 +59,15 @@ class WavefrontCtx:
         simd: "FifoResource",
     ) -> None:
         self.gpu = gpu
+        self.env = gpu.env
         self.wg = wg
         self.wf_id = wf_id
         self.simd = simd
         self.args = wg.kernel.args
+        #: ``_resume`` of the process running this context (bound by
+        #: :meth:`~repro.gpu.wavefront.Wavefront.start`): every
+        #: single-waiter stage of an op calls it with the op's value
+        self._resume: Optional[Callable[[object], None]] = None
         #: the waiting atomic in flight (a wavefront issues one op at a
         #: time): its (condition, predicate), and the SyncMon outcome its
         #: L2 hook leaves behind
@@ -89,10 +101,6 @@ class WavefrontCtx:
     def is_master(self) -> bool:
         return self.wf_id == 0
 
-    @property
-    def env(self):
-        return self.gpu.env
-
     def _not_resident(self) -> DeviceError:
         return DeviceError(
             f"WG{self.wg_id} issued a device op while not resident"
@@ -118,12 +126,15 @@ class WavefrontCtx:
         wg = self.wg
         if wg.evict_requested or wg.gate is not None:
             yield from self._interrupt_point()
-        yield self.simd.service(self.gpu.config.issue_cycles)
+        resume = self._resume
+        self.simd.request(self.gpu.config.issue_cycles, resume, None)
+        yield QUEUED
         quantum = self.gpu.config.compute_quantum
         remaining = cycles
         while remaining > 0:
             step = min(quantum, remaining)
-            yield self.env.timeout(step)
+            self.env.call_at(step, resume, None)
+            yield QUEUED
             remaining -= step
             self.gpu.note_execution()
             if remaining > 0:
@@ -135,12 +146,14 @@ class WavefrontCtx:
         wg = self.wg
         if wg.evict_requested or wg.gate is not None:
             yield from self._interrupt_point()
-        yield self.simd.service(self.gpu.config.issue_cycles)
+        self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
+        yield QUEUED
         self._c_loads()
         cu = wg.cu
         if cu is None:
             raise self._not_resident()
-        value = yield self.gpu.hierarchy.load(cu.cu_id, addr, wg_id=wg.wg_id)
+        self.gpu.hierarchy.load(cu.cu_id, addr, self._resume, wg.wg_id)
+        value = yield QUEUED
         return value
 
     def store(self, addr: int, value: int):
@@ -148,14 +161,16 @@ class WavefrontCtx:
         wg = self.wg
         if wg.evict_requested or wg.gate is not None:
             yield from self._interrupt_point()
-        yield self.simd.service(self.gpu.config.issue_cycles)
+        self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
+        yield QUEUED
         self._c_stores()
         cu = wg.cu
         if cu is None:
             raise self._not_resident()
-        yield self.gpu.hierarchy.store_word(
-            cu.cu_id, addr, value, wg_id=wg.wg_id
+        self.gpu.hierarchy.store_word(
+            cu.cu_id, addr, value, self._resume, wg.wg_id
         )
+        yield QUEUED
         return None
 
     def lds_read(self, index: int):
@@ -163,14 +178,16 @@ class WavefrontCtx:
         wg = self.wg
         if wg.evict_requested or wg.gate is not None:
             yield from self._interrupt_point()
-        yield self.simd.service(self.gpu.config.issue_cycles)
+        self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
+        yield QUEUED
         return wg.lds.get(index, 0)
 
     def lds_write(self, index: int, value: int):
         wg = self.wg
         if wg.evict_requested or wg.gate is not None:
             yield from self._interrupt_point()
-        yield self.simd.service(self.gpu.config.issue_cycles)
+        self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
+        yield QUEUED
         wg.lds[index] = wrap32(value)
         return None
 
@@ -178,7 +195,8 @@ class WavefrontCtx:
         """The GCN ``s_sleep`` instruction: stall without releasing
         resources (no issue charge while asleep)."""
         self._c_sleeps()
-        yield self.env.timeout(max(1, cycles))
+        self.env.call_at(max(1, cycles), self._resume, None)
+        yield QUEUED
         return None
 
     def syncthreads(self):
@@ -186,7 +204,8 @@ class WavefrontCtx:
         wg = self.wg
         if wg.evict_requested or wg.gate is not None:
             yield from self._interrupt_point()
-        yield self.simd.service(self.gpu.config.issue_cycles)
+        self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
+        yield QUEUED
         yield wg.syncthreads_arrive()
         return None
 
@@ -206,14 +225,16 @@ class WavefrontCtx:
         wg = self.wg
         if wg.evict_requested or wg.gate is not None:
             yield from self._interrupt_point()
-        yield self.simd.service(self.gpu.config.issue_cycles)
+        self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
+        yield QUEUED
         self._c_atomics()
         cu = wg.cu
         if cu is None:
             raise self._not_resident()
-        res = yield self.gpu.hierarchy.atomic(
-            cu.cu_id, op, addr, operand, operand2, wg_id=wg.wg_id
+        self.gpu.hierarchy.atomic(
+            cu.cu_id, op, addr, self._resume, operand, operand2, wg.wg_id
         )
+        res = yield QUEUED
         return res
 
     def atomic_load(self, addr: int):
@@ -319,7 +340,8 @@ class WavefrontCtx:
         wg = self.wg
         if wg.evict_requested or wg.gate is not None:
             yield from self._interrupt_point()
-        yield self.simd.service(self.gpu.config.issue_cycles)
+        self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
+        yield QUEUED
         gpu = self.gpu
         self._c_atomics()
         self._c_waiting_atomics()
@@ -334,10 +356,11 @@ class WavefrontCtx:
         service = (
             gpu.config.l2_load_service if op is AtomicOp.LOAD else None
         )
-        res = yield gpu.hierarchy.atomic(
-            cu.cu_id, op, addr, operand, operand2,
-            wg_id=wg.wg_id, l2_hook=self._compare_at_l2, service=service,
+        gpu.hierarchy.atomic(
+            cu.cu_id, op, addr, self._resume, operand, operand2,
+            wg.wg_id, self._compare_at_l2, service,
         )
+        res = yield QUEUED
         return res, self._outcome
 
     def _compare_at_l2(self, result: AtomicResult) -> None:
@@ -356,18 +379,20 @@ class WavefrontCtx:
         wg = self.wg
         if wg.evict_requested or wg.gate is not None:
             yield from self._interrupt_point()
-        yield self.simd.service(self.gpu.config.issue_cycles)
+        self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
+        yield QUEUED
         gpu = self.gpu
         self._c_wait_instrs()
-        result = gpu.env.event()
         gpu.hierarchy.bank_for(cond.addr).request(
-            gpu.config.l2_store_service, self._arm, result, cond)
-        outcome = yield result
+            gpu.config.l2_store_service, self._arm, cond)
+        outcome = yield QUEUED
         return outcome
 
-    def _arm(self, result: "Event", cond: WaitCondition) -> None:
-        """The wait instruction's L2 stage: register the condition."""
-        result.try_succeed(self.gpu.syncmon.register(self.wg.wg_id, cond))
+    def _arm(self, cond: WaitCondition) -> None:
+        """The wait instruction's L2 stage: register the condition; the
+        outcome reaches the wavefront in the next zero-delay slot."""
+        self.env.call_at(
+            0, self._resume, self.gpu.syncmon.register(self.wg.wg_id, cond))
 
     # -- convenience acquire patterns used by the sync library ------------------
     # Both return sync_wait's own generator rather than wrapping it in one

@@ -125,6 +125,7 @@ class GPU:
 
             self.sanitizer = SyncSanitizer(self)
             self.hierarchy.sanitizer = self.sanitizer
+        self._update_halted()
 
     @property
     def state_trace(self) -> List[tuple]:
@@ -172,6 +173,7 @@ class GPU:
             ids.append(wg_id)
         launch = KernelLaunch(kernel=kernel, wg_ids=ids, launched_at=self.env.now)
         self.launches.append(launch)
+        self._update_halted()
         return launch
 
     # ------------------------------------------------------------------
@@ -199,6 +201,7 @@ class GPU:
             wg.cu = None
         wg.open_gate()
         self._finished += 1
+        self._update_halted()
         self.note_progress("wg_done")
         wg.done_event.try_succeed()
         self.dispatcher.kick()
@@ -207,9 +210,21 @@ class GPU:
         """Keep :meth:`run` going even with no launched WGs outstanding
         (used by deferred launches, e.g. cooperative groups)."""
         self._completion_holds += 1
+        self._update_halted()
 
     def release_completion(self) -> None:
         self._completion_holds -= 1
+        self._update_halted()
+
+    def _update_halted(self) -> None:
+        """Set the engine's ``halted`` flag iff nothing is outstanding: no
+        launched WG unfinished, no completion hold. Called wherever an
+        input changes (a launch, a WG done, a hold taken or released), so
+        the run loop reads a flag instead of calling a predicate per
+        timestamp. Deferred launches (cooperative groups) add WGs while
+        holding completion, so the flag never rises between the two."""
+        self.env.halted = (self._finished >= len(self.wgs)
+                           and self._completion_holds <= 0)
 
     # ------------------------------------------------------------------
     # the run loop
@@ -224,15 +239,7 @@ class GPU:
         reason = "completed"
         deadlocked = False
 
-        wgs = self.wgs
-
-        def halted() -> bool:
-            # nothing outstanding. len(wgs) is re-read each time: deferred
-            # launches (cooperative groups) add WGs mid-run and hold
-            # completion until they dispatch.
-            return self._finished >= len(wgs) and self._completion_holds <= 0
-
-        while not halted():
+        while not env.halted:
             if env.now >= cfg.max_cycles:
                 reason = "max_cycles"
                 deadlocked = True
@@ -260,13 +267,14 @@ class GPU:
                 next_check = env.now + cfg.deadlock_window
             # Hot path: fire whole same-timestamp batches up to the next
             # watchdog/cycle-budget boundary, re-checking the completion
-            # condition only between timestamps. Equivalent to the old
-            # per-event step() loop (a mid-batch completion used to exit
-            # here and finish the batch in the same-cycle drain below),
-            # without per-event Python dispatch in between.
+            # flag (see _update_halted) only between timestamps.
+            # Equivalent to the old per-event step() loop (a mid-batch
+            # completion used to exit here and finish the batch in the
+            # same-cycle drain below), without per-event Python dispatch
+            # in between.
             boundary = cfg.max_cycles if cfg.max_cycles < next_check else next_check
-            env.drain_batches(boundary, halted)
-            if halted():
+            env.drain_batches(boundary)
+            if env.halted:
                 break
             # The next event (if any) is at or past the boundary. The old
             # loop fired exactly one such event before its checks could
@@ -305,7 +313,7 @@ class GPU:
                 "total": len(self.wgs),
                 "stalls": build_stall_report(self),
             }
-        return self._outcome(not deadlocked and halted(),
+        return self._outcome(not deadlocked and env.halted,
                              deadlocked, reason, diagnosis)
 
     def _outcome(

@@ -46,4 +46,6 @@ class Wavefront:
         self.process = Process(
             self.gpu.env, gen, name=f"{kernel.name}.wg{self.wg.wg_id}.wf{self.wf_id}"
         )
+        # the generator has not run yet: its first op finds this bound
+        self.ctx._resume = self.process._resume
         return self.process

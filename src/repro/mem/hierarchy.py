@@ -13,6 +13,13 @@ service time, so contended synchronization variables serialize at one bank
 the ALU executes, the hierarchy hands the result to an optional *atomic
 observer* (the SyncMon), which is how waiting conditions are registered
 and checked.
+
+A load, store or atomic has exactly one waiter, so it takes a ``reply``
+callable and queues ``reply(value)`` itself instead of returning an
+event: an Event only where more than one party can wake a process;
+single-waiter stages queue the resume. Each reply still takes its own
+zero-delay entry after the stage that produces it, the order every
+golden and benchmark digest pins.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Observer invoked at the L2 for every atomic: (result, wg_id) -> None.
 AtomicObserver = Callable[[AtomicResult, Optional[int]], None]
+#: The continuation of a load, store or atomic: called with the reply
+#: value (the word, None, the AtomicResult) when the reply reaches the CU.
+Reply = Callable[[object], None]
 
 
 class MemoryHierarchy:
@@ -76,60 +86,54 @@ class MemoryHierarchy:
         return self.l2_banks[idx]
 
     # -- plain loads/stores ------------------------------------------------
-    def load(self, cu_id: int, addr: int, wg_id: Optional[int] = None) -> Event:
-        """Read a word; fires with the value after the access latency."""
+    def load(self, cu_id: int, addr: int, reply: Reply,
+             wg_id: Optional[int] = None) -> None:
+        """Read a word; calls ``reply(value)`` after the access latency."""
         if self.sanitizer is not None and wg_id is not None:
             self.sanitizer.on_load(wg_id, addr)
         cfg = self.config
-        l1 = self.l1s[cu_id]
-        if l1.access(addr):
-            result = Event(self.env)
-            self.env.call_at(cfg.l1_latency, self._reply_read, result, addr)
-            return result
-        return self._l2_access(addr, extra_latency=cfg.l1_latency)
+        if self.l1s[cu_id].access(addr):
+            self.env.call_at(cfg.l1_latency, self._reply_read, reply, addr)
+        else:
+            self.bank_for(addr).request(cfg.l2_load_service,
+                                        self._load_at_l2, reply, addr)
 
-    def store_word(
-        self, cu_id: int, addr: int, value: int, wg_id: Optional[int] = None
-    ) -> Event:
-        """Write-through store; fires when the write reaches the L2."""
+    def store_word(self, cu_id: int, addr: int, value: int, reply: Reply,
+                   wg_id: Optional[int] = None) -> None:
+        """Write-through store; calls ``reply(None)`` when the write
+        reaches the L2."""
         if self.sanitizer is not None and wg_id is not None:
             self.sanitizer.on_store(wg_id, addr)
         self.l1s[cu_id].access(addr)  # write-allocate into L1 tags
-        result = Event(self.env)
         self.bank_for(addr).request(self.config.l2_store_service,
-                                    self._commit_store, result, addr, value)
-        return result
+                                    self._commit_store, reply, addr, value)
 
-    def _commit_store(self, result: Event, addr: int, value: int) -> None:
+    def _commit_store(self, reply: Reply, addr: int, value: int) -> None:
         """A store's L2 stage, when its bank finishes serving it."""
         self.l2.access(addr)
         res = atomic_alu.execute(self.store, AtomicOp.STORE, addr, value)
         if self.atomic_observer is not None:
             self.atomic_observer(res, None)
-        result.try_succeed(None)
+        self.env.call_at(0, reply, None)
 
-    def _reply_read(self, result: Event, addr: int) -> None:
+    def _reply_read(self, reply: Reply, addr: int) -> None:
         """The reply relay of a load: the word is read when the reply
         lands, not when the request is issued."""
-        result.try_succeed(self.store.read(addr))
+        self.env.call_at(0, reply, self.store.read(addr))
 
-    def _l2_access(self, addr: int, extra_latency: int) -> Event:
-        result = Event(self.env)
-        self.bank_for(addr).request(self.config.l2_load_service,
-                                    self._load_at_l2, result, addr, extra_latency)
-        return result
-
-    def _load_at_l2(self, result: Event, addr: int, extra_latency: int) -> None:
-        """A load's L2 stage: on a miss the reply waits for DRAM too."""
+    def _load_at_l2(self, reply: Reply, addr: int) -> None:
+        """A load's L2 stage (after an L1 miss): on an L2 miss the reply
+        waits for DRAM too."""
         cfg = self.config
-        latency = extra_latency + cfg.l2_latency + self.fault_extra_latency
+        latency = (cfg.l1_latency + cfg.l2_latency
+                   + self.fault_extra_latency)
         if self.l2.access(addr):
-            self.env.call_at(latency, self._reply_read, result, addr)
+            self.env.call_at(latency, self._reply_read, reply, addr)
         else:
             # DRAM's continuation schedules the reply itself
             self.dram.request(cfg.dram_service, self.env.call_at,
                               latency + cfg.dram_latency,
-                              self._reply_read, result, addr)
+                              self._reply_read, reply, addr)
 
     # -- atomics -----------------------------------------------------------
     def atomic(
@@ -137,13 +141,15 @@ class MemoryHierarchy:
         cu_id: int,
         op: AtomicOp,
         addr: int,
+        reply: Reply,
         operand: int = 0,
         operand2: int = 0,
         wg_id: Optional[int] = None,
         l2_hook: Optional[Callable[[AtomicResult], None]] = None,
         service: Optional[int] = None,
-    ) -> Event:
-        """Perform an atomic at the L2; fires with the :class:`AtomicResult`.
+    ) -> None:
+        """Perform an atomic at the L2; calls ``reply`` with the
+        :class:`AtomicResult` when the response reaches the CU.
 
         The ALU executes when the bank grants service, which is the
         serialization point: contended atomics to one synchronization
@@ -163,15 +169,13 @@ class MemoryHierarchy:
         # Atomics bypass the L1 (performed at L2); invalidate any stale
         # L1 copy so later plain loads see a miss.
         self.l1s[cu_id].invalidate(addr)
-        result = Event(self.env)
         self.bank_for(addr).request(
             self.config.l2_atomic_service if service is None else service,
-            self._atomic_at_l2, result, op, addr, operand, operand2,
+            self._atomic_at_l2, reply, op, addr, operand, operand2,
             wg_id, l2_hook,
         )
-        return result
 
-    def _atomic_at_l2(self, result: Event, op: AtomicOp, addr: int,
+    def _atomic_at_l2(self, reply: Reply, op: AtomicOp, addr: int,
                       operand: int, operand2: int, wg_id: Optional[int],
                       l2_hook: Optional[Callable[[AtomicResult], None]]) -> None:
         """An atomic's L2 stage, when its bank grants service."""
@@ -186,7 +190,9 @@ class MemoryHierarchy:
             l2_hook(res)
         latency = (cfg.l2_latency + (0 if hit else cfg.dram_latency)
                    + self.fault_extra_latency)
-        self.env.call_at(latency, result.try_succeed, res)
+        # the response lands, then the reply takes the next zero-delay slot
+        env = self.env
+        env.call_at(latency, env.call_at, 0, reply, res)
 
     # -- bulk transfers (context save/restore) -------------------------------
     def bulk_transfer(self, nbytes: int) -> Event:

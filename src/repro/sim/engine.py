@@ -3,11 +3,14 @@
 The engine owns the simulation clock (an integer cycle count) and the
 set of scheduled entries, kept in one binary heap of
 ``(time, seq, fn, args)`` tuples plus a zero-delay FIFO lane of
-``(fn, args)`` pairs. Every entry is a call ``fn(*args)``: an
-:class:`~repro.sim.events.Event` queues its own ``fire`` (processes
-yield events to wait for them, see :mod:`repro.sim.process`), and the
-fixed latencies of the device-op path queue the bound method that
-continues the op. Every schedule goes through :meth:`Engine.call_at`.
+``(fn, args)`` pairs. Every entry is a call ``fn(*args)``. An Event
+only where more than one party can wake a process; single-waiter stages
+queue the resume. So an :class:`~repro.sim.events.Event` queues its own
+``fire`` (a process yields one when several parties may wake it, see
+:mod:`repro.sim.process`), while the fixed latencies of the device-op
+path queue the bound method that continues the op, the last of them the
+waiting process's ``_resume``. Every schedule goes through
+:meth:`Engine.call_at`.
 
 **Determinism contract.** Entries scheduled for the same cycle fire in
 FIFO order of scheduling (the ``seq`` tie-break), so a run's event
@@ -65,19 +68,18 @@ class Engine:
         self._lane: Optional[Deque[Entry]] = None
         #: scheduled entries not yet fired, heap and lane together
         self._live: int = 0
+        #: set by the owner of the run (the GPU) when nothing is left to
+        #: wait for; drain_batches stops at the next timestamp once it is
+        self.halted = False
         # -- observability (engine.* counters in the trace layer) ------
         self._peak_pending: int = 0
         self._fired: int = 0
 
-    # -- clock and event factory ---------------------------------------
+    # -- clock ---------------------------------------------------------
     @property
     def now(self) -> int:
         """Current simulation time in cycles."""
         return self._now
-
-    def event(self) -> Event:
-        """Create a fresh unfired event bound to this engine."""
-        return Event(self)
 
     def timeout(self, delay: int) -> Event:
         """Create an event that fires ``delay`` cycles from now."""
@@ -138,26 +140,29 @@ class Engine:
 
         Entries scheduled exactly at ``until`` still fire; the clock only
         advances to ``until`` when a strictly later entry remains. An
-        ``until`` before ``now`` is an error: the clock never goes back."""
+        ``until`` before ``now`` is an error: the clock never goes back.
+        :attr:`halted` does not stop it."""
         if until is not None and until < self._now:
             raise SimulationError(
                 f"run(until={until}) is before now ({self._now})")
         boundary = float("inf") if until is None else until + 1
-        fired = self.drain_batches(boundary, lambda: False)
+        fired = self.drain_batches(boundary, halting=False)
         if until is not None and self._live:
             self._now = until
         return fired
 
-    def drain_batches(self, boundary: int, should_halt: Callable[[], bool]) -> int:
+    def drain_batches(self, boundary: int, halting: bool = True) -> int:
         """Fire whole same-timestamp batches while the next entry is
-        strictly before ``boundary``; re-check ``should_halt`` only
-        between timestamps. Returns the number of entries fired.
+        strictly before ``boundary`` and (if ``halting``) :attr:`halted`
+        is not set; the flag is read only between timestamps. Returns the
+        number of entries fired.
 
         This is the hot API behind :meth:`repro.gpu.gpu.GPU.run`: the
         caller performs its (rare) watchdog / cycle-budget checks at
-        batch boundaries instead of paying per-event Python dispatch.
-        Zero-delay entries scheduled meanwhile go to the lane (see the
-        module docstring)."""
+        batch boundaries instead of paying per-event Python dispatch,
+        and sets :attr:`halted` itself at the few points where its
+        completion condition can change. Zero-delay entries scheduled
+        meanwhile go to the lane (see the module docstring)."""
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
         self._running = True
@@ -171,7 +176,7 @@ class Engine:
                 t = heap[0][0]
                 if t >= boundary:
                     break
-                if should_halt():
+                if halting and self.halted:
                     break
                 if t < self._now:
                     raise SimulationError("event heap time went backwards")

@@ -2,7 +2,8 @@
 
 Each cell in ``CELLS`` simulates one (benchmark, policy) pair at
 QUICK_SCALE and compares the full stats snapshot -- every counter, the
-cycle count, completion flag -- against a checked-in JSON golden in
+cycle count, completion flag, and the engine's ``fired`` and
+``peak_pending`` counts -- against a checked-in JSON golden in
 this directory.  The simulator is deterministic, so any diff is a real
 behaviour change: either a regression, or an intentional change that
 must be reviewed and re-baselined.
@@ -41,7 +42,9 @@ def golden_path(bench: str, policy_name: str) -> Path:
 
 
 def compute_record(bench: str, policy) -> dict:
-    result = run_benchmark(bench, policy, QUICK_SCALE, validate=False)
+    result = run_benchmark(bench, policy, QUICK_SCALE, validate=False,
+                           keep_gpu=True)
+    metrics = result.gpu.env.metrics()
     return {
         "benchmark": bench,
         "policy": policy.name,
@@ -50,6 +53,11 @@ def compute_record(bench: str, policy) -> dict:
         "cycles": result.cycles,
         "atomics": result.atomics,
         "context_switches": result.context_switches,
+        # the schedule itself: how many queue entries fired, and the most
+        # pending at once; a change that keeps every stat but moves
+        # these changed which events exist
+        "engine.fired": metrics["fired"],
+        "engine.peak_pending": metrics["peak_pending"],
         "stats": result.stats,
     }
 

@@ -196,12 +196,44 @@ def test_op_outside_residency_raises(gpu):
     from repro.errors import DeviceError
     from repro.gpu.device_api import WavefrontCtx
     from repro.gpu.workgroup import WorkGroup
+    from repro.sim.process import Process
 
     kernel = simple_kernel(lambda ctx: iter(()))
     wg = WorkGroup(gpu, kernel, 0)
     ctx = WavefrontCtx(gpu, wg, 0, gpu.cus[0].simds[0])
     addr = gpu.malloc(4)
     for op in (ctx.load(addr), ctx.store(addr, 1), ctx.atomic_add(addr)):
-        op.send(None)  # the issue slot
+        # bound as Wavefront.start binds it: the op's issue slot resumes
+        # this process, and the op raises past it
+        ctx._resume = Process(gpu.env, op)._resume
         with pytest.raises(DeviceError, match="while not resident"):
-            op.send(None)
+            gpu.env.run()
+
+
+def test_plain_ops_build_no_event(gpu, monkeypatch):
+    """A load, a store and an atomic each have one waiter, so their issue
+    slot and memory reply resume the wavefront directly: none of them
+    constructs an Event."""
+    from repro.sim.events import Event
+
+    built = []
+    init = Event.__init__
+
+    def counting_init(self, env):
+        built.append(type(self).__name__)
+        init(self, env)
+
+    monkeypatch.setattr(Event, "__init__", counting_init)
+    addr = gpu.malloc(4, align=64)
+    during_ops = []
+
+    def body(ctx):
+        before = len(built)
+        yield from ctx.load(addr)
+        yield from ctx.store(addr, 1)
+        yield from ctx.atomic_add(addr)
+        during_ops.append(built[before:])
+
+    run_kernel(gpu, body)
+    assert during_ops == [[]]
+    assert built  # the counter saw the Events outside the ops

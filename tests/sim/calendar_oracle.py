@@ -70,13 +70,13 @@ class CalendarOracle(Engine):
         self._fire(when)
         return True
 
-    def drain_batches(self, boundary: int, should_halt: Callable[[], bool]) -> int:
+    def drain_batches(self, boundary: int, halting: bool = True) -> int:
         self._enter()
         fired = 0
         try:
             while True:
                 t = self._next_time()
-                if t is None or t >= boundary or should_halt():
+                if t is None or t >= boundary or (halting and self.halted):
                     break
                 while self._next_time() == t:
                     self._fire(t)

@@ -224,26 +224,35 @@ def test_drain_batches_rejects_reentrant_entry(env):
 
     def reenter(_ev):
         with pytest.raises(SimulationError):
-            env.drain_batches(100, lambda: False)
+            env.drain_batches(100)
         caught.append(True)
 
     env.timeout(1).add_callback(reenter)
-    env.drain_batches(100, lambda: False)
+    env.drain_batches(100)
     assert caught == [True]
 
 
 def test_drain_batches_stops_at_boundary_and_halt(env):
     fired = []
+
+    def record(_ev):
+        fired.append(env.now)
+        # the run's owner raises the flag where its condition changes
+        env.halted = len(fired) >= 3
+
     for t in (5, 5, 10, 20):
-        env.timeout(t).add_callback(lambda e: fired.append(env.now))
+        env.timeout(t).add_callback(record)
     # boundary is exclusive: the event AT the boundary does not fire
-    assert env.drain_batches(10, lambda: False) == 2
+    assert env.drain_batches(10) == 2
     assert fired == [5, 5]
     assert env.now == 5
     # halt is only consulted between timestamps, never splits a batch
-    halted = env.drain_batches(100, lambda: len(fired) >= 3)
+    halted = env.drain_batches(100)
     assert halted == 1
     assert fired == [5, 5, 10]
+    # run() fires whatever is due, flag or not
+    assert env.run() == 1
+    assert fired == [5, 5, 10, 20]
 
 
 # -- incremental pending-entry counter ----------------------------------------
@@ -280,7 +289,7 @@ def test_metrics_track_peak_pending_and_fired(env):
 # -- the zero-delay lane of drain_batches --------------------------------------
 
 def _drain(env):
-    return env.drain_batches(1_000_000, lambda: False)
+    return env.drain_batches(1_000_000)
 
 
 def test_zero_delay_entry_fires_after_everything_queued_at_now(env):

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
 from repro.sim.events import AnyOf, Event
-from repro.sim.process import Process
+from repro.sim.process import QUEUED, Process
 
 
 @pytest.fixture
@@ -73,6 +73,36 @@ def test_yield_non_event_raises(env):
     Process(env, gen())
     with pytest.raises(SimulationError):
         env.run()
+
+
+@pytest.mark.parametrize("target", [None, "QUEUED", object()],
+                         ids=["bare-yield", "string", "other-object"])
+def test_yield_of_neither_event_nor_queued_raises(env, target):
+    def gen():
+        yield target
+
+    Process(env, gen())
+    with pytest.raises(SimulationError, match="must yield Events or QUEUED"):
+        env.run()
+
+
+def test_queued_yield_resumes_with_the_queued_value(env):
+    """A process that yields QUEUED resumes when the call its op queued
+    fires: at that cycle, with that value, and with no event."""
+    got = []
+
+    def gen():
+        env.call_at(9, proc._resume, "reply")
+        value = yield QUEUED
+        got.append((env.now, value))
+        env.call_at(0, proc._resume, "again")
+        got.append((env.now, (yield QUEUED)))
+        return "done"
+
+    proc = Process(env, gen())
+    env.run()
+    assert got == [(9, "reply"), (9, "again")]
+    assert proc.value == "done"
 
 
 def test_non_generator_rejected(env):
