@@ -479,17 +479,19 @@ def run_matrix(
     cells: List[Optional[Cell]] = [None] * len(requests)
     cache_hits = cache_misses = deduped = 0
 
-    # Resolve cached results and collapse duplicate specs to one
-    # execution.
-    pending: List[Tuple[Optional[str], RunRequest, List[int]]] = []
-    by_spec: Dict[str, int] = {}
+    # Collapse duplicate specs onto their first request, then resolve
+    # each distinct spec through the cache once.
+    pending: List[Tuple[Optional[str], RunRequest, int]] = []
+    duplicates: List[Tuple[int, int]] = []  # (index, index of its first)
+    first: Dict[str, int] = {}
     for index, req in enumerate(requests):
         spec = req.spec()
         spec_key = repr(sorted(spec.items()))
-        if spec_key in by_spec:
-            pending[by_spec[spec_key]][2].append(index)
+        if spec_key in first:
+            duplicates.append((index, first[spec_key]))
             deduped += 1
             continue
+        first[spec_key] = index
         key = None
         if cache is not None:
             key = cache.key_for(spec)
@@ -499,8 +501,7 @@ def run_matrix(
                 cells[index] = Cell(req, result=hit, from_cache=True)
                 continue
             cache_misses += 1
-        by_spec[spec_key] = len(pending)
-        pending.append((key, req, [index]))
+        pending.append((key, req, index))
 
     # Execute the surviving unique cells; each settles into the cache as
     # it completes, so a re-run of a sweep that died mid-way resumes.
@@ -515,15 +516,17 @@ def run_matrix(
     if pending:
         _run_cells([req for (_k, req, _idx) in pending], jobs, settle)
 
-    for (_key, req, indices), (result, failure) in zip(pending, outcomes):
-        for position, index in enumerate(indices):
-            if result is not None and position > 0:
-                # duplicates get their own stats dict so one consumer
-                # mutating it cannot corrupt another's view
-                cells[index] = Cell(req, result=replace(
-                    result, stats=dict(result.stats)))
-            else:
-                cells[index] = Cell(req, result=result, failure=failure)
+    for (_key, req, index), (result, failure) in zip(pending, outcomes):
+        cells[index] = Cell(req, result=result, failure=failure)
+    for index, source in duplicates:
+        cell = cells[source]
+        result = cell.result
+        if result is not None:
+            # duplicates get their own stats dict so one consumer
+            # mutating it cannot corrupt another's view
+            result = replace(result, stats=dict(result.stats))
+        cells[index] = Cell(cell.request, result=result,
+                            failure=cell.failure, from_cache=cell.from_cache)
 
     return MatrixResult(
         [c for c in cells if c is not None],

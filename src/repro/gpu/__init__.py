@@ -12,7 +12,6 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.cooperative import CooperativeLaunch, launch_cooperative
 from repro.gpu.gpu import GPU, RunResult
 from repro.gpu.kernel import Kernel, KernelLaunch
-from repro.gpu.kernel_scheduler import PriorityKernelScheduler
 from repro.gpu.preemption import ResourceLossEvent, ResourceRestoreEvent
 from repro.gpu.workgroup import WGState
 
@@ -22,7 +21,6 @@ __all__ = [
     "GPUConfig",
     "Kernel",
     "KernelLaunch",
-    "PriorityKernelScheduler",
     "ResourceLossEvent",
     "ResourceRestoreEvent",
     "RunResult",

@@ -38,8 +38,6 @@ class Dispatcher:
         self.gpu = gpu
         self.pending: Deque["WorkGroup"] = deque()
         self.ready: Deque["WorkGroup"] = deque()
-        #: WGs frozen by whole-kernel suspension (kernel scheduler)
-        self._frozen: List["WorkGroup"] = []
         self._kick_scheduled = False
         self._pending_passovers = 0
 
@@ -95,62 +93,37 @@ class Dispatcher:
         return best
 
     def _select(self) -> Optional["WorkGroup"]:
-        """Pick the next WG to place: highest priority wins; ties go to
-        ready (previously started) WGs before pending ones, FIFO within a
-        queue. Kernel-suspended WGs are frozen aside until resumed.
+        """Pick the next WG to place: the ready (previously started) head
+        before the pending (never started) head, FIFO within a queue.
 
         Anti-starvation aging: after STARVATION_LIMIT consecutive
-        ready-over-pending picks, the oldest dispatchable pending WG is
-        placed instead (once), so never-started WGs cannot starve behind
-        a self-sustaining resume storm."""
-        dispatchable_pending = any(
-            not wg.kernel_suspended for wg in self.pending)
-        if (dispatchable_pending
-                and self._pending_passovers >= self.STARVATION_LIMIT):
-            for wg in self.pending:
-                if not wg.kernel_suspended:
-                    self.pending.remove(wg)
-                    self._pending_passovers = 0
-                    tracer = self.gpu.tracer
-                    if tracer is not None:
-                        tracer.instant(
-                            "dispatch", "starvation-override",
-                            track="dispatcher", wg=wg.wg_id)
-                    return wg
-        best = None
-        best_key = None
-        for rank, queue in ((1, self.ready), (0, self.pending)):
-            for pos, wg in enumerate(queue):
-                if wg.kernel_suspended:
-                    continue
-                key = (wg.priority, rank, -pos)
-                if best_key is None or key > best_key:
-                    best, best_key = (wg, queue), key
-        if best is None:
-            return None
-        wg, queue = best
-        queue.remove(wg)
-        if queue is self.ready and dispatchable_pending:
-            self._pending_passovers += 1
-        else:
+        ready-over-pending picks, the oldest pending WG is placed instead
+        (once), so never-started WGs cannot starve behind a
+        self-sustaining resume storm."""
+        pending = self.pending
+        if pending and self._pending_passovers >= self.STARVATION_LIMIT:
             self._pending_passovers = 0
-        return wg
-
-    def _freeze_suspended(self) -> None:
-        for queue in (self.ready, self.pending):
-            frozen = [wg for wg in queue if wg.kernel_suspended]
-            for wg in frozen:
-                queue.remove(wg)
-                self._frozen.append(wg)
+            wg = pending.popleft()
+            tracer = self.gpu.tracer
+            if tracer is not None:
+                tracer.instant("dispatch", "starvation-override",
+                               track="dispatcher", wg=wg.wg_id)
+            return wg
+        if self.ready:
+            self._pending_passovers = (
+                self._pending_passovers + 1 if pending else 0)
+            return self.ready.popleft()
+        if pending:
+            self._pending_passovers = 0
+            return pending.popleft()
+        return None
 
     def requeue(self, wg: "WorkGroup") -> None:
-        """Kernel-level restore (inter-kernel context switching exists in
-        current GPUs): put a resumed kernel's WG back in the queues
-        regardless of the WG-scheduling policy."""
+        """Kernel-level restore: put a switched-out or pending WG back in
+        the queues regardless of the WG-scheduling policy."""
+        # no caller; kept as perfbench/tracing.py wraps it (requeue.calls)
         from repro.gpu.workgroup import WGState
 
-        if wg in self._frozen:
-            self._frozen.remove(wg)
         if wg.state is WGState.SWITCHED_OUT:
             wg.set_state(WGState.READY)
             self.ready.append(wg)
@@ -160,7 +133,6 @@ class Dispatcher:
 
     def _pass(self) -> None:
         self._kick_scheduled = False
-        self._freeze_suspended()
         while True:
             cu = self._free_cu()
             if cu is None:

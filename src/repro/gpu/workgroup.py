@@ -107,10 +107,6 @@ class WorkGroup:
         #: condition whose last wait episode ended by timer, not notify —
         #: a repeat wait on it means the stall prediction already failed
         self._timer_expired_cond: Optional[WaitCondition] = None
-        #: kernel-scheduler priority (see gpu.kernel_scheduler)
-        self.priority = 0
-        #: whole-kernel suspension: frozen until the scheduler resumes it
-        self.kernel_suspended = False
 
         # local data share (functional model)
         self.lds: Dict[int, int] = {}
@@ -225,8 +221,7 @@ class WorkGroup:
         self.evict_requested = False
         self.resume_event = Event(self.gpu.env)
         yield from self.switch_out()
-        if not self.kernel_suspended:
-            self.gpu.dispatcher.mark_ready(self, cause="evicted")
+        self.gpu.dispatcher.mark_ready(self, cause="evicted")
         yield self.resume_event
         self.set_state(WGState.RUNNING)
 

@@ -129,6 +129,30 @@ def test_identical_cells_deduplicated():
     assert "probe" not in matrix[2].stats
 
 
+def test_duplicate_of_a_cache_hit_is_read_once_and_deduped(
+        tmp_path, monkeypatch):
+    """Cold or warm, a repeated spec is one cache lookup and one deduped
+    cell with its own stats dict."""
+    cache = ResultCache(tmp_path, fingerprint="test")
+    requests = [RunRequest("SPM_G", awg(), SCEN)] * 2
+    cold = run_matrix(requests, jobs=1, cache=cache)
+    assert (cold.cache_hits, cold.cache_misses, cold.deduped) == (0, 1, 1)
+
+    gets = []
+    real_get = ResultCache.get
+    monkeypatch.setattr(ResultCache, "get",
+                        lambda self, key: gets.append(key)
+                        or real_get(self, key))
+    warm = run_matrix(requests, jobs=1, cache=cache)
+    assert len(gets) == 1
+    assert (warm.cache_hits, warm.cache_misses, warm.deduped) == (1, 0, 1)
+    assert [cell.from_cache for cell in warm.cells] == [True, True]
+    assert _result_fields(warm[0]) == _result_fields(warm[1]) \
+        == _result_fields(cold[0])
+    warm[1].stats["probe"] = 1.0
+    assert "probe" not in warm[0].stats
+
+
 def test_per_cell_error_capture_does_not_abort_sweep():
     requests = [
         RunRequest("SPM_G", awg(), SCEN),

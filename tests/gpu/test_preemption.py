@@ -122,3 +122,34 @@ def test_deadlock_is_returned_as_a_diagnosis():
     assert diag["policy"] == "Baseline"
     assert diag["cycle"] == out.cycles > 0
     assert len(diag["stalls"]) == diag["total"] - diag["finished"] > 0
+
+
+def test_figure2_kernel_rescheduled_on_fewer_slots():
+    """The paper's Figure 2 hazard on §VI's preemption path: a barrier
+    kernel loses half its slots mid-run. Busy-waiting residents never
+    yield, so the Baseline ends at the watchdog; AWG rotates its four WGs
+    through the two slots left and completes before the CU returns."""
+    from repro.sync.barrier import AtomicTreeBarrier
+
+    def run(policy):
+        gpu = make_gpu(policy, num_cus=2, max_wgs_per_cu=2,
+                       deadlock_window=150_000)
+        barrier = AtomicTreeBarrier(gpu, 4, 2)
+
+        def body(ctx):
+            for ep in range(6):
+                yield from ctx.compute(2_000)
+                yield from barrier.arrive(ctx, ctx.grid_index, ep)
+
+        gpu.launch(simple_kernel(body, grid_wgs=4))
+        ResourceLossEvent(at_us=1, cu_id=1).schedule(gpu)
+        ResourceRestoreEvent(at_us=200, cu_id=1).schedule(gpu)
+        return gpu, gpu.run()
+
+    _, base = run(baseline())
+    assert base.deadlocked and base.reason == "watchdog"
+
+    gpu, out = run(awg())
+    assert out.ok
+    assert out.cycles < gpu.config.cycles(200)
+    assert out.context_switches > 0
