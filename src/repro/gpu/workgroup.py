@@ -5,26 +5,21 @@ A WG moves through the states the paper's CP firmware tracks (§V.A):
 holding CU resources) → ``SWITCHING_OUT`` → ``SWITCHED_OUT`` (waiting,
 no resources) → ``READY`` → ``RESUMING`` → ``RUNNING`` → ``DONE``.
 
-:meth:`WorkGroup.wait_on_condition` implements the per-policy waiting
-protocol of Figure 6, executed by the master wavefront after a failed
-waiting atomic / armed wait instruction:
-
-- Timeout: stall (or context switch when oversubscribed) for the fixed
-  interval, then retry.
-- Monitor policies (MonRS/MonR/MonNR/MinResume): context switch
-  immediately when oversubscribed, otherwise stall; resume on SyncMon
-  notification, on MonNR-One's straggler timer, or on the backstop.
-- AWG: stall for a *predicted* period first; context switch only if the
-  period expires while the kernel oversubscribes the GPU.
-
-All resumptions honour Mesa semantics: the caller re-executes its atomic
-and may wait again.
+A wait episode (Figure 6), run by the master wavefront after a failed
+waiting atomic or armed wait instruction, is split in two. The policy's
+choices are plain functions, tested without a simulation: :func:`plan`
+sets the switch and retry deadlines at wait start, :func:`decide` turns
+each event into resume, keep stalling, switch out or retry, and
+:func:`switched_out` moves the retry deadline once the WG is out.
+:meth:`WorkGroup.wait_on_condition` carries the actions out; DESIGN.md
+§5 gives the decision table. All resumptions honour Mesa semantics: the
+caller re-executes its atomic and may wait again.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.conditions import WaitCondition
 from repro.core.policies import NotifyMode
@@ -34,6 +29,7 @@ from repro.sim.stats import Counter, RunningMean
 from repro.trace.tracer import wg_track
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.policies import PolicySpec
     from repro.gpu.compute_unit import ComputeUnit
     from repro.gpu.gpu import GPU
     from repro.gpu.kernel import Kernel
@@ -226,7 +222,7 @@ class WorkGroup:
         self.set_state(WGState.RUNNING)
 
     # ------------------------------------------------------------------
-    # the waiting protocol (Figure 6)
+    # the waiting protocol (Figure 6): carries out plan() and decide()
     # ------------------------------------------------------------------
     def wait_on_condition(
         self,
@@ -236,7 +232,8 @@ class WorkGroup:
         """Generator: park this WG until it should retry its atomic.
 
         ``outcome`` is the SyncMon registration outcome (None for
-        policies with no monitor, e.g. Timeout)."""
+        policies with no monitor, e.g. Timeout). Each turn waits on the
+        resume event, the evict event and one timer, in that order."""
         gpu = self.gpu
         env = gpu.env
         policy = gpu.policy
@@ -268,131 +265,64 @@ class WorkGroup:
         self.evict_event = Event(env)
         if self.evict_requested:
             self.evict_event.try_succeed()
-        started = env.now
-        oversub = gpu.dispatcher.has_runnable_work()
-
-        # -- plan deadlines (absolute cycles); None = never ---------------
-        # retry_source names which timer the retry deadline came from
-        # ("interval" / "straggler" / "backstop") — surfaced as
-        # wait.retry.* stats and trace instants when the timer fires, so
-        # the differential suite can tell a scheduled wake-up from a
-        # window-of-vulnerability recovery.
-        switch_deadline: Optional[int] = None
-        retry_deadline: Optional[int] = None
-        retry_source = "interval"
-        if policy.notify is NotifyMode.NONE:
-            # Timeout policy: no monitor; pure timer. Only hardware waits
-            # get here, and they all provide IFP: switch now iff
-            # oversubscribed.
-            if oversub:
-                switch_deadline = started
-            retry_deadline = started + policy.timeout_interval
-        elif policy.predict_stall:
-            # AWG: stall a predicted period before considering a switch.
-            # A repeat wait on a condition whose previous episode already
-            # timed out means the stall prediction failed — don't
-            # re-predict, consider switching right away (Mesa retries must
-            # not reset the stall clock, or stalled WGs starve ready ones
-            # forever).
-            if self._timer_expired_cond == cond:
-                switch_deadline = started
-            else:
-                predicted = gpu.syncmon.stall_predictor.predict()
-                switch_deadline = started + predicted
-                if tracer is not None:
-                    tracer.instant("predict", "stall",
-                                   track=wg_track(self.wg_id),
-                                   cycles=predicted, addr=cond.addr)
-        elif oversub:
-            # Monitor policies: switch now iff oversubscribed.
-            switch_deadline = started
-        if policy.notify is not NotifyMode.NONE:
-            # Monitor policies retry on the straggler timeout (MonNR-One;
-            # AWG's misprediction recovery) or the backstop, whichever is
-            # sooner (the backstop on a tie).
-            straggler = policy.timeout_interval
-            backstop = policy.backstop_timeout
-            if backstop is not None and (straggler is None
-                                         or backstop <= straggler):
-                retry_deadline, retry_source = started + backstop, "backstop"
-            elif straggler is not None:
-                retry_deadline, retry_source = started + straggler, "straggler"
+        oversubscribed = gpu.dispatcher.has_runnable_work
+        predicted = None
+        if policy.predict_stall and self._timer_expired_cond != cond:
+            predicted = gpu.syncmon.stall_predictor.predict()
+            if tracer is not None:
+                tracer.instant("predict", "stall", track=wg_track(self.wg_id),
+                               cycles=predicted, addr=cond.addr)
+        episode = plan(policy, env.now, oversubscribed(), predicted)
 
         self.set_state(WGState.STALLED)
         gpu.cp.note_waiting(self)
         try:
             while True:
+                when = (episode.retry_at if episode.switch_at is None
+                        else episode.switch_at)
                 branches = [self.resume_event, self.evict_event]
-                # the timer is for the sooner deadline (the retry on a tie)
-                if switch_deadline is not None and self.resident and (
-                        retry_deadline is None
-                        or switch_deadline < retry_deadline):
-                    when, deadline_kind = switch_deadline, "switch"
-                else:
-                    when, deadline_kind = retry_deadline, "retry"
                 if when is not None:
                     branches.append(env.timeout(max(0, when - env.now)))
-
-                choice = yield AnyOf(env, branches)
-                idx, _value = choice
-
-                if idx == 0:  # resumed (notification or dispatcher swap-in)
-                    self._timer_expired_cond = None
-                    break
-
-                if idx == 1:  # evicted while waiting
+                event, _value = yield AnyOf(env, branches)
+                if event == EVICTED:  # consumed; a later one fires anew
                     self.evict_requested = False
                     self.evict_event = Event(env)
-                    if self.resident:
-                        yield from self.switch_out()
-                        retry_deadline, retry_source = (
-                            self._switched_retry_deadline(
-                                retry_deadline, retry_source
-                            )
-                        )
-                    continue
-
-                # timer fired
-                if deadline_kind == "switch":
-                    switch_deadline = None
-                    if policy.predict_stall and not gpu.dispatcher.has_runnable_work():
-                        # AWG: not oversubscribed — keep stalling for notify.
-                        continue
+                action = decide(policy, episode, event,
+                                self.state in RESIDENT_STATES, oversubscribed)
+                if action is SWITCH:
                     yield from self.switch_out()
-                    retry_deadline, retry_source = (
-                        self._switched_retry_deadline(
-                            retry_deadline, retry_source
-                        )
-                    )
-                    continue
-
-                # retry deadline: give up waiting, re-check the condition.
-                self._timer_expired_cond = cond
-                retries = self._retries.get(retry_source)
-                if retries is None:
-                    retries = self._retries[retry_source] = (
-                        gpu.stats.counter(f"wait.retry.{retry_source}"))
-                retries.incr()
-                if tracer is not None:
-                    tracer.instant("wg", f"retry:{retry_source}",
-                                   track=wg_track(self.wg_id), addr=cond.addr,
-                                   waited=env.now - started)
-                if registered and policy.uses_monitor:
-                    gpu.syncmon.withdraw(self.wg_id, cond)
-                if not self.resident:
-                    if self.state is WGState.SWITCHED_OUT:
-                        gpu.dispatcher.mark_ready(self, cause="timer")
-                    # Park until the dispatcher swaps us back in.
-                    yield self.resume_event
-                break
+                    switched_out(policy, episode, env.now)
+                elif action is RESUME:
+                    self._timer_expired_cond = None
+                    break
+                elif action is RETRY:  # give up waiting, re-check
+                    self._timer_expired_cond = cond
+                    source = episode.retry_source
+                    retries = self._retries.get(source)
+                    if retries is None:
+                        retries = self._retries[source] = (
+                            gpu.stats.counter(f"wait.retry.{source}"))
+                    retries.incr()
+                    if tracer is not None:
+                        tracer.instant("wg", f"retry:{source}",
+                                       track=wg_track(self.wg_id),
+                                       addr=cond.addr,
+                                       waited=env.now - episode.started)
+                    if registered and policy.uses_monitor:
+                        gpu.syncmon.withdraw(self.wg_id, cond)
+                    if self.state not in RESIDENT_STATES:
+                        if self.state is WGState.SWITCHED_OUT:
+                            gpu.dispatcher.mark_ready(self, cause="timer")
+                        # Park until the dispatcher swaps us back in.
+                        yield self.resume_event
+                    break
         finally:
             gpu.cp.note_not_waiting(self)
             self.cond = None
             self.evict_event = None
 
-        if not self.resident:
-            # Resumed while switched out: the dispatcher should have swapped
-            # us in before firing resume; defensive wait otherwise.
+        if self.state not in RESIDENT_STATES:
+            # the late resume (see decide): wait for our own swap-in
             self.resume_event = Event(env)
             if self.state is not WGState.RUNNING:
                 gpu.dispatcher.mark_ready(self, cause="late-resume")
@@ -402,21 +332,91 @@ class WorkGroup:
         if episode_cycles is None:
             episode_cycles = self._episode_cycles = (
                 gpu.stats.running_mean("wg.wait_episode_cycles"))
-        episode_cycles.add(env.now - started)
+        episode_cycles.add(env.now - episode.started)
 
-    def _switched_retry_deadline(self, retry_deadline, retry_source: str):
-        """Recompute the (retry deadline, deadline source) after a
-        context switch.
 
-        The straggler timeout only applies to *stalled* (resident) WGs —
-        re-swapping a switched-out WG on a short timer would thrash the
-        context-switch path. Monitor policies fall back to the long
-        backstop once out (none without a backstop: only a notify resumes
-        it); the Timeout policy keeps its fixed interval (sleeping
-        switched-out for the interval *is* its semantics)."""
-        policy = self.gpu.policy
-        if policy.notify is NotifyMode.NONE:
-            return retry_deadline, retry_source
-        if policy.backstop_timeout is None:
-            return None, retry_source
-        return self.gpu.env.now + policy.backstop_timeout, "backstop"
+#: what ends a turn of a wait episode: the ``AnyOf`` branch index
+NOTIFIED, EVICTED, TIMER = 0, 1, 2
+#: the Fig 6 actions :func:`decide` chooses between
+RESUME, STALL, SWITCH, RETRY = "resume", "stall", "switch", "retry"
+
+
+class Episode:
+    """A wait episode's deadlines in cycles (None = never). ``switch_at``,
+    while set, is before ``retry_at`` and is the turn's timer.
+    ``retry_source`` ("interval", "straggler", "backstop") names the retry
+    in ``wait.retry.*`` stats and trace instants, so the differential
+    suite can tell a scheduled wake-up from a race-window recovery."""
+
+    __slots__ = ("started", "oversubscribed", "switch_at", "retry_at",
+                 "retry_source")
+
+
+def plan(policy: "PolicySpec", started: int, oversubscribed: bool,
+         predicted: Optional[int]) -> Episode:
+    """The deadlines of a wait that starts at cycle ``started`` while WGs
+    wait for a slot (``oversubscribed``) or not. ``predicted`` is AWG's
+    predicted stall, None on a repeat wait whose last episode timed out:
+    the prediction failed, so AWG considers switching at once (Mesa
+    retries must not reset the stall clock, or stalled WGs starve)."""
+    # switch now iff oversubscribed; AWG after its predicted stall
+    switch_at = started if oversubscribed else None
+    if policy.notify is NotifyMode.NONE:  # Timeout: a pure timer
+        retry_at, source = started + policy.timeout_interval, "interval"
+    else:
+        if policy.predict_stall:
+            switch_at = started + (predicted or 0)
+        # retry on the straggler timer (MonNR-One; AWG's misprediction
+        # recovery) or the backstop, whichever is sooner (backstop on a tie)
+        straggler, backstop = policy.timeout_interval, policy.backstop_timeout
+        if backstop is not None and (straggler is None or backstop <= straggler):
+            retry_at, source = started + backstop, "backstop"
+        elif straggler is not None:
+            retry_at, source = started + straggler, "straggler"
+        else:
+            retry_at = source = None
+        if retry_at is not None and switch_at is not None and switch_at >= retry_at:
+            switch_at = None  # the retry wins a tie, and ends the wait
+    episode = Episode()
+    episode.started, episode.oversubscribed = started, oversubscribed
+    episode.switch_at, episode.retry_at = switch_at, retry_at
+    episode.retry_source = source
+    return episode
+
+
+def decide(policy: "PolicySpec", episode: Episode, event: int,
+           resident: bool, oversubscribed_now: Callable[[], bool]) -> str:
+    """The Fig 6 action for one event of a wait episode. It calls
+    ``oversubscribed_now`` only for AWG's second sample, taken when its
+    predicted stall expires, and changes nothing but ``episode``: a
+    switch-out or an expired switch deadline spends ``switch_at``."""
+    if event == NOTIFIED:
+        # A notify, or a swap-in finishing, possibly one left over from an
+        # earlier episode: a retry timer firing while the WG is RESUMING
+        # (resident) retries at once, before the restore completes, and
+        # that swap-in then fires whatever resume event the WG has. If the
+        # WG is out by then, wait_on_condition's late resume re-queues it.
+        # A known defect, pinned by a strict xfail in test_workgroup.py.
+        return RESUME
+    if event == EVICTED:
+        if not resident:
+            return STALL  # the eviction raced our own switch-out
+    elif episode.switch_at is None:
+        return RETRY
+    elif policy.predict_stall and not oversubscribed_now():
+        episode.switch_at = None  # AWG: nothing to run; stall on
+        return STALL
+    episode.switch_at = None
+    return SWITCH
+
+
+def switched_out(policy: "PolicySpec", episode: Episode, now: int) -> None:
+    """Move the retry deadline once the WG is out, at cycle ``now``.
+    Re-swapping a switched-out WG on the short straggler timer would
+    thrash the context-switch path, so monitor policies fall back to the
+    backstop (no deadline without one: only a notify resumes the WG).
+    Timeout keeps its interval: sleeping out for it *is* its semantics."""
+    if policy.notify is not NotifyMode.NONE:
+        backstop = policy.backstop_timeout
+        episode.retry_at = None if backstop is None else now + backstop
+        episode.retry_source = "backstop"

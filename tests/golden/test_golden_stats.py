@@ -1,12 +1,22 @@
 """Golden-stat regression corpus.
 
 Each cell in ``CELLS`` simulates one (benchmark, policy) pair at
-QUICK_SCALE and compares the full stats snapshot -- every counter, the
-cycle count, completion flag, and the engine's ``fired`` and
-``peak_pending`` counts -- against a checked-in JSON golden in
-this directory.  The simulator is deterministic, so any diff is a real
-behaviour change: either a regression, or an intentional change that
-must be reviewed and re-baselined.
+QUICK_SCALE, or at QUICK_OVERSUBSCRIBED for the ``-oversub`` cells, and
+compares the full stats snapshot -- every counter, the cycle count,
+completion flag, and the engine's ``fired`` and ``peak_pending`` counts
+-- against a checked-in JSON golden in this directory.
+
+The QUICK_SCALE cells never context switch. The oversubscribed cells
+pin the switch half of the wait episode (``gpu/workgroup.py``):
+TBEX_LG/MonR-All evicts, retries on the backstop while stalled,
+switched out, ready and resuming, and takes a late resume; FAM_G/AWG
+keeps stalling when its predicted stall expires with nothing to run,
+is evicted and retries on the straggler timer. The other three are the
+cells ``tests/gpu/test_run_loop.py`` reads its event counts from.
+
+The simulator is deterministic, so any diff is a real behaviour change:
+either a regression, or an intentional change that must be reviewed and
+re-baselined.
 
 Regenerate after an intentional change with::
 
@@ -21,8 +31,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.policies import awg, baseline, monnr_one, timeout
-from repro.experiments import QUICK_SCALE, run_benchmark
+from repro.core.policies import awg, baseline, monnr_one, monr_all, timeout
+from repro.experiments import QUICK_OVERSUBSCRIBED, QUICK_SCALE, run_benchmark
 from tests.conftest import check_golden
 
 GOLDEN_DIR = Path(__file__).parent
@@ -30,25 +40,39 @@ GOLDEN_DIR = Path(__file__).parent
 BENCHMARKS = ["SPM_G", "FAM_G", "TB_LG"]
 POLICIES = [baseline(), timeout(20_000), monnr_one(), awg()]
 
-CELLS = [(bench, policy) for bench in BENCHMARKS for policy in POLICIES]
+CELLS = [(bench, policy, QUICK_SCALE)
+         for bench in BENCHMARKS for policy in POLICIES] + [
+    (bench, policy, QUICK_OVERSUBSCRIBED) for bench, policy in [
+        ("SPM_G", baseline()),
+        ("FAM_G", timeout(20_000)),
+        ("TB_LG", monnr_one()),
+        ("TBEX_LG", monr_all()),
+        ("FAM_G", awg()),
+    ]
+]
 
 
 def _slug(name: str) -> str:
     return name.lower().replace("-", "_")
 
 
-def golden_path(bench: str, policy_name: str) -> Path:
-    return GOLDEN_DIR / f"{_slug(bench)}__{_slug(policy_name)}.json"
+def _suffix(scenario) -> str:
+    return "" if scenario is QUICK_SCALE else "-oversub"
 
 
-def compute_record(bench: str, policy) -> dict:
-    result = run_benchmark(bench, policy, QUICK_SCALE, validate=False,
+def golden_path(bench: str, policy_name: str, scenario=QUICK_SCALE) -> Path:
+    return GOLDEN_DIR / (f"{_slug(bench)}__"
+                         f"{_slug(policy_name + _suffix(scenario))}.json")
+
+
+def compute_record(bench: str, policy, scenario=QUICK_SCALE) -> dict:
+    result = run_benchmark(bench, policy, scenario, validate=False,
                            keep_gpu=True)
     metrics = result.gpu.env.metrics()
     return {
         "benchmark": bench,
         "policy": policy.name,
-        "scenario": QUICK_SCALE.label,
+        "scenario": scenario.label,
         "completed": result.completed,
         "cycles": result.cycles,
         "atomics": result.atomics,
@@ -63,8 +87,9 @@ def compute_record(bench: str, policy) -> dict:
 
 
 @pytest.mark.parametrize(
-    "bench,policy", CELLS, ids=[f"{b}-{p.name}" for b, p in CELLS]
+    "bench,policy,scenario", CELLS,
+    ids=[f"{b}-{p.name}{_suffix(s)}" for b, p, s in CELLS],
 )
-def test_golden_stats(bench, policy):
-    check_golden(golden_path(bench, policy.name),
-                 compute_record(bench, policy), indent=1)
+def test_golden_stats(bench, policy, scenario):
+    check_golden(golden_path(bench, policy.name, scenario),
+                 compute_record(bench, policy, scenario), indent=1)

@@ -1,5 +1,7 @@
 """Run-loop semantics: completion holds, re-entrance, end-of-run drain."""
 
+import json
+
 import pytest
 
 from repro.core.policies import awg, baseline, monnr_one, timeout
@@ -7,6 +9,7 @@ from repro.errors import SimulationError
 from repro.experiments import QUICK_OVERSUBSCRIBED, QUICK_SCALE, run_benchmark
 from repro.sim.events import AllOf
 
+from tests.golden.test_golden_stats import golden_path
 from tests.gpu.conftest import make_gpu, simple_kernel
 
 
@@ -86,22 +89,24 @@ def test_second_run_call_continues(gpu):
 
 
 @pytest.mark.parametrize(
-    "bench, policy, scenario, fired, peak_pending",
+    "bench, policy, scenario",
     [
-        ("SPM_G", awg(), QUICK_SCALE, 2896, 94),
+        ("SPM_G", awg(), QUICK_SCALE),
         # ends at the deadlock watchdog: pins the knife-edge step() path
-        ("SPM_G", baseline(), QUICK_OVERSUBSCRIBED, 32440, 34),
-        ("FAM_G", timeout(20_000), QUICK_OVERSUBSCRIBED, 20447, 37),
-        ("TB_LG", monnr_one(), QUICK_OVERSUBSCRIBED, 10183, 52),
+        ("SPM_G", baseline(), QUICK_OVERSUBSCRIBED),
+        ("FAM_G", timeout(20_000), QUICK_OVERSUBSCRIBED),
+        ("TB_LG", monnr_one(), QUICK_OVERSUBSCRIBED),
     ],
     ids=["SPM_G-AWG-quick", "SPM_G-Baseline-oversub",
          "FAM_G-Timeout-oversub", "TB_LG-MonNR-One-oversub"],
 )
-def test_event_counts_of_a_quick_cell_are_pinned(
-        bench, policy, scenario, fired, peak_pending):
+def test_event_counts_of_a_quick_cell_are_pinned(bench, policy, scenario):
     """How many queue entries one quick cell fires, and the most it keeps
-    pending at once. Making events cheaper must not change which events
-    exist; a change that does must update these literals on purpose."""
+    pending at once, as its golden stat record pins them. Making events
+    cheaper must not change which events exist; a change that does
+    re-baselines them with REPRO_UPDATE_GOLDENS=1."""
+    golden = json.loads(golden_path(bench, policy.name, scenario).read_text())
     result = run_benchmark(bench, policy, scenario, keep_gpu=True)
     metrics = result.gpu.env.metrics()
-    assert (metrics["fired"], metrics["peak_pending"]) == (fired, peak_pending)
+    assert (metrics["fired"], metrics["peak_pending"]) == (
+        golden["engine.fired"], golden["engine.peak_pending"])

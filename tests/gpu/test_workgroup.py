@@ -228,3 +228,57 @@ def test_a_hardware_wait_without_monitor_or_interval_is_rejected():
 
     with pytest.raises(ConfigError, match="needs timeout_interval"):
         timeout().with_overrides(timeout_interval=None)
+
+
+def test_a_repeat_wait_after_a_timed_out_episode_is_not_predicted():
+    """AWG predicts a stall once per condition: after a straggler retry,
+    waiting again on the same condition switches at once if it must."""
+    gpu = make_gpu(awg(straggler_timeout=1_000))
+    addr = gpu.malloc(4, align=64)
+    predictor = gpu.syncmon.stall_predictor
+    asked = []
+    predict = predictor.predict
+    predictor.predict = lambda: asked.append(1) or predict()
+
+    def body(ctx):
+        if ctx.wg_id == 0:
+            yield from ctx.wait_for_value(addr, 1)
+        else:
+            yield from ctx.compute(5_000)
+            yield from ctx.atomic_store(addr, 1)
+
+    gpu.launch(simple_kernel(body, grid_wgs=2))
+    assert gpu.run().ok
+    assert gpu.wgs[0].wait_episodes >= 3
+    assert len(asked) == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "RESIDENT_STATES includes RESUMING, so a retry timer that fires while "
+    "the context is restored lets the WG run before the restore completes "
+    "(see decide() in gpu/workgroup.py)"))
+def test_no_wg_leaves_resuming_before_its_context_is_restored():
+    from repro.core.policies import monr_all
+    from repro.experiments import QUICK_OVERSUBSCRIBED, run_benchmark
+    from repro.trace.config import TraceConfig
+
+    result = run_benchmark(
+        "TB_LG", monr_all(), QUICK_OVERSUBSCRIBED, validate=False,
+        keep_gpu=True,
+        config_overrides={"trace": TraceConfig(categories=("wg", "cp"))})
+    events = result.gpu.tracer.events()
+    restored = {}
+    for rec in events:
+        if rec["ph"] == "i" and rec["name"] == "ctx-restore":
+            restored.setdefault(rec["args"]["wg"], []).append(rec["ts"])
+    spans = [rec for rec in events
+             if rec["ph"] == "X" and rec["name"] == "resuming"]
+    assert spans
+    early = []
+    for span in spans:
+        wg_id = int(span["track"].rsplit("/", 1)[1])
+        restore = min((ts for ts in restored.get(wg_id, ())
+                       if ts >= span["ts"]), default=None)
+        if restore is None or span["ts"] + span["dur"] < restore:
+            early.append((wg_id, span["ts"] + span["dur"], restore))
+    assert early == []
