@@ -112,9 +112,6 @@ class CFG:
     loops: List[Loop]
     errors: List[Finding] = field(default_factory=list)
 
-    def block(self, bid: int) -> BasicBlock:
-        return self.blocks[bid]
-
     def ops(self, unique: bool = True) -> List[DeviceOp]:
         """Every device op, source order; duplicated ``finally``
         lowerings collapsed to one occurrence when ``unique``."""

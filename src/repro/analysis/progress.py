@@ -242,7 +242,7 @@ def analyze_benchmark(bench: str) -> ProtocolAnalysis:
                     "(stress drill?)"])
     index = protocol_functions()
     wanted: List[ProtocolFunction] = []
-    body_qual = f"{protocol.body_builder}.body"
+    body_qual = f"make_{spec.category}_body.body"
     if body_qual in index:
         wanted.append(index[body_qual])
     for qual, pf in sorted(index.items()):
@@ -258,7 +258,7 @@ def analyze_benchmark(bench: str) -> ProtocolAnalysis:
     # wait (release vs acquire).
     writes_by_base: Dict[str, List[Tuple[str, WriteSite]]] = {}
     hints_by_base: Dict[str, WaitHint] = {}
-    waiter_default, updater_default = _default_roles(protocol.kind)
+    waiter_default, updater_default = _default_roles(spec.category)
     for pf in wanted:
         for w in pf.writes:
             writes_by_base.setdefault(w.base, []).append((pf.qualname, w))
@@ -307,7 +307,7 @@ def analyze_benchmark(bench: str) -> ProtocolAnalysis:
                 ),
             ))
     return ProtocolAnalysis(
-        bench=bench, kind=protocol.kind, primitive=protocol.primitive,
+        bench=bench, kind=spec.category, primitive=protocol.primitive,
         decentralized=protocol.decentralized,
         functions=[pf.qualname for pf in wanted],
         edges=edges, errors=errors,

@@ -8,7 +8,7 @@ lists them); any other flag is a usage error and exits 2. Usage::
     awg-repro fig14 --quick --chart # smoke scale, as an ASCII bar chart
     awg-repro fig14 --jobs 8 --no-cache   # 8 workers, no result cache
     awg-repro all --out results     # every artifact, checked, into results/
-    awg-repro timeline              # Figure 6 policy timelines
+    awg-repro fig6                  # Figure 6 policy wait signatures
     awg-repro run SPM_G awg         # one benchmark under one policy
     awg-repro run SPM_G --quick --oversubscribed --seed 7
     awg-repro run _RACY --quick --sanitize --json   # race report (exits 1)
@@ -49,8 +49,8 @@ from repro.experiments import (
     ExperimentResult, MatrixResult, RunRequest, Scenario, run_benchmark,
 )
 from repro.experiments import (
-    ablations, fig5, fig7, fig8, fig9, fig11, fig13, fig14, fig15, table1,
-    table2,
+    ablations, fig2, fig5, fig7, fig8, fig9, fig11, fig13, fig14, fig15,
+    prior_work, table1, table2, timeline,
 )
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.runner import SWEEP_SCALE
@@ -62,9 +62,9 @@ class Artifact(NamedTuple):
     asserts the paper's shape at ``scale``, the committed scale.
     ``--quick`` runs the cells at ``quick`` instead and skips ``check``;
     an artifact without a smaller scale (``quick=None``) runs, and is
-    checked, at its committed scale either way. table1 and fig5
-    simulate nothing: ``requests`` is None and ``table()`` takes no
-    argument."""
+    checked, at its committed scale either way. table1, fig5, fig6 and
+    prior_work run no cell sweep: ``requests`` is None and ``table()``
+    takes no argument."""
 
     requests: Optional[Callable[[Scenario], List[RunRequest]]]
     table: Callable[..., ExperimentResult]
@@ -73,12 +73,16 @@ class Artifact(NamedTuple):
     quick: Optional[Scenario] = QUICK_SCALE
 
 
-#: the paper's tables and figures, in paper order
+#: the paper's tables and figures, in paper order, then its §I/§II
+#: prior-work comparisons
 EXPERIMENTS = {
     "table1": Artifact(None, table1.table, table1.check, quick=None),
     "table2": Artifact(table2.requests, table2.table, table2.check,
                        table2.TABLE2_SCALE),
+    "fig2": Artifact(fig2.requests, fig2.table, fig2.check, fig2.FIG2_SCALE,
+                     quick=None),
     "fig5": Artifact(None, fig5.table, fig5.check, quick=None),
+    "fig6": Artifact(None, timeline.table, timeline.check, quick=None),
     "fig7": Artifact(fig7.requests, fig7.table, fig7.check, SWEEP_SCALE),
     "fig8": Artifact(fig8.requests, fig8.table, fig8.check, SWEEP_SCALE),
     "fig9": Artifact(fig9.requests, fig9.table, fig9.check, SWEEP_SCALE),
@@ -90,6 +94,8 @@ EXPERIMENTS = {
                       PAPER_SCALE),
     "fig15": Artifact(fig15.requests, fig15.table, fig15.check,
                       OVERSUBSCRIBED, QUICK_OVERSUBSCRIBED),
+    "prior_work": Artifact(None, prior_work.table, prior_work.check,
+                           quick=None),
 }
 
 #: the design-choice ablations (``repro ablations``)
@@ -402,25 +408,13 @@ def _report_traced(bench, policy, scenario, opts) -> int:
     return 0
 
 
-def _run_timeline(opts) -> int:
-    from repro.core.policies import awg, monnr_all, monnr_one, timeout
-    from repro.experiments.timeline import render_timeline, trace_run
-
-    for policy in (timeout(20_000), monnr_all(), monnr_one(), awg()):
-        gpu, outcome = trace_run(policy)
-        status = "completed" if outcome.ok else f"DEADLOCK ({outcome.reason})"
-        print(f"=== {policy.name} — {status} in {outcome.cycles:,} cycles ===")
-        print(render_timeline(gpu, width=90))
-        print()
-    return 0
-
-
 def tabulate(name: str, quick: bool = False,
              **matrix_kw) -> Tuple[ExperimentResult, Optional[MatrixResult]]:
     """Artifact ``name``'s table, and the matrix its cells ran in (None
-    for table1 and fig5). The cells run at the artifact's quick scale
-    under ``quick`` where it has one, else at its committed scale;
-    ``matrix_kw`` are ``run_matrix``'s ``jobs`` and ``cache``."""
+    for an artifact without ``requests``). The cells run at the
+    artifact's quick scale under ``quick`` where it has one, else at its
+    committed scale; ``matrix_kw`` are ``run_matrix``'s ``jobs`` and
+    ``cache``."""
     artifact = ARTIFACTS[name]
     if artifact.requests is None:
         return artifact.table(), None
@@ -550,7 +544,6 @@ def _parser() -> argparse.ArgumentParser:
                      help="trace path (default: trace.json)")
     command("ablations", partial(_run_artifacts, ABLATIONS),
             "the design-choice ablations", quick, report, matrix)
-    command("timeline", _run_timeline, "Figure 6 policy timelines")
     faults = command("faults", _run_faults, "fault-injection campaign "
                      "(--seed: the plans' root seed)",
                      quick, seed, matrix, bundles)

@@ -5,10 +5,10 @@ functions: ``requests(scale)`` lists its :class:`RunRequest` cells,
 ``table(matrix)`` turns their :class:`MatrixResult` into an
 :class:`~repro.experiments.report.ExperimentResult` (structured rows +
 an ASCII rendering), and ``check(result)`` asserts the paper's shape at
-the scale of the committed ``results/<name>.txt``. table1 and fig5
-simulate nothing; their ``table()`` takes no argument. ``repro.cli``
-holds each artifact's committed and quick scales and runs the cells in
-between (the ablations module's triples are ``requests_*``,
+the scale of the committed ``results/<name>.txt``. table1, fig5, fig6
+and prior_work run no cell sweep; their ``table()`` takes no argument.
+``repro.cli`` holds each artifact's committed and quick scales and runs
+the cells in between (the ablations module's triples are ``requests_*``,
 ``table_*``, ``check_*``).
 
 ==========  ======================================================
@@ -16,7 +16,9 @@ module      paper artifact
 ==========  ======================================================
 table1      Table 1 — baseline GPU model
 table2      Table 2 — benchmark characterization (measured)
+fig2        Figure 2 — a CU taken and given back mid-kernel
 fig5        Figure 5 — WG context sizes
+timeline    Figure 6 — policy wait signatures (``fig6``)
 fig7        Figure 7 — exponential-backoff sleep sweep
 fig8        Figure 8 — timeout-interval sweep
 fig9        Figure 9 — wait efficiency (atomics vs MinResume)
@@ -24,6 +26,7 @@ fig11       Figure 11 — WG execution-time breakdown
 fig13       Figure 13 — CP scheduling data-structure sizes
 fig14       Figure 14 — non-oversubscribed speedup vs Baseline
 fig15       Figure 15 — oversubscribed speedup vs Timeout
+prior_work  §I, §II.D — cooperative groups, occupancy discovery
 ==========  ======================================================
 """
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.policies import awg
+from repro.experiments.fig15 import eviction_note
 from repro.experiments.matrix import MatrixResult, RunRequest, run_matrix
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import OVERSUBSCRIBED, Scenario
@@ -52,6 +53,7 @@ def table(matrix: MatrixResult) -> ExperimentResult:
                 "Saved Contexts": stats["cp.arena.peak_bytes"] / 1024.0,
             },
         )
+    result.notes.append(eviction_note(matrix, ["AWG"]))
     return result
 
 

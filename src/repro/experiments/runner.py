@@ -93,8 +93,9 @@ SWEEP_SCALE = PAPER_SCALE.scaled(
 
 #: The §VI oversubscribed experiment: same grid, but one CU's WGs are
 #: forcibly context-switched out mid-run (the paper does this at 50 µs;
-#: we scale the workload up and trigger at 25 µs so the loss lands inside
-#: even the fastest policy's run).
+#: we scale the workload up and trigger at 25 µs). The loss does not land
+#: inside every run: 14 of Figure 15's 72 cells finish before 25 µs and
+#: evict no WG, and its table's last note names them.
 OVERSUBSCRIBED = Scenario(
     label="oversubscribed",
     total_wgs=128,

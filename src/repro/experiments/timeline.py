@@ -1,30 +1,24 @@
-"""Figure 6 rendering: timeline signatures of the scheduling policies.
+"""Figure 6: the wait signatures of the scheduling policies.
 
-The paper's Figure 6 is a qualitative diagram of how each policy behaves
-between a failed synchronization attempt and its resumption. We render
-the real thing: per-WG state timelines from an actual simulation, as
-compact ASCII strips (one character per time bucket).
-
-The strips are built from the structured trace stream
-(:mod:`repro.trace`): ``trace_run`` turns on the ``wg`` category, the
-tracer records one span per state a WG occupies, and the renderer below
-reads them through the ``GPU.state_trace`` view. ``python -m repro
-timeline`` prints the strips of four policies; the same spans open in
-Perfetto from ``python -m repro run BENCH POLICY --trace --out t.json``.
-
-Legend: ``.`` pending, ``R`` running, ``s`` stalled, ``x`` switching out,
-``o`` switched out, ``r`` ready, ``i`` resuming (swap-in), ``#`` done.
+``trace_run`` runs FAM_G on a tiny oversubscription-prone machine with
+the ``wg`` trace category on, and ``table()`` counts each policy's
+waits from that trace: a wait runs from a WG entering STALLED to its
+next RUNNING, and a saved wait's restore is *timer* when a retry timer
+fired during it, else *notified*. The table's notes draw the same
+spans as ASCII strips, one character per time bucket.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.policies import PolicySpec
+from repro.core.policies import PolicySpec, awg, monnr_all, monnr_one, timeout
+from repro.experiments.report import ExperimentResult
 from repro.gpu.config import GPUConfig
 from repro.gpu.gpu import GPU, RunResult
 from repro.gpu.workgroup import WGState
 from repro.trace import TraceConfig
+from repro.trace.tracer import WG_TRACK_PREFIX
 from repro.workloads.registry import build_benchmark
 
 _GLYPH = {
@@ -40,6 +34,14 @@ _GLYPH = {
 
 _LEGEND = ("legend: . pending  R running  s stalled  x saving  "
            "o switched-out  r ready  i restoring  # done")
+
+#: the four policies Figure 6 draws
+POLICIES = [timeout(20_000), monnr_all(), monnr_one(), awg()]
+MONITOR_POLICIES = ("MonNR-All", "MonNR-One")
+
+WAITS, SAVES, MAX_SAVES = "waits", "saves", "max saves/wait"
+STALL_FIRST = "stalled, then saved"
+TIMER, NOTIFIED = "timer restores", "notified restores"
 
 
 def glyph_for(state: WGState) -> str:
@@ -73,8 +75,9 @@ def trace_run(policy: PolicySpec) -> Tuple[GPU, RunResult]:
     return gpu, gpu.run()
 
 
-def render_timeline(gpu: GPU, width: int = 100) -> str:
-    """ASCII strip chart of every WG's state over the whole run."""
+def render_timeline(gpu: GPU, width: int = 100) -> List[str]:
+    """An ASCII strip of every WG's state over the whole run, after a
+    line giving the time scale."""
     wg_ids = [wg.wg_id for wg in gpu.wgs]
     end = max(1, gpu.env.now)
     bucket = max(1, end // width)
@@ -94,12 +97,78 @@ def render_timeline(gpu: GPU, width: int = 100) -> str:
                 idx += 1
             strip.append(glyph_for(state))
         lines.append(f"WG{wg_id:>3d} |{''.join(strip)}|")
-    lines.append(_LEGEND)
-    return "\n".join(lines)
+    return lines
 
 
-def policy_signature(gpu: GPU, wg_id: int = 0) -> List[str]:
-    """The ordered list of distinct states one WG moved through —
-    a machine-checkable version of the Figure 6 signatures."""
-    return [state.name for cycle, wid, state in gpu.state_trace
-            if wid == wg_id]
+def wait_signature(gpu: GPU) -> Dict[str, int]:
+    """Count the run's waits, their saves and how their restores came,
+    from each WG's trace in ``(cycle, seq)`` order."""
+    counts = dict.fromkeys((WAITS, SAVES, MAX_SAVES, STALL_FIRST, TIMER,
+                            NOTIFIED), 0)
+    waits: Dict[str, dict] = {}  # the open wait of each WG track
+    for rec in gpu.tracer.events():
+        track = rec["track"]
+        if not track.startswith(WG_TRACK_PREFIX):
+            continue
+        wait = waits.get(track)
+        if rec["ph"] == "i":
+            if wait is not None and rec["name"].startswith("retry:"):
+                wait["timer"] = True
+            continue
+        state = WGState(rec["name"])
+        if state is WGState.STALLED and wait is None:
+            counts[WAITS] += 1
+            waits[track] = {"since": rec["ts"], "saves": 0, "timer": False}
+        elif wait is None:
+            continue
+        elif state is WGState.SWITCHING_OUT:
+            counts[SAVES] += 1
+            if wait["saves"] == 0 and rec["ts"] > wait["since"]:
+                counts[STALL_FIRST] += 1
+            wait["saves"] += 1
+        elif state is WGState.RUNNING:
+            del waits[track]
+            counts[MAX_SAVES] = max(counts[MAX_SAVES], wait["saves"])
+            if wait["saves"]:
+                counts[TIMER if wait["timer"] else NOTIFIED] += 1
+    return counts
+
+
+def table() -> ExperimentResult:
+    result = ExperimentResult(
+        title="Figure 6: wait signatures, FAM_G with 6 WGs on 2 CUs x 2 "
+              "WG slots (traced)",
+        columns=["cycles", WAITS, SAVES, MAX_SAVES, STALL_FIRST, TIMER,
+                 NOTIFIED],
+        row_label="policy",
+    )
+    for policy in POLICIES:
+        gpu, outcome = trace_run(policy)
+        cycles = (outcome.cycles if outcome.ok
+                  else f"DEADLOCK ({outcome.reason})")
+        result.add_row(policy.name, cycles=cycles, **wait_signature(gpu))
+        result.notes += [f"{policy.name:<11s} {line}"
+                         for line in render_timeline(gpu, width=72)]
+    result.notes.append(_LEGEND)
+    return result
+
+
+def check(result: ExperimentResult) -> None:
+    """Assert Figure 6's three signatures: Timeout saves and restores
+    periodically, on its timer; the monitor policies switch out at most
+    once per wait and are restored by a notify; AWG stalls before it
+    switches."""
+    data = result.data
+    assert all(isinstance(row["cycles"], int) for row in data.values())
+    timeout_row = data["Timeout-20k"]
+    assert timeout_row[SAVES] > 0
+    assert timeout_row[TIMER] == timeout_row[SAVES]
+    assert timeout_row[NOTIFIED] == 0
+    for name in MONITOR_POLICIES:
+        row = data[name]
+        assert row[SAVES] > 0, name
+        assert row[MAX_SAVES] == 1, name
+        assert row[NOTIFIED] == row[SAVES], name
+        assert row[STALL_FIRST] == 0, name
+    assert data["AWG"][SAVES] > 0
+    assert data["AWG"][STALL_FIRST] == data["AWG"][SAVES]

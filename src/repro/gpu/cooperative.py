@@ -15,7 +15,7 @@ for busy-waiting code but has the costs the paper calls out:
 
 :func:`launch_cooperative` models exactly this contract on our GPU, so
 AWG's dynamic allocation can be compared against it quantitatively
-(``examples/cooperative_groups.py``).
+(``python -m repro prior_work``).
 """
 
 from __future__ import annotations

@@ -39,8 +39,8 @@ silently drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.analysis.specs import (
     MAY_DEADLOCK,
@@ -99,19 +99,6 @@ class ObservedSchedule:
     counters: Tuple[int, ...] = ()
     locks: Tuple[int, ...] = ()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "wgs": self.wgs,
-            "started": sorted(self.started),
-            "completed": sorted(self.completed),
-            "pcs": list(self.pcs),
-            "waits_executed": self.waits_executed,
-            "terminated": self.terminated,
-            "flags": list(self.flags),
-            "counters": list(self.counters),
-            "locks": list(self.locks),
-        }
-
     def resume_state(self) -> InterpState:
         return InterpState(
             pcs=list(self.pcs),
@@ -129,10 +116,6 @@ class Judgment:
     verdict: str
     reasons: Tuple[str, ...] = ()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"model": self.model, "verdict": self.verdict,
-                "reasons": list(self.reasons)}
-
 
 # -- the models ---------------------------------------------------------------
 
@@ -141,10 +124,6 @@ class ProgressModel:
     """A fairness obligation, made executable (see module docstring)."""
 
     name: str
-
-    @property
-    def rank(self) -> int:
-        return MODEL_ORDER[self.name]
 
     def fair_set(self, schedule: ObservedSchedule) -> FrozenSet[int]:
         """The WGs this model obliges the scheduler to keep serving."""

@@ -221,20 +221,6 @@ class LitmusRun:
                     f"({self.outcome.reason})")
         return None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "program": self.program.name,
-            "alias": self.program.alias,
-            "policy": self.policy,
-            "completed": self.outcome.completed,
-            "deadlocked": self.outcome.deadlocked,
-            "cycles": self.outcome.cycles,
-            "reason": self.outcome.reason,
-            "expected": self.expected,
-            "schedule": self.schedule.to_dict(),
-            "verdicts": {m: j.verdict for m, j in self.judgments.items()},
-        }
-
 
 def run_litmus(program: LitmusProgram, policy: PolicySpec,
                seed: int = 1) -> LitmusRun:
@@ -294,13 +280,6 @@ class LitmusReport:
     seed: int
     policies: List[str]
     runs: List[LitmusRun] = field(default_factory=list)
-
-    @property
-    def programs(self) -> List[LitmusProgram]:
-        seen: Dict[str, LitmusProgram] = {}
-        for run in self.runs:
-            seen.setdefault(run.program.name, run.program)
-        return list(seen.values())
 
     @property
     def contract_violations(self) -> List[str]:

@@ -10,7 +10,8 @@ This works without any hardware support and under plain busy-waiting,
 because the discovered group is co-resident by construction. Its
 documented limitation (paper §I, Figure 2) is what AWG fixes: the
 protocol "cannot adjust to mid-execution resource reductions" — evict a
-discovered participant and the rest spin forever.
+discovered participant and the rest spin forever (``python -m repro
+prior_work`` runs both cases against AWG).
 """
 
 from __future__ import annotations

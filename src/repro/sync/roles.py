@@ -46,33 +46,18 @@ class WaitHint:
 
 @dataclass(frozen=True)
 class SyncProtocol:
-    """The synchronization structure of one benchmark, statically known.
+    """The synchronization structure of one benchmark, statically known,
+    beyond its spec's ``category`` (whose ``make_<category>_body``
+    heterosync factory drives it).
 
     ``primitive`` names the class in ``repro.sync`` whose methods carry
-    the protocol's waits (``""`` for benchmarks that synchronize through
-    the kernel body alone); ``body_builder`` names the heterosync
-    factory whose inner kernel drives it. ``decentralized`` follows the
-    paper's Table 2 split: one waiter and one update per sync variable
-    (SleepMutex, LFTreeBarr) vs. shared counters everyone polls.
+    the protocol's waits. ``decentralized`` follows the paper's Table 2
+    split: one waiter and one update per sync variable (SleepMutex,
+    LFTreeBarr) vs. shared counters everyone polls.
     """
 
-    kind: str  # "mutex" | "barrier"
     primitive: str  # class name in repro.sync, e.g. "SpinMutex"
-    body_builder: str  # factory in repro.workloads.heterosync
-    decentralized: bool
-
-
-def mutex_protocol(primitive: str, decentralized: bool = False) -> SyncProtocol:
-    return SyncProtocol(kind="mutex", primitive=primitive,
-                        body_builder="make_mutex_body",
-                        decentralized=decentralized)
-
-
-def barrier_protocol(primitive: str,
-                     decentralized: bool = False) -> SyncProtocol:
-    return SyncProtocol(kind="barrier", primitive=primitive,
-                        body_builder="make_barrier_body",
-                        decentralized=decentralized)
+    decentralized: bool = False
 
 
 def kernel_roles(waits: Tuple[WaitHint, ...] = ()) -> Callable:

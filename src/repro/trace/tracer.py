@@ -14,7 +14,8 @@ Design constraints (the tentpole's acceptance criteria):
 - **Bounded.** The ring holds :data:`~repro.trace.config.BUFFER_SIZE` events;
   overflow drops the oldest and increments ``dropped``.
 - **Records, never counts.** Quantities a figure reads come from the
-  GPU's stats; the tracer only logs events.
+  GPU's stats; the tracer only logs events. Figure 6 alone counts them:
+  its subject is the WG state sequence itself.
 
 Event kinds map onto Chrome ``trace_event`` phases: spans → ``"X"``
 (complete events), instants → ``"i"``, counter samples → ``"C"``.

@@ -25,11 +25,7 @@ from repro.workloads.heterosync import (
     validate_barrier_run,
     validate_mutex_run,
 )
-from repro.sync.roles import (
-    SyncProtocol,
-    barrier_protocol,
-    mutex_protocol,
-)
+from repro.sync.roles import SyncProtocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.gpu import GPU
@@ -232,7 +228,7 @@ _register(BenchmarkSpec(
     resources=_profile(7, 64, 0),  # ~2.0 KB context
     table2=Table2Row("n", "1", "1", "G", "2"),
     supports_sleep=True,
-    protocol=mutex_protocol("SpinMutex"),
+    protocol=SyncProtocol("SpinMutex"),
 ))
 _register(BenchmarkSpec(
     abbrev="SPMBO_G", full_name="SpinMutexBackoff",
@@ -241,7 +237,7 @@ _register(BenchmarkSpec(
     builder=_mutex_builder(_spin_backoff, local_scope=False),
     resources=_profile(9, 64, 0),  # ~2.5 KB
     table2=Table2Row("n", "1", "1", "G", "2"),
-    protocol=mutex_protocol("SpinMutex"),
+    protocol=SyncProtocol("SpinMutex"),
 ))
 _register(BenchmarkSpec(
     abbrev="FAM_G", full_name="FAMutex",
@@ -251,7 +247,7 @@ _register(BenchmarkSpec(
     resources=_profile(11, 80, 0),  # ~3 KB
     table2=Table2Row("n", "1", "G", "1", "1"),
     supports_sleep=True,
-    protocol=mutex_protocol("FAMutex"),
+    protocol=SyncProtocol("FAMutex"),
 ))
 _register(BenchmarkSpec(
     abbrev="SLM_G", full_name="SleepMutex",
@@ -260,7 +256,7 @@ _register(BenchmarkSpec(
     builder=_mutex_builder(_sleep_mutex, local_scope=False),
     resources=_profile(15, 96, 0),  # ~4 KB
     table2=Table2Row("n", "G", "1", "1", "1"),
-    protocol=mutex_protocol("SleepMutex", decentralized=True),
+    protocol=SyncProtocol("SleepMutex", decentralized=True),
 ))
 _register(BenchmarkSpec(
     abbrev="SPM_L", full_name="SpinMutexLocal",
@@ -270,7 +266,7 @@ _register(BenchmarkSpec(
     resources=_profile(7, 64, 256),
     table2=Table2Row("n", "G/L", "1", "L", "2"),
     supports_sleep=True,
-    protocol=mutex_protocol("SpinMutex"),
+    protocol=SyncProtocol("SpinMutex"),
 ))
 _register(BenchmarkSpec(
     abbrev="SPMBO_L", full_name="SpinMutexBackoffLocal",
@@ -279,7 +275,7 @@ _register(BenchmarkSpec(
     builder=_mutex_builder(_spin_backoff, local_scope=True),
     resources=_profile(9, 64, 256),
     table2=Table2Row("n", "G/L", "1", "L", "2"),
-    protocol=mutex_protocol("SpinMutex"),
+    protocol=SyncProtocol("SpinMutex"),
 ))
 _register(BenchmarkSpec(
     abbrev="FAM_L", full_name="FAMutexLocal",
@@ -289,7 +285,7 @@ _register(BenchmarkSpec(
     resources=_profile(11, 80, 256),
     table2=Table2Row("n", "G/L", "L", "1", "1"),
     supports_sleep=True,
-    protocol=mutex_protocol("FAMutex"),
+    protocol=SyncProtocol("FAMutex"),
 ))
 _register(BenchmarkSpec(
     abbrev="SLM_L", full_name="SleepMutexLocal",
@@ -298,7 +294,7 @@ _register(BenchmarkSpec(
     builder=_mutex_builder(_sleep_mutex, local_scope=True),
     resources=_profile(15, 96, 256),
     table2=Table2Row("n", "G", "1", "1", "1"),
-    protocol=mutex_protocol("SleepMutex", decentralized=True),
+    protocol=SyncProtocol("SleepMutex", decentralized=True),
 ))
 _register(BenchmarkSpec(
     abbrev="TB_LG", full_name="AtomicTreeBarr",
@@ -308,7 +304,7 @@ _register(BenchmarkSpec(
     resources=_profile(22, 96, 512),  # ~6 KB
     table2=Table2Row("n", "G/L", "1", "L", "L"),
     supports_sleep=True,
-    protocol=barrier_protocol("AtomicTreeBarrier"),
+    protocol=SyncProtocol("AtomicTreeBarrier"),
 ))
 _register(BenchmarkSpec(
     abbrev="LFTB_LG", full_name="LFTreeBarr",
@@ -317,7 +313,7 @@ _register(BenchmarkSpec(
     builder=_barrier_builder(_lf_tree_barrier(exchange=False)),
     resources=_profile(26, 96, 512),  # ~7 KB
     table2=Table2Row("n", "G", "1", "1", "1"),
-    protocol=barrier_protocol("LFTreeBarrier", decentralized=True),
+    protocol=SyncProtocol("LFTreeBarrier", decentralized=True),
 ))
 _register(BenchmarkSpec(
     abbrev="TBEX_LG", full_name="AtomicTreeBarrLocalExch",
@@ -327,7 +323,7 @@ _register(BenchmarkSpec(
     resources=_profile(34, 128, 1024),  # ~10 KB
     table2=Table2Row("n", "G/L", "1", "L", "L"),
     supports_sleep=True,
-    protocol=barrier_protocol("AtomicTreeBarrier"),
+    protocol=SyncProtocol("AtomicTreeBarrier"),
 ))
 _register(BenchmarkSpec(
     abbrev="LFTBEX_LG", full_name="LFTreeBarrLocalExch",
@@ -336,7 +332,7 @@ _register(BenchmarkSpec(
     builder=_barrier_builder(_lf_tree_barrier(exchange=True)),
     resources=_profile(30, 128, 1024),  # ~9 KB
     table2=Table2Row("n", "G", "1", "1", "1"),
-    protocol=barrier_protocol("LFTreeBarrier", decentralized=True),
+    protocol=SyncProtocol("LFTreeBarrier", decentralized=True),
 ))
 
 

@@ -17,8 +17,9 @@ from repro.experiments import (
 
 #: the artifacts whose own check() holds on their --quick table
 QUICK_CHECKED = [
-    "table1", "table2", "fig5", "fig7", "fig8", "fig9", "fig11",
-    "ablation_syncmon", "ablation_log", "ablation_resume", "ablation_stall",
+    "table1", "table2", "fig2", "fig5", "fig6", "fig7", "fig8", "fig9",
+    "fig11", "prior_work", "ablation_syncmon", "ablation_log",
+    "ablation_resume", "ablation_stall",
 ]
 
 

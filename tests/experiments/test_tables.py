@@ -11,7 +11,7 @@ import pytest
 from repro.cli import ARTIFACTS
 from repro.experiments import (
     QUICK_OVERSUBSCRIBED, QUICK_SCALE, CellError, MatrixResult, RunResult,
-    fig14, fig15, geomean,
+    fig13, fig14, fig15, geomean,
 )
 from repro.experiments.matrix import Cell
 from repro.workloads.registry import BENCHMARKS
@@ -104,6 +104,27 @@ def test_fig15_renders_deadlock_and_geomeans_only_completed_runs():
     assert gm["Timeout-20k"] == 1.0
     rendered = table.render()
     assert "DEADLOCK" in rendered.splitlines()[3]  # SPM_G's row
+
+
+def test_fig13_and_fig15_name_the_cells_the_cu_loss_missed():
+    missed = {("FAM_L", "MonNR-All"), ("TB_LG", "AWG")}
+
+    def outcome(request):
+        result = _result(request)
+        cell = (request.benchmark, request.policy.name)
+        result.stats["preemption.evictions"] = 0 if cell in missed else 16
+        return result
+
+    def last_note(module):
+        requests = module.requests(QUICK_OVERSUBSCRIBED)
+        return module.table(_matrix(requests, outcome)).notes[-1]
+
+    assert last_note(fig15) == ("the CU loss evicted no WG in 2 of 72 "
+                                "cells: FAM_L (MonNR-All); TB_LG (AWG)")
+    assert last_note(fig13) == ("the CU loss evicted no WG in 1 of 12 "
+                                "cells: TB_LG (AWG)")
+    missed.clear()
+    assert last_note(fig15) == "the CU loss evicted no WG in 0 of 72 cells"
 
 
 @pytest.mark.parametrize("name", SWEEPING)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.policies import awg, monnr_all, timeout
 from repro.experiments.timeline import (
-    glyph_for, policy_signature, render_timeline, trace_run,
+    NOTIFIED, TIMER, glyph_for, render_timeline, trace_run, wait_signature,
 )
 from repro.gpu.workgroup import WGState
 
@@ -28,24 +28,26 @@ def test_trace_is_time_ordered():
 
 def test_render_contains_every_wg():
     gpu, _ = trace_run(timeout(10_000))
-    text = render_timeline(gpu, width=40)
+    lines = render_timeline(gpu, width=40)
+    text = "\n".join(lines)
     for wg in gpu.wgs:
         assert f"WG{wg.wg_id:>3d}" in text
-    assert "legend" in text
+    assert lines[0].startswith("one column = ")
     # strips are exactly the requested width
-    for line in text.splitlines():
+    for line in lines:
         if line.startswith("WG"):
             assert len(line.split("|")[1]) == 40
 
 
 def test_signatures_distinguish_policies():
-    """Oversubscribed waits: Timeout cycles through switched-out states
-    repeatedly; monitor policies resume via READY on notification."""
+    """Oversubscribed waits: Timeout's timer restores its switched-out
+    WGs; monitor policies restore theirs on notification."""
     gpu_t, _ = trace_run(timeout(10_000))
     gpu_m, _ = trace_run(monnr_all())
-    sig_t = policy_signature(gpu_t, wg_id=0)
-    sig_m = policy_signature(gpu_m, wg_id=0)
-    assert sig_t != sig_m
+    sig_t = wait_signature(gpu_t)
+    sig_m = wait_signature(gpu_m)
+    assert sig_t[TIMER] > 0 == sig_t[NOTIFIED]
+    assert sig_m[NOTIFIED] > 0 == sig_m[TIMER]
 
 
 def test_every_wg_state_has_a_glyph():

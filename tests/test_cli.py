@@ -48,8 +48,8 @@ def test_faults_command_unknown_plan():
 
 def test_experiment_registry_covers_all_artifacts():
     assert set(EXPERIMENTS) == {
-        "table1", "table2", "fig5", "fig7", "fig8", "fig9", "fig11",
-        "fig13", "fig14", "fig15",
+        "table1", "table2", "fig2", "fig5", "fig6", "fig7", "fig8", "fig9",
+        "fig11", "fig13", "fig14", "fig15", "prior_work",
     }
     # `all --out DIR` writes one <name>.txt per artifact: exactly the
     # committed tables
@@ -76,9 +76,11 @@ def test_command_help_names_every_dispatched_command(capsys):
 
 def test_unknown_command_is_rejected(capsys):
     # removed commands stay rejected: bench (now `all`), fabric, matrix
-    # (the result cache resumes interrupted sweeps now), and sanitize and
-    # trace (now `run --sanitize` and `run --trace`)
-    for name in ("bench", "fabric", "matrix", "sanitize", "trace"):
+    # (the result cache resumes interrupted sweeps now), sanitize and
+    # trace (now `run --sanitize` and `run --trace`), and timeline (now
+    # `fig6`)
+    for name in ("bench", "fabric", "matrix", "sanitize", "trace",
+                 "timeline"):
         with pytest.raises(SystemExit) as exc:
             main([name])
         assert exc.value.code == 2
@@ -329,7 +331,7 @@ def test_replay_trace_rejects_litmus_bundle(tmp_path, capsys):
     "analyze --quick",
     "run SPM_G --quick --jobs 2",
     "run SPM_G --quick --plans chaos",
-    "timeline --json",
+    "fig6 --json",
     "lint --format json",
     "litmus --quick",
 ])

@@ -126,8 +126,8 @@ def test_every_machine_and_policy_field_is_read(cls):
 # -- entry-point census ------------------------------------------------------
 #
 # An artifact is a triple: ``requests(scale)`` lists its cells and
-# ``table(matrix)`` tabulates their results (table1 and fig5 simulate
-# nothing, so their ``table()`` takes no argument). The CLI runs the
+# ``table(matrix)`` tabulates their results (table1, fig5, fig6 and
+# prior_work run no cell sweep, so their ``table()`` takes no argument). The CLI runs the
 # matrix between the two, so neither takes jobs or a cache. The
 # parameter names are pinned, so a parameter only a test would set
 # cannot return unnoticed.
@@ -136,15 +136,16 @@ SWEEP = {"requests": ("scale",), "table": ("matrix",)}
 
 ENTRY_POINT_PARAMS = {
     **{name: SWEEP for name in (
-        "table2", "fig7", "fig8", "fig9", "fig11", "fig13", "fig14",
-        "fig15", "ablation_syncmon", "ablation_log", "ablation_resume",
-        "ablation_stall")},
+        "table2", "fig2", "fig7", "fig8", "fig9", "fig11", "fig13",
+        "fig14", "fig15", "ablation_syncmon", "ablation_log",
+        "ablation_resume", "ablation_stall")},
     "table1": {"table": ()},
     "fig5": {"table": ()},
+    "fig6": {"table": ()},
+    "prior_work": {"table": ()},
     # besides the artifacts: every parameter is one the CLI passes
     "faults_campaign.run": ("seed", "smoke", "plans", "jobs", "cache",
                             "bundle_dir", "shrink"),
-    "timeline.trace_run": ("policy",),
     "run_benchmark": ("name", "policy", "scenario", "validate", "keep_gpu",
                       "config_overrides"),
 }
@@ -156,7 +157,7 @@ def _params(fn):
 
 def _entry_points():
     from repro.cli import ARTIFACTS
-    from repro.experiments import faults_campaign, run_benchmark, timeline
+    from repro.experiments import faults_campaign, run_benchmark
 
     found = {
         name: {role: _params(getattr(artifact, role))
@@ -165,7 +166,6 @@ def _entry_points():
         for name, artifact in ARTIFACTS.items()
     }
     found["faults_campaign.run"] = _params(faults_campaign.run)
-    found["timeline.trace_run"] = _params(timeline.trace_run)
     found["run_benchmark"] = _params(run_benchmark)
     return found
 
