@@ -3,7 +3,7 @@ Work-groups" (ISCA 2020).
 
 The package implements, from scratch in Python:
 
-- a discrete-event GPU simulator (compute units, wavefront coroutines,
+- a discrete-event GPU simulator (compute units, work-group coroutines,
   write-through L1s, a banked shared L2 that performs all atomics, DRAM);
 - the paper's contribution, Autonomous Work-Groups (AWG): waiting atomic
   instructions, the SyncMon at the L2, the Monitor Log virtualization

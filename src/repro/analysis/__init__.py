@@ -7,8 +7,8 @@ progress and synchronization bugs the paper is about:
   bodies and sync primitives. Its rules (:mod:`repro.analysis.rules`)
   catch dropped device-op generators, raw busy-wait poll loops (the §IV
   IFP violation), check-then-wait patterns that re-open the §IV.C window
-  of vulnerability, divergent ``__syncthreads``, and unprotected
-  read-modify-writes on shared memory — before a simulation ever runs.
+  of vulnerability, and unprotected read-modify-writes on shared
+  memory — before a simulation ever runs.
 - :mod:`repro.analysis.analyzer` and friends — the static progress
   analyzer: a CFG builder (:mod:`repro.analysis.cfg`) and dataflow
   passes (:mod:`repro.analysis.dataflow`) over the same kernel ASTs,

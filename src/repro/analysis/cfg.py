@@ -2,10 +2,10 @@
 
 :func:`build_cfg` lowers one :class:`~repro.analysis.dsl.KernelFunction`
 into basic blocks connected by typed edges. Synchronization points —
-yields into ctx device ops, ``syncthreads``, mutex acquire/release,
-SyncMon waits — terminate their block and continue over an explicit
-``"sync"`` edge, so every dataflow pass observes exactly the program
-points where the scheduler can intervene.
+yields into ctx device ops, mutex acquire/release, SyncMon waits —
+terminate their block and continue over an explicit ``"sync"`` edge,
+so every dataflow pass observes exactly the program points where the
+scheduler can intervene.
 
 Lowering is total: ``break``/``continue``/``return``/``raise`` route
 through any enclosing ``finally`` bodies (duplicated per exit path, the
@@ -33,8 +33,8 @@ from repro.analysis.dsl import (
 )
 from repro.analysis.findings import Finding
 
-#: ops that end a basic block with an explicit sync edge
-SYNC_POINT_OPS = frozenset(WAIT_OPS | {"syncthreads"})
+#: sync-primitive methods that end a basic block with an explicit sync
+#: edge (the ctx ops that do are WAIT_OPS)
 SYNC_POINT_METHODS = frozenset(SYNC_ENTRY_METHODS | {"release"})
 
 #: statement types lowered as straight-line code
@@ -67,7 +67,7 @@ class DeviceOp:
 
     @property
     def is_sync_point(self) -> bool:
-        if self.group == "ctx" and self.name in SYNC_POINT_OPS:
+        if self.group == "ctx" and self.name in WAIT_OPS:
             return True
         return self.group == "sync" and self.name in SYNC_POINT_METHODS
 

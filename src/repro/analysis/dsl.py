@@ -25,9 +25,9 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 #: ctx methods that return generators and must be driven with ``yield from``.
 DEVICE_GEN_OPS = frozenset({
     "compute", "load", "store", "lds_read", "lds_write", "s_sleep",
-    "syncthreads", "atomic", "atomic_load", "atomic_add", "atomic_sub",
-    "atomic_exch", "atomic_store", "atomic_cas", "sync_wait",
-    "acquire_test_and_set", "wait_for_value",
+    "atomic", "atomic_load", "atomic_add", "atomic_sub", "atomic_exch",
+    "atomic_store", "atomic_cas", "sync_wait", "acquire_test_and_set",
+    "wait_for_value",
 })
 
 #: ctx methods that are plain calls (no generator, no ``yield from``).
@@ -58,12 +58,8 @@ SYNC_ENTRY_METHODS = frozenset({"acquire", "arrive", "join", "group_size"})
 LOCK_ACQUIRE_METHODS = frozenset({"acquire"})
 LOCK_RELEASE_METHODS = frozenset({"release"})
 
-#: identifiers that make a condition wavefront-divergent (syncthreads is
-#: WG-local, so only wavefront-level identity matters — not wg_id).
-DIVERGENT_NAMES = frozenset({"is_master", "wf_id"})
-
 #: identifiers that mark an address expression as WG-private.
-PRIVATE_NAMES = frozenset({"grid_index", "wg_id", "wf_id"})
+PRIVATE_NAMES = frozenset({"grid_index", "wg_id"})
 
 
 # -- kernel-function model ----------------------------------------------------
@@ -257,13 +253,3 @@ def addr_base(addr: Optional[ast.AST]) -> str:
     if isinstance(node, ast.Name):
         return node.id
     return dump(node)
-
-
-def divergent_test(test: ast.AST) -> bool:
-    """True when a condition depends on wavefront identity."""
-    for sub in ast.walk(test):
-        if isinstance(sub, ast.Attribute) and sub.attr in DIVERGENT_NAMES:
-            return True
-        if isinstance(sub, ast.Name) and sub.id in DIVERGENT_NAMES:
-            return True
-    return False

@@ -1,4 +1,4 @@
-"""The lint rule registry and the five kernel rules, hosted on the CFG.
+"""The lint rule registry and the four kernel rules, hosted on the CFG.
 
 Kernels in this repository are Python generators programmed against
 :class:`~repro.gpu.device_api.WavefrontCtx`; every device operation and
@@ -38,7 +38,6 @@ from repro.analysis.dataflow import (
 
 from repro.analysis.dsl import (
     KernelFunction,
-    divergent_test as _test_is_divergent,
     dump as _dump,
     keyword as _keyword,
 )
@@ -98,7 +97,7 @@ def check_kernel(kfn: KernelFunction) -> List[Finding]:
     """Build the CFG once and run every registered rule over it.
 
     The builder's own ``analysis-error`` findings ride along (they are
-    not registered rules — the registry stays exactly the five
+    not registered rules — the registry stays exactly the four
     documented ids — but they surface through the same reporting path).
     """
     cfg = build_cfg(kfn)
@@ -187,46 +186,7 @@ def check_vulnerable_wait(cfg: CFG) -> Iterator[Finding]:
             )
 
 
-# -- rule 4: divergent-syncthreads -------------------------------------------
-
-@register(
-    "divergent-syncthreads", "error",
-    "ctx.syncthreads() under a wavefront-divergent condition",
-    "hoist the barrier out of the `is_master` / `wf_id` conditional — "
-    "every wavefront of the WG must arrive or none may",
-    "CUDA/HIP __syncthreads contract",
-)
-def check_divergent_syncthreads(cfg: CFG) -> Iterator[Finding]:
-    kfn = cfg.kfn
-    for op in cfg.ops(unique=True):
-        if op.group != "ctx" or op.name != "syncthreads":
-            continue
-        guard_line = None
-        # Innermost CFG guard first — the block's guard stack is
-        # outermost-first, so walk it in reverse.
-        for test, _polarity in reversed(cfg.blocks[op.block].guards):
-            if _test_is_divergent(test):
-                owner = kfn.parents.get(id(test), test)
-                guard_line = getattr(owner, "lineno", test.lineno)
-                break
-        if guard_line is None:
-            # Expression-level divergence (IfExp) never becomes a CFG
-            # branch; fall back to the ancestor chain for it.
-            for anc in kfn.parent_chain(op.call):
-                if isinstance(anc, (ast.If, ast.While, ast.IfExp)) and \
-                        _test_is_divergent(anc.test):
-                    guard_line = anc.lineno
-                    break
-        if guard_line is not None:
-            yield _finding(
-                "divergent-syncthreads", cfg, op.call,
-                "ctx.syncthreads() controlled by a wavefront-divergent "
-                f"condition (line {guard_line}): non-participating "
-                "wavefronts never arrive and the WG hangs",
-            )
-
-
-# -- rule 5: nonatomic-shared-rmw --------------------------------------------
+# -- rule 4: nonatomic-shared-rmw --------------------------------------------
 
 @register(
     "nonatomic-shared-rmw", "warning",

@@ -2,7 +2,7 @@
 
 The paper reports 2-10 KB across the HeteroSync benchmarks; the size
 drives the cost of every context switch (vector registers for every WI,
-scalar registers for every wavefront, plus the WG's LDS allocation).
+scalar registers for the WG's one wavefront, plus its LDS allocation).
 It depends on a benchmark's resources, not on the grid, so the kernels
 are built at one scale and nothing is simulated.
 """
@@ -26,8 +26,8 @@ def table() -> ExperimentResult:
         gpu = GPU(GPUConfig(), awg())
         kernel = build_benchmark(name, gpu, params=PAPER_SCALE.params())
         res = spec.resources
-        vgpr = res.vgprs_per_wi * 4 * kernel.wis_per_wg
-        sgpr = res.sgprs_per_wavefront * 4 * kernel.wavefronts_per_wg
+        vgpr = res.vgprs_per_wi * 4 * kernel.wis_per_wavefront
+        sgpr = res.sgprs_per_wavefront * 4
         result.add_row(
             name,
             **{

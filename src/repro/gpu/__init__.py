@@ -1,9 +1,10 @@
 """GPU execution-model substrate.
 
 Models the hierarchy of GPU execution abstractions the paper builds on:
-kernels are split into work-groups (WGs), WGs into wavefronts, and
-wavefronts execute device operations (compute, loads/stores, atomics,
-sleeps, local barriers) as coroutines. A dispatcher packs WGs onto
+kernels are split into work-groups (WGs), and each WG executes device
+operations (compute, loads/stores, atomics, sleeps, waits) as one
+coroutine: the master thread of the paper's Figure 10 kernels, no
+worker wavefronts. A dispatcher packs WGs onto
 compute units; the command processor performs the slow operations
 (context switches, Monitor Log parsing) off the critical path.
 """

@@ -5,7 +5,6 @@ Kernel bodies are generators; every operation is invoked as
 
 - compute / plain loads and stores / LDS access / ``s_sleep``
 - plain atomics (performed at the L2)
-- ``__syncthreads`` (WG-local barrier among wavefronts)
 - :meth:`WavefrontCtx.sync_wait` — the *one* synchronization waiting
   entry point. Primitives describe *what* they wait for (address,
   expected value, satisfaction predicate); the active scheduling policy
@@ -22,7 +21,11 @@ single-waiter stages queue the resume. The issue slot, a compute
 quantum, ``s_sleep``, a memory reply and the ``wait`` instruction's L2
 stage each have exactly one waiter, so the op hands the stage its
 process's ``_resume`` and yields :data:`~repro.sim.process.QUEUED`.
-Only the gate, ``syncthreads`` and the wait episodes yield events.
+Only the wait episodes (and a forced eviction's park) yield events.
+
+A WG is one coroutine running the kernel body through one context: the
+master thread of the paper's Figure 10 kernels. No worker wavefronts
+are modelled, so there is no WG-local barrier.
 
 Calling an op *without* ``yield from`` builds a generator that never
 runs, so the op silently never executes. The kernel linter's
@@ -49,26 +52,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class WavefrontCtx:
-    """Execution context handed to a kernel body (one per wavefront)."""
+    """Execution context handed to a kernel body (one per WG)."""
 
-    def __init__(
-        self,
-        gpu: "GPU",
-        wg: "WorkGroup",
-        wf_id: int,
-        simd: "FifoResource",
-    ) -> None:
+    def __init__(self, gpu: "GPU", wg: "WorkGroup", simd: "FifoResource") -> None:
         self.gpu = gpu
         self.env = gpu.env
         self.wg = wg
-        self.wf_id = wf_id
         self.simd = simd
         self.args = wg.kernel.args
         #: ``_resume`` of the process running this context (bound by
-        #: :meth:`~repro.gpu.wavefront.Wavefront.start`): every
+        #: :meth:`~repro.gpu.dispatcher.Dispatcher._start`): every
         #: single-waiter stage of an op calls it with the op's value
         self._resume: Optional[Callable[[object], None]] = None
-        #: the waiting atomic in flight (a wavefront issues one op at a
+        #: the waiting atomic in flight (a WG issues one op at a
         #: time): its (condition, predicate), and the SyncMon outcome its
         #: L2 hook leaves behind
         self._cmp: Optional[Tuple[WaitCondition, Callable[[int], bool]]] = None
@@ -97,25 +93,19 @@ class WavefrontCtx:
         index grid-local data structures."""
         return self.wg.grid_index
 
-    @property
-    def is_master(self) -> bool:
-        return self.wf_id == 0
-
     def _not_resident(self) -> DeviceError:
         return DeviceError(
             f"WG{self.wg_id} issued a device op while not resident"
         )
 
-    # -- op boundary: eviction gate ---------------------------------------------
+    # -- op boundary: forced eviction -------------------------------------------
     def _interrupt_point(self):
-        """Honour forced eviction / the suspension gate (op boundary)."""
+        """Honour forced eviction (op boundary)."""
         from repro.gpu.workgroup import WGState  # local import (cycle)
 
         wg = self.wg
-        if self.is_master and wg.evict_requested and wg.state is WGState.RUNNING:
+        if wg.evict_requested and wg.state is WGState.RUNNING:
             yield from wg.evict_and_park()
-        while wg.gate is not None and not self.is_master:
-            yield wg.gate
 
     # -- compute and plain memory ---------------------------------------------
     def compute(self, cycles: int):
@@ -124,7 +114,7 @@ class WavefrontCtx:
         Long bursts are quantized so kernel-scheduler preemption can take
         effect at instruction granularity, not only at op boundaries."""
         wg = self.wg
-        if wg.evict_requested or wg.gate is not None:
+        if wg.evict_requested:
             yield from self._interrupt_point()
         resume = self._resume
         self.simd.request(self.gpu.config.issue_cycles, resume, None)
@@ -144,7 +134,7 @@ class WavefrontCtx:
     def load(self, addr: int):
         """Plain (cached) load; returns the word value."""
         wg = self.wg
-        if wg.evict_requested or wg.gate is not None:
+        if wg.evict_requested:
             yield from self._interrupt_point()
         self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
         yield QUEUED
@@ -159,7 +149,7 @@ class WavefrontCtx:
     def store(self, addr: int, value: int):
         """Write-through store; completes at the L2."""
         wg = self.wg
-        if wg.evict_requested or wg.gate is not None:
+        if wg.evict_requested:
             yield from self._interrupt_point()
         self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
         yield QUEUED
@@ -176,7 +166,7 @@ class WavefrontCtx:
     def lds_read(self, index: int):
         """Read the WG's local data share (scratchpad)."""
         wg = self.wg
-        if wg.evict_requested or wg.gate is not None:
+        if wg.evict_requested:
             yield from self._interrupt_point()
         self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
         yield QUEUED
@@ -184,7 +174,7 @@ class WavefrontCtx:
 
     def lds_write(self, index: int, value: int):
         wg = self.wg
-        if wg.evict_requested or wg.gate is not None:
+        if wg.evict_requested:
             yield from self._interrupt_point()
         self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
         yield QUEUED
@@ -197,16 +187,6 @@ class WavefrontCtx:
         self._c_sleeps()
         self.env.call_at(max(1, cycles), self._resume, None)
         yield QUEUED
-        return None
-
-    def syncthreads(self):
-        """WG-local barrier among the WG's wavefronts."""
-        wg = self.wg
-        if wg.evict_requested or wg.gate is not None:
-            yield from self._interrupt_point()
-        self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
-        yield QUEUED
-        yield wg.syncthreads_arrive()
         return None
 
     def progress(self, tag: str = "progress") -> None:
@@ -223,7 +203,7 @@ class WavefrontCtx:
     ):
         """Perform an atomic at the L2; returns the :class:`AtomicResult`."""
         wg = self.wg
-        if wg.evict_requested or wg.gate is not None:
+        if wg.evict_requested:
             yield from self._interrupt_point()
         self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
         yield QUEUED
@@ -338,7 +318,7 @@ class WavefrontCtx:
         """Issue one waiting atomic; comparison + SyncMon registration
         happen atomically at the L2 (the race-free point)."""
         wg = self.wg
-        if wg.evict_requested or wg.gate is not None:
+        if wg.evict_requested:
             yield from self._interrupt_point()
         self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
         yield QUEUED
@@ -377,7 +357,7 @@ class WavefrontCtx:
         """The standalone ``wait`` instruction (MonR/MonRS): a separate
         trip to the L2 that arms the SyncMon — racy by construction."""
         wg = self.wg
-        if wg.evict_requested or wg.gate is not None:
+        if wg.evict_requested:
             yield from self._interrupt_point()
         self.simd.request(self.gpu.config.issue_cycles, self._resume, None)
         yield QUEUED
@@ -390,7 +370,7 @@ class WavefrontCtx:
 
     def _arm(self, cond: WaitCondition) -> None:
         """The wait instruction's L2 stage: register the condition; the
-        outcome reaches the wavefront in the next zero-delay slot."""
+        outcome reaches the WG in the next zero-delay slot."""
         self.env.call_at(
             0, self._resume, self.gpu.syncmon.register(self.wg.wg_id, cond))
 

@@ -5,6 +5,10 @@ routes SyncMon resume notifications to stalled or context-switched WGs,
 and swaps ready WGs back in through the Command Processor. WGs are
 dispatched oldest-first, ready (previously started) WGs before pending
 (never started) ones.
+
+A WG is one coroutine: starting it builds one
+:class:`~repro.gpu.device_api.WavefrontCtx` and one
+:class:`~repro.sim.process.Process` running the kernel body.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional
 
-from repro.sim.events import AllOf
+from repro.gpu.device_api import WavefrontCtx
 from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -156,10 +160,14 @@ class Dispatcher:
             tracer.instant("dispatch", "dispatch", track="dispatcher",
                            wg=wg.wg_id, cu=cu.cu_id)
         wg.set_state(WGState.RUNNING)
-        procs = [wf.start(cu.pick_simd()) for wf in wg.wavefronts]
-        AllOf(self.gpu.env, procs).add_callback(
-            lambda _ev, w=wg: self.gpu.wg_done(w)
-        )
+        gpu = self.gpu
+        ctx = WavefrontCtx(gpu, wg, cu.pick_simd())
+        proc = Process(gpu.env, wg.kernel.body(ctx),
+                       name=f"{wg.kernel.name}.wg{wg.wg_id}")
+        # the generator has not run yet: its first op finds this bound
+        ctx._resume = proc._resume
+        # wg_done one zero-delay hop after the body returns
+        proc.add_callback(lambda _ev: gpu.env.call_at(0, gpu.wg_done, wg))
 
     def _swap_in_async(self, wg: "WorkGroup", cu: "ComputeUnit") -> None:
         from repro.gpu.workgroup import WGState
@@ -177,7 +185,6 @@ class Dispatcher:
 
     def _swap_in(self, wg: "WorkGroup", cu: "ComputeUnit"):
         yield from self.gpu.cp.restore_context(wg)
-        wg.open_gate()
         ev = wg.resume_event
         if ev is not None:
             ev.try_succeed()

@@ -23,7 +23,6 @@ from repro.gpu.command_processor import CommandProcessor
 from repro.gpu.diagnostics import build_stall_report, classify_stagnation
 from repro.gpu.dispatcher import Dispatcher
 from repro.gpu.kernel import Kernel, KernelLaunch
-from repro.gpu.wavefront import Wavefront
 from repro.gpu.workgroup import WGState, WorkGroup
 from repro.mem.backing import BackingStore
 from repro.mem.hierarchy import MemoryHierarchy
@@ -164,10 +163,6 @@ class GPU:
         for grid_index in range(kernel.grid_wgs):
             wg_id = len(self.wgs)
             wg = WorkGroup(self, kernel, wg_id, grid_index=grid_index)
-            wg.wavefronts = [
-                Wavefront(self, wg, i)
-                for i in range(kernel.wavefronts_per_wg if kernel.worker_body else 1)
-            ]
             self.wgs.append(wg)
             self.dispatcher.add(wg)
             ids.append(wg_id)
@@ -199,11 +194,9 @@ class GPU:
         if wg.cu is not None:
             wg.cu.release(wg)
             wg.cu = None
-        wg.open_gate()
         self._finished += 1
         self._update_halted()
         self.note_progress("wg_done")
-        wg.done_event.try_succeed()
         self.dispatcher.kick()
 
     def hold_completion(self) -> None:
@@ -285,8 +278,10 @@ class GPU:
                 break
 
         if not deadlocked:
-            # Drain same-cycle completion events (e.g. per-kernel AllOf
-            # callbacks scheduled by the final WG's completion).
+            # Fire whatever is still queued at the final cycle, e.g. work
+            # the last WG's completion queued. drain_batches already
+            # finishes a whole timestamp, lane included, so this catches
+            # only entries queued at `now` outside it (by env.step()).
             env.run(until=env.now)
 
         if self.tracer is not None:

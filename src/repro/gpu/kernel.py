@@ -2,16 +2,15 @@
 
 A kernel body is a Python generator function taking a
 :class:`~repro.gpu.device_api.WavefrontCtx`; the generator yields device
-operations (via ``yield from ctx.<op>(...)``). The *master* wavefront of
-each WG runs ``body``; additional wavefronts run ``worker_body`` when
-provided (they typically compute and join local barriers, mirroring the
-master-thread idiom the paper's Figure 10 kernels use).
+operations (via ``yield from ctx.<op>(...)``). Each WG runs ``body`` as
+one coroutine: the master thread of the paper's Figure 10 kernels, the
+only thread that synchronizes. No worker wavefronts are modelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator
 
 from repro.errors import ConfigError
 
@@ -24,11 +23,11 @@ class ResourceProfile:
     sgprs_per_wavefront: int = 64
     lds_bytes: int = 0
 
-    def context_bytes(self, wis_per_wg: int, wavefronts_per_wg: int) -> int:
-        """Architectural WG context: vector + scalar registers + LDS."""
-        vec = self.vgprs_per_wi * 4 * wis_per_wg
-        sca = self.sgprs_per_wavefront * 4 * wavefronts_per_wg
-        return vec + sca + self.lds_bytes
+    def context_bytes(self, wis: int) -> int:
+        """Architectural context of a one-wavefront WG of ``wis``
+        work-items: vector + scalar registers + LDS."""
+        vec = self.vgprs_per_wi * 4 * wis
+        return vec + self.sgprs_per_wavefront * 4 + self.lds_bytes
 
 
 @dataclass
@@ -38,24 +37,16 @@ class Kernel:
     name: str
     body: Callable[..., Generator]
     grid_wgs: int
-    wavefronts_per_wg: int = 1
     wis_per_wavefront: int = 64
-    worker_body: Optional[Callable[..., Generator]] = None
     resources: ResourceProfile = field(default_factory=ResourceProfile)
     args: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.grid_wgs < 1:
             raise ConfigError(f"kernel {self.name}: grid_wgs must be >= 1")
-        if self.wavefronts_per_wg < 1:
-            raise ConfigError(f"kernel {self.name}: wavefronts_per_wg must be >= 1")
-
-    @property
-    def wis_per_wg(self) -> int:
-        return self.wavefronts_per_wg * self.wis_per_wavefront
 
     def context_bytes(self) -> int:
-        return self.resources.context_bytes(self.wis_per_wg, self.wavefronts_per_wg)
+        return self.resources.context_bytes(self.wis_per_wavefront)
 
 
 @dataclass

@@ -5,7 +5,7 @@ A WG moves through the states the paper's CP firmware tracks (§V.A):
 holding CU resources) → ``SWITCHING_OUT`` → ``SWITCHED_OUT`` (waiting,
 no resources) → ``READY`` → ``RESUMING`` → ``RUNNING`` → ``DONE``.
 
-A wait episode (Figure 6), run by the master wavefront after a failed
+A wait episode (Figure 6), run by the WG's coroutine after a failed
 waiting atomic or armed wait instruction, is split in two. The policy's
 choices are plain functions, tested without a simulation: :func:`plan`
 sets the switch and retry deadlines at wait start, :func:`decide` turns
@@ -86,16 +86,12 @@ class WorkGroup:
         self.state = WGState.PENDING
         self.cu: Optional["ComputeUnit"] = None
         self.started = False  # has it ever been dispatched?
-        self.wavefronts: list = []
-        self.done_event = Event(gpu.env)
 
         # waiting machinery
         self.cond: Optional[WaitCondition] = None
         self.resume_event: Optional[Event] = None
         self.evict_event: Optional[Event] = None
         self.evict_requested = False
-        #: closed gate parks worker wavefronts while the WG is not resident
-        self.gate: Optional[Event] = None
         self.ready_when_saved = False
         #: sticky notification: a resume raced our transition into the
         #: waiting state (consumed at the next wait_on_condition entry)
@@ -106,8 +102,6 @@ class WorkGroup:
 
         # local data share (functional model)
         self.lds: Dict[int, int] = {}
-        self._syncthreads_arrived = 0
-        self._syncthreads_release: Optional[Event] = None
 
         # accounting (Fig 11: running vs waiting breakdown)
         self._state_since = gpu.env.now
@@ -150,34 +144,6 @@ class WorkGroup:
         return self.kernel.context_bytes()
 
     # ------------------------------------------------------------------
-    # gate (parks worker wavefronts when the WG is not resident)
-    # ------------------------------------------------------------------
-    def close_gate(self) -> None:
-        if self.gate is None:
-            self.gate = Event(self.gpu.env)
-
-    def open_gate(self) -> None:
-        if self.gate is not None:
-            gate, self.gate = self.gate, None
-            gate.try_succeed()
-
-    # ------------------------------------------------------------------
-    # local barrier (__syncthreads) among the WG's wavefronts
-    # ------------------------------------------------------------------
-    def syncthreads_arrive(self) -> Event:
-        """Returns the event that releases this arrival's wavefront."""
-        env = self.gpu.env
-        if self._syncthreads_release is None:
-            self._syncthreads_release = Event(env)
-        release = self._syncthreads_release
-        self._syncthreads_arrived += 1
-        if self._syncthreads_arrived >= max(1, len(self.wavefronts)):
-            self._syncthreads_arrived = 0
-            self._syncthreads_release = None
-            release.succeed(delay=self.gpu.config.issue_cycles)
-        return release
-
-    # ------------------------------------------------------------------
     # eviction (kernel-scheduler preemption / dynamic resource loss)
     # ------------------------------------------------------------------
     def request_evict(self) -> None:
@@ -194,10 +160,9 @@ class WorkGroup:
     # context switching
     # ------------------------------------------------------------------
     def switch_out(self):
-        """Generator: save context, release the CU slot (master-side)."""
+        """Generator: save context, release the CU slot."""
         gpu = self.gpu
         self.set_state(WGState.SWITCHING_OUT)
-        self.close_gate()
         self.context_switches += 1
         yield from gpu.cp.save_context(self)
         cu, self.cu = self.cu, None

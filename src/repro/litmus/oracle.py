@@ -189,7 +189,6 @@ def build_litmus_kernel(
         name=program.label,
         body=body,
         grid_wgs=program.wgs,
-        wavefronts_per_wg=1,
         resources=ResourceProfile(vgprs_per_wi=8, sgprs_per_wavefront=64),
         args={"litmus_observer": observer, "litmus_layout": layout,
               "program": program.spec()},

@@ -7,7 +7,7 @@ of SimPy, specialized for cycle-accurate-ish hardware modelling:
   (integer cycles).
 - :class:`~repro.sim.events.Event` — one-shot completion events with
   callbacks (``Engine.timeout`` builds a delayed one);
-  :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.AllOf`.
+  :class:`~repro.sim.events.AnyOf` fires with the first of its children.
 - :class:`~repro.sim.process.Process` — a generator that yields events
   (or ``QUEUED`` when its op has queued its resume) and is resumed with
   their values.

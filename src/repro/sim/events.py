@@ -1,4 +1,4 @@
-"""One-shot events and composite events."""
+"""One-shot events and the first-of composite."""
 
 from __future__ import annotations
 
@@ -120,24 +120,3 @@ class AnyOf(Event):
     def _child_fired(self, child: Event) -> None:
         if self._state is _PENDING:
             self.try_succeed((self.children.index(child), child._value))
-
-
-class AllOf(Event):
-    """Fires once all children have fired; value is the list of values."""
-
-    __slots__ = ("children", "_remaining")
-
-    def __init__(self, env: "Engine", children: Iterable[Event]) -> None:
-        super().__init__(env)
-        self.children = list(children)
-        self._remaining = len(self.children)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for child in self.children:
-            child.add_callback(self._child_done)
-
-    def _child_done(self, _child: Event) -> None:
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([c.value for c in self.children])

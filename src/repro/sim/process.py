@@ -3,9 +3,10 @@
 A process wraps a Python generator. It waits in one of two ways:
 
 - It yields an :class:`~repro.sim.events.Event` when more than one
-  party can wake it (a wait episode's ``AnyOf``, a gate, a barrier, a
-  done event). When the event fires the process is resumed with the
-  event's value as the result of the ``yield`` expression.
+  party can wake it (a wait episode's ``AnyOf`` of resume, evict and
+  timer, or a parked WG's resume event). When the event fires the
+  process is resumed with the event's value as the result of the
+  ``yield`` expression.
 - It yields :data:`QUEUED` when its op has already queued the call that
   resumes it: a single-waiter stage (an issue slot, a fixed delay, a
   memory reply) calls the process's ``_resume`` with the value directly,

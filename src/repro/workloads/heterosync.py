@@ -34,16 +34,11 @@ def make_mutex_body(
     iterations: int,
     work_cycles: int,
     cs_cycles: int,
-    multi_wavefront: bool = False,
 ):
     """Kernel body for the mutex benchmarks.
 
     The critical section is a plain load / compute / store increment of
-    the group's shared word — only mutual exclusion keeps it exact.
-
-    With ``multi_wavefront`` the master joins a ``__syncthreads`` with
-    the WG's worker wavefronts each iteration (the paper's Figure 10
-    master-thread idiom)."""
+    the group's shared word — only mutual exclusion keeps it exact."""
 
     def body(ctx: "WavefrontCtx"):
         group = group_of(ctx.grid_index)
@@ -56,8 +51,6 @@ def make_mutex_body(
             yield from ctx.compute(cs_cycles)
             yield from ctx.store(data, value + 1)
             yield from mutex.release(ctx, token)
-            if multi_wavefront:
-                yield from ctx.syncthreads()
             ctx.progress("cs_complete")
 
     return body
@@ -101,25 +94,11 @@ def make_racy_mutex_body(
     return body
 
 
-def make_worker_body(iterations: int, work_cycles: int):
-    """Non-master wavefronts: per-iteration local work + __syncthreads
-    (they never touch global synchronization variables)."""
-
-    def worker(ctx: "WavefrontCtx"):
-        for i in range(iterations):
-            yield from ctx.compute(work_cycles)
-            yield from ctx.lds_write(ctx.wf_id * 8 + (i % 8), i)
-            yield from ctx.syncthreads()
-
-    return worker
-
-
 def make_barrier_body(
     barrier,
     episodes: int,
     work_cycles: int,
     episode_addrs: Sequence[int],
-    multi_wavefront: bool = False,
 ):
     """Kernel body for the barrier benchmarks.
 
@@ -132,8 +111,6 @@ def make_barrier_body(
             jitter = (idx * 7 + episode * 13) % WORK_JITTER
             yield from ctx.compute(work_cycles + jitter)
             yield from barrier.arrive(ctx, idx, episode)
-            if multi_wavefront:
-                yield from ctx.syncthreads()
             yield from ctx.store(episode_addrs[idx], episode + 1)
 
     return body

@@ -21,7 +21,6 @@ from repro.workloads.heterosync import (
     make_barrier_body,
     make_mutex_body,
     make_racy_mutex_body,
-    make_worker_body,
     validate_barrier_run,
     validate_mutex_run,
 )
@@ -44,9 +43,6 @@ class BenchmarkParams:
     work_cycles: int = 400
     cs_cycles: int = 150
     episodes: int = 6
-    #: wavefronts per WG; > 1 adds worker wavefronts joining syncthreads
-    #: each iteration (the master-thread idiom of the paper's Figure 10)
-    wavefronts_per_wg: int = 1
 
 
 @dataclass(frozen=True)
@@ -98,11 +94,9 @@ def _mutex_builder(mutex_factory: Callable, local_scope: bool):
         # spin traffic therefore delays the critical section's own
         # accesses, a key contributor to busy-waiting's cost (§IV.C).
         data_addrs = [m.home_addr + 8 for m in mutexes]
-        multi = params.wavefronts_per_wg > 1
         body = make_mutex_body(
             mutexes, group_of, data_addrs,
             params.iterations, params.work_cycles, params.cs_cycles,
-            multi_wavefront=multi,
         )
 
         def validate(g: "GPU") -> None:
@@ -112,11 +106,6 @@ def _mutex_builder(mutex_factory: Callable, local_scope: bool):
             name=spec.abbrev,
             body=body,
             grid_wgs=params.total_wgs,
-            wavefronts_per_wg=params.wavefronts_per_wg,
-            worker_body=(
-                make_worker_body(params.iterations, params.work_cycles)
-                if multi else None
-            ),
             resources=spec.resources,
             args={
                 "mutexes": mutexes,
@@ -133,10 +122,8 @@ def _barrier_builder(barrier_factory: Callable):
     def build(spec: BenchmarkSpec, gpu: "GPU", params: BenchmarkParams) -> Kernel:
         barrier = barrier_factory(gpu, params)
         episode_addrs = gpu.alloc_sync_vars(params.total_wgs)
-        multi = params.wavefronts_per_wg > 1
         body = make_barrier_body(
-            barrier, params.episodes, params.work_cycles,
-            episode_addrs, multi_wavefront=multi,
+            barrier, params.episodes, params.work_cycles, episode_addrs,
         )
 
         def validate(g: "GPU") -> None:
@@ -146,11 +133,6 @@ def _barrier_builder(barrier_factory: Callable):
             name=spec.abbrev,
             body=body,
             grid_wgs=params.total_wgs,
-            wavefronts_per_wg=params.wavefronts_per_wg,
-            worker_body=(
-                make_worker_body(params.episodes, params.work_cycles)
-                if multi else None
-            ),
             resources=spec.resources,
             args={
                 "barrier": barrier,
@@ -363,7 +345,6 @@ def _racy_builder(spec: BenchmarkSpec, gpu: "GPU", params: BenchmarkParams) -> K
         name=spec.abbrev,
         body=body,
         grid_wgs=params.total_wgs,
-        wavefronts_per_wg=1,
         resources=spec.resources,
         args={
             "mutexes": mutexes,

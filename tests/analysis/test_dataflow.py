@@ -1,5 +1,6 @@
 """Dataflow passes: reaching RMWs, locksets, wait classification."""
 
+import ast
 import textwrap
 
 from repro.analysis.cfg import cfgs_for_source
@@ -12,7 +13,6 @@ from repro.analysis.dataflow import (
     lockset,
     reaching_rmw,
 )
-from repro.analysis.dsl import divergent_test
 
 
 def _cfg(source):
@@ -161,11 +161,12 @@ def test_acquire_test_and_set_is_a_fused_interval_wait():
 def test_wait_guards_capture_role_divergence():
     cfg = _cfg("""
         def kernel(ctx):
-            if ctx.is_master:
+            if ctx.grid_index == 0:
                 yield from ctx.sync_wait(0x10, 1)
     """)
     (site,) = classify_waits(cfg)
-    assert any(divergent_test(test) for test, _ in site.guards)
+    assert [ast.unparse(test) for test, _ in site.guards] == [
+        "ctx.grid_index == 0"]
 
 
 # -- write collection ---------------------------------------------------------

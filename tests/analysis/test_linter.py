@@ -21,7 +21,6 @@ ALL_RULES = (
     "missing-yield-from",
     "busy-wait-loop",
     "vulnerable-wait",
-    "divergent-syncthreads",
     "nonatomic-shared-rmw",
 )
 
@@ -113,12 +112,6 @@ def test_missing_yield_from_allows_return_delegation():
         "def kernel(ctx):\n"
         "    value = yield from read_it(ctx, ctx.args['addr'])\n"
     ) == []
-
-
-def test_divergent_syncthreads_flags_if_and_while():
-    active, _ = _lint_fixture("pos_divergent_syncthreads")
-    fired = [f for f in active if f.rule_id == "divergent-syncthreads"]
-    assert {f.function for f in fired} == {"kernel", "kernel_loop"}
 
 
 # -- suppression -------------------------------------------------------------

@@ -73,10 +73,17 @@ def check_golden(path: Path, fresh: Any, indent: int = 2) -> None:
     trip), so tuples and lists, or int and str keys, never differ. With
     ``REPRO_UPDATE_GOLDENS=1`` the golden is rewritten instead, sorted
     and at ``indent``, so re-baselining an unchanged golden leaves its
-    bytes alone."""
+    bytes alone, and each rewrite that changes a value prints the keys
+    that changed, old and new (run pytest with ``-s`` to see them)."""
     path = Path(path)
     text = json.dumps(fresh, indent=indent, sort_keys=True) + "\n"
     if UPDATE_GOLDENS:
+        if path.is_file():
+            diffs = golden_diffs(json.loads(path.read_text()),
+                                 json.loads(text))
+            if diffs:
+                print(f"\nre-baselined {path.name} ({len(diffs)} value(s)):"
+                      "\n  " + "\n  ".join(diffs))
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
         return

@@ -96,11 +96,12 @@ def test_wg_id_and_master(gpu):
     ids = []
 
     def body(ctx):
-        ids.append((ctx.wg_id, ctx.is_master))
+        ids.append(ctx.wg_id)
         yield from ctx.compute(1)
 
     run_kernel(gpu, body, grid_wgs=3)
-    assert sorted(ids) == [(0, True), (1, True), (2, True)]
+    # one context per WG: the WG's coroutine is its master thread
+    assert sorted(ids) == [0, 1, 2]
 
 
 def test_sync_wait_immediate_success(gpu):
@@ -200,10 +201,10 @@ def test_op_outside_residency_raises(gpu):
 
     kernel = simple_kernel(lambda ctx: iter(()))
     wg = WorkGroup(gpu, kernel, 0)
-    ctx = WavefrontCtx(gpu, wg, 0, gpu.cus[0].simds[0])
+    ctx = WavefrontCtx(gpu, wg, gpu.cus[0].simds[0])
     addr = gpu.malloc(4)
     for op in (ctx.load(addr), ctx.store(addr, 1), ctx.atomic_add(addr)):
-        # bound as Wavefront.start binds it: the op's issue slot resumes
+        # bound as Dispatcher._start binds it: the op's issue slot resumes
         # this process, and the op raises past it
         ctx._resume = Process(gpu.env, op)._resume
         with pytest.raises(DeviceError, match="while not resident"):
@@ -212,7 +213,7 @@ def test_op_outside_residency_raises(gpu):
 
 def test_plain_ops_build_no_event(gpu, monkeypatch):
     """A load, a store and an atomic each have one waiter, so their issue
-    slot and memory reply resume the wavefront directly: none of them
+    slot and memory reply resume the WG directly: none of them
     constructs an Event."""
     from repro.sim.events import Event
 

@@ -17,17 +17,20 @@ def test_kernel_requires_positive_grid():
 
 
 def test_wis_per_wg():
+    """A WG is one wavefront: its vector registers are those of the
+    wavefront's work-items."""
+    prof = ResourceProfile(vgprs_per_wi=1, sgprs_per_wavefront=0)
     k = Kernel(name="k", body=dummy_body, grid_wgs=1,
-               wavefronts_per_wg=4, wis_per_wavefront=64)
-    assert k.wis_per_wg == 256
+               wis_per_wavefront=32, resources=prof)
+    assert k.context_bytes() == 4 * 32
 
 
 def test_context_bytes_formula():
     prof = ResourceProfile(vgprs_per_wi=16, sgprs_per_wavefront=64,
                            lds_bytes=1024)
-    k = Kernel(name="k", body=dummy_body, grid_wgs=1, wavefronts_per_wg=2,
+    k = Kernel(name="k", body=dummy_body, grid_wgs=1,
                wis_per_wavefront=64, resources=prof)
-    expected = 16 * 4 * 128 + 64 * 4 * 2 + 1024
+    expected = 16 * 4 * 64 + 64 * 4 + 1024
     assert k.context_bytes() == expected
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.core.policies import awg, baseline, monnr_one, timeout
 from repro.errors import SimulationError
 from repro.experiments import QUICK_OVERSUBSCRIBED, QUICK_SCALE, run_benchmark
-from repro.sim.events import AllOf
 
 from tests.golden.test_golden_stats import golden_path
 from tests.gpu.conftest import make_gpu, simple_kernel
@@ -44,18 +43,27 @@ def test_unreleased_hold_becomes_no_events_deadlock(gpu):
     assert out.deadlocked
 
 
-def test_kernel_allof_fires_before_run_returns(gpu):
-    done = []
+def test_work_queued_by_the_last_wg_done_runs_before_run_returns(
+        gpu, monkeypatch):
+    """The last WG's completion halts the run; a zero-delay entry it
+    queues still fires before run() returns."""
+    drained = []
+    wg_done = gpu.wg_done
+
+    def wg_done_then_queue(wg):
+        wg_done(wg)
+        gpu.env.call_at(0, drained.append, (wg.wg_id, gpu.env.now))
+
+    monkeypatch.setattr(gpu, "wg_done", wg_done_then_queue)
 
     def body(ctx):
-        yield from ctx.compute(100)
+        yield from ctx.compute(100 * (ctx.grid_index + 1))
 
-    launch = gpu.launch(simple_kernel(body, grid_wgs=3))
-    AllOf(gpu.env, [gpu.wgs[i].done_event for i in launch.wg_ids]) \
-        .add_callback(lambda _ev: done.append(gpu.env.now))
+    gpu.launch(simple_kernel(body, grid_wgs=3))
     out = gpu.run()
     assert out.ok
-    assert done  # drained at end of run
+    assert [wg_id for wg_id, _now in drained] == [0, 1, 2]
+    assert drained[-1][1] == out.cycles
 
 
 def test_engine_reentrant_run_rejected():

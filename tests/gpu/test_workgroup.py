@@ -151,56 +151,6 @@ def test_switch_out_and_back_preserves_execution(gpu):
     assert gpu.wgs[0].context_switches >= 1
 
 
-def test_gate_parks_workers():
-    """Worker wavefronts stop at the gate while the WG is switched out."""
-    gpu = make_gpu(monnr_all(), num_cus=1, max_wgs_per_cu=1)
-    addr = gpu.malloc(4, align=64)
-    worker_ticks = []
-
-    def body(ctx):
-        if ctx.wg_id == 0:
-            yield from ctx.wait_for_value(addr, 1)
-            yield from ctx.syncthreads()
-        else:
-            yield from ctx.atomic_store(addr, 1)
-            yield from ctx.syncthreads()
-
-    def worker(ctx):
-        yield from ctx.compute(10)
-        worker_ticks.append(ctx.env.now)
-        yield from ctx.syncthreads()
-
-    kernel = simple_kernel(body, grid_wgs=2, wavefronts_per_wg=2,
-                           worker_body=worker)
-    gpu.launch(kernel)
-    out = gpu.run()
-    assert out.ok
-    assert len(worker_ticks) == 2
-
-
-def test_syncthreads_joins_wavefronts(gpu):
-    order = []
-
-    def body(ctx):
-        yield from ctx.compute(100)
-        yield from ctx.syncthreads()
-        order.append(("master", ctx.env.now))
-
-    def worker(ctx):
-        yield from ctx.compute(2000)
-        yield from ctx.syncthreads()
-        order.append(("worker", ctx.env.now))
-
-    kernel = simple_kernel(body, grid_wgs=1, wavefronts_per_wg=2,
-                           worker_body=worker)
-    gpu.launch(kernel)
-    assert gpu.run().ok
-    # both released at the same (post-2000) time
-    assert len(order) == 2
-    assert abs(order[0][1] - order[1][1]) == 0
-    assert min(t for _n, t in order) >= 2000
-
-
 def test_a_policy_without_a_backstop_never_backstops():
     # a monitor policy's timers come from its PolicySpec alone: without a
     # backstop, a switched-out waiter waits for a notify. MonR-All's race

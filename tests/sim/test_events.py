@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event
+from repro.sim.events import AnyOf, Event
 
 
 @pytest.fixture
@@ -77,29 +77,4 @@ def test_anyof_with_already_fired_child(env):
     any_ev = AnyOf(env, [ev, env.timeout(10)])
     env.run(until=5)
     assert any_ev.value == (0, "done")
-
-
-def test_allof_collects_values_in_child_order(env):
-    a = Event(env).succeed("a", 20)
-    b = Event(env).succeed("b", 10)
-    all_ev = AllOf(env, [a, b])
-    env.run()
-    assert all_ev.value == ["a", "b"]
-
-
-def test_allof_empty_fires_immediately(env):
-    all_ev = AllOf(env, [])
-    env.run()
-    assert all_ev.value == []
-
-
-def test_allof_waits_for_slowest(env):
-    a = env.timeout(5)
-    b = env.timeout(50)
-    all_ev = AllOf(env, [a, b])
-    env.run(until=10)
-    with pytest.raises(SimulationError):  # not fired yet
-        _ = all_ev.value
-    env.run()
-    assert all_ev.value == [None, None]
 

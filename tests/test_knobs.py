@@ -20,6 +20,7 @@ from repro.core.policies import PolicySpec
 from repro.experiments.matrix import RunRequest
 from repro.experiments.runner import Scenario
 from repro.gpu.config import GPUConfig
+from repro.gpu.kernel import Kernel
 from repro.trace.config import TraceConfig
 from repro.workloads.registry import BenchmarkParams
 
@@ -84,7 +85,12 @@ CONFIG_FIELDS = {
     TraceConfig: ("categories",),
     BenchmarkParams: (
         "total_wgs", "wgs_per_group", "iterations", "work_cycles",
-        "cs_cycles", "episodes", "wavefronts_per_wg",
+        "cs_cycles", "episodes",
+    ),
+    # a WG is one coroutine: no worker body, one wavefront
+    Kernel: (
+        "name", "body", "grid_wgs", "wis_per_wavefront", "resources",
+        "args",
     ),
 }
 

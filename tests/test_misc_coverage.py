@@ -69,24 +69,3 @@ def test_scenario_params_roundtrip():
     cfg = PAPER_SCALE.config(l2_banks=4)
     assert cfg.l2_banks == 4
     assert cfg.max_wgs_per_cu == PAPER_SCALE.max_wgs_per_cu
-
-
-def test_worker_body_runs_iterations():
-    from repro.workloads.heterosync import make_worker_body
-
-    gpu = make_gpu(awg())
-    worker = make_worker_body(iterations=3, work_cycles=50)
-    joined = []
-
-    def master(ctx):
-        for _ in range(3):
-            yield from ctx.compute(50)
-            yield from ctx.syncthreads()
-        joined.append("master")
-
-    kernel = simple_kernel(master, grid_wgs=1, wavefronts_per_wg=2,
-                           worker_body=lambda ctx: worker(ctx))
-    gpu.launch(kernel)
-    assert gpu.run().ok
-    assert joined == ["master"]
-    assert gpu.wgs[0].lds  # the worker wrote its LDS slots
